@@ -62,8 +62,8 @@ class ExecBackend(enum.Enum):
     pool of worker processes over zero-copy shared-memory views of the
     CSDB arrays (see :mod:`repro.parallel.shared`).  ``THREADS`` runs
     them on a persistent in-process thread pool with zero segment
-    copies (see :mod:`repro.parallel.threads`) — the numpy kernels
-    release the GIL, and on free-threaded CPython the threads are fully
+    copies (see :mod:`repro.parallel.threads`) — the compiled kernel
+    releases the GIL, and on free-threaded CPython the threads are fully
     concurrent.  The simulated cost accounting is charged identically
     in every backend, and the numeric output is bit-identical.
     """
@@ -73,17 +73,12 @@ class ExecBackend(enum.Enum):
     THREADS = "threads"
 
 
-#: Default byte budget for the blocked SpMM gather intermediate (bounds
-#: the O(nnz*d) ``vals * dense[cols]`` materialization per chunk).
-DEFAULT_CHUNK_BUDGET_BYTES = 64 * 2**20
-
-
 @dataclass(frozen=True)
 class ParallelConfig:
     """Execution-backend selection for the real (wall-clock) kernels.
 
     Attributes:
-        backend: which executor runs the numpy kernels.  The simulated
+        backend: which executor runs the SpMM kernels.  The simulated
             cost model is unaffected by this choice.
         n_workers: worker processes in the shared-memory pool (or
             threads in the threads pool).  This is
@@ -91,22 +86,14 @@ class ParallelConfig:
             ``OMeGaConfig.n_threads`` the cost model partitions over;
             the pool consumes the logical partitions work-stealing
             style.
-        chunk_budget_bytes: byte budget bounding the blocked SpMM
-            kernel's gather intermediate (per chunk, per worker).
     """
 
     backend: ExecBackend = ExecBackend.SIMULATED
     n_workers: int = 2
-    chunk_budget_bytes: int = DEFAULT_CHUNK_BUDGET_BYTES
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-        if self.chunk_budget_bytes < 4096:
-            raise ValueError(
-                "chunk_budget_bytes must be >= 4096, got"
-                f" {self.chunk_budget_bytes}"
-            )
 
     @classmethod
     def default(cls) -> "ParallelConfig":

@@ -246,7 +246,7 @@ class SpMMEngine:
         Args:
             matrix: the sparse operand in CSDB format.
             dense: the dense operand, shape (n_cols, d).
-            compute: execute the real numpy kernel (disable for
+            compute: execute the real SpMM kernel (disable for
                 cost-only scalability sweeps over huge synthetic inputs).
 
         Raises:
@@ -309,9 +309,6 @@ class SpMMEngine:
             matrix.col_degrees() if self.prefetcher is not None else None
         )
         prefetch_plans: list[PrefetchPlan | DisabledPrefetchPlan] = []
-        output = (
-            np.zeros((matrix.n_rows, d), dtype=np.float64) if compute else None
-        )
         needs_full_pass = False
         kernel_ranges: list[tuple[int, int]] = []
         for partition in partitions:
@@ -335,8 +332,8 @@ class SpMMEngine:
                     # costing construct; compute the result in one pass.
                     needs_full_pass = True
         kernel_wall = 0.0
+        output: np.ndarray | None = None
         if compute:
-            budget = self.config.parallel.chunk_budget_bytes
             # Trace propagation into the kernel dispatch: worker (or
             # serial per-partition) spans parent under the open "spmm"
             # span and carry this tracer's trace_id across the process
@@ -357,8 +354,10 @@ class SpMMEngine:
                 span_sink = self.tracer.attach
             wall_start = time.perf_counter()
             if needs_full_pass:
-                output[:] = matrix.spmm(dense, budget_bytes=budget)
+                output = matrix.spmm(dense)
             else:
+                # run_partitions fully overwrites the buffer.
+                output = np.empty((matrix.n_rows, d), dtype=np.float64)
                 stats = getattr(self.kernel_executor, "stats", None)
                 before = (
                     (
@@ -375,7 +374,6 @@ class SpMMEngine:
                     dense,
                     kernel_ranges,
                     output,
-                    budget_bytes=budget,
                     trace_ctx=trace_ctx,
                     span_sink=span_sink,
                 )

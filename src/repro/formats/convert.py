@@ -1,7 +1,10 @@
 """Conversions between edge lists, CSR, CSDB and scipy sparse matrices.
 
-scipy is used *only* here, as an interop/validation boundary — the library
-itself computes on the from-scratch formats.
+scipy appears in two places: here, as the interop/validation boundary,
+and inside :meth:`~repro.formats.csdb.CSDBMatrix.spmm_rows`, whose inner
+loop is scipy's compiled CSR kernel run over zero-copy slices of the CSDB
+arrays.  The formats themselves — degree blocks, Eq. 1 addressing, the
+O(#degrees) index, CSR — are from scratch.
 """
 
 from __future__ import annotations

@@ -31,30 +31,13 @@ from dataclasses import dataclass
 from multiprocessing import shared_memory
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from repro.formats.csr import CSRMatrix
 
-#: Default byte budget bounding the blocked SpMM gather intermediate
-#: (the ``vals[:, None] * dense[cols]`` materialization is O(nnz * d)
-#: unblocked; blocking accumulates in row-aligned chunks of at most this
-#: many bytes, which keeps results bit-identical — see
-#: :meth:`CSDBMatrix.spmm_rows`).
-DEFAULT_CHUNK_BUDGET_BYTES = 64 * 2**20
-#: Target footprint of the tiled kernel's gather intermediate.  The
-#: inner kernel column-tiles the dense operand so each
-#: ``dense[cols, t0:t1]`` gather plus its scaled product stays roughly
-#: cache-resident instead of round-tripping an O(nnz * d) temporary
-#: through DRAM; measured 2.4-4.6x on the seeded R-MAT workloads at
-#: d >= 16.  Tiling never changes a row's accumulation order, so the
-#: tiled kernel is bit-identical to the untiled one.
-DEFAULT_TILE_BUDGET_BYTES = 1 * 2**20
-#: Widest column tile; narrower tiles repeat the per-index gather
-#: overhead too often, wider ones spill the intermediate out of cache.
-MAX_TILE_COLS = 32
-
 
 class KernelVerificationError(AssertionError):
-    """A blocked/parallel SpMM kernel diverged from the CSR reference."""
+    """The SpMM kernel diverged from the from-scratch CSR reference."""
 
 
 @dataclass(frozen=True)
@@ -416,37 +399,8 @@ class CSDBMatrix:
     # -- operators (§III-A: multiplication, addition, subtraction,
     #    transposition) ----------------------------------------------------
 
-    def _chunk_boundaries(
-        self, row_start: int, row_end: int, d: int, budget_bytes: int
-    ) -> np.ndarray:
-        """Row-aligned chunk boundaries whose gather stays in budget.
-
-        Chunks never split a row, so each row's non-zeros are reduced in
-        one ``reduceat`` segment regardless of chunking — blocked results
-        are bit-identical to the one-shot kernel.  A single hub row whose
-        own gather exceeds the budget still forms a chunk of its own.
-        """
-        prefix = self.nnz_prefix()
-        budget_nnz = max(int(budget_bytes) // (16 * max(d, 1)), 1)
-        boundaries = [row_start]
-        cursor = row_start
-        while cursor < row_end:
-            target = prefix[cursor] + budget_nnz
-            # Furthest row whose cumulative nnz still fits the budget.
-            nxt = int(
-                np.searchsorted(prefix, target, side="right") - 1
-            )
-            nxt = min(max(nxt, cursor + 1), row_end)
-            boundaries.append(nxt)
-            cursor = nxt
-        return np.asarray(boundaries, dtype=np.int64)
-
     def spmm_rows(
-        self,
-        dense: np.ndarray,
-        row_start: int,
-        row_end: int,
-        budget_bytes: int | None = None,
+        self, dense: np.ndarray, row_start: int, row_end: int
     ) -> np.ndarray:
         """SpMM restricted to CSDB rows ``[row_start, row_end)``.
 
@@ -454,19 +408,17 @@ class CSDBMatrix:
         contiguous run of CSDB rows.  Returns the partial result in CSDB
         row order (shape ``(row_end - row_start, dense.shape[1])``).
 
-        The gather intermediate (``vals * dense[cols]``, O(nnz * d)
-        bytes unblocked) is accumulated in row-aligned chunks whose
-        footprint is bounded by the *tile* budget: the dense operand is
-        column-tiled (at most :data:`MAX_TILE_COLS` columns per tile)
-        and chunk row extents are sized so one tile's gather plus its
-        scaled product stay roughly L2-resident
-        (:data:`DEFAULT_TILE_BUDGET_BYTES`) instead of streaming an
-        O(nnz * d) temporary through DRAM.  ``budget_bytes`` (default
-        :data:`DEFAULT_CHUNK_BUDGET_BYTES`) still caps the footprint
-        from above.  Tiling never reorders a row's accumulation —
-        ``reduceat`` runs over the same non-zeros in the same order per
-        column tile — so blocked, tiled results are bit-identical to
-        the one-shot kernel.
+        ``(nnz_prefix, col_list, nnz_list)`` is a CSR triplet over the
+        degree-sorted row space, so the range is handed, as zero-copy
+        slices, to scipy's compiled CSR kernel: one fused pass
+        (``get_dense_nnz`` -> multiply -> accumulate) with no
+        O(nnz * d) intermediate.
+
+        Accumulation contract: every output row is the *sequential* sum
+        over its non-zeros in ``col_list`` order, starting from zero,
+        with one rounding per multiply and one per add.  A row's bits
+        therefore do not depend on which range, executor or worker
+        computed it.
         """
         if not 0 <= row_start <= row_end <= self.n_rows:
             raise ValueError(
@@ -478,67 +430,25 @@ class CSDBMatrix:
             raise ValueError(
                 f"dimension mismatch: {self.shape} @ {dense.shape}"
             )
-        n_out = row_end - row_start
-        d = dense.shape[1]
-        out = np.zeros((n_out, d), dtype=np.float64)
-        if n_out == 0:
-            return out
         prefix = self.nnz_prefix()
-        if prefix[row_start] == prefix[row_end]:
-            return out
-        if budget_bytes is None:
-            budget_bytes = DEFAULT_CHUNK_BUDGET_BYTES
-        degrees = self.row_degrees()
-        tile_w = min(max(d, 1), MAX_TILE_COLS)
-        tile_budget = min(int(budget_bytes), DEFAULT_TILE_BUDGET_BYTES)
-        boundaries = self._chunk_boundaries(
-            row_start, row_end, tile_w, tile_budget
+        lo, hi = int(prefix[row_start]), int(prefix[row_end])
+        rows = csr_array(
+            (
+                self.nnz_list[lo:hi],
+                self.col_list[lo:hi],
+                prefix[row_start : row_end + 1] - lo,
+            ),
+            shape=(row_end - row_start, self.n_cols),
         )
-        for a, b in zip(boundaries[:-1], boundaries[1:]):
-            lo, hi = int(prefix[a]), int(prefix[b])
-            if lo == hi:
-                continue
-            cols = self.col_list[lo:hi]
-            vals = self.nnz_list[lo:hi][:, None]
-            # reduceat needs strictly increasing offsets: segment only
-            # the rows that actually own non-zeros, then scatter.
-            nonzero_rows = np.flatnonzero(degrees[a:b] > 0)
-            offsets = (prefix[a:b] - prefix[a])[nonzero_rows]
-            out_chunk = out[a - row_start : b - row_start]
-            if tile_w == d:
-                # Advanced indexing already copied; scale in place.
-                sub = dense[cols]
-                sub *= vals
-                out_chunk[nonzero_rows] = np.add.reduceat(sub, offsets, axis=0)
-            else:
-                for t0 in range(0, d, tile_w):
-                    t1 = min(d, t0 + tile_w)
-                    sub = dense[cols, t0:t1]
-                    sub *= vals
-                    out_chunk[nonzero_rows, t0:t1] = np.add.reduceat(
-                        sub, offsets, axis=0
-                    )
-        return out
+        return rows @ dense
 
-    def spmm(
-        self,
-        dense: np.ndarray,
-        chunk_rows: int | None = None,
-        budget_bytes: int | None = None,
-        verify: bool = False,
-    ) -> np.ndarray:
+    def spmm(self, dense: np.ndarray, verify: bool = False) -> np.ndarray:
         """Full SpMM ``self @ dense`` in original row order.
 
         Args:
             dense: the dense operand, shape (n_cols, d) or (n_cols,).
-            chunk_rows: optional CSDB-row chunk size for the scatter
-                loop; by default chunks are derived from ``budget_bytes``
-                so the peak gather footprint is bounded instead of
-                materializing the whole O(nnz * d) intermediate.
-            budget_bytes: byte budget for the gather intermediate
-                (default :data:`DEFAULT_CHUNK_BUDGET_BYTES`).
-            verify: cross-validate the blocked kernel against the CSR
-                reference (``self.to_csr().spmm``); raises
+            verify: cross-validate the kernel against the from-scratch
+                CSR reference (``self.to_csr().spmm``); raises
                 :class:`KernelVerificationError` on divergence.  Meant
                 for tests and debugging — it pays a full second SpMM.
         """
@@ -546,32 +456,14 @@ class CSDBMatrix:
         squeeze = dense.ndim == 1
         if squeeze:
             dense = dense[:, None]
-        if budget_bytes is None:
-            budget_bytes = DEFAULT_CHUNK_BUDGET_BYTES
-        out = np.zeros((self.n_rows, dense.shape[1]), dtype=np.float64)
-        if chunk_rows is not None and chunk_rows < 1:
-            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        if chunk_rows is not None:
-            boundaries = np.arange(
-                0, self.n_rows + chunk_rows, chunk_rows, dtype=np.int64
-            )
-            boundaries[-1] = self.n_rows
-            boundaries = np.unique(boundaries)
-        else:
-            boundaries = self._chunk_boundaries(
-                0, self.n_rows, dense.shape[1], budget_bytes
-            )
-        if self.n_rows:
-            for a, b in zip(boundaries[:-1], boundaries[1:]):
-                out[self.perm[a:b]] = self.spmm_rows(
-                    dense, int(a), int(b), budget_bytes=budget_bytes
-                )
+        out = np.empty((self.n_rows, dense.shape[1]), dtype=np.float64)
+        out[self.perm] = self.spmm_rows(dense, 0, self.n_rows)
         if verify:
             reference = self.to_csr().spmm(dense)
             if not np.allclose(out, reference, rtol=1e-9, atol=1e-12):
                 worst = float(np.max(np.abs(out - reference)))
                 raise KernelVerificationError(
-                    "blocked SpMM diverged from the CSR reference"
+                    "SpMM kernel diverged from the CSR reference"
                     f" (max abs error {worst:.3e})"
                 )
         return out[:, 0] if squeeze else out

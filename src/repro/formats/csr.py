@@ -2,9 +2,10 @@
 
 This is the baseline storage format of Fig. 19(a): ``indptr`` is an
 O(|V|) row-pointer array, ``indices``/``data`` hold the column ids and
-values of the non-zeros.  The implementation is numpy-vectorized but does
-not depend on ``scipy.sparse`` (scipy is only used at the interop
-boundary, see :mod:`repro.formats.convert`).
+values of the non-zeros.  The implementation is numpy-vectorized and does
+not depend on ``scipy.sparse``, which keeps :meth:`CSRMatrix.spmm` an
+independent reference for the scipy-backed CSDB kernel
+(``CSDBMatrix.spmm(verify=True)``).
 """
 
 from __future__ import annotations

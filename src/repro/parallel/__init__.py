@@ -10,7 +10,7 @@ protocol behind the engine's kernel-dispatch seam:
   arrays, with a persistent warm segment cache and batched plan
   submission, bit-identical to the serial result;
 - :class:`ThreadsExecutor` — partitions on a persistent in-process
-  thread pool, zero segment copies (the numpy kernels release the
+  thread pool, zero segment copies (the compiled kernel releases the
   GIL), bit-identical to the serial result.
 
 Real backends expose :class:`ExecutorStats` warm-path counters that the
@@ -28,6 +28,7 @@ from repro.parallel.shared import (
     WorkerCrashError,
     close_shared_executors,
     get_shared_executor,
+    mp_context,
     shutdown_shared_executors,
 )
 from repro.parallel.stats import ThreadStats, summarize_thread_times
@@ -49,6 +50,7 @@ __all__ = [
     "close_shared_executors",
     "get_shared_executor",
     "get_threads_executor",
+    "mp_context",
     "shutdown_shared_executors",
     "shutdown_threads_executors",
     "summarize_thread_times",

@@ -1,16 +1,20 @@
 """Simulated thread pool.
 
-Real work (numpy kernels) executes serially in-process; simulated *time*
-advances per logical thread, so a parallel phase's completion time is the
-maximum simulated clock (the makespan) rather than the serial wall time.
+Real work (the compiled ``spmm_rows`` kernel) executes serially
+in-process; simulated *time* advances per logical thread, so a parallel
+phase's completion time is the maximum simulated clock (the makespan)
+rather than the serial wall time.
 
-Both execution backends implement one structural protocol
-(:class:`KernelExecutor`): the engine hands them the CSDB operand, the
+Every execution backend implements one structural protocol
+(:class:`KernelExecutor`): the engine hands it the CSDB operand, the
 dense operand, the contiguous row ranges the allocator produced, and the
 output buffer; the backend is free to run those ranges serially
-(:class:`SimulatedExecutor`) or on a worker-process pool
-(:class:`~repro.parallel.shared.SharedMemoryExecutor`).  Because row
-reductions never span a range or chunk boundary, every backend produces
+(:class:`SimulatedExecutor`), on a worker-process pool
+(:class:`~repro.parallel.shared.SharedMemoryExecutor`) or on a thread
+pool (:class:`~repro.parallel.threads.ThreadsExecutor`).  Each output
+row is the sequential sum over its own non-zeros (see
+:meth:`~repro.formats.csdb.CSDBMatrix.spmm_rows`), so a row's bits do
+not depend on the range that contains it and every backend produces
 bit-identical output.
 """
 
@@ -29,7 +33,7 @@ from repro.obs.live import TraceContext, next_span_uid, partition_span_payload
 
 @runtime_checkable
 class KernelExecutor(Protocol):
-    """The engine's kernel-dispatch seam (one method, two backends)."""
+    """The engine's kernel-dispatch seam (one method, three backends)."""
 
     def run_partitions(
         self,
@@ -37,7 +41,6 @@ class KernelExecutor(Protocol):
         dense: np.ndarray,
         ranges: list[tuple[int, int]],
         output: np.ndarray,
-        budget_bytes: int | None = None,
         trace_ctx: TraceContext | None = None,
         span_sink: Callable[[dict[str, Any]], Any] | None = None,
     ) -> None:
@@ -49,8 +52,8 @@ class KernelExecutor(Protocol):
 
         With ``trace_ctx`` given, the backend measures each partition
         (kernel wall, scatter wall, rows/nnz) and feeds one span payload
-        per partition to ``span_sink`` — the trace-propagation seam both
-        backends honour so per-partition telemetry is backend-agnostic.
+        per partition to ``span_sink`` — the trace-propagation seam every
+        backend honours so per-partition telemetry is backend-agnostic.
         """
         ...
 
@@ -126,7 +129,6 @@ class SimulatedExecutor:
         dense: np.ndarray,
         ranges: list[tuple[int, int]],
         output: np.ndarray,
-        budget_bytes: int | None = None,
         trace_ctx: TraceContext | None = None,
         span_sink: Callable[[dict[str, Any]], Any] | None = None,
     ) -> None:
@@ -142,9 +144,7 @@ class SimulatedExecutor:
                 continue
             row_start, row_end = int(row_start), int(row_end)
             kernel_start = time.perf_counter()
-            partial = matrix.spmm_rows(
-                dense, row_start, row_end, budget_bytes=budget_bytes
-            )
+            partial = matrix.spmm_rows(dense, row_start, row_end)
             kernel_end = time.perf_counter()
             output[matrix.perm[row_start:row_end]] = partial
             if nnz_prefix is not None:

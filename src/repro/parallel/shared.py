@@ -9,12 +9,12 @@ via :meth:`~repro.formats.csdb.CSDBMatrix.to_shared`).
 
 Design invariants:
 
-- **Bit-identical output.**  Workers run exactly the same blocked
+- **Bit-identical output.**  Workers run exactly the same fused
   ``spmm_rows`` kernel as the serial path, one contiguous CSDB row range
   per partition, and scatter their partial results into disjoint rows of
-  one shared output buffer (``out[perm[rst:red]] = partial``).  Row
-  reductions never span a chunk or partition boundary, so the parallel
-  result equals the serial result bit for bit.
+  one shared output buffer (``out[perm[rst:red]] = partial``).  Each row
+  is the sequential sum over its own non-zeros, so the parallel result
+  equals the serial result bit for bit.
 - **Simulated time is untouched.**  The executor only runs kernels; the
   engine charges Eq. 2 costs to the per-thread :class:`SimClock` exactly
   as under the simulated backend.
@@ -101,7 +101,7 @@ class WorkerCrashError(RuntimeError):
     """
 
 
-def _mp_context():
+def mp_context():
     """Fork where available (cheap workers); spawn otherwise."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
@@ -138,8 +138,8 @@ def _worker_main(jobs, results) -> None:
     assigned to this worker (plain tuples, picklable):
 
     - ``("plan", call_id, slot, handle, dense_spec, out_spec, tasks,
-      budget_bytes, retired, ctx, enqueued_at)`` — run the plan's tasks
-      in order.  ``tasks`` is a tuple of ``(job_id, row_start, row_end,
+      retired, ctx, enqueued_at)`` — run the plan's tasks in order.
+      ``tasks`` is a tuple of ``(job_id, row_start, row_end,
       crash)`` sorted by ``job_id``; ``crash`` marks injected
       hard-exits (crash-safety tests).  ``ctx`` is a
       :class:`~repro.obs.live.TraceContext` or None; ``enqueued_at`` is
@@ -175,7 +175,7 @@ def _worker_main(jobs, results) -> None:
             return
         (
             _, call_id, slot, handle, dense_spec, out_spec,
-            tasks, budget_bytes, retired, ctx, enqueued_at,
+            tasks, retired, ctx, enqueued_at,
         ) = plan
         drop(retired)
         payloads: list = []
@@ -228,9 +228,7 @@ def _worker_main(jobs, results) -> None:
                     prefix = matrix.nnz_prefix()
                     nnz = int(prefix[row_end] - prefix[row_start])
                 kernel_start = time.perf_counter()
-                partial = matrix.spmm_rows(
-                    dense, row_start, row_end, budget_bytes=budget_bytes
-                )
+                partial = matrix.spmm_rows(dense, row_start, row_end)
                 kernel_wall_s = time.perf_counter() - kernel_start
                 scatter_start = time.perf_counter()
                 out[matrix.perm[row_start:row_end]] = partial
@@ -325,7 +323,7 @@ class SharedMemoryExecutor:
         self.n_workers = n_workers
         self.call_timeout_s = call_timeout_s
         self.stats = ExecutorStats()
-        self._ctx = _mp_context()
+        self._ctx = mp_context()
         self._prefix = f"omega-{os.getpid()}-{secrets.token_hex(4)}"
         self._workers: list = []
         self._job_queues: list = []
@@ -530,7 +528,6 @@ class SharedMemoryExecutor:
         dense: np.ndarray,
         ranges: list[tuple[int, int]],
         output: np.ndarray,
-        budget_bytes: int | None = None,
         trace_ctx: TraceContext | None = None,
         span_sink: Callable[[dict[str, Any]], Any] | None = None,
         _inject_crash: bool | int = False,
@@ -625,7 +622,6 @@ class SharedMemoryExecutor:
                     dense_spec,
                     out_spec,
                     tuple(tasks),
-                    budget_bytes,
                     retired,
                     trace_ctx,
                     enqueued_at,

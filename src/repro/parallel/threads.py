@@ -7,18 +7,17 @@ workers read the CSDB arrays and the dense operand *directly* — no
 shared segments, no operand staging, no pickling.  Per-call overhead is
 one closure submission per partition.
 
-Why threads help even on GIL builds: the heavy numpy primitives inside
-``spmm_rows`` (fancy-index gather, elementwise multiply,
-``np.add.reduceat``) release the GIL for the duration of the C loop, so
-partition kernels genuinely overlap.  On free-threaded CPython the
-workers are fully concurrent.  This mirrors OMeGa §III-B's thread
-model directly: one thread per partition over a shared in-memory
-matrix, no inter-process transport at all.
+Why threads help even on GIL builds: ``spmm_rows`` is one call into
+scipy's compiled CSR kernel, which releases the GIL for the duration of
+its C loop, so partition kernels genuinely overlap.  On free-threaded
+CPython the workers are fully concurrent.  This mirrors OMeGa §III-B's
+thread model directly: one thread per partition over a shared
+in-memory matrix, no inter-process transport at all.
 
 Invariants shared with the other backends:
 
-- **Bit-identical output.**  Same blocked/tiled ``spmm_rows`` kernel,
-  one contiguous CSDB row range per partition, scattered into disjoint
+- **Bit-identical output.**  Same fused ``spmm_rows`` kernel, one
+  contiguous CSDB row range per partition, scattered into disjoint
   output rows — threads write non-overlapping row sets, so no
   synchronization is needed and the result equals serial bit for bit.
 - **Simulated time untouched.**  The executor only runs kernels.
@@ -123,7 +122,6 @@ class ThreadsExecutor:
         dense: np.ndarray,
         ranges: list[tuple[int, int]],
         output: np.ndarray,
-        budget_bytes: int | None = None,
         trace_ctx: TraceContext | None = None,
         span_sink: Callable[[dict[str, Any]], Any] | None = None,
     ) -> None:
@@ -156,9 +154,7 @@ class ThreadsExecutor:
         def run_range(row_start: int, row_end: int):
             started_at = time.monotonic()
             kernel_start = time.perf_counter()
-            partial = matrix.spmm_rows(
-                dense, row_start, row_end, budget_bytes=budget_bytes
-            )
+            partial = matrix.spmm_rows(dense, row_start, row_end)
             kernel_end = time.perf_counter()
             output[matrix.perm[row_start:row_end]] = partial
             if trace_ctx is None:

@@ -64,7 +64,7 @@ from repro.memsim.devices import (
 )
 from repro.memsim.persistence import PersistenceDomain, StageCheckpointStore
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel.shared import _mp_context
+from repro.parallel import mp_context
 from repro.shard.errors import (
     CheckpointCorruptionError,
     PartialResultError,
@@ -292,7 +292,7 @@ class ShardHost:
         #: Called with (shard_id, sequence, reason) when a damaged
         #: checkpoint record is quarantined (set by the manager).
         self.on_quarantine: Callable[[int, int, str], None] | None = None
-        self._ctx = ctx if ctx is not None else _mp_context()
+        self._ctx = ctx if ctx is not None else mp_context()
         token = secrets.token_hex(4)
         self._name = f"shard-{os.getpid()}-{token}-{shard_id}"
         self.spec = create_shared_array(np.asarray(rows, dtype=np.float64), self._name)
@@ -733,7 +733,7 @@ class EmbeddingShardManager:
         #: shard-id-keyed state.
         self.reshard_epoch = 0
         self._migration: dict[str, Any] | None = None
-        self._ctx = _mp_context()
+        self._ctx = mp_context()
         self._started = False
 
     # -- lifecycle -------------------------------------------------------

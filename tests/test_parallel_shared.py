@@ -98,16 +98,6 @@ class TestBitIdentity:
         pool.run_partitions(matrix, dense, [], out)
         assert np.array_equal(out, np.zeros_like(out))
 
-    def test_tiny_chunk_budget_still_identical(self):
-        matrix = _rmat_csdb(7, seed=6)
-        dense = np.random.default_rng(2).standard_normal((matrix.n_cols, 5))
-        ranges = [(0, matrix.n_rows // 3), (matrix.n_rows // 3, matrix.n_rows)]
-        expected = _serial_reference(matrix, dense, ranges)
-        pool = get_shared_executor(2)
-        out = np.empty_like(expected)
-        pool.run_partitions(matrix, dense, ranges, out, budget_bytes=4096)
-        assert np.array_equal(out, expected)
-
 
 class TestCrashSafety:
     def test_worker_crash_raises_typed_error_and_releases_memory(self):
@@ -229,8 +219,6 @@ class TestParallelConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="n_workers"):
             ParallelConfig(n_workers=0)
-        with pytest.raises(ValueError, match="chunk_budget_bytes"):
-            ParallelConfig(chunk_budget_bytes=1)
 
 
 class TestReleaseSweep:

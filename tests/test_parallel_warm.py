@@ -3,7 +3,7 @@
 Covers the warm-path contract shared by the real backends:
 
 - bit-identity across the full backend × worker matrix on seeded
-  R-MATs (the tiled serial kernel is the reference);
+  R-MATs (the serial kernel is the reference);
 - persistent segment-cache reuse across repeated ``multiply()`` calls
   (same shared segments, hit counters advancing, no re-staging);
 - explicit invalidation after in-place matrix mutation
@@ -28,7 +28,6 @@ from repro.core import (
     SpMMEngine,
 )
 from repro.formats import CSDBMatrix, edges_to_csdb
-from repro.formats.csdb import DEFAULT_TILE_BUDGET_BYTES, MAX_TILE_COLS
 from repro.graphs import rmat_edges
 from repro.parallel import (
     SharedMemoryExecutor,
@@ -66,9 +65,9 @@ def _ranges(matrix, n_parts: int):
 
 
 class TestTiledKernel:
-    """The column-tiled inner kernel is bit-identical to CSR reference."""
+    """The fused kernel is range-invariant and matches the CSR reference."""
 
-    @pytest.mark.parametrize("d", [1, 3, MAX_TILE_COLS, MAX_TILE_COLS + 1, 64])
+    @pytest.mark.parametrize("d", [1, 3, 32, 33, 64])
     def test_matches_csr_reference(self, d):
         matrix = _rmat_csdb(8, seed=21)
         dense = np.random.default_rng(d).standard_normal((matrix.n_cols, d))
@@ -76,15 +75,27 @@ class TestTiledKernel:
         got = matrix.spmm(dense)
         assert np.allclose(got, expected)
 
-    @pytest.mark.parametrize("budget", [4096, 1 << 16, DEFAULT_TILE_BUDGET_BYTES, 1 << 30])
+    @pytest.mark.parametrize("budget", [4096, 1 << 16, 1 << 20, 1 << 30])
     def test_budget_never_changes_bits(self, budget):
+        """Row ranges cut at any nnz budget stack to the one-shot bits.
+
+        ``budget`` is the byte size an unfused kernel's gather of a
+        range would have (16 B * d per non-zero): 4096 cuts hub rows
+        into ranges of their own, 1 << 30 leaves a single range.
+        """
         matrix = _rmat_csdb(8, seed=22)
-        dense = np.random.default_rng(0).standard_normal((matrix.n_cols, 48))
+        d = 48
+        dense = np.random.default_rng(0).standard_normal((matrix.n_cols, d))
         reference = matrix.spmm_rows(dense, 0, matrix.n_rows)
-        tiled = matrix.spmm_rows(
-            dense, 0, matrix.n_rows, budget_bytes=budget
-        )
-        assert np.array_equal(tiled, reference)
+        prefix = matrix.nnz_prefix()
+        parts, cursor = [], 0
+        while cursor < matrix.n_rows:
+            target = prefix[cursor] + budget // (16 * d)
+            nxt = int(np.searchsorted(prefix, target, side="right")) - 1
+            nxt = min(max(nxt, cursor + 1), matrix.n_rows)
+            parts.append(matrix.spmm_rows(dense, cursor, nxt))
+            cursor = nxt
+        assert np.array_equal(np.vstack(parts), reference)
 
     def test_partitioned_tiling_bit_identical(self):
         matrix = _rmat_csdb(8, seed=23)

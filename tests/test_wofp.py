@@ -1,10 +1,16 @@
 """Unit tests for the WoFP prefetcher (§III-C)."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import WorkloadBalancedAllocator, WorkloadPrefetcher
-from repro.core.wofp import DisabledPrefetchPlan
+from repro.core.wofp import DisabledPrefetchPlan, PrefetchPlan
+from repro.formats import edges_to_csdb
+from repro.graphs import rmat_edges
 
 
 @pytest.fixture
@@ -118,6 +124,55 @@ class TestPlans:
         a = prefetcher.plan(skewed_csdb, p)
         b = prefetcher.plan(skewed_csdb, p, col_degrees=degrees)
         assert np.array_equal(a.hot_columns, b.hot_columns)
+
+
+class TestHistogramEqualsSortedUnique:
+    """``plan`` counts columns with a histogram; the sort-based
+    ``np.unique`` formulation it replaced must give the same plan."""
+
+    @staticmethod
+    def _unique_plan(prefetcher, matrix, partition):
+        w = partition.nnz_count
+        reserved = max(int(w * prefetcher.sigma), 1)
+        cols = matrix.col_list[partition.nnz_start : partition.nnz_end]
+        distinct, counts = np.unique(cols, return_counts=True)
+        capacity = min(reserved, len(distinct))
+        if prefetcher.selects_frequency(matrix, partition):
+            return prefetcher._frequency_plan(
+                distinct, counts, capacity, reserved, w
+            )
+        return prefetcher._degree_plan(
+            distinct, counts, matrix.col_degrees(), capacity, reserved, w
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        scale=st.integers(5, 8),
+        n_threads=st.integers(1, 8),
+        kind=st.sampled_from(["frequency", "degree"]),
+        sigma=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    )
+    def test_plan_fields_identical(self, seed, scale, n_threads, kind, sigma):
+        matrix = edges_to_csdb(
+            rmat_edges(scale, edge_factor=6.0, seed=seed), 1 << scale
+        )
+        eta = 1e-9 if kind == "frequency" else 1e9
+        prefetcher = WorkloadPrefetcher(eta=eta, sigma=sigma)
+        for partition in WorkloadBalancedAllocator().allocate(
+            matrix, n_threads
+        ):
+            if partition.nnz_count == 0:
+                continue
+            got = prefetcher.plan(matrix, partition)
+            want = self._unique_plan(prefetcher, matrix, partition)
+            assert got.kind == kind
+            for field in fields(PrefetchPlan):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(a, np.ndarray):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                else:
+                    assert a == b, field.name
 
 
 class TestDisabledPlan:
