@@ -14,8 +14,11 @@ provided:
   *predicted completion times* equalize, balancing work and tail latency
   simultaneously.
 
-All allocators are O(|V|) online using prefix-sum arrays cached per
-matrix in :class:`AllocatorContext`.
+All allocators are O(|V|) online over the prefix-sum arrays of an
+:class:`AllocatorContext`, which every ``allocate`` call builds afresh.
+An allocation reads only the matrix's sparsity pattern, so reuse lives
+one level up: :class:`~repro.core.spmm.SpMMEngine` keeps the partitions
+it computed for a matrix and allocates once per matrix, not per product.
 """
 
 from __future__ import annotations

@@ -120,21 +120,10 @@ class OperatorSuite:
             raise ValueError(
                 f"factor widths differ: {left.shape[1]} vs {right.shape[1]}"
             )
-        csdb_rows = np.repeat(
-            np.arange(matrix.n_rows, dtype=np.int64), matrix.row_degrees()
-        )
-        row_ids = matrix.perm[csdb_rows]
         dots = np.einsum(
-            "ij,ij->i", left[row_ids], right[matrix.col_list]
+            "ij,ij->i", left[matrix.nnz_row_ids()], right[matrix.col_list]
         )
-        output = CSDBMatrix(
-            matrix.deg_list,
-            matrix.deg_ind,
-            matrix.col_list,
-            matrix.nnz_list * dots,
-            matrix.perm,
-            matrix.shape,
-        )
+        output = matrix.with_values(matrix.nnz_list * dots)
         d = left.shape[1]
         nnz = matrix.nnz
         seconds = self._stream_cost(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -195,6 +196,10 @@ class SpMMEngine:
                 threads=max(self.config.n_threads // 2, 1),
             )
         )
+        # EaTA's split and WoFP's plans read only a matrix's sparsity
+        # pattern (immutable, see CSDBMatrix.mark_mutated), so they are
+        # computed once per matrix and kept while the matrix is alive.
+        self._plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     # -- device/tier resolution -------------------------------------------
 
@@ -293,7 +298,7 @@ class SpMMEngine:
         compute: bool,
     ) -> SpMMResult:
         n_threads = self.config.n_threads
-        partitions = self.allocator.allocate(matrix, n_threads)
+        partitions, prefetch_plans = self._plan(matrix)
         record_allocation_metrics(partitions, self.metrics, self.allocator.name)
         trace = CostTrace()
         clock = SimClock(n_threads)
@@ -305,18 +310,9 @@ class SpMMEngine:
         trace.charge("allocation", alloc_seconds)
         clock.advance_all(alloc_seconds)
 
-        col_degrees = (
-            matrix.col_degrees() if self.prefetcher is not None else None
-        )
-        prefetch_plans: list[PrefetchPlan | DisabledPrefetchPlan] = []
         needs_full_pass = False
         kernel_ranges: list[tuple[int, int]] = []
-        for partition in partitions:
-            if self.prefetcher is not None and partition.contiguous:
-                plan = self.prefetcher.plan(matrix, partition, col_degrees)
-            else:
-                plan = DisabledPrefetchPlan()
-            prefetch_plans.append(plan)
+        for partition, plan in zip(partitions, prefetch_plans):
             record_prefetch_metrics(plan, partition, d, self.metrics)
             seconds = self._partition_cost(
                 matrix, partition, plan, d, n_threads, trace
@@ -469,6 +465,35 @@ class SpMMEngine:
             nnz=matrix.nnz,
             kernel_wall_seconds=kernel_wall,
         )
+
+    # -- per-matrix planning ------------------------------------------------
+
+    def _plan(
+        self, matrix: CSDBMatrix
+    ) -> tuple[
+        list[WorkloadPartition], list[PrefetchPlan | DisabledPrefetchPlan]
+    ]:
+        """The thread allocation and per-partition WoFP plans of a matrix.
+
+        Computed on the first multiply of a matrix, reused afterwards;
+        callers get fresh lists.  Simulated allocation and prefetch cost
+        is charged by the caller on every call regardless.
+        """
+        cached = self._plans.get(matrix)
+        if cached is None:
+            partitions = self.allocator.allocate(
+                matrix, self.config.n_threads
+            )
+            cached = self._plans[matrix] = (
+                partitions,
+                [
+                    self.prefetcher.plan(matrix, partition)
+                    if self.prefetcher is not None and partition.contiguous
+                    else DisabledPrefetchPlan()
+                    for partition in partitions
+                ],
+            )
+        return list(cached[0]), list(cached[1])
 
     # -- per-partition costing ----------------------------------------------
 

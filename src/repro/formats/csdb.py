@@ -385,6 +385,10 @@ class CSDBMatrix:
             ).astype(np.int64)
         return self._nnz_prefix
 
+    def nnz_row_ids(self) -> np.ndarray:
+        """Original row id of every non-zero, aligned with ``col_list``."""
+        return np.repeat(self.perm, self.row_degrees())
+
     def neighbors(self, original_row: int) -> tuple[np.ndarray, np.ndarray]:
         """(column ids, values) of an *original* row, via Eq. 1 lookup."""
         if not 0 <= original_row < self.n_rows:
@@ -474,13 +478,9 @@ class CSDBMatrix:
 
     def transpose(self) -> "CSDBMatrix":
         """Transposed copy, re-blocked by the transpose's row degrees."""
-        csdb_rows = np.repeat(
-            np.arange(self.n_rows, dtype=np.int64), self.row_degrees()
-        )
-        original_rows = self.perm[csdb_rows]
         return CSDBMatrix.from_coo(
             self.col_list,
-            original_rows,
+            self.nnz_row_ids(),
             self.nnz_list,
             (self.n_cols, self.n_rows),
         )
@@ -488,22 +488,7 @@ class CSDBMatrix:
     def _elementwise(self, other: "CSDBMatrix", sign: float) -> "CSDBMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        rows = np.concatenate(
-            [
-                self.perm[
-                    np.repeat(
-                        np.arange(self.n_rows, dtype=np.int64),
-                        self.row_degrees(),
-                    )
-                ],
-                other.perm[
-                    np.repeat(
-                        np.arange(other.n_rows, dtype=np.int64),
-                        other.row_degrees(),
-                    )
-                ],
-            ]
-        )
+        rows = np.concatenate([self.nnz_row_ids(), other.nnz_row_ids()])
         cols = np.concatenate([self.col_list, other.col_list])
         vals = np.concatenate([self.nnz_list, sign * other.nnz_list])
         merged = CSRMatrix.from_coo(rows, cols, vals, self.shape).prune()
@@ -515,28 +500,38 @@ class CSDBMatrix:
     def __sub__(self, other: "CSDBMatrix") -> "CSDBMatrix":
         return self._elementwise(other, -1.0)
 
-    def scale(self, factor: float) -> "CSDBMatrix":
-        """Return ``factor * self`` (same block structure).
+    def with_values(self, values: np.ndarray) -> "CSDBMatrix":
+        """Same sparsity pattern, new non-zero values.
 
-        Structural caches (degrees, prefix sums, permutations) depend
-        only on the sparsity pattern, which scaling preserves — the new
-        matrix inherits them instead of recomputing.  ``transpose`` and
-        the elementwise operators change the pattern and therefore build
-        fresh matrices with empty caches.
+        The result shares this matrix's block arrays and ``perm``, and
+        inherits its structural caches (degrees, prefix sums,
+        permutations), which depend only on the pattern.  ``transpose``
+        and the elementwise operators change the pattern and therefore
+        build fresh matrices with empty caches.
         """
-        scaled = CSDBMatrix(
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != self.nnz_list.shape:
+            raise ValueError(
+                f"values must have shape {self.nnz_list.shape},"
+                f" got {values.shape}"
+            )
+        derived = CSDBMatrix(
             self.deg_list,
             self.deg_ind,
             self.col_list,
-            self.nnz_list * factor,
+            values,
             self.perm,
             self.shape,
         )
-        scaled._inv_perm = self._inv_perm
-        scaled._row_degrees = self._row_degrees
-        scaled._nnz_prefix = self._nnz_prefix
-        scaled._col_degrees = self._col_degrees
-        return scaled
+        derived._inv_perm = self._inv_perm
+        derived._row_degrees = self._row_degrees
+        derived._nnz_prefix = self._nnz_prefix
+        derived._col_degrees = self._col_degrees
+        return derived
+
+    def scale(self, factor: float) -> "CSDBMatrix":
+        """Return ``factor * self`` (same block structure)."""
+        return self.with_values(self.nnz_list * factor)
 
     def col_degrees(self) -> np.ndarray:
         """In-degree of every column — the metric of WoFP's degree-based
@@ -654,11 +649,8 @@ class CSDBMatrix:
 
     def to_csr(self) -> CSRMatrix:
         """Convert back to CSR in original row order."""
-        csdb_rows = np.repeat(
-            np.arange(self.n_rows, dtype=np.int64), self.row_degrees()
-        )
         return CSRMatrix.from_coo(
-            self.perm[csdb_rows],
+            self.nnz_row_ids(),
             self.col_list,
             self.nnz_list,
             self.shape,

@@ -67,32 +67,48 @@ class CSRMatrix:
     ) -> "CSRMatrix":
         """Build a CSR matrix from coordinate triplets.
 
-        Duplicate (row, col) entries are summed when ``sum_duplicates``.
+        Contract: entries come out sorted by (row, col); when
+        ``sum_duplicates``, entries sharing a coordinate are summed from
+        zero in input order (so the result's bits do not depend on how
+        the sort is done), otherwise they are kept, in input order.
+
+        Raises:
+            ValueError: on out-of-range indices, or when ``n_rows *
+                n_cols`` does not fit the int64 sort key.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
         if not (len(rows) == len(cols) == len(vals)):
             raise ValueError("rows, cols, vals must have equal length")
-        n_rows, n_cols = shape
+        n_rows, n_cols = int(shape[0]), int(shape[1])
+        if n_rows * n_cols >= 2**63:
+            raise ValueError(
+                f"shape {(n_rows, n_cols)} too large: n_rows * n_cols must be"
+                " below 2**63 (the int64 sort key would wrap)"
+            )
         if len(rows):
             if rows.min() < 0 or rows.max() >= n_rows:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise ValueError("column index out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if sum_duplicates and len(rows):
-            keep = np.empty(len(rows), dtype=bool)
+        # One stable sort of the fused key orders by (row, col) and keeps
+        # equal coordinates in input order.
+        key = rows * n_cols + cols
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], vals[order]
+        if sum_duplicates and len(key):
+            keep = np.empty(len(key), dtype=bool)
             keep[0] = True
-            keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            group = np.cumsum(keep) - 1
-            summed = np.zeros(int(group[-1]) + 1, dtype=np.float64)
-            np.add.at(summed, group, vals)
-            rows, cols, vals = rows[keep], cols[keep], summed
+            keep[1:] = key[1:] != key[:-1]
+            if keep.all():
+                vals = vals + 0.0  # what summing from zero does to -0.0
+            else:
+                vals = np.bincount(np.cumsum(keep) - 1, weights=vals)
+                key = key[keep]
+        rows, cols = np.divmod(key, n_cols)
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
         return cls(indptr, cols, vals, shape)
 
     # -- basic properties -------------------------------------------------
@@ -115,6 +131,12 @@ class CSRMatrix:
     def row_degrees(self) -> np.ndarray:
         """Non-zero count of every row (node out-degrees for a graph)."""
         return np.diff(self.indptr)
+
+    def nnz_row_ids(self) -> np.ndarray:
+        """Row id of every non-zero, aligned with ``indices``."""
+        return np.repeat(
+            np.arange(self.n_rows, dtype=np.int64), self.row_degrees()
+        )
 
     def col_degrees(self) -> np.ndarray:
         """Non-zero count of every column (node in-degrees for a graph)."""
@@ -142,12 +164,14 @@ class CSRMatrix:
             raise ValueError(
                 f"dimension mismatch: {self.shape} @ {dense.shape}"
             )
-        out = np.zeros((self.n_rows, dense.shape[1]), dtype=np.float64)
+        out = np.empty((self.n_rows, dense.shape[1]), dtype=np.float64)
         prod = self.data[:, None] * dense[self.indices]
-        row_ids = np.repeat(
-            np.arange(self.n_rows, dtype=np.int64), self.row_degrees()
-        )
-        np.add.at(out, row_ids, prod)
+        row_ids = self.nnz_row_ids()
+        # Per cell: the sequential sum over the row's non-zeros, from zero.
+        for j in range(out.shape[1]):
+            out[:, j] = np.bincount(
+                row_ids, weights=prod[:, j], minlength=self.n_rows
+            )
         return out
 
     def spmv(self, vector: np.ndarray) -> np.ndarray:
@@ -156,12 +180,9 @@ class CSRMatrix:
 
     def transpose(self) -> "CSRMatrix":
         """Transposed copy (CSR of the transpose)."""
-        row_ids = np.repeat(
-            np.arange(self.n_rows, dtype=np.int64), self.row_degrees()
-        )
         return CSRMatrix.from_coo(
             self.indices,
-            row_ids,
+            self.nnz_row_ids(),
             self.data,
             (self.n_cols, self.n_rows),
             sum_duplicates=False,
@@ -169,23 +190,16 @@ class CSRMatrix:
 
     def to_dense(self) -> np.ndarray:
         """Dense ndarray copy (testing/small matrices only)."""
-        out = np.zeros(self.shape, dtype=np.float64)
-        row_ids = np.repeat(
-            np.arange(self.n_rows, dtype=np.int64), self.row_degrees()
-        )
-        np.add.at(out, (row_ids, self.indices), self.data)
-        return out
+        return np.bincount(
+            self.nnz_row_ids() * self.n_cols + self.indices,
+            weights=self.data,
+            minlength=self.n_rows * self.n_cols,
+        ).reshape(self.shape)
 
     def _elementwise(self, other: "CSRMatrix", sign: float) -> "CSRMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        self_rows = np.repeat(
-            np.arange(self.n_rows, dtype=np.int64), self.row_degrees()
-        )
-        other_rows = np.repeat(
-            np.arange(other.n_rows, dtype=np.int64), other.row_degrees()
-        )
-        rows = np.concatenate([self_rows, other_rows])
+        rows = np.concatenate([self.nnz_row_ids(), other.nnz_row_ids()])
         cols = np.concatenate([self.indices, other.indices])
         vals = np.concatenate([self.data, sign * other.data])
         merged = CSRMatrix.from_coo(rows, cols, vals, self.shape)
@@ -206,11 +220,8 @@ class CSRMatrix:
         keep = np.abs(self.data) > tol
         if keep.all():
             return self
-        row_ids = np.repeat(
-            np.arange(self.n_rows, dtype=np.int64), self.row_degrees()
-        )
         return CSRMatrix.from_coo(
-            row_ids[keep],
+            self.nnz_row_ids()[keep],
             self.indices[keep],
             self.data[keep],
             self.shape,

@@ -70,8 +70,9 @@ def smf_matrix(adjacency: CSDBMatrix, negative_exponent: float = 0.75) -> CSDBMa
     """
     tran = row_l1_normalize(adjacency)
     # Column sums of the transition matrix, smoothed.
-    colsum = np.zeros(tran.n_cols, dtype=np.float64)
-    np.add.at(colsum, tran.col_list, tran.nnz_list)
+    colsum = np.bincount(
+        tran.col_list, weights=tran.nnz_list, minlength=tran.n_cols
+    )
     neg = colsum**negative_exponent
     total = neg.sum()
     if total > 0:
@@ -79,14 +80,7 @@ def smf_matrix(adjacency: CSDBMatrix, negative_exponent: float = 0.75) -> CSDBMa
     neg = np.where(neg > 0, neg, 1.0)
     p = np.where(tran.nnz_list > 0, tran.nnz_list, 1.0)
     values = np.log(p) - np.log(neg[tran.col_list])
-    return CSDBMatrix(
-        tran.deg_list,
-        tran.deg_ind,
-        tran.col_list,
-        values,
-        tran.perm,
-        tran.shape,
-    )
+    return tran.with_values(values)
 
 
 def prone_smf(
@@ -129,8 +123,10 @@ def prone_propagate(
     """Stage 2: spectral propagation through the configured filter."""
     tracer = tracer if tracer is not None else NULL_TRACER
     with tracer.span("laplacian"):
-        operator = chebyshev_operator(adjacency, mu=params.mu)
         aggregate = add_identity(adjacency)
+        operator = chebyshev_operator(
+            adjacency, mu=params.mu, aggregate=aggregate
+        )
     operator_matmul = matmul_factory(operator)
     aggregate_matmul = matmul_factory(aggregate)
     with tracer.span(

@@ -24,14 +24,13 @@ def sym_normalize(matrix: CSDBMatrix) -> CSDBMatrix:
     Values change, structure is preserved (no re-sorting).  Zero-degree
     rows/columns keep zero entries.
     """
-    degrees = np.zeros(matrix.n_rows, dtype=np.float64)
-    csdb_rows = np.repeat(
-        np.arange(matrix.n_rows, dtype=np.int64), matrix.row_degrees()
+    original_rows = matrix.nnz_row_ids()
+    degrees = np.bincount(
+        original_rows, weights=matrix.nnz_list, minlength=matrix.n_rows
     )
-    original_rows = matrix.perm[csdb_rows]
-    np.add.at(degrees, original_rows, matrix.nnz_list)
-    col_mass = np.zeros(matrix.n_cols, dtype=np.float64)
-    np.add.at(col_mass, matrix.col_list, matrix.nnz_list)
+    col_mass = np.bincount(
+        matrix.col_list, weights=matrix.nnz_list, minlength=matrix.n_cols
+    )
     with np.errstate(divide="ignore"):
         inv_sqrt_row = np.where(
             degrees > 0, 1.0 / np.sqrt(np.abs(degrees)), 0.0
@@ -39,18 +38,10 @@ def sym_normalize(matrix: CSDBMatrix) -> CSDBMatrix:
         inv_sqrt_col = np.where(
             col_mass > 0, 1.0 / np.sqrt(np.abs(col_mass)), 0.0
         )
-    values = (
+    return matrix.with_values(
         matrix.nnz_list
         * inv_sqrt_row[original_rows]
         * inv_sqrt_col[matrix.col_list]
-    )
-    return CSDBMatrix(
-        matrix.deg_list,
-        matrix.deg_ind,
-        matrix.col_list,
-        values,
-        matrix.perm,
-        matrix.shape,
     )
 
 

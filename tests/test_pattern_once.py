@@ -1,0 +1,404 @@
+"""Pattern-only work happens once per sparsity pattern — and changes no bit.
+
+Three places on the embed path used to redo work that depends only on a
+matrix's sparsity pattern; each is pinned here against the formulation it
+replaced, kept below as the oracle:
+
+- ``CSRMatrix.from_coo``: one stable sort of the fused ``row*n_cols+col``
+  key vs. the former ``np.lexsort`` + two ``np.add.at`` passes;
+- ``chebyshev_operator``: a value-only update on the blocks of ``A + I``
+  vs. the former second ``from_coo`` of ``(-DA, (1-mu)I)``;
+- ``SpMMEngine``: EaTA partitions and WoFP plans kept per live matrix,
+  with simulated cost and metrics still charged on every call.
+"""
+
+import gc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core import OMeGaConfig, OMeGaEmbedder, SpMMEngine
+from repro.core.eata import EntropyAwareAllocator
+from repro.formats import CSDBMatrix, CSRMatrix, edges_to_csdb
+from repro.graphs import rmat_edges
+from repro.obs.metrics import MetricsRegistry
+from repro.prone.laplacian import (
+    add_identity,
+    chebyshev_operator,
+    row_l1_normalize,
+)
+
+CSDB_ARRAYS = ("deg_list", "deg_ind", "col_list", "nnz_list", "perm")
+
+
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Equal dtype, shape and bytes (so -0.0 != 0.0, unlike ``==``)."""
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+# -- CSRMatrix.from_coo ------------------------------------------------------
+
+
+def lexsort_from_coo(rows, cols, vals, shape, sum_duplicates=True):
+    """The formulation ``CSRMatrix.from_coo`` had before the fused key."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.float64)
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if sum_duplicates and len(rows):
+        keep = np.empty(len(rows), dtype=bool)
+        keep[0] = True
+        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        group = np.cumsum(keep) - 1
+        summed = np.zeros(int(group[-1]) + 1, dtype=np.float64)
+        np.add.at(summed, group, vals)
+        rows, cols, vals = rows[keep], cols[keep], summed
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.add.at(indptr, rows + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, cols, vals
+
+
+@st.composite
+def coo_inputs(draw):
+    """Small COO inputs, dense enough that coordinates repeat."""
+    n_rows = draw(st.integers(1, 5))
+    n_cols = draw(st.integers(1, 5))
+    entries = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n_rows - 1),
+                st.integers(0, n_cols - 1),
+                # Values whose sum depends on the order of addition, and
+                # both zeros.
+                st.sampled_from([1e16, -1e16, 1.0, 0.1, 0.2, 0.3, -0.0, 0.0]),
+            ),
+            max_size=40,
+        )
+    )
+    rows = [entry[0] for entry in entries]
+    cols = [entry[1] for entry in entries]
+    vals = [entry[2] for entry in entries]
+    return rows, cols, vals, (n_rows, n_cols), draw(st.booleans())
+
+
+class TestFromCooMatchesLexsortFormulation:
+    @given(coo_inputs())
+    @example(([], [], [], (3, 4), True))  # empty input
+    @example(([0, 0, 0], [2, 0, 2], [1.0, 2.0, 3.0], (1, 3), True))  # one row
+    @example(([2, 0, 2, 1], [0, 0, 0, 0], [0.1, 0.2, 0.3, 0.4], (3, 1), True))
+    @example(  # >= 3 duplicates of one coordinate, order-sensitive sum
+        ([1, 0, 1, 1, 1], [1, 0, 1, 1, 1], [1e16, 5.0, 1.0, -1e16, 1.0], (2, 2), True)
+    )
+    @example(([1, 1, 0, 1], [1, 1, 0, 1], [3.0, 1.0, 2.0, 2.0], (2, 2), False))
+    @example(([0, 1], [1, 0], [-0.0, -0.0], (2, 2), True))  # no duplicates
+    @settings(max_examples=300, deadline=None)
+    def test_every_output_array_is_bit_equal(self, case):
+        rows, cols, vals, shape, sum_duplicates = case
+        built = CSRMatrix.from_coo(rows, cols, vals, shape, sum_duplicates)
+        indptr, indices, data = lexsort_from_coo(
+            rows, cols, vals, shape, sum_duplicates
+        )
+        assert_same_bits(built.indptr, indptr)
+        assert_same_bits(built.indices, indices)
+        assert_same_bits(built.data, data)
+
+    def test_duplicates_sum_in_input_order(self):
+        # (1e16 + 1) - 1e16 + 1 == 1 in float64; any other order gives 0 or 2.
+        built = CSRMatrix.from_coo(
+            [0] * 4, [0] * 4, [1e16, 1.0, -1e16, 1.0], (1, 1)
+        )
+        assert built.data.tolist() == [1.0]
+
+    def test_shape_beyond_the_int64_key_is_rejected(self):
+        with pytest.raises(ValueError, match=r"\(4294967296, 2147483648\)"):
+            CSRMatrix.from_coo([0], [0], [1.0], (2**32, 2**31))
+        # Just below the limit the key still orders correctly (the size
+        # goes in n_cols: indptr has n_rows + 1 entries).
+        built = CSRMatrix.from_coo(
+            [1, 0, 1], [2**62 - 2, 2**62 - 2, 0], [1.0, 2.0, 3.0], (2, 2**62 - 1)
+        )
+        assert built.indptr.tolist() == [0, 1, 3]
+        assert built.indices.tolist() == [2**62 - 2, 0, 2**62 - 2]
+        assert built.data.tolist() == [2.0, 3.0, 1.0]
+
+
+# -- CSDBMatrix helpers ------------------------------------------------------
+
+
+class TestWithValues:
+    def test_shares_structure_and_carries_caches(self, skewed_csdb):
+        skewed_csdb.inv_perm, skewed_csdb.col_degrees(), skewed_csdb.nnz_prefix()
+        derived = skewed_csdb.with_values(np.arange(skewed_csdb.nnz))
+        for name in ("deg_list", "deg_ind", "col_list", "perm"):
+            assert getattr(derived, name) is getattr(skewed_csdb, name)
+        assert derived.shape == skewed_csdb.shape
+        assert derived.nnz_list.dtype == np.float64
+        assert derived.nnz_list.tolist() == list(range(skewed_csdb.nnz))
+        for cache in ("_inv_perm", "_row_degrees", "_nnz_prefix", "_col_degrees"):
+            assert getattr(derived, cache) is getattr(skewed_csdb, cache)
+            assert getattr(derived, cache) is not None
+        assert derived.content_hash() != skewed_csdb.content_hash()
+
+    def test_rejects_a_wrong_length(self, paper_csdb):
+        with pytest.raises(ValueError, match="values must have shape"):
+            paper_csdb.with_values(np.ones(paper_csdb.nnz + 1))
+
+    def test_scale_and_normalize_inherit_the_caches(self, skewed_csdb):
+        degrees = skewed_csdb.row_degrees()
+        assert skewed_csdb.scale(2.0).row_degrees() is degrees
+        assert row_l1_normalize(skewed_csdb).row_degrees() is degrees
+
+
+def test_nnz_row_ids_is_the_original_row_of_every_nonzero(skewed_csdb):
+    expected = skewed_csdb.perm[
+        np.repeat(np.arange(skewed_csdb.n_rows), skewed_csdb.row_degrees())
+    ]
+    assert_same_bits(skewed_csdb.nnz_row_ids(), expected)
+    dense = np.zeros(skewed_csdb.shape)
+    dense[skewed_csdb.nnz_row_ids(), skewed_csdb.col_list] = skewed_csdb.nnz_list
+    assert np.array_equal(dense, skewed_csdb.to_dense())
+
+
+# -- chebyshev_operator ------------------------------------------------------
+
+
+def two_build_chebyshev_operator(adjacency: CSDBMatrix, mu: float) -> CSDBMatrix:
+    """The former formulation: ``(1-mu)I - DA`` through a second COO build."""
+    da = row_l1_normalize(add_identity(adjacency))
+    n = adjacency.n_rows
+    diag = np.arange(n, dtype=np.int64)
+    return CSDBMatrix.from_coo(
+        np.concatenate([da.nnz_row_ids(), diag]),
+        np.concatenate([da.col_list, diag]),
+        np.concatenate([-da.nnz_list, np.full(n, 1.0 - mu)]),
+        adjacency.shape,
+    )
+
+
+def _operator_graphs():
+    plain = rmat_edges(8, edge_factor=6.0, seed=3)
+    plain = plain[plain[:, 0] != plain[:, 1]]
+    loops = np.arange(0, 256, 5)
+    with_loops = np.concatenate(
+        [plain, np.stack([loops, loops], axis=1), plain[:40]]
+    )
+    # Nodes 256..299 have no edge at all; node 299 only a self-loop.
+    isolated = np.concatenate([plain, [[299, 299]]])
+    return {
+        "no_self_loops": edges_to_csdb(plain, 256),
+        "self_loops_and_repeats": edges_to_csdb(with_loops, 256),
+        "isolated_nodes": edges_to_csdb(isolated, 300),
+        "explicit_zero_weight": edges_to_csdb(
+            plain[:50], 256, weights=np.r_[0.0, np.ones(49)]
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_operator_graphs()))
+@pytest.mark.parametrize("mu", [0.2, 0.5, 1.0])
+def test_chebyshev_operator_equals_the_two_build_formulation(name, mu):
+    adjacency = _operator_graphs()[name]
+    expected = two_build_chebyshev_operator(adjacency, mu)
+    aggregate = add_identity(adjacency)
+    for operator in (
+        chebyshev_operator(adjacency, mu=mu),
+        chebyshev_operator(adjacency, mu=mu, aggregate=aggregate),
+    ):
+        assert operator.shape == expected.shape
+        for array in CSDB_ARRAYS:
+            assert_same_bits(getattr(operator, array), getattr(expected, array))
+    # The operator sits on A+I's blocks rather than on rebuilt ones.
+    assert operator.col_list is aggregate.col_list
+    assert operator.perm is aggregate.perm
+
+
+# -- SpMMEngine plan reuse ---------------------------------------------------
+
+#: Counters that hold host wall-clock time, which no two calls share.
+WALL_METRICS = ("spmm.kernel_wall_seconds", "spmm.executor.submit_wall_seconds")
+
+
+def _multiply_with_own_metrics(engine, matrix, dense):
+    """One multiply recorded into a fresh registry: (result, its records)."""
+    engine.metrics = MetricsRegistry()
+    result = engine.multiply(matrix, dense)
+    records = [
+        record
+        for record in engine.metrics.to_records()
+        if record["name"] not in WALL_METRICS
+    ]
+    return result, records
+
+
+class CallCounter:
+    """Wrap an engine's allocator/prefetcher entry points and count calls."""
+
+    def __init__(self, engine: SpMMEngine, monkeypatch) -> None:
+        self.allocate = self.plan = 0
+        allocate, plan = engine.allocator.allocate, engine.prefetcher.plan
+
+        def counted_allocate(*args, **kwargs):
+            self.allocate += 1
+            return allocate(*args, **kwargs)
+
+        def counted_plan(*args, **kwargs):
+            self.plan += 1
+            return plan(*args, **kwargs)
+
+        monkeypatch.setattr(engine.allocator, "allocate", counted_allocate)
+        monkeypatch.setattr(engine.prefetcher, "plan", counted_plan)
+
+
+@pytest.fixture
+def dense(skewed_csdb):
+    return np.random.default_rng(5).standard_normal((skewed_csdb.n_cols, 6))
+
+
+class TestEnginePlanReuse:
+    def test_second_multiply_replans_nothing_and_reports_the_same(
+        self, skewed_csdb, dense, monkeypatch
+    ):
+        engine = SpMMEngine(OMeGaConfig(n_threads=4))
+        calls = CallCounter(engine, monkeypatch)
+        first, first_records = _multiply_with_own_metrics(
+            engine, skewed_csdb, dense
+        )
+        assert (calls.allocate, calls.plan) == (1, 4)
+        second, second_records = _multiply_with_own_metrics(
+            engine, skewed_csdb, dense
+        )
+        assert (calls.allocate, calls.plan) == (1, 4)
+
+        assert second.partitions == first.partitions
+        assert second.partitions is not first.partitions
+        assert all(
+            a is b for a, b in zip(second.prefetch_plans, first.prefetch_plans)
+        )
+        assert second.prefetch_plans is not first.prefetch_plans
+        assert second.sim_seconds == first.sim_seconds
+        assert second.trace.to_dict() == first.trace.to_dict()
+        assert np.array_equal(second.thread_times, first.thread_times)
+        assert_same_bits(second.output, first.output)
+        assert second.trace.seconds("allocation") > 0.0
+        assert second.trace.seconds("prefetch") > 0.0
+
+        # Every call emits the allocation and prefetch telemetry in full.
+        assert second_records == first_records
+        names = {record["name"] for record in second_records}
+        assert {
+            "eata.allocations", "eata.partition.z_entropy", "wofp.plans",
+            "wofp.hit_nnz", "wofp.pinned_bytes", "spmm.sim_seconds",
+        } <= names
+
+    def test_reused_plan_equals_a_fresh_engine(self, skewed_csdb, dense):
+        engine = SpMMEngine(OMeGaConfig(n_threads=4))
+        engine.multiply(skewed_csdb, dense)
+        reused = engine.multiply(skewed_csdb, dense)
+        fresh = SpMMEngine(OMeGaConfig(n_threads=4)).multiply(skewed_csdb, dense)
+        assert reused.partitions == fresh.partitions
+        assert reused.sim_seconds == fresh.sim_seconds
+        assert reused.trace.to_dict() == fresh.trace.to_dict()
+
+    def test_a_caller_mutating_its_result_does_not_reach_the_next_call(
+        self, skewed_csdb, dense
+    ):
+        engine = SpMMEngine(OMeGaConfig(n_threads=4))
+        first = engine.multiply(skewed_csdb, dense)
+        expected = list(first.partitions)
+        first.partitions.clear()
+        first.prefetch_plans.clear()
+        assert engine.multiply(skewed_csdb, dense).partitions == expected
+
+    def test_each_matrix_gets_its_own_plan(self, skewed_csdb, dense, monkeypatch):
+        engine = SpMMEngine(OMeGaConfig(n_threads=4))
+        calls = CallCounter(engine, monkeypatch)
+        # Same pattern, other object: planned on its own (the cache is
+        # keyed on the object, never on content).
+        twin = skewed_csdb.scale(1.0)
+        other = edges_to_csdb(rmat_edges(9, edge_factor=4.0, seed=2), 512)
+        a = engine.multiply(skewed_csdb, dense)
+        b = engine.multiply(twin, dense)
+        c = engine.multiply(other, np.ones((512, 3)))
+        assert (calls.allocate, calls.plan) == (3, 12)
+        assert a.partitions == b.partitions
+        assert c.partitions != a.partitions
+        assert sum(p.nnz_count for p in c.partitions) == other.nnz
+        engine.multiply(other, np.ones((512, 3)))
+        engine.multiply(skewed_csdb, dense)
+        assert (calls.allocate, calls.plan) == (3, 12)
+
+    def test_engines_never_share_plans(self, skewed_csdb, dense):
+        engines = {
+            "default": SpMMEngine(OMeGaConfig(n_threads=4)),
+            "wata": SpMMEngine(OMeGaConfig(n_threads=4, allocation="wata")),
+            "sigma": SpMMEngine(OMeGaConfig(n_threads=4, sigma=0.5)),
+            "eta": SpMMEngine(OMeGaConfig(n_threads=4, eta=10.0)),
+        }
+        for _ in range(2):  # the second round runs on each engine's own cache
+            results = {
+                name: engine.multiply(skewed_csdb, dense)
+                for name, engine in engines.items()
+            }
+
+        def reserved(result):
+            return sum(p.reserved_entries for p in result.prefetch_plans)
+
+        def kinds(result):
+            return {p.kind for p in result.prefetch_plans}
+
+        default = results["default"]
+        assert results["wata"].partitions != default.partitions
+        assert reserved(results["sigma"]) > reserved(default)
+        assert "frequency" in kinds(default)
+        assert kinds(results["eta"]) == {"degree"}
+        for name, engine in engines.items():
+            fresh = SpMMEngine(engine.config).multiply(skewed_csdb, dense)
+            assert results[name].partitions == fresh.partitions
+            assert results[name].sim_seconds == fresh.sim_seconds
+            assert results[name].trace.to_dict() == fresh.trace.to_dict()
+
+    def test_plan_is_dropped_with_the_matrix(self):
+        engine = SpMMEngine(OMeGaConfig(n_threads=4))
+        matrix = edges_to_csdb(rmat_edges(8, edge_factor=4.0, seed=1), 256)
+        engine.multiply(matrix, np.ones((256, 2)))
+        assert len(engine._plans) == 1
+        del matrix
+        gc.collect()
+        assert len(engine._plans) == 0
+
+
+# -- the embed path, counted -------------------------------------------------
+
+
+def test_one_embed_sorts_three_times_and_allocates_once_per_operator(monkeypatch):
+    sorts, allocated = [], []
+    from_coo = CSRMatrix.from_coo.__func__
+    allocate = EntropyAwareAllocator.allocate
+
+    def counted_from_coo(cls, rows, *args, **kwargs):
+        sorts.append(len(rows))
+        return from_coo(cls, rows, *args, **kwargs)
+
+    def counted_allocate(self, matrix, n_threads):
+        allocated.append(matrix)
+        return allocate(self, matrix, n_threads)
+
+    monkeypatch.setattr(CSRMatrix, "from_coo", classmethod(counted_from_coo))
+    monkeypatch.setattr(EntropyAwareAllocator, "allocate", counted_allocate)
+
+    edges = rmat_edges(9, edge_factor=8.0, seed=4)
+    result = OMeGaEmbedder(OMeGaConfig(n_threads=4, dim=8)).embed_edges(edges, 512)
+
+    # The edge list, F^T, and A+I; the Chebyshev operator reuses A+I's blocks.
+    assert len(sorts) == 3
+    # F, F^T, the Chebyshev operator and A+I: one EaTA split each, however
+    # many of the run's products use them.
+    assert len(allocated) == 4
+    assert len({id(matrix) for matrix in allocated}) == 4
+    assert result.n_spmm > len(allocated)
