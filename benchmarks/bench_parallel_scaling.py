@@ -23,6 +23,13 @@ the per-partition ``spmm_partition`` spans come back across the process
 boundary; their kernel walls give the partition imbalance (max/median)
 — the number EaTA allocation is supposed to hold near 1.
 
+Next to the threads arms sits a **dense-GEMM control**: the same two
+Python threads each run a BLAS GEMM on half of the operand's rows.  GEMM
+certainly releases the GIL, so a threads speed-up near 1.0 means "the
+sparse kernel holds the GIL" only where the control's speed-up is well
+above 1.0; where the control is near 1.0 too, the box has no second
+free core and the threads arm says nothing either way.
+
 Wall-clock speedup is a *physical* property: it requires free cores.
 The benchmark measures and reports honestly on any machine, and asserts
 the >= 1.5x 4-worker speedup target (for at least one real backend)
@@ -34,6 +41,8 @@ wherever CI has real parallelism.
 
 import os
 import statistics
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from common import (  # noqa: F401
@@ -153,6 +162,33 @@ def _partition_imbalance(
     return max(walls) / median
 
 
+def _gemm_control(dense: np.ndarray) -> tuple[float, float]:
+    """(one-thread wall, two-thread wall) of a GEMM over two row halves.
+
+    Median of ``REPEATS`` alternating measurements on a started pool.
+    """
+    weights = np.random.default_rng(SEED).standard_normal(
+        (dense.shape[1], 4 * dense.shape[1])
+    )
+    halves = np.array_split(dense, 2)
+
+    def gemm(block: np.ndarray) -> np.ndarray:
+        return block @ weights
+
+    serial, threaded = [], []
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        list(pool.map(gemm, halves))  # start both threads
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            for half in halves:
+                gemm(half)
+            serial.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            list(pool.map(gemm, halves))
+            threaded.append(time.perf_counter() - start)
+    return statistics.median(serial), statistics.median(threaded)
+
+
 def test_parallel_scaling(run_once):
     edges = rmat_edges(SCALE, edge_factor=EDGE_FACTOR, seed=SEED)
     n_nodes = 1 << SCALE
@@ -191,9 +227,9 @@ def test_parallel_scaling(run_once):
                         imbalance,
                     )
                 )
-        return rows
+        return rows, _gemm_control(dense)
 
-    rows = run_once(experiment)
+    rows, (gemm_serial_s, gemm_threads_s) = run_once(experiment)
     _reset_pools()
 
     session = telemetry_session(
@@ -218,6 +254,13 @@ def test_parallel_scaling(run_once):
             bit_identical=identical,
             partition_imbalance=imbalance,
         )
+    session.event(
+        "gemm_control",
+        workers=2,
+        serial_wall_s=gemm_serial_s,
+        threads_wall_s=gemm_threads_s,
+        speedup=gemm_serial_s / gemm_threads_s,
+    )
     save_telemetry(session, "parallel_scaling")
 
     table = format_table(
@@ -240,6 +283,18 @@ def test_parallel_scaling(run_once):
                 backend, workers, cold_s, warm_s, overhead_s, speedup,
                 identical, imbalance,
             ) in rows
+        ]
+        + [
+            [
+                "dense-GEMM control",
+                2,
+                "-",
+                format_seconds(gemm_threads_s),
+                "-",
+                f"{gemm_serial_s / gemm_threads_s:.2f}x",
+                "-",
+                "-",
+            ]
         ],
         title=(
             f"Parallel scaling — R-MAT s{SCALE}, d={DIM},"
@@ -258,6 +313,11 @@ def test_parallel_scaling(run_once):
             "scale": SCALE,
             "dim": DIM,
             "nnz": int(matrix.nnz),
+            "gemm_control": {
+                "workers": 2,
+                "serial_wall_s": gemm_serial_s,
+                "threads_wall_s": gemm_threads_s,
+            },
             "points": [
                 {
                     "backend": backend,

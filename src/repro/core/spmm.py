@@ -88,6 +88,10 @@ SCRATCH_BYTES_PER_MAC = 96.0
 #: of the transfer with compute.
 PREFETCH_EXPOSED_FRACTION = 0.2
 
+#: One partition's Eq. 2 result: its simulated seconds and the
+#: ``(category, seconds, bytes)`` ledger charges that add up to them.
+PartitionCost = tuple[float, tuple[tuple[str, float, float], ...]]
+
 
 @dataclass
 class SpMMResult:
@@ -197,8 +201,10 @@ class SpMMEngine:
             )
         )
         # EaTA's split and WoFP's plans read only a matrix's sparsity
-        # pattern (immutable, see CSDBMatrix.mark_mutated), so they are
-        # computed once per matrix and kept while the matrix is alive.
+        # pattern (immutable, see CSDBMatrix.mark_mutated), and Eq. 2
+        # reads only those plus d and this engine's frozen config, so
+        # they are computed once per matrix (per d) and kept while the
+        # matrix is alive.
         self._plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     # -- device/tier resolution -------------------------------------------
@@ -298,7 +304,7 @@ class SpMMEngine:
         compute: bool,
     ) -> SpMMResult:
         n_threads = self.config.n_threads
-        partitions, prefetch_plans = self._plan(matrix)
+        partitions, prefetch_plans, costs = self._plan(matrix, d)
         record_allocation_metrics(partitions, self.metrics, self.allocator.name)
         trace = CostTrace()
         clock = SimClock(n_threads)
@@ -312,11 +318,12 @@ class SpMMEngine:
 
         needs_full_pass = False
         kernel_ranges: list[tuple[int, int]] = []
-        for partition, plan in zip(partitions, prefetch_plans):
+        for partition, plan, (seconds, charges) in zip(
+            partitions, prefetch_plans, costs
+        ):
             record_prefetch_metrics(plan, partition, d, self.metrics)
-            seconds = self._partition_cost(
-                matrix, partition, plan, d, n_threads, trace
-            )
+            for charge in charges:
+                trace.charge(*charge)
             clock.advance(partition.thread_id, seconds)
             if compute and partition.n_rows > 0:
                 if partition.contiguous:
@@ -469,15 +476,19 @@ class SpMMEngine:
     # -- per-matrix planning ------------------------------------------------
 
     def _plan(
-        self, matrix: CSDBMatrix
+        self, matrix: CSDBMatrix, d: int
     ) -> tuple[
-        list[WorkloadPartition], list[PrefetchPlan | DisabledPrefetchPlan]
+        list[WorkloadPartition],
+        list[PrefetchPlan | DisabledPrefetchPlan],
+        list[PartitionCost],
     ]:
-        """The thread allocation and per-partition WoFP plans of a matrix.
+        """A matrix's thread allocation, WoFP plans and Eq. 2 costs at ``d``.
 
-        Computed on the first multiply of a matrix, reused afterwards;
-        callers get fresh lists.  Simulated allocation and prefetch cost
-        is charged by the caller on every call regardless.
+        Computed on the first multiply of a matrix (the costs: of a
+        matrix at that ``d``), reused afterwards; callers get fresh
+        partition and plan lists.  The caller charges the simulated cost
+        to its own trace and clock, and emits the allocation and
+        prefetch metrics, on every call regardless.
         """
         cached = self._plans.get(matrix)
         if cached is None:
@@ -492,23 +503,33 @@ class SpMMEngine:
                     else DisabledPrefetchPlan()
                     for partition in partitions
                 ],
+                {},
             )
-        return list(cached[0]), list(cached[1])
+        partitions, prefetch_plans, costs_by_d = cached
+        costs = costs_by_d.get(d)
+        if costs is None:
+            costs = costs_by_d[d] = [
+                self._partition_cost(partition, plan, d)
+                for partition, plan in zip(partitions, prefetch_plans)
+            ]
+        return list(partitions), list(prefetch_plans), costs
 
     # -- per-partition costing ----------------------------------------------
 
     def _partition_cost(
         self,
-        matrix: CSDBMatrix,
         partition: WorkloadPartition,
         prefetch: PrefetchPlan | DisabledPrefetchPlan,
         d: int,
-        n_threads: int,
-        trace: CostTrace,
-    ) -> float:
-        """Eq. 2: simulated seconds for one thread's workload."""
+    ) -> PartitionCost:
+        """Eq. 2: simulated seconds for one thread's workload.
+
+        Returns the total and the ``(category, seconds, bytes)`` ledger
+        charges that make it up, in charging order.
+        """
         if partition.nnz_count == 0 and partition.n_rows == 0:
-            return 0.0
+            return 0.0, ()
+        n_threads = self.config.n_threads
         socket = self.topology.socket_of_thread(partition.thread_id, n_threads)
         plan: AccessPlan = self.placement.access_plan(socket)
         sharing = max(1, math.ceil(n_threads / self.topology.n_sockets))
@@ -530,7 +551,7 @@ class SpMMEngine:
             plan.sparse_local_fraction,
             sharing,
         )
-        trace.charge("read_index", t_index, index_bytes)
+        charges = [("read_index", t_index, index_bytes)]
 
         # (2) get_sparse_nnz — sequential edge-stream reads.
         sparse_bytes = w * SPARSE_BYTES_PER_NNZ
@@ -542,7 +563,7 @@ class SpMMEngine:
             plan.sparse_local_fraction,
             sharing,
         )
-        trace.charge("get_sparse_nnz", t_sparse, sparse_bytes)
+        charges.append(("get_sparse_nnz", t_sparse, sparse_bytes))
 
         # (3) get_dense_nnz — scattered dense-row gathers at Eq. 5
         # bandwidth; WoFP hits come from DRAM.
@@ -577,7 +598,7 @@ class SpMMEngine:
                 sharing,
             )
         t_dense *= self.config.kernel_slowdown
-        trace.charge("get_dense_nnz", t_dense, dense_bytes)
+        charges.append(("get_dense_nnz", t_dense, dense_bytes))
 
         # (4) accumulate — CPU-bound, except PM-only where the scratch
         # accumulators themselves live on PM and every MAC pays a PM
@@ -596,7 +617,7 @@ class SpMMEngine:
             )
             t_acc = max(t_acc, t_scratch)
         t_acc *= self.config.kernel_slowdown
-        trace.charge("accumulate", t_acc)
+        charges.append(("accumulate", t_acc, 0.0))
 
         # (5) write_result — sequential result writes.
         result_bytes = float(rows * d * 8)
@@ -608,7 +629,7 @@ class SpMMEngine:
             plan.write_local_fraction,
             sharing,
         )
-        trace.charge("write_result", t_write, result_bytes)
+        charges.append(("write_result", t_write, result_bytes))
 
         # WoFP overhead: populate the top-M map (one PM->DRAM transfer of
         # the pinned rows, mostly overlapped by the back-end thread) plus
@@ -626,9 +647,12 @@ class SpMMEngine:
             )
             t_prefetch = t_load * PREFETCH_EXPOSED_FRACTION
             t_prefetch += self.cost_model.compute_time(prefetch.maintenance_ops)
-            trace.charge("prefetch", t_prefetch, pinned)
+            charges.append(("prefetch", t_prefetch, pinned))
 
-        return t_index + t_sparse + t_dense + t_acc + t_write + t_prefetch
+        return (
+            t_index + t_sparse + t_dense + t_acc + t_write + t_prefetch,
+            tuple(charges),
+        )
 
     def _split_locality(
         self,

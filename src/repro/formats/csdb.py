@@ -184,7 +184,23 @@ class SharedCSDB:
 
 
 class CSDBMatrix:
-    """Sparse matrix in the paper's compressed sparse degree-block layout."""
+    """Sparse matrix in the paper's compressed sparse degree-block layout.
+
+    Besides the block arrays a matrix lazily caches what depends only on
+    its sparsity pattern (row degrees, prefix sums, permutations) and,
+    once it has been multiplied, one kernel-ready scipy CSR view of the
+    whole matrix (:meth:`kernel_view`).  The view's values alias
+    ``nnz_list``.  Its index arrays are whatever scipy makes of
+    ``col_list`` and ``nnz_prefix``: aliases too where ``csr_array``
+    keeps the int64 dtype it is given (scipy 1.17 does), its own int32
+    copies on versions that narrow — about 4 B per non-zero + 4 B per
+    row per live multiplied matrix (``with_values`` siblings share them).
+    There is exactly one view per matrix, never one per row range: a
+    narrowed view per range would hold a second copy of the indices for
+    every executor that cuts the rows differently, and forked pool
+    workers would inherit them all.  The view refers to the arrays, not
+    to the matrix, so it never keeps its matrix alive.
+    """
 
     def __init__(
         self,
@@ -221,6 +237,7 @@ class CSDBMatrix:
         self._row_degrees: np.ndarray | None = None
         self._nnz_prefix: np.ndarray | None = None
         self._col_degrees: np.ndarray | None = None
+        self._kernel_view: csr_array | None = None
         self._content_hash: str | None = None
         # Keeps attached shared-memory segments alive for matrices built
         # by from_shared (the arrays above are zero-copy views into them).
@@ -403,6 +420,22 @@ class CSDBMatrix:
     # -- operators (§III-A: multiplication, addition, subtraction,
     #    transposition) ----------------------------------------------------
 
+    def kernel_view(self) -> csr_array:
+        """The whole matrix as a scipy CSR array over CSDB row order (cached).
+
+        ``(nnz_prefix, col_list, nnz_list)`` is a CSR triplet over the
+        degree-sorted row space.  scipy validates it (and, on versions
+        that narrow indices, converts them to int32) once, here;
+        :meth:`spmm_rows` then multiplies the view, or slices of its
+        arrays, on every call.  The values are ``nnz_list`` itself.
+        """
+        if self._kernel_view is None:
+            self._kernel_view = csr_array(
+                (self.nnz_list, self.col_list, self.nnz_prefix()),
+                shape=self.shape,
+            )
+        return self._kernel_view
+
     def spmm_rows(
         self, dense: np.ndarray, row_start: int, row_end: int
     ) -> np.ndarray:
@@ -412,11 +445,10 @@ class CSDBMatrix:
         contiguous run of CSDB rows.  Returns the partial result in CSDB
         row order (shape ``(row_end - row_start, dense.shape[1])``).
 
-        ``(nnz_prefix, col_list, nnz_list)`` is a CSR triplet over the
-        degree-sorted row space, so the range is handed, as zero-copy
-        slices, to scipy's compiled CSR kernel: one fused pass
-        (``get_dense_nnz`` -> multiply -> accumulate) with no
-        O(nnz * d) intermediate.
+        The range is handed to scipy's compiled CSR kernel — one fused
+        pass (``get_dense_nnz`` -> multiply -> accumulate) with no
+        O(nnz * d) intermediate: the full range is :meth:`kernel_view`
+        itself, a sub-range is zero-copy slices of the view's arrays.
 
         Accumulation contract: every output row is the *sequential* sum
         over its non-zeros in ``col_list`` order, starting from zero,
@@ -434,14 +466,13 @@ class CSDBMatrix:
             raise ValueError(
                 f"dimension mismatch: {self.shape} @ {dense.shape}"
             )
-        prefix = self.nnz_prefix()
-        lo, hi = int(prefix[row_start]), int(prefix[row_end])
+        view = self.kernel_view()
+        if row_start == 0 and row_end == self.n_rows:
+            return view @ dense
+        indptr = view.indptr[row_start : row_end + 1]
+        lo, hi = int(indptr[0]), int(indptr[-1])
         rows = csr_array(
-            (
-                self.nnz_list[lo:hi],
-                self.col_list[lo:hi],
-                prefix[row_start : row_end + 1] - lo,
-            ),
+            (view.data[lo:hi], view.indices[lo:hi], indptr - lo),
             shape=(row_end - row_start, self.n_cols),
         )
         return rows @ dense
@@ -505,9 +536,10 @@ class CSDBMatrix:
 
         The result shares this matrix's block arrays and ``perm``, and
         inherits its structural caches (degrees, prefix sums,
-        permutations), which depend only on the pattern.  ``transpose``
-        and the elementwise operators change the pattern and therefore
-        build fresh matrices with empty caches.
+        permutations, the kernel view's index arrays), which depend only
+        on the pattern.  ``transpose`` and the elementwise operators
+        change the pattern and therefore build fresh matrices with empty
+        caches.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.shape != self.nnz_list.shape:
@@ -527,6 +559,15 @@ class CSDBMatrix:
         derived._row_degrees = self._row_degrees
         derived._nnz_prefix = self._nnz_prefix
         derived._col_degrees = self._col_degrees
+        if self._kernel_view is not None:
+            derived._kernel_view = csr_array(
+                (
+                    derived.nnz_list,
+                    self._kernel_view.indices,
+                    self._kernel_view.indptr,
+                ),
+                shape=self.shape,
+            )
         return derived
 
     def scale(self, factor: float) -> "CSDBMatrix":
@@ -581,6 +622,7 @@ class CSDBMatrix:
         self._row_degrees = None
         self._nnz_prefix = None
         self._col_degrees = None
+        self._kernel_view = None
 
     # -- shared memory ------------------------------------------------------
 

@@ -19,6 +19,13 @@ from typing import Any, Iterable
 
 
 def _label_key(labels: dict[str, Any]) -> tuple[tuple[str, str], ...]:
+    # The registry is consulted dozens of times per multiply, almost
+    # always with zero or one label; neither needs a sort.
+    if not labels:
+        return ()
+    if len(labels) == 1:
+        ((key, value),) = labels.items()
+        return ((str(key), str(value)),)
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 

@@ -16,6 +16,12 @@ row is the sequential sum over its own non-zeros (see
 :meth:`~repro.formats.csdb.CSDBMatrix.spmm_rows`), so a row's bits do
 not depend on the range that contains it and every backend produces
 bit-identical output.
+
+The same contract lets the serial backend *fuse*: adjacent ranges are
+merged and run as one ``spmm_rows`` call and one scatter (an engine
+multiply is then a single kernel call), unless the caller asks for
+per-partition spans (``trace_ctx`` + ``span_sink``) — those carry a
+measured kernel wall each, so the traced path keeps one call per range.
 """
 
 from __future__ import annotations
@@ -111,13 +117,25 @@ class ThreadTask:
     work: Callable[[], None] | None = None
 
 
+def _fuse_adjacent(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Merge each run of ranges where one starts at the previous one's end."""
+    fused: list[tuple[int, int]] = []
+    for row_start, row_end in ranges:
+        if fused and fused[-1][1] == row_start:
+            fused[-1] = (fused[-1][0], row_end)
+        else:
+            fused.append((row_start, row_end))
+    return fused
+
+
 class SimulatedExecutor:
     """Serial backend: real kernels in-process, parallel time simulated.
 
     Executes :class:`ThreadTask` batches against a :class:`SimClock`
     (the historical API) and implements the :class:`KernelExecutor`
-    seam by running partition kernels serially in submission order —
-    the default, fully deterministic backend.
+    seam by running partition kernels serially in submission order
+    (adjacent partitions fused into one kernel call when nobody consumes
+    per-partition spans) — the default, fully deterministic backend.
     """
 
     def __init__(self, clock: SimClock | None = None) -> None:
@@ -132,17 +150,20 @@ class SimulatedExecutor:
         trace_ctx: TraceContext | None = None,
         span_sink: Callable[[dict[str, Any]], Any] | None = None,
     ) -> None:
-        """Serial execution of the kernel-dispatch seam."""
-        output[:] = 0.0
-        nnz_prefix = (
-            matrix.nnz_prefix()
-            if trace_ctx is not None and span_sink is not None
-            else None
-        )
+        """Serial execution of the kernel-dispatch seam.
+
+        Without a span consumer, adjacent ranges are merged into one
+        kernel call and one scatter; the buffer is zero-filled only
+        when the ranges leave a row uncovered.
+        """
+        ranges = [(int(a), int(b)) for a, b in ranges if b > a]
+        traced = trace_ctx is not None and span_sink is not None
+        if not traced:
+            ranges = _fuse_adjacent(ranges)
+        if ranges != [(0, matrix.n_rows)]:
+            output[:] = 0.0
+        nnz_prefix = matrix.nnz_prefix() if traced else None
         for row_start, row_end in ranges:
-            if row_end <= row_start:
-                continue
-            row_start, row_end = int(row_start), int(row_end)
             kernel_start = time.perf_counter()
             partial = matrix.spmm_rows(dense, row_start, row_end)
             kernel_end = time.perf_counter()

@@ -149,6 +149,7 @@ class ThreadsExecutor:
         nnz_prefix = matrix.nnz_prefix()
         matrix.row_degrees()
         matrix.inv_perm  # property; cached like the others
+        matrix.kernel_view()
         enqueued_at = time.monotonic()
 
         def run_range(row_start: int, row_end: int):

@@ -102,6 +102,14 @@ class ShardRoutingTable:
                 )
             cursor = end
         object.__setattr__(self, "ranges", ranges)
+        # Range ends, for shard_of's binary search.  Derived from
+        # ``ranges`` and not a dataclass field, so equality, repr and
+        # the JSON form are those of ``ranges`` alone.
+        object.__setattr__(
+            self,
+            "_boundaries",
+            np.asarray([end for _, end in ranges], dtype=np.int64),
+        )
 
     @property
     def n_shards(self) -> int:
@@ -121,10 +129,7 @@ class ShardRoutingTable:
                 f"node ids outside [0, {self.n_nodes}):"
                 f" [{node_ids.min()}, {node_ids.max()}]"
             )
-        boundaries = np.asarray(
-            [end for _, end in self.ranges], dtype=np.int64
-        )
-        return np.searchsorted(boundaries, node_ids, side="right")
+        return np.searchsorted(self._boundaries, node_ids, side="right")
 
     def split(
         self, node_ids: np.ndarray

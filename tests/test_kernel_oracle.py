@@ -1,8 +1,9 @@
 """Differential oracle for the SpMM kernel across every executor.
 
 One check, many inputs: for a CSDB matrix, a dense operand and a set of
-disjoint CSDB row ranges, every executor (serial, shared-memory and
-threads at 1/2/4 workers) must
+disjoint CSDB row ranges, every executor (serial — fused, and one call
+per range as under a tracer — shared-memory and threads at 1/2/4
+workers) must
 
 (i)   equal a scalar sequential reference *bit for bit* — the kernel's
       accumulation contract (each row: zero, then ``+= value * B[col]``
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.formats import CSDBMatrix, csdb_to_scipy, edges_to_csdb
 from repro.graphs import rmat_edges
+from repro.obs.live import TraceContext
 from repro.parallel import (
     SimulatedExecutor,
     get_shared_executor,
@@ -44,10 +46,16 @@ def _close_pools():
 
 
 def _executors():
-    yield "serial", SimulatedExecutor()
+    """(label, executor, extra ``run_partitions`` keywords)."""
+    yield "serial", SimulatedExecutor(), {}
+    # A span consumer turns the serial backend's range fusion off.
+    yield "serial traced", SimulatedExecutor(), {
+        "trace_ctx": TraceContext(trace_id="oracle"),
+        "span_sink": lambda payload: None,
+    }
     for n in WORKERS:
-        yield f"shared_memory x{n}", get_shared_executor(n)
-        yield f"threads x{n}", get_threads_executor(n)
+        yield f"shared_memory x{n}", get_shared_executor(n), {}
+        yield f"threads x{n}", get_threads_executor(n), {}
 
 
 def scalar_reference(matrix, dense, ranges):
@@ -70,9 +78,9 @@ def check_all_executors(matrix, dense, ranges):
     for row_start, row_end in ranges:
         covered[matrix.perm[row_start:row_end]] = True
     product = csdb_to_scipy(matrix) @ np.asarray(dense, dtype=np.float64)
-    for label, executor in _executors():
+    for label, executor, traced in _executors():
         out = np.full(expected.shape, np.nan)
-        executor.run_partitions(matrix, dense, ranges, out)
+        executor.run_partitions(matrix, dense, ranges, out, **traced)
         assert np.array_equal(out, expected), label
         assert np.allclose(out[covered], product[covered]), label
         assert not out[~covered].any(), label
@@ -141,6 +149,12 @@ DEGENERATE = {
         _weighted_rmat(), 4, [(0, 0), (0, 17), (17, 17), (40, 256)]
     ),
     "no_nonzeros": lambda: (_from_coo([], [], [], (5, 3)), 2, None),
+    # What the engine hands over: adjacent ranges covering every row,
+    # which the serial backend runs as one call with no zero-fill.
+    "full_cover_single_range": lambda: (_weighted_rmat(), 3, [(0, 256)]),
+    "full_cover_eight_ranges": lambda: (
+        _weighted_rmat(), 3, [(i, i + 32) for i in range(0, 256, 32)]
+    ),
 }
 
 

@@ -1,0 +1,416 @@
+"""One kernel call and one Eq. 2 evaluation per multiply — no bit changed.
+
+Three things an engine multiply used to redo are pinned here against the
+per-call formulation they replaced:
+
+- the serial backend fuses adjacent row ranges into one ``spmm_rows``
+  call (per-partition calls remain under a real tracer, whose spans
+  carry a measured kernel wall each);
+- ``SpMMEngine`` evaluates Eq. 2 once per (matrix, d) and replays the
+  charges into every call's fresh ``CostTrace``/``SimClock``;
+- ``CSDBMatrix`` keeps one kernel-ready CSR view of itself.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import ExecBackend, OMeGaConfig, ParallelConfig, SpMMEngine
+from repro.core.config import MemoryMode, PlacementScheme
+from repro.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.formats import CSDBMatrix, edges_to_csdb
+from repro.graphs import rmat_edges
+from repro.obs.live import TraceContext
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import SpanTracer
+from repro.parallel import (
+    SimulatedExecutor,
+    get_shared_executor,
+    get_threads_executor,
+    shutdown_shared_executors,
+    shutdown_threads_executors,
+)
+
+from .test_pattern_once import HOST_METRICS, assert_same_bits
+
+SERIAL = ParallelConfig(backend=ExecBackend.SIMULATED)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _close_pools():
+    yield
+    shutdown_shared_executors()
+    shutdown_threads_executors()
+
+
+@pytest.fixture(scope="module")
+def matrix() -> CSDBMatrix:
+    built = edges_to_csdb(rmat_edges(8, edge_factor=8.0, seed=3), 1 << 8)
+    built.nnz_list[:] = np.random.default_rng(3).standard_normal(built.nnz)
+    built.mark_mutated()
+    return built
+
+
+class SpmmRowsSpy:
+    """Record the row range of every ``CSDBMatrix.spmm_rows`` call."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.calls: list[tuple[int, int]] = []
+        original = CSDBMatrix.spmm_rows
+
+        def spied(matrix, dense, row_start, row_end):
+            self.calls.append((row_start, row_end))
+            return original(matrix, dense, row_start, row_end)
+
+        monkeypatch.setattr(CSDBMatrix, "spmm_rows", spied)
+
+
+# -- (i) fused == per-partition == traced == threads == shared_memory --------
+
+
+def per_partition(matrix, dense, ranges):
+    """The dispatch the serial backend had: zero-fill, one call per range."""
+    out = np.zeros((matrix.n_rows, np.asarray(dense).shape[1]))
+    for row_start, row_end in ranges:
+        if row_end > row_start:
+            out[matrix.perm[row_start:row_end]] = matrix.spmm_rows(
+                dense, row_start, row_end
+            )
+    return out
+
+
+def dispatch_arms(matrix, dense, ranges):
+    """Every dispatch path's output for the same ranges, by name."""
+    shape = (matrix.n_rows, np.asarray(dense).shape[1])
+    arms = {"per_partition": per_partition(matrix, dense, ranges)}
+    spans: list[dict] = []
+    for name, executor, traced in (
+        ("fused", SimulatedExecutor(), False),
+        ("traced", SimulatedExecutor(), True),
+        ("threads", get_threads_executor(2), False),
+        ("shared_memory", get_shared_executor(2), False),
+    ):
+        out = np.full(shape, np.nan)  # the buffer arrives uninitialised
+        if traced:
+            executor.run_partitions(
+                matrix, dense, ranges, out,
+                trace_ctx=TraceContext(trace_id="t"), span_sink=spans.append,
+            )
+        else:
+            executor.run_partitions(matrix, dense, ranges, out)
+        arms[name] = out
+    assert [
+        (s["attributes"]["row_start"], s["attributes"]["row_end"]) for s in spans
+    ] == [(a, b) for a, b in ranges if b > a]
+    return arms
+
+
+def assert_arms_agree(matrix, dense, ranges):
+    arms = dispatch_arms(matrix, dense, ranges)
+    expected = arms.pop("per_partition")
+    for name, out in arms.items():
+        assert out.tobytes() == expected.tobytes(), name
+    covered = np.zeros(matrix.n_rows, dtype=bool)
+    for row_start, row_end in ranges:
+        covered[matrix.perm[row_start:row_end]] = True
+    assert not expected[~covered].any()
+
+
+RANGE_CASES = {
+    "eight_adjacent": lambda n: list(
+        zip(range(0, n, n // 8), range(n // 8, n + 1, n // 8))
+    ),
+    "single_full_range": lambda n: [(0, n)],
+    "single_partial_range": lambda n: [(5, n - 5)],
+    "gap_in_the_middle": lambda n: [(0, 40), (40, 90), (120, n)],
+    "head_and_tail_uncovered": lambda n: [(10, 20), (20, 30)],
+    "empty_partitions": lambda n: [(0, 0), (0, 64), (64, 64), (64, n), (n, n)],
+    "nothing": lambda n: [],
+}
+
+
+@pytest.mark.parametrize("layout", ("c", "fortran", "float32"))
+@pytest.mark.parametrize("d", (1, 7))
+@pytest.mark.parametrize("case", sorted(RANGE_CASES))
+def test_every_dispatch_path_gives_the_same_bits(matrix, case, d, layout):
+    dense = np.random.default_rng(d).standard_normal((matrix.n_cols, d))
+    if layout == "fortran":
+        dense = np.asfortranarray(dense)
+    elif layout == "float32":
+        dense = dense.astype(np.float32)
+    assert_arms_agree(matrix, dense, RANGE_CASES[case](matrix.n_rows))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    cuts=st.lists(st.integers(0, 256), max_size=9),
+    keep=st.lists(st.booleans(), min_size=10, max_size=10),
+    d=st.integers(1, 5),
+)
+def test_property_fusion_is_invisible_over_range_cuts(matrix, cuts, keep, d):
+    # Sorted cut points: repeats give empty ranges, dropped ranges leave
+    # gaps, kept neighbours are adjacent and fuse.
+    bounds = [0, *sorted(cuts), matrix.n_rows]
+    ranges = [
+        pair for pair, kept in zip(zip(bounds[:-1], bounds[1:]), keep) if kept
+    ]
+    dense = np.random.default_rng(d).standard_normal((matrix.n_cols, d))
+    assert_arms_agree(matrix, dense, ranges)
+
+
+def test_fused_dispatch_calls_the_kernel_once_per_run_of_adjacent_ranges(
+    matrix, monkeypatch
+):
+    spy = SpmmRowsSpy(monkeypatch)
+    out = np.empty((matrix.n_rows, 2))
+    dense = np.ones((matrix.n_cols, 2))
+    SimulatedExecutor().run_partitions(
+        matrix, dense, [(0, 10), (10, 30), (30, 30), (30, 50), (60, 70)], out
+    )
+    assert spy.calls == [(0, 50), (60, 70)]
+
+
+# -- (ii) kernel calls per engine multiply -----------------------------------
+
+
+def test_untraced_serial_multiply_is_one_kernel_call(matrix, monkeypatch):
+    engine = SpMMEngine(OMeGaConfig(n_threads=8, parallel=SERIAL))
+    dense = np.ones((matrix.n_cols, 4))
+    engine.multiply(matrix, dense)
+    spy = SpmmRowsSpy(monkeypatch)
+    result = engine.multiply(matrix, dense)
+    assert spy.calls == [(0, matrix.n_rows)]
+    assert sum(p.n_rows > 0 for p in result.partitions) > 1
+
+
+def test_traced_serial_multiply_keeps_one_measured_call_per_partition(
+    matrix, monkeypatch
+):
+    tracer = SpanTracer()
+    engine = SpMMEngine(
+        OMeGaConfig(n_threads=8, parallel=SERIAL), tracer=tracer
+    )
+    dense = np.ones((matrix.n_cols, 4))
+    spy = SpmmRowsSpy(monkeypatch)
+    result = engine.multiply(matrix, dense)
+    expected = [
+        (p.row_start, p.row_end) for p in result.partitions if p.n_rows > 0
+    ]
+    assert len(expected) > 1
+    assert spy.calls == expected
+    spans = [s for s in tracer.finished if s.name == "spmm_partition"]
+    assert [
+        (s.attributes["row_start"], s.attributes["row_end"]) for s in spans
+    ] == expected
+    assert all(s.attributes["kernel_wall_s"] > 0.0 for s in spans)
+    untraced = SpMMEngine(OMeGaConfig(n_threads=8, parallel=SERIAL))
+    assert_same_bits(result.output, untraced.multiply(matrix, dense).output)
+
+
+# -- (iii) Eq. 2 replay ------------------------------------------------------
+
+
+def observed(engine, matrix, dense):
+    """Everything simulated a multiply reports, as one ``repr`` string."""
+    engine.metrics = MetricsRegistry()
+    result = engine.multiply(matrix, dense)
+    records = [
+        record
+        for record in engine.metrics.to_records()
+        if not record["name"].startswith(HOST_METRICS)
+    ]
+    return repr(
+        (
+            result.sim_seconds,
+            result.thread_times.tolist(),
+            result.trace.to_dict(),
+            records,
+        )
+    )
+
+
+ENGINE_CONFIGS = {
+    "heterogeneous": {},
+    "dram_only": {
+        "memory_mode": MemoryMode.DRAM_ONLY, "prefetcher_enabled": False,
+        "streaming_enabled": False,
+    },
+    "pm_only": {
+        "memory_mode": MemoryMode.PM_ONLY, "prefetcher_enabled": False,
+        "streaming_enabled": False,
+    },
+    "no_prefetcher": {"prefetcher_enabled": False},
+    "interleave": {"placement": PlacementScheme.INTERLEAVE},
+    "local": {"placement": PlacementScheme.LOCAL},
+    "natural_rr": {"allocation": "natural-rr"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_CONFIGS))
+def test_replayed_cost_equals_a_fresh_evaluation(matrix, name):
+    config = OMeGaConfig(n_threads=8, **ENGINE_CONFIGS[name])
+    rng = np.random.default_rng(11)
+    operands = {d: rng.standard_normal((matrix.n_cols, d)) for d in (40, 32)}
+    engine = SpMMEngine(config)
+    # 1st call at d=40, d=32 in between, then the Nth call at d=40.
+    seen = [observed(engine, matrix, operands[d]) for d in (40, 32, 40, 40)]
+    assert seen[2] == seen[0] and seen[3] == seen[0]
+    assert seen[1] != seen[0]
+    for d, index in ((40, 0), (32, 1)):
+        assert observed(SpMMEngine(config), matrix, operands[d]) == seen[index]
+
+
+def test_replay_charges_a_fresh_ledger_each_call(matrix):
+    engine = SpMMEngine(OMeGaConfig(n_threads=8))
+    dense = np.ones((matrix.n_cols, 4))
+    first = engine.multiply(matrix, dense)
+    expected = first.trace.to_dict()
+    first.trace.charge("get_dense_nnz", 1.0, 1.0)
+    first.thread_times[:] = 0.0
+    second = engine.multiply(matrix, dense)
+    assert second.trace is not first.trace
+    assert second.trace.to_dict() == expected
+
+
+def test_pm_degrade_still_moves_the_stream_term_per_call(matrix):
+    config = OMeGaConfig(n_threads=8, capacity_scale=1 << 22)
+    dense = np.ones((matrix.n_cols, 32))
+    healthy = SpMMEngine(config).multiply(matrix, dense)
+    engine = SpMMEngine(config)
+    engine.multiply(matrix, dense)  # Eq. 2 is now cached for (matrix, 32)
+    engine.faults = FaultInjector(
+        FaultPlan(events=(FaultEvent("pm_degrade", "pm", factor=0.01),))
+    )
+    degraded = engine.multiply(matrix, dense)
+    assert (
+        degraded.stream_plan.total_load_seconds
+        > healthy.stream_plan.total_load_seconds
+    )
+    assert degraded.trace.seconds("stream_load") > healthy.trace.seconds(
+        "stream_load"
+    )
+    assert degraded.sim_seconds > healthy.sim_seconds
+    cached_terms = set(healthy.trace.breakdown()) - {"stream_load"}
+    for category in cached_terms:
+        assert degraded.trace.seconds(category) == healthy.trace.seconds(category)
+    assert np.array_equal(degraded.thread_times, healthy.thread_times)
+
+
+# -- (iv) the kernel view's lifecycle ----------------------------------------
+
+
+def fresh_matrix(seed: int = 1) -> CSDBMatrix:
+    return edges_to_csdb(rmat_edges(7, edge_factor=6.0, seed=seed), 1 << 7)
+
+
+def test_the_view_aliases_the_values_and_is_built_once():
+    matrix = fresh_matrix()
+    view = matrix.kernel_view()
+    assert matrix.kernel_view() is view
+    assert np.shares_memory(view.data, matrix.nnz_list)
+    dense = np.ones((matrix.n_cols, 3))
+    matrix.spmm_rows(dense, 0, matrix.n_rows)
+    matrix.spmm_rows(dense, 3, 40)
+    assert matrix.kernel_view() is view
+
+
+def test_in_place_value_write_then_mark_mutated_multiplies_the_new_values():
+    matrix = fresh_matrix()
+    dense = np.random.default_rng(2).standard_normal((matrix.n_cols, 3))
+    engine = SpMMEngine(OMeGaConfig(n_threads=4, parallel=SERIAL))
+    before = engine.multiply(matrix, dense).output
+    stale = matrix.kernel_view()
+    matrix.nnz_list[:] = np.random.default_rng(3).standard_normal(matrix.nnz)
+    matrix.mark_mutated()
+    assert matrix.kernel_view() is not stale
+    rebuilt = CSDBMatrix(
+        matrix.deg_list, matrix.deg_ind, matrix.col_list,
+        matrix.nnz_list.copy(), matrix.perm, matrix.shape,
+    )
+    after = engine.multiply(matrix, dense).output
+    assert not np.array_equal(after, before)
+    assert_same_bits(after, rebuilt.spmm(dense))
+
+
+@pytest.mark.parametrize("multiplied_first", (False, True))
+def test_with_values_matches_a_from_scratch_matrix(multiplied_first):
+    matrix = fresh_matrix()
+    dense = np.random.default_rng(4).standard_normal((matrix.n_cols, 5))
+    if multiplied_first:
+        matrix.spmm(dense)
+    values = np.random.default_rng(5).standard_normal(matrix.nnz)
+    derived = matrix.with_values(values)
+    scratch = CSDBMatrix(
+        matrix.deg_list, matrix.deg_ind, matrix.col_list, values,
+        matrix.perm, matrix.shape,
+    )
+    assert_same_bits(derived.spmm(dense), scratch.spmm(dense))
+    assert_same_bits(
+        derived.spmm_rows(dense, 7, 90), scratch.spmm_rows(dense, 7, 90)
+    )
+    if multiplied_first:
+        view, parent_view = derived.kernel_view(), matrix.kernel_view()
+        assert np.shares_memory(view.indices, parent_view.indices)
+        assert np.shares_memory(view.indptr, parent_view.indptr)
+        assert np.shares_memory(view.data, derived.nnz_list)
+    # The parent still multiplies its own values.
+    assert_same_bits(
+        matrix.spmm(dense),
+        CSDBMatrix(
+            matrix.deg_list, matrix.deg_ind, matrix.col_list,
+            matrix.nnz_list.copy(), matrix.perm, matrix.shape,
+        ).spmm(dense),
+    )
+
+
+def test_from_shared_matrices_multiply_in_pool_workers():
+    matrix = fresh_matrix()
+    dense = np.random.default_rng(6).standard_normal((matrix.n_cols, 4))
+    shared = matrix.to_shared()
+    try:
+        attached = CSDBMatrix.from_shared(shared.handle)
+        assert_same_bits(
+            attached.spmm_rows(dense, 0, attached.n_rows),
+            matrix.spmm_rows(dense, 0, matrix.n_rows),
+        )
+        del attached
+        gc.collect()
+    finally:
+        shared.close()
+    serial = SpMMEngine(OMeGaConfig(n_threads=4, parallel=SERIAL))
+    pooled = SpMMEngine(
+        OMeGaConfig(
+            n_threads=4,
+            parallel=ParallelConfig(
+                backend=ExecBackend.SHARED_MEMORY, n_workers=2
+            ),
+        )
+    )
+    expected = serial.multiply(matrix, dense).output
+    for _ in range(2):  # the second call rides the workers' cached view
+        assert_same_bits(pooled.multiply(matrix, dense).output, expected)
+
+
+def test_the_view_does_not_keep_its_matrix_alive():
+    matrix = fresh_matrix()
+    engine = SpMMEngine(OMeGaConfig(n_threads=4, parallel=SERIAL))
+    engine.multiply(matrix, np.ones((matrix.n_cols, 2)))
+    derived = matrix.with_values(matrix.nnz_list * 2.0)
+    engine.multiply(derived, np.ones((matrix.n_cols, 2)))
+    assert len(engine._plans) == 2
+    dead = weakref.ref(matrix)
+    del matrix
+    gc.collect()
+    assert dead() is None
+    assert len(engine._plans) == 1
+    dead = weakref.ref(derived)
+    del derived
+    gc.collect()
+    assert dead() is None
+    assert len(engine._plans) == 0

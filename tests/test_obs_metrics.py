@@ -7,6 +7,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    _label_key,
 )
 
 
@@ -203,6 +204,18 @@ class TestRegistry:
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
         assert registry.counter("a", k="1") is not registry.counter("a")
+
+    @pytest.mark.parametrize(
+        "labels",
+        [{}, {"kind": "degree"}, {"socket": 1}, {"b": 2, "a": 1},
+         {"z": None, "m": 0.5, "a": "x"}],
+    )
+    def test_label_key_is_the_sorted_string_pairs(self, labels):
+        # Zero and one label take a shortcut; the key must be the tuple
+        # the general formulation gives, or series would split in two.
+        key = _label_key(labels)
+        assert key == tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+        assert type(key) is tuple and all(type(pair) is tuple for pair in key)
 
     def test_iteration_sorted(self):
         registry = MetricsRegistry()

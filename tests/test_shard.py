@@ -142,6 +142,29 @@ class TestRoutingTable:
         assert rebuilt.n_shards == 4
         assert rebuilt.n_nodes == 20
 
+    def test_search_boundaries_are_derived_state_only(self):
+        # shard_of's precomputed range ends must not leak into equality,
+        # hashing, repr, the JSON form or tables derived from this one.
+        import pickle
+
+        routing = self._table()
+        twin = ShardRoutingTable(ranges=[[0, 5], [5, 5], [5, 12], [12, 20]])
+        assert twin == routing and hash(twin) == hash(routing)
+        assert "_boundaries" not in repr(routing)
+        assert routing.to_dict() == {
+            "kind": "range",
+            "ranges": [[0, 5], [5, 5], [5, 12], [12, 20]],
+        }
+        ids = np.arange(20)
+        for table in (
+            pickle.loads(pickle.dumps(routing)),
+            routing.split_range(2, 9).merge_ranges(2),
+        ):
+            assert table == routing
+            assert np.array_equal(table.shard_of(ids), routing.shard_of(ids))
+        cut = routing.split_range(3, 15)
+        assert cut.shard_of(np.array([14, 15])).tolist() == [3, 4]
+
 
 # -- policies -------------------------------------------------------------
 
