@@ -79,6 +79,33 @@ def uniform_node_ranges(n_nodes: int, n_shards: int) -> list[tuple[int, int]]:
     ]
 
 
+def _group_by_owner(
+    owners: np.ndarray, node_ids: np.ndarray
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """``{shard: (positions, node_ids)}`` from each id's owning shard.
+
+    Shards ascend, positions ascend within a shard, and an empty
+    request gives ``{}``.  One stable sort of ``owners`` and a cut at
+    every change of owner; a request owned by a single shard (always,
+    with one shard; usually, for a small request on large ranges) skips
+    the sort and is handed back as it came.
+    """
+    if len(node_ids) == 0:
+        return {}
+    first = owners[0]
+    if (owners == first).all():
+        return {int(first): (np.arange(len(node_ids)), node_ids)}
+    order = np.argsort(owners, kind="stable")
+    sorted_owners = owners[order]
+    sorted_ids = node_ids[order]
+    cuts = np.flatnonzero(sorted_owners[1:] != sorted_owners[:-1]) + 1
+    bounds = [0, *cuts.tolist(), len(order)]
+    return {
+        int(sorted_owners[start]): (order[start:end], sorted_ids[start:end])
+        for start, end in zip(bounds[:-1], bounds[1:])
+    }
+
+
 @dataclass(frozen=True)
 class ShardRoutingTable:
     """Maps node ids onto contiguous shard ranges.
@@ -140,12 +167,7 @@ class ShardRoutingTable:
         gathered rows scatter straight into the caller's output buffer.
         """
         node_ids = np.asarray(node_ids, dtype=np.int64)
-        owners = self.shard_of(node_ids)
-        out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for shard in np.unique(owners):
-            mask = owners == shard
-            out[int(shard)] = (np.flatnonzero(mask), node_ids[mask])
-        return out
+        return _group_by_owner(self.shard_of(node_ids), node_ids)
 
     def range_summaries(self) -> list[list[int]]:
         """Display form of per-shard ownership: ``[[start, end], ...]``."""
@@ -261,12 +283,7 @@ class HashRoutingTable:
     ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Group a lookup by shard: ``{shard: (positions, node_ids)}``."""
         node_ids = np.asarray(node_ids, dtype=np.int64)
-        owners = self.shard_of(node_ids)
-        out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for shard in np.unique(owners):
-            mask = owners == shard
-            out[int(shard)] = (np.flatnonzero(mask), node_ids[mask])
-        return out
+        return _group_by_owner(self.shard_of(node_ids), node_ids)
 
     def members(self, shard: int) -> np.ndarray:
         """Sorted node ids a shard owns (materialized ownership)."""

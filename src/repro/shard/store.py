@@ -8,9 +8,23 @@ journaling its rows into a WAL-style
 :class:`~repro.memsim.persistence.StageCheckpointStore` on a simulated
 PM persistence domain.
 
+Transport.  A host talks to each of its worker processes over one
+duplex pipe (messages: :mod:`repro.shard.process`) and shares two things
+with them through memory: the rows (the segment) and the table version
+those rows are current to (an 8-byte watermark).  A lookup is one
+message out and one ack back, nothing else is acked, and an update sends
+nothing at all — it writes rows and watermark in place, and the next ack
+reads both.  The host never writes to a worker that still owes an ack
+(it receives that ack first), so neither side can block writing a large
+message the other is not reading.  A worker is alive while its heartbeat
+counter moves and its end of the pipe is open; a dead one reads as EOF
+at once.
+
 :class:`EmbeddingShardManager` keeps the authoritative table, routes
 lookups through a :class:`~repro.shard.ranges.ShardRoutingTable`, and
-scatter-gathers with a hedging ladder per shard::
+scatter-gathers — every shard's slice is sent before the first reply is
+awaited, so a lookup costs the slowest shard, not their sum — with a
+hedging ladder per shard, walked in shard order::
 
     primary process -> replica process -> stale checkpoint tier -> miss
 
@@ -39,11 +53,10 @@ paper's device terms.
 from __future__ import annotations
 
 import os
-import queue as queue_module
 import secrets
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -202,44 +215,75 @@ class _ShardWorker:
     ``row_start`` is the worker's index base: an int offset for
     contiguous ranges, or the shard's sorted owned-id array for
     consistent-hash ownership (the process maps via searchsorted).
+
+    ``next_req`` is the id of the last lookup sent and ``acked`` the id
+    of the last ack received; they differ only while a call is in
+    flight or after one timed out, and the difference is what the
+    worker still owes (see :meth:`ShardHost.send_lookup`).
     """
 
-    __slots__ = ("process", "jobs", "results", "heartbeat", "next_req")
+    __slots__ = ("process", "conn", "heartbeat", "next_req", "acked")
 
-    def __init__(self, ctx, spec, shard_id, row_start, version, interval_s):
-        self.jobs = ctx.Queue()
-        self.results = ctx.Queue()
+    def __init__(self, ctx, spec, shard_id, row_start, watermark, interval_s):
+        self.conn, child_conn = ctx.Pipe()
         self.heartbeat = ctx.Value("Q", 0, lock=True)
         self.next_req = 0
+        self.acked = 0
         self.process = ctx.Process(
             target=shard_main,
             args=(
                 shard_id,
                 spec,
                 row_start,
-                version,
-                self.jobs,
-                self.results,
+                child_conn,
+                watermark,
                 self.heartbeat,
                 interval_s,
             ),
             daemon=True,
         )
-        self.process.start()
+        try:
+            self.process.start()
+        except BaseException:
+            self.conn.close()
+            raise
+        finally:
+            # The child holds the only copy of its end from here on, so
+            # its death — however it dies — reads as EOF on ours.
+            child_conn.close()
 
-    def stop(self, timeout: float = 2.0) -> None:
+    def post(self, message) -> None:
+        """Send an unacked control message; a dead worker ignores it."""
         if self.process.is_alive():
             try:
-                self.jobs.put(None)
-            except ValueError:  # pragma: no cover - queue already closed
-                pass
+                self.conn.send(message)
+            except OSError:
+                pass  # died between the check and the write
+
+    def stop(self, graceful: bool = True, timeout: float = 2.0) -> None:
+        """End the process and close the pipe.
+
+        ``graceful`` asks first (the clean-shutdown sentinel) and waits
+        ``timeout``; a worker that is dead, hung or being replaced is
+        terminated.
+        """
+        if graceful:
+            self.post(None)
             self.process.join(timeout=timeout)
-        if self.process.is_alive():  # pragma: no cover - stuck worker
+        if self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout=timeout)
-        for channel in (self.jobs, self.results):
-            channel.close()
-            channel.join_thread()
+        self.conn.close()
+
+
+class _SentLookup(NamedTuple):
+    """The send half of one lookup, handed to the receive half."""
+
+    worker: _ShardWorker
+    replica: int
+    req_id: int
+    deadline_s: float
+    deadline_at: float
 
 
 class ShardHost:
@@ -281,7 +325,6 @@ class ShardHost:
             self.row_start = row_start
             self.row_end = row_start + len(rows)
         self.policy = policy
-        self.version = 0
         self.checkpoint_version: int | None = None
         self.generation = 0
         self.restarts = 0
@@ -293,6 +336,10 @@ class ShardHost:
         #: checkpoint record is quarantined (set by the manager).
         self.on_quarantine: Callable[[int, int, str], None] | None = None
         self._ctx = ctx if ctx is not None else mp_context()
+        #: The version watermark: written here, read by every worker of
+        #: this shard when it acks.  Lock-free — one writer, and an
+        #: aligned 8-byte store is not torn.
+        self._watermark = self._ctx.RawValue("q", 0)
         token = secrets.token_hex(4)
         self._name = f"shard-{os.getpid()}-{token}-{shard_id}"
         self.spec = create_shared_array(np.asarray(rows, dtype=np.float64), self._name)
@@ -318,6 +365,15 @@ class ShardHost:
     def n_rows(self) -> int:
         return len(self._view)
 
+    @property
+    def version(self) -> int:
+        """Table version this shard's rows are current to."""
+        return self._watermark.value
+
+    @version.setter
+    def version(self, value: int) -> None:
+        self._watermark.value = value
+
     # -- lifecycle -------------------------------------------------------
 
     def start(self, checkpoint: bool = True) -> None:
@@ -339,7 +395,7 @@ class ShardHost:
             self.spec,
             self.shard_id,
             self._index_base(),
-            self.version,
+            self._watermark,
             self.policy.heartbeat_interval_s,
         )
 
@@ -451,17 +507,14 @@ class ShardHost:
 
     # -- mutation --------------------------------------------------------
 
-    def write_rows(self, node_ids: np.ndarray, rows: np.ndarray, version: int) -> None:
-        """Write-through update of live rows (not yet durable)."""
-        self._view[self._local(node_ids)] = rows
-        self.version = version
-        self._broadcast_version()
+    def write_rows(self, node_ids: np.ndarray, rows: np.ndarray) -> None:
+        """Write-through update of live rows (not yet durable).
 
-    def _broadcast_version(self) -> None:
-        for worker in self._workers:
-            if worker.process.is_alive():
-                worker.next_req += 1
-                worker.jobs.put(("version", worker.next_req, self.version))
+        Does not move :attr:`version`: whether these rows bring the
+        shard up to the table version depends on whether it was current
+        before them, which only the manager knows.
+        """
+        self._view[self._local(node_ids)] = rows
 
     # -- recovery --------------------------------------------------------
 
@@ -474,14 +527,6 @@ class ShardHost:
             Locality.LOCAL,
             float(nbytes),
         )
-
-    def _retire_worker(self, worker: _ShardWorker) -> None:
-        if worker.process.is_alive():
-            worker.process.terminate()
-            worker.process.join(timeout=2.0)
-        for channel in (worker.jobs, worker.results):
-            channel.close()
-            channel.join_thread()
 
     def restart(self) -> int:
         """Replace dead/hung processes, restoring rows from the WAL.
@@ -496,7 +541,7 @@ class ShardHost:
         promotion path avoids.
         """
         for worker in self._workers:
-            self._retire_worker(worker)
+            worker.stop(graceful=False)
         record = self.last_verified_record()
         lost = self.version - int(record.meta["version"])
         self._view[:] = record.arrays["rows"]
@@ -511,9 +556,9 @@ class ShardHost:
     def has_fresh_replica(self) -> bool:
         """Whether a live replica could take over without WAL replay.
 
-        Replicas share the primary's segment and receive every version
-        broadcast, so a live replica is exactly as fresh as the owner's
-        view — the promotion precondition.
+        Replicas share the primary's segment and version watermark, so
+        a live replica is exactly as fresh as the owner's view — the
+        promotion precondition.
         """
         return any(
             worker.process.is_alive() for worker in self._workers[1:]
@@ -555,7 +600,7 @@ class ShardHost:
         standbys = [w for w in retired[1:] if w.process.is_alive()]
         for worker in retired:
             if worker not in standbys:
-                self._retire_worker(worker)
+                worker.stop(graceful=False)
         self._workers = [replica, *standbys, self._spawn_worker()]
         self.recovery_sim_seconds += self.policy.hedge_sim_penalty_s
         self.generation += 1
@@ -570,7 +615,6 @@ class ShardHost:
         """
         self._view[:] = rows
         self.version = version
-        self._broadcast_version()
         self.checkpoint()
 
     # -- fault injection -------------------------------------------------
@@ -578,24 +622,19 @@ class ShardHost:
     def inject_crash(self) -> None:
         """Kill the primary deterministically (joined before return)."""
         worker = self._workers[0]
-        if worker.process.is_alive():
-            worker.jobs.put(("crash",))
+        worker.post(("crash",))
+        worker.process.join(timeout=5.0)
+        if worker.process.is_alive():  # pragma: no cover - slow exit
+            worker.process.terminate()
             worker.process.join(timeout=5.0)
-            if worker.process.is_alive():  # pragma: no cover - slow exit
-                worker.process.terminate()
-                worker.process.join(timeout=5.0)
 
     def inject_hang(self, seconds: float) -> None:
-        """Queue a sleep on the primary (next lookup hits the deadline)."""
-        worker = self._workers[0]
-        if worker.process.is_alive():
-            worker.jobs.put(("hang", float(seconds)))
+        """Post a sleep to the primary (next lookup hits the deadline)."""
+        self._workers[0].post(("hang", float(seconds)))
 
     def inject_mute(self) -> None:
         """Stop the primary's heartbeat while it keeps serving."""
-        worker = self._workers[0]
-        if worker.process.is_alive():
-            worker.jobs.put(("mute",))
+        self._workers[0].post(("mute",))
 
     def inject_checkpoint_fault(self, kind: str) -> bool:
         """Damage the newest WAL record (``checkpoint_corrupt``/``_torn``).
@@ -610,17 +649,28 @@ class ShardHost:
 
     # -- lookups ---------------------------------------------------------
 
-    def lookup(
+    def send_lookup(
         self,
         node_ids: np.ndarray,
         deadline_s: float | None = None,
         replica: int = 0,
-    ) -> tuple[np.ndarray, int]:
-        """One live lookup against worker ``replica``.
+    ) -> _SentLookup:
+        """Send half of a lookup: put the request on worker ``replica``.
+
+        The deadline of the call starts here.  A worker that still owes
+        the ack of an earlier, timed-out call is busy with that call
+        (or about to write its reply) and is not reading its pipe, so
+        nothing is written to it until those acks have been received
+        and dropped — the host only ever writes to a worker that is
+        reading, and a worker only ever writes to a host that will
+        read, whatever the sizes of the request and the reply.  (A
+        request larger than the pipe's buffer, sent to a worker that is
+        hung, blocks here until the worker reads or dies; the deadline
+        is judged afterwards.)
 
         Raises:
-            ShardCrashError: the worker is (or dies) unresponsive.
-            ShardTimeoutError: no ack within ``deadline_s``.
+            ShardCrashError: the worker is dead or its pipe is closed.
+            ShardTimeoutError: the owed acks did not arrive in time.
         """
         deadline_s = (
             self.policy.lookup_deadline_s if deadline_s is None else deadline_s
@@ -632,31 +682,81 @@ class ShardHost:
             raise ShardCrashError(
                 self.shard_id, f"worker {replica} dead (exit {worker.process.exitcode})"
             )
-        worker.next_req += 1
-        req_id = worker.next_req
-        worker.jobs.put(("lookup", req_id, np.asarray(node_ids, dtype=np.int64)))
-        deadline_at = time.monotonic() + deadline_s
+        last = _SentLookup(
+            worker,
+            replica,
+            worker.next_req,
+            deadline_s,
+            time.monotonic() + deadline_s,
+        )
+        if worker.acked != last.req_id:
+            self._await_ack(last)  # owed acks, dropped
+        sent = last._replace(req_id=last.req_id + 1)
+        try:
+            worker.conn.send(
+                ("lookup", sent.req_id, np.asarray(node_ids, dtype=np.int64))
+            )
+        except OSError:
+            raise self._died(sent) from None
+        worker.next_req = sent.req_id
+        return sent
+
+    def finish_lookup(self, sent: _SentLookup) -> tuple[np.ndarray, int]:
+        """Receive half of a lookup: the rows and the version they carry.
+
+        Raises:
+            ShardCrashError: the worker died (EOF) or reported an error.
+            ShardTimeoutError: no ack within the call's deadline; an ack
+                that has already arrived is never a timeout.
+        """
+        status, payload, version = self._await_ack(sent)
+        if status != "ok":
+            raise ShardCrashError(self.shard_id, str(payload))
+        return payload, int(version)
+
+    def lookup(
+        self,
+        node_ids: np.ndarray,
+        deadline_s: float | None = None,
+        replica: int = 0,
+    ) -> tuple[np.ndarray, int]:
+        """One live lookup against worker ``replica`` (send + receive).
+
+        Raises:
+            ShardCrashError: the worker is (or dies) unresponsive.
+            ShardTimeoutError: no ack within ``deadline_s``.
+        """
+        return self.finish_lookup(
+            self.send_lookup(node_ids, deadline_s, replica)
+        )
+
+    def _died(self, sent: _SentLookup) -> ShardCrashError:
+        process = sent.worker.process
+        process.join(timeout=_POLL_S)  # EOF can beat the exit status
+        return ShardCrashError(
+            self.shard_id,
+            f"worker {sent.replica} died mid-call (exit {process.exitcode})",
+        )
+
+    def _await_ack(self, sent: _SentLookup) -> tuple[str, Any, int]:
+        """Receive acks up to ``sent.req_id``'s; earlier ones are stale
+        (their calls timed out) and dropped."""
+        worker = sent.worker
         while True:
-            remaining = deadline_at - time.monotonic()
-            if remaining <= 0:
-                raise ShardTimeoutError(self.shard_id, deadline_s)
+            remaining = sent.deadline_at - time.monotonic()
             try:
-                message = worker.results.get(timeout=min(_POLL_S, remaining))
-            except queue_module.Empty:
-                if not worker.process.is_alive():
-                    raise ShardCrashError(
-                        self.shard_id,
-                        f"worker {replica} died mid-call"
-                        f" (exit {worker.process.exitcode})",
-                    ) from None
-                continue
-            status, rid, payload, version = message
-            if rid != req_id:
-                # A stale ack from a call that already timed out.
-                continue
-            if status != "ok":
-                raise ShardCrashError(self.shard_id, str(payload))
-            return payload, int(version)
+                if worker.conn.poll(max(0.0, min(_POLL_S, remaining))):
+                    status, req_id, payload, version = worker.conn.recv()
+                    worker.acked = req_id
+                    if req_id == sent.req_id:
+                        return status, payload, version
+                    continue
+            except (EOFError, OSError):
+                raise self._died(sent) from None
+            if remaining <= 0:
+                raise ShardTimeoutError(self.shard_id, sent.deadline_s)
+            if not worker.process.is_alive():
+                raise self._died(sent)
 
 
 class EmbeddingShardManager:
@@ -852,34 +952,30 @@ class EmbeddingShardManager:
         """
         node_ids = np.asarray(node_ids, dtype=np.int64)
         self.table[node_ids] = rows
+        previous = self.version
         self.version += 1
         for shard, (_, ids) in self.routing.split(node_ids).items():
-            host = self.hosts[shard]
-            host.write_rows(ids, self.table[ids], self.version)
-        if self._migration is not None:
-            for host in self._migration["hosts"]:
-                mask = (
-                    np.isin(node_ids, host.node_ids)
-                    if host.node_ids is not None
-                    else (node_ids >= host.row_start)
-                    & (node_ids < host.row_end)
-                )
-                ids = node_ids[mask]
-                if len(ids):
-                    host.write_rows(ids, self.table[ids], self.version)
-        for host in self.hosts:
-            # Every shard advances to the table version, even untouched
-            # ones — staleness is measured against the whole table, and
-            # the workers' ack watermark must move with it or untouched
-            # shards would read as stale.
-            if host.version != self.version:
+            self.hosts[shard].write_rows(ids, self.table[ids])
+        warming = (
+            self._migration["hosts"] if self._migration is not None else ()
+        )
+        for host in warming:
+            mask = (
+                np.isin(node_ids, host.node_ids)
+                if host.node_ids is not None
+                else (node_ids >= host.row_start) & (node_ids < host.row_end)
+            )
+            ids = node_ids[mask]
+            if len(ids):
+                host.write_rows(ids, self.table[ids])
+        for host in (*self.hosts, *warming):
+            # Every shard that was current advances to the table
+            # version, touched or not — staleness is measured against
+            # the whole table.  A shard that was already behind (it
+            # reopened from its checkpoint) still misses the updates it
+            # lost: it stays behind, and reads as stale, until catch_up.
+            if host.version == previous:
                 host.version = self.version
-                host._broadcast_version()
-        if self._migration is not None:
-            for host in self._migration["hosts"]:
-                if host.version != self.version:
-                    host.version = self.version
-                    host._broadcast_version()
         return self.version
 
     def checkpoint_all(self) -> None:
@@ -1126,11 +1222,23 @@ class EmbeddingShardManager:
         shard_details: list[dict] = []
         sim_seconds = 0.0
         self.metrics.counter("shard.lookups").inc()
-        for shard_id, (positions, ids) in self.routing.split(node_ids).items():
+        split = self.routing.split(node_ids)
+        # Scatter: every shard's slice is on its way before the first
+        # reply is awaited, so the shards gather side by side and the
+        # call costs the slowest of them, not their sum.
+        sent = {
+            shard_id: self._send_primary(self.hosts[shard_id], ids)
+            for shard_id, (_, ids) in split.items()
+        }
+        # Gather, in shard order: failures, hedges and repairs happen
+        # one shard at a time exactly as if the calls were sequential.
+        for shard_id, (positions, ids) in split.items():
             host = self.hosts[shard_id]
             self.rows_served[shard_id] += int(ids.size)
             nbytes = float(ids.size * dim * 8)
-            rows, status, version = self._gather_one(host, ids)
+            rows, status, version = self._gather_one(
+                host, ids, sent[shard_id]
+            )
             if rows is None:
                 statuses[shard_id] = STATUS_MISSING
                 missing_ranges.append(
@@ -1206,10 +1314,33 @@ class EmbeddingShardManager:
             refresh_sim_seconds=refresh_sim_seconds,
         )
 
+    @staticmethod
+    def _send_primary(
+        host: ShardHost, ids: np.ndarray
+    ) -> "_SentLookup | ShardCrashError | ShardTimeoutError | None":
+        """Send one shard's slice to its primary.
+
+        A failure to send is returned, not raised: it is that shard's
+        primary failure and is handled in its turn by
+        :meth:`_gather_one`.  Abandoned shards are sent nothing.
+        """
+        if host.abandoned:
+            return None
+        try:
+            return host.send_lookup(ids)
+        except (ShardCrashError, ShardTimeoutError) as exc:
+            return exc
+
     def _gather_one(
-        self, host: ShardHost, ids: np.ndarray
+        self,
+        host: ShardHost,
+        ids: np.ndarray,
+        sent: "_SentLookup | ShardCrashError | ShardTimeoutError | None",
     ) -> tuple[np.ndarray | None, str, int]:
-        """The hedging ladder for one shard's slice of a lookup."""
+        """The hedging ladder for one shard's slice of a lookup.
+
+        ``sent`` is what :meth:`_send_primary` returned for this shard.
+        """
         if host.abandoned:
             # Short-circuit: an abandoned shard is a settled fact, not a
             # fresh failure — go straight to the stale-checkpoint rung
@@ -1226,12 +1357,12 @@ class EmbeddingShardManager:
                 return rows, STATUS_STALE, host.checkpoint_version or 0
             except ShardCrashError:
                 return None, STATUS_MISSING, -1
-        primary_error: Exception | None = None
         try:
-            rows, version = host.lookup(ids)
+            if isinstance(sent, Exception):
+                raise sent
+            rows, version = host.finish_lookup(sent)
             return rows, STATUS_FRESH, version
         except (ShardCrashError, ShardTimeoutError) as exc:
-            primary_error = exc
             self.metrics.counter(
                 "shard.failures",
                 shard=str(host.shard_id),
@@ -1260,5 +1391,4 @@ class EmbeddingShardManager:
             return rows, STATUS_STALE, host.checkpoint_version or 0
         except ShardCrashError:
             # No live worker and no verified checkpoint: a genuine miss.
-            del primary_error
             return None, STATUS_MISSING, -1

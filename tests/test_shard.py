@@ -12,6 +12,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import (
     ALL_FAULT_KINDS,
@@ -36,6 +38,7 @@ from repro.shard import (
     entropy_aware_node_ranges,
     uniform_node_ranges,
 )
+from repro.shard.ranges import HashRoutingTable
 
 N_NODES = 64
 DIM = 4
@@ -122,6 +125,41 @@ class TestRoutingTable:
         for _, (positions, shard_ids) in routing.split(ids).items():
             out[positions] = shard_ids
         assert np.array_equal(out, ids)
+
+    @staticmethod
+    def _split_by_masks(routing, node_ids):
+        """The former ``split``: one mask, ``flatnonzero`` and fancy
+        index per owning shard.  Kept as the reference."""
+        node_ids = np.asarray(node_ids, dtype=np.int64)
+        owners = routing.shard_of(node_ids)
+        out = {}
+        for shard in np.unique(owners):
+            mask = owners == shard
+            out[int(shard)] = (np.flatnonzero(mask), node_ids[mask])
+        return out
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ids=st.lists(st.integers(0, 19), max_size=40),
+        kind=st.sampled_from(["range", "one-range", "hash", "one-hash"]),
+    )
+    def test_split_matches_mask_reference(self, ids, kind):
+        routing = {
+            "range": self._table(),
+            "one-range": ShardRoutingTable(ranges=((0, 20),)),
+            "hash": HashRoutingTable(n_nodes=20, n_shards=3, vnodes=4),
+            "one-hash": HashRoutingTable(n_nodes=20, n_shards=1),
+        }[kind]
+        got = routing.split(ids)
+        want = self._split_by_masks(routing, ids)
+        # Same shards in the same (ascending) order, same positions and
+        # ids in the same (ascending-position) order; {} when empty.
+        assert list(got) == list(want) == sorted(want)
+        for shard, (positions, shard_ids) in want.items():
+            assert np.array_equal(got[shard][0], positions)
+            assert np.array_equal(got[shard][1], shard_ids)
+            assert got[shard][0].dtype == positions.dtype
+            assert got[shard][1].dtype == shard_ids.dtype
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):

@@ -42,10 +42,13 @@ N_NODES = 64
 DIM = 4
 
 
-def _manager() -> EmbeddingShardManager:
+def _manager(partition: str = "uniform") -> EmbeddingShardManager:
     table = np.random.default_rng(3).standard_normal((N_NODES, DIM))
     return EmbeddingShardManager(
-        table, policy=ShardPolicy(n_shards=2, lookup_deadline_s=0.2)
+        table,
+        policy=ShardPolicy(
+            n_shards=2, lookup_deadline_s=0.2, partition=partition
+        ),
     )
 
 
@@ -150,6 +153,81 @@ class TestCrashBoundaries:
                 assert caught.stale_rows == 0
                 assert np.array_equal(caught.rows, manager.table[ids])
             assert host.restarts == 2
+
+
+# -- a shard that is behind stays behind until catch_up -------------------
+
+
+class TestBehindShardStaysStale:
+    """A shard reopened from its checkpoint misses the updates it lost.
+    No later update — to another shard or to its own rows — may stamp it
+    current; only ``catch_up`` does."""
+
+    @staticmethod
+    def _owned(manager, shard: int, count: int) -> np.ndarray:
+        owners = manager.routing.shard_of(np.arange(N_NODES))
+        return np.flatnonzero(owners == shard)[:count]
+
+    def _lose_one_update(self, manager):
+        """Update a row of shard 0, then crash and restart the shard."""
+        lost, = self._owned(manager, 0, 1)
+        genesis = np.array(manager.table[lost], copy=True)
+        manager.apply_update([lost], np.full((1, DIM), 9.0))
+        host = manager.hosts[0]
+        host.inject_crash()
+        assert host.restart() == 1
+        return host, lost, genesis
+
+    def _assert_stale_until_catch_up(self, manager, host, lost, genesis):
+        everything = np.arange(N_NODES)
+        result = manager.lookup(everything)
+        # Served live, yet flagged: the rows are one update behind.
+        assert result.statuses[0] == STATUS_FRESH
+        assert result.stale_rows == host.n_rows
+        assert np.array_equal(result.rows[lost], genesis)
+        manager.catch_up(0)
+        caught = manager.lookup(everything)
+        assert caught.stale_rows == 0
+        assert np.array_equal(caught.rows, manager.table)
+
+    @pytest.mark.parametrize("partition", ["uniform", "hash"])
+    def test_unrelated_update_does_not_stamp_restarted_shard(self, partition):
+        with _manager(partition) as manager:
+            host, lost, genesis = self._lose_one_update(manager)
+            assert manager.lookup(np.arange(N_NODES)).stale_rows == host.n_rows
+            other, = self._owned(manager, 1, 1)
+            manager.apply_update([other], np.full((1, DIM), 5.0))
+            self._assert_stale_until_catch_up(manager, host, lost, genesis)
+
+    @pytest.mark.parametrize("partition", ["uniform", "hash"])
+    def test_own_update_lands_but_does_not_stamp(self, partition):
+        with _manager(partition) as manager:
+            host, lost, genesis = self._lose_one_update(manager)
+            _, own = self._owned(manager, 0, 2)
+            manager.apply_update([own], np.full((1, DIM), 7.0))
+            # The write went through to the live segment...
+            rows, version = host.lookup(np.array([own]))
+            assert np.array_equal(rows, np.full((1, DIM), 7.0))
+            # ...and the shard is still at its checkpoint version.
+            assert version == host.version == 0 < manager.version
+            self._assert_stale_until_catch_up(manager, host, lost, genesis)
+
+    def test_host_inside_a_migration(self):
+        with _manager() as manager:
+            manager.begin_split(0)
+            host, lost, genesis = self._lose_one_update(manager)
+            other, = self._owned(manager, 1, 1)
+            manager.apply_update([other], np.full((1, DIM), 5.0))
+            # Reads still go to the old host while the split is warming.
+            result = manager.lookup(np.arange(N_NODES))
+            assert result.stale_rows == host.n_rows
+            assert np.array_equal(result.rows[lost], genesis)
+            # The warming hosts took every dual-routed write and were
+            # current throughout, so the swap serves fresh rows.
+            manager.finish_migration()
+            swapped = manager.lookup(np.arange(N_NODES))
+            assert swapped.stale_rows == 0
+            assert np.array_equal(swapped.rows, manager.table)
 
 
 # -- the full serving stack under a shard kill ----------------------------
