@@ -74,7 +74,11 @@ class EmbeddingResult:
         n_spmm: number of SpMM operations executed.
         wall_seconds: real wall-clock time of the run (for the harness).
         trace: merged per-category cost ledger.
-        spmm_results: the individual engine results (thread times etc.).
+        spmm_results: the individual engine results (thread times,
+            partitions, plans, ledgers) with ``output=None``: a product's
+            output belongs to the pipeline step that asked for it, which
+            may overwrite it in place, so it is neither kept alive nor
+            readable here.
     """
 
     embedding: np.ndarray
@@ -170,7 +174,11 @@ class PipelineState:
 
 
 class _InstrumentedMatMul:
-    """Adapter routing ProNE's products through the engine."""
+    """Adapter routing ProNE's products through the engine.
+
+    The product's output is handed to the caller, who owns it and may
+    overwrite it; the recorded result keeps everything but the output.
+    """
 
     def __init__(self, embedder: "OMeGaEmbedder", matrix: CSDBMatrix) -> None:
         self.embedder = embedder
@@ -178,8 +186,9 @@ class _InstrumentedMatMul:
 
     def __call__(self, dense: np.ndarray) -> np.ndarray:
         result = self.embedder.engine.multiply(self.matrix, dense)
+        output, result.output = result.output, None
         self.embedder._record_spmm(result)
-        return result.output
+        return output
 
 
 class OMeGaEmbedder:
@@ -287,11 +296,16 @@ class OMeGaEmbedder:
     def pipeline_working_set_bytes(self, n_nodes: int, n_edges: int) -> float:
         """Peak DRAM-resident bytes of the ProNE pipeline (Eq. 8 terms).
 
-        The tSVD and Chebyshev stages hold several (|V|, k) dense
+        The paper's tSVD and Chebyshev stages hold several (|V|, k) dense
         temporaries simultaneously (Lx0/Lx1/Lx2 + conv + the operand and
         result); we count six, plus the sparse operators (the smf matrix,
         its transpose, and the Chebyshev operator roughly triple the raw
-        adjacency footprint).
+        adjacency footprint).  The six is the modelled pipeline's, an
+        input of the simulated cost model, not a measurement of this
+        process: the in-place recurrence of :mod:`repro.prone.chebyshev`
+        peaks at seven (|V|, d) blocks (x, lx0, lx1, conv, one scratch,
+        a product's operand and its output; the allocating form it
+        replaced peaked at eight).
         """
         k = self.params.dim + self.params.n_oversamples
         dense = 6.0 * n_nodes * k * 8.0

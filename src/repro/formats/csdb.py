@@ -508,12 +508,39 @@ class CSDBMatrix:
         return self.spmm(np.asarray(vector).reshape(-1))
 
     def transpose(self) -> "CSDBMatrix":
-        """Transposed copy, re-blocked by the transpose's row degrees."""
-        return CSDBMatrix.from_coo(
-            self.col_list,
-            self.nnz_row_ids(),
-            self.nnz_list,
-            (self.n_cols, self.n_rows),
+        """Transposed copy, re-blocked by the transpose's row degrees.
+
+        No comparison sort: the non-zeros are gathered into original-row
+        CSR order (each row's run is already contiguous, so that is one
+        O(nnz) gather), scipy's compiled counting pass turns that CSR
+        into the CSC of the same matrix — which *is* the CSR of the
+        transpose, columns ascending within a row — and
+        :meth:`from_csr` re-blocks it.  The result is what
+        ``from_coo(col_list, nnz_row_ids(), nnz_list, shape^T)`` builds,
+        array for array (``+ 0.0`` included: a stored ``-0.0`` comes out
+        ``+0.0``), for a matrix without duplicate coordinates, which is
+        what every constructor produces.
+        """
+        inv_perm = self.inv_perm
+        degrees = self.row_degrees()[inv_perm]
+        indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        # Original row r's non-zeros sit at nnz_prefix[inv_perm[r]] in the
+        # CSDB arrays and go to indptr[r] in the CSR ones.
+        gather = np.repeat(
+            self.nnz_prefix()[:-1][inv_perm] - indptr[:-1], degrees
+        ) + np.arange(self.nnz, dtype=np.int64)
+        by_column = csr_array(
+            (self.nnz_list[gather], self.col_list[gather], indptr),
+            shape=self.shape,
+        ).tocsc()
+        return CSDBMatrix.from_csr(
+            CSRMatrix(
+                by_column.indptr,
+                by_column.indices,
+                by_column.data + 0.0,
+                (self.n_cols, self.n_rows),
+            )
         )
 
     def _elementwise(self, other: "CSDBMatrix", sign: float) -> "CSDBMatrix":

@@ -10,7 +10,16 @@ a chain of SpMM applications of the shifted Laplacian ``M = L - mu*I``
 
 The recurrence below mirrors the reference ProNE implementation
 (``chebyshev_gaussian``), including its sign convention and the final
-``A' (X - conv)`` re-aggregation.
+``A' (X - conv)`` re-aggregation.  It evaluates the textbook expressions
+``0.5*M(M x) - x`` and ``(M(M lx1) - 2*lx1) - lx0`` operation for
+operation — so every bit matches the allocating form — but in place: a
+step's only new arrays are the two products' outputs, the second of
+which becomes the next term; the axpy operands go through one scratch
+buffer.
+
+Ownership: a matmul callable returns an array the filter may overwrite;
+the ``embedding`` argument is only ever read (the pipeline passes its
+checkpointed initial embedding).
 """
 
 from __future__ import annotations
@@ -49,20 +58,24 @@ def chebyshev_gaussian_filter(
     x = np.asarray(embedding, dtype=np.float64)
     if order == 1:
         return aggregate_matmul(x)
+    scratch = np.empty_like(x)
     lx0 = x
-    lx1 = operator_matmul(x)
-    lx1 = 0.5 * operator_matmul(lx1) - x
-    conv = iv(0, theta) * lx0
-    conv -= 2.0 * iv(1, theta) * lx1
+    lx1 = operator_matmul(operator_matmul(x))
+    np.multiply(lx1, 0.5, out=lx1)
+    np.subtract(lx1, x, out=lx1)
+    conv = iv(0, theta) * x
+    conv -= np.multiply(lx1, 2.0 * iv(1, theta), out=scratch)
     for i in range(2, order):
-        lx2 = operator_matmul(lx1)
-        lx2 = (operator_matmul(lx2) - 2.0 * lx1) - lx0
+        lx2 = operator_matmul(operator_matmul(lx1))
+        np.subtract(lx2, np.multiply(lx1, 2.0, out=scratch), out=lx2)
+        np.subtract(lx2, lx0, out=lx2)
+        np.multiply(lx2, 2.0 * iv(i, theta), out=scratch)
         if i % 2 == 0:
-            conv += 2.0 * iv(i, theta) * lx2
+            conv += scratch
         else:
-            conv -= 2.0 * iv(i, theta) * lx2
+            conv -= scratch
         lx0, lx1 = lx1, lx2
-    return aggregate_matmul(x - conv)
+    return aggregate_matmul(np.subtract(x, conv, out=conv))
 
 
 def spmm_calls_for_order(order: int) -> int:

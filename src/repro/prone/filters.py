@@ -15,7 +15,9 @@ classic choices so the propagation stage can be ablated:
 
 All variants take the same ``(operator_matmul, aggregate_matmul,
 embedding)`` signature, so the embedding pipeline and benches can swap
-them freely.
+them freely.  Like the Chebyshev recurrence they work in place on the
+products' outputs (a matmul callable returns an array the filter may
+overwrite) and only ever read ``embedding``.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ def heat_kernel_filter(
     term = x
     total = x.copy()
     for k in range(1, order + 1):
-        term = operator_matmul(term) * (-s / k)
+        term = operator_matmul(term)
+        term *= -s / k
         total += term
     return aggregate_matmul(total)
 
@@ -73,16 +76,18 @@ def ppr_filter(
         raise ValueError(f"order must be >= 1, got {order}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    x0 = np.asarray(embedding, dtype=np.float64)
-    x = x0.copy()
+    x = x0 = np.asarray(embedding, dtype=np.float64)
+    scratch = np.empty_like(x0)
     for _ in range(order):
         # operator_matmul applies M = L - mu I; recover the random-walk
-        # propagation P X = X - L X = X - (M + mu I) X up to the shift.
+        # propagation P X = X - L X = X - (M + mu I) X up to the shift:
+        # (I - M) X ~ (DA + mu I) X, written onto the product's output.
         m_x = operator_matmul(x)
-        propagated = x - m_x  # (I - M) X ~ (DA + mu I) X
-        x = (1.0 - alpha) * propagated + alpha * x0
+        x = np.subtract(x, m_x, out=m_x)
+        x *= 1.0 - alpha
+        x += np.multiply(x0, alpha, out=scratch)
         # Keep magnitudes in check; the pipeline re-normalizes anyway.
-        norm = np.abs(x).max()
+        norm = np.abs(x, out=scratch).max()
         if norm > 0 and not math.isfinite(norm):
             raise FloatingPointError("PPR propagation diverged")
         if norm > 1e6:

@@ -17,7 +17,7 @@ from repro.formats.csdb import CSDBMatrix
 from repro.obs.tracer import NULL_TRACER, SpanTracer
 from repro.prone.chebyshev import chebyshev_gaussian_filter
 from repro.prone.laplacian import add_identity, chebyshev_operator, row_l1_normalize
-from repro.prone.tsvd import embedding_from_factors, randomized_tsvd
+from repro.prone.tsvd import embedding_from_factors, randomized_tsvd, tall_svd
 
 MatMulFactory = Callable[[CSDBMatrix], Callable[[np.ndarray], np.ndarray]]
 
@@ -108,9 +108,14 @@ def prone_smf(
 
 
 def densify_embedding(matrix: np.ndarray, dim: int) -> np.ndarray:
-    """ProNE's final densification: economy SVD, ``U * sqrt(s)``, l2 norm."""
-    u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-    return embedding_from_factors(u[:, :dim], s[:dim])
+    """ProNE's final densification: top-``dim`` ``U * sqrt(s)``, l2 norm.
+
+    The (n, d) block's SVD is taken through its d x d Gram matrix
+    (:func:`repro.prone.tsvd.tall_svd`); a zero singular value yields a
+    zero column, so an all-zero block (edgeless graph) embeds to zeros.
+    """
+    u, s, _ = tall_svd(matrix, dim)
+    return embedding_from_factors(u, s)
 
 
 def prone_propagate(

@@ -4,8 +4,31 @@ ProNE's sparse-matrix-factorization stage uses randomized tSVD, whose
 cost is dominated by the sparse-times-dense products — exactly the SpMM
 operations OMeGa accelerates.  The implementation therefore takes the
 products as callables (``matmul(X) = A @ X`` and ``rmatmul(Y) = A.T @ Y``)
-so the caller can route them through the instrumented engine; the small
-dense factorizations (QR, economy SVD) run in numpy.
+so the caller can route them through the instrumented engine.
+
+The dense algebra between the products is sized to what each step needs:
+
+- *inside* the power iterations the block only has to stay a
+  well-conditioned basis of its range, not an orthonormal one, so it is
+  normalised with a partially pivoted LU (keep the unit lower-trapezoidal
+  factor) — several times cheaper than a Householder QR, and that factor
+  has full column rank even when the block itself is rank deficient;
+- one Householder QR at the end makes the basis ``Q`` orthonormal;
+- the projection ``B = Q^T A`` (k x n) is factorised through its k x k
+  Gram matrix (:func:`tall_svd` of ``B^T = A^T Q``, which is how one
+  ``rmatmul`` delivers it).  No k x n SVD is ever formed.
+
+Accuracy contract of the Gram step: ``U`` is orthonormal to rounding
+whatever the spectrum (it is a product of two orthonormal factors); a
+singular value ``s_i`` carries relative error about
+``eps * (s_1 / s_i)**2``, so values below ``sqrt(eps) * s_1`` are not
+resolved and may read as 0.  The embeddings here keep the *leading*
+singular directions of matrices whose leading spectrum spans a few
+octaves, where that is rounding noise (measured: DESIGN §6g).
+
+Ownership: a matmul callable returns an array its caller may overwrite
+(the LU and QR factorise the product's output in place); the callables'
+*inputs* are never written.
 """
 
 from __future__ import annotations
@@ -15,6 +38,27 @@ from typing import Callable
 import numpy as np
 
 MatMul = Callable[[np.ndarray], np.ndarray]
+
+
+def tall_svd(
+    block: np.ndarray, rank: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leading ``rank`` singular triplets of a tall (n, k) block, k << n.
+
+    Works on the k x k Gram matrix ``block^T block = W diag(s^2) W^T``,
+    so the only O(n) work is two GEMMs.  Returns ``(u, s, w)`` with
+    ``block ~= u @ diag(s) @ w.T``, ``s`` descending, ``w`` (k, rank)
+    orthonormal and ``u = block @ w / s`` (n, rank).  A singular value
+    that reads as 0 gets an all-zero column of ``u``, never a division
+    by it.  ``block`` is not written.
+    """
+    eigenvalues, w = np.linalg.eigh(block.T @ block)
+    # eigh sorts ascending; keep the leading pairs, descending.
+    w = w[:, ::-1][:, :rank]
+    s = np.sqrt(np.maximum(eigenvalues[::-1][:rank], 0.0))
+    u = block @ w
+    u *= np.divide(1.0, s, out=np.zeros_like(s), where=s > 0.0)
+    return u, s, w
 
 
 def randomized_tsvd(
@@ -39,7 +83,10 @@ def randomized_tsvd(
         seed: RNG seed for the Gaussian test matrix.
 
     Returns:
-        (U, s, Vt) with U (n_rows, rank), s (rank,), Vt (rank, n_cols).
+        (U, s, Vt) with U (n_rows, rank) orthonormal, s (rank,)
+        descending, Vt (rank, n_cols).  Where ``s`` reads as 0 (A has
+        numerical rank below ``rank``) the row of ``Vt`` is zero; every
+        entry is finite.
     """
     n_rows, n_cols = shape
     if rank < 1:
@@ -48,22 +95,27 @@ def randomized_tsvd(
         raise ValueError(
             f"rank {rank} exceeds min(shape) = {min(n_rows, n_cols)}"
         )
+    # Imported on first use: scipy.linalg adds ~60 ms and ~6 MB resident
+    # to a process that imports it (measured, EXPERIMENTS.md), and of
+    # everything `import repro` loads only this function needs it.
+    from scipy.linalg import lu, qr
+
+    in_place = {"overwrite_a": True, "check_finite": False}
     k = min(rank + n_oversamples, min(n_rows, n_cols))
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((n_cols, k))
     y = matmul(omega)
-    # Power iterations with intermediate orthonormalization for stability.
     for _ in range(n_power_iterations):
-        y, _ = np.linalg.qr(y)
-        z = rmatmul(y)
-        z, _ = np.linalg.qr(z)
-        y = matmul(z)
-    q, _ = np.linalg.qr(y)
-    # Project: B = Q^T A  (computed as (A^T Q)^T, one rmatmul).
-    b = rmatmul(q).T
-    u_small, s, vt = np.linalg.svd(b, full_matrices=False)
-    u = q @ u_small
-    return u[:, :rank], s[:rank], vt[:rank]
+        # Range-only normalisation: the row-permuted unit lower-trapezoidal
+        # factor of P L U = block has entries bounded by 1 and independent
+        # columns whatever the block's rank.
+        z = rmatmul(lu(y, permute_l=True, **in_place)[0])
+        y = matmul(lu(z, permute_l=True, **in_place)[0])
+    q = qr(y, mode="economic", **in_place)[0]
+    # B = Q^T A arrives transposed, as A^T Q (n_cols, k), in one rmatmul:
+    # B^T = V diag(s) W^T, so A ~= (Q W) diag(s) V^T.
+    v, s, w = tall_svd(rmatmul(q), rank)
+    return q @ w, s, v.T
 
 
 def embedding_from_factors(u: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -377,7 +377,7 @@ class TestEnginePlanReuse:
 # -- the embed path, counted -------------------------------------------------
 
 
-def test_one_embed_sorts_three_times_and_allocates_once_per_operator(monkeypatch):
+def test_one_embed_sorts_twice_and_allocates_once_per_operator(monkeypatch):
     sorts, allocated = [], []
     from_coo = CSRMatrix.from_coo.__func__
     allocate = EntropyAwareAllocator.allocate
@@ -396,8 +396,9 @@ def test_one_embed_sorts_three_times_and_allocates_once_per_operator(monkeypatch
     edges = rmat_edges(9, edge_factor=8.0, seed=4)
     result = OMeGaEmbedder(OMeGaConfig(n_threads=4, dim=8)).embed_edges(edges, 512)
 
-    # The edge list, F^T, and A+I; the Chebyshev operator reuses A+I's blocks.
-    assert len(sorts) == 3
+    # The edge list and A+I; F^T is a counting transpose and the Chebyshev
+    # operator reuses A+I's blocks.
+    assert len(sorts) == 2
     # F, F^T, the Chebyshev operator and A+I: one EaTA split each, however
     # many of the run's products use them.
     assert len(allocated) == 4
