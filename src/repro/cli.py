@@ -604,20 +604,6 @@ def cmd_perf_gate(args: argparse.Namespace) -> int:
     print(render_gate(report, threshold=args.threshold))
     if args.live:
         print(f"live stream closed at {args.live}")
-    wall_ok = True
-    if args.wall != "off":
-        from repro.obs.observatory import render_wall, run_wall_gate
-
-        wall_report = run_wall_gate(
-            store=store,
-            mode=args.wall,
-            k=args.wall_runs,
-            backend=args.exec_backend,
-            n_workers=args.workers,
-            update_baseline=args.update_baseline,
-        )
-        print(render_wall(wall_report))
-        wall_ok = wall_report.ok
     if args.telemetry_out:
         report.run.session.save(args.telemetry_out)
         print(f"telemetry written to {args.telemetry_out}")
@@ -625,7 +611,7 @@ def cmd_perf_gate(args: argparse.Namespace) -> int:
         spans = report.run.session.tracer.to_records()
         write_collapsed(build_profile(spans), args.profile_out)
         print(f"collapsed stacks written to {args.profile_out}")
-    return 0 if (report.ok and wall_ok) else 1
+    return 0 if report.ok else 1
 
 
 def cmd_top(args: argparse.Namespace) -> int:
@@ -1274,26 +1260,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--live", metavar="PATH",
         help="stream the suite's telemetry to a JSONL file while it"
         " runs (tail it with 'repro top PATH'; CI uploads it)",
-    )
-    gate.add_argument(
-        "--wall", choices=["off", "report", "gate"], default="off",
-        help="wall-clock arm: 'report' prints median-of-k timings with"
-        " the noise band (never fails), 'gate' enforces regressions"
-        " beyond the band",
-    )
-    gate.add_argument(
-        "--wall-runs", type=int, default=5, metavar="K",
-        help="repeats per wall probe (medians are compared)",
-    )
-    gate.add_argument(
-        "--exec-backend",
-        choices=[b.value for b in ExecBackend],
-        default=ExecBackend.SIMULATED.value,
-        help="execution backend timed by the wall-clock arm",
-    )
-    gate.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="worker processes for the wall arm's shared-memory backend",
     )
 
     serve = sub.add_parser(

@@ -66,7 +66,7 @@ from repro.memsim.devices import (
 )
 from repro.memsim.trace import CostTrace
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER, NullTracer, SpanTracer
+from repro.obs.tracer import NULL_TRACER, SpanTracer
 from repro.parallel.scheduler import KernelExecutor, SimulatedExecutor
 from repro.parallel.shared import get_shared_executor
 from repro.parallel.stats import ThreadStats, summarize_thread_times
@@ -317,7 +317,7 @@ class SpMMEngine:
         clock.advance_all(alloc_seconds)
 
         needs_full_pass = False
-        kernel_ranges: list[tuple[int, int]] = []
+        dispatched: list[WorkloadPartition] = []
         for partition, plan, (seconds, charges) in zip(
             partitions, prefetch_plans, costs
         ):
@@ -327,34 +327,15 @@ class SpMMEngine:
             clock.advance(partition.thread_id, seconds)
             if compute and partition.n_rows > 0:
                 if partition.contiguous:
-                    kernel_ranges.append(
-                        (partition.row_start, partition.row_end)
-                    )
+                    dispatched.append(partition)
                 else:
                     # Non-contiguous (natural-order) partitions are a
                     # costing construct; compute the result in one pass.
                     needs_full_pass = True
+        kernel_ranges = [(p.row_start, p.row_end) for p in dispatched]
         kernel_wall = 0.0
         output: np.ndarray | None = None
         if compute:
-            # Trace propagation into the kernel dispatch: worker (or
-            # serial per-partition) spans parent under the open "spmm"
-            # span and carry this tracer's trace_id across the process
-            # boundary.  Skipped entirely on the null tracer.
-            trace_ctx = None
-            span_sink = None
-            if not isinstance(self.tracer, NullTracer):
-                from repro.obs.live import TraceContext
-
-                parent = self.tracer.current_span
-                trace_ctx = TraceContext(
-                    trace_id=self.tracer.trace_id,
-                    parent_span_id=(
-                        parent.span_id if parent is not None else None
-                    ),
-                    live_path=self.tracer.live_path,
-                )
-                span_sink = self.tracer.attach
             wall_start = time.perf_counter()
             if needs_full_pass:
                 output = matrix.spmm(dense)
@@ -377,8 +358,6 @@ class SpMMEngine:
                     dense,
                     kernel_ranges,
                     output,
-                    trace_ctx=trace_ctx,
-                    span_sink=span_sink,
                 )
                 if stats is not None and before is not None:
                     # Warm-path observability: fold the executor's
@@ -403,6 +382,24 @@ class SpMMEngine:
                     ).inc(stats.last_submit_wall_s)
             kernel_wall = time.perf_counter() - wall_start
             self.metrics.counter("spmm.kernel_wall_seconds").inc(kernel_wall)
+            if not needs_full_pass:
+                # The seam carries no telemetry; the one measured wall
+                # is apportioned to the dispatched ranges by the
+                # quantity Eq. 2 charges by (rows when nothing has nnz).
+                weights = [p.nnz_count for p in dispatched]
+                if not any(weights):
+                    weights = [p.n_rows for p in dispatched]
+                total = sum(weights)
+                for partition, weight in zip(dispatched, weights):
+                    self.tracer.record(
+                        "spmm_partition",
+                        wall_seconds=kernel_wall * weight / total,
+                        apportioned=True,
+                        row_start=partition.row_start,
+                        row_end=partition.row_end,
+                        rows=partition.n_rows,
+                        nnz=partition.nnz_count,
+                    )
         thread_times = clock.thread_times
         makespan = clock.synchronize()
 

@@ -12,9 +12,8 @@ adds the *where* and *when*:
 - :mod:`repro.obs.export` — the JSONL event sink, snapshot exporter and
   :class:`TelemetrySession` bundle shared by the CLI and benches;
 - :mod:`repro.obs.live` — the live telemetry layer: crash-tolerant
-  streaming JSONL (:class:`TelemetryStream`), cross-process trace
-  propagation (:class:`TraceContext`, worker partition spans),
-  multi-stream merging and the ``repro top`` ops view;
+  streaming JSONL (:class:`TelemetryStream`), regrouping a stream
+  into the export shape and the ``repro top`` ops view;
 - :mod:`repro.obs.forensics` — per-request tail-latency forensics:
   causal trees on the live bus, critical-path blame attribution whose
   categories sum exactly to the simulated latency, bounded exemplar
@@ -44,7 +43,6 @@ from repro.obs.forensics import (
 from repro.obs.live import (
     StreamFollower,
     TelemetryStream,
-    TraceContext,
     load_records,
     merge_streams,
     read_stream,
@@ -105,7 +103,6 @@ __all__ = [
     "TELEMETRY_VERSION",
     "TelemetrySession",
     "TelemetryStream",
-    "TraceContext",
     "load_records",
     "merge_streams",
     "merged_cost_trace",

@@ -120,10 +120,9 @@ class TelemetrySession:
         ``path`` and wires the session to it: the meta record is
         written immediately, every span is appended the moment it
         finishes (via a tracer listener), and events forward as they
-        are recorded.  The tracer's ``live_path`` is set so kernel
-        executors can point worker processes at sibling stream files.
-        Call :meth:`close_stream` for the final metrics + manifest;
-        a crash before that still leaves every flushed record behind.
+        are recorded.  Call :meth:`close_stream` for the final metrics
+        + manifest; a crash before that still leaves every flushed
+        record behind.
         """
         from repro.obs.live import TelemetryStream
 
@@ -132,7 +131,6 @@ class TelemetrySession:
         stream = TelemetryStream(
             path,
             flush_every=flush_every,
-            role="coordinator",
             trace_id=self.tracer.trace_id,
         )
         stream.emit(
@@ -143,7 +141,6 @@ class TelemetrySession:
             }
         )
         self.tracer.add_listener(lambda span: stream.emit(span.to_record()))
-        self.tracer.live_path = str(stream.path)
         self._stream = stream
         return stream
 
@@ -165,7 +162,6 @@ class TelemetrySession:
         stream.emit({"type": "stream_closed", "n_records": stream.n_records})
         stream.close()
         self._stream = None
-        self.tracer.live_path = None
         return stream.path
 
     def add_cost_trace(self, name: str, trace: CostTrace) -> None:

@@ -32,7 +32,6 @@ from repro.obs.forensics.tree import (
     RequestTree,
     build_tree,
     extract_incidents,
-    graft_partition_spans,
     join_incidents,
 )
 from repro.obs.forensics.waterfall import (
@@ -63,7 +62,6 @@ __all__ = [
     "extract_incidents",
     "fold_stream",
     "format_seconds",
-    "graft_partition_spans",
     "join_incidents",
     "next_forensic_uid",
     "render_waterfall",

@@ -26,7 +26,6 @@ from repro.obs.forensics.tree import (
     INCIDENT_EVENTS,
     RequestTree,
     build_tree,
-    graft_partition_spans,
     incident_overlaps,
     join_incidents,
 )
@@ -153,7 +152,6 @@ def fold_stream(
     keep_set = set(keep)
     buffers: dict[str, list[dict[str, Any]]] = {}
     open_trace: str | None = None
-    partition_spans: list[dict[str, Any]] = []
 
     def finalize(trace_id: str) -> None:
         spans = buffers.pop(trace_id, None)
@@ -200,12 +198,6 @@ def fold_stream(
             buffers.setdefault(trace_id, []).append(record)
         elif kind == "shard_event" and record.get("event") in INCIDENT_EVENTS:
             report.incidents.append(record)
-        elif (
-            kind == "span"
-            and record.get("name") == "spmm_partition"
-            and (record.get("attributes") or {}).get("request_trace_id")
-        ):
-            partition_spans.append(record)
     if open_trace is not None:
         finalize(open_trace)
     for trace_id in list(buffers):
@@ -213,8 +205,6 @@ def fold_stream(
         # whatever batches survived.
         finalize(trace_id)
 
-    for tree in report.trees.values():
-        graft_partition_spans(tree, partition_spans)
     join_incidents(report.trees.values(), report.incidents)
     # Incident context also joins the root summaries, so aggregate views
     # can count incident-correlated requests beyond the exemplars.

@@ -50,12 +50,7 @@ _UID_COUNTER = itertools.count()
 
 
 def next_forensic_uid() -> str:
-    """Process-unique id for one forensic node.
-
-    Multi-process merges (:func:`repro.obs.live.merge_streams`) dedup on
-    this, exactly like worker ``span`` payloads dedup on their
-    ``attributes.uid``.
-    """
+    """Process-unique id for one forensic node (what children link by)."""
     return f"f{os.getpid()}-{next(_UID_COUNTER)}"
 
 

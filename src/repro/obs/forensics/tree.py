@@ -2,11 +2,9 @@
 
 ``forensic_span`` records (one batch per request, see
 :mod:`repro.obs.forensics.records`) link by ``uid``/``parent_uid``.
-This module folds a record list back into :class:`RequestTree` objects,
-grafts executor ``spmm_partition`` spans that were stamped with a
-request's trace id, and joins supervisor incidents onto the requests
-whose deadlines they overlapped — the "this p99 spike = shard 3
-promotion at seq 1041" view.
+This module folds a record list back into :class:`RequestTree` objects
+and joins supervisor incidents onto the requests whose deadlines they
+overlapped — the "this p99 spike = shard 3 promotion at seq 1041" view.
 """
 
 from __future__ import annotations
@@ -14,11 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
-from repro.obs.forensics.records import (
-    BLAME_KERNEL,
-    FORENSIC_RECORD_TYPE,
-    ROOT_NODE,
-)
+from repro.obs.forensics.records import FORENSIC_RECORD_TYPE, ROOT_NODE
 
 #: Supervisor-driven ``shard_event`` kinds that are incidents (they name
 #: a repair or topology action, not routine traffic).
@@ -129,43 +123,6 @@ def build_tree(spans: Iterable[dict[str, Any]]) -> RequestTree | None:
         parent = nodes.get(str(record.get("parent_uid")))
         (parent if parent is not None else root).children.append(nodes[uid])
     return RequestTree(trace_id=str(trace_id), root=root)
-
-
-def graft_partition_spans(
-    tree: RequestTree, records: Iterable[dict[str, Any]]
-) -> int:
-    """Attach executor partition spans stamped with this request's trace.
-
-    ``spmm_partition`` worker spans carry wall-clock times and zero
-    simulated seconds, so grafting them annotates the tree (which worker
-    straggled) without touching the blame-sum invariant.  They land
-    under the request's ``kernel`` node when one exists, else the root.
-    Returns the number grafted.
-    """
-    anchor = next(
-        (n for n in tree.nodes() if n.name == "kernel"), tree.root
-    )
-    grafted = 0
-    for record in records:
-        if record.get("type") != "span":
-            continue
-        if record.get("name") != "spmm_partition":
-            continue
-        attrs = dict(record.get("attributes") or {})
-        if attrs.get("request_trace_id") != tree.trace_id:
-            continue
-        anchor.children.append(
-            ForensicNode(
-                uid=str(attrs.get("uid", f"span-{grafted}")),
-                name=f"partition:{attrs.get('row_start', '?')}",
-                category=BLAME_KERNEL,
-                sim_start=anchor.sim_start,
-                sim_seconds=0.0,
-                attributes=attrs,
-            )
-        )
-        grafted += 1
-    return grafted
 
 
 def extract_incidents(

@@ -57,11 +57,6 @@ def _describe(node: ForensicNode) -> str:
         bits.append(f"seq={attrs['seq']}")
     if "stale_rows" in attrs:
         bits.append(f"stale_rows={attrs['stale_rows']}")
-    if "worker_pid" in attrs:
-        bits.append(
-            f"pid={attrs['worker_pid']}"
-            f" kernel={format_seconds(float(attrs.get('kernel_wall_s', 0.0)))} wall"
-        )
     return f" ({', '.join(bits)})" if bits else ""
 
 

@@ -1,20 +1,15 @@
-"""Cross-process streaming telemetry: the live bus behind ``repro top``.
+"""Streaming telemetry: the live bus behind ``repro top``.
 
-Three cooperating pieces:
+Two cooperating pieces:
 
-- :class:`TraceContext` — the trace coordinates (trace id, parent span
-  id, live-stream path) a coordinator hands to out-of-process work so
-  worker spans join its trace.  It is a tiny frozen dataclass so it
-  crosses the multiprocessing queue as-is.
 - :class:`TelemetryStream` — an append-only JSONL event stream written
-  incrementally with periodic flush.  The coordinator streams spans,
-  events and snapshots as they happen; each worker process appends to a
-  sibling file (``<stream>.w<pid>``) so a crash loses at most the
-  unflushed tail of one file, never the run.  :func:`merge_streams`
-  stitches coordinator + worker streams back into one export in the
+  incrementally with periodic flush.  The session streams spans, events
+  and snapshots as they happen — one writer, one file — so a crash
+  loses at most the unflushed tail, never the run.
+  :func:`merge_streams` regroups a stream into the
   :meth:`~repro.obs.export.TelemetrySession.records` shape, so
   ``repro diff`` / ``repro profile`` / ``repro report`` work unchanged
-  on merged streams.
+  on streams.
 - The ops view — :func:`build_top_frame` folds a stream's latest
   ``serve_snapshot`` (or final metrics) into the dashboard numbers
   ``repro top`` renders, and :func:`render_prom` emits the same state
@@ -28,12 +23,10 @@ the way :func:`~repro.obs.export.read_jsonl` does on curated exports.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -49,95 +42,6 @@ CLOSED_RECORD_TYPE = "stream_closed"
 #: Record types that belong to the canonical session export shape, in
 #: the order :meth:`TelemetrySession.records` emits them.
 _CANONICAL_TYPES = ("meta", "manifest", "span", "metric", "cost_trace", "event")
-
-
-# ---------------------------------------------------------------------------
-# Trace propagation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """Trace coordinates propagated into out-of-process work.
-
-    Attributes:
-        trace_id: the coordinator tracer's run-wide trace id.
-        parent_span_id: span id the foreign spans should parent under
-            (the coordinator's open ``spmm`` span).
-        live_path: coordinator's live stream path, if streaming — each
-            worker appends its spans to ``<live_path>.w<pid>``.
-    """
-
-    trace_id: str
-    parent_span_id: int | None = None
-    live_path: str | None = None
-
-
-_UID_COUNTER = itertools.count()
-
-
-def next_span_uid() -> str:
-    """Process-unique id for a cross-process span payload.
-
-    Merging dedups on this: a span shipped back over the result queue
-    *and* appended to a worker stream file must count once.
-    """
-    return f"{os.getpid()}-{next(_UID_COUNTER)}"
-
-
-def partition_span_payload(
-    ctx: TraceContext,
-    *,
-    row_start: int,
-    row_end: int,
-    nnz: int,
-    kernel_wall_s: float,
-    scatter_wall_s: float,
-    queue_wait_s: float = 0.0,
-    status: str = "ok",
-    uid: str | None = None,
-    worker_pid: int | None = None,
-    request_trace_id: str | None = None,
-) -> dict[str, Any]:
-    """The wire shape of one partition's worker span.
-
-    A plain dict (queue-picklable, JSONL-ready) that
-    :meth:`SpanTracer.attach` adopts on the coordinator side.  Worker
-    spans are wall-clock only — ``sim_seconds`` is zero so the profile
-    tree's sim self-time invariant is untouched.
-
-    ``request_trace_id`` stamps the span with the *serving request* it
-    executed for (distinct from ``ctx.trace_id``, the run's trace), so
-    tail forensics can graft executor partitions into that request's
-    causal tree.
-    """
-    pid = os.getpid() if worker_pid is None else int(worker_pid)
-    kernel_wall_s = max(0.0, float(kernel_wall_s))
-    scatter_wall_s = max(0.0, float(scatter_wall_s))
-    payload = {
-        "type": "span",
-        "name": "spmm_partition",
-        "trace_id": ctx.trace_id,
-        "parent_id": ctx.parent_span_id,
-        "status": status,
-        "sim_seconds": 0.0,
-        "sim_start": 0.0,
-        "wall_seconds": kernel_wall_s + scatter_wall_s,
-        "attributes": {
-            "uid": uid if uid is not None else next_span_uid(),
-            "worker_pid": pid,
-            "row_start": int(row_start),
-            "row_end": int(row_end),
-            "rows": int(row_end) - int(row_start),
-            "nnz": int(nnz),
-            "kernel_wall_s": kernel_wall_s,
-            "scatter_wall_s": scatter_wall_s,
-            "queue_wait_s": max(0.0, float(queue_wait_s)),
-        },
-    }
-    if request_trace_id is not None:
-        payload["attributes"]["request_trace_id"] = str(request_trace_id)
-    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +63,11 @@ class TelemetryStream:
         self,
         path: str | Path,
         flush_every: int = 20,
-        role: str = "coordinator",
         trace_id: str | None = None,
     ) -> None:
         if flush_every < 1:
             raise ValueError(f"flush_every must be >= 1, got {flush_every}")
         self.path = Path(path)
-        self.role = role
         self.trace_id = trace_id
         self.flush_every = int(flush_every)
         self.n_records = 0
@@ -176,7 +78,7 @@ class TelemetryStream:
             {
                 "type": "stream_meta",
                 "stream_version": STREAM_VERSION,
-                "role": role,
+                "role": "coordinator",
                 "pid": os.getpid(),
                 "trace_id": trace_id,
             }
@@ -295,104 +197,30 @@ class StreamFollower:
 
 
 # ---------------------------------------------------------------------------
-# Merging multi-process streams
+# Regrouping a stream into the export shape
 # ---------------------------------------------------------------------------
 
 
-def worker_stream_paths(path: str | Path) -> list[Path]:
-    """Worker sibling files of a coordinator stream, sorted by name."""
-    path = Path(path)
-    return sorted(
-        p
-        for p in path.parent.glob(path.name + ".w*")
-        if p.is_file()
-    )
-
-
 def merge_streams(path: str | Path) -> list[dict[str, Any]]:
-    """Stitch a coordinator stream and its worker siblings into one export.
+    """Regroup a live stream into one export.
 
     Returns records in the canonical session export shape (meta,
     manifest, spans in id order, metrics, cost traces, events) followed
     by the stream-only records (snapshots, stream markers), so the
     existing observatory — ``repro diff``, ``repro profile``,
-    ``repro report`` — consumes a merged stream exactly like a buffered
-    export.
-
-    Worker spans already adopted by the coordinator (they travel both
-    over the result queue and through the worker's own stream file) are
-    deduplicated by their ``attributes.uid``; spans found *only* in a
-    worker file (the coordinator died first) are grafted in with fresh
-    span ids.  If the stream was cut before close, a manifest is
-    synthesized from what survived.
+    ``repro report`` — consumes a stream exactly like a buffered
+    export.  A torn final line is skipped; if the stream was cut before
+    close, a manifest is synthesized from what survived.
     """
     base, _ = read_stream(path)
     grouped: dict[str, list[dict[str, Any]]] = {t: [] for t in _CANONICAL_TYPES}
     passthrough: list[dict[str, Any]] = []
-    forensic_uids: set[str] = set()
     for record in base:
-        kind = record.get("type")
-        if kind in grouped:
-            grouped[kind].append(record)
-        else:
-            if kind == "forensic_span" and record.get("uid") is not None:
-                forensic_uids.add(str(record["uid"]))
-            passthrough.append(record)
+        grouped.get(record.get("type"), passthrough).append(record)
 
     spans = sorted(
         grouped["span"], key=lambda s: int(s.get("span_id", 0) or 0)
     )
-    seen_uids = {
-        (s.get("attributes") or {}).get("uid")
-        for s in spans
-    }
-    seen_uids.discard(None)
-    known_ids = {
-        int(s["span_id"])
-        for s in spans
-        if isinstance(s.get("span_id"), int)
-    }
-    next_id = max(known_ids, default=-1) + 1
-    parent_sim_start = {
-        int(s["span_id"]): float(s.get("sim_start", 0.0) or 0.0)
-        for s in spans
-        if isinstance(s.get("span_id"), int)
-    }
-    for worker_path in worker_stream_paths(path):
-        worker_records, _ = read_stream(worker_path)
-        for record in worker_records:
-            if record.get("type") == "forensic_span":
-                # Forensic nodes dedup on their top-level uid, exactly
-                # like worker spans dedup on attributes.uid: a node
-                # shipped to the coordinator *and* written by the
-                # worker's own stream must count once.
-                fuid = record.get("uid")
-                if fuid is not None and str(fuid) in forensic_uids:
-                    continue
-                if fuid is not None:
-                    forensic_uids.add(str(fuid))
-                passthrough.append(dict(record))
-                continue
-            if record.get("type") != "span":
-                continue
-            uid = (record.get("attributes") or {}).get("uid")
-            if uid is not None and uid in seen_uids:
-                continue
-            entry = dict(record)
-            parent = entry.get("parent_id")
-            if parent is not None and int(parent) in known_ids:
-                # Zero-width sim placement inside the parent's interval.
-                entry["sim_start"] = parent_sim_start[int(parent)]
-            else:
-                entry["parent_id"] = None  # parent span never closed
-            entry["span_id"] = next_id
-            entry.setdefault("depth", 1)
-            entry.setdefault("sim_seconds", 0.0)
-            next_id += 1
-            if uid is not None:
-                seen_uids.add(uid)
-            spans.append(entry)
-
     manifests = grouped["manifest"]
     if not manifests:
         manifests = [
@@ -458,11 +286,11 @@ def is_stream_file(path: str | Path) -> bool:
 def load_records(path: str | Path) -> list[dict[str, Any]]:
     """Load telemetry records from an export *or* a live stream.
 
-    Streams (identified by their ``stream_meta`` header) are merged with
-    their worker siblings, tolerating a torn final line — their writer
-    may have crashed mid-record, by design.  Plain exports are written
-    atomically, so they keep the strict :func:`read_jsonl` contract:
-    corruption raises with the offending line's location.
+    Streams (identified by their ``stream_meta`` header) are regrouped
+    by :func:`merge_streams`, tolerating a torn final line — their
+    writer may have crashed mid-record, by design.  Plain exports are
+    written atomically, so they keep the strict :func:`read_jsonl`
+    contract: corruption raises with the offending line's location.
     """
     if is_stream_file(path):
         return merge_streams(path)
@@ -476,8 +304,8 @@ def progress_line(record: dict[str, Any]) -> str | None:
 
     The ``--follow`` mode of ``repro embed`` / ``repro compare`` tails
     its own ``--live`` stream and prints these as the run advances:
-    completed pipeline stages (coarse spans only — worker partition
-    spans would flood the terminal), shard events from the resilience
+    completed pipeline stages (coarse spans only — partition spans
+    would flood the terminal), shard events from the resilience
     layer, and run-level events.  Returns ``None`` for records that
     carry no progress signal.
     """

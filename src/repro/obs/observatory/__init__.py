@@ -21,9 +21,6 @@ honest as the codebase grows:
 - :mod:`~repro.obs.observatory.perfgate` — the pinned micro-bench
   suite, baseline comparison and ``BENCH_omega.json`` trajectory
   (``repro perf-gate``, run as a CI job);
-- :mod:`~repro.obs.observatory.wallgate` — the opt-in wall-clock arm:
-  median-of-k real-kernel timings gated with noise bands derived from
-  the stored baseline's dispersion (``repro perf-gate --wall``);
 - :mod:`~repro.obs.observatory.trend` — per-series trajectories with
   sparklines over the accumulated ``BENCH_omega.json`` perf history
   (``repro trend``).
@@ -77,15 +74,6 @@ from repro.obs.observatory.trend import (
     sparkline,
     trajectory_series,
 )
-from repro.obs.observatory.wallgate import (
-    WallProbe,
-    WallReport,
-    WallRun,
-    WallVerdict,
-    render_wall,
-    run_wall_gate,
-    run_wall_suite,
-)
 
 __all__ = [
     "BaselineStore",
@@ -99,10 +87,6 @@ __all__ = [
     "SLOObjective",
     "SLOReport",
     "SLOSpec",
-    "WallProbe",
-    "WallReport",
-    "WallRun",
-    "WallVerdict",
     "append_trajectory_point",
     "build_manifest",
     "build_profile",
@@ -120,11 +104,8 @@ __all__ = [
     "render_gate",
     "render_slo",
     "render_trend",
-    "render_wall",
     "run_perf_gate",
     "run_suite",
-    "run_wall_gate",
-    "run_wall_suite",
     "sparkline",
     "trajectory_series",
     "write_collapsed",

@@ -268,9 +268,9 @@ def append_trajectory_point(
 ) -> None:
     """Append one arbitrary point to a ``BENCH_omega.json`` trajectory.
 
-    The trajectory is a JSON list; gate runs, wall-gate runs and
-    benchmark results (``bench_parallel_scaling``) all append here so
-    the repo's perf history accumulates in one place.
+    The trajectory is a JSON list; gate runs and benchmark results
+    (``bench_parallel_scaling``) all append here so the repo's perf
+    history accumulates in one place.
     """
     path = Path(path)
     points: list[dict[str, Any]] = []

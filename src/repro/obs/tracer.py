@@ -50,9 +50,7 @@ class Span:
         wall_start / wall_end: ``time.perf_counter()`` at enter/exit.
         attributes: free-form key/value annotations.
         status: ``"ok"``, ``"error"``, or ``"open"`` while running.
-        trace_id: run-wide trace the span belongs to (propagated across
-            process boundaries so worker spans join the coordinator's
-            trace).
+        trace_id: run-wide trace the span belongs to.
     """
 
     name: str
@@ -103,10 +101,6 @@ class SpanTracer:
 
     def __init__(self, trace_id: str | None = None) -> None:
         self.trace_id = trace_id if trace_id else secrets.token_hex(8)
-        #: Path of the live stream this tracer feeds, if any — set by
-        #: :meth:`~repro.obs.export.TelemetrySession.stream_to` so the
-        #: engine can hand it to worker processes.
-        self.live_path: str | None = None
         self._next_id = 0
         self._stack: list[Span] = []
         self._finished: list[Span] = []
@@ -215,48 +209,6 @@ class SpanTracer:
         self._finish(entry)
         return entry
 
-    def attach(self, payload: dict[str, Any]) -> Span:
-        """Adopt a span completed in another process (a worker).
-
-        ``payload`` is the cross-process span shape shipped back by the
-        shared-memory workers: ``name``, ``wall_seconds``, optional
-        ``parent_id`` (defaults to the innermost open span), ``status``
-        and ``attributes``.  The adopted span gets a fresh local
-        ``span_id`` and this tracer's ``trace_id``; it lands at the
-        current sim cursor with *zero* simulated width — worker spans
-        are wall-clock annotations, so the per-node sim self-time sum
-        invariant of the profile tree is untouched.
-        """
-        wall_seconds = max(0.0, float(payload.get("wall_seconds", 0.0) or 0.0))
-        parent_id = payload.get("parent_id")
-        depth = len(self._stack)
-        if parent_id is None:
-            parent = self.current_span
-            parent_id = parent.span_id if parent is not None else None
-        else:
-            parent_id = int(parent_id)
-            for open_span in self._stack:
-                if open_span.span_id == parent_id:
-                    depth = open_span.depth + 1
-                    break
-        wall_now = time.perf_counter()
-        entry = Span(
-            name=str(payload.get("name") or "foreign"),
-            span_id=self._next_id,
-            parent_id=parent_id,
-            depth=depth,
-            sim_start=self._sim_cursor,
-            wall_start=wall_now - wall_seconds,
-            sim_end=self._sim_cursor,
-            wall_end=wall_now,
-            attributes=dict(payload.get("attributes") or {}),
-            status=str(payload.get("status") or "ok"),
-            trace_id=self.trace_id,
-        )
-        self._next_id += 1
-        self._finish(entry)
-        return entry
-
     # -- streaming -----------------------------------------------------------
 
     def add_listener(self, listener: Callable[[Span], None]) -> None:
@@ -313,8 +265,8 @@ class NullTracer(SpanTracer):
     provably inert on the null path (``tests/test_obs_tracer.py`` holds
     the contract test that keeps the two surfaces identical):
 
-    - ``advance_sim`` / ``span`` / ``record`` / ``trace`` / ``attach``
-      / ``add_listener`` — overridden, touch nothing;
+    - ``advance_sim`` / ``span`` / ``record`` / ``trace`` /
+      ``add_listener`` — overridden, touch nothing;
     - ``sim_cursor`` / ``current_span`` / ``finished`` / ``find`` /
       ``to_records`` / ``reset`` — inherited, but operate on the
       internal state the overrides never mutate, so they always report
@@ -354,9 +306,6 @@ class NullTracer(SpanTracer):
         advance: bool = False,
         **attributes: Any,
     ) -> Span:
-        return self._SPAN
-
-    def attach(self, payload: dict[str, Any]) -> Span:
         return self._SPAN
 
     def add_listener(self, listener: Callable[[Span], None]) -> None:

@@ -21,12 +21,10 @@ from repro.parallel.scheduler import (
     ExecutorStats,
     KernelExecutor,
     SimulatedExecutor,
-    ThreadTask,
 )
 from repro.parallel.shared import (
     SharedMemoryExecutor,
     WorkerCrashError,
-    close_shared_executors,
     get_shared_executor,
     mp_context,
     shutdown_shared_executors,
@@ -44,10 +42,8 @@ __all__ = [
     "SharedMemoryExecutor",
     "SimulatedExecutor",
     "ThreadStats",
-    "ThreadTask",
     "ThreadsExecutor",
     "WorkerCrashError",
-    "close_shared_executors",
     "get_shared_executor",
     "get_threads_executor",
     "mp_context",

@@ -18,23 +18,23 @@ not depend on the range that contains it and every backend produces
 bit-identical output.
 
 The same contract lets the serial backend *fuse*: adjacent ranges are
-merged and run as one ``spmm_rows`` call and one scatter (an engine
-multiply is then a single kernel call), unless the caller asks for
-per-partition spans (``trace_ctx`` + ``span_sink``) — those carry a
-measured kernel wall each, so the traced path keeps one call per range.
+merged and run as one ``spmm_rows`` call and one scatter, so an engine
+multiply is a single kernel call.
+
+The seam carries no telemetry.  A backend executes the same
+instructions whether or not a tracer is attached; the engine times the
+whole dispatch and records the per-partition spans itself (see
+:meth:`~repro.core.spmm.SpMMEngine.multiply`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.formats.csdb import CSDBMatrix
-from repro.memsim.clock import SimClock
-from repro.obs.live import TraceContext, next_span_uid, partition_span_payload
 
 
 @runtime_checkable
@@ -47,19 +47,12 @@ class KernelExecutor(Protocol):
         dense: np.ndarray,
         ranges: list[tuple[int, int]],
         output: np.ndarray,
-        trace_ctx: TraceContext | None = None,
-        span_sink: Callable[[dict[str, Any]], Any] | None = None,
     ) -> None:
         """Compute ``matrix @ dense`` for CSDB row ``ranges`` into ``output``.
 
         ``output`` has shape ``(n_rows, d)`` in *original* row order and
         is fully overwritten: covered rows receive their products, rows
         outside every range are zeroed.
-
-        With ``trace_ctx`` given, the backend measures each partition
-        (kernel wall, scatter wall, rows/nnz) and feeds one span payload
-        per partition to ``span_sink`` — the trace-propagation seam every
-        backend honours so per-partition telemetry is backend-agnostic.
         """
         ...
 
@@ -101,22 +94,6 @@ class ExecutorStats:
     last_call_wall_s: float = 0.0
 
 
-@dataclass
-class ThreadTask:
-    """One unit of simulated-parallel work.
-
-    Attributes:
-        thread_id: logical thread executing the task.
-        work: callable performing the real computation (may be None for
-            cost-only simulation).
-        cost_seconds: simulated duration charged to the thread's clock.
-    """
-
-    thread_id: int
-    cost_seconds: float
-    work: Callable[[], None] | None = None
-
-
 def _fuse_adjacent(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Merge each run of ranges where one starts at the previous one's end."""
     fused: list[tuple[int, int]] = []
@@ -128,18 +105,25 @@ def _fuse_adjacent(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return fused
 
 
+def normalize_ranges(
+    ranges: list[tuple[int, int]], n_rows: int
+) -> tuple[list[tuple[int, int]], bool]:
+    """Non-empty ranges as int pairs, and whether they cover every row.
+
+    A backend zero-fills its buffer only when they do not: covered rows
+    are overwritten by their products anyway.
+    """
+    ranges = [(int(a), int(b)) for a, b in ranges if b > a]
+    return ranges, _fuse_adjacent(ranges) == [(0, n_rows)]
+
+
 class SimulatedExecutor:
     """Serial backend: real kernels in-process, parallel time simulated.
 
-    Executes :class:`ThreadTask` batches against a :class:`SimClock`
-    (the historical API) and implements the :class:`KernelExecutor`
-    seam by running partition kernels serially in submission order
-    (adjacent partitions fused into one kernel call when nobody consumes
-    per-partition spans) — the default, fully deterministic backend.
+    Runs partition kernels serially in submission order, adjacent
+    partitions fused into one kernel call — the default, fully
+    deterministic backend.
     """
-
-    def __init__(self, clock: SimClock | None = None) -> None:
-        self.clock = clock
 
     def run_partitions(
         self,
@@ -147,58 +131,12 @@ class SimulatedExecutor:
         dense: np.ndarray,
         ranges: list[tuple[int, int]],
         output: np.ndarray,
-        trace_ctx: TraceContext | None = None,
-        span_sink: Callable[[dict[str, Any]], Any] | None = None,
     ) -> None:
-        """Serial execution of the kernel-dispatch seam.
-
-        Without a span consumer, adjacent ranges are merged into one
-        kernel call and one scatter; the buffer is zero-filled only
-        when the ranges leave a row uncovered.
-        """
-        ranges = [(int(a), int(b)) for a, b in ranges if b > a]
-        traced = trace_ctx is not None and span_sink is not None
-        if not traced:
-            ranges = _fuse_adjacent(ranges)
-        if ranges != [(0, matrix.n_rows)]:
+        """Serial execution of the kernel-dispatch seam."""
+        ranges, covered = normalize_ranges(ranges, matrix.n_rows)
+        if not covered:
             output[:] = 0.0
-        nnz_prefix = matrix.nnz_prefix() if traced else None
-        for row_start, row_end in ranges:
-            kernel_start = time.perf_counter()
-            partial = matrix.spmm_rows(dense, row_start, row_end)
-            kernel_end = time.perf_counter()
-            output[matrix.perm[row_start:row_end]] = partial
-            if nnz_prefix is not None:
-                scatter_end = time.perf_counter()
-                span_sink(
-                    partition_span_payload(
-                        trace_ctx,
-                        row_start=row_start,
-                        row_end=row_end,
-                        nnz=int(nnz_prefix[row_end] - nnz_prefix[row_start]),
-                        kernel_wall_s=kernel_end - kernel_start,
-                        scatter_wall_s=scatter_end - kernel_end,
-                        uid=next_span_uid(),
-                    )
-                )
-
-    def run(self, tasks: list[ThreadTask]) -> float:
-        """Run all tasks; returns the makespan after a barrier.
-
-        Tasks assigned to the same thread are serialized on its clock;
-        tasks on different threads overlap.  A barrier synchronizes all
-        clocks at the end, modelling the join at the end of a parallel
-        SpMM phase.
-        """
-        if self.clock is None:
-            raise ValueError("SimulatedExecutor.run requires a SimClock")
-        for task in tasks:
-            if not 0 <= task.thread_id < self.clock.n_threads:
-                raise ValueError(
-                    f"thread_id {task.thread_id} out of range"
-                    f" [0, {self.clock.n_threads})"
-                )
-            if task.work is not None:
-                task.work()
-            self.clock.advance(task.thread_id, task.cost_seconds)
-        return self.clock.synchronize()
+        for row_start, row_end in _fuse_adjacent(ranges):
+            output[matrix.perm[row_start:row_end]] = matrix.spmm_rows(
+                dense, row_start, row_end
+            )

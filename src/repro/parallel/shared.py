@@ -41,15 +41,10 @@ Design invariants:
   executor in the child (bookkeeping cleared, nothing touched), so
   child-side ``close()``/``__del__`` are no-ops and the next
   :func:`get_shared_executor` in the child builds a fresh pool.
-- **Observable workers.**  When the engine passes a
-  :class:`~repro.obs.live.TraceContext`, each worker measures its
-  partitions (queue wait, kernel wall, scatter wall, rows, nnz) and
-  ships the span payloads back with its coalesced ack — on the partial
-  and error acks too, so partition telemetry survives the
-  :class:`WorkerCrashError` path.  With a live stream attached, workers
-  additionally append their spans to sibling stream files
-  (``<stream>.w<pid>``) that :func:`~repro.obs.live.merge_streams`
-  stitches back together even if the coordinator never gets the ack.
+- **No telemetry.**  Workers run kernels and nothing else: no clock
+  reads, no span payloads on the acks, no stream files.  The engine
+  times the whole call and records the partition spans itself, so a
+  traced multiply runs exactly these instructions.
 
 The pool is lazy (no processes are spawned until the first dispatched
 kernel) and process-wide pools are shared across engines via
@@ -67,7 +62,6 @@ import secrets
 import time
 import weakref
 from multiprocessing import shared_memory
-from typing import Any, Callable
 
 import numpy as np
 
@@ -79,13 +73,7 @@ from repro.formats.csdb import (
     attach_shared_array,
     unlink_segment,
 )
-from repro.obs.live import (
-    TelemetryStream,
-    TraceContext,
-    next_span_uid,
-    partition_span_payload,
-)
-from repro.parallel.scheduler import ExecutorStats
+from repro.parallel.scheduler import ExecutorStats, normalize_ranges
 
 #: Default per-call completion deadline; a pool that produces neither
 #: results nor progress for this long is declared crashed.
@@ -109,27 +97,6 @@ def mp_context():
     )
 
 
-def _worker_stream(
-    streams: dict[str, "TelemetryStream | None"], ctx: TraceContext
-) -> "TelemetryStream | None":
-    """This worker's sibling stream file for a live run (cached).
-
-    Telemetry must never take a kernel down: a stream that cannot be
-    opened is remembered as ``None`` and silently skipped.
-    """
-    if ctx.live_path is None:
-        return None
-    path = f"{ctx.live_path}.w{os.getpid()}"
-    if path not in streams:
-        try:
-            streams[path] = TelemetryStream(
-                path, flush_every=1, role="worker", trace_id=ctx.trace_id
-            )
-        except OSError:
-            streams[path] = None
-    return streams[path]
-
-
 def _worker_main(jobs, results) -> None:
     """Worker loop: attach shared operands once, run whole plans forever.
 
@@ -138,31 +105,24 @@ def _worker_main(jobs, results) -> None:
     assigned to this worker (plain tuples, picklable):
 
     - ``("plan", call_id, slot, handle, dense_spec, out_spec, tasks,
-      retired, ctx, enqueued_at)`` — run the plan's tasks in order.
-      ``tasks`` is a tuple of ``(job_id, row_start, row_end,
-      crash)`` sorted by ``job_id``; ``crash`` marks injected
-      hard-exits (crash-safety tests).  ``ctx`` is a
-      :class:`~repro.obs.live.TraceContext` or None; ``enqueued_at`` is
-      the coordinator's ``time.monotonic()`` at submission, comparable
-      across forked processes on Linux.  ``retired`` names segments to
-      drop — every plan carries it (empty plans included), so all
-      workers release retired attachments deterministically.
+      retired)`` — run the plan's tasks in order.  ``tasks`` is a tuple
+      of ``(job_id, row_start, row_end, crash)`` sorted by ``job_id``;
+      ``crash`` marks injected hard-exits (crash-safety tests).
+      ``retired`` names segments to drop — every plan carries it (empty
+      plans included), so all workers release retired attachments
+      deterministically.
     - ``None`` — shut down.
 
-    One coalesced ack per plan, with the span payloads of every
-    completed partition riding along:
+    One coalesced ack per plan:
 
-    - ``("ok", call_id, slot, n_done, payloads)`` — all tasks done;
-    - ``("partial", call_id, slot, n_done, payloads)`` — an injected
-      crash task was reached after ``n_done`` completed partitions; the
-      ack (and any live-stream appends) is flushed, then the worker
-      hard-exits;
-    - ``("error", call_id, slot, message, payloads)`` — a task raised;
-      ``payloads`` includes the failing partition's error-status span.
+    - ``("ok", call_id, slot, n_done)`` — all tasks done;
+    - ``("error", call_id, slot, message)`` — a task raised.
+
+    A worker that dies sends nothing; the coordinator's liveness poll
+    reports it with its exit code.
     """
     matrices: dict[str, CSDBMatrix] = {}
     scratch: dict[str, tuple] = {}  # name -> (ndarray view, segment)
-    streams: dict[str, TelemetryStream | None] = {}
 
     def drop(names) -> None:
         for name in names:
@@ -173,16 +133,10 @@ def _worker_main(jobs, results) -> None:
         plan = jobs.get()
         if plan is None:
             return
-        (
-            _, call_id, slot, handle, dense_spec, out_spec,
-            tasks, retired, ctx, enqueued_at,
-        ) = plan
+        _, call_id, slot, handle, dense_spec, out_spec, tasks, retired = plan
         drop(retired)
-        payloads: list = []
         n_done = 0
-        job_id = row_start = row_end = 0
-        queue_wait_s = kernel_wall_s = scatter_wall_s = 0.0
-        nnz = 0
+        job_id = 0
         dense = out = None
         try:
             if tasks:
@@ -210,74 +164,22 @@ def _worker_main(jobs, results) -> None:
                 )
             for job_id, row_start, row_end, crash in tasks:
                 if crash:
-                    # Flush the partial ack (the feeder thread is async
-                    # and os._exit would drop it), then die hard: the
-                    # crash task itself never completes.
-                    dense = out = None
-                    results.put(
-                        ("partial", call_id, slot, n_done, tuple(payloads))
-                    )
-                    results.close()
-                    results.join_thread()
                     os._exit(17)
-                started_at = time.monotonic()
-                queue_wait_s = max(0.0, started_at - enqueued_at)
-                kernel_wall_s = scatter_wall_s = 0.0
-                nnz = 0
-                if ctx is not None:
-                    prefix = matrix.nnz_prefix()
-                    nnz = int(prefix[row_end] - prefix[row_start])
-                kernel_start = time.perf_counter()
                 partial = matrix.spmm_rows(dense, row_start, row_end)
-                kernel_wall_s = time.perf_counter() - kernel_start
-                scatter_start = time.perf_counter()
                 out[matrix.perm[row_start:row_end]] = partial
-                scatter_wall_s = time.perf_counter() - scatter_start
                 del partial
-                if ctx is not None:
-                    payload = partition_span_payload(
-                        ctx,
-                        row_start=row_start,
-                        row_end=row_end,
-                        nnz=nnz,
-                        kernel_wall_s=kernel_wall_s,
-                        scatter_wall_s=scatter_wall_s,
-                        queue_wait_s=queue_wait_s,
-                        uid=next_span_uid(),
-                    )
-                    stream = _worker_stream(streams, ctx)
-                    if stream is not None:
-                        stream.emit(payload)
-                    payloads.append(payload)
                 n_done += 1
             dense = out = None
-            results.put(("ok", call_id, slot, n_done, tuple(payloads)))
+            results.put(("ok", call_id, slot, n_done))
         except BaseException as exc:  # noqa: BLE001 - forwarded to parent
             try:
                 dense = out = None
-                if ctx is not None:
-                    payload = partition_span_payload(
-                        ctx,
-                        row_start=row_start,
-                        row_end=row_end,
-                        nnz=nnz,
-                        kernel_wall_s=kernel_wall_s,
-                        scatter_wall_s=scatter_wall_s,
-                        queue_wait_s=queue_wait_s,
-                        status="error",
-                        uid=next_span_uid(),
-                    )
-                    stream = _worker_stream(streams, ctx)
-                    if stream is not None:
-                        stream.emit(payload)
-                    payloads.append(payload)
                 results.put(
                     (
                         "error",
                         call_id,
                         slot,
                         f"partition {job_id}: {type(exc).__name__}: {exc}",
-                        tuple(payloads),
                     )
                 )
             except Exception:
@@ -528,9 +430,7 @@ class SharedMemoryExecutor:
         dense: np.ndarray,
         ranges: list[tuple[int, int]],
         output: np.ndarray,
-        trace_ctx: TraceContext | None = None,
-        span_sink: Callable[[dict[str, Any]], Any] | None = None,
-        _inject_crash: bool | int = False,
+        _inject_crash: bool = False,
     ) -> None:
         """Execute CSDB row ranges on the pool, scattering into ``output``.
 
@@ -542,13 +442,6 @@ class SharedMemoryExecutor:
         message (and sends one coalesced ack), so per-call queue traffic
         is O(workers) instead of O(partitions).
 
-        With ``trace_ctx`` set, workers measure each partition and ship
-        the span payloads back with their acks; payloads are fed to
-        ``span_sink`` (typically ``SpanTracer.attach``) as acks arrive —
-        including every payload received before a
-        :class:`WorkerCrashError` is raised, so partial telemetry
-        survives a crashed call.
-
         Raises:
             WorkerCrashError: a worker died, failed, or the call timed
                 out; the pool is torn down and its segments released.
@@ -557,7 +450,7 @@ class SharedMemoryExecutor:
         if self._closed:
             raise WorkerCrashError("executor is closed")
         dense = np.ascontiguousarray(dense, dtype=np.float64)
-        ranges = [(int(a), int(b)) for a, b in ranges if b > a]
+        ranges, covered = normalize_ranges(ranges, matrix.n_rows)
         if not ranges:
             output[:] = 0.0
             return
@@ -568,36 +461,26 @@ class SharedMemoryExecutor:
         dense_view = self._scratch["dense"].view(dense.shape)
         dense_view[:] = dense
         del dense_view
-        out_view = self._scratch["out"].view(output.shape)
-        out_view[:] = 0.0
-        del out_view
+        if not covered:
+            out_view = self._scratch["out"].view(output.shape)
+            out_view[:] = 0.0
+            del out_view
         retired = tuple(self._retired)
         self._retired = []
-
-        # ``_inject_crash=True`` crashes every partition; an integer N
-        # lets partitions 0..N-1 complete first, exercising the
-        # partial-telemetry crash path (payloads for completed
-        # partitions still arrive).
-        crash_from: int | None = None
-        if _inject_crash:
-            crash_from = 0 if _inject_crash is True else int(_inject_crash)
 
         self._call_seq += 1
         call_id = self._call_seq
 
         # LPT assignment: largest partition (by nnz) onto the least
         # loaded worker; deterministic (stable sort, lowest slot wins
-        # ties).  Each worker runs its tasks in job-id order, so with
-        # injected crashes every real partition in a plan precedes the
-        # plan's first crash task and its payload is flushed with the
-        # partial ack.
+        # ties).  Each worker runs its tasks in job-id order.
         prefix = matrix.nnz_prefix()
         jobs = [
             (
                 job_id,
                 row_start,
                 row_end,
-                crash_from is not None and job_id >= crash_from,
+                _inject_crash,
                 int(prefix[row_end] - prefix[row_start]),
             )
             for job_id, (row_start, row_end) in enumerate(ranges)
@@ -608,7 +491,6 @@ class SharedMemoryExecutor:
             slot = min(range(len(loads)), key=loads.__getitem__)
             assignment[slot].append(job[:4])
             loads[slot] += max(job[4], 1)
-        enqueued_at = time.monotonic()
         # Every worker gets a plan — empty ones included, so retired
         # segment drops reach all workers deterministically.
         for slot, tasks in enumerate(assignment):
@@ -623,61 +505,20 @@ class SharedMemoryExecutor:
                     out_spec,
                     tuple(tasks),
                     retired,
-                    trace_ctx,
-                    enqueued_at,
                 )
             )
         self.stats.plans += len(self._workers)
         self.stats.partitions += len(ranges)
         self.stats.last_submit_wall_s = time.perf_counter() - call_start
-        self._await(call_id, len(self._workers), span_sink)
+        self._await(call_id, len(self._workers))
         out_view = self._scratch["out"].view(output.shape)
         np.copyto(output, out_view)
         del out_view
         self.stats.last_call_wall_s = time.perf_counter() - call_start
 
-    def _drain_payloads(
-        self,
-        call_id: int,
-        span_sink: Callable[[dict[str, Any]], Any] | None,
-    ) -> None:
-        """Best-effort sink of span payloads still queued at failure.
-
-        Called just before raising :class:`WorkerCrashError`: acks that
-        arrived between the last blocking get and the liveness check
-        still carry telemetry worth keeping.  A short timeout covers
-        acks a dying worker flushed into the pipe but the feeder had
-        not yet made visible.
-        """
-        if span_sink is None:
-            return
-        while True:
-            try:
-                ack = self._results.get(timeout=0.1)
-            except queue_module.Empty:
-                return
-            if ack[1] == call_id:
-                for payload in ack[-1]:
-                    if payload is not None:
-                        span_sink(payload)
-
-    def _await(
-        self,
-        call_id: int,
-        n_plans: int,
-        span_sink: Callable[[dict[str, Any]], Any] | None = None,
-    ) -> None:
-        """Barrier: collect one ack per plan, watching worker liveness.
-
-        Span payloads riding on the acks are fed to ``span_sink``
-        immediately — before any failure is raised, so the coordinator
-        trace keeps every partition that completed.  A ``partial`` ack
-        marks the call crashed but the barrier keeps collecting, so the
-        payloads of every surviving plan land in the sink before the
-        :class:`WorkerCrashError` propagates.
-        """
+    def _await(self, call_id: int, n_plans: int) -> None:
+        """Barrier: collect one ack per plan, watching worker liveness."""
         done = 0
-        crash_msg: str | None = None
         deadline = time.monotonic() + self.call_timeout_s
         while done < n_plans:
             try:
@@ -685,16 +526,13 @@ class SharedMemoryExecutor:
             except queue_module.Empty:
                 dead = [p for p in self._workers if not p.is_alive()]
                 if dead:
-                    self._drain_payloads(call_id, span_sink)
                     codes = sorted({p.exitcode for p in dead})
                     raise self._fail(
-                        crash_msg
-                        or f"{len(dead)} shared-memory worker(s) died"
+                        f"{len(dead)} shared-memory worker(s) died"
                         f" (exit codes {codes}) with"
                         f" {n_plans - done} plan(s) outstanding"
                     )
                 if time.monotonic() > deadline:
-                    self._drain_payloads(call_id, span_sink)
                     raise self._fail(
                         f"shared-memory call timed out after"
                         f" {self.call_timeout_s:.0f}s"
@@ -703,22 +541,11 @@ class SharedMemoryExecutor:
                 continue
             if ack[1] != call_id:
                 continue  # stale ack from an abandoned call
-            if span_sink is not None:
-                for payload in ack[-1]:
-                    if payload is not None:
-                        span_sink(payload)
             if ack[0] == "error":
                 raise self._fail(
                     f"shared-memory worker failed on {ack[3]}"
                 )
-            if ack[0] == "partial":
-                crash_msg = (
-                    f"shared-memory worker (slot {ack[2]}) died mid-plan"
-                    f" ({ack[3]} partition(s) completed first)"
-                )
             done += 1
-        if crash_msg is not None:
-            raise self._fail(crash_msg)
 
 
 #: Process-wide executor pools, one per worker count.
@@ -747,10 +574,6 @@ def shutdown_shared_executors() -> None:
     for pool in list(_POOLS.values()):
         pool.close()
     _POOLS.clear()
-
-
-#: Backwards-compatible alias (pre-warm-path name).
-close_shared_executors = shutdown_shared_executors
 
 
 def _abandon_executors_after_fork() -> None:

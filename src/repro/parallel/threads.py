@@ -21,10 +21,9 @@ Invariants shared with the other backends:
   output rows — threads write non-overlapping row sets, so no
   synchronization is needed and the result equals serial bit for bit.
 - **Simulated time untouched.**  The executor only runs kernels.
-- **Observable workers.**  With a :class:`~repro.obs.live.TraceContext`
-  the same per-partition span payloads are produced (queue wait, kernel
-  wall, scatter wall, rows, nnz) and fed to ``span_sink``; in-process
-  execution means payloads never need sibling stream files.
+- **No telemetry.**  The seam carries none: the engine times the whole
+  call and records the partition spans itself, so a traced multiply
+  runs exactly these instructions.
 - **Fork safety.**  Thread pools do not survive ``fork()``; a hook
   abandons every pool in forked children so shard hosts start fresh.
 
@@ -40,13 +39,11 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable
 
 import numpy as np
 
 from repro.formats.csdb import CSDBMatrix
-from repro.obs.live import TraceContext, next_span_uid, partition_span_payload
-from repro.parallel.scheduler import ExecutorStats
+from repro.parallel.scheduler import ExecutorStats, normalize_ranges
 
 
 class ThreadsExecutor:
@@ -122,8 +119,6 @@ class ThreadsExecutor:
         dense: np.ndarray,
         ranges: list[tuple[int, int]],
         output: np.ndarray,
-        trace_ctx: TraceContext | None = None,
-        span_sink: Callable[[dict[str, Any]], Any] | None = None,
     ) -> None:
         """Execute CSDB row ranges on the thread pool into ``output``.
 
@@ -138,38 +133,23 @@ class ThreadsExecutor:
         """
         call_start = time.perf_counter()
         dense = np.ascontiguousarray(dense, dtype=np.float64)
-        ranges = [(int(a), int(b)) for a, b in ranges if b > a]
-        output[:] = 0.0
+        ranges, covered = normalize_ranges(ranges, matrix.n_rows)
+        if not covered:
+            output[:] = 0.0
         if not ranges:
             return
         pool = self._ensure_pool()
         # Pre-warm the lazily cached structural arrays on this thread;
         # workers then only read them (no benign-but-wasteful race to
         # build the same cache concurrently).
-        nnz_prefix = matrix.nnz_prefix()
+        matrix.nnz_prefix()
         matrix.row_degrees()
         matrix.inv_perm  # property; cached like the others
         matrix.kernel_view()
-        enqueued_at = time.monotonic()
 
-        def run_range(row_start: int, row_end: int):
-            started_at = time.monotonic()
-            kernel_start = time.perf_counter()
-            partial = matrix.spmm_rows(dense, row_start, row_end)
-            kernel_end = time.perf_counter()
-            output[matrix.perm[row_start:row_end]] = partial
-            if trace_ctx is None:
-                return None
-            scatter_end = time.perf_counter()
-            return partition_span_payload(
-                trace_ctx,
-                row_start=row_start,
-                row_end=row_end,
-                nnz=int(nnz_prefix[row_end] - nnz_prefix[row_start]),
-                kernel_wall_s=kernel_end - kernel_start,
-                scatter_wall_s=scatter_end - kernel_end,
-                queue_wait_s=max(0.0, started_at - enqueued_at),
-                uid=next_span_uid(),
+        def run_range(row_start: int, row_end: int) -> None:
+            output[matrix.perm[row_start:row_end]] = matrix.spmm_rows(
+                dense, row_start, row_end
             )
 
         futures = [pool.submit(run_range, a, b) for a, b in ranges]
@@ -181,12 +161,9 @@ class ThreadsExecutor:
         first: BaseException | None = None
         for future in futures:
             try:
-                payload = future.result()
+                future.result()
             except BaseException as exc:  # noqa: BLE001 - re-raised below
                 first = first if first is not None else exc
-                continue
-            if span_sink is not None and payload is not None:
-                span_sink(payload)
         self.stats.last_call_wall_s = time.perf_counter() - call_start
         if first is not None:
             raise first

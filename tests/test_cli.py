@@ -331,26 +331,3 @@ class TestExecBackendFlags:
         save_edge_list(path, chung_lu_edges(40, 100, seed=3))
         with pytest.raises(SystemExit):
             main(["embed", str(path), "--exec-backend", "gpu"])
-
-
-class TestPerfGateWallFlags:
-    def test_wall_report_runs(self, tmp_path, capsys, monkeypatch):
-        from repro.obs.observatory import wallgate
-
-        monkeypatch.setattr(wallgate, "WALL_SCALE", 7)
-        code = main(
-            [
-                "perf-gate",
-                "--baseline-dir",
-                str(tmp_path),
-                "--no-trajectory",
-                "--wall",
-                "report",
-                "--wall-runs",
-                "2",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "wall-clock gate [report-only]" in out
-        assert "noise band" in out

@@ -340,66 +340,6 @@ class TestTreeAssembly:
         ]
         assert build_tree(spans) is None
 
-    def test_partition_spans_graft_under_kernel_node(self):
-        from repro.obs.forensics import graft_partition_spans
-        from repro.obs.live import TraceContext, partition_span_payload
-
-        spans = [
-            {
-                "type": "forensic_span",
-                "trace_id": "req-42",
-                "uid": "a",
-                "parent_uid": None,
-                "name": "request",
-                "category": None,
-                "sim_start": 0.0,
-                "sim_seconds": 1.0,
-                "attributes": {"klass": "batch", "status": "served",
-                               "blame": {"kernel": 1.0}},
-            },
-            {
-                "type": "forensic_span",
-                "trace_id": "req-42",
-                "uid": "b",
-                "parent_uid": "a",
-                "name": "kernel",
-                "category": "kernel",
-                "sim_start": 0.0,
-                "sim_seconds": 1.0,
-                "attributes": {},
-            },
-        ]
-        tree = build_tree(spans)
-        ctx = TraceContext(trace_id="run-1", parent_span_id="s0")
-        records = [
-            partition_span_payload(
-                ctx,
-                row_start=0,
-                row_end=32,
-                nnz=100,
-                kernel_wall_s=0.01,
-                scatter_wall_s=0.002,
-                request_trace_id="req-42",
-            ),
-            # A partition executed for a *different* request must not
-            # graft onto this tree.
-            partition_span_payload(
-                ctx,
-                row_start=32,
-                row_end=64,
-                nnz=90,
-                kernel_wall_s=0.01,
-                scatter_wall_s=0.002,
-                request_trace_id="req-other",
-            ),
-        ]
-        assert graft_partition_spans(tree, records) == 1
-        kernel = next(n for n in tree.nodes() if n.name == "kernel")
-        assert [c.name for c in kernel.children] == ["partition:0"]
-        # Grafted worker spans are wall-clock annotations: zero sim
-        # seconds, so the blame-sum invariant is untouched.
-        assert kernel.children[0].sim_seconds == 0.0
-
 
 class TestCli:
     def _make_stream(self, tmp_path, edges):

@@ -1,16 +1,16 @@
 """Differential oracle for the SpMM kernel across every executor.
 
 One check, many inputs: for a CSDB matrix, a dense operand and a set of
-disjoint CSDB row ranges, every executor (serial — fused, and one call
-per range as under a tracer — shared-memory and threads at 1/2/4
-workers) must
+disjoint CSDB row ranges, every executor (serial, shared-memory and
+threads at 1/2/4 workers) must
 
 (i)   equal a scalar sequential reference *bit for bit* — the kernel's
       accumulation contract (each row: zero, then ``+= value * B[col]``
       in ``col_list`` order, one rounding per multiply and per add);
 (ii)  be ``allclose`` to ``csdb_to_scipy(A) @ B`` on the covered rows;
-(iii) leave every row outside the ranges reading exactly 0, even though
-      the caller's buffer arrives uninitialised.
+(iii) leave every row outside the ranges reading exactly 0, and no row
+      reading NaN, even though the caller's buffer arrives filled with
+      NaN and a backend zero-fills only when a row is uncovered.
 
 (i) holds on builds of scipy whose CSR kernel does not contract
 ``y += a * x`` into a fused multiply-add (the x86-64 wheels); equality
@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.formats import CSDBMatrix, csdb_to_scipy, edges_to_csdb
 from repro.graphs import rmat_edges
-from repro.obs.live import TraceContext
 from repro.parallel import (
     SimulatedExecutor,
     get_shared_executor,
@@ -46,16 +45,11 @@ def _close_pools():
 
 
 def _executors():
-    """(label, executor, extra ``run_partitions`` keywords)."""
-    yield "serial", SimulatedExecutor(), {}
-    # A span consumer turns the serial backend's range fusion off.
-    yield "serial traced", SimulatedExecutor(), {
-        "trace_ctx": TraceContext(trace_id="oracle"),
-        "span_sink": lambda payload: None,
-    }
+    """(label, executor)."""
+    yield "serial", SimulatedExecutor()
     for n in WORKERS:
-        yield f"shared_memory x{n}", get_shared_executor(n), {}
-        yield f"threads x{n}", get_threads_executor(n), {}
+        yield f"shared_memory x{n}", get_shared_executor(n)
+        yield f"threads x{n}", get_threads_executor(n)
 
 
 def scalar_reference(matrix, dense, ranges):
@@ -78,9 +72,9 @@ def check_all_executors(matrix, dense, ranges):
     for row_start, row_end in ranges:
         covered[matrix.perm[row_start:row_end]] = True
     product = csdb_to_scipy(matrix) @ np.asarray(dense, dtype=np.float64)
-    for label, executor, traced in _executors():
+    for label, executor in _executors():
         out = np.full(expected.shape, np.nan)
-        executor.run_partitions(matrix, dense, ranges, out, **traced)
+        executor.run_partitions(matrix, dense, ranges, out)
         assert np.array_equal(out, expected), label
         assert np.allclose(out[covered], product[covered]), label
         assert not out[~covered].any(), label
@@ -150,10 +144,14 @@ DEGENERATE = {
     ),
     "no_nonzeros": lambda: (_from_coo([], [], [], (5, 3)), 2, None),
     # What the engine hands over: adjacent ranges covering every row,
-    # which the serial backend runs as one call with no zero-fill.
+    # which no backend zero-fills for (the shared-memory pool's scratch
+    # segment still holds the previous case's rows at that point).
     "full_cover_single_range": lambda: (_weighted_rmat(), 3, [(0, 256)]),
     "full_cover_eight_ranges": lambda: (
         _weighted_rmat(), 3, [(i, i + 32) for i in range(0, 256, 32)]
+    ),
+    "full_cover_out_of_order": lambda: (
+        _weighted_rmat(), 3, [(128, 256), (0, 128)]
     ),
 }
 

@@ -4,8 +4,9 @@ Three things an engine multiply used to redo are pinned here against the
 per-call formulation they replaced:
 
 - the serial backend fuses adjacent row ranges into one ``spmm_rows``
-  call (per-partition calls remain under a real tracer, whose spans
-  carry a measured kernel wall each);
+  call — traced or not: every backend makes the same kernel calls under
+  a real tracer as under the null one, and the partition spans are the
+  engine's apportioning of the one measured wall;
 - ``SpMMEngine`` evaluates Eq. 2 once per (matrix, d) and replays the
   charges into every call's fresh ``CostTrace``/``SimClock``;
 - ``CSDBMatrix`` keeps one kernel-ready CSR view of itself.
@@ -14,6 +15,8 @@ per-call formulation they replaced:
 from __future__ import annotations
 
 import gc
+import math
+import time
 import weakref
 
 import numpy as np
@@ -26,9 +29,8 @@ from repro.core.config import MemoryMode, PlacementScheme
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.formats import CSDBMatrix, edges_to_csdb
 from repro.graphs import rmat_edges
-from repro.obs.live import TraceContext
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import SpanTracer
+from repro.obs.tracer import NULL_TRACER, SpanTracer
 from repro.parallel import (
     SimulatedExecutor,
     get_shared_executor,
@@ -58,20 +60,32 @@ def matrix() -> CSDBMatrix:
 
 
 class SpmmRowsSpy:
-    """Record the row range of every ``CSDBMatrix.spmm_rows`` call."""
+    """Record the row range of every ``CSDBMatrix.spmm_rows`` call.
 
-    def __init__(self, monkeypatch) -> None:
-        self.calls: list[tuple[int, int]] = []
+    The log is a file, so calls made by pool workers forked after the
+    patch are seen too.
+    """
+
+    def __init__(self, monkeypatch, log) -> None:
+        self.log = log
+        log.write_text("")
         original = CSDBMatrix.spmm_rows
 
         def spied(matrix, dense, row_start, row_end):
-            self.calls.append((row_start, row_end))
+            with log.open("a") as handle:
+                handle.write(f"{row_start} {row_end}\n")
             return original(matrix, dense, row_start, row_end)
 
         monkeypatch.setattr(CSDBMatrix, "spmm_rows", spied)
 
+    def drain(self) -> list[tuple[int, int]]:
+        """The calls logged since the last drain, in file order."""
+        lines = self.log.read_text().splitlines()
+        self.log.write_text("")
+        return [tuple(int(x) for x in line.split()) for line in lines]
 
-# -- (i) fused == per-partition == traced == threads == shared_memory --------
+
+# -- (i) fused == per-partition == threads == shared_memory ------------------
 
 
 def per_partition(matrix, dense, ranges):
@@ -89,25 +103,14 @@ def dispatch_arms(matrix, dense, ranges):
     """Every dispatch path's output for the same ranges, by name."""
     shape = (matrix.n_rows, np.asarray(dense).shape[1])
     arms = {"per_partition": per_partition(matrix, dense, ranges)}
-    spans: list[dict] = []
-    for name, executor, traced in (
-        ("fused", SimulatedExecutor(), False),
-        ("traced", SimulatedExecutor(), True),
-        ("threads", get_threads_executor(2), False),
-        ("shared_memory", get_shared_executor(2), False),
+    for name, executor in (
+        ("fused", SimulatedExecutor()),
+        ("threads", get_threads_executor(2)),
+        ("shared_memory", get_shared_executor(2)),
     ):
         out = np.full(shape, np.nan)  # the buffer arrives uninitialised
-        if traced:
-            executor.run_partitions(
-                matrix, dense, ranges, out,
-                trace_ctx=TraceContext(trace_id="t"), span_sink=spans.append,
-            )
-        else:
-            executor.run_partitions(matrix, dense, ranges, out)
+        executor.run_partitions(matrix, dense, ranges, out)
         arms[name] = out
-    assert [
-        (s["attributes"]["row_start"], s["attributes"]["row_end"]) for s in spans
-    ] == [(a, b) for a, b in ranges if b > a]
     return arms
 
 
@@ -165,52 +168,121 @@ def test_property_fusion_is_invisible_over_range_cuts(matrix, cuts, keep, d):
 
 
 def test_fused_dispatch_calls_the_kernel_once_per_run_of_adjacent_ranges(
-    matrix, monkeypatch
+    matrix, monkeypatch, tmp_path
 ):
-    spy = SpmmRowsSpy(monkeypatch)
+    spy = SpmmRowsSpy(monkeypatch, tmp_path / "calls")
     out = np.empty((matrix.n_rows, 2))
     dense = np.ones((matrix.n_cols, 2))
     SimulatedExecutor().run_partitions(
         matrix, dense, [(0, 10), (10, 30), (30, 30), (30, 50), (60, 70)], out
     )
-    assert spy.calls == [(0, 50), (60, 70)]
+    assert spy.drain() == [(0, 50), (60, 70)]
 
 
 # -- (ii) kernel calls per engine multiply -----------------------------------
 
 
-def test_untraced_serial_multiply_is_one_kernel_call(matrix, monkeypatch):
+def test_untraced_serial_multiply_is_one_kernel_call(
+    matrix, monkeypatch, tmp_path
+):
     engine = SpMMEngine(OMeGaConfig(n_threads=8, parallel=SERIAL))
     dense = np.ones((matrix.n_cols, 4))
     engine.multiply(matrix, dense)
-    spy = SpmmRowsSpy(monkeypatch)
+    spy = SpmmRowsSpy(monkeypatch, tmp_path / "calls")
     result = engine.multiply(matrix, dense)
-    assert spy.calls == [(0, matrix.n_rows)]
+    assert spy.drain() == [(0, matrix.n_rows)]
     assert sum(p.n_rows > 0 for p in result.partitions) > 1
 
 
-def test_traced_serial_multiply_keeps_one_measured_call_per_partition(
-    matrix, monkeypatch
+BACKENDS = {
+    "serial": SERIAL,
+    "threads": ParallelConfig(backend=ExecBackend.THREADS, n_workers=2),
+    "shared_memory": ParallelConfig(
+        backend=ExecBackend.SHARED_MEMORY, n_workers=2
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_a_tracer_does_not_change_the_kernel_calls(
+    matrix, monkeypatch, tmp_path, backend
 ):
+    # Fresh pools after the patch: forked workers must carry the spy.
+    shutdown_shared_executors()
+    spy = SpmmRowsSpy(monkeypatch, tmp_path / "calls")
+    config = OMeGaConfig(n_threads=8, parallel=BACKENDS[backend])
+    dense = np.random.default_rng(9).standard_normal((matrix.n_cols, 4))
+    seen = {}
+    try:
+        for name, tracer in (("null", NULL_TRACER), ("span", SpanTracer())):
+            result = SpMMEngine(config, tracer=tracer).multiply(matrix, dense)
+            seen[name] = (spy.drain(), result.output)
+    finally:
+        shutdown_shared_executors()  # its workers outlive the monkeypatch
+    (null_calls, null_out), (span_calls, span_out) = seen["null"], seen["span"]
+    if backend == "serial":
+        assert null_calls == [(0, matrix.n_rows)]
+    else:
+        # Pool workers interleave: the calls compare as sorted lists.
+        null_calls, span_calls = sorted(null_calls), sorted(span_calls)
+        assert null_calls == [
+            (p.row_start, p.row_end) for p in result.partitions if p.n_rows
+        ]
+    assert span_calls == null_calls
+    assert_same_bits(span_out, null_out)
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_partition_spans_apportion_the_one_measured_wall(matrix, backend):
     tracer = SpanTracer()
     engine = SpMMEngine(
-        OMeGaConfig(n_threads=8, parallel=SERIAL), tracer=tracer
+        OMeGaConfig(n_threads=8, parallel=BACKENDS[backend]), tracer=tracer
     )
     dense = np.ones((matrix.n_cols, 4))
-    spy = SpmmRowsSpy(monkeypatch)
-    result = engine.multiply(matrix, dense)
-    expected = [
-        (p.row_start, p.row_end) for p in result.partitions if p.n_rows > 0
-    ]
-    assert len(expected) > 1
-    assert spy.calls == expected
-    spans = [s for s in tracer.finished if s.name == "spmm_partition"]
+    with tracer.span("stage"):
+        result = engine.multiply(matrix, dense)
+    (spmm,) = tracer.find("spmm")
+    spans = tracer.find("spmm_partition")
+    dispatched = [p for p in result.partitions if p.n_rows > 0]
+    assert len(dispatched) > 1
     assert [
-        (s.attributes["row_start"], s.attributes["row_end"]) for s in spans
-    ] == expected
-    assert all(s.attributes["kernel_wall_s"] > 0.0 for s in spans)
-    untraced = SpMMEngine(OMeGaConfig(n_threads=8, parallel=SERIAL))
-    assert_same_bits(result.output, untraced.multiply(matrix, dense).output)
+        (s.attributes["row_start"], s.attributes["row_end"],
+         s.attributes["rows"], s.attributes["nnz"])
+        for s in spans
+    ] == [(p.row_start, p.row_end, p.n_rows, p.nnz_count) for p in dispatched]
+    for span in spans:
+        assert span.attributes["apportioned"] is True
+        assert span.sim_seconds == 0.0
+        assert span.parent_id == spmm.span_id
+        assert span.trace_id == spmm.trace_id
+    kernel_wall = spmm.attributes["kernel_wall_seconds"]
+    assert kernel_wall == result.kernel_wall_seconds > 0.0
+    # The shares sum to the wall to 1e-9; a Span keeps (start, end) on
+    # the perf_counter axis, which quantises each one to that clock's ulp.
+    quantum = len(spans) * math.ulp(time.perf_counter())
+    assert sum(s.wall_seconds for s in spans) == pytest.approx(
+        kernel_wall, rel=1e-9, abs=quantum
+    )
+    walls = {s.attributes["nnz"]: s.wall_seconds for s in spans}
+    heavy, light = max(walls), min(walls)
+    assert walls[heavy] * light == pytest.approx(
+        walls[light] * heavy, rel=1e-3
+    )
+
+
+def test_cost_only_and_full_pass_multiplies_record_no_partition_spans(matrix):
+    dense = np.ones((matrix.n_cols, 4))
+    for config, compute in (
+        (OMeGaConfig(n_threads=8, parallel=SERIAL), False),
+        (OMeGaConfig(n_threads=8, parallel=SERIAL, allocation="natural-rr"),
+         True),
+    ):
+        tracer = SpanTracer()
+        SpMMEngine(config, tracer=tracer).multiply(
+            matrix, dense, compute=compute
+        )
+        assert len(tracer.find("spmm")) == 1
+        assert tracer.find("spmm_partition") == []
 
 
 # -- (iii) Eq. 2 replay ------------------------------------------------------

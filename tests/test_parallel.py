@@ -1,47 +1,9 @@
-"""Unit tests for the simulated executor and tail-latency statistics."""
+"""Unit tests for the tail-latency statistics."""
 
 import numpy as np
 import pytest
 
-from repro.memsim import SimClock
-from repro.parallel import SimulatedExecutor, ThreadTask, summarize_thread_times
-
-
-class TestExecutor:
-    def test_tasks_overlap_across_threads(self):
-        clock = SimClock(3)
-        executor = SimulatedExecutor(clock)
-        makespan = executor.run(
-            [
-                ThreadTask(0, 1.0),
-                ThreadTask(1, 2.0),
-                ThreadTask(2, 0.5),
-            ]
-        )
-        assert makespan == 2.0
-
-    def test_same_thread_serializes(self):
-        clock = SimClock(2)
-        executor = SimulatedExecutor(clock)
-        makespan = executor.run([ThreadTask(0, 1.0), ThreadTask(0, 1.0)])
-        assert makespan == 2.0
-
-    def test_work_callbacks_execute(self):
-        clock = SimClock(1)
-        executor = SimulatedExecutor(clock)
-        sink = []
-        executor.run([ThreadTask(0, 0.1, work=lambda: sink.append(1))])
-        assert sink == [1]
-
-    def test_invalid_thread_id(self):
-        executor = SimulatedExecutor(SimClock(2))
-        with pytest.raises(ValueError, match="thread_id"):
-            executor.run([ThreadTask(5, 1.0)])
-
-    def test_barrier_synchronizes_clocks(self):
-        clock = SimClock(2)
-        SimulatedExecutor(clock).run([ThreadTask(0, 3.0)])
-        assert np.all(clock.thread_times == 3.0)
+from repro.parallel import summarize_thread_times
 
 
 class TestThreadStats:

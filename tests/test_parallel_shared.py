@@ -19,15 +19,15 @@ from repro.parallel import (
     SharedMemoryExecutor,
     SimulatedExecutor,
     WorkerCrashError,
-    close_shared_executors,
     get_shared_executor,
+    shutdown_shared_executors,
 )
 
 
 @pytest.fixture(scope="module", autouse=True)
 def _close_pools():
     yield
-    close_shared_executors()
+    shutdown_shared_executors()
 
 
 def _rmat_csdb(scale: int, seed: int) -> CSDBMatrix:

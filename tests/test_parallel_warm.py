@@ -364,31 +364,6 @@ class TestThreadsBackendSemantics:
         finally:
             pool.close()
 
-    def test_partition_spans_have_nonnegative_queue_wait(self):
-        from repro.obs.tracer import SpanTracer
-
-        matrix = _rmat_csdb(7, seed=82)
-        dense = np.random.default_rng(6).standard_normal((matrix.n_cols, 4))
-        tracer = SpanTracer()
-        engine = SpMMEngine(
-            OMeGaConfig(
-                n_threads=4,
-                dim=4,
-                parallel=ParallelConfig(
-                    backend=ExecBackend.THREADS, n_workers=2
-                ),
-            ),
-            tracer=tracer,
-        )
-        engine.multiply(matrix, dense)
-        spans = [
-            s for s in tracer.finished if s.name == "spmm_partition"
-        ]
-        assert len(spans) >= 2
-        for span in spans:
-            assert span.attributes["queue_wait_s"] >= 0.0
-            assert span.attributes["kernel_wall_s"] >= 0.0
-
     def test_empty_ranges_zero_output(self):
         matrix = _rmat_csdb(6, seed=83)
         pool = ThreadsExecutor(n_workers=1)
