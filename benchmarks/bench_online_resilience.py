@@ -26,8 +26,8 @@ every fault coordinate is an exact lookup sequence number):
   must hold availability, serve no garbage, and converge bit-identically
   to the fault-free table after catch-up.
 
-The run streams live telemetry to
-``benchmarks/results/online_resilience.live.jsonl`` — the file the CI
+The run streams its telemetry to
+``benchmarks/results/online_resilience.telemetry.jsonl`` — the file the CI
 ``resilience-chaos`` matrix uploads (with the failing seed) on failure.
 """
 
@@ -35,9 +35,8 @@ import os
 
 import numpy as np
 from common import (  # noqa: F401
-    RESULTS_DIR,
     run_once,
-    save_telemetry,
+    telemetry_path,
     telemetry_session,
     write_report,
 )
@@ -378,8 +377,7 @@ def _experiment():
     session = telemetry_session(
         "online_resilience", seed=seed, scenario=scenario
     )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    session.stream_to(RESULTS_DIR / "online_resilience.live.jsonl")
+    session.stream_to(telemetry_path("online_resilience"))
     stream = session.stream
 
     results = {
@@ -392,7 +390,6 @@ def _experiment():
     for arm, payload in results.items():
         session.event("resilience_arm", arm=arm, **payload)
     session.close_stream()
-    save_telemetry(session, "online_resilience")
     return results
 
 

@@ -19,18 +19,17 @@ lose requests.  After the replay, the supervised store is caught up and
 a full-table scatter-gather must be bit-identical to the backend's
 freshly computed embedding — recovery converges, it does not drift.
 
-The run streams live telemetry (``shard_event`` records interleaved
+The run streams its telemetry (``shard_event`` records interleaved
 with ``serve_request`` events) to
-``benchmarks/results/shard_recovery.live.jsonl`` — the file the CI
+``benchmarks/results/shard_recovery.telemetry.jsonl`` — the file the CI
 ``shard-chaos`` job uploads.
 """
 
 import numpy as np
 from common import (  # noqa: F401
-    RESULTS_DIR,
     dataset,
     run_once,
-    save_telemetry,
+    telemetry_path,
     telemetry_session,
     write_report,
 )
@@ -137,8 +136,7 @@ def _run_arm(graph, supervised: bool, stream=None):
 
 def _experiment(graph):
     session = telemetry_session("shard_recovery", graph=graph.name)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    session.stream_to(RESULTS_DIR / "shard_recovery.live.jsonl")
+    session.stream_to(telemetry_path("shard_recovery"))
     arms = {}
     for label, supervised in (("supervised", True), ("unsupervised", False)):
         stream = session.stream if supervised else None
@@ -169,7 +167,6 @@ def _experiment(graph):
             **report.summary(),
         )
     session.close_stream()
-    save_telemetry(session, "shard_recovery")
     return arms
 
 

@@ -68,12 +68,20 @@ def telemetry_session(name: str, **meta) -> TelemetrySession:
     return TelemetrySession(meta={"benchmark": name, **meta})
 
 
-def save_telemetry(session: TelemetrySession, name: str) -> Path:
-    """Persist a session as ``benchmarks/results/<name>.telemetry.jsonl``."""
+def telemetry_path(name: str) -> Path:
+    """``benchmarks/results/<name>.telemetry.jsonl`` (directory created)."""
     RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.telemetry.jsonl"
-    session.save(path)
-    return path
+    return RESULTS_DIR / f"{name}.telemetry.jsonl"
+
+
+def save_telemetry(session: TelemetrySession, name: str) -> Path:
+    """Write a finished session to :func:`telemetry_path`.
+
+    A bench whose serve/shard layers put records on the stream while
+    they run calls ``session.stream_to(telemetry_path(name))`` up front
+    and ``session.close_stream()`` at the end instead.
+    """
+    return session.save(telemetry_path(name))
 
 
 def publish_baseline(

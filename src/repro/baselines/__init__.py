@@ -16,7 +16,6 @@ Two families:
 
 from repro.baselines.comet import BufferSchedule, greedy_buffer_order, swap_efficiency
 from repro.baselines.deepwalk import DeepWalkEmbedder, DeepWalkParams
-from repro.baselines.node2vec import Node2VecWalker, node2vec_embed
 from repro.baselines.external import (
     DistDGLSimulator,
     DistGERSimulator,
@@ -51,14 +50,12 @@ __all__ = [
     "GinexSimulator",
     "MariusGNNSimulator",
     "NeighborSampler",
-    "Node2VecWalker",
     "RandomWalker",
     "SEMSpMMSimulator",
     "SystemArm",
     "SystemResult",
     "belady_hit_rate",
     "greedy_buffer_order",
-    "node2vec_embed",
     "run_arm",
     "swap_efficiency",
     "standard_arms",

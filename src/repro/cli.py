@@ -8,31 +8,31 @@ Commands:
 - ``spmm``              — run one instrumented SpMM and print the cost
   anatomy;
 - ``compare``           — run the Fig. 12 system arms on one graph;
-- ``report``            — render a ``--telemetry-out`` JSONL file back
-  into the Fig. 7(a)-style breakdown tables (plus the hot-span table);
+- ``report``            — render a telemetry file back into the
+  Fig. 7(a)-style breakdown tables (plus the hot-span table);
 - ``serve-sim``         — replay a request trace against the resilient
   embedding server (:mod:`repro.serve`), optionally under a serve-time
   fault plan (backend stalls, request bursts, PM degradation) and/or a
   declarative SLO spec (``--slo``, with error-budget burn rates);
 - ``diff``              — per-stage / per-metric deltas between two
-  telemetry exports, nonzero exit when a time-like series regresses
+  telemetry files, nonzero exit when a time-like series regresses
   past ``--threshold``;
-- ``profile``           — fold a telemetry export's spans into a
+- ``profile``           — fold a telemetry file's spans into a
   flamegraph-style profile; ``--out`` writes the collapsed-stack text
   form standard flamegraph tooling consumes;
 - ``perf-gate``         — run the pinned micro-bench suite, compare
   against the stored baseline (``benchmarks/baselines/``) and append a
   ``BENCH_omega.json`` trajectory point (the CI perf-regression gate);
-- ``top``               — the real-time ops view: tail a ``--live``
-  stream file and render req/s, shed/deadline rates, breaker state,
+- ``top``               — the real-time ops view: tail a telemetry
+  file and render req/s, shed/deadline rates, breaker state,
   rung occupancy, SpMM throughput and SLO burn (``--once`` renders a
   single frame; ``--format prom`` emits Prometheus exposition text);
 - ``why``               — per-request tail-latency forensics: rebuild a
-  request's causal tree from a ``--live`` stream and render it as a
+  request's causal tree from a serve telemetry file and render it as a
   waterfall with per-category blame fractions (queue / breaker /
   shard-hedge / stale-fallback / kernel), incident-linked; without a
   trace id, renders the slowest ``--worst N`` retained exemplars;
-- ``attribute``         — fold a ``--live`` stream into the aggregate
+- ``attribute``         — fold a serve telemetry file into the aggregate
   per-class blame table (``--check`` exits nonzero when any request's
   blame fails to sum to its simulated latency);
 - ``trend``             — per-series trajectories over the
@@ -41,13 +41,12 @@ Commands:
 - ``baselines``         — inspect the baseline store: ``list`` refs,
   ``show`` a payload, ``gc`` unreferenced objects (dry-run default).
 
-``embed``, ``spmm``, ``compare`` and ``calibrate`` accept
-``--telemetry-out PATH`` to export spans, metrics and cost ledgers as
-structured JSONL (see :mod:`repro.obs`).  ``embed``, ``spmm``,
-``serve-sim`` and ``perf-gate`` also accept ``--live PATH`` to stream
-the telemetry incrementally to a crash-tolerant JSONL file while the
-run is in flight — the file ``repro top`` tails.  ``embed``
-additionally takes ``--faults PLAN.json`` (a
+``embed``, ``spmm``, ``compare``, ``serve-sim``, ``perf-gate`` and
+``calibrate`` accept ``--telemetry-out PATH`` to stream spans, events,
+metrics and cost ledgers to one crash-tolerant JSONL file while the run
+is in flight (see :mod:`repro.obs`) — the file every view above reads
+and ``repro top`` tails; ``--follow`` also prints its progress records
+in this terminal.  ``embed`` additionally takes ``--faults PLAN.json`` (a
 :class:`repro.faults.FaultPlan`) to run under injected faults with
 stage-granular checkpoints, ``--resume`` to recover from injected
 crashes and finish the run, and ``--slo SPEC.json`` to gate the
@@ -83,6 +82,7 @@ from repro.memsim.devices import pm_spec
 from repro.memsim.persistence import CheckpointedEmbedder
 from repro.memsim.probe import peak_bandwidth_summary, probe_bandwidth
 from repro.obs.export import TelemetrySession
+from repro.obs.live import progress_line
 from repro.obs.report import render_report_file
 
 
@@ -127,19 +127,14 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--telemetry-out",
         metavar="PATH",
-        help="export spans/metrics/cost ledgers as JSONL (see 'repro report')",
-    )
-    parser.add_argument(
-        "--live",
-        metavar="PATH",
-        help="stream telemetry incrementally to a JSONL file while the"
-        " run is in flight (tail it with 'repro top PATH')",
+        help="stream spans/events/metrics/cost ledgers to a JSONL file"
+        " while the run is in flight (see 'repro report', 'repro top')",
     )
     parser.add_argument(
         "--follow",
         action="store_true",
-        help="with --live: also tail the stream in this terminal,"
-        " printing stages and shard events as they complete",
+        help="with --telemetry-out: also print stages and shard events"
+        " in this terminal as they complete",
     )
 
 
@@ -217,91 +212,47 @@ def cmd_probe(_: argparse.Namespace) -> int:
     return 0
 
 
+def _engine_meta(
+    args: argparse.Namespace, command: str, graph: str
+) -> dict:
+    return {
+        "command": command,
+        "graph": graph,
+        "mode": args.mode,
+        "allocation": args.allocation,
+        "placement": args.placement,
+        "threads": args.threads,
+        "dim": args.dim,
+    }
+
+
+def _print_progress(record: dict) -> None:
+    line = progress_line(record)
+    if line is not None:
+        print(line, flush=True)
+
+
 def _telemetry_session(
-    args: argparse.Namespace, command: str, graph: str, force: bool = False
+    args: argparse.Namespace, meta: dict, force: bool = False
 ) -> TelemetrySession | None:
-    live = getattr(args, "live", None)
-    if not args.telemetry_out and not live and not force:
+    """The command's session (None unless a file or ``force`` needs one)."""
+    path = args.telemetry_out
+    follow = getattr(args, "follow", False)
+    if follow and not path:
+        raise SystemExit("--follow requires --telemetry-out PATH")
+    if not path and not force:
         return None
-    session = TelemetrySession(
-        meta={
-            "command": command,
-            "graph": graph,
-            "mode": args.mode,
-            "allocation": args.allocation,
-            "placement": args.placement,
-            "threads": args.threads,
-            "dim": args.dim,
-        }
-    )
-    if live:
-        session.stream_to(live)
+    session = TelemetrySession(meta=meta)
+    if path:
+        session.stream_to(
+            path, on_record=_print_progress if follow else None
+        )
     return session
 
 
-class _StreamFollowPrinter:
-    """Tail this process's own ``--live`` stream and print progress.
-
-    A daemon thread polls the stream file with
-    :class:`~repro.obs.live.StreamFollower` and prints one line per
-    progress-worthy record (completed stages, shard events), so a long
-    embed/compare run shows its pipeline advancing without a second
-    terminal running ``repro top``.
-    """
-
-    def __init__(self, path: str) -> None:
-        import threading
-
-        self.path = path
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def __enter__(self) -> "_StreamFollowPrinter":
-        print(f"following live stream {self.path}")
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self._stop.set()
-        self._thread.join(timeout=2.0)
-
-    def _run(self) -> None:
-        import time
-
-        from repro.obs.live import StreamFollower, progress_line
-
-        follower = StreamFollower(self.path)
-        while True:
-            for record in follower.poll():
-                line = progress_line(record)
-                if line is not None:
-                    print(line, flush=True)
-            if follower.closed or self._stop.is_set():
-                return
-            time.sleep(0.2)
-
-
-def _follow_stream(args: argparse.Namespace):
-    """The active ``--follow`` printer, or a no-op context manager."""
-    import contextlib
-
-    if getattr(args, "follow", False):
-        live = getattr(args, "live", None)
-        if not live:
-            raise SystemExit("--follow requires --live PATH")
-        return _StreamFollowPrinter(live)
-    return contextlib.nullcontext()
-
-
-def _save_telemetry(session: TelemetrySession | None, path: str | None) -> None:
-    if session is None:
-        return
-    if session.stream is not None:
-        stream_path = session.close_stream()
-        print(f"live stream closed at {stream_path}")
-    if path:
-        session.save(path)
-        print(f"telemetry written to {path}")
+def _close_telemetry(session: TelemetrySession | None) -> None:
+    if session is not None and session.stream is not None:
+        print(f"telemetry written to {session.close_stream()}")
 
 
 def _embed_under_faults(
@@ -371,29 +322,28 @@ def cmd_embed(args: argparse.Namespace) -> int:
     config = _config_from_args(args, scale)
     # An SLO evaluation needs the run's spans and metric records even
     # when no telemetry file was requested, so force a session.
-    session = _telemetry_session(args, "embed", name, force=bool(args.slo))
+    session = _telemetry_session(
+        args, _engine_meta(args, "embed", name), force=bool(args.slo)
+    )
     embedder = OMeGaEmbedder(
         config,
         tracer=session.tracer if session else None,
         metrics=session.metrics if session else None,
     )
-    with _follow_stream(args):
-        if args.faults:
-            result = _embed_under_faults(
-                args, embedder, edges, n_nodes, session
-            )
-            if result is None:
-                _save_telemetry(session, args.telemetry_out)
-                return 1
-        elif args.slo:
-            # Route through the checkpointing layer so the run pays (and
-            # accounts, as checkpoint.sim_seconds) realistic persistence
-            # overhead — the numerator of the overhead-fraction objective.
-            result = CheckpointedEmbedder(embedder).embed_with_checkpoints(
-                edges, n_nodes
-            )
-        else:
-            result = embedder.embed_edges(edges, n_nodes)
+    if args.faults:
+        result = _embed_under_faults(args, embedder, edges, n_nodes, session)
+        if result is None:
+            _close_telemetry(session)
+            return 1
+    elif args.slo:
+        # Route through the checkpointing layer so the run pays (and
+        # accounts, as checkpoint.sim_seconds) realistic persistence
+        # overhead — the numerator of the overhead-fraction objective.
+        result = CheckpointedEmbedder(embedder).embed_with_checkpoints(
+            edges, n_nodes
+        )
+    else:
+        result = embedder.embed_edges(edges, n_nodes)
     print(
         f"{name}: embedded {n_nodes:,} nodes in"
         f" {format_seconds(result.sim_seconds)} simulated"
@@ -422,7 +372,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
             },
         )
         slo_ok = slo_report.ok
-    _save_telemetry(session, args.telemetry_out)
+    _close_telemetry(session)
     return 0 if slo_ok else 1
 
 
@@ -431,7 +381,7 @@ def cmd_spmm(args: argparse.Namespace) -> int:
     config = _config_from_args(args, scale)
     matrix = edges_to_csdb(edges, n_nodes)
     dense = np.random.default_rng(0).standard_normal((n_nodes, args.dim))
-    session = _telemetry_session(args, "spmm", name)
+    session = _telemetry_session(args, _engine_meta(args, "spmm", name))
     engine = SpMMEngine(
         config,
         tracer=session.tracer if session else None,
@@ -496,7 +446,7 @@ def cmd_spmm(args: argparse.Namespace) -> int:
     print(format_table(["step", "time (sum over threads)", "share"], rows))
     if session is not None:
         session.add_cost_trace("spmm", result.trace)
-    _save_telemetry(session, args.telemetry_out)
+    _close_telemetry(session)
     return 0
 
 
@@ -544,37 +494,25 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    from repro.bench.harness import format_seconds, format_table
-    from repro.obs.live import load_records
-    from repro.obs.observatory import (
-        build_profile,
-        hot_spans,
-        write_collapsed,
-    )
+    from repro.obs.live import canonical_order, read_stream
+    from repro.obs.observatory import build_profile, write_collapsed
+    from repro.obs.report import hot_span_table, skipped_tail_note
 
-    records = load_records(args.trace)
-    spans = [r for r in records if r.get("type") == "span"]
+    records, skipped = read_stream(args.trace)
+    spans = [r for r in canonical_order(records) if r.get("type") == "span"]
     profile = build_profile(spans)
-    rows = [
-        [
-            ";".join(node.path[1:]),
-            node.calls,
-            format_seconds(node.sim_self),
-            format_seconds(node.sim_total),
-            format_seconds(node.wall_self),
-        ]
-        for node in hot_spans(profile, top_n=args.top)
-    ]
     print(
-        format_table(
-            ["span path", "calls", "sim self", "sim total", "wall self"],
-            rows,
+        hot_span_table(
+            profile,
+            top_n=args.top,
             title=(
                 f"Profile of {args.trace}"
                 f" ({format_seconds(profile.sim_total)} simulated total)"
             ),
         )
     )
+    if skipped:
+        print(skipped_tail_note(skipped))
     if args.out:
         write_collapsed(profile, args.out, clock=args.clock)
         print(f"collapsed stacks ({args.clock} clock) written to {args.out}")
@@ -599,13 +537,10 @@ def cmd_perf_gate(args: argparse.Namespace) -> int:
         update_baseline=args.update_baseline,
         faults_path=args.faults,
         trajectory_path=None if args.no_trajectory else trajectory,
-        live_path=args.live,
+        telemetry_path=args.telemetry_out,
     )
     print(render_gate(report, threshold=args.threshold))
-    if args.live:
-        print(f"live stream closed at {args.live}")
     if args.telemetry_out:
-        report.run.session.save(args.telemetry_out)
         print(f"telemetry written to {args.telemetry_out}")
     if args.profile_out:
         spans = report.run.session.tracer.to_records()
@@ -693,7 +628,7 @@ def cmd_why(args: argparse.Namespace) -> int:
         if tree is None:
             raise SystemExit(
                 f"{args.trace_id}: no forensic tree in {args.stream}"
-                " (was the server run with --live?)"
+                " (was the server run with --telemetry-out?)"
             )
         trees = [tree]
     else:
@@ -820,7 +755,7 @@ def cmd_serve_sim(args: argparse.Namespace) -> int:
     # An SLO evaluation needs the run's metric records even when no
     # telemetry file was requested, so force an in-memory session.
     session = _telemetry_session(
-        args, "serve-sim", name, force=bool(args.slo)
+        args, _engine_meta(args, "serve-sim", name), force=bool(args.slo)
     )
     embedder = OMeGaEmbedder(
         config,
@@ -1006,26 +941,23 @@ def cmd_serve_sim(args: argparse.Namespace) -> int:
             },
         )
         slo_ok = slo_report.ok
-    _save_telemetry(session, args.telemetry_out)
+    _close_telemetry(session)
     return 0 if report.balanced and health["healthy"] and slo_ok else 1
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.graph)
     plan = FaultPlan.load(args.faults) if args.faults else None
-    session = None
-    if args.telemetry_out or args.live:
-        session = TelemetrySession(
-            meta={
-                "command": "compare",
-                "graph": dataset.name,
-                "threads": args.threads,
-                "dim": args.dim,
-                "faults": args.faults,
-            }
-        )
-        if args.live:
-            session.stream_to(args.live)
+    session = _telemetry_session(
+        args,
+        {
+            "command": "compare",
+            "graph": dataset.name,
+            "threads": args.threads,
+            "dim": args.dim,
+            "faults": args.faults,
+        },
+    )
     if session is not None and plan is not None:
         session.event(
             "fault_plan", path=args.faults, seed=plan.seed,
@@ -1033,34 +965,33 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
     parallel = _parallel_from_args(args)
     rows = []
-    with _follow_stream(args):
-        for arm in standard_arms(n_threads=args.threads, dim=args.dim):
-            arm = replace(
-                arm, config=arm.config.with_overrides(parallel=parallel)
+    for arm in standard_arms(n_threads=args.threads, dim=args.dim):
+        arm = replace(
+            arm, config=arm.config.with_overrides(parallel=parallel)
+        )
+        result = run_arm(
+            arm,
+            dataset,
+            tracer=session.tracer if session else None,
+            metrics=session.metrics if session else None,
+            faults=plan,
+        )
+        if session is not None:
+            session.event(
+                "arm", system=arm.name, status=result.status,
+                sim_seconds=result.sim_seconds,
             )
-            result = run_arm(
-                arm,
-                dataset,
-                tracer=session.tracer if session else None,
-                metrics=session.metrics if session else None,
-                faults=plan,
-            )
-            if session is not None:
-                session.event(
-                    "arm", system=arm.name, status=result.status,
-                    sim_seconds=result.sim_seconds,
-                )
-                if result.result is not None:
-                    session.add_cost_trace(arm.name, result.result.trace)
-            rows.append(
-                [
-                    arm.name,
-                    result.status,
-                    format_seconds(
-                        project_full_scale(result.sim_seconds, dataset.scale)
-                    ),
-                ]
-            )
+            if result.result is not None:
+                session.add_cost_trace(arm.name, result.result.trace)
+        rows.append(
+            [
+                arm.name,
+                result.status,
+                format_seconds(
+                    project_full_scale(result.sim_seconds, dataset.scale)
+                ),
+            ]
+        )
     print(
         format_table(
             ["system", "status", "projected time"],
@@ -1068,7 +999,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             title=f"Fig. 12 arms on {dataset.name}",
         )
     )
-    _save_telemetry(session, args.telemetry_out)
+    _close_telemetry(session)
     return 0
 
 
@@ -1088,7 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate.add_argument(
         "--telemetry-out",
         metavar="PATH",
-        help="export per-arm spans and calibration points as JSONL",
+        help="stream per-arm spans and calibration points to a JSONL file",
     )
 
     embed = sub.add_parser("embed", help="embed a graph")
@@ -1150,17 +1081,13 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--telemetry-out",
         metavar="PATH",
-        help="export per-arm spans, metrics and cost ledgers as JSONL",
-    )
-    compare.add_argument(
-        "--live", metavar="PATH",
-        help="stream per-arm telemetry incrementally to a JSONL file"
-        " while the arms run (tail it with 'repro top PATH')",
+        help="stream per-arm spans, metrics and cost ledgers to a JSONL"
+        " file while the arms run",
     )
     compare.add_argument(
         "--follow", action="store_true",
-        help="with --live: also tail the stream in this terminal,"
-        " printing arms and stages as they complete",
+        help="with --telemetry-out: also print arms and stages in this"
+        " terminal as they complete",
     )
 
     report = sub.add_parser(
@@ -1254,10 +1181,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gate.add_argument(
         "--telemetry-out", metavar="PATH",
-        help="export the suite's telemetry as JSONL",
-    )
-    gate.add_argument(
-        "--live", metavar="PATH",
         help="stream the suite's telemetry to a JSONL file while it"
         " runs (tail it with 'repro top PATH'; CI uploads it)",
     )
@@ -1356,9 +1279,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = sub.add_parser(
         "top",
-        help="real-time ops view over a --live telemetry stream",
+        help="real-time ops view over a telemetry file",
     )
-    top.add_argument("stream", help="path to a --live stream JSONL file")
+    top.add_argument("stream", help="path to a --telemetry-out JSONL file")
     top.add_argument(
         "--once", action="store_true",
         help="render a single frame from the stream's current contents",
@@ -1384,9 +1307,9 @@ def build_parser() -> argparse.ArgumentParser:
     why = sub.add_parser(
         "why",
         help="per-request tail-latency forensics: render the causal tree"
-        " of a request (or the slowest N) from a --live stream",
+        " of a request (or the slowest N) from a serve telemetry file",
     )
-    why.add_argument("stream", help="path to a --live stream JSONL file")
+    why.add_argument("stream", help="path to a --telemetry-out JSONL file")
     why.add_argument(
         "trace_id", nargs="?", default=None,
         help="render this request's tree (default: the slowest --worst N)",
@@ -1404,11 +1327,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     attribute = sub.add_parser(
         "attribute",
-        help="fold a --live stream into the per-class tail-latency"
+        help="fold a serve telemetry file into the per-class tail-latency"
         " blame table (queue/breaker/shard-hedge/stale/kernel)",
     )
     attribute.add_argument(
-        "stream", help="path to a --live stream JSONL file"
+        "stream", help="path to a --telemetry-out JSONL file"
     )
     attribute.add_argument(
         "--format", choices=("table", "json"), default="table",
@@ -1461,11 +1384,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     from repro.bench.calibration import calibration_report, format_report
 
-    session = None
-    if args.telemetry_out:
-        session = TelemetrySession(
-            meta={"command": "calibrate", "graph": args.graph}
-        )
+    session = _telemetry_session(
+        args, {"command": "calibrate", "graph": args.graph}
+    )
     points = calibration_report(
         args.graph,
         tracer=session.tracer if session else None,
@@ -1479,7 +1400,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                 paper_value=point.paper_value, measured=point.measured,
                 in_band=point.in_band,
             )
-    _save_telemetry(session, args.telemetry_out)
+    _close_telemetry(session)
     return 0 if all(p.in_band for p in points) else 1
 
 

@@ -5,15 +5,17 @@ much* simulated time each operation category consumed; this subpackage
 adds the *where* and *when*:
 
 - :mod:`repro.obs.tracer` — nested spans carrying both simulated and
-  wall-clock durations, with context-manager and decorator APIs;
+  wall-clock durations, with a context-manager API;
 - :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
   histograms for non-timing telemetry (WoFP hits, allocated bytes,
   partition entropy, streaming exposure);
-- :mod:`repro.obs.export` — the JSONL event sink, snapshot exporter and
-  :class:`TelemetrySession` bundle shared by the CLI and benches;
-- :mod:`repro.obs.live` — the live telemetry layer: crash-tolerant
-  streaming JSONL (:class:`TelemetryStream`), regrouping a stream
-  into the export shape and the ``repro top`` ops view;
+- :mod:`repro.obs.export` — the :class:`TelemetrySession` bundle (one
+  tracer + registry + ledgers + the run's telemetry file) shared by the
+  CLI and benches;
+- :mod:`repro.obs.live` — the telemetry file itself: its one writer
+  (:class:`TelemetryStream`, append-only crash-tolerant JSONL), its one
+  loader (:func:`load_records`), the follower and the ``repro top`` ops
+  view;
 - :mod:`repro.obs.forensics` — per-request tail-latency forensics:
   causal trees on the live bus, critical-path blame attribution whose
   categories sum exactly to the simulated latency, bounded exemplar
@@ -27,12 +29,7 @@ adds the *where* and *when*:
   (``repro diff`` / ``profile`` / ``perf-gate``, ``serve-sim --slo``).
 """
 
-from repro.obs.export import (
-    JsonlSink,
-    TELEMETRY_VERSION,
-    TelemetrySession,
-    read_jsonl,
-)
+from repro.obs.export import TELEMETRY_VERSION, TelemetrySession
 from repro.obs.forensics import (
     ExemplarReservoir,
     ForensicsReport,
@@ -44,7 +41,6 @@ from repro.obs.live import (
     StreamFollower,
     TelemetryStream,
     load_records,
-    merge_streams,
     read_stream,
 )
 from repro.obs.metrics import (
@@ -93,7 +89,6 @@ __all__ = [
     "render_waterfall",
     "Gauge",
     "Histogram",
-    "JsonlSink",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
@@ -104,9 +99,7 @@ __all__ = [
     "TelemetrySession",
     "TelemetryStream",
     "load_records",
-    "merge_streams",
     "merged_cost_trace",
-    "read_jsonl",
     "read_stream",
     "render_report",
     "render_report_file",

@@ -1,89 +1,46 @@
-"""Structured telemetry export: JSONL event sink and snapshots.
+"""The telemetry session: one run's tracer, metrics, ledgers and file.
 
-A telemetry file is a JSON-Lines stream of self-describing records:
+A telemetry file is an append-only JSON-Lines stream of self-describing
+records, written by exactly one
+:class:`~repro.obs.live.TelemetryStream`:
 
+- ``{"type": "stream_meta", ...}`` — the writer's header (pid, trace);
 - ``{"type": "meta", ...}``        — run metadata (graph, config, version);
-- ``{"type": "manifest", ...}``    — the run manifest (git SHA, config
-  hash, dataset, seed, sim/wall totals; see
-  :mod:`repro.obs.observatory.manifest`);
-- ``{"type": "span", ...}``        — one finished tracer span;
+- ``{"type": "span", ...}``        — one tracer span, appended the moment
+  it finishes;
+- ``{"type": "event", ...}``       — free-form instant events, appended
+  as they are recorded;
+- ``serve_snapshot`` / ``serve_request`` / ``forensic_span`` /
+  ``shard_event`` — what the serve tier and the shard supervisor put on
+  the same stream while they run;
 - ``{"type": "metric", ...}``      — one counter/gauge/histogram;
 - ``{"type": "cost_trace", ...}``  — a named :class:`CostTrace` ledger
   (full float precision, so downstream breakdowns reproduce
   ``CostTrace.breakdown()`` exactly);
-- ``{"type": "event", ...}``       — free-form instant events.
+- ``{"type": "manifest", ...}``    — the run manifest (git SHA, config
+  hash, dataset, seed, sim/wall totals; see
+  :mod:`repro.obs.observatory.manifest`);
+- ``{"type": "stream_closed", ...}`` — the clean-close sentinel; it and
+  the three kinds before it are written at close.
 
 :class:`TelemetrySession` bundles one tracer + one registry + metadata
-and knows how to serialize the lot; the CLI (``--telemetry-out``), the
-bench harness and tests all go through it so every producer emits the
-same schema.  ``repro report`` (:mod:`repro.obs.report`) renders the
-file back into the Fig. 7(a)-style tables.
+and owns the stream; the CLI (``--telemetry-out``), the bench harness
+and tests all go through it so every producer emits the same schema and
+every view (``repro report`` / ``diff`` / ``profile`` / ``top`` /
+``why`` / ``attribute``) reads every file.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Any, IO
+from typing import Any, Callable
 
 from repro.memsim.trace import CostTrace
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import SpanTracer
+from repro.obs.tracer import Span, SpanTracer
 
 #: Schema version stamped into every meta record.
 TELEMETRY_VERSION = 1
-
-
-class JsonlSink:
-    """Streaming JSON-Lines writer for telemetry records."""
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._handle: IO[str] | None = self.path.open("w", encoding="utf-8")
-        self.n_records = 0
-
-    def emit(self, record: dict[str, Any]) -> None:
-        """Append one record (must be JSON-serializable)."""
-        if self._handle is None:
-            raise ValueError(f"sink {self.path} is closed")
-        if "type" not in record:
-            raise ValueError(f"telemetry records need a 'type' field: {record}")
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self.n_records += 1
-
-    def emit_all(self, records: list[dict[str, Any]]) -> None:
-        """Append a batch of records."""
-        for record in records:
-            self.emit(record)
-
-    def close(self) -> None:
-        """Flush and close the underlying file."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
-def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    """Load every record of a telemetry file."""
-    records = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{line_no}: invalid telemetry record: {exc}"
-                ) from exc
-    return records
 
 
 class TelemetrySession:
@@ -93,6 +50,9 @@ class TelemetrySession:
         meta: run metadata serialized into the leading meta record.
         tracer: span tracer to use (a fresh one by default).
         metrics: metrics registry to use (a fresh one by default).
+
+    ``stream`` is the open :class:`~repro.obs.live.TelemetryStream`
+    between :meth:`stream_to` and :meth:`close_stream`, else None.
     """
 
     def __init__(
@@ -106,62 +66,69 @@ class TelemetrySession:
         self.meta = dict(meta or {})
         self._traces: dict[str, CostTrace] = {}
         self._events: list[dict[str, Any]] = []
-        self._stream: Any | None = None
+        self.stream: Any | None = None
+        self.tracer.add_listener(self._on_span)
 
-    @property
-    def stream(self):
-        """The live :class:`~repro.obs.live.TelemetryStream`, if any."""
-        return self._stream
+    def _meta_record(self) -> dict[str, Any]:
+        return {
+            "type": "meta",
+            "telemetry_version": TELEMETRY_VERSION,
+            **self.meta,
+        }
 
-    def stream_to(self, path: str | Path, flush_every: int = 20):
-        """Switch the session into streaming mode.
+    def _cost_trace_records(self) -> list[dict[str, Any]]:
+        return [
+            {"type": "cost_trace", "name": name, **trace.to_dict()}
+            for name, trace in sorted(self._traces.items())
+        ]
 
-        Opens a live :class:`~repro.obs.live.TelemetryStream` at
-        ``path`` and wires the session to it: the meta record is
-        written immediately, every span is appended the moment it
-        finishes (via a tracer listener), and events forward as they
-        are recorded.  Call :meth:`close_stream` for the final metrics
-        + manifest; a crash before that still leaves every flushed
-        record behind.
+    def _on_span(self, span: Span) -> None:
+        if self.stream is not None:
+            self.stream.emit(span.to_record())
+
+    def stream_to(
+        self,
+        path: str | Path,
+        flush_every: int = 20,
+        on_record: Callable[[dict[str, Any]], None] | None = None,
+    ):
+        """Open this session's telemetry file at ``path``.
+
+        The meta record is written immediately, every span is appended
+        the moment it finishes, and events forward as they are
+        recorded; ``on_record`` is handed to the
+        :class:`~repro.obs.live.TelemetryStream`.  Call
+        :meth:`close_stream` for the final metrics + manifest; a crash
+        before that still leaves every flushed record behind.
         """
         from repro.obs.live import TelemetryStream
 
-        if self._stream is not None:
+        if self.stream is not None:
             raise ValueError("session is already streaming")
-        stream = TelemetryStream(
+        self.stream = TelemetryStream(
             path,
             flush_every=flush_every,
             trace_id=self.tracer.trace_id,
+            on_record=on_record,
         )
-        stream.emit(
-            {
-                "type": "meta",
-                "telemetry_version": TELEMETRY_VERSION,
-                **self.meta,
-            }
-        )
-        self.tracer.add_listener(lambda span: stream.emit(span.to_record()))
-        self._stream = stream
-        return stream
+        self.stream.emit(self._meta_record())
+        return self.stream
 
     def close_stream(self) -> Path | None:
-        """Finish the live stream: metrics, cost traces, manifest, close.
+        """Finish the telemetry file: metrics, ledgers, manifest, close.
 
-        Returns the stream path, or None when not streaming.
+        Returns the file's path, or None when no stream was open.
         """
-        if self._stream is None:
+        if self.stream is None:
             return None
-        stream = self._stream
+        stream, self.stream = self.stream, None
         for record in self.metrics.to_records():
             stream.emit(record)
-        for name, trace in sorted(self._traces.items()):
-            stream.emit(
-                {"type": "cost_trace", "name": name, **trace.to_dict()}
-            )
+        for record in self._cost_trace_records():
+            stream.emit(record)
         stream.emit(self.manifest().to_record())
         stream.emit({"type": "stream_closed", "n_records": stream.n_records})
         stream.close()
-        self._stream = None
         return stream.path
 
     def add_cost_trace(self, name: str, trace: CostTrace) -> None:
@@ -186,9 +153,9 @@ class TelemetrySession:
             **fields,
         }
         self._events.append(record)
-        if self._stream is not None:
-            self._stream.emit(record)
-            self._stream.flush()
+        if self.stream is not None:
+            self.stream.emit(record)
+            self.stream.flush()
 
     def manifest(self):
         """The run manifest of this session's current state.
@@ -211,36 +178,25 @@ class TelemetrySession:
 
     def records(self) -> list[dict[str, Any]]:
         """All records of this session: meta, then the run manifest."""
-        out: list[dict[str, Any]] = [
-            {
-                "type": "meta",
-                "telemetry_version": TELEMETRY_VERSION,
-                **self.meta,
-            },
+        return [
+            self._meta_record(),
             self.manifest().to_record(),
+            *self.tracer.to_records(),
+            *self.metrics.to_records(),
+            *self._cost_trace_records(),
+            *self._events,
         ]
-        out.extend(self.tracer.to_records())
-        out.extend(self.metrics.to_records())
-        for name, trace in sorted(self._traces.items()):
-            out.append({"type": "cost_trace", "name": name, **trace.to_dict()})
-        out.extend(self._events)
-        return out
-
-    def snapshot(self) -> dict[str, Any]:
-        """In-memory dict form: spans, metric values, ledger breakdowns."""
-        return {
-            "meta": dict(self.meta),
-            "spans": self.tracer.to_records(),
-            "metrics": self.metrics.snapshot(),
-            "cost_traces": {
-                name: trace.to_dict() for name, trace in sorted(self._traces.items())
-            },
-            "events": list(self._events),
-        }
 
     def save(self, path: str | Path) -> Path:
-        """Write the session as a JSONL telemetry file."""
-        path = Path(path)
-        with JsonlSink(path) as sink:
-            sink.emit_all(self.records())
-        return path
+        """Write a session that was not streaming as one telemetry file.
+
+        The at-end convenience: the same stream a ``stream_to`` at the
+        start of the run would have produced, minus what other writers
+        would have put on it in between.
+        """
+        stream = self.stream_to(path)
+        for record in self.tracer.to_records():
+            stream.emit(record)
+        for record in self._events:
+            stream.emit(record)
+        return self.close_stream()

@@ -1,24 +1,23 @@
-"""Streaming telemetry: the live bus behind ``repro top``.
+"""The telemetry file: its writer, its readers and the ``repro top`` view.
 
-Two cooperating pieces:
-
-- :class:`TelemetryStream` — an append-only JSONL event stream written
-  incrementally with periodic flush.  The session streams spans, events
-  and snapshots as they happen — one writer, one file — so a crash
-  loses at most the unflushed tail, never the run.
-  :func:`merge_streams` regroups a stream into the
+- :class:`TelemetryStream` — the only writer: an append-only JSONL
+  stream written incrementally with periodic flush, one writer per
+  file, so a crash loses at most the unflushed tail, never the run.
+- :func:`load_records` — the only loader: parses a file
+  (:func:`read_stream`) and regroups it into the
   :meth:`~repro.obs.export.TelemetrySession.records` shape, so
-  ``repro diff`` / ``repro profile`` / ``repro report`` work unchanged
-  on streams.
+  ``repro diff`` / ``profile`` / ``report`` / ``why`` / ``attribute``
+  work on every file.  :class:`StreamFollower` tails a file another
+  process is still writing.
 - The ops view — :func:`build_top_frame` folds a stream's latest
   ``serve_snapshot`` (or final metrics) into the dashboard numbers
   ``repro top`` renders, and :func:`render_prom` emits the same state
   as Prometheus text exposition for scraping.
 
-Readers are deliberately forgiving: a process killed mid-``write`` tears
-the last line of its stream, so :func:`read_stream` and
-:class:`StreamFollower` skip partial/corrupt lines instead of raising
-the way :func:`~repro.obs.export.read_jsonl` does on curated exports.
+The reader rule: every newline-terminated line must decode to a JSON
+object, else ``ValueError`` naming ``path:line``; an unterminated final
+fragment — the only thing a killed single writer can leave — is skipped
+and counted.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import math
 import os
 import re
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 #: Schema version stamped into every stream's ``stream_meta`` header.
 STREAM_VERSION = 1
@@ -56,7 +55,8 @@ class TelemetryStream:
     ``flush_every`` records (``1`` = flush each record), so a follower
     sees progress while the run is live and a crash loses at most the
     unflushed tail.  The first record is always a ``stream_meta`` header
-    identifying the writing process and trace.
+    identifying the writing process and trace.  ``on_record`` is called
+    with each record once it is written (``--follow`` prints from it).
     """
 
     def __init__(
@@ -64,12 +64,14 @@ class TelemetryStream:
         path: str | Path,
         flush_every: int = 20,
         trace_id: str | None = None,
+        on_record: Callable[[dict[str, Any]], None] | None = None,
     ) -> None:
         if flush_every < 1:
             raise ValueError(f"flush_every must be >= 1, got {flush_every}")
         self.path = Path(path)
         self.trace_id = trace_id
         self.flush_every = int(flush_every)
+        self.on_record = on_record
         self.n_records = 0
         self._since_flush = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -84,11 +86,6 @@ class TelemetryStream:
             }
         )
 
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` has run."""
-        return self._handle is None
-
     def emit(self, record: dict[str, Any]) -> None:
         """Append one record, flushing per the stream's cadence."""
         if self._handle is None:
@@ -100,6 +97,8 @@ class TelemetryStream:
         self._since_flush += 1
         if self._since_flush >= self.flush_every:
             self.flush()
+        if self.on_record is not None:
+            self.on_record(record)
 
     def flush(self) -> None:
         """Push buffered records to the file."""
@@ -122,29 +121,34 @@ class TelemetryStream:
 
 
 def read_stream(path: str | Path) -> tuple[list[dict[str, Any]], int]:
-    """Read a stream file, tolerating a torn or corrupt line.
+    """Parse a telemetry file in file order: ``(records, n_skipped)``.
 
-    A process killed mid-write leaves a partial final line; a tolerant
-    reader is what makes the stream crash-tolerant.  Returns
-    ``(records, n_skipped)`` where ``n_skipped`` counts undecodable
-    lines (typically 0 or 1).
+    Every newline-terminated line must decode to a JSON object; one
+    that does not raises ``ValueError`` with its location.  A process
+    killed mid-write leaves a partial final line, so an unterminated
+    fragment that does not decode is skipped and counted in
+    ``n_skipped`` (0 or 1) instead.
     """
+    text = Path(path).read_text(encoding="utf-8", errors="replace")
+    lines = text.split("\n")  # the last item is the unterminated tail
     records: list[dict[str, Any]] = []
     skipped = 0
-    text = Path(path).read_text(encoding="utf-8", errors="replace")
-    for line in text.split("\n"):
+    for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError:
-            skipped += 1
-            continue
-        if isinstance(record, dict):
-            records.append(record)
-        else:
-            skipped += 1
+            if not isinstance(record, dict):
+                raise ValueError("not a JSON object")
+        except ValueError as exc:  # JSONDecodeError included
+            if line_no == len(lines):
+                skipped = 1
+                continue
+            raise ValueError(
+                f"{path}:{line_no}: invalid telemetry record: {exc}"
+            ) from exc
+        records.append(record)
     return records, skipped
 
 
@@ -159,6 +163,8 @@ class StreamFollower:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.records: list[dict[str, Any]] = []
+        #: True once the writer emitted its ``stream_closed`` sentinel.
+        self.closed = False
         self._offset = 0
         self._tail = ""
 
@@ -185,37 +191,29 @@ class StreamFollower:
                 continue
             if isinstance(record, dict):
                 fresh.append(record)
+                if record.get("type") == CLOSED_RECORD_TYPE:
+                    self.closed = True
         self.records.extend(fresh)
         return fresh
 
-    @property
-    def closed(self) -> bool:
-        """True once the writer emitted its ``stream_closed`` sentinel."""
-        return any(
-            r.get("type") == CLOSED_RECORD_TYPE for r in self.records
-        )
-
 
 # ---------------------------------------------------------------------------
-# Regrouping a stream into the export shape
+# Loading a file in the session-records shape
 # ---------------------------------------------------------------------------
 
 
-def merge_streams(path: str | Path) -> list[dict[str, Any]]:
-    """Regroup a live stream into one export.
+def canonical_order(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
+    """Regroup file-order records into the session-records shape.
 
-    Returns records in the canonical session export shape (meta,
-    manifest, spans in id order, metrics, cost traces, events) followed
-    by the stream-only records (snapshots, stream markers), so the
-    existing observatory — ``repro diff``, ``repro profile``,
-    ``repro report`` — consumes a stream exactly like a buffered
-    export.  A torn final line is skipped; if the stream was cut before
-    close, a manifest is synthesized from what survived.
+    Meta, manifest, spans in id order, metrics, cost traces, events —
+    what :meth:`TelemetrySession.records` returns — followed by the
+    stream-only records (snapshots, forensic spans, shard events,
+    stream markers) in file order.  If the stream was cut before close,
+    a manifest is synthesized from what survived.
     """
-    base, _ = read_stream(path)
     grouped: dict[str, list[dict[str, Any]]] = {t: [] for t in _CANONICAL_TYPES}
     passthrough: list[dict[str, Any]] = []
-    for record in base:
+    for record in records:
         grouped.get(record.get("type"), passthrough).append(record)
 
     spans = sorted(
@@ -237,6 +235,16 @@ def merge_streams(path: str | Path) -> list[dict[str, Any]]:
         + grouped["event"]
         + passthrough
     )
+
+
+def load_records(path: str | Path) -> list[dict[str, Any]]:
+    """Load a telemetry file: :func:`read_stream`, regrouped.
+
+    The one loader behind every file-reading view.  A torn final
+    fragment is dropped silently here; callers that want to mention it
+    take the count from :func:`read_stream` themselves.
+    """
+    return canonical_order(read_stream(path)[0])
 
 
 def _synthesize_manifest(
@@ -263,47 +271,11 @@ def _synthesize_manifest(
     return record
 
 
-def is_stream_file(path: str | Path) -> bool:
-    """Does this file start with a ``stream_meta`` header record?
-
-    Only the first line is inspected — stream writers emit the header
-    before anything else, and torn writes only ever affect the tail.
-    """
-    try:
-        with Path(path).open("r", encoding="utf-8", errors="replace") as fh:
-            first = fh.readline().strip()
-    except OSError:
-        return False
-    if not first:
-        return False
-    try:
-        record = json.loads(first)
-    except json.JSONDecodeError:
-        return False
-    return isinstance(record, dict) and record.get("type") == "stream_meta"
-
-
-def load_records(path: str | Path) -> list[dict[str, Any]]:
-    """Load telemetry records from an export *or* a live stream.
-
-    Streams (identified by their ``stream_meta`` header) are regrouped
-    by :func:`merge_streams`, tolerating a torn final line — their
-    writer may have crashed mid-record, by design.  Plain exports are
-    written atomically, so they keep the strict :func:`read_jsonl`
-    contract: corruption raises with the offending line's location.
-    """
-    if is_stream_file(path):
-        return merge_streams(path)
-    from repro.obs.export import read_jsonl
-
-    return read_jsonl(path)
-
-
 def progress_line(record: dict[str, Any]) -> str | None:
-    """One human-readable progress line for a live-stream record.
+    """One human-readable progress line for a telemetry record.
 
-    The ``--follow`` mode of ``repro embed`` / ``repro compare`` tails
-    its own ``--live`` stream and prints these as the run advances:
+    The ``--follow`` mode of ``repro embed`` / ``repro compare`` prints
+    these from its stream's ``on_record`` hook as the run advances:
     completed pipeline stages (coarse spans only — partition spans
     would flood the terminal), shard events from the resilience
     layer, and run-level events.  Returns ``None`` for records that
@@ -393,16 +365,6 @@ def latest_metric_records(
     return []
 
 
-def _counter_value(
-    metric_records: list[dict[str, Any]],
-    name: str,
-    labels: dict[str, str] | None = None,
-) -> float:
-    from repro.obs.observatory.slo import _counter_total
-
-    return _counter_total(metric_records, name, labels)
-
-
 def _label_values(
     metric_records: list[dict[str, Any]], name: str, label: str
 ) -> dict[str, float]:
@@ -429,6 +391,7 @@ def build_top_frame(
     averages.  SLO burn rows appear when ``slo_spec`` is given.
     """
     from repro.obs.observatory.slo import (
+        _counter_total,
         _merged_latency_histogram,
         evaluate_slo,
     )
@@ -443,7 +406,7 @@ def build_top_frame(
     breaker = snapshots[-1]["breaker_state"] if snapshots else "-"
     queue_depth = snapshots[-1]["queue_depth"] if snapshots else 0
 
-    submitted = _counter_value(metric_records, "serve.submitted")
+    submitted = _counter_total(metric_records, "serve.submitted")
     statuses = _label_values(metric_records, "serve.responses", "status")
     responded = sum(statuses.values())
 
@@ -456,12 +419,12 @@ def build_top_frame(
         if dt > 0:
             prev_metrics = list(prev.get("metrics") or [])
             last_metrics = list(last.get("metrics") or [])
-            d_sub = _counter_value(
+            d_sub = _counter_total(
                 last_metrics, "serve.submitted"
-            ) - _counter_value(prev_metrics, "serve.submitted")
-            d_shed = _counter_value(
+            ) - _counter_total(prev_metrics, "serve.submitted")
+            d_shed = _counter_total(
                 last_metrics, "serve.responses", {"status": "shed"}
-            ) - _counter_value(
+            ) - _counter_total(
                 prev_metrics, "serve.responses", {"status": "shed"}
             )
             req_rate = d_sub / dt
@@ -482,9 +445,9 @@ def build_top_frame(
         metric_records, "serve.backend.sim_seconds", "fidelity"
     )
 
-    spmm_calls = _counter_value(metric_records, "spmm.calls")
-    spmm_nnz = _counter_value(metric_records, "spmm.nnz")
-    spmm_kernel_wall = _counter_value(
+    spmm_calls = _counter_total(metric_records, "spmm.calls")
+    spmm_nnz = _counter_total(metric_records, "spmm.nnz")
+    spmm_kernel_wall = _counter_total(
         metric_records, "spmm.kernel_wall_seconds"
     )
     spmm_throughput = (

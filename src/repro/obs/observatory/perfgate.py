@@ -87,17 +87,16 @@ class GateRun:
 
 def run_suite(
     faults_path: str | Path | None = None,
-    live_path: str | Path | None = None,
+    telemetry_path: str | Path | None = None,
 ) -> GateRun:
     """Run the pinned micro-bench suite; returns stages in sim seconds.
 
     ``faults_path`` loads a :class:`~repro.faults.FaultPlan` into the
     run (the chaos hook the acceptance test uses to derate PM bandwidth
-    and watch the gate catch it).  ``live_path`` streams the telemetry
-    incrementally to a JSONL file while the suite runs (the ``repro
-    perf-gate --live`` path CI tails and uploads); the stream is closed
-    before the run returns, so the file is a complete merged-readable
-    export.
+    and watch the gate catch it).  ``telemetry_path`` streams the
+    suite's telemetry to a JSONL file while it runs (``repro perf-gate
+    --telemetry-out``, which CI uploads); the stream is closed before
+    the run returns, so the file is complete.
     """
     import numpy as np
 
@@ -125,8 +124,8 @@ def run_suite(
         "edge_factor": GATE_EDGE_FACTOR,
     }
     session = TelemetrySession(meta=meta)
-    if live_path is not None:
-        session.stream_to(live_path)
+    if telemetry_path is not None:
+        session.stream_to(telemetry_path)
     plan = FaultPlan.load(faults_path) if faults_path else None
 
     config = OMeGaConfig(
@@ -201,8 +200,7 @@ def run_suite(
 
     attribution = extract_attribution_values(session.metrics.to_records())
     session.event("perf_gate_stages", **stages)
-    if session.stream is not None:
-        session.close_stream()
+    session.close_stream()
     return GateRun(session=session, stages=stages, attribution=attribution)
 
 
@@ -311,7 +309,7 @@ def run_perf_gate(
     update_baseline: bool = False,
     faults_path: str | Path | None = None,
     trajectory_path: str | Path | None = None,
-    live_path: str | Path | None = None,
+    telemetry_path: str | Path | None = None,
 ) -> GateReport:
     """Run the suite, gate it, and (on success) extend the trajectory.
 
@@ -321,7 +319,7 @@ def run_perf_gate(
     testing the gate, not for moving the goalposts.
     """
     store = store if store is not None else BaselineStore()
-    run = run_suite(faults_path, live_path=live_path)
+    run = run_suite(faults_path, telemetry_path=telemetry_path)
     report = GateReport(run=run)
     baseline_key = store.resolve(GATE_BASELINE_NAME)
     chaos = faults_path is not None

@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.memsim.trace import SPMM_CATEGORIES, CostTrace
-from repro.obs.export import read_jsonl
 
 
 def _formatters() -> tuple[Callable, Callable]:
@@ -100,12 +99,18 @@ def _span_tree_table(spans: list[dict[str, Any]]) -> str:
     return format_table(["span", "sim", "wall"], rows, title="Pipeline spans")
 
 
-def _hot_span_table(spans: list[dict[str, Any]], top_n: int = 10) -> str:
-    """Top-N spans by simulated self time (the profile aggregator's view)."""
-    from repro.obs.observatory.profile import build_profile, hot_spans
+def hot_span_table(profile: Any, top_n: int, title: str | None = None) -> str:
+    """Top-N profile nodes by simulated self time ("" when none has any).
+
+    ``profile`` is a :func:`~repro.obs.observatory.profile.build_profile`
+    root; ``repro report`` and ``repro profile`` both print this table.
+    """
+    from repro.obs.observatory.profile import hot_spans
 
     format_seconds, format_table = _formatters()
-    nodes = hot_spans(build_profile(spans), top_n=top_n)
+    nodes = hot_spans(profile, top_n=top_n)
+    if not any(node.sim_self > 0.0 or node.wall_self > 0.0 for node in nodes):
+        return ""
     rows = [
         [
             ";".join(node.path[1:]),  # drop the synthetic root
@@ -115,14 +120,11 @@ def _hot_span_table(spans: list[dict[str, Any]], top_n: int = 10) -> str:
             format_seconds(node.wall_self),
         ]
         for node in nodes
-        if node.sim_self > 0.0 or node.wall_self > 0.0
     ]
-    if not rows:
-        return ""
     return format_table(
         ["span path", "calls", "sim self", "sim total", "wall self"],
         rows,
-        title=f"Hot spans (top {len(rows)} by simulated self time)",
+        title=title or f"Hot spans (top {len(rows)} by simulated self time)",
     )
 
 
@@ -221,6 +223,8 @@ def _metric_tables(metrics: list[dict[str, Any]]) -> list[str]:
 
 def render_report(records: list[dict[str, Any]]) -> str:
     """Render the full plain-text report from telemetry records."""
+    from repro.obs.observatory.profile import build_profile
+
     groups = split_records(records)
     sections: list[str] = []
     header_sections = 0
@@ -244,7 +248,7 @@ def render_report(records: list[dict[str, Any]]) -> str:
         header_sections += 1
     if groups["span"]:
         sections.append(_span_tree_table(groups["span"]))
-        hot = _hot_span_table(groups["span"])
+        hot = hot_span_table(build_profile(groups["span"]), top_n=10)
         if hot:
             sections.append(hot)
     sections.extend(_breakdown_tables(merged_cost_trace(records)))
@@ -256,13 +260,24 @@ def render_report(records: list[dict[str, Any]]) -> str:
     return "\n\n".join(sections)
 
 
+def skipped_tail_note(skipped: int) -> str:
+    """What a file view says when :func:`read_stream` skipped a torn tail."""
+    return (
+        f"note: {skipped} unterminated trailing fragment skipped"
+        " (the writer was cut mid-record)"
+    )
+
+
 def render_report_file(path: str | Path) -> str:
     """Load a telemetry JSONL file and render its report.
 
-    Live streams load through :func:`repro.obs.live.load_records`, so a
-    stream that was cut mid-run (torn last line, sibling worker files)
-    still renders instead of raising.
+    A file that was cut mid-run still renders (with a note about the
+    torn tail); corruption anywhere else raises with its location.
     """
-    from repro.obs.live import load_records
+    from repro.obs.live import canonical_order, read_stream
 
-    return render_report(load_records(path))
+    records, skipped = read_stream(path)
+    sections = [render_report(canonical_order(records))]
+    if skipped:
+        sections.append(skipped_tail_note(skipped))
+    return "\n\n".join(sections)

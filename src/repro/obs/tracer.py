@@ -29,7 +29,6 @@ pays only a handful of no-op calls.
 
 from __future__ import annotations
 
-import functools
 import secrets
 import time
 from contextlib import contextmanager
@@ -155,19 +154,6 @@ class SpanTracer:
             self._stack.pop()
             self._finish(entry)
 
-    def trace(self, name: str) -> Callable:
-        """Decorator form of :meth:`span`."""
-
-        def decorator(fn: Callable) -> Callable:
-            @functools.wraps(fn)
-            def wrapper(*args: Any, **kwargs: Any) -> Any:
-                with self.span(name):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorator
-
     def record(
         self,
         name: str,
@@ -214,9 +200,9 @@ class SpanTracer:
     def add_listener(self, listener: Callable[[Span], None]) -> None:
         """Call ``listener(span)`` every time a span finishes.
 
-        This is the streaming hook: a listener can serialize each span
-        to a live :class:`~repro.obs.live.TelemetryStream` the moment it
-        closes instead of waiting for the end-of-run export.
+        This is the streaming hook: the session's listener appends each
+        span to its :class:`~repro.obs.live.TelemetryStream` the moment
+        it closes.
         """
         self._listeners.append(listener)
 
@@ -265,8 +251,8 @@ class NullTracer(SpanTracer):
     provably inert on the null path (``tests/test_obs_tracer.py`` holds
     the contract test that keeps the two surfaces identical):
 
-    - ``advance_sim`` / ``span`` / ``record`` / ``trace`` /
-      ``add_listener`` — overridden, touch nothing;
+    - ``advance_sim`` / ``span`` / ``record`` / ``add_listener`` —
+      overridden, touch nothing;
     - ``sim_cursor`` / ``current_span`` / ``finished`` / ``find`` /
       ``to_records`` / ``reset`` — inherited, but operate on the
       internal state the overrides never mutate, so they always report
@@ -289,14 +275,6 @@ class NullTracer(SpanTracer):
     @contextmanager
     def span(self, name: str, **attributes: Any) -> Iterator[Span]:
         yield self._SPAN
-
-    def trace(self, name: str) -> Callable:
-        """Decorator form; returns the function untouched (zero cost)."""
-
-        def decorator(fn: Callable) -> Callable:
-            return fn
-
-        return decorator
 
     def record(
         self,

@@ -1,9 +1,8 @@
-"""Unit tests for the spectral-filter variants and node2vec walks."""
+"""Unit tests for the spectral-filter variants and the calibration report."""
 
 import numpy as np
 import pytest
 
-from repro.baselines.node2vec import Node2VecWalker, node2vec_embed
 from repro.prone import prone_embed
 from repro.prone.filters import heat_kernel_filter, make_filter, ppr_filter
 from repro.prone.laplacian import add_identity, chebyshev_operator
@@ -105,48 +104,6 @@ class TestFilterRegistry:
         params = ProNEParams(dim=8, spectral_filter="nope")
         with pytest.raises(ValueError, match="spectral_filter"):
             prone_embed(skewed_csdb, params)
-
-
-class TestNode2Vec:
-    def test_walk_follows_edges(self, paper_csr):
-        walker = Node2VecWalker(paper_csr, p=0.5, q=2.0, seed=0)
-        path = walker.walk(0, 25)
-        for u, v in zip(path, path[1:]):
-            assert int(v) in paper_csr.row(int(u))[0].tolist()
-
-    def test_high_p_discourages_backtracking(self, skewed_csr):
-        def backtrack_rate(p):
-            walker = Node2VecWalker(skewed_csr, p=p, q=1.0, seed=0)
-            returns = total = 0
-            for start in range(0, 60):
-                path = walker.walk(start, 12)
-                for a, b, c in zip(path, path[1:], path[2:]):
-                    total += 1
-                    returns += int(a == c)
-            return returns / max(total, 1)
-
-        assert backtrack_rate(10.0) < backtrack_rate(0.1)
-
-    def test_deterministic(self, paper_csr):
-        a = Node2VecWalker(paper_csr, seed=3).walk(1, 10)
-        b = Node2VecWalker(paper_csr, seed=3).walk(1, 10)
-        assert np.array_equal(a, b)
-
-    def test_invalid_pq(self, paper_csr):
-        with pytest.raises(ValueError, match="p and q"):
-            Node2VecWalker(paper_csr, p=0.0)
-
-    def test_corpus(self, paper_csr):
-        corpus = Node2VecWalker(paper_csr, seed=0).build_corpus(2, 8)
-        assert len(corpus) > 0
-        assert all(len(walk) >= 2 for walk in corpus)
-
-    def test_embed_end_to_end(self, skewed_csr):
-        emb = node2vec_embed(
-            skewed_csr, dim=8, walks_per_node=2, walk_length=8, epochs=1
-        )
-        assert emb.shape == (skewed_csr.n_rows, 8)
-        assert np.all(np.isfinite(emb))
 
 
 class TestCalibration:

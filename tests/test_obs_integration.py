@@ -20,8 +20,8 @@ from repro.obs import (
     MetricsRegistry,
     SpanTracer,
     TelemetrySession,
+    load_records,
     merged_cost_trace,
-    read_jsonl,
     render_report,
     spmm_step_breakdown,
     split_records,
@@ -148,7 +148,7 @@ class TestExportAndReport:
     def test_jsonl_round_trip_preserves_breakdown(self, tmp_path, small_edges):
         session, result = instrumented_embed(small_edges)
         path = session.save(tmp_path / "t.jsonl")
-        records = read_jsonl(path)
+        records = load_records(path)
         groups = split_records(records)
         assert groups["meta"][0]["telemetry_version"] == 1
         assert groups["span"] and groups["metric"] and groups["cost_trace"]
@@ -161,7 +161,7 @@ class TestExportAndReport:
     def test_spmm_step_breakdown_matches(self, tmp_path, small_edges):
         session, result = instrumented_embed(small_edges)
         path = session.save(tmp_path / "t.jsonl")
-        breakdown = spmm_step_breakdown(read_jsonl(path))
+        breakdown = spmm_step_breakdown(load_records(path))
         for category in SPMM_CATEGORIES:
             assert breakdown[category] == pytest.approx(
                 result.trace.seconds(category), abs=1e-9
@@ -170,7 +170,7 @@ class TestExportAndReport:
     def test_render_report_contains_tables(self, tmp_path, small_edges):
         session, _ = instrumented_embed(small_edges)
         path = session.save(tmp_path / "t.jsonl")
-        text = render_report(read_jsonl(path))
+        text = render_report(load_records(path))
         assert "SpMM step breakdown" in text
         for category in SPMM_CATEGORIES:
             assert category in text
@@ -187,13 +187,13 @@ class TestExportAndReport:
     def test_empty_file_reports_gracefully(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert "no spans" in render_report(read_jsonl(path))
+        assert "no spans" in render_report(load_records(path))
 
     def test_invalid_jsonl_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("{not json}\n")
         with pytest.raises(ValueError, match="invalid telemetry"):
-            read_jsonl(path)
+            load_records(path)
 
 
 class TestCliTelemetry:
@@ -210,7 +210,7 @@ class TestCliTelemetry:
         assert code == 0
         assert "telemetry written" in capsys.readouterr().out
         # Acceptance: report totals agree with the exported ledger.
-        records = read_jsonl(out)
+        records = load_records(out)
         breakdown = spmm_step_breakdown(records)
         (ledger,) = split_records(records)["cost_trace"]
         for category in SPMM_CATEGORIES:
@@ -236,7 +236,7 @@ class TestCliTelemetry:
             ["spmm", str(graph), "--threads", "2", "--telemetry-out", str(out)]
         )
         assert code == 0
-        names = {s["name"] for s in split_records(read_jsonl(out))["span"]}
+        names = {s["name"] for s in split_records(load_records(out))["span"]}
         assert "spmm" in names
 
 

@@ -233,7 +233,7 @@ class TestTopView:
                 "2",
                 "--dim",
                 "8",
-                "--live",
+                "--telemetry-out",
                 str(stream),
             ]
         )

@@ -59,17 +59,6 @@ class TestSpanBasics:
 
 
 class TestDecoratorAndRecord:
-    def test_decorator(self):
-        tracer = SpanTracer()
-
-        @tracer.trace("fn")
-        def fn(x):
-            tracer.advance_sim(1.0)
-            return x + 1
-
-        assert fn(1) == 2
-        assert tracer.find("fn")[0].sim_seconds == pytest.approx(1.0)
-
     def test_record_does_not_advance_cursor(self):
         tracer = SpanTracer()
         tracer.record("summary", sim_seconds=5.0, nbytes=10)
@@ -185,15 +174,6 @@ class TestNullTracer:
         assert tracer.sim_cursor == 0.0
         tracer.reset()  # must not raise, even after 'open' spans
         assert tracer.to_records() == []
-
-    def test_null_trace_decorator_returns_fn_unchanged(self):
-        tracer = NullTracer()
-
-        def fn(x):
-            return x * 2
-
-        assert tracer.trace("fn")(fn) is fn
-        assert fn(3) == 6
 
     def test_null_span_set_is_noop(self):
         tracer = NullTracer()
