@@ -2,15 +2,17 @@
 
 The paper (§II-B) uses PM in App-directed mode, where applications get
 byte-addressable persistence through flush/fence ordering.  This example
-shows both recovery granularities built on that discipline:
+crashes a checkpointed run at both kinds of boundary that discipline
+has, and recovers from each:
 
-1. *whole-run shadow commits* — an injected crash mid-checkpoint never
-   loses the previous version, and the computed result survives in
-   memory so only the commit needs retrying;
-2. *stage-granular WAL checkpoints* — a seeded fault plan crashes the
-   pipeline right after factorization; ``resume()`` recovers the durable
-   stages, redoes only the propagation, and the final embedding is
-   bit-identical to an uninterrupted run.
+1. *inside a commit* — a crash between a stage's flush and its
+   commit-record flip loses that one WAL record and nothing else: the
+   embedding committed by the previous run is still what the store
+   recovers, and ``resume()`` redoes only the lost stage;
+2. *between stages* — a seeded fault plan crashes the pipeline right
+   after factorization; ``resume()`` recovers the durable stages, redoes
+   only the propagation, and the final embedding is bit-identical to an
+   uninterrupted run.
 
 Run:  python examples/crash_safe_checkpointing.py
 """
@@ -26,7 +28,7 @@ from repro import (
     OMeGaEmbedder,
     load_dataset,
 )
-from repro.memsim import CheckpointedEmbedder, CrashInjected
+from repro.memsim import CheckpointedEmbedder
 from repro.obs import MetricsRegistry
 
 
@@ -35,47 +37,55 @@ def main() -> None:
     config = OMeGaConfig(n_threads=8, dim=16, capacity_scale=dataset.scale)
     checkpointed = CheckpointedEmbedder(OMeGaEmbedder(config))
 
-    # -- whole-run shadow commits ------------------------------------------
+    # -- a crash inside a commit --------------------------------------------
 
-    result, checkpoint_seconds = checkpointed.embed_and_checkpoint(
+    result = checkpointed.embed_with_checkpoints(
         dataset.edges, dataset.n_nodes
     )
     print(
         f"1. Embedded {dataset.n_nodes:,} nodes in"
         f" {result.sim_seconds * 1e3:.2f} ms simulated;"
-        f" durable checkpoint took {checkpoint_seconds * 1e6:.1f} us"
+        f" {len(checkpointed.wal.stages)} stage checkpoints and the final"
+        f" commit took {checkpointed.checkpoint_sim_seconds * 1e6:.1f} us"
         f" ({checkpointed.domain.fences} fences,"
         f" {checkpointed.domain.durable_bytes / 1024:.0f} KiB flushed)"
     )
 
-    # A crash between the shadow flush and the commit-record flip loses
-    # neither the previous durable version nor the computed result.
-    try:
-        checkpointed.embed_and_checkpoint(
-            dataset.edges, dataset.n_nodes, crash=True
+    # A second run crashes between the last stage's flush and its
+    # commit-record flip: that record is lost, the previous run's
+    # committed embedding is not.
+    torn_commit = FaultInjector(
+        FaultPlan(
+            events=(
+                FaultEvent("crash", "propagation", phase="before_commit"),
+            )
         )
-    except CrashInjected:
-        print("2. Crash injected during the second checkpoint!")
+    )
+    try:
+        checkpointed.embed_with_checkpoints(
+            dataset.edges, dataset.n_nodes, faults=torn_commit
+        )
+    except InjectedCrash as crash:
+        print(f"2. Crash injected during the {crash.site!r} checkpoint!")
 
-    recovered = checkpointed.recover_embedding()
-    intact = np.array_equal(recovered, result.embedding)
+    intact = np.array_equal(checkpointed.recover_embedding(), result.embedding)
     print(
         f"3. After restart the store recovers checkpoint"
         f" #{checkpointed.store.committed_sequence} — previous embedding"
-        f" {'intact' if intact else 'LOST'}"
+        f" {'intact' if intact else 'LOST'};"
+        f" durable stages of the crashed run: {checkpointed.wal.stages}"
     )
     assert intact
 
-    # The second run's result survived the crash in memory, so only the
-    # commit is retried — no re-embedding.
-    retried, retry_seconds = checkpointed.retry_checkpoint()
+    # Only the stage whose record was lost is redone.
+    redone = checkpointed.resume(faults=torn_commit)
+    assert np.array_equal(redone.embedding, result.embedding)
     print(
-        f"4. Retried the failed commit alone in"
-        f" {retry_seconds * 1e6:.1f} us — no recompute"
+        f"4. Resume redid the lost stage alone"
         f" (now at checkpoint #{checkpointed.store.committed_sequence})"
     )
 
-    # -- stage-granular WAL checkpoints ------------------------------------
+    # -- a crash between stages ---------------------------------------------
 
     plan = FaultPlan(
         events=(FaultEvent("crash", "factorization"),), seed=11

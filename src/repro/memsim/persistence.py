@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -222,8 +223,8 @@ class StageCheckpointStore:
 
     Every record carries a CRC32 over its payload
     (:func:`record_checksum`); readers that must not trust the media
-    (:class:`repro.shard.ShardHost` recovery) verify before use and walk
-    back past damaged records.
+    (:class:`repro.shard.ShardHost` recovery) ask for
+    :meth:`last_verified`, which walks back past damaged records.
     """
 
     def __init__(self, domain: PersistenceDomain) -> None:
@@ -293,6 +294,24 @@ class StageCheckpointStore:
         """Drop a damaged record from the log (it never serves again)."""
         self._records = [r for r in self._records if r is not record]
 
+    def last_verified(
+        self, on_quarantine: Callable[[StageRecord], None] | None = None
+    ) -> StageRecord | None:
+        """Newest record whose CRC verifies, quarantining those that fail.
+
+        Records are walked newest-to-oldest, each verified against its
+        commit-time checksum; a damaged one is dropped from the log and
+        reported through ``on_quarantine`` instead of being served.
+        ``None`` when no record verifies (or the log is empty).
+        """
+        for record in reversed(self._records):
+            if self.verify(record):
+                return record
+            self.quarantine(record)
+            if on_quarantine is not None:
+                on_quarantine(record)
+        return None
+
     def damage_last(self, mode: str = "corrupt") -> StageRecord | None:
         """Simulate media damage on the newest record (fault injection).
 
@@ -337,19 +356,14 @@ class StageCheckpointStore:
 class CheckpointedEmbedder:
     """Embedding pipeline wrapper with crash-safe PM checkpoints.
 
-    Wraps an :class:`repro.core.embedding.OMeGaEmbedder` two ways:
-
-    - :meth:`embed_and_checkpoint` — the original whole-run protocol:
-      run the pipeline, then shadow-commit the embedding.  The computed
-      result is kept in memory even when the commit crashes, so
-      :meth:`retry_checkpoint` can redo the commit alone instead of
-      forcing a full re-embed;
-    - :meth:`embed_with_checkpoints` / :meth:`resume` — stage-granular
-      WAL checkpoints (after graph read, factorization and propagation).
-      An injected crash loses at most one stage; ``resume()`` recovers
-      the last durable stage, skips the completed work, and produces an
-      embedding bit-identical to an uninterrupted run.  Recovered
-      simulated seconds are reported via the ``checkpoint.*`` metrics.
+    Wraps an :class:`repro.core.embedding.OMeGaEmbedder`:
+    :meth:`embed_with_checkpoints` / :meth:`resume` cut stage-granular
+    WAL checkpoints (after graph read, factorization and propagation)
+    and shadow-commit the finished embedding.  An injected crash loses
+    at most one stage; ``resume()`` recovers the last durable stage,
+    skips the completed work, and produces an embedding bit-identical
+    to an uninterrupted run.  Recovered simulated seconds are reported
+    via the ``checkpoint.*`` metrics.
     """
 
     def __init__(self, embedder, domain: PersistenceDomain | None = None) -> None:
@@ -359,50 +373,11 @@ class CheckpointedEmbedder:
         self.domain = domain or PersistenceDomain(device=pm_spec())
         self.store = ShadowCommit(self.domain)
         self.wal = StageCheckpointStore(self.domain)
-        self._last_result = None
         self._pending_graph: tuple[np.ndarray, int] | None = None
-
-    # -- whole-run protocol -------------------------------------------------
-
-    def embed_and_checkpoint(
-        self, edges: np.ndarray, n_nodes: int, crash: bool = False
-    ):
-        """Run the pipeline and durably commit its embedding.
-
-        Returns (EmbeddingResult, checkpoint_seconds).  The in-memory
-        result survives a commit crash — recover it via
-        :attr:`last_result` or redo the commit with
-        :meth:`retry_checkpoint` instead of re-embedding.
-        """
-        result = self.embedder.embed_edges(edges, n_nodes)
-        self._last_result = result
-        before = self.domain.sim_seconds
-        self.store.commit(result.embedding, crash=crash)
-        return result, self.domain.sim_seconds - before
-
-    def retry_checkpoint(self):
-        """Re-commit the last computed embedding without re-embedding.
-
-        Returns (EmbeddingResult, checkpoint_seconds).
-        """
-        if self._last_result is None:
-            raise RuntimeError(
-                "no embedding computed yet; run embed_and_checkpoint first"
-            )
-        before = self.domain.sim_seconds
-        self.store.commit(self._last_result.embedding)
-        return self._last_result, self.domain.sim_seconds - before
-
-    @property
-    def last_result(self):
-        """The most recently computed result (kept across commit crashes)."""
-        return self._last_result
 
     def recover_embedding(self) -> np.ndarray | None:
         """The last durably committed embedding (survives crashes)."""
         return self.store.recover()
-
-    # -- stage-granular protocol --------------------------------------------
 
     def embed_with_checkpoints(
         self,
@@ -492,7 +467,6 @@ class CheckpointedEmbedder:
                     run.abort()
                     raise InjectedCrash(stage)
             result = run.finish()
-            self._last_result = result
             self.store.commit(result.embedding)
         finally:
             self.embedder.metrics.counter("checkpoint.sim_seconds").inc(

@@ -119,8 +119,8 @@ class ShardedEmbeddingBackend(EmbeddingBackend):
     def _measure_placement(self, degrees: np.ndarray) -> dict:
         """Real shard placement vs the DistDGL / DistGER cost models.
 
-        The store's actual node->shard assignment (entropy-aware ranges
-        or the consistent-hash ring) is scored with the same balance and
+        The store's actual node->shard assignment (its contiguous,
+        entropy-aware ranges) is scored with the same balance and
         edge-cut measures as two simulated baselines: DistDGL-style
         random hashing (``hash_partition``) and DistGER-style
         workload-balanced chunking (``balanced_edge_partition``).

@@ -1,13 +1,13 @@
 """repro.shard — fault-tolerant multi-process sharded embedding store.
 
-The embedding table is partitioned into entropy-aware contiguous
-ranges (or a consistent-hash ring), each served by a real shard process
-over shared memory and journaled into a CRC-checksummed WAL checkpoint
-store; a supervisor promotes warm replicas or restarts crashed shards
-from their newest *verified* checkpoint, re-checkpoints stale shards in
-the background to bound staleness, elastically splits hot shards
-online, and the scatter-gather front hedges failed shards through
-replicas and the stale-checkpoint tier instead of failing whole
+The embedding table is partitioned into contiguous node ranges
+(entropy-aware when degrees are known), each served by a real shard
+process over shared memory and journaled into a CRC-checksummed WAL
+checkpoint store; a supervisor promotes warm replicas or restarts
+crashed shards from their newest *verified* checkpoint, re-checkpoints
+stale shards in the background to bound staleness, elastically splits
+hot shards online, and the scatter-gather front hedges failed shards
+through replicas and the stale-checkpoint tier instead of failing whole
 requests.
 """
 
@@ -16,11 +16,10 @@ from repro.shard.errors import (
     PartialResultError,
     ShardCrashError,
     ShardError,
-    ShardHungError,
     ShardTimeoutError,
 )
+from repro.shard.host import ShardHost
 from repro.shard.ranges import (
-    HashRoutingTable,
     ShardRoutingTable,
     entropy_aware_node_ranges,
     uniform_node_ranges,
@@ -32,7 +31,6 @@ from repro.shard.store import (
     STATUS_REPLICA,
     STATUS_STALE,
     EmbeddingShardManager,
-    ShardHost,
     ShardLookupResult,
     ShardPolicy,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "CheckpointCorruptionError",
     "DEFAULT_RESTART_BACKOFF",
     "EmbeddingShardManager",
-    "HashRoutingTable",
     "Incident",
     "PartialResultError",
     "STATUS_FRESH",
@@ -58,7 +55,6 @@ __all__ = [
     "ShardCrashError",
     "ShardError",
     "ShardHost",
-    "ShardHungError",
     "ShardLookupResult",
     "ShardPolicy",
     "ShardRoutingTable",

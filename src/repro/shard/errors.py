@@ -2,10 +2,10 @@
 
 Shard faults are expected events, so every failure mode carries a
 precise type the callers dispatch on: the supervisor reacts to
-:class:`ShardCrashError` / :class:`ShardHungError` by restarting the
-shard from its checkpoint, and the scatter-gather path converts them
-into hedged reads — surfacing :class:`PartialResultError` only when even
-the stale-checkpoint tier cannot cover a range.
+:class:`ShardCrashError` / :class:`ShardTimeoutError` by repairing the
+shard, and the scatter-gather path converts them into hedged reads —
+surfacing :class:`PartialResultError` only when even the
+stale-checkpoint tier cannot cover a range.
 """
 
 from __future__ import annotations
@@ -39,17 +39,6 @@ class CheckpointCorruptionError(ShardCrashError):
             f"no verified checkpoint ({quarantined} quarantined)",
         )
         self.quarantined = quarantined
-
-
-class ShardHungError(ShardError):
-    """A shard process is alive but stopped making progress."""
-
-    def __init__(self, shard_id: int, stale_for_s: float) -> None:
-        super().__init__(
-            f"shard {shard_id} hung: heartbeat stale for {stale_for_s:.2f}s"
-        )
-        self.shard_id = shard_id
-        self.stale_for_s = stale_for_s
 
 
 class ShardTimeoutError(ShardError):

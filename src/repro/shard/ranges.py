@@ -14,7 +14,6 @@ the way EaTA equalizes per-thread completion times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -79,39 +78,13 @@ def uniform_node_ranges(n_nodes: int, n_shards: int) -> list[tuple[int, int]]:
     ]
 
 
-def _group_by_owner(
-    owners: np.ndarray, node_ids: np.ndarray
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """``{shard: (positions, node_ids)}`` from each id's owning shard.
-
-    Shards ascend, positions ascend within a shard, and an empty
-    request gives ``{}``.  One stable sort of ``owners`` and a cut at
-    every change of owner; a request owned by a single shard (always,
-    with one shard; usually, for a small request on large ranges) skips
-    the sort and is handed back as it came.
-    """
-    if len(node_ids) == 0:
-        return {}
-    first = owners[0]
-    if (owners == first).all():
-        return {int(first): (np.arange(len(node_ids)), node_ids)}
-    order = np.argsort(owners, kind="stable")
-    sorted_owners = owners[order]
-    sorted_ids = node_ids[order]
-    cuts = np.flatnonzero(sorted_owners[1:] != sorted_owners[:-1]) + 1
-    bounds = [0, *cuts.tolist(), len(order)]
-    return {
-        int(sorted_owners[start]): (order[start:end], sorted_ids[start:end])
-        for start, end in zip(bounds[:-1], bounds[1:])
-    }
-
-
 @dataclass(frozen=True)
 class ShardRoutingTable:
     """Maps node ids onto contiguous shard ranges.
 
-    Immutable and JSON-serializable, so the table travels with run
-    manifests and fault plans; lookups are vectorized binary searches.
+    Immutable: a reshard builds a new table (:meth:`split_range`,
+    :meth:`merge_ranges`) and swaps it in.  Lookups are vectorized
+    binary searches.
     """
 
     ranges: tuple[tuple[int, int], ...]
@@ -130,8 +103,8 @@ class ShardRoutingTable:
             cursor = end
         object.__setattr__(self, "ranges", ranges)
         # Range ends, for shard_of's binary search.  Derived from
-        # ``ranges`` and not a dataclass field, so equality, repr and
-        # the JSON form are those of ``ranges`` alone.
+        # ``ranges`` and not a dataclass field, so equality and repr
+        # are those of ``ranges`` alone.
         object.__setattr__(
             self,
             "_boundaries",
@@ -165,9 +138,28 @@ class ShardRoutingTable:
 
         ``positions`` index back into the original request order, so
         gathered rows scatter straight into the caller's output buffer.
+        Shards ascend, positions ascend within a shard, and an empty
+        request gives ``{}``.  One stable sort of the owners and a cut
+        at every change of owner; a request owned by a single shard
+        (always, with one shard; usually, for a small request on large
+        ranges) skips the sort and is handed back as it came.
         """
         node_ids = np.asarray(node_ids, dtype=np.int64)
-        return _group_by_owner(self.shard_of(node_ids), node_ids)
+        if len(node_ids) == 0:
+            return {}
+        owners = self.shard_of(node_ids)
+        first = owners[0]
+        if (owners == first).all():
+            return {int(first): (np.arange(len(node_ids)), node_ids)}
+        order = np.argsort(owners, kind="stable")
+        sorted_owners = owners[order]
+        sorted_ids = node_ids[order]
+        cuts = np.flatnonzero(sorted_owners[1:] != sorted_owners[:-1]) + 1
+        bounds = [0, *cuts.tolist(), len(order)]
+        return {
+            int(sorted_owners[lo]): (order[lo:hi], sorted_ids[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        }
 
     def range_summaries(self) -> list[list[int]]:
         """Display form of per-shard ownership: ``[[start, end], ...]``."""
@@ -193,130 +185,3 @@ class ShardRoutingTable:
             (self.ranges[shard][0], self.ranges[shard + 1][1])
         ]
         return ShardRoutingTable(ranges=tuple(ranges))
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form."""
-        return {"kind": "range", "ranges": [list(r) for r in self.ranges]}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ShardRoutingTable":
-        """Rebuild a table from :meth:`to_dict` output."""
-        return cls(
-            ranges=tuple(tuple(r) for r in payload.get("ranges", []))
-        )
-
-
-def _splitmix64(values: np.ndarray) -> np.ndarray:
-    """Deterministic 64-bit mix (splitmix64 finalizer), vectorized."""
-    with np.errstate(over="ignore"):
-        z = values.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
-
-
-@dataclass(frozen=True)
-class HashRoutingTable:
-    """Consistent-hash routing: node ids onto a virtual-node ring.
-
-    The alternative to contiguous ranges: each shard owns ``vnodes``
-    points on a 64-bit ring, and a node id belongs to the shard owning
-    the first ring point at or after its hash.  Ownership is scattered
-    — immune to contiguous hot ranges — and adding or removing a shard
-    moves only ~``1/n_shards`` of the keys, which is the property
-    elastic membership wants.  Same protocol surface as
-    :class:`ShardRoutingTable` (``shard_of`` / ``split`` /
-    ``range_summaries`` / ``to_dict``), so the store can swap either in.
-    """
-
-    n_nodes: int
-    n_shards: int
-    vnodes: int = 64
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_nodes < 0:
-            raise ValueError(f"n_nodes must be >= 0, got {self.n_nodes}")
-        if self.n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {self.n_shards}")
-        if self.vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {self.vnodes}")
-        # Double-mixed so ring points never coincide with key hashes
-        # (both start from small integers; one shared round would pin
-        # node i to vnode i and collapse the ring back to ranges).
-        seed_mix = (self.seed * 0x51_7C_C1B7_2722_0A95) & 0xFFFF_FFFF_FFFF_FFFF
-        points = _splitmix64(
-            _splitmix64(
-                np.arange(self.n_shards * self.vnodes, dtype=np.uint64)
-                + np.uint64(seed_mix)
-            )
-        )
-        order = np.argsort(points, kind="stable")
-        object.__setattr__(self, "_ring_points", points[order])
-        object.__setattr__(
-            self,
-            "_ring_owners",
-            (
-                np.arange(self.n_shards * self.vnodes, dtype=np.int64)
-                // self.vnodes
-            )[order],
-        )
-
-    def shard_of(self, node_ids: np.ndarray) -> np.ndarray:
-        """Owning shard of every node id (vectorized ring walk)."""
-        node_ids = np.asarray(node_ids, dtype=np.int64)
-        if len(node_ids) and (
-            node_ids.min() < 0 or node_ids.max() >= self.n_nodes
-        ):
-            raise ValueError(
-                f"node ids outside [0, {self.n_nodes}):"
-                f" [{node_ids.min()}, {node_ids.max()}]"
-            )
-        hashes = _splitmix64(node_ids.astype(np.uint64))
-        ring = getattr(self, "_ring_points")
-        owners = getattr(self, "_ring_owners")
-        slots = np.searchsorted(ring, hashes, side="left") % len(ring)
-        return owners[slots]
-
-    def split(
-        self, node_ids: np.ndarray
-    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Group a lookup by shard: ``{shard: (positions, node_ids)}``."""
-        node_ids = np.asarray(node_ids, dtype=np.int64)
-        return _group_by_owner(self.shard_of(node_ids), node_ids)
-
-    def members(self, shard: int) -> np.ndarray:
-        """Sorted node ids a shard owns (materialized ownership)."""
-        all_ids = np.arange(self.n_nodes, dtype=np.int64)
-        return all_ids[self.shard_of(all_ids) == shard]
-
-    def range_summaries(self) -> list[list[int]]:
-        """Display form: each shard's ``[min_id, max_id + 1]`` envelope."""
-        out: list[list[int]] = []
-        for shard in range(self.n_shards):
-            ids = self.members(shard)
-            if len(ids):
-                out.append([int(ids[0]), int(ids[-1]) + 1])
-            else:
-                out.append([0, 0])
-        return out
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form."""
-        return {
-            "kind": "hash",
-            "n_nodes": self.n_nodes,
-            "n_shards": self.n_shards,
-            "vnodes": self.vnodes,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "HashRoutingTable":
-        """Rebuild a table from :meth:`to_dict` output."""
-        return cls(
-            n_nodes=int(payload["n_nodes"]),
-            n_shards=int(payload["n_shards"]),
-            vnodes=int(payload.get("vnodes", 64)),
-            seed=int(payload.get("seed", 0)),
-        )

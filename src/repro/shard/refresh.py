@@ -12,7 +12,7 @@ independently — the moment a shard's version lag reaches
 
 A refresh replays the manager's authoritative rows into the shard
 segment and cuts a fresh WAL checkpoint
-(:meth:`~repro.shard.store.ShardHost.catch_up`), so it also heals
+(:meth:`~repro.shard.host.ShardHost.catch_up`), so it also heals
 shards that restarted stale, without anyone calling ``catch_up``
 explicitly.  Every refresh is billed to the simulated clock (the PM
 flush/fence cost of the checkpoint, accumulated in
@@ -31,7 +31,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.shard.store import EmbeddingShardManager, ShardHost
+    from repro.shard.host import ShardHost
+    from repro.shard.store import EmbeddingShardManager
 
 
 class BackgroundCheckpointer:
@@ -63,8 +64,8 @@ class BackgroundCheckpointer:
         )
         return max(self.manager.version - checkpointed, 0)
 
-    def tick(self, seq: int) -> list[int]:
-        """One request-loop tick; returns the shard ids refreshed.
+    def tick(self, seq: int) -> float:
+        """One request-loop tick; returns the simulated seconds it billed.
 
         A shard is due when its staggered cadence slot comes up
         (``(seq + stagger) % checkpoint_interval == 0`` — shards
@@ -77,7 +78,7 @@ class BackgroundCheckpointer:
         interval = policy.checkpoint_interval
         bound = policy.staleness_bound
         n_shards = max(len(self.manager.hosts), 1)
-        refreshed: list[int] = []
+        before = self.sim_refresh_seconds
         worst = 0
         for shard_id, host in enumerate(self.manager.hosts):
             if host.abandoned:
@@ -92,14 +93,13 @@ class BackgroundCheckpointer:
                 due = True
             if due and lag > 0:
                 self._refresh(shard_id, host, lag)
-                refreshed.append(shard_id)
         self.max_observed_staleness = max(
             self.max_observed_staleness, worst
         )
         self.metrics.gauge("shard.staleness_max").set(
             float(self.max_observed_staleness)
         )
-        return refreshed
+        return self.sim_refresh_seconds - before
 
     def _refresh(self, shard_id: int, host: "ShardHost", lag: int) -> None:
         before = host.domain.sim_seconds

@@ -1,6 +1,6 @@
 """The shard supervision tree: health checks, restarts, backoff.
 
-:class:`ShardSupervisor` watches every :class:`~repro.shard.store.ShardHost`
+:class:`ShardSupervisor` watches every :class:`~repro.shard.host.ShardHost`
 two ways:
 
 - **Reactively** — the manager's scatter-gather path reports each typed
@@ -16,10 +16,10 @@ two ways:
 Repair prefers **promotion over replay**: when the shard has a live
 replica tracking the table version (a warm standby on the same shared
 segment), the supervisor promotes it to primary
-(:meth:`~repro.shard.store.ShardHost.promote_replica`) — zero WAL
+(:meth:`~repro.shard.host.ShardHost.promote_replica`) — zero WAL
 replay, zero lost versions, simulated downtime of one hedge penalty.
 Only when no fresh replica survives does it fall back to a WAL restart
-(:meth:`~repro.shard.store.ShardHost.restart`), which restores the
+(:meth:`~repro.shard.host.ShardHost.restart`), which restores the
 newest *CRC-verified* checkpoint and reopens **bounded-stale**: at most
 ``table_version - checkpoint_version`` updates behind, a bound the
 supervisor reports per incident.  Restarts are budgeted
@@ -44,12 +44,9 @@ from typing import Any
 
 from repro.core.asl import RetryPolicy
 from repro.obs.metrics import MetricsRegistry
-from repro.shard.errors import (
-    ShardCrashError,
-    ShardHungError,
-    ShardTimeoutError,
-)
-from repro.shard.store import EmbeddingShardManager, ShardHost
+from repro.shard.errors import ShardCrashError
+from repro.shard.host import ShardHost
+from repro.shard.store import EmbeddingShardManager
 
 #: Default restart backoff: full jitter, seeded, ~1 ms base.
 DEFAULT_RESTART_BACKOFF = RetryPolicy(
@@ -167,12 +164,7 @@ class ShardSupervisor:
 
     def note_failure(self, shard_id: int, exc: Exception) -> None:
         """Repair a shard the scatter-gather path just saw fail."""
-        if isinstance(exc, ShardCrashError):
-            reason = "crash"
-        elif isinstance(exc, (ShardTimeoutError, ShardHungError)):
-            reason = "hang"
-        else:  # pragma: no cover - future failure types
-            reason = "unknown"
+        reason = "crash" if isinstance(exc, ShardCrashError) else "hang"
         self._repair(self.manager.hosts[shard_id], reason)
 
     # -- proactive path --------------------------------------------------
@@ -230,7 +222,8 @@ class ShardSupervisor:
             self._beats.clear()
             self._reshard_epoch = manager.reshard_epoch
         if manager.migrating:
-            if manager.maybe_advance_migration():
+            if manager.migration_ready():
+                manager.finish_migration()
                 self._beats.clear()
                 self._reshard_epoch = manager.reshard_epoch
             return
@@ -239,8 +232,6 @@ class ShardSupervisor:
             return
         if manager.lookup_seq < policy.reshard_min_lookups:
             return
-        if not hasattr(manager.routing, "ranges"):
-            return  # hash routing: ownership is already scattered
         if manager.load_imbalance() < policy.reshard_imbalance:
             return
         served = manager.rows_served

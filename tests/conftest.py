@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import glob
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -76,3 +80,27 @@ def small_config() -> OMeGaConfig:
 def rng() -> np.random.Generator:
     """Deterministic RNG for test inputs."""
     return np.random.default_rng(42)
+
+
+def _shard_leftovers() -> tuple[set, set]:
+    """(child pids, this process's shard segments) alive right now."""
+    return (
+        {child.pid for child in multiprocessing.active_children()},
+        set(glob.glob(f"/dev/shm/shard-{os.getpid()}-*")),
+    )
+
+
+@pytest.fixture
+def no_shard_leftovers():
+    """No shard worker or segment outlives the test that made it.
+
+    The shard test modules opt in with ``pytestmark``, so every
+    lifecycle path they drive — crash, restart, promote, split, merge,
+    failed start — is checked, not only the scenarios
+    ``test_shard_transport.py`` lists.
+    """
+    children, segments = _shard_leftovers()
+    yield
+    left_children, left_segments = _shard_leftovers()
+    assert left_children <= children, "a worker process outlived the test"
+    assert left_segments <= segments, "a shard segment outlived the test"

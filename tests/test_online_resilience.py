@@ -1,7 +1,7 @@
 """Tests for the online-resilience layer of the sharded store.
 
-Covers the consistent-hash routing table, CRC-checksummed WAL records
-and verified walk-back recovery (quarantine, total-corruption
+Covers range-table edits, CRC-checksummed WAL records and verified
+walk-back recovery (quarantine, total-corruption
 abandonment), replica promotion (reactive, proactive, racing the
 background checkpointer), the elastic reshard protocol (dual-route
 split/merge, supervisor-driven splits, atomic swap + renumbering), the
@@ -36,7 +36,6 @@ from repro.obs.observatory.slo import (
 from repro.shard import (
     CheckpointCorruptionError,
     EmbeddingShardManager,
-    HashRoutingTable,
     PartialResultError,
     ShardCrashError,
     ShardPolicy,
@@ -44,6 +43,8 @@ from repro.shard import (
     ShardSupervisor,
     SupervisorPolicy,
 )
+
+pytestmark = pytest.mark.usefixtures("no_shard_leftovers")
 
 N_NODES = 64
 DIM = 4
@@ -98,71 +99,12 @@ def _wait_migration_ready(manager, timeout_s: float = 3.0) -> bool:
     return False
 
 
-# -- consistent-hash routing ----------------------------------------------
-
-
-class TestHashRouting:
-    def test_covers_every_node_and_balances(self):
-        routing = HashRoutingTable(n_nodes=4000, n_shards=4)
-        owners = routing.shard_of(np.arange(4000))
-        counts = np.bincount(owners, minlength=4)
-        assert counts.sum() == 4000
-        assert counts.min() > 0
-        # Scattered ownership, not a collapsed ring: every shard holds
-        # a non-trivial share.
-        assert counts.max() / counts.min() < 3.0
-
-    def test_deterministic_and_seed_sensitive(self):
-        a = HashRoutingTable(n_nodes=500, n_shards=3)
-        b = HashRoutingTable(n_nodes=500, n_shards=3)
-        ids = np.arange(500)
-        assert np.array_equal(a.shard_of(ids), b.shard_of(ids))
-        c = HashRoutingTable(n_nodes=500, n_shards=3, seed=1)
-        assert not np.array_equal(a.shard_of(ids), c.shard_of(ids))
-
-    def test_members_partition_the_id_space(self):
-        routing = HashRoutingTable(n_nodes=300, n_shards=3)
-        members = [routing.members(s) for s in range(3)]
-        merged = np.sort(np.concatenate(members))
-        assert np.array_equal(merged, np.arange(300))
-
-    def test_split_positions_roundtrip(self):
-        routing = HashRoutingTable(n_nodes=200, n_shards=4)
-        ids = np.random.default_rng(3).integers(0, 200, size=40)
-        out = np.empty(40, dtype=np.int64)
-        for _, (positions, shard_ids) in routing.split(ids).items():
-            out[positions] = shard_ids
-        assert np.array_equal(out, ids)
-
-    def test_serialization_roundtrip(self):
-        routing = HashRoutingTable(n_nodes=100, n_shards=2, vnodes=16, seed=5)
-        payload = routing.to_dict()
-        assert payload["kind"] == "hash"
-        rebuilt = HashRoutingTable.from_dict(payload)
-        ids = np.arange(100)
-        assert np.array_equal(routing.shard_of(ids), rebuilt.shard_of(ids))
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="n_shards"):
-            HashRoutingTable(n_nodes=10, n_shards=0)
-        with pytest.raises(ValueError, match="vnodes"):
-            HashRoutingTable(n_nodes=10, n_shards=1, vnodes=0)
-        routing = HashRoutingTable(n_nodes=10, n_shards=2)
-        with pytest.raises(ValueError, match="outside"):
-            routing.shard_of(np.array([10]))
-
-    def test_range_summaries_shape(self):
-        routing = HashRoutingTable(n_nodes=100, n_shards=2)
-        summaries = routing.range_summaries()
-        assert len(summaries) == 2
-        for lo, hi in summaries:
-            assert 0 <= lo <= hi <= 100
+# -- range-table edits ---------------------------------------------------
 
 
 class TestRangeTableEdits:
     def test_split_and_merge_roundtrip(self):
         routing = ShardRoutingTable(ranges=((0, 10), (10, 20)))
-        assert routing.to_dict()["kind"] == "range"
         split = routing.split_range(0, 5)
         assert split.ranges == ((0, 5), (5, 10), (10, 20))
         merged = split.merge_ranges(0)
@@ -449,11 +391,22 @@ class TestElasticReshard:
             result = manager.lookup(np.arange(N_NODES))
             assert np.array_equal(result.rows, manager.table)
 
-    def test_split_rejected_on_hash_routing(self):
-        manager = _manager(partition="hash")
+    @pytest.mark.parametrize("rows", [(31, 10), (30, 10)])
+    def test_served_rows_conserved_across_split_and_merge(self, rows):
+        manager = _manager()
         with manager:
-            with pytest.raises(ValueError, match="consistent-hash"):
-                manager.begin_split(0)
+            for shard, count in enumerate(rows):
+                lo, _ = manager.routing.ranges[shard]
+                manager.lookup(np.arange(lo, lo + count))
+            assert manager.rows_served == list(rows)
+            manager.begin_split(0)
+            manager.finish_migration()
+            assert len(manager.rows_served) == 3
+            assert sum(manager.rows_served) == sum(rows)
+            manager.begin_merge(1)
+            manager.finish_migration()
+            assert len(manager.rows_served) == 2
+            assert sum(manager.rows_served) == sum(rows)
 
     def test_single_migration_in_flight(self):
         manager = _manager()
@@ -689,40 +642,3 @@ class TestPlacementDiff:
         assert not [
             r for r in report_off.rows if r.group == GROUP_PLACEMENT
         ]
-
-
-# -- consistent-hash store end to end -------------------------------------
-
-
-class TestHashPartitionedStore:
-    def test_lookup_bit_identical_and_updates_route(self):
-        manager = _manager(partition="hash")
-        with manager:
-            assert isinstance(manager.routing, HashRoutingTable)
-            result = manager.lookup(np.arange(N_NODES))
-            assert np.array_equal(result.rows, manager.table)
-            rng = np.random.default_rng(7)
-            ids = rng.integers(0, N_NODES, size=8)
-            manager.apply_update(ids, rng.standard_normal((8, DIM)))
-            again = manager.lookup(np.arange(N_NODES))
-            assert np.array_equal(again.rows, manager.table)
-            assert again.stale_rows == 0
-
-    def test_crash_recovery_with_scattered_ownership(self):
-        manager = _manager(partition="hash")
-        with manager:
-            supervisor = ShardSupervisor(manager)
-            supervisor.wait_heartbeats()
-            rng = np.random.default_rng(8)
-            ids = rng.integers(0, N_NODES, size=8)
-            manager.apply_update(ids, rng.standard_normal((8, DIM)))
-            manager.hosts[0].inject_crash()
-            result = manager.lookup(np.arange(N_NODES))
-            # Hedged through the checkpoint tier with searchsorted id
-            # mapping: stale rows come from the genesis checkpoint.
-            assert result.stale_rows > 0
-            for host in list(manager.hosts):
-                manager.catch_up(host.shard_id)
-            final = manager.lookup(np.arange(N_NODES))
-            assert np.array_equal(final.rows, manager.table)
-            assert final.stale_rows == 0

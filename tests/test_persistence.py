@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import OMeGaConfig, OMeGaEmbedder
-from repro.graphs import chung_lu_edges
 from repro.memsim import pm_spec
 from repro.memsim.persistence import (
-    CheckpointedEmbedder,
     CrashInjected,
     PersistenceDomain,
     ShadowCommit,
@@ -99,64 +96,6 @@ class TestShadowCommit:
         assert domain.sim_seconds > 0
 
 
-class TestCheckpointedEmbedder:
-    @pytest.fixture(scope="class")
-    def setup(self):
-        edges = chung_lu_edges(300, 2500, seed=9)
-        embedder = OMeGaEmbedder(OMeGaConfig(n_threads=4, dim=8))
-        return edges, CheckpointedEmbedder(embedder)
-
-    def test_embed_and_checkpoint(self, setup):
-        edges, checkpointed = setup
-        result, checkpoint_seconds = checkpointed.embed_and_checkpoint(
-            edges, 300
-        )
-        assert checkpoint_seconds > 0
-        assert np.array_equal(
-            checkpointed.recover_embedding(), result.embedding
-        )
-        # Checkpointing is cheap relative to the pipeline itself.
-        assert checkpoint_seconds < result.sim_seconds
-
-    def test_crash_keeps_previous_checkpoint(self, setup):
-        edges, checkpointed = setup
-        result, _ = checkpointed.embed_and_checkpoint(edges, 300)
-        with pytest.raises(CrashInjected):
-            checkpointed.embed_and_checkpoint(edges, 300, crash=True)
-        assert np.array_equal(
-            checkpointed.recover_embedding(), result.embedding
-        )
-
-    def test_crash_keeps_computed_result_in_memory(self, setup):
-        edges, checkpointed = setup
-        with pytest.raises(CrashInjected):
-            checkpointed.embed_and_checkpoint(edges, 300, crash=True)
-        # The pipeline's output survived the commit crash in memory.
-        assert checkpointed.last_result is not None
-        assert checkpointed.last_result.embedding.shape == (300, 8)
-
-    def test_retry_checkpoint_commits_without_recompute(self, setup):
-        edges, checkpointed = setup
-        with pytest.raises(CrashInjected):
-            checkpointed.embed_and_checkpoint(edges, 300, crash=True)
-        crashed = checkpointed.last_result
-        result, retry_seconds = checkpointed.retry_checkpoint()
-        assert result is crashed  # same object: nothing recomputed
-        assert retry_seconds > 0
-        assert np.array_equal(
-            checkpointed.recover_embedding(), result.embedding
-        )
-
-    def test_retry_checkpoint_before_any_run_rejected(self):
-        from repro.core import OMeGaConfig, OMeGaEmbedder
-
-        fresh = CheckpointedEmbedder(
-            OMeGaEmbedder(OMeGaConfig(n_threads=2, dim=8))
-        )
-        with pytest.raises(RuntimeError, match="no embedding computed"):
-            fresh.retry_checkpoint()
-
-
 class TestStageCheckpointStore:
     def test_append_and_last(self, domain, rng):
         store = StageCheckpointStore(domain)
@@ -197,6 +136,27 @@ class TestStageCheckpointStore:
         )
         assert domain.fences == 2  # payload fence + commit-record fence
         assert domain.sim_seconds > 0
+
+    def test_last_verified_walks_back_and_quarantines(self, domain, rng):
+        store = StageCheckpointStore(domain)
+        assert store.last_verified() is None
+        for version in range(3):
+            store.append(
+                "shard-0", {"rows": rng.standard_normal((8, 2))}, {"v": version}
+            )
+        assert store.last_verified().meta["v"] == 2
+        store.damage_last("corrupt")
+        dropped = []
+        record = store.last_verified(dropped.append)
+        assert record.meta["v"] == 1
+        assert [r.meta["v"] for r in dropped] == [2]
+        assert [r.meta["v"] for r in store.records] == [0, 1]
+        # The only record left damaged too: nothing verifies.
+        store.quarantine(store.records[0])
+        store.damage_last("torn")
+        assert store.last_verified(dropped.append) is None
+        assert [r.meta["v"] for r in dropped] == [2, 1]
+        assert store.records == []
 
     def test_clear_truncates(self, domain):
         store = StageCheckpointStore(domain)

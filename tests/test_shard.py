@@ -8,6 +8,7 @@ reactive crash/hang repair, the two-sweep heartbeat detector,
 restart budgets, and bounded staleness accounting.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.shard import (
     Incident,
     PartialResultError,
     ShardCrashError,
+    ShardHost,
     ShardPolicy,
     ShardRoutingTable,
     ShardSupervisor,
@@ -38,7 +40,9 @@ from repro.shard import (
     entropy_aware_node_ranges,
     uniform_node_ranges,
 )
-from repro.shard.ranges import HashRoutingTable
+from repro.shard.transport import SHARD_CRASH_EXIT_CODE
+
+pytestmark = pytest.mark.usefixtures("no_shard_leftovers")
 
 N_NODES = 64
 DIM = 4
@@ -141,14 +145,12 @@ class TestRoutingTable:
     @settings(max_examples=200, deadline=None)
     @given(
         ids=st.lists(st.integers(0, 19), max_size=40),
-        kind=st.sampled_from(["range", "one-range", "hash", "one-hash"]),
+        kind=st.sampled_from(["range", "one-range"]),
     )
     def test_split_matches_mask_reference(self, ids, kind):
         routing = {
             "range": self._table(),
             "one-range": ShardRoutingTable(ranges=((0, 20),)),
-            "hash": HashRoutingTable(n_nodes=20, n_shards=3, vnodes=4),
-            "one-hash": HashRoutingTable(n_nodes=20, n_shards=1),
         }[kind]
         got = routing.split(ids)
         want = self._split_by_masks(routing, ids)
@@ -173,26 +175,15 @@ class TestRoutingTable:
         with pytest.raises(ValueError, match="at least one"):
             ShardRoutingTable(ranges=())
 
-    def test_dict_roundtrip(self):
-        routing = self._table()
-        rebuilt = ShardRoutingTable.from_dict(routing.to_dict())
-        assert rebuilt == routing
-        assert rebuilt.n_shards == 4
-        assert rebuilt.n_nodes == 20
-
     def test_search_boundaries_are_derived_state_only(self):
         # shard_of's precomputed range ends must not leak into equality,
-        # hashing, repr, the JSON form or tables derived from this one.
+        # hashing, repr or tables derived from this one.
         import pickle
 
         routing = self._table()
         twin = ShardRoutingTable(ranges=[[0, 5], [5, 5], [5, 12], [12, 20]])
         assert twin == routing and hash(twin) == hash(routing)
         assert "_boundaries" not in repr(routing)
-        assert routing.to_dict() == {
-            "kind": "range",
-            "ranges": [[0, 5], [5, 5], [5, 12], [12, 20]],
-        }
         ids = np.arange(20)
         for table in (
             pickle.loads(pickle.dumps(routing)),
@@ -213,14 +204,28 @@ class TestPolicyValidation:
             ShardPolicy(n_shards=0)
         with pytest.raises(ValueError, match="n_replicas"):
             ShardPolicy(n_replicas=-1)
-        with pytest.raises(ValueError, match="partition"):
-            ShardPolicy(partition="random")
         with pytest.raises(ValueError, match="lookup_deadline_s"):
             ShardPolicy(lookup_deadline_s=0.0)
         with pytest.raises(ValueError, match="checkpoint_interval"):
             ShardPolicy(checkpoint_interval=-1)
         with pytest.raises(ValueError, match="staleness_bound"):
             ShardPolicy(staleness_bound=-1)
+
+    def test_single_valued_options_are_gone(self):
+        # Contiguous ranges are the only ownership form and the policy
+        # keeps only what some caller sets.
+        assert [f.name for f in dataclasses.fields(ShardPolicy)] == [
+            "n_shards",
+            "n_replicas",
+            "lookup_deadline_s",
+            "hedge_enabled",
+            "checkpoint_interval",
+            "staleness_bound",
+        ]
+        with pytest.raises(TypeError, match="partition"):
+            ShardPolicy(partition="hash")
+        with pytest.raises(TypeError, match="node_ids"):
+            ShardHost(0, _table(4), 0, ShardPolicy(), node_ids=np.arange(4))
 
     def test_supervisor_policy(self):
         with pytest.raises(ValueError, match="heartbeat_timeout_s"):
@@ -322,6 +327,15 @@ class TestScatterGather:
                 )
                 == 1
             )
+
+    def test_injected_crash_exit_code(self):
+        plan = FaultPlan(
+            events=(FaultEvent(kind="shard_crash", site="shard.1", count=1),)
+        )
+        with _manager(faults=FaultInjector(plan)) as manager:
+            doomed = manager.hosts[1].workers[0].process
+            manager.lookup(np.arange(N_NODES))
+            assert doomed.exitcode == SHARD_CRASH_EXIT_CODE
 
     def test_hedging_disabled_propagates_crash(self):
         plan = FaultPlan(

@@ -38,17 +38,22 @@ from repro.shard import (
     SupervisorPolicy,
 )
 
+pytestmark = pytest.mark.usefixtures("no_shard_leftovers")
+
 N_NODES = 64
 DIM = 4
 
 
-def _manager(partition: str = "uniform") -> EmbeddingShardManager:
+def _manager(ranges: str = "uniform") -> EmbeddingShardManager:
+    """Equal-row ranges, or (given degrees) entropy-aware ones."""
     table = np.random.default_rng(3).standard_normal((N_NODES, DIM))
+    degrees = (
+        np.linspace(500.0, 1.0, N_NODES) ** 2 if ranges == "entropy" else None
+    )
     return EmbeddingShardManager(
         table,
-        policy=ShardPolicy(
-            n_shards=2, lookup_deadline_s=0.2, partition=partition
-        ),
+        degrees=degrees,
+        policy=ShardPolicy(n_shards=2, lookup_deadline_s=0.2),
     )
 
 
@@ -190,18 +195,18 @@ class TestBehindShardStaysStale:
         assert caught.stale_rows == 0
         assert np.array_equal(caught.rows, manager.table)
 
-    @pytest.mark.parametrize("partition", ["uniform", "hash"])
-    def test_unrelated_update_does_not_stamp_restarted_shard(self, partition):
-        with _manager(partition) as manager:
+    @pytest.mark.parametrize("ranges", ["uniform", "entropy"])
+    def test_unrelated_update_does_not_stamp_restarted_shard(self, ranges):
+        with _manager(ranges) as manager:
             host, lost, genesis = self._lose_one_update(manager)
             assert manager.lookup(np.arange(N_NODES)).stale_rows == host.n_rows
             other, = self._owned(manager, 1, 1)
             manager.apply_update([other], np.full((1, DIM), 5.0))
             self._assert_stale_until_catch_up(manager, host, lost, genesis)
 
-    @pytest.mark.parametrize("partition", ["uniform", "hash"])
-    def test_own_update_lands_but_does_not_stamp(self, partition):
-        with _manager(partition) as manager:
+    @pytest.mark.parametrize("ranges", ["uniform", "entropy"])
+    def test_own_update_lands_but_does_not_stamp(self, ranges):
+        with _manager(ranges) as manager:
             host, lost, genesis = self._lose_one_update(manager)
             _, own = self._owned(manager, 0, 2)
             manager.apply_update([own], np.full((1, DIM), 7.0))

@@ -34,13 +34,14 @@ from repro.shard import (
 )
 from repro.shard import store as store_module
 
+pytestmark = pytest.mark.usefixtures("no_shard_leftovers")
+
 N_NODES = 64
 DIM = 4
 
 
 def _manager(n_nodes=N_NODES, dim=DIM, metrics=None, **policy):
     policy.setdefault("n_shards", 2)
-    policy.setdefault("partition", "uniform")
     table = np.random.default_rng(5).standard_normal((n_nodes, dim))
     return EmbeddingShardManager(
         table, policy=ShardPolicy(**policy), metrics=metrics
@@ -70,8 +71,10 @@ class TestTypedOutcomes:
 
     def test_short_hang_is_served_fresh(self):
         with _manager(lookup_deadline_s=5.0) as manager:
-            manager.hosts[0].inject_hang(0.2)
+            # The worker starts its sleep when the message lands, which
+            # can be before inject_hang returns: time from before it.
             started = time.monotonic()
+            manager.hosts[0].inject_hang(0.2)
             result = manager.lookup(np.arange(N_NODES))
             assert time.monotonic() - started >= 0.2
             assert set(result.statuses.values()) == {STATUS_FRESH}
