@@ -4,7 +4,10 @@ scipy appears in two places: here, as the interop/validation boundary,
 and inside :meth:`~repro.formats.csdb.CSDBMatrix.spmm_rows`, whose inner
 loop is scipy's compiled CSR kernel run over zero-copy slices of the CSDB
 arrays.  The formats themselves — degree blocks, Eq. 1 addressing, the
-O(#degrees) index, CSR — are from scratch.
+O(#degrees) index, CSR — are from scratch, and so is the graph-read path
+``edges_to_csdb``: the edge list is ordered by the stable 16-bit radix
+passes of :meth:`CSRMatrix.from_coo` (one per 16 bits of ``n_nodes``, for
+columns and for rows), never by a comparison sort and never by scipy.
 """
 
 from __future__ import annotations
@@ -25,25 +28,38 @@ def edges_to_csr(
     """Build the adjacency matrix of a graph as a CSR matrix.
 
     Args:
-        edges: (m, 2) int array of endpoints.
+        edges: (m, 2) array of endpoints; integer-valued floats are
+            accepted, any other non-integer raises ``ValueError``.
         n_nodes: number of nodes |V|.
         weights: optional edge weights; defaults to 1 (the paper's
             initialization of ``nnz_list``).
         undirected: mirror each edge (the paper's graphs are undirected).
     """
-    edges = np.asarray(edges, dtype=np.int64)
+    edges = np.asarray(edges)
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise ValueError(f"edges must be (m, 2), got {edges.shape}")
+    if not np.issubdtype(edges.dtype, np.integer):
+        # Integer-valued floats are node ids; the cast below would
+        # silently truncate anything else (0.5 -> node 0).
+        with np.errstate(invalid="ignore"):
+            fractional = np.flatnonzero(np.mod(edges, 1) != 0)
+        if len(fractional):
+            raise ValueError(
+                "node ids must be integral, got"
+                f" {edges.flat[fractional[0]]!r} in edge {fractional[0] // 2}"
+            )
+    edges = edges.astype(np.int64, copy=False)
     src, dst = edges[:, 0], edges[:, 1]
-    if weights is None:
-        weights = np.ones(len(edges), dtype=np.float64)
-    else:
+    if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         if len(weights) != len(edges):
             raise ValueError("weights length must match edges")
     if undirected:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        weights = np.concatenate([weights, weights])
+        if weights is not None:
+            weights = np.concatenate([weights, weights])
+    if weights is None:
+        weights = np.ones(len(src), dtype=np.float64)
     return CSRMatrix.from_coo(src, dst, weights, (n_nodes, n_nodes))
 
 

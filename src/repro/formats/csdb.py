@@ -33,7 +33,7 @@ from multiprocessing import shared_memory
 import numpy as np
 from scipy.sparse import csr_array
 
-from repro.formats.csr import CSRMatrix
+from repro.formats.csr import CSRMatrix, _stable_order
 
 
 class KernelVerificationError(AssertionError):
@@ -149,6 +149,19 @@ def attach_shared_array(
     segment = attach_segment(spec.name)
     view = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=segment.buf)
     return view, segment
+
+
+def _run_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Index that concatenates the runs ``[starts[i], starts[i] + lengths[i])``.
+
+    One ``np.repeat``: position ``j`` of run ``i`` reads ``starts[i] + j``,
+    and ``j`` is the output position minus the lengths before run ``i``.
+    """
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(
+        total, dtype=np.int64
+    )
 
 
 class SharedCSDB:
@@ -279,38 +292,28 @@ class CSDBMatrix:
     def from_csr(cls, csr: CSRMatrix) -> "CSDBMatrix":
         """Convert a CSR matrix by sorting rows into degree blocks."""
         degrees = csr.row_degrees()
-        # Stable sort by descending degree keeps equal-degree rows in
+        # Stable order by descending degree keeps equal-degree rows in
         # original order, matching the paper's example layout.
-        perm = np.argsort(-degrees, kind="stable").astype(np.int64)
-        sorted_degrees = degrees[perm]
-        if len(sorted_degrees):
-            boundary = np.concatenate(
-                [[True], sorted_degrees[1:] != sorted_degrees[:-1]]
-            )
-            deg_list = sorted_degrees[boundary]
-            deg_ind = np.concatenate(
-                [np.flatnonzero(boundary), [len(sorted_degrees)]]
-            )
+        top = int(degrees.max()) if len(degrees) else 0
+        perm = _stable_order(top - degrees, top + 1)
+        lengths = degrees[perm]
+        if len(lengths):
+            boundary = np.concatenate([[True], lengths[1:] != lengths[:-1]])
+            deg_list = lengths[boundary]
+            deg_ind = np.concatenate([np.flatnonzero(boundary), [len(lengths)]])
         else:
             deg_list = np.empty(0, dtype=np.int64)
             deg_ind = np.zeros(1, dtype=np.int64)
-        nnz_total = csr.nnz
-        col_list = np.empty(nnz_total, dtype=np.int64)
-        nnz_list = np.empty(nnz_total, dtype=np.float64)
-        # Gather each original row's slice into its CSDB position.  Build a
-        # gather index over the nnz array in one vectorized pass.
-        starts = csr.indptr[perm]
-        lengths = degrees[perm]
-        if nnz_total:
-            out_offsets = np.concatenate([[0], np.cumsum(lengths)])
-            gather = (
-                np.repeat(starts, lengths)
-                + np.arange(nnz_total, dtype=np.int64)
-                - np.repeat(out_offsets[:-1], lengths)
-            )
-            col_list = csr.indices[gather]
-            nnz_list = csr.data[gather]
-        return cls(deg_list, deg_ind, col_list, nnz_list, perm, csr.shape)
+        # CSDB row i is original row perm[i]'s run of the CSR arrays.
+        gather = _run_gather(csr.indptr[perm], lengths)
+        return cls(
+            deg_list,
+            deg_ind,
+            csr.indices[gather],
+            csr.data[gather],
+            perm,
+            csr.shape,
+        )
 
     @classmethod
     def from_coo(
@@ -511,29 +514,16 @@ class CSDBMatrix:
         """Transposed copy, re-blocked by the transpose's row degrees.
 
         No comparison sort: the non-zeros are gathered into original-row
-        CSR order (each row's run is already contiguous, so that is one
-        O(nnz) gather), scipy's compiled counting pass turns that CSR
-        into the CSC of the same matrix — which *is* the CSR of the
-        transpose, columns ascending within a row — and
-        :meth:`from_csr` re-blocks it.  The result is what
+        CSR order (:meth:`to_csr`'s one O(nnz) gather), scipy's compiled
+        counting pass turns that CSR into the CSC of the same matrix —
+        which *is* the CSR of the transpose, columns ascending within a
+        row — and :meth:`from_csr` re-blocks it.  The result is what
         ``from_coo(col_list, nnz_row_ids(), nnz_list, shape^T)`` builds,
         array for array (``+ 0.0`` included: a stored ``-0.0`` comes out
         ``+0.0``), for a matrix without duplicate coordinates, which is
         what every constructor produces.
         """
-        inv_perm = self.inv_perm
-        degrees = self.row_degrees()[inv_perm]
-        indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        # Original row r's non-zeros sit at nnz_prefix[inv_perm[r]] in the
-        # CSDB arrays and go to indptr[r] in the CSR ones.
-        gather = np.repeat(
-            self.nnz_prefix()[:-1][inv_perm] - indptr[:-1], degrees
-        ) + np.arange(self.nnz, dtype=np.int64)
-        by_column = csr_array(
-            (self.nnz_list[gather], self.col_list[gather], indptr),
-            shape=self.shape,
-        ).tocsc()
+        by_column = csr_array(self._row_order_arrays(), shape=self.shape).tocsc()
         return CSDBMatrix.from_csr(
             CSRMatrix(
                 by_column.indptr,
@@ -716,15 +706,24 @@ class CSDBMatrix:
 
     # -- conversions --------------------------------------------------------
 
+    def _row_order_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(data, indices, indptr)`` of the matrix in original row order.
+
+        Each original row's run is contiguous in the CSDB arrays, so this
+        is one O(nnz) gather, not a sort.
+        """
+        inv_perm = self.inv_perm
+        degrees = self.row_degrees()[inv_perm]
+        indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        # Original row r is CSDB row inv_perm[r]'s run of the CSDB arrays.
+        gather = _run_gather(self.nnz_prefix()[:-1][inv_perm], degrees)
+        return self.nnz_list[gather], self.col_list[gather], indptr
+
     def to_csr(self) -> CSRMatrix:
         """Convert back to CSR in original row order."""
-        return CSRMatrix.from_coo(
-            self.nnz_row_ids(),
-            self.col_list,
-            self.nnz_list,
-            self.shape,
-            sum_duplicates=False,
-        )
+        data, indices, indptr = self._row_order_arrays()
+        return CSRMatrix(indptr, indices, data, self.shape)
 
     def to_dense(self) -> np.ndarray:
         """Dense ndarray copy (testing/small matrices only)."""

@@ -6,11 +6,68 @@ values of the non-zeros.  The implementation is numpy-vectorized and does
 not depend on ``scipy.sparse``, which keeps :meth:`CSRMatrix.spmm` an
 independent reference for the scipy-backed CSDB kernel
 (``CSDBMatrix.spmm(verify=True)``).
+
+Every build orders its non-zeros without a comparison sort:
+``_stable_order`` is a least-significant-digit radix sort over 16-bit
+digits (numpy's ``kind="stable"`` sort of a 16-bit array is a counting
+sort), O(nnz) per pass, ``ceil(bit_length(n_keys - 1) / 16)`` passes per
+key — one for the column ids and one for the row ids of any matrix up to
+65 536 x 65 536 — with nnz-sized scratch only, whatever the shape.
+
+A build announces that scratch to the C allocator in one request before
+it makes its dozen nnz-sized ones (``_reserve_working_set``, DESIGN 6g,
+"the sparse half"): glibc sizes its mmap and trim thresholds by the
+largest block it has seen freed, and a process that only ever shows it
+one array's worth has every build's heap growth trimmed away and
+re-faulted, page by page, by the build or the ``multiply`` that runs next.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+#: nnz-sized 8-byte arrays one coordinate build works through: its three
+#: inputs, the order, the two gathers, the row ids and the key.
+_WORKING_SET_ARRAYS = 8
+#: The largest block glibc's adaptive thresholds follow (its
+#: ``DEFAULT_MMAP_THRESHOLD_MAX`` on 64-bit, less the page a chunk header
+#: rounds up to); a larger request would reserve address space for nothing.
+_RESERVE_MAX_BYTES = (32 << 20) - 4096
+
+
+def _reserve_working_set(nnz: int) -> None:
+    """Request a build's whole working set once and hand it straight back.
+
+    The block is never touched, so it costs no page; the arrays the build
+    makes next are carved out of the space it leaves.  What it buys: the
+    allocator has now seen the build's size, keeps that much heap instead
+    of trimming it after every build, and steady-state builds (and the
+    products between them) stop re-faulting their pages.  On an allocator
+    without adaptive thresholds it is a malloc/free pair and nothing else.
+    """
+    np.empty(
+        min(_WORKING_SET_ARRAYS * nnz, _RESERVE_MAX_BYTES // 8), dtype=np.int64
+    )
+
+
+def _stable_order(
+    keys: np.ndarray, n_keys: int, order: np.ndarray | None = None
+) -> np.ndarray:
+    """Stable order of integer ``keys`` in ``[0, n_keys)``, refining ``order``.
+
+    ``keys[result]`` is non-decreasing; equal keys stay in the order
+    ``order`` lists them (input order when ``None``).  Ordering by a
+    minor key and refining by a major one is the order of the pair.
+    """
+    for shift in range(0, max(int(n_keys) - 1, 0).bit_length(), 16):
+        digit = (keys >> shift).astype(np.uint16)  # the low 16 bits
+        if order is None:
+            order = np.argsort(digit, kind="stable")
+        else:
+            order = order[np.argsort(digit[order], kind="stable")]
+    if order is None:
+        order = np.arange(len(keys), dtype=np.int64)
+    return order
 
 
 class CSRMatrix:
@@ -70,11 +127,17 @@ class CSRMatrix:
         Contract: entries come out sorted by (row, col); when
         ``sum_duplicates``, entries sharing a coordinate are summed from
         zero in input order (so the result's bits do not depend on how
-        the sort is done), otherwise they are kept, in input order.
+        the order is found), otherwise they are kept, in input order.
+
+        The order is found by stable radix passes over 16-bit digits,
+        columns then rows: ``ceil(bit_length(n - 1) / 16)`` passes for a
+        dimension of size ``n`` (none for ``n <= 1``), each O(nnz).
 
         Raises:
             ValueError: on out-of-range indices, or when ``n_rows *
-                n_cols`` does not fit the int64 sort key.
+                n_cols`` does not fit the int64 key that tells equal
+                coordinates apart (the ordering itself has no such
+                limit).
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -85,30 +148,36 @@ class CSRMatrix:
         if n_rows * n_cols >= 2**63:
             raise ValueError(
                 f"shape {(n_rows, n_cols)} too large: n_rows * n_cols must be"
-                " below 2**63 (the int64 sort key would wrap)"
+                " below 2**63 (the int64 coordinate key would wrap)"
             )
         if len(rows):
             if rows.min() < 0 or rows.max() >= n_rows:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise ValueError("column index out of range")
-        # One stable sort of the fused key orders by (row, col) and keeps
-        # equal coordinates in input order.
-        key = rows * n_cols + cols
-        order = np.argsort(key, kind="stable")
-        key, vals = key[order], vals[order]
-        if sum_duplicates and len(key):
+        _reserve_working_set(len(rows))
+        # Ordering by column and refining by row orders by (row, col) and
+        # keeps equal coordinates in input order.
+        order = _stable_order(rows, n_rows, _stable_order(cols, n_cols))
+        cols, vals = cols[order], vals[order]
+        del order  # before the row ids and the key are made, not after
+        counts = np.bincount(rows, minlength=n_rows)
+        if sum_duplicates and len(cols):
+            # rows[order], without the gather: the row ids, ascending.
+            rows = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
+            key = rows * n_cols + cols
             keep = np.empty(len(key), dtype=bool)
             keep[0] = True
-            keep[1:] = key[1:] != key[:-1]
+            np.not_equal(key[1:], key[:-1], out=keep[1:])
+            del key  # likewise: the summed values need its room
             if keep.all():
                 vals = vals + 0.0  # what summing from zero does to -0.0
             else:
                 vals = np.bincount(np.cumsum(keep) - 1, weights=vals)
-                key = key[keep]
-        rows, cols = np.divmod(key, n_cols)
+                cols = cols[keep]
+                counts = np.bincount(rows[keep], minlength=n_rows)
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        np.cumsum(counts, out=indptr[1:])
         return cls(indptr, cols, vals, shape)
 
     # -- basic properties -------------------------------------------------
@@ -220,12 +289,15 @@ class CSRMatrix:
         keep = np.abs(self.data) > tol
         if keep.all():
             return self
-        return CSRMatrix.from_coo(
-            self.nnz_row_ids()[keep],
+        # Masking keeps the (row, col) order; a row now starts after the
+        # entries kept before its old start.
+        kept_before = np.zeros(self.nnz + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
+        return CSRMatrix(
+            kept_before[self.indptr],
             self.indices[keep],
             self.data[keep],
             self.shape,
-            sum_duplicates=False,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

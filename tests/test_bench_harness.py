@@ -57,3 +57,35 @@ class TestFormatting:
     def test_format_table_empty(self):
         table = format_table(["a"], [])
         assert "a" in table
+
+
+class TestPairsVerdict:
+    """``benchmarks/pairs.py``: the alternating-pairs rule, as code."""
+
+    @pytest.fixture(scope="class")
+    def verdict(self):
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "pairs.py"
+        spec = importlib.util.spec_from_file_location("bench_pairs", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.verdict
+
+    @pytest.mark.parametrize(
+        "parent, change, better, bound, expected",
+        [
+            # Every pair won, medians further apart than the parent's IQR.
+            ([0.70, 0.72, 0.71, 0.73], [1.40, 1.50, 1.45, 1.47], "higher", 0.2, "gain"),
+            # Ties count for neither side; equal medians are inside any bound.
+            ([1.0, 1.0], [1.0, 1.0], "lower", 0.03, "ok"),
+            ([1.0, 1.1, 1.0, 1.05], [1.5, 1.6, 1.55, 1.5], "lower", 0.2, "WORSE"),
+            # A parent spread wider than the bound cannot support a verdict.
+            ([1.0, 2.0, 1.0, 2.05], [1.5, 1.6, 1.55, 1.5], "lower", 0.2, "unresolved"),
+            # Won everywhere, but by less than the parent's own spread.
+            ([1.00, 1.05, 1.10, 1.15], [1.01, 1.06, 1.11, 1.16], "higher", 0.2, "ok"),
+        ],
+    )
+    def test_rule(self, verdict, parent, change, better, bound, expected):
+        assert verdict(parent, change, better, bound)[1] == expected

@@ -1,5 +1,11 @@
 """Unit tests for format conversions and scipy interop."""
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -41,6 +47,23 @@ class TestEdgeConversions:
         with pytest.raises(ValueError, match=r"\(m, 2\)"):
             edges_to_csr(np.zeros((3, 3), dtype=np.int64), 5)
 
+    @pytest.mark.parametrize(
+        "edges, offender",
+        [
+            ([[0.5, 1.2]], "0.5"),
+            ([[0, 1], [2.0, 1.5]], r"1\.5.* edge 1"),
+            ([[0, np.nan]], "nan"),
+        ],
+    )
+    def test_non_integral_node_ids_are_rejected(self, edges, offender):
+        with pytest.raises(ValueError, match=f"integral.*{offender}"):
+            edges_to_csdb(np.array(edges), 3)
+
+    def test_integer_valued_floats_are_node_ids(self):
+        built = edges_to_csdb(np.array([[0.0, 1.0]]), 3)
+        assert built.to_dense().tolist() == [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
+        assert edges_to_csr(np.empty((0, 2)), 3).nnz == 0
+
     def test_csdb_equals_csr_route(self, paper_edges):
         assert np.allclose(
             edges_to_csdb(paper_edges, 7).to_dense(),
@@ -75,3 +98,40 @@ class TestScipyInterop:
         ours = csr_from_scipy(coo)
         assert ours.nnz == 1
         assert ours.to_dense()[0, 1] == 3.0
+
+
+_REPEATED_BUILDS = """
+import resource
+from repro.formats.convert import edges_to_csdb
+from repro.graphs import rmat_edges
+
+edges = rmat_edges(13, 16.0, seed=3)
+for _ in range(6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    edges_to_csdb(edges, 1 << 13)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(2 * len(edges) * 8 // resource.getpagesize())
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="counts page faults under glibc's adaptive malloc thresholds",
+)
+def test_repeated_builds_do_not_refault_their_scratch():
+    """A build's heap growth is kept, not trimmed and faulted in again.
+
+    Without ``_reserve_working_set`` every build after the first takes
+    six to eight nnz-sized arrays' worth of minor faults (2 400 - 3 100
+    pages at this size, one array being 397); with it, none.  A fresh interpreter, so the thresholds
+    start where a user's process starts them.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = str(src)
+    done = subprocess.run(
+        [sys.executable, "-c", _REPEATED_BUILDS],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    *faults, pages_per_array = map(int, done.stdout.split())
+    assert max(faults[2:]) < pages_per_array, faults

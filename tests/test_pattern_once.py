@@ -4,8 +4,10 @@ Three places on the embed path used to redo work that depends only on a
 matrix's sparsity pattern; each is pinned here against the formulation it
 replaced, kept below as the oracle:
 
-- ``CSRMatrix.from_coo``: one stable sort of the fused ``row*n_cols+col``
-  key vs. the former ``np.lexsort`` + two ``np.add.at`` passes;
+- ``CSRMatrix.from_coo``: stable 16-bit radix passes, columns then rows,
+  vs. the former ``np.lexsort`` + two ``np.add.at`` passes (and
+  ``CSDBMatrix.to_csr`` / ``CSRMatrix.prune``, which no longer re-sort
+  ordered data, vs. their ``from_coo`` formulations);
 - ``chebyshev_operator``: a value-only update on the blocks of ``A + I``
   vs. the former second ``from_coo`` of ``(-DA, (1-mu)I)``;
 - ``SpMMEngine``: EaTA partitions and WoFP plans kept per live matrix,
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core import OMeGaConfig, OMeGaEmbedder, SpMMEngine
 from repro.core.eata import EntropyAwareAllocator
-from repro.formats import CSDBMatrix, CSRMatrix, edges_to_csdb
+from repro.formats import CSDBMatrix, CSRMatrix, edges_to_csdb, edges_to_csr
 from repro.graphs import rmat_edges
 from repro.obs.metrics import MetricsRegistry
 from repro.prone.laplacian import (
@@ -64,16 +66,29 @@ def lexsort_from_coo(rows, cols, vals, shape, sum_duplicates=True):
     return indptr, cols, vals
 
 
+#: Dimension sizes either side of the 16-bit digit boundary, and the
+#: degenerate ones that need no radix pass at all.
+DIGIT_EDGE_SIZES = [1, 2, 65_535, 65_536, 65_537]
+
+
 @st.composite
 def coo_inputs(draw):
     """Small COO inputs, dense enough that coordinates repeat."""
-    n_rows = draw(st.integers(1, 5))
-    n_cols = draw(st.integers(1, 5))
+    sizes = st.one_of(st.integers(1, 5), st.sampled_from(DIGIT_EDGE_SIZES))
+    n_rows, n_cols = draw(sizes), draw(sizes)
+
+    def index(size):
+        # A handful of ids per dimension, on both sides of every digit.
+        return st.sampled_from(
+            sorted({i for i in (0, 1, 2, 3, 4, 255, 256, 65_534, 65_535,
+                                65_536, size - 1) if i < size})
+        )
+
     entries = draw(
         st.lists(
             st.tuples(
-                st.integers(0, n_rows - 1),
-                st.integers(0, n_cols - 1),
+                index(n_rows),
+                index(n_cols),
                 # Values whose sum depends on the order of addition, and
                 # both zeros.
                 st.sampled_from([1e16, -1e16, 1.0, 0.1, 0.2, 0.3, -0.0, 0.0]),
@@ -87,6 +102,21 @@ def coo_inputs(draw):
     return rows, cols, vals, (n_rows, n_cols), draw(st.booleans())
 
 
+def argsort_from_csr(csr):
+    """The five CSDB arrays, rows moved one by one in ``argsort`` order."""
+    degrees = np.diff(csr.indptr)
+    perm = np.argsort(-degrees, kind="stable").astype(np.int64)
+    runs = [slice(csr.indptr[row], csr.indptr[row + 1]) for row in perm]
+    deg_list, first = np.unique(-degrees[perm], return_index=True)
+    return {
+        "deg_list": -deg_list,
+        "deg_ind": np.append(first, len(perm)).astype(np.int64),
+        "col_list": np.concatenate([csr.indices[run] for run in runs]),
+        "nnz_list": np.concatenate([csr.data[run] for run in runs]),
+        "perm": perm,
+    }
+
+
 class TestFromCooMatchesLexsortFormulation:
     @given(coo_inputs())
     @example(([], [], [], (3, 4), True))  # empty input
@@ -97,6 +127,20 @@ class TestFromCooMatchesLexsortFormulation:
     )
     @example(([1, 1, 0, 1], [1, 1, 0, 1], [3.0, 1.0, 2.0, 2.0], (2, 2), False))
     @example(([0, 1], [1, 0], [-0.0, -0.0], (2, 2), True))  # no duplicates
+    @example(([0] * 4, [0] * 4, [1e16, 1.0, -1e16, 1.0], (1, 1), True))
+    @example(([0] * 4, [0] * 4, [1e16, 1.0, -1e16, 1.0], (1, 1), False))
+    @example(([1, 0, 1], [0, 0, 0], [-0.0, 1.0, 2.0], (2, 1), True))  # -0.0 alone
+    @example(([1, 0, 1], [0, 0, 0], [-0.0, 1.0, 2.0], (2, 1), False))
+    @example(  # ids that differ in the second 16-bit digit only
+        ([65_536, 0, 65_536, 1], [1, 65_536, 0, 65_536], [1.0, 2.0, 3.0, 4.0],
+         (65_537, 65_537), True)
+    )
+    @example(  # the widest shape the coordinate key allows: eight passes
+        ([1, 0, 1], [2**62 - 2, 2**62 - 2, 0], [1.0, 2.0, 3.0], (2, 2**62 - 1), True)
+    )
+    @example(([], [], [], (0, 0), True))
+    @example(([], [], [], (3, 0), True))
+    @example(([], [], [], (0, 3), False))
     @settings(max_examples=300, deadline=None)
     def test_every_output_array_is_bit_equal(self, case):
         rows, cols, vals, shape, sum_duplicates = case
@@ -107,6 +151,34 @@ class TestFromCooMatchesLexsortFormulation:
         assert_same_bits(built.indptr, indptr)
         assert_same_bits(built.indices, indices)
         assert_same_bits(built.data, data)
+
+    def test_graph_builds_equal_the_oracle_build_on_an_rmat(self):
+        edges = rmat_edges(9, edge_factor=8.0, seed=4)
+        # Repeated edges and self-loops: duplicates to sum on both builds.
+        loops = np.arange(0, 512, 7)
+        edges = np.concatenate([edges, edges[:50], np.stack([loops, loops], 1)])
+        src = np.concatenate([edges[:, 0], edges[:, 1]])
+        dst = np.concatenate([edges[:, 1], edges[:, 0]])
+        adjacency = edges_to_csdb(edges, 512)
+        oracle = CSRMatrix(
+            *lexsort_from_coo(src, dst, np.ones(len(src)), (512, 512)), (512, 512)
+        )
+        diag = np.arange(512)
+        with_identity = CSRMatrix(
+            *lexsort_from_coo(
+                np.concatenate([src, diag]),
+                np.concatenate([dst, diag]),
+                np.ones(len(src) + 512),
+                (512, 512),
+            ),
+            (512, 512),
+        )
+        for built, csr in (
+            (adjacency, oracle),
+            (add_identity(adjacency), with_identity),
+        ):
+            for name, expected in argsort_from_csr(csr).items():
+                assert_same_bits(getattr(built, name), expected)
 
     def test_duplicates_sum_in_input_order(self):
         # (1e16 + 1) - 1e16 + 1 == 1 in float64; any other order gives 0 or 2.
@@ -126,6 +198,68 @@ class TestFromCooMatchesLexsortFormulation:
         assert built.indptr.tolist() == [0, 1, 3]
         assert built.indices.tolist() == [2**62 - 2, 0, 2**62 - 2]
         assert built.data.tolist() == [2.0, 3.0, 1.0]
+
+
+# -- builds over data that is already ordered ----------------------------------
+
+
+def from_coo_to_csr(matrix: CSDBMatrix) -> CSRMatrix:
+    """The formulation ``CSDBMatrix.to_csr`` had: every non-zero re-sorted."""
+    return CSRMatrix.from_coo(
+        matrix.nnz_row_ids(), matrix.col_list, matrix.nnz_list, matrix.shape,
+        sum_duplicates=False,
+    )
+
+
+def from_coo_prune(matrix: CSRMatrix, tol: float) -> CSRMatrix:
+    """The formulation ``CSRMatrix.prune`` had: mask, then a sorting build."""
+    keep = np.abs(matrix.data) > tol
+    return CSRMatrix.from_coo(
+        matrix.nnz_row_ids()[keep], matrix.indices[keep], matrix.data[keep],
+        matrix.shape, sum_duplicates=False,
+    )
+
+
+def assert_same_csr(actual: CSRMatrix, expected: CSRMatrix) -> None:
+    assert actual.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        assert_same_bits(getattr(actual, name), getattr(expected, name))
+
+
+def _ordered_build_cases():
+    rng = np.random.default_rng(11)
+    rows, cols = rng.integers(0, 30, 200), rng.integers(0, 20, 200)
+    vals = rng.choice([1.0, -1.0, 0.25, -0.0, 0.0, 1e-9], 200)
+    return {
+        # Rows 30..39 are empty, and so are some of the first thirty.
+        "empty_rows": CSRMatrix.from_coo(rows, cols, vals, (40, 20)),
+        "no_nonzeros": CSRMatrix.from_coo([], [], [], (5, 4)),
+        "no_rows": CSRMatrix.from_coo([], [], [], (0, 4)),
+        "one_full_row": CSRMatrix.from_coo(
+            [0] * 4, range(4), [1.0, 0.0, -0.0, 2.0], (1, 4)
+        ),
+        "skewed": edges_to_csr(rmat_edges(8, edge_factor=6.0, seed=2), 256),
+    }
+
+
+@pytest.mark.parametrize("name", list(_ordered_build_cases()))
+class TestOrderedDataIsNotResorted:
+    def test_to_csr_equals_the_from_coo_formulation(self, name):
+        csr = _ordered_build_cases()[name]
+        matrix = CSDBMatrix.from_csr(csr)
+        assert_same_csr(matrix.to_csr(), from_coo_to_csr(matrix))
+        assert_same_csr(matrix.to_csr(), csr)
+
+    @pytest.mark.parametrize("tol", [0.0, 0.5, 10.0])
+    def test_prune_equals_the_from_coo_formulation(self, name, tol):
+        csr = _ordered_build_cases()[name]
+        assert_same_csr(csr.prune(tol), from_coo_prune(csr, tol))
+
+    def test_a_prune_that_removes_nothing_returns_the_matrix(self, name):
+        csr = _ordered_build_cases()[name]
+        kept = csr.prune()  # stored zeros go
+        assert kept.prune() is kept
+        assert (csr.prune() is csr) == bool((csr.data != 0).all())
 
 
 # -- CSDBMatrix helpers ------------------------------------------------------
@@ -377,28 +511,48 @@ class TestEnginePlanReuse:
 # -- the embed path, counted -------------------------------------------------
 
 
-def test_one_embed_sorts_twice_and_allocates_once_per_operator(monkeypatch):
-    sorts, allocated = [], []
+def test_one_embed_never_comparison_sorts_its_nonzeros_and_allocates_once(monkeypatch):
+    edges = rmat_edges(9, edge_factor=8.0, seed=4)
+    nnz = edges_to_csdb(edges, 512).nnz
+    builds, allocated, sorts = [], [], []
     from_coo = CSRMatrix.from_coo.__func__
     allocate = EntropyAwareAllocator.allocate
 
     def counted_from_coo(cls, rows, *args, **kwargs):
-        sorts.append(len(rows))
+        builds.append(len(rows))
         return from_coo(cls, rows, *args, **kwargs)
 
     def counted_allocate(self, matrix, n_threads):
         allocated.append(matrix)
         return allocate(self, matrix, n_threads)
 
+    def spy(name):
+        sort = getattr(np, name)
+
+        def spied(keys, *args, **kwargs):
+            # lexsort takes a sequence of key arrays, the others one array.
+            for key in keys if name == "lexsort" else [keys]:
+                key = np.asarray(key)
+                sorts.append((name, key.size, key.dtype.itemsize))
+            return sort(keys, *args, **kwargs)
+
+        return spied
+
     monkeypatch.setattr(CSRMatrix, "from_coo", classmethod(counted_from_coo))
     monkeypatch.setattr(EntropyAwareAllocator, "allocate", counted_allocate)
+    for name in ("argsort", "lexsort", "sort"):
+        monkeypatch.setattr(np, name, spy(name))
 
-    edges = rmat_edges(9, edge_factor=8.0, seed=4)
     result = OMeGaEmbedder(OMeGaConfig(n_threads=4, dim=8)).embed_edges(edges, 512)
 
     # The edge list and A+I; F^T is a counting transpose and the Chebyshev
     # operator reuses A+I's blocks.
-    assert len(sorts) == 2
+    assert len(builds) == 2
+    # Every sort of as many elements as A has non-zeros is a counting
+    # pass over 16-bit digits (WoFP's top-M ranking and the per-row
+    # degree order are smaller than that).
+    assert [s for s in sorts if s[1] >= nnz and s[2] > 2] == []
+    assert any(size >= nnz for _, size, _ in sorts)
     # F, F^T, the Chebyshev operator and A+I: one EaTA split each, however
     # many of the run's products use them.
     assert len(allocated) == 4
