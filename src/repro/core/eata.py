@@ -18,12 +18,14 @@ All allocators are O(|V|) online over the prefix-sum arrays of an
 :class:`AllocatorContext`, which every ``allocate`` call builds afresh.
 An allocation reads only the matrix's sparsity pattern, so reuse lives
 one level up: :class:`~repro.core.spmm.SpMMEngine` keeps the partitions
-it computed for a matrix and allocates once per matrix, not per product.
+it computed per pattern object and allocates once per pattern, not per
+matrix or product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -34,33 +36,49 @@ from repro.obs.metrics import MetricsRegistry
 Z_ENTROPY_BUCKETS = tuple(i / 10.0 for i in range(1, 11))
 
 
+#: One replayable metric update: a bound ``Counter.inc`` / ``Gauge.set`` /
+#: ``Histogram.observe`` and the value to call it with.
+MetricUpdate = tuple[Callable[[float], None], float]
+
+
 def record_allocation_metrics(
     partitions: "list[WorkloadPartition]",
     metrics: MetricsRegistry,
     allocator_name: str = "",
-) -> None:
+) -> list[MetricUpdate]:
     """Per-partition entropy/workload telemetry for one allocation.
 
+    Returns the updates bound to ``metrics``' series, in recording
+    order; calling each ``update(value)`` records the allocation once.
     Gauges carry the latest allocation's per-thread view (what EaTA's
     Eq. 7 rescaling balanced); the nnz-imbalance gauge (max/mean) is the
     straggler indicator behind the Fig. 13 tail latencies.
     """
-    nnz_counts = [p.nnz_count for p in partitions]
+    updates: list[MetricUpdate] = []
     for p in partitions:
-        metrics.gauge("eata.partition.z_entropy", thread=p.thread_id).set(
-            p.z_entropy
-        )
-        metrics.gauge("eata.partition.nnz", thread=p.thread_id).set(
-            p.nnz_count
-        )
-        metrics.histogram(
-            "eata.z_entropy_dist", buckets=Z_ENTROPY_BUCKETS
-        ).observe(p.z_entropy)
-    metrics.counter("eata.allocations", allocator=allocator_name or "?").inc()
-    metrics.gauge("eata.partitions").set(len(partitions))
+        thread = p.thread_id
+        updates += [
+            (metrics.gauge("eata.partition.z_entropy", thread=thread).set,
+             p.z_entropy),
+            (metrics.gauge("eata.partition.nnz", thread=thread).set,
+             p.nnz_count),
+            (metrics.histogram(
+                "eata.z_entropy_dist", buckets=Z_ENTROPY_BUCKETS
+            ).observe, p.z_entropy),
+        ]
+    updates += [
+        (metrics.counter(
+            "eata.allocations", allocator=allocator_name or "?"
+        ).inc, 1.0),
+        (metrics.gauge("eata.partitions").set, len(partitions)),
+    ]
+    nnz_counts = [p.nnz_count for p in partitions]
     mean_nnz = sum(nnz_counts) / max(len(nnz_counts), 1)
     if mean_nnz > 0:
-        metrics.gauge("eata.nnz_imbalance").set(max(nnz_counts) / mean_nnz)
+        updates.append(
+            (metrics.gauge("eata.nnz_imbalance").set, max(nnz_counts) / mean_nnz)
+        )
+    return updates
 
 
 @dataclass(frozen=True)

@@ -365,9 +365,7 @@ class OMeGaEmbedder:
         if initial is None:
             rng = np.random.default_rng(self.params.seed)
             initial = rng.standard_normal((n_nodes, self.params.dim))
-            degrees = np.zeros(n_nodes, dtype=np.float64)
-            np.add.at(degrees, adjacency.col_list, 1.0)
-            initial *= np.sqrt(degrees + 1.0)[:, None]
+            initial *= np.sqrt(adjacency.col_degrees() + 1.0)[:, None]
         with self.tracer.span("propagate_only", n_nodes=n_nodes):
             embedding = prone_propagate(
                 adjacency, initial, self.params, self._matmul_factory,

@@ -40,6 +40,7 @@ from repro.core.asl import (
 )
 from repro.core.config import ExecBackend, MemoryMode, OMeGaConfig
 from repro.core.eata import (
+    MetricUpdate,
     ThreadAllocator,
     WorkloadPartition,
     make_allocator,
@@ -91,6 +92,40 @@ PREFETCH_EXPOSED_FRACTION = 0.2
 #: One partition's Eq. 2 result: its simulated seconds and the
 #: ``(category, seconds, bytes)`` ledger charges that add up to them.
 PartitionCost = tuple[float, tuple[tuple[str, float, float], ...]]
+
+
+@dataclass
+class _Replay:
+    """What every multiply of one pattern at one ``d`` repeats verbatim.
+
+    Attributes:
+        ledger: Eq. 2's charges of every partition, in partition order.
+        thread_seconds: ``(thread id, Eq. 2 seconds)`` of every partition.
+        metrics: the registry ``updates`` are bound to.
+        updates: the allocation and prefetch metric updates, in order.
+    """
+
+    ledger: CostTrace
+    thread_seconds: list[tuple[int, float]]
+    metrics: MetricsRegistry | None = None
+    updates: list[MetricUpdate] = field(default_factory=list)
+
+
+@dataclass
+class _Plan:
+    """What an engine derives from a sparsity pattern alone.
+
+    ``dispatched`` are the partitions whose row ranges go to the kernel
+    executor; ``full_pass`` says that some rows sit in non-contiguous
+    (natural-order) partitions, a costing construct, and the result is
+    computed in one pass instead.
+    """
+
+    partitions: list[WorkloadPartition]
+    prefetch_plans: list[PrefetchPlan | DisabledPrefetchPlan]
+    dispatched: list[WorkloadPartition]
+    full_pass: bool
+    replays: dict[int, _Replay] = field(default_factory=dict)
 
 
 @dataclass
@@ -201,10 +236,11 @@ class SpMMEngine:
             )
         )
         # EaTA's split and WoFP's plans read only a matrix's sparsity
-        # pattern (immutable, see CSDBMatrix.mark_mutated), and Eq. 2
-        # reads only those plus d and this engine's frozen config, so
-        # they are computed once per matrix (per d) and kept while the
-        # matrix is alive.
+        # pattern, and Eq. 2 reads only those plus d and this engine's
+        # frozen config, so they are computed once per pattern object
+        # (per d) — identity, never content: with_values siblings share
+        # a plan, equal arrays built twice do not — and kept while a
+        # matrix on the pattern is alive.
         self._plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     # -- device/tier resolution -------------------------------------------
@@ -304,8 +340,9 @@ class SpMMEngine:
         compute: bool,
     ) -> SpMMResult:
         n_threads = self.config.n_threads
-        partitions, prefetch_plans, costs = self._plan(matrix, d)
-        record_allocation_metrics(partitions, self.metrics, self.allocator.name)
+        plan, replay = self._plan(matrix, d)
+        for update, value in replay.updates:
+            update(value)
         trace = CostTrace()
         clock = SimClock(n_threads)
 
@@ -315,29 +352,15 @@ class SpMMEngine:
         alloc_seconds = self.cost_model.compute_time(alloc_ops)
         trace.charge("allocation", alloc_seconds)
         clock.advance_all(alloc_seconds)
+        trace.merge(replay.ledger)
+        for thread_id, seconds in replay.thread_seconds:
+            clock.advance(thread_id, seconds)
 
-        needs_full_pass = False
-        dispatched: list[WorkloadPartition] = []
-        for partition, plan, (seconds, charges) in zip(
-            partitions, prefetch_plans, costs
-        ):
-            record_prefetch_metrics(plan, partition, d, self.metrics)
-            for charge in charges:
-                trace.charge(*charge)
-            clock.advance(partition.thread_id, seconds)
-            if compute and partition.n_rows > 0:
-                if partition.contiguous:
-                    dispatched.append(partition)
-                else:
-                    # Non-contiguous (natural-order) partitions are a
-                    # costing construct; compute the result in one pass.
-                    needs_full_pass = True
-        kernel_ranges = [(p.row_start, p.row_end) for p in dispatched]
         kernel_wall = 0.0
         output: np.ndarray | None = None
         if compute:
             wall_start = time.perf_counter()
-            if needs_full_pass:
+            if plan.full_pass:
                 output = matrix.spmm(dense)
             else:
                 # run_partitions fully overwrites the buffer.
@@ -356,7 +379,7 @@ class SpMMEngine:
                 self.kernel_executor.run_partitions(
                     matrix,
                     dense,
-                    kernel_ranges,
+                    [(p.row_start, p.row_end) for p in plan.dispatched],
                     output,
                 )
                 if stats is not None and before is not None:
@@ -382,15 +405,15 @@ class SpMMEngine:
                     ).inc(stats.last_submit_wall_s)
             kernel_wall = time.perf_counter() - wall_start
             self.metrics.counter("spmm.kernel_wall_seconds").inc(kernel_wall)
-            if not needs_full_pass:
+            if not plan.full_pass:
                 # The seam carries no telemetry; the one measured wall
                 # is apportioned to the dispatched ranges by the
                 # quantity Eq. 2 charges by (rows when nothing has nnz).
-                weights = [p.nnz_count for p in dispatched]
+                weights = [p.nnz_count for p in plan.dispatched]
                 if not any(weights):
-                    weights = [p.n_rows for p in dispatched]
+                    weights = [p.n_rows for p in plan.dispatched]
                 total = sum(weights)
-                for partition, weight in zip(dispatched, weights):
+                for partition, weight in zip(plan.dispatched, weights):
                     self.tracer.record(
                         "spmm_partition",
                         wall_seconds=kernel_wall * weight / total,
@@ -462,37 +485,31 @@ class SpMMEngine:
             output=output,
             sim_seconds=clock.makespan,
             thread_times=thread_times,
-            partitions=partitions,
-            prefetch_plans=prefetch_plans,
+            partitions=list(plan.partitions),
+            prefetch_plans=list(plan.prefetch_plans),
             stream_plan=stream_plan,
             trace=trace,
             nnz=matrix.nnz,
             kernel_wall_seconds=kernel_wall,
         )
 
-    # -- per-matrix planning ------------------------------------------------
+    # -- per-pattern planning -----------------------------------------------
 
-    def _plan(
-        self, matrix: CSDBMatrix, d: int
-    ) -> tuple[
-        list[WorkloadPartition],
-        list[PrefetchPlan | DisabledPrefetchPlan],
-        list[PartitionCost],
-    ]:
-        """A matrix's thread allocation, WoFP plans and Eq. 2 costs at ``d``.
+    def _plan(self, matrix: CSDBMatrix, d: int) -> tuple[_Plan, _Replay]:
+        """A pattern's thread allocation and WoFP plans, and what a
+        multiply at ``d`` replays of them.
 
-        Computed on the first multiply of a matrix (the costs: of a
-        matrix at that ``d``), reused afterwards; callers get fresh
-        partition and plan lists.  The caller charges the simulated cost
-        to its own trace and clock, and emits the allocation and
-        prefetch metrics, on every call regardless.
+        Computed on the first multiply of a matrix on the pattern (the
+        replay: at that ``d``, its metric updates: into the engine's
+        current registry), reused afterwards.  The caller applies the
+        replay to its own trace and registry on every call regardless.
         """
-        cached = self._plans.get(matrix)
-        if cached is None:
+        plan = self._plans.get(matrix.pattern)
+        if plan is None:
             partitions = self.allocator.allocate(
                 matrix, self.config.n_threads
             )
-            cached = self._plans[matrix] = (
+            plan = self._plans[matrix.pattern] = _Plan(
                 partitions,
                 [
                     self.prefetcher.plan(matrix, partition)
@@ -500,16 +517,29 @@ class SpMMEngine:
                     else DisabledPrefetchPlan()
                     for partition in partitions
                 ],
-                {},
+                [p for p in partitions if p.contiguous and p.n_rows > 0],
+                any(not p.contiguous and p.n_rows > 0 for p in partitions),
             )
-        partitions, prefetch_plans, costs_by_d = cached
-        costs = costs_by_d.get(d)
-        if costs is None:
-            costs = costs_by_d[d] = [
-                self._partition_cost(partition, plan, d)
-                for partition, plan in zip(partitions, prefetch_plans)
-            ]
-        return list(partitions), list(prefetch_plans), costs
+        replay = plan.replays.get(d)
+        if replay is None:
+            # Summed the way a fresh ledger charged partition by
+            # partition would sum them: from zero, in partition order.
+            replay = plan.replays[d] = _Replay(CostTrace(), [])
+            for partition, prefetch in zip(plan.partitions, plan.prefetch_plans):
+                seconds, charges = self._partition_cost(partition, prefetch, d)
+                replay.thread_seconds.append((partition.thread_id, seconds))
+                for charge in charges:
+                    replay.ledger.charge(*charge)
+        if replay.metrics is not self.metrics:
+            replay.metrics = self.metrics
+            replay.updates = record_allocation_metrics(
+                plan.partitions, self.metrics, self.allocator.name
+            )
+            for partition, prefetch in zip(plan.partitions, plan.prefetch_plans):
+                replay.updates += record_prefetch_metrics(
+                    prefetch, partition, d, self.metrics
+                )
+        return plan, replay
 
     # -- per-partition costing ----------------------------------------------
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.eata import WorkloadPartition
+from repro.core.eata import MetricUpdate, WorkloadPartition
 from repro.formats.csdb import CSDBMatrix
 from repro.obs.metrics import MetricsRegistry
 
@@ -37,24 +37,30 @@ def record_prefetch_metrics(
     partition: WorkloadPartition,
     dense_cols: int,
     metrics: MetricsRegistry,
-) -> None:
-    """Flow one workload's WoFP decisions into a metrics registry.
+) -> list[MetricUpdate]:
+    """One workload's WoFP decisions as updates of a metrics registry.
 
-    Hits are the dense accesses served from the DRAM-pinned top-M set;
-    misses pay the PM gather.  ``wofp.pinned_bytes`` is the DRAM the
-    top-M structures reserve — what an over-large σ inflates (Fig. 19c).
+    Returns them bound to ``metrics``' series, in recording order (see
+    :func:`~repro.core.eata.record_allocation_metrics`).  Hits are the
+    dense accesses served from the DRAM-pinned top-M set; misses pay the
+    PM gather.  ``wofp.pinned_bytes`` is the DRAM the top-M structures
+    reserve — what an over-large σ inflates (Fig. 19c).
     """
     w = partition.nnz_count
     hit_nnz = plan.hit_fraction * w
-    metrics.counter("wofp.plans", kind=plan.kind).inc()
-    metrics.counter("wofp.hit_nnz").inc(hit_nnz)
-    metrics.counter("wofp.miss_nnz").inc(w - hit_nnz)
-    metrics.counter("wofp.pinned_bytes").inc(plan.pinned_bytes(dense_cols))
-    metrics.counter("wofp.maintenance_ops").inc(plan.maintenance_ops)
+    updates: list[MetricUpdate] = [
+        (metrics.counter("wofp.plans", kind=plan.kind).inc, 1.0),
+        (metrics.counter("wofp.hit_nnz").inc, hit_nnz),
+        (metrics.counter("wofp.miss_nnz").inc, w - hit_nnz),
+        (metrics.counter("wofp.pinned_bytes").inc, plan.pinned_bytes(dense_cols)),
+        (metrics.counter("wofp.maintenance_ops").inc, plan.maintenance_ops),
+    ]
     if w > 0:
-        metrics.histogram(
+        histogram = metrics.histogram(
             "wofp.hit_fraction", buckets=HIT_FRACTION_BUCKETS
-        ).observe(plan.hit_fraction)
+        )
+        updates.append((histogram.observe, plan.hit_fraction))
+    return updates
 
 
 @dataclass(frozen=True)

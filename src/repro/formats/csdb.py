@@ -164,6 +164,46 @@ def _run_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     )
 
 
+def degree_blocks(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(perm, deg_list, deg_ind)`` of rows with the given degrees.
+
+    Rows go in stable order of descending degree (equal-degree rows keep
+    their original order, matching the paper's example layout): one
+    16-bit radix ordering of ``len(degrees)`` keys, nothing nnz-sized.
+    """
+    top = int(degrees.max()) if len(degrees) else 0
+    perm = _stable_order(top - degrees, top + 1)
+    lengths = degrees[perm]
+    # A block starts where the degree changes (nowhere, without rows).
+    starts = np.flatnonzero(
+        np.concatenate([[True], lengths[1:] != lengths[:-1]])[: len(lengths)]
+    )
+    return perm, lengths[starts], np.append(starts, len(lengths))
+
+
+@dataclass(eq=False)
+class _Pattern:
+    """A sparsity pattern: the structural arrays and all that follows from them.
+
+    Compared and hashed by identity — two patterns of equal content are
+    two patterns.  The caches start empty and are filled, once, by
+    whichever matrix on the pattern asks first.
+    """
+
+    deg_list: np.ndarray
+    deg_ind: np.ndarray
+    col_list: np.ndarray
+    perm: np.ndarray
+    shape: tuple[int, int]
+    block_ptr: np.ndarray | None = None
+    inv_perm: np.ndarray | None = None
+    row_degrees: np.ndarray | None = None
+    nnz_prefix: np.ndarray | None = None
+    col_degrees: np.ndarray | None = None
+    #: ``(indices, indptr)`` of the kernel view, as scipy keeps them.
+    kernel_index: tuple[np.ndarray, np.ndarray] | None = None
+
+
 class SharedCSDB:
     """Owner side of a CSDB matrix copied into shared memory.
 
@@ -199,21 +239,36 @@ class SharedCSDB:
 class CSDBMatrix:
     """Sparse matrix in the paper's compressed sparse degree-block layout.
 
-    Besides the block arrays a matrix lazily caches what depends only on
-    its sparsity pattern (row degrees, prefix sums, permutations) and,
-    once it has been multiplied, one kernel-ready scipy CSR view of the
-    whole matrix (:meth:`kernel_view`).  The view's values alias
-    ``nnz_list``.  Its index arrays are whatever scipy makes of
-    ``col_list`` and ``nnz_prefix``: aliases too where ``csr_array``
-    keeps the int64 dtype it is given (scipy 1.17 does), its own int32
-    copies on versions that narrow — about 4 B per non-zero + 4 B per
-    row per live multiplied matrix (``with_values`` siblings share them).
-    There is exactly one view per matrix, never one per row range: a
-    narrowed view per range would hold a second copy of the indices for
-    every executor that cuts the rows differently, and forked pool
-    workers would inherit them all.  The view refers to the arrays, not
-    to the matrix, so it never keeps its matrix alive.
+    A matrix is a sparsity *pattern* plus its own values.  The pattern
+    (``matrix.pattern``, an opaque token) owns the structural arrays —
+    ``deg_list``, ``deg_ind``, ``col_list``, ``perm``, ``block_ptr``,
+    ``shape``, readable under those names on the matrix — and every
+    cache that follows from them alone: ``inv_perm``, ``row_degrees``,
+    ``nnz_prefix``, ``col_degrees``, the kernel view's index arrays.
+    :meth:`with_values` siblings hold the *same* pattern object: the
+    arrays are validated once, a cache filled through one sibling is
+    there for all, and what is keyed on the pattern's identity (an
+    :class:`~repro.core.spmm.SpMMEngine`'s plans) is shared by them and
+    dies with the last.  :meth:`mark_mutated` moves a matrix onto a
+    fresh pattern over the same arrays.
+
+    The matrix owns ``nnz_list``, its content hash and, once multiplied,
+    one kernel-ready scipy CSR view of itself (:meth:`kernel_view`).
+    The view's values alias ``nnz_list``.  Its index arrays are whatever
+    scipy makes of ``col_list`` and ``nnz_prefix``: aliases too where
+    ``csr_array`` keeps the int64 dtype it is given (scipy 1.17 does),
+    its own int32 copies on versions that narrow — about 4 B per
+    non-zero + 4 B per row per live multiplied *pattern*.  There is
+    exactly one view per matrix, never one per row range: a narrowed
+    view per range would hold a second copy of the indices for every
+    executor that cuts the rows differently, and forked pool workers
+    would inherit them all.  The view refers to the arrays, not to the
+    matrix, so it never keeps its matrix alive.
     """
+
+    #: Keeps attached shared-memory segments alive for matrices built by
+    #: from_shared (their arrays are zero-copy views into them).
+    _shared_segments: tuple[shared_memory.SharedMemory, ...] = ()
 
     def __init__(
         self,
@@ -235,26 +290,30 @@ class CSDBMatrix:
             perm: ``perm[csdb_row] = original_row``.
             shape: (n_rows, n_cols) in original indexing.
         """
-        self.deg_list = np.asarray(deg_list, dtype=np.int64)
-        self.deg_ind = np.asarray(deg_ind, dtype=np.int64)
-        self.col_list = np.asarray(col_list, dtype=np.int64)
-        self.nnz_list = np.asarray(nnz_list, dtype=np.float64)
-        self.perm = np.asarray(perm, dtype=np.int64)
-        self.shape = (int(shape[0]), int(shape[1]))
+        self._bind(
+            _Pattern(
+                np.asarray(deg_list, dtype=np.int64),
+                np.asarray(deg_ind, dtype=np.int64),
+                np.asarray(col_list, dtype=np.int64),
+                np.asarray(perm, dtype=np.int64),
+                (int(shape[0]), int(shape[1])),
+            ),
+            np.asarray(nnz_list, dtype=np.float64),
+        )
         self._validate()
-        block_sizes = np.diff(self.deg_ind)
-        self.block_ptr = np.concatenate(
-            [[0], np.cumsum(block_sizes * self.deg_list)]
+        self.block_ptr = self.pattern.block_ptr = np.concatenate(
+            [[0], np.cumsum(np.diff(self.deg_ind) * self.deg_list)]
         ).astype(np.int64)
-        self._inv_perm: np.ndarray | None = None
-        self._row_degrees: np.ndarray | None = None
-        self._nnz_prefix: np.ndarray | None = None
-        self._col_degrees: np.ndarray | None = None
+
+    def _bind(self, pattern: _Pattern, values: np.ndarray) -> None:
+        """Put this matrix on ``pattern`` with ``values``; nothing is checked."""
+        self.pattern = pattern
+        self.deg_list, self.deg_ind = pattern.deg_list, pattern.deg_ind
+        self.col_list, self.perm = pattern.col_list, pattern.perm
+        self.block_ptr, self.shape = pattern.block_ptr, pattern.shape
+        self.nnz_list = values
         self._kernel_view: csr_array | None = None
         self._content_hash: str | None = None
-        # Keeps attached shared-memory segments alive for matrices built
-        # by from_shared (the arrays above are zero-copy views into them).
-        self._shared_segments: tuple[shared_memory.SharedMemory, ...] = ()
 
     def _validate(self) -> None:
         n_rows, n_cols = self.shape
@@ -292,20 +351,9 @@ class CSDBMatrix:
     def from_csr(cls, csr: CSRMatrix) -> "CSDBMatrix":
         """Convert a CSR matrix by sorting rows into degree blocks."""
         degrees = csr.row_degrees()
-        # Stable order by descending degree keeps equal-degree rows in
-        # original order, matching the paper's example layout.
-        top = int(degrees.max()) if len(degrees) else 0
-        perm = _stable_order(top - degrees, top + 1)
-        lengths = degrees[perm]
-        if len(lengths):
-            boundary = np.concatenate([[True], lengths[1:] != lengths[:-1]])
-            deg_list = lengths[boundary]
-            deg_ind = np.concatenate([np.flatnonzero(boundary), [len(lengths)]])
-        else:
-            deg_list = np.empty(0, dtype=np.int64)
-            deg_ind = np.zeros(1, dtype=np.int64)
+        perm, deg_list, deg_ind = degree_blocks(degrees)
         # CSDB row i is original row perm[i]'s run of the CSR arrays.
-        gather = _run_gather(csr.indptr[perm], lengths)
+        gather = _run_gather(csr.indptr[perm], degrees[perm])
         return cls(
             deg_list,
             deg_ind,
@@ -351,11 +399,11 @@ class CSDBMatrix:
     @property
     def inv_perm(self) -> np.ndarray:
         """``inv_perm[original_row] = csdb_row`` (cached)."""
-        if self._inv_perm is None:
+        if self.pattern.inv_perm is None:
             inv = np.empty(self.n_rows, dtype=np.int64)
             inv[self.perm] = np.arange(self.n_rows, dtype=np.int64)
-            self._inv_perm = inv
-        return self._inv_perm
+            self.pattern.inv_perm = inv
+        return self.pattern.inv_perm
 
     def index_bytes(self) -> int:
         """Bytes of index metadata — O(|distinct degrees|), not O(|V|).
@@ -388,22 +436,22 @@ class CSDBMatrix:
 
     def row_degrees(self) -> np.ndarray:
         """Per-CSDB-row degrees, expanded from the blocks (cached)."""
-        if self._row_degrees is None:
-            self._row_degrees = np.repeat(
+        if self.pattern.row_degrees is None:
+            self.pattern.row_degrees = np.repeat(
                 self.deg_list, np.diff(self.deg_ind)
             ).astype(np.int64)
-        return self._row_degrees
+        return self.pattern.row_degrees
 
     def nnz_prefix(self) -> np.ndarray:
         """Prefix sums of per-row nnz: ``prefix[i]`` = nnz before row i.
 
         Length ``n_rows + 1``; the workhorse of the thread allocators.
         """
-        if self._nnz_prefix is None:
-            self._nnz_prefix = np.concatenate(
+        if self.pattern.nnz_prefix is None:
+            self.pattern.nnz_prefix = np.concatenate(
                 [[0], np.cumsum(self.row_degrees())]
             ).astype(np.int64)
-        return self._nnz_prefix
+        return self.pattern.nnz_prefix
 
     def nnz_row_ids(self) -> np.ndarray:
         """Original row id of every non-zero, aligned with ``col_list``."""
@@ -430,13 +478,18 @@ class CSDBMatrix:
         degree-sorted row space.  scipy validates it (and, on versions
         that narrow indices, converts them to int32) once, here;
         :meth:`spmm_rows` then multiplies the view, or slices of its
-        arrays, on every call.  The values are ``nnz_list`` itself.
+        arrays, on every call.  The values are ``nnz_list`` itself; the
+        index arrays are the pattern's, shared by every sibling's view.
         """
         if self._kernel_view is None:
-            self._kernel_view = csr_array(
-                (self.nnz_list, self.col_list, self.nnz_prefix()),
+            index = self.pattern.kernel_index
+            view = csr_array(
+                (self.nnz_list, *(index or (self.col_list, self.nnz_prefix()))),
                 shape=self.shape,
             )
+            if index is None:
+                self.pattern.kernel_index = (view.indices, view.indptr)
+            self._kernel_view = view
         return self._kernel_view
 
     def spmm_rows(
@@ -514,16 +567,28 @@ class CSDBMatrix:
         """Transposed copy, re-blocked by the transpose's row degrees.
 
         No comparison sort: the non-zeros are gathered into original-row
-        CSR order (:meth:`to_csr`'s one O(nnz) gather), scipy's compiled
-        counting pass turns that CSR into the CSC of the same matrix —
-        which *is* the CSR of the transpose, columns ascending within a
-        row — and :meth:`from_csr` re-blocks it.  The result is what
-        ``from_coo(col_list, nnz_row_ids(), nnz_list, shape^T)`` builds,
-        array for array (``+ 0.0`` included: a stored ``-0.0`` comes out
-        ``+0.0``), for a matrix without duplicate coordinates, which is
-        what every constructor produces.
+        CSR order (:meth:`_row_order`'s one O(nnz) gather) and scipy's
+        compiled counting pass turns that CSR into the CSC of the same
+        matrix — which *is* the CSR of the transpose, columns ascending
+        within a row.  If its index arrays equal the CSR's the pattern
+        is symmetric and the transpose is a value-sibling on this
+        matrix's pattern; otherwise :meth:`from_csr` re-blocks it.  Either
+        way the result is what ``from_coo(col_list, nnz_row_ids(),
+        nnz_list, shape^T)`` builds, array for array (``+ 0.0`` included:
+        a stored ``-0.0`` comes out ``+0.0``), for a matrix without
+        duplicate coordinates, which is what every constructor produces.
         """
-        by_column = csr_array(self._row_order_arrays(), shape=self.shape).tocsc()
+        gather, indptr = self._row_order()
+        indices = self.col_list[gather]
+        by_column = csr_array(
+            (self.nnz_list[gather], indices, indptr), shape=self.shape
+        ).tocsc()
+        if np.array_equal(by_column.indptr, indptr) and np.array_equal(
+            by_column.indices, indices
+        ):
+            values = np.empty(self.nnz, dtype=np.float64)
+            values[gather] = by_column.data + 0.0
+            return self.with_values(values)
         return CSDBMatrix.from_csr(
             CSRMatrix(
                 by_column.indptr,
@@ -534,13 +599,9 @@ class CSDBMatrix:
         )
 
     def _elementwise(self, other: "CSDBMatrix", sign: float) -> "CSDBMatrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        rows = np.concatenate([self.nnz_row_ids(), other.nnz_row_ids()])
-        cols = np.concatenate([self.col_list, other.col_list])
-        vals = np.concatenate([self.nnz_list, sign * other.nnz_list])
-        merged = CSRMatrix.from_coo(rows, cols, vals, self.shape).prune()
-        return CSDBMatrix.from_csr(merged)
+        return CSDBMatrix.from_csr(
+            self.to_csr()._elementwise(other.to_csr(), sign)
+        )
 
     def __add__(self, other: "CSDBMatrix") -> "CSDBMatrix":
         return self._elementwise(other, 1.0)
@@ -551,12 +612,10 @@ class CSDBMatrix:
     def with_values(self, values: np.ndarray) -> "CSDBMatrix":
         """Same sparsity pattern, new non-zero values.
 
-        The result shares this matrix's block arrays and ``perm``, and
-        inherits its structural caches (degrees, prefix sums,
-        permutations, the kernel view's index arrays), which depend only
-        on the pattern.  ``transpose`` and the elementwise operators
-        change the pattern and therefore build fresh matrices with empty
-        caches.
+        The result is a sibling on this matrix's pattern object: nothing
+        structural is re-validated and the pattern's caches, present and
+        future, are common to both.  ``transpose`` (of an asymmetric
+        pattern) and the elementwise operators build fresh patterns.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.shape != self.nnz_list.shape:
@@ -564,27 +623,8 @@ class CSDBMatrix:
                 f"values must have shape {self.nnz_list.shape},"
                 f" got {values.shape}"
             )
-        derived = CSDBMatrix(
-            self.deg_list,
-            self.deg_ind,
-            self.col_list,
-            values,
-            self.perm,
-            self.shape,
-        )
-        derived._inv_perm = self._inv_perm
-        derived._row_degrees = self._row_degrees
-        derived._nnz_prefix = self._nnz_prefix
-        derived._col_degrees = self._col_degrees
-        if self._kernel_view is not None:
-            derived._kernel_view = csr_array(
-                (
-                    derived.nnz_list,
-                    self._kernel_view.indices,
-                    self._kernel_view.indptr,
-                ),
-                shape=self.shape,
-            )
+        derived = CSDBMatrix.__new__(CSDBMatrix)
+        derived._bind(self.pattern, values)
         return derived
 
     def scale(self, factor: float) -> "CSDBMatrix":
@@ -594,11 +634,11 @@ class CSDBMatrix:
     def col_degrees(self) -> np.ndarray:
         """In-degree of every column — the metric of WoFP's degree-based
         prefetcher (§III-C).  Cached: the engine consults it per SpMM."""
-        if self._col_degrees is None:
-            self._col_degrees = np.bincount(
+        if self.pattern.col_degrees is None:
+            self.pattern.col_degrees = np.bincount(
                 self.col_list, minlength=self.n_cols
             ).astype(np.int64)
-        return self._col_degrees
+        return self.pattern.col_degrees
 
     # -- content identity ---------------------------------------------------
 
@@ -628,18 +668,20 @@ class CSDBMatrix:
         """Invalidate derived caches after in-place *value* mutation.
 
         Call this after writing into ``nnz_list`` (e.g. re-weighting
-        edges in place): the cached content hash and derived caches are
-        dropped, so executors holding shared copies re-share the matrix
-        on their next call.  Structural mutation (``deg_list``,
-        ``deg_ind``, ``col_list``, ``perm``) is not supported — build a
-        fresh matrix instead.
+        edges in place): the content hash and kernel view are dropped
+        and the matrix moves onto a fresh pattern over the same arrays,
+        so its caches and plans are rebuilt and executors holding shared
+        copies re-share it; its former siblings keep theirs.  Structural
+        mutation (``deg_list``, ``deg_ind``, ``col_list``, ``perm``) is
+        not supported — build a fresh matrix instead.
         """
-        self._content_hash = None
-        self._inv_perm = None
-        self._row_degrees = None
-        self._nnz_prefix = None
-        self._col_degrees = None
-        self._kernel_view = None
+        self._bind(
+            _Pattern(
+                self.deg_list, self.deg_ind, self.col_list, self.perm,
+                self.shape, self.block_ptr,
+            ),
+            self.nnz_list,
+        )
 
     # -- shared memory ------------------------------------------------------
 
@@ -706,24 +748,26 @@ class CSDBMatrix:
 
     # -- conversions --------------------------------------------------------
 
-    def _row_order_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(data, indices, indptr)`` of the matrix in original row order.
+    def _row_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(gather, indptr)`` taking the CSDB arrays to original row order.
 
-        Each original row's run is contiguous in the CSDB arrays, so this
-        is one O(nnz) gather, not a sort.
+        ``col_list[gather]`` / ``nnz_list[gather]`` with ``indptr`` is the
+        CSR of the matrix.  Each original row's run is contiguous in the
+        CSDB arrays, so this is one O(nnz) gather, not a sort.
         """
         inv_perm = self.inv_perm
         degrees = self.row_degrees()[inv_perm]
         indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
         # Original row r is CSDB row inv_perm[r]'s run of the CSDB arrays.
-        gather = _run_gather(self.nnz_prefix()[:-1][inv_perm], degrees)
-        return self.nnz_list[gather], self.col_list[gather], indptr
+        return _run_gather(self.nnz_prefix()[:-1][inv_perm], degrees), indptr
 
     def to_csr(self) -> CSRMatrix:
         """Convert back to CSR in original row order."""
-        data, indices, indptr = self._row_order_arrays()
-        return CSRMatrix(indptr, indices, data, self.shape)
+        gather, indptr = self._row_order()
+        return CSRMatrix(
+            indptr, self.col_list[gather], self.nnz_list[gather], self.shape
+        )
 
     def to_dense(self) -> np.ndarray:
         """Dense ndarray copy (testing/small matrices only)."""

@@ -27,7 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 #: nnz-sized 8-byte arrays one coordinate build works through: its three
-#: inputs, the order, the two gathers, the row ids and the key.
+#: inputs, the order, the two gathers, the kept-entry counts and the
+#: group ids.
 _WORKING_SET_ARRAYS = 8
 #: The largest block glibc's adaptive thresholds follow (its
 #: ``DEFAULT_MMAP_THRESHOLD_MAX`` on 64-bit, less the page a chunk header
@@ -48,6 +49,17 @@ def _reserve_working_set(nnz: int) -> None:
     np.empty(
         min(_WORKING_SET_ARRAYS * nnz, _RESERVE_MAX_BYTES // 8), dtype=np.int64
     )
+
+
+def _key_dimensions(shape: tuple[int, int]) -> tuple[int, int]:
+    """``shape`` as ints, provided ``row * n_cols + col`` fits an int64."""
+    n_rows, n_cols = int(shape[0]), int(shape[1])
+    if n_rows * n_cols >= 2**63:
+        raise ValueError(
+            f"shape {(n_rows, n_cols)} too large: n_rows * n_cols must be"
+            " below 2**63 (the int64 coordinate key would wrap)"
+        )
+    return n_rows, n_cols
 
 
 def _stable_order(
@@ -135,21 +147,15 @@ class CSRMatrix:
 
         Raises:
             ValueError: on out-of-range indices, or when ``n_rows *
-                n_cols`` does not fit the int64 key that tells equal
-                coordinates apart (the ordering itself has no such
-                limit).
+                n_cols`` does not fit the int64 coordinate key ``a ± b``
+                merges by (the build itself has no such limit).
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
         if not (len(rows) == len(cols) == len(vals)):
             raise ValueError("rows, cols, vals must have equal length")
-        n_rows, n_cols = int(shape[0]), int(shape[1])
-        if n_rows * n_cols >= 2**63:
-            raise ValueError(
-                f"shape {(n_rows, n_cols)} too large: n_rows * n_cols must be"
-                " below 2**63 (the int64 coordinate key would wrap)"
-            )
+        n_rows, n_cols = _key_dimensions(shape)
         if len(rows):
             if rows.min() < 0 or rows.max() >= n_rows:
                 raise ValueError("row index out of range")
@@ -160,24 +166,43 @@ class CSRMatrix:
         # keeps equal coordinates in input order.
         order = _stable_order(rows, n_rows, _stable_order(cols, n_cols))
         cols, vals = cols[order], vals[order]
-        del order  # before the row ids and the key are made, not after
-        counts = np.bincount(rows, minlength=n_rows)
+        del order  # before the duplicates are summed, not after
+        return cls._from_ordered(
+            np.bincount(rows, minlength=n_rows), cols, vals,
+            (n_rows, n_cols), sum_duplicates,
+        )
+
+    @classmethod
+    def _from_ordered(
+        cls,
+        counts: np.ndarray,
+        cols: np.ndarray,
+        vals: np.ndarray,
+        shape: tuple[int, int],
+        sum_duplicates: bool,
+    ) -> "CSRMatrix":
+        """The build from entries already ordered by (row, col).
+
+        ``counts`` is the number of entries per row; equal coordinates
+        are adjacent and summed from zero in the order given.
+        """
+        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
         if sum_duplicates and len(cols):
-            # rows[order], without the gather: the row ids, ascending.
-            rows = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
-            key = rows * n_cols + cols
-            keep = np.empty(len(key), dtype=bool)
+            # An entry opens a new coordinate when its column differs
+            # from the one before it or it is the first of its row.
+            keep = np.empty(len(cols), dtype=bool)
             keep[0] = True
-            np.not_equal(key[1:], key[:-1], out=keep[1:])
-            del key  # likewise: the summed values need its room
+            np.not_equal(cols[1:], cols[:-1], out=keep[1:])
+            keep[indptr[:-1][counts > 0]] = True
             if keep.all():
                 vals = vals + 0.0  # what summing from zero does to -0.0
             else:
-                vals = np.bincount(np.cumsum(keep) - 1, weights=vals)
+                kept = np.zeros(len(cols) + 1, dtype=np.int64)
+                np.cumsum(keep, out=kept[1:])
+                vals = np.bincount(kept[1:] - 1, weights=vals)
                 cols = cols[keep]
-                counts = np.bincount(rows[keep], minlength=n_rows)
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+                indptr = kept[indptr]
         return cls(indptr, cols, vals, shape)
 
     # -- basic properties -------------------------------------------------
@@ -268,11 +293,27 @@ class CSRMatrix:
     def _elementwise(self, other: "CSRMatrix", sign: float) -> "CSRMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        rows = np.concatenate([self.nnz_row_ids(), other.nnz_row_ids()])
-        cols = np.concatenate([self.indices, other.indices])
-        vals = np.concatenate([self.data, sign * other.data])
-        merged = CSRMatrix.from_coo(rows, cols, vals, self.shape)
-        return merged.prune()
+        _, n_cols = _key_dimensions(self.shape)
+        # Both operands are ordered by (row, col), so they are merged,
+        # not sorted: an entry of ``other`` goes after every entry of
+        # ``self`` whose coordinate is not greater (equal coordinates are
+        # summed in operand order) and ``self`` fills the slots left.
+        theirs = np.searchsorted(
+            self.nnz_row_ids() * n_cols + self.indices,
+            other.nnz_row_ids() * n_cols + other.indices,
+            side="right",
+        ) + np.arange(other.nnz, dtype=np.int64)
+        free = np.ones(self.nnz + other.nnz, dtype=bool)
+        free[theirs] = False
+        ours = np.flatnonzero(free)
+        cols = np.empty(len(free), dtype=np.int64)
+        cols[theirs], cols[ours] = other.indices, self.indices
+        vals = np.empty(len(free), dtype=np.float64)
+        vals[theirs], vals[ours] = sign * other.data, self.data
+        counts = self.row_degrees() + other.row_degrees()
+        return CSRMatrix._from_ordered(
+            counts, cols, vals, self.shape, sum_duplicates=True
+        ).prune()
 
     def __add__(self, other: "CSRMatrix") -> "CSRMatrix":
         return self._elementwise(other, 1.0)

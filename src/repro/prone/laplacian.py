@@ -1,20 +1,24 @@
 """Graph-matrix transforms used by ProNE, expressed on CSDB matrices.
 
-All transforms preserve or rebuild the CSDB block structure:
+Only one of them changes the sparsity pattern:
 
-- :func:`row_l1_normalize` keeps the structure (only values change), so
-  it is free of re-sorting;
-- :func:`add_identity` changes the sparsity pattern (diagonal insertion)
-  and therefore rebuilds the blocks;
+- :func:`row_l1_normalize` computes new values and returns a
+  :meth:`~repro.formats.csdb.CSDBMatrix.with_values` sibling on the
+  operand's pattern object;
+- :func:`add_identity` inserts the diagonal, so its result stands on a
+  pattern of its own.  Every row's run is already ordered by column:
+  the rows are re-blocked by their new degrees (an n-sized ordering)
+  and each run is scattered to its new offset with the diagonal in
+  between, O(nnz) and without ordering a single non-zero;
 - :func:`chebyshev_operator` has the pattern of ``A + I``, so given that
-  matrix it only computes new values on the shared block structure.
+  matrix it is a sibling of it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.formats.csdb import CSDBMatrix
+from repro.formats.csdb import CSDBMatrix, degree_blocks
 
 
 def row_l1_normalize(matrix: CSDBMatrix) -> CSDBMatrix:
@@ -34,17 +38,47 @@ def row_l1_normalize(matrix: CSDBMatrix) -> CSDBMatrix:
 
 
 def add_identity(matrix: CSDBMatrix, scale: float = 1.0) -> CSDBMatrix:
-    """``matrix + scale * I`` (rebuilds the degree blocks)."""
+    """``matrix + scale * I`` (rebuilds the degree blocks).
+
+    Array for array what ``from_coo`` of the entries followed by the
+    diagonal builds (stored values summed from zero, then ``+ scale``).
+    """
     if matrix.n_rows != matrix.n_cols:
         raise ValueError(f"matrix must be square, got {matrix.shape}")
-    n = matrix.n_rows
-    diag = np.arange(n, dtype=np.int64)
-    return CSDBMatrix.from_coo(
-        np.concatenate([matrix.nnz_row_ids(), diag]),
-        np.concatenate([matrix.col_list, diag]),
-        np.concatenate([matrix.nnz_list, np.full(n, scale)]),
-        matrix.shape,
+    n, nnz = matrix.n_rows, matrix.nnz
+    degrees, starts = matrix.row_degrees(), matrix.nnz_prefix()
+    # Per CSDB row: how many stored columns precede the diagonal, and
+    # whether the entry at that offset already is the diagonal.
+    below = np.zeros(nnz + 1, dtype=np.int64)
+    np.cumsum(matrix.col_list < matrix.nnz_row_ids(), out=below[1:])
+    lower = np.diff(below[starts])
+    stored = lower < degrees
+    stored[stored] = (
+        matrix.col_list[(starts[:-1] + lower)[stored]] == matrix.perm[stored]
     )
+    # Rows are re-blocked by their new degrees (n keys, no non-zero is
+    # ordered); row i's run moves to its new offset as it is, its upper
+    # part one further when a diagonal goes in between.
+    new_degrees = np.empty(n, dtype=np.int64)
+    new_degrees[matrix.perm] = degrees + ~stored
+    perm, deg_list, deg_ind = degree_blocks(new_degrees)
+    new_starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(new_degrees[perm], out=new_starts[1:])
+    new_row = np.empty(n, dtype=np.int64)
+    new_row[perm] = np.arange(n, dtype=np.int64)
+    shift = new_starts[new_row[matrix.perm]] - starts[:-1]
+    target = np.arange(nnz, dtype=np.int64) + np.repeat(
+        np.stack([shift, shift + ~stored], axis=1).ravel(),
+        np.stack([lower, degrees - lower], axis=1).ravel(),
+    )
+    diagonal = starts[:-1] + shift + lower
+    col_list = np.empty(nnz + n - int(stored.sum()), dtype=np.int64)
+    col_list[target] = matrix.col_list
+    col_list[diagonal] = matrix.perm
+    nnz_list = np.zeros(len(col_list), dtype=np.float64)
+    nnz_list[target] = matrix.nnz_list + 0.0
+    nnz_list[diagonal] += scale
+    return CSDBMatrix(deg_list, deg_ind, col_list, nnz_list, perm, matrix.shape)
 
 
 def chebyshev_operator(

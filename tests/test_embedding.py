@@ -86,6 +86,24 @@ class TestQualityPreservation:
             assert np.array_equal(emb, embeddings[0])
 
 
+def test_propagate_only_prior_equals_the_unbuffered_in_degree_count(skewed_csdb):
+    """The default initial embedding scales by cached ``col_degrees()``;
+    the ``np.add.at`` count it replaced is kept here as the oracle."""
+    config = OMeGaConfig(n_threads=4, dim=8)
+    degrees = np.zeros(skewed_csdb.n_rows, dtype=np.float64)
+    np.add.at(degrees, skewed_csdb.col_list, 1.0)
+    initial = np.random.default_rng(config.seed).standard_normal(
+        (skewed_csdb.n_rows, 8)
+    )
+    initial *= np.sqrt(degrees + 1.0)[:, None]
+    expected, expected_seconds = OMeGaEmbedder(config).propagate_only(
+        skewed_csdb, initial
+    )
+    embedding, seconds = OMeGaEmbedder(config).propagate_only(skewed_csdb)
+    assert embedding.tobytes() == expected.tobytes()
+    assert seconds == expected_seconds
+
+
 class TestSimulatedBehaviour:
     def test_dram_oom_on_scaled_capacity(self, dataset):
         # Shrink the simulated DRAM far below the pipeline working set.

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core import ExecBackend, OMeGaConfig, ParallelConfig, SpMMEngine
 from repro.core.config import MemoryMode, PlacementScheme
-from repro.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.faults import ASL_LOAD_SITE, FaultEvent, FaultInjector, FaultPlan
 from repro.formats import CSDBMatrix, edges_to_csdb
 from repro.graphs import rmat_edges
 from repro.obs.metrics import MetricsRegistry
@@ -288,8 +288,9 @@ def test_cost_only_and_full_pass_multiplies_record_no_partition_spans(matrix):
 # -- (iii) Eq. 2 replay ------------------------------------------------------
 
 
-def observed(engine, matrix, dense):
-    """Everything simulated a multiply reports, as one ``repr`` string."""
+def simulated(engine, matrix, dense):
+    """Everything simulated a multiply reports: (seconds, per-thread
+    seconds, ledger, non-host metric records), into a fresh registry."""
     engine.metrics = MetricsRegistry()
     result = engine.multiply(matrix, dense)
     records = [
@@ -297,14 +298,17 @@ def observed(engine, matrix, dense):
         for record in engine.metrics.to_records()
         if not record["name"].startswith(HOST_METRICS)
     ]
-    return repr(
-        (
-            result.sim_seconds,
-            result.thread_times.tolist(),
-            result.trace.to_dict(),
-            records,
-        )
+    return (
+        result.sim_seconds,
+        result.thread_times.tolist(),
+        result.trace.to_dict(),
+        records,
     )
+
+
+def observed(engine, matrix, dense):
+    """:func:`simulated`, as one ``repr`` string."""
+    return repr(simulated(engine, matrix, dense))
 
 
 ENGINE_CONFIGS = {
@@ -336,6 +340,52 @@ def test_replayed_cost_equals_a_fresh_evaluation(matrix, name):
     assert seen[1] != seen[0]
     for d, index in ((40, 0), (32, 1)):
         assert observed(SpMMEngine(config), matrix, operands[d]) == seen[index]
+
+    # Faulted arm: a degraded PM tier and a transient load failure between
+    # two replays of one plan move the per-call terms and nothing else.
+    healthy = simulated(engine, matrix, operands[40])
+    engine.faults = FaultInjector(
+        FaultPlan(
+            events=(
+                FaultEvent("pm_degrade", "pm", factor=0.01),
+                FaultEvent("transient_load", ASL_LOAD_SITE, count=1),
+            )
+        )
+    )
+    faulted = simulated(engine, matrix, operands[40])
+    engine.faults = None
+    assert observed(engine, matrix, operands[40]) == seen[0]
+
+    def replayed(seen):
+        """What a fault must not reach: the cached ledger terms, the
+        per-thread seconds and every metric but the stream's own."""
+        _, thread_times, ledger, records = seen
+        return repr(
+            (
+                thread_times,
+                {
+                    kind: {
+                        category: value
+                        for category, value in entries.items()
+                        if category not in ("stream_load", "stream_retry")
+                    }
+                    for kind, entries in ledger.items()
+                },
+                [
+                    record
+                    for record in records
+                    if not record["name"].startswith(("asl.", "spmm.sim_seconds"))
+                ],
+            )
+        )
+
+    assert replayed(faulted) == replayed(healthy)
+    if config.memory_mode is MemoryMode.HETEROGENEOUS:  # the others stream nothing
+        assert faulted[2]["seconds"]["stream_retry"] > 0.0
+        assert "stream_retry" not in healthy[2]["seconds"]
+        assert faulted[0] > healthy[0]
+    else:
+        assert faulted == healthy
 
 
 def test_replay_charges_a_fresh_ledger_each_call(matrix):
@@ -475,12 +525,12 @@ def test_the_view_does_not_keep_its_matrix_alive():
     engine.multiply(matrix, np.ones((matrix.n_cols, 2)))
     derived = matrix.with_values(matrix.nnz_list * 2.0)
     engine.multiply(derived, np.ones((matrix.n_cols, 2)))
-    assert len(engine._plans) == 2
+    assert len(engine._plans) == 1  # one pattern
     dead = weakref.ref(matrix)
     del matrix
     gc.collect()
     assert dead() is None
-    assert len(engine._plans) == 1
+    assert len(engine._plans) == 1  # the sibling still stands on it
     dead = weakref.ref(derived)
     del derived
     gc.collect()

@@ -10,11 +10,18 @@ replaced, kept below as the oracle:
   ordered data, vs. their ``from_coo`` formulations);
 - ``chebyshev_operator``: a value-only update on the blocks of ``A + I``
   vs. the former second ``from_coo`` of ``(-DA, (1-mu)I)``;
-- ``SpMMEngine``: EaTA partitions and WoFP plans kept per live matrix,
-  with simulated cost and metrics still charged on every call.
+- ``SpMMEngine``: EaTA partitions and WoFP plans kept per live sparsity
+  pattern (``with_values`` siblings share one), with simulated cost and
+  metrics still charged on every call;
+- ``add_identity``: the diagonal scattered into the ordered rows vs. the
+  former ``from_coo`` of entries + diagonal; ``transpose`` of a symmetric
+  pattern: a value-sibling vs. the ``from_coo`` of the swapped
+  coordinates; ``a +- b``: a merge of two ordered operands vs. the
+  ``from_coo`` of their concatenation.
 """
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -274,10 +281,37 @@ class TestWithValues:
         assert derived.shape == skewed_csdb.shape
         assert derived.nnz_list.dtype == np.float64
         assert derived.nnz_list.tolist() == list(range(skewed_csdb.nnz))
-        for cache in ("_inv_perm", "_row_degrees", "_nnz_prefix", "_col_degrees"):
-            assert getattr(derived, cache) is getattr(skewed_csdb, cache)
-            assert getattr(derived, cache) is not None
+        assert derived.pattern is skewed_csdb.pattern
+        for cache in ("inv_perm", "row_degrees", "nnz_prefix", "col_degrees"):
+            assert getattr(derived.pattern, cache) is not None
         assert derived.content_hash() != skewed_csdb.content_hash()
+
+    def test_a_cache_filled_through_one_sibling_is_seen_by_the_others(self):
+        matrix = edges_to_csdb(rmat_edges(8, edge_factor=4.0, seed=1), 256)
+        first = matrix.with_values(np.arange(matrix.nnz))  # no cache exists yet
+        second = first.scale(2.0)
+        assert matrix.pattern.col_degrees is None
+        degrees = second.col_degrees()
+        assert matrix.col_degrees() is degrees
+        assert first.col_degrees() is degrees
+        assert matrix.pattern.kernel_index is None
+        views = [m.kernel_view() for m in (first, matrix, second)]
+        for owner, view in zip((first, matrix, second), views):
+            assert np.shares_memory(view.indices, views[0].indices)
+            assert np.shares_memory(view.indptr, views[0].indptr)
+            assert np.shares_memory(view.data, owner.nnz_list)
+        assert not np.shares_memory(views[0].data, views[1].data)
+
+    def test_mark_mutated_detaches_onto_a_fresh_pattern(self, skewed_csdb):
+        sibling = skewed_csdb.scale(2.0)
+        degrees = skewed_csdb.col_degrees()
+        sibling.mark_mutated()
+        assert sibling.pattern is not skewed_csdb.pattern
+        assert sibling.pattern.col_degrees is None
+        assert sibling.col_list is skewed_csdb.col_list
+        assert sibling.block_ptr is skewed_csdb.block_ptr
+        assert skewed_csdb.col_degrees() is degrees
+        assert np.array_equal(sibling.col_degrees(), degrees)
 
     def test_rejects_a_wrong_length(self, paper_csdb):
         with pytest.raises(ValueError, match="values must have shape"):
@@ -350,6 +384,183 @@ def test_chebyshev_operator_equals_the_two_build_formulation(name, mu):
     # The operator sits on A+I's blocks rather than on rebuilt ones.
     assert operator.col_list is aggregate.col_list
     assert operator.perm is aggregate.perm
+
+
+# -- add_identity, transpose, a +- b -------------------------------------------
+
+#: Values whose sums depend on the order of addition, and both zeros.
+AWKWARD_VALUES = st.sampled_from([1.0, -1.0, 0.25, 0.1, 1e16, -1e16, -0.0, 0.0])
+
+
+def assert_same_csdb(actual: CSDBMatrix, expected: CSDBMatrix) -> None:
+    assert actual.shape == expected.shape
+    for name in CSDB_ARRAYS:
+        assert_same_bits(getattr(actual, name), getattr(expected, name))
+
+
+def from_coo_add_identity(matrix: CSDBMatrix, scale: float = 1.0) -> CSDBMatrix:
+    """The formulation ``add_identity`` had: entries + diagonal, re-sorted."""
+    diag = np.arange(matrix.n_rows, dtype=np.int64)
+    return CSDBMatrix.from_coo(
+        np.concatenate([matrix.nnz_row_ids(), diag]),
+        np.concatenate([matrix.col_list, diag]),
+        np.concatenate([matrix.nnz_list, np.full(matrix.n_rows, scale)]),
+        matrix.shape,
+    )
+
+
+def from_coo_transpose(matrix: CSDBMatrix) -> CSDBMatrix:
+    """The formulation ``transpose`` had: swapped coordinates, re-sorted."""
+    return CSDBMatrix.from_coo(
+        matrix.col_list, matrix.nnz_row_ids(), matrix.nnz_list,
+        (matrix.n_cols, matrix.n_rows),
+    )
+
+
+def from_coo_elementwise(a: CSRMatrix, b: CSRMatrix, sign: float) -> CSRMatrix:
+    """The formulation ``a +- b`` had: the concatenation, re-sorted."""
+    return CSRMatrix.from_coo(
+        np.concatenate([a.nnz_row_ids(), b.nnz_row_ids()]),
+        np.concatenate([a.indices, b.indices]),
+        np.concatenate([a.data, sign * b.data]),
+        a.shape,
+    ).prune()
+
+
+@st.composite
+def square_matrices(draw):
+    """Small square CSDB matrices storing none, some or all of the diagonal.
+
+    Few cells per row, so empty rows and isolated nodes are the rule; the
+    values are written after the build, so a stored ``-0.0`` survives.
+    """
+    n = draw(st.integers(1, 8))
+    diagonal = draw(st.sampled_from(["none", "some", "all"]))
+    index = st.integers(0, n - 1)
+    cells = set(draw(st.lists(st.tuples(index, index), max_size=24)))
+    if diagonal == "none":
+        cells = {(i, j) for i, j in cells if i != j}
+    elif diagonal == "all":
+        cells |= {(i, i) for i in range(n)}
+    rows, cols = [c[0] for c in cells], [c[1] for c in cells]
+    built = CSDBMatrix.from_coo(rows, cols, np.ones(len(cells)), (n, n))
+    values = draw(st.lists(AWKWARD_VALUES, min_size=built.nnz, max_size=built.nnz))
+    return built.with_values(values)
+
+
+class TestAddIdentityScattersTheDiagonal:
+    @given(square_matrices(), st.sampled_from([1.0, 0.5, -2.0, -0.0, 1e16]))
+    @settings(max_examples=300, deadline=None)
+    def test_every_array_is_bit_equal_to_the_from_coo_formulation(
+        self, matrix, scale
+    ):
+        assert_same_csdb(
+            add_identity(matrix, scale), from_coo_add_identity(matrix, scale)
+        )
+
+    @pytest.mark.parametrize("name", list(_operator_graphs()))
+    def test_graphs_with_loops_repeats_and_isolated_nodes(self, name):
+        adjacency = _operator_graphs()[name]
+        for scale in (1.0, 0.3):
+            assert_same_csdb(
+                add_identity(adjacency, scale),
+                from_coo_add_identity(adjacency, scale),
+            )
+
+    def test_one_node_with_and_without_its_loop(self):
+        for cells in ([], [0]):
+            matrix = CSDBMatrix.from_coo(cells, cells, [-0.0] * len(cells), (1, 1))
+            assert_same_csdb(add_identity(matrix), from_coo_add_identity(matrix))
+
+    def test_the_result_stands_on_its_own_pattern(self, skewed_csdb):
+        assert add_identity(skewed_csdb).pattern is not skewed_csdb.pattern
+
+    def test_non_square_raises(self):
+        with pytest.raises(ValueError, match="must be square"):
+            add_identity(CSDBMatrix.from_coo([0], [1], [1.0], (2, 3)))
+
+
+def _transpose_cases():
+    rng = np.random.default_rng(9)
+    edges = rmat_edges(8, edge_factor=6.0, seed=5)
+    symmetric = edges_to_csdb(edges, 256)
+    values = rng.choice([1.0, -0.0, 0.0, 2.5, -3.0], symmetric.nnz)
+    rows, cols = rng.integers(0, 30, 150), rng.integers(0, 50, 150)
+    return {
+        # name: (matrix, whether its transpose has its pattern)
+        "symmetric_pattern_asymmetric_values": (
+            symmetric.with_values(values), True,
+        ),
+        "symmetric_with_empty_rows": (
+            edges_to_csdb(np.array([[0, 3], [3, 3], [5, 1]]), 9), True,
+        ),
+        "asymmetric_pattern": (
+            edges_to_csdb(edges, 256, undirected=False), False,
+        ),
+        "rectangular": (
+            CSDBMatrix.from_coo(rows, cols, rng.standard_normal(150), (30, 50)),
+            False,
+        ),
+        "no_nonzeros": (CSDBMatrix.from_coo([], [], [], (4, 4)), True),
+    }
+
+
+@pytest.mark.parametrize("name", list(_transpose_cases()))
+def test_transpose_equals_the_from_coo_formulation(name):
+    matrix, symmetric = _transpose_cases()[name]
+    transposed = matrix.transpose()
+    assert_same_csdb(transposed, from_coo_transpose(matrix))
+    assert (transposed.pattern is matrix.pattern) == symmetric
+    assert not np.shares_memory(transposed.nnz_list, matrix.nnz_list)
+    assert_same_csdb(transposed.transpose(), from_coo_transpose(transposed))
+
+
+@st.composite
+def csr_pairs(draw):
+    """Two ordered CSR operands of one shape whose patterns overlap."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.tuples(
+        st.integers(0, n_rows - 1), st.integers(0, n_cols - 1), AWKWARD_VALUES
+    )
+
+    def operand():
+        entries = draw(st.lists(entry, max_size=20))
+        return CSRMatrix.from_coo(
+            [e[0] for e in entries], [e[1] for e in entries],
+            [e[2] for e in entries], (n_rows, n_cols),
+            # Unsummed, an operand repeats coordinates; the merge keeps
+            # their order as the stable sort did.
+            sum_duplicates=draw(st.booleans()),
+        )
+
+    return operand(), operand()
+
+
+class TestElementwiseMergesOrderedOperands:
+    @given(csr_pairs(), st.sampled_from([1.0, -1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_csr_arrays_are_bit_equal_to_the_from_coo_formulation(self, pair, sign):
+        a, b = pair
+        assert_same_csr(a._elementwise(b, sign), from_coo_elementwise(a, b, sign))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_csdb_arrays_are_bit_equal_to_the_from_coo_formulation(self, sign):
+        graphs = _operator_graphs()
+        a, b = graphs["self_loops_and_repeats"], graphs["no_self_loops"]
+        b = b.with_values(np.random.default_rng(1).standard_normal(b.nnz))
+        for left, right in ((a, b), (b, a), (a, a)):  # a - a: all cancelled
+            merged = left._elementwise(right, sign)
+            expected = from_coo_elementwise(left.to_csr(), right.to_csr(), sign)
+            assert_same_csdb(merged, CSDBMatrix.from_csr(expected))
+        assert (a - a).nnz == 0
+
+    def test_shape_mismatch_and_oversized_shapes_raise_as_before(self):
+        small = CSRMatrix.from_coo([0], [0], [1.0], (2, 2))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            small + CSRMatrix.from_coo([0], [0], [1.0], (2, 3))
+        huge = CSRMatrix(np.zeros(2, dtype=np.int64), [], [], (1, 2**63))
+        with pytest.raises(ValueError, match="too large"):
+            huge + huge
 
 
 # -- SpMMEngine plan reuse ---------------------------------------------------
@@ -451,22 +662,41 @@ class TestEnginePlanReuse:
         assert engine.multiply(skewed_csdb, dense).partitions == expected
 
     def test_each_matrix_gets_its_own_plan(self, skewed_csdb, dense, monkeypatch):
+        """Siblings share a plan; strangers — equal content included — do not."""
         engine = SpMMEngine(OMeGaConfig(n_threads=4))
         calls = CallCounter(engine, monkeypatch)
-        # Same pattern, other object: planned on its own (the cache is
-        # keyed on the object, never on content).
-        twin = skewed_csdb.scale(1.0)
-        other = edges_to_csdb(rmat_edges(9, edge_factor=4.0, seed=2), 512)
-        a = engine.multiply(skewed_csdb, dense)
-        b = engine.multiply(twin, dense)
-        c = engine.multiply(other, np.ones((512, 3)))
-        assert (calls.allocate, calls.plan) == (3, 12)
+        siblings = [
+            skewed_csdb, skewed_csdb.scale(1.0), row_l1_normalize(skewed_csdb)
+        ]
+        a, b, _ = (engine.multiply(matrix, dense) for matrix in siblings)
+        assert (calls.allocate, calls.plan) == (1, 4)
         assert a.partitions == b.partitions
-        assert c.partitions != a.partitions
-        assert sum(p.nnz_count for p in c.partitions) == other.nnz
-        engine.multiply(other, np.ones((512, 3)))
-        engine.multiply(skewed_csdb, dense)
+        assert all(x is y for x, y in zip(a.prefetch_plans, b.prefetch_plans))
+        # Same arrays, built separately: planned on its own (the cache is
+        # keyed on the pattern object, never on content).
+        twin = CSDBMatrix(
+            skewed_csdb.deg_list, skewed_csdb.deg_ind, skewed_csdb.col_list,
+            skewed_csdb.nnz_list, skewed_csdb.perm, skewed_csdb.shape,
+        )
+        assert twin.content_hash() == skewed_csdb.content_hash()
+        other = edges_to_csdb(rmat_edges(9, edge_factor=4.0, seed=2), 512)
+        c = engine.multiply(twin, dense)
+        d = engine.multiply(other, np.ones((512, 3)))
         assert (calls.allocate, calls.plan) == (3, 12)
+        assert c.partitions == a.partitions
+        assert d.partitions != a.partitions
+        assert sum(p.nnz_count for p in d.partitions) == other.nnz
+        engine.multiply(other, np.ones((512, 3)))
+        for matrix in siblings:
+            engine.multiply(matrix, dense)
+        assert (calls.allocate, calls.plan) == (3, 12)
+        # A matrix that announces a mutation is planned again; the
+        # siblings it left are not.
+        siblings[1].mark_mutated()
+        assert engine.multiply(siblings[1], dense).partitions == a.partitions
+        assert (calls.allocate, calls.plan) == (4, 16)
+        engine.multiply(skewed_csdb, dense)
+        assert (calls.allocate, calls.plan) == (4, 16)
 
     def test_engines_never_share_plans(self, skewed_csdb, dense):
         engines = {
@@ -507,6 +737,37 @@ class TestEnginePlanReuse:
         gc.collect()
         assert len(engine._plans) == 0
 
+    def test_plan_and_bound_handles_die_with_the_last_sibling(self):
+        engine = SpMMEngine(OMeGaConfig(n_threads=4))
+        matrix = edges_to_csdb(rmat_edges(8, edge_factor=4.0, seed=1), 256)
+        sibling = matrix.scale(3.0)
+        dense = np.ones((256, 2))
+        engine.multiply(matrix, dense)
+        (plan,) = engine._plans.values()
+        first = weakref.ref(plan.replays[2].updates[0][0].__self__)
+        # A registry swap rebinds the handles: the old registry's series
+        # are held by nothing the engine keeps.
+        engine.metrics = MetricsRegistry()
+        engine.multiply(sibling, dense)
+        assert engine.metrics.counter("spmm.calls").value == 1.0
+        assert engine.metrics.counter("eata.allocations", allocator="EaTA").value == 1.0
+        gc.collect()
+        assert first() is None
+        second = weakref.ref(plan.replays[2].updates[0][0].__self__)
+        dead_plan, dead_pattern = weakref.ref(plan), weakref.ref(matrix.pattern)
+        del plan, matrix
+        gc.collect()
+        assert len(engine._plans) == 1 and dead_plan() is not None
+        del sibling
+        gc.collect()
+        assert len(engine._plans) == 0
+        assert dead_plan() is None and dead_pattern() is None
+        # The series live on in the registry; only the plan's hold is gone.
+        assert second() is not None
+        engine.metrics = MetricsRegistry()
+        gc.collect()
+        assert second() is None
+
 
 # -- the embed path, counted -------------------------------------------------
 
@@ -545,16 +806,18 @@ def test_one_embed_never_comparison_sorts_its_nonzeros_and_allocates_once(monkey
 
     result = OMeGaEmbedder(OMeGaConfig(n_threads=4, dim=8)).embed_edges(edges, 512)
 
-    # The edge list and A+I; F^T is a counting transpose and the Chebyshev
-    # operator reuses A+I's blocks.
-    assert len(builds) == 2
+    # The edge list alone: F^T is a value-sibling of F (an undirected
+    # graph's pattern is symmetric), A+I a scatter into the ordered rows
+    # and the Chebyshev operator a value-sibling of A+I.
+    assert len(builds) == 1
     # Every sort of as many elements as A has non-zeros is a counting
     # pass over 16-bit digits (WoFP's top-M ranking and the per-row
     # degree order are smaller than that).
     assert [s for s in sorts if s[1] >= nnz and s[2] > 2] == []
     assert any(size >= nnz for _, size, _ in sorts)
-    # F, F^T, the Chebyshev operator and A+I: one EaTA split each, however
-    # many of the run's products use them.
-    assert len(allocated) == 4
-    assert len({id(matrix) for matrix in allocated}) == 4
+    # Four operators, two patterns (F and F^T on A's, the Chebyshev
+    # operator and A+I on A+I's): one EaTA split each, however many of
+    # the run's products use them.
+    assert len(allocated) == 2
+    assert len({id(matrix.pattern) for matrix in allocated}) == 2
     assert result.n_spmm > len(allocated)
