@@ -20,7 +20,7 @@ from repro.core.config import (
     PlacementScheme,
 )
 from repro.core.embedding import EmbeddingResult, OMeGaEmbedder
-from repro.faults import FaultInjector, FaultPlan, InjectedCrash
+from repro.faults import FaultInjector, FaultPlan
 from repro.graphs.datasets import Dataset
 from repro.memsim.allocator import CapacityError
 from repro.memsim.persistence import CheckpointedEmbedder
@@ -182,19 +182,15 @@ def run_arm(
         if faults is None:
             result = embedder.embed_dataset(dataset)
         else:
-            checkpointed = CheckpointedEmbedder(embedder)
-            try:
-                result = checkpointed.embed_with_checkpoints(
-                    dataset.edges, dataset.n_nodes, faults=injector
-                )
-            except InjectedCrash:
+            crashes = []
+            result = CheckpointedEmbedder(embedder).run_to_completion(
+                dataset.edges,
+                dataset.n_nodes,
+                faults=injector,
+                on_crash=lambda crash, _resuming: crashes.append(crash),
+            )
+            if crashes:
                 status = "recovered"
-                while True:
-                    try:
-                        result = checkpointed.resume(faults=injector)
-                        break
-                    except InjectedCrash:
-                        continue
     except CapacityError:
         return SystemResult(
             system=arm.name,

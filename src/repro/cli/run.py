@@ -1,0 +1,334 @@
+"""The commands that run the engine: ``datasets`` (Table I), ``probe``
+(Fig. 9), ``calibrate`` (headline ratios vs the paper), ``embed``,
+``spmm`` (Fig. 7(a) cost anatomy) and ``compare`` (the Fig. 12 arms).
+"""
+
+from __future__ import annotations
+
+import argparse
+from dataclasses import replace
+
+import numpy as np
+
+from repro.baselines.systems import run_arm, standard_arms
+from repro.bench.harness import format_seconds, format_table, project_full_scale
+from repro.cli import scaffold
+from repro.core.config import ExecBackend
+from repro.core.embedding import OMeGaEmbedder
+from repro.core.spmm import SpMMEngine
+from repro.faults import FaultInjector, InjectedCrash
+from repro.formats.convert import edges_to_csdb
+from repro.graphs.datasets import DATASET_NAMES, dataset_table, load_dataset
+from repro.memsim.devices import pm_spec
+from repro.memsim.persistence import CheckpointedEmbedder
+from repro.memsim.probe import peak_bandwidth_summary, probe_bandwidth
+from repro.obs.export import TelemetrySession
+
+
+def run_datasets(_: argparse.Namespace) -> int:
+    rows = dataset_table()
+    print(
+        format_table(
+            ["graph", "paper nodes", "paper edges", "scale", "nodes", "edges"],
+            [
+                [
+                    r["graph"],
+                    f"{r['paper_nodes']:,}",
+                    f"{r['paper_edges']:,}",
+                    r["scale"],
+                    f"{r['nodes']:,}",
+                    f"{r['edges']:,}",
+                ]
+                for r in rows
+            ],
+            title="Table I analogues",
+        )
+    )
+    return 0
+
+
+def run_probe(_: argparse.Namespace) -> int:
+    results = probe_bandwidth(pm_spec(), thread_counts=(1, 4, 16, 28))
+    rows = [
+        [
+            f"{r.op.value}-{r.pattern.value}-{r.locality.value}",
+            r.threads,
+            f"{r.bandwidth_gib_s:.2f}",
+        ]
+        for r in results
+    ]
+    print(format_table(["curve", "threads", "GiB/s"], rows, "PM probe (Fig. 9)"))
+    for name, value in peak_bandwidth_summary(pm_spec()).items():
+        print(f"  {name} = {value:.2f}")
+    return 0
+
+
+def configure_calibrate(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--graph", default="LJ")
+    scaffold.telemetry_flags(parser, follow=False)
+
+
+def run_calibrate(args: argparse.Namespace) -> int:
+    from repro.bench.calibration import calibration_report, format_report
+
+    meta = {"command": "calibrate", "graph": args.graph}
+    with scaffold.telemetry(args, meta) as session:
+        points = calibration_report(
+            args.graph, **scaffold.observers(session)
+        )
+        print(format_report(points))
+        if session is not None:
+            for point in points:
+                session.event(
+                    "calibration_point", ratio=point.name,
+                    paper_value=point.paper_value, measured=point.measured,
+                    in_band=point.in_band,
+                )
+    return 0 if all(p.in_band for p in points) else 1
+
+
+def configure_embed(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("graph", help="Table I name (PK..FR) or edge-list path")
+    parser.add_argument("--output", help="save the embedding as .npy")
+    parser.add_argument(
+        "--faults", metavar="PLAN",
+        help="run under a JSON fault plan with stage checkpoints",
+    )
+    parser.add_argument(
+        "--resume", action="store_true",
+        help="recover from injected crashes via the checkpoint log",
+    )
+    parser.add_argument(
+        "--slo", metavar="SPEC",
+        help="evaluate a JSON SLO spec (stage sim-time budgets,"
+        " checkpoint-overhead fraction) over the run's telemetry;"
+        " violations exit nonzero",
+    )
+    scaffold.engine_flags(parser)
+
+
+def _embed_under_faults(
+    args: argparse.Namespace,
+    embedder: OMeGaEmbedder,
+    edges: np.ndarray,
+    n_nodes: int,
+    session: TelemetrySession | None,
+):
+    """``embed --faults``: narrate each crash; resume or let it propagate."""
+    plan = scaffold.load_fault_plan(session, args.faults)
+    checkpointed = CheckpointedEmbedder(embedder)
+    crashes = []
+
+    def on_crash(crash: InjectedCrash, resuming: bool) -> None:
+        detail = (
+            "resuming again"
+            if crashes
+            else f"durable stages: {checkpointed.wal.stages or 'none'}"
+        )
+        crashes.append(crash)
+        print(
+            f"injected crash at stage {crash.site!r} ({crash.phase}); {detail}"
+        )
+        if session is not None:
+            session.event("crash", site=crash.site, phase=crash.phase)
+        if not resuming:
+            print("re-run with --resume to recover from the checkpoint log")
+
+    result = checkpointed.run_to_completion(
+        edges,
+        n_nodes,
+        faults=FaultInjector(plan, embedder.metrics),
+        resume=args.resume,
+        on_crash=on_crash,
+    )
+    if crashes:
+        counter = embedder.metrics.counter
+        recovered = counter("checkpoint.recovered_stages").value
+        recovered_sim = counter("checkpoint.recovered_sim_seconds").value
+        print(
+            f"resumed: {recovered:.0f} stage checkpoints recovered,"
+            f" {format_seconds(recovered_sim)} of simulated work not redone"
+        )
+        if session is not None:
+            session.event(
+                "resumed", recovered_stages=recovered,
+                recovered_sim_seconds=recovered_sim,
+            )
+    return result
+
+
+def run_embed(args: argparse.Namespace) -> int:
+    edges, n_nodes, scale, name = scaffold.load_graph(args)
+    config = scaffold.config_from_args(args, scale)
+    meta = scaffold.engine_meta(args, "embed", name)
+    with scaffold.telemetry(args, meta, force=bool(args.slo)) as session:
+        embedder = OMeGaEmbedder(config, **scaffold.observers(session))
+        if args.faults:
+            try:
+                result = _embed_under_faults(
+                    args, embedder, edges, n_nodes, session
+                )
+            except InjectedCrash:
+                return 1
+        elif args.slo:
+            # Route through the checkpointing layer so the run pays (and
+            # accounts, as checkpoint.sim_seconds) realistic persistence
+            # overhead — the numerator of the overhead-fraction objective.
+            result = CheckpointedEmbedder(embedder).embed_with_checkpoints(
+                edges, n_nodes
+            )
+        else:
+            result = embedder.embed_edges(edges, n_nodes)
+        print(
+            f"{name}: embedded {n_nodes:,} nodes in"
+            f" {format_seconds(result.sim_seconds)} simulated"
+            f" ({format_seconds(project_full_scale(result.sim_seconds, scale))}"
+            f" projected), {result.n_spmm} SpMM ops,"
+            f" {result.spmm_fraction * 100:.0f}% in SpMM"
+        )
+        if args.output:
+            np.save(args.output, result.embedding)
+            print(f"embedding saved to {args.output}")
+        if session is not None:
+            session.add_cost_trace("embed", result.trace)
+        slo_ok = scaffold.gate_slo(args, session)
+    return 0 if slo_ok else 1
+
+
+def configure_spmm(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("graph", help="Table I name (PK..FR) or edge-list path")
+    parser.add_argument(
+        "--repeat", type=int, default=1, metavar="N",
+        help="run the multiply N times and report cold-vs-warm kernel"
+        " wall per call (call 1 pays pool start-up and operand"
+        " staging; later calls ride the persistent segment cache)",
+    )
+    scaffold.engine_flags(parser)
+
+
+def run_spmm(args: argparse.Namespace) -> int:
+    edges, n_nodes, scale, name = scaffold.load_graph(args)
+    config = scaffold.config_from_args(args, scale)
+    matrix = edges_to_csdb(edges, n_nodes)
+    dense = np.random.default_rng(0).standard_normal((n_nodes, args.dim))
+    meta = scaffold.engine_meta(args, "spmm", name)
+    with scaffold.telemetry(args, meta) as session:
+        engine = SpMMEngine(config, **scaffold.observers(session))
+        # The real backends only exist at compute time — run the real
+        # kernels there so the pool (and its per-partition telemetry) is
+        # actually exercised; the simulated default stays a pure
+        # cost-model pass unless --repeat asks for measured kernel walls.
+        repeat = max(args.repeat, 1)
+        compute = (
+            config.parallel.backend is not ExecBackend.SIMULATED or repeat > 1
+        )
+        result = engine.multiply(matrix, dense, compute=compute)
+        if repeat > 1:
+            # Cold-vs-warm: call 1 paid pool start-up and operand staging
+            # (the shared copy of the matrix, the mapped scratch
+            # buffers); later calls reuse them, so their kernel wall is
+            # the warm-path cost that Chebyshev iterations and serve
+            # requests actually pay.
+            walls = [result.kernel_wall_seconds]
+            for _ in range(repeat - 1):
+                walls.append(
+                    engine.multiply(matrix, dense, compute=True)
+                    .kernel_wall_seconds
+                )
+            cold, warm = walls[0], min(walls[1:])
+            print(
+                f"{name}: kernel wall over {repeat} calls"
+                f" (backend={config.parallel.backend.value})"
+            )
+            print(
+                format_table(
+                    ["call", "kernel wall", "vs cold"],
+                    [
+                        [
+                            str(i + 1) + (" (cold)" if i == 0 else ""),
+                            format_seconds(wall),
+                            f"{cold / wall:.2f}x" if wall > 0 else "-",
+                        ]
+                        for i, wall in enumerate(walls)
+                    ],
+                )
+            )
+            print(
+                f"cold {format_seconds(cold)} -> best warm"
+                f" {format_seconds(warm)}"
+                f" ({cold / warm:.2f}x)" if warm > 0 else ""
+            )
+        print(
+            f"{name}: SpMM over {matrix.nnz:,} nnz in"
+            f" {format_seconds(result.sim_seconds)} simulated"
+            f" ({result.throughput_nnz_per_s / 1e6:.1f} Mnnz/s)"
+        )
+        total = result.trace.total_seconds
+        rows = [
+            [category, format_seconds(seconds), f"{seconds / total * 100:.1f}%"]
+            for category, seconds in sorted(
+                result.trace.breakdown().items(), key=lambda kv: -kv[1]
+            )
+        ]
+        print(format_table(["step", "time (sum over threads)", "share"], rows))
+        if session is not None:
+            session.add_cost_trace("spmm", result.trace)
+    return 0
+
+
+def configure_compare(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("graph", choices=list(DATASET_NAMES))
+    scaffold.size_flags(parser)
+    parser.add_argument(
+        "--faults", metavar="PLAN",
+        help="run every arm under the same JSON fault plan"
+        " (fresh injector per arm; crashes resume from checkpoints)",
+    )
+    scaffold.backend_flags(parser)
+    scaffold.telemetry_flags(parser)
+
+
+def run_compare(args: argparse.Namespace) -> int:
+    dataset = load_dataset(args.graph)
+    meta = {
+        "command": "compare",
+        "graph": dataset.name,
+        "threads": args.threads,
+        "dim": args.dim,
+        "faults": args.faults,
+    }
+    with scaffold.telemetry(args, meta) as session:
+        plan = scaffold.load_fault_plan(session, args.faults)
+        parallel = scaffold.parallel_from_args(args)
+        rows = []
+        for arm in standard_arms(n_threads=args.threads, dim=args.dim):
+            arm = replace(
+                arm, config=arm.config.with_overrides(parallel=parallel)
+            )
+            result = run_arm(
+                arm, dataset, faults=plan, **scaffold.observers(session)
+            )
+            if session is not None:
+                session.event(
+                    "arm", system=arm.name, status=result.status,
+                    sim_seconds=result.sim_seconds,
+                )
+                if result.result is not None:
+                    session.add_cost_trace(arm.name, result.result.trace)
+            rows.append(
+                [
+                    arm.name,
+                    result.status,
+                    format_seconds(
+                        project_full_scale(result.sim_seconds, dataset.scale)
+                    ),
+                ]
+            )
+        print(
+            format_table(
+                ["system", "status", "projected time"],
+                rows,
+                title=f"Fig. 12 arms on {dataset.name}",
+            )
+        )
+    return 0

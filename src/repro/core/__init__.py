@@ -47,7 +47,6 @@ from repro.core.embedding import (
     PipelineState,
 )
 from repro.core.operators import OperatorResult, OperatorSuite
-from repro.core.tuning import TuningResult, tune_prefetcher
 from repro.core.nadp import (
     FALLBACK_ORDER,
     AccessPlan,
@@ -96,7 +95,6 @@ __all__ = [
     "StreamingLoader",
     "ThreadAllocator",
     "TierFallback",
-    "TuningResult",
     "WorkloadBalancedAllocator",
     "WorkloadPartition",
     "WorkloadPrefetcher",
@@ -107,5 +105,4 @@ __all__ = [
     "omega_dram_config",
     "omega_pm_config",
     "optimal_partitions",
-    "tune_prefetcher",
 ]

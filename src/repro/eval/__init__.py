@@ -9,20 +9,12 @@ the two standard downstream probes:
   one-vs-rest logistic regression.
 """
 
-from repro.eval.clustering import (
-    clustering_nmi,
-    kmeans,
-    normalized_mutual_information,
-)
 from repro.eval.linkpred import link_prediction_auc, score_edges
 from repro.eval.nodeclass import LogisticRegressionOVR, node_classification_accuracy
 from repro.eval.splits import sample_negative_edges, train_test_edge_split
 
 __all__ = [
     "LogisticRegressionOVR",
-    "clustering_nmi",
-    "kmeans",
-    "normalized_mutual_information",
     "link_prediction_auc",
     "node_classification_accuracy",
     "sample_negative_edges",

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -437,6 +438,32 @@ class CheckpointedEmbedder:
                 state.sim_seconds
             )
         return self._drive(run, faults)
+
+    def run_to_completion(
+        self,
+        edges: np.ndarray,
+        n_nodes: int,
+        faults: FaultInjector | None = None,
+        resume: bool = True,
+        on_crash: Callable[[InjectedCrash, bool], None] | None = None,
+    ):
+        """:meth:`embed_with_checkpoints`, then :meth:`resume` per crash.
+
+        Every :class:`~repro.faults.InjectedCrash` is reported as
+        ``on_crash(crash, resume)``; with ``resume=False`` the first one
+        is then re-raised (the WAL keeps the durable stages).  Returns
+        the :class:`~repro.core.embedding.EmbeddingResult`.
+        """
+        attempt = partial(self.embed_with_checkpoints, edges, n_nodes)
+        while True:
+            try:
+                return attempt(faults=faults)
+            except InjectedCrash as crash:
+                if on_crash is not None:
+                    on_crash(crash, resume)
+                if not resume:
+                    raise
+                attempt = self.resume
 
     def _drive(self, run, faults: FaultInjector | None):
         """Advance a run to completion, checkpointing at each boundary.

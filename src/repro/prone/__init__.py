@@ -24,7 +24,6 @@ from repro.prone.laplacian import (
     row_l1_normalize,
 )
 from repro.prone.model import prone_embed, prone_smf, smf_matrix
-from repro.prone.spectral import spectral_embed, sym_normalize
 from repro.prone.tsvd import randomized_tsvd
 
 __all__ = [
@@ -39,6 +38,4 @@ __all__ = [
     "randomized_tsvd",
     "row_l1_normalize",
     "smf_matrix",
-    "spectral_embed",
-    "sym_normalize",
 ]

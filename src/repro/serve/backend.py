@@ -120,6 +120,7 @@ class EmbeddingBackend:
         self._full: np.ndarray | None = None
         self._propagation: np.ndarray | None = None
         self._checkpointed: CheckpointedEmbedder | None = None
+        self._stale: np.ndarray | None = None
         self._full_cost_per_node = 0.0
         self._propagation_cost_per_node = 0.0
         self.warmup_sim_seconds = 0.0
@@ -248,9 +249,17 @@ class EmbeddingBackend:
     def serve_cached(self, n_nodes: int) -> BackendResponse:
         """The stale tier: checkpointed rows at PM read cost, fault-free."""
         self._require_warm()
-        cached = self._checkpointed.recover_embedding()
-        if cached is None:  # pragma: no cover - warm_up always commits
-            raise RuntimeError("no durable embedding in the checkpoint store")
+        if self._stale is None:
+            # Recovered on the first stale request, not per request and
+            # not in warm_up: the checkpoint never changes under a warm
+            # backend, and every response is a gathered copy.
+            cached = self._checkpointed.recover_embedding()
+            if cached is None:  # pragma: no cover - warm_up always commits
+                raise RuntimeError(
+                    "no durable embedding in the checkpoint store"
+                )
+            cached.setflags(write=False)
+            self._stale = cached
         self.metrics.counter(
             "serve.backend.calls", fidelity=FIDELITY_STALE
         ).inc()
@@ -259,7 +268,7 @@ class EmbeddingBackend:
             "serve.backend.sim_seconds", fidelity=FIDELITY_STALE
         ).inc(seconds)
         return BackendResponse(
-            self._rows(cached, n_nodes),
+            self._rows(self._stale, n_nodes),
             FIDELITY_STALE,
             seconds,
             breakdown={BLAME_STALE_FALLBACK: seconds},

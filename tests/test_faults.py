@@ -319,6 +319,61 @@ class TestCrashRecovery:
         result = checkpointed.resume(faults=injector)
         assert np.array_equal(result.embedding, fresh_result.embedding)
 
+    TWO_CRASHES = FaultPlan(
+        events=(
+            FaultEvent("crash", "graph_read"),
+            FaultEvent("crash", "propagation", phase="before_commit"),
+        )
+    )
+
+    def test_run_to_completion_resumes_once_per_crash(
+        self, fault_edges, fault_config, fresh_result
+    ):
+        metrics = MetricsRegistry()
+        checkpointed = CheckpointedEmbedder(
+            OMeGaEmbedder(fault_config, metrics=metrics)
+        )
+        seen = []
+        result = checkpointed.run_to_completion(
+            fault_edges,
+            300,
+            faults=FaultInjector(self.TWO_CRASHES, metrics),
+            on_crash=lambda crash, resuming: seen.append(
+                (crash.site, resuming)
+            ),
+        )
+        assert seen == [("graph_read", True), ("propagation", True)]
+        assert metrics.counter("checkpoint.resumed_runs").value == 2
+        assert np.array_equal(result.embedding, fresh_result.embedding)
+        assert result.sim_seconds == fresh_result.sim_seconds
+
+    def test_run_to_completion_without_resume_reraises_first_crash(
+        self, fault_edges, fault_config
+    ):
+        checkpointed = CheckpointedEmbedder(OMeGaEmbedder(fault_config))
+        seen = []
+        with pytest.raises(InjectedCrash) as err:
+            checkpointed.run_to_completion(
+                fault_edges,
+                300,
+                faults=FaultInjector(self.TWO_CRASHES),
+                resume=False,
+                on_crash=lambda crash, resuming: seen.append(
+                    (crash.site, resuming)
+                ),
+            )
+        assert err.value.site == "graph_read"
+        assert seen == [("graph_read", False)]
+        assert checkpointed.wal.stages == ["graph_read"]
+
+    def test_run_to_completion_fault_free_is_one_checkpointed_run(
+        self, fault_edges, fault_config, fresh_result
+    ):
+        checkpointed = CheckpointedEmbedder(OMeGaEmbedder(fault_config))
+        result = checkpointed.run_to_completion(fault_edges, 300)
+        assert np.array_equal(result.embedding, fresh_result.embedding)
+        assert checkpointed.wal.stages == list(PIPELINE_STAGES)
+
     def test_resume_without_run_rejected(self, fault_config):
         checkpointed = CheckpointedEmbedder(OMeGaEmbedder(fault_config))
         with pytest.raises(RuntimeError, match="nothing to resume"):

@@ -1,65 +1,10 @@
-"""Property-based tests for the evaluation and baseline utilities."""
+"""Property-based tests for the baseline cache utilities."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import FeatureCache, belady_hit_rate
-from repro.eval.clustering import kmeans, normalized_mutual_information
-
-
-class TestNMIProperties:
-    @given(
-        st.lists(st.integers(0, 5), min_size=2, max_size=150),
-        st.lists(st.integers(0, 5), min_size=2, max_size=150),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_bounds_and_symmetry(self, a, b):
-        n = min(len(a), len(b))
-        a, b = np.array(a[:n]), np.array(b[:n])
-        nmi = normalized_mutual_information(a, b)
-        assert 0.0 <= nmi <= 1.0
-        assert nmi == np.float64(
-            normalized_mutual_information(b, a)
-        ) or abs(nmi - normalized_mutual_information(b, a)) < 1e-9
-
-    @given(st.lists(st.integers(0, 5), min_size=2, max_size=150))
-    @settings(max_examples=40, deadline=None)
-    def test_self_nmi_is_one(self, labels):
-        labels = np.array(labels)
-        assert normalized_mutual_information(labels, labels) > 1.0 - 1e-9
-
-    @given(
-        st.lists(st.integers(0, 5), min_size=2, max_size=100),
-        st.permutations(list(range(6))),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_invariant_under_label_renaming(self, labels, permutation):
-        labels = np.array(labels)
-        renamed = np.array([permutation[x] for x in labels])
-        assert normalized_mutual_information(labels, renamed) > 1.0 - 1e-9
-
-
-class TestKMeansProperties:
-    @given(st.integers(1, 5), st.integers(0, 100))
-    @settings(max_examples=30, deadline=None)
-    def test_labels_within_k(self, k, seed):
-        rng = np.random.default_rng(seed)
-        points = rng.standard_normal((max(k, 10), 3))
-        labels, centers = kmeans(points, k, seed=seed)
-        assert labels.min() >= 0 and labels.max() < k
-        assert centers.shape == (k, 3)
-
-    @given(st.integers(0, 50))
-    @settings(max_examples=20, deadline=None)
-    def test_assignment_is_nearest_center(self, seed):
-        rng = np.random.default_rng(seed)
-        points = rng.standard_normal((30, 2))
-        labels, centers = kmeans(points, 3, seed=seed)
-        distances = np.linalg.norm(
-            points[:, None, :] - centers[None, :, :], axis=2
-        )
-        assert np.array_equal(labels, np.argmin(distances, axis=1))
 
 
 class TestCacheProperties:

@@ -7,6 +7,7 @@ every submitted request resolves to exactly one terminal status, under
 arbitrary seeded traces and fault plans.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -399,6 +400,57 @@ class TestEmbeddingServer:
                 [(r.request_id, r.status, r.fidelity) for r in report.responses]
             )
         assert outcomes[0] == outcomes[1]
+
+
+# -- the stale tier ---------------------------------------------------------
+
+
+class TestStaleTier:
+    @pytest.fixture(scope="class")
+    def stale_backend(self) -> EmbeddingBackend:
+        n = 2000
+        backend = EmbeddingBackend(
+            OMeGaEmbedder(OMeGaConfig(n_threads=2, dim=16)),
+            chung_lu_edges(n, 12_000, seed=5),
+            n,
+        )
+        backend.warm_up()
+        return backend
+
+    def test_rows_are_the_checkpointed_rows(self, stale_backend):
+        n = stale_backend.n_nodes
+        table = stale_backend._checkpointed.recover_embedding()
+        for size in (1, 8, n + 3):
+            response = stale_backend.serve_cached(size)
+            assert response.fidelity == "stale"
+            assert response.sim_seconds == stale_backend.cached_cost(size)
+            assert np.array_equal(
+                response.rows, table[np.arange(size) % n]
+            )
+
+    def test_later_requests_do_not_copy_the_table(self, stale_backend):
+        import tracemalloc
+
+        stale_backend.serve_cached(8)  # the one recovery
+        table_bytes = stale_backend._stale.nbytes
+        for size in (8, 64):
+            tracemalloc.start()
+            try:
+                stale_backend.serve_cached(size)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < table_bytes / 2, (size, peak, table_bytes)
+
+    def test_held_table_is_read_only_and_responses_are_not(
+        self, stale_backend
+    ):
+        first = stale_backend.serve_cached(8)
+        expected = first.rows.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            stale_backend._stale[0, 0] = 1.0
+        first.rows[:] = -1.0  # the caller's to overwrite
+        assert np.array_equal(stale_backend.serve_cached(8).rows, expected)
 
 
 # -- the accounting invariant (property) ----------------------------------
