@@ -23,6 +23,7 @@ from repro.memsim.devices import pm_spec
 from repro.memsim.persistence import CheckpointedEmbedder
 from repro.memsim.probe import peak_bandwidth_summary, probe_bandwidth
 from repro.obs.export import TelemetrySession
+from repro.obs.metrics import MetricsRegistry
 
 
 def run_datasets(_: argparse.Namespace) -> int:
@@ -115,7 +116,6 @@ def _embed_under_faults(
     session: TelemetrySession | None,
 ):
     """``embed --faults``: narrate each crash; resume or let it propagate."""
-    plan = scaffold.load_fault_plan(session, args.faults)
     checkpointed = CheckpointedEmbedder(embedder)
     crashes = []
 
@@ -137,7 +137,7 @@ def _embed_under_faults(
     result = checkpointed.run_to_completion(
         edges,
         n_nodes,
-        faults=FaultInjector(plan, embedder.metrics),
+        faults=embedder.faults,
         resume=args.resume,
         on_crash=on_crash,
     )
@@ -162,7 +162,16 @@ def run_embed(args: argparse.Namespace) -> int:
     config = scaffold.config_from_args(args, scale)
     meta = scaffold.engine_meta(args, "embed", name)
     with scaffold.telemetry(args, meta, force=bool(args.slo)) as session:
-        embedder = OMeGaEmbedder(config, **scaffold.observers(session))
+        metrics = session.metrics if session else MetricsRegistry()
+        # One injector for the whole run: the engine applies the plan's
+        # pm_degrade / transient events, the checkpoint layer its crashes.
+        plan = scaffold.load_fault_plan(session, args.faults)
+        embedder = OMeGaEmbedder(
+            config,
+            tracer=session.tracer if session else None,
+            metrics=metrics,
+            faults=FaultInjector(plan, metrics) if plan is not None else None,
+        )
         if args.faults:
             try:
                 result = _embed_under_faults(

@@ -406,6 +406,9 @@ class ShardHost:
     def finish_lookup(self, sent: _SentLookup) -> tuple[np.ndarray, int]:
         """Receive half of a lookup: the rows and the version they carry.
 
+        The rows are read-only: a view of the worker's reply, not a
+        copy.
+
         Raises:
             ShardCrashError: the worker died (EOF) or reported an error.
             ShardTimeoutError: no ack within the call's deadline; an ack
@@ -420,6 +423,8 @@ class ShardHost:
         replica: int = 0,
     ) -> tuple[np.ndarray, int]:
         """One live lookup against worker ``replica`` (send + receive).
+
+        The rows are read-only, as from :meth:`finish_lookup`.
 
         Raises:
             ShardCrashError: the worker is (or dies) unresponsive.

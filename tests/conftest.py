@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import glob
 import multiprocessing
 import os
@@ -82,25 +83,55 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(42)
 
 
-def _shard_leftovers() -> tuple[set, set]:
-    """(child pids, this process's shard segments) alive right now."""
+def _shard_leftovers() -> tuple[set, set, int | None]:
+    """(child pids, this process's shard segments, open fds) right now.
+
+    The fd count is None where there is no ``/proc/self/fd``.
+    """
+    gc.collect()  # an unreferenced Process closes its sentinel when freed
+    fds = (
+        len(os.listdir("/proc/self/fd"))
+        if os.path.isdir("/proc/self/fd")
+        else None
+    )
     return (
         {child.pid for child in multiprocessing.active_children()},
         set(glob.glob(f"/dev/shm/shard-{os.getpid()}-*")),
+        fds,
     )
 
 
+@pytest.fixture(scope="session")
+def _shard_process_state():
+    """Create what a process makes once and keeps for good.
+
+    The shared-memory resource tracker and the shared heap's arena each
+    hold a descriptor from the first store on; one throwaway store
+    opens them before any test counts.
+    """
+    from repro.shard import EmbeddingShardManager, ShardPolicy
+
+    table = np.zeros((8, 2))
+    policy = ShardPolicy(n_shards=2, n_replicas=1)
+    with EmbeddingShardManager(table, policy=policy) as manager:
+        manager.lookup(np.arange(8))
+
+
 @pytest.fixture
-def no_shard_leftovers():
-    """No shard worker or segment outlives the test that made it.
+def no_shard_leftovers(_shard_process_state):
+    """No shard worker, segment or descriptor outlives the test.
 
     The shard test modules opt in with ``pytestmark``, so every
     lifecycle path they drive — crash, restart, promote, split, merge,
     failed start — is checked, not only the scenarios
     ``test_shard_transport.py`` lists.
     """
-    children, segments = _shard_leftovers()
+    children, segments, fds = _shard_leftovers()
     yield
-    left_children, left_segments = _shard_leftovers()
+    left_children, left_segments, left_fds = _shard_leftovers()
     assert left_children <= children, "a worker process outlived the test"
     assert left_segments <= segments, "a shard segment outlived the test"
+    if fds is not None:
+        assert left_fds <= fds, (
+            f"{left_fds - fds} file descriptor(s) outlived the test"
+        )

@@ -192,6 +192,26 @@ class TestEmbedFaults:
         assert metrics["checkpoint.recovered_stages"] > 0
         assert metrics["checkpoint.recovered_sim_seconds"] > 0
 
+    @staticmethod
+    def _simulated_seconds(out: str) -> float:
+        value, unit = re.search(
+            r"embedded [\d,]+ nodes in ([\d.]+) (\w+) simulated", out
+        ).groups()
+        scale = {"us": 1e-6, "ms": 1e-3, "s": 1.0, "min": 60.0, "h": 3600.0}
+        return float(value) * scale[unit]
+
+    def test_pm_degrade_plan_slows_the_run(self, tmp_path, capsys):
+        from repro.faults import FaultEvent
+
+        args = ["embed", "PK", "--threads", "4", "--dim", "8"]
+        assert main(args) == 0
+        clean = self._simulated_seconds(capsys.readouterr().out)
+        plan = self._plan_path(
+            tmp_path, FaultEvent("pm_degrade", "pm", factor=0.25)
+        )
+        assert main(args + ["--faults", plan]) == 0
+        assert self._simulated_seconds(capsys.readouterr().out) > clean
+
     def test_faultless_plan_runs_clean(self, tmp_path, capsys):
         plan = self._plan_path(tmp_path)
         code = main(

@@ -6,8 +6,9 @@ calls.  What is pinned here is the behaviour the transport owes the rest
 of the store: a dead worker reads as a crash at once (EOF, not the
 deadline), a hung one as a timeout whose late ack is dropped, shards
 gather side by side, no message size deadlocks the pipe, updates cost
-the workers nothing, and nothing — thread, fd, process or segment —
-outlives ``close()`` on any path.
+the workers nothing, nothing — thread, fd, process or segment —
+outlives ``close()`` on any path, and every message is a binary frame
+that nothing on the host side pickles or unpickles.
 """
 
 import gc
@@ -18,6 +19,7 @@ import signal
 import threading
 import time
 import types
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -335,3 +337,89 @@ def test_spawned_workers_take_the_pipe_and_the_watermark(monkeypatch):
         second = manager.lookup(np.arange(N_NODES))
         assert second.stale_rows == 0
         assert np.array_equal(second.rows, manager.table)
+
+
+# -- (vii) the wire ---------------------------------------------------------
+
+
+class TestFrames:
+    @pytest.mark.parametrize("n_ids", [0, 1, 16, 256, 40_000])
+    def test_lookup_round_trip(self, n_ids):
+        with _manager(lookup_deadline_s=30.0) as manager:
+            host = manager.hosts[1]
+            ids = np.random.default_rng(n_ids).integers(
+                host.row_start, host.row_end, n_ids
+            )
+            # A written row and a non-zero version must both cross.
+            manager.apply_update(np.array([host.row_start]), np.ones((1, DIM)))
+            rows, version = host.lookup(ids)
+            assert rows.shape == (n_ids, DIM)
+            assert np.array_equal(rows, manager.table[ids])
+            assert version == manager.version
+        if n_ids == 40_000:
+            assert rows.nbytes > 64 * 1024  # more than one pipe buffer
+
+    def test_error_ack_text_survives(self):
+        with _manager(lookup_deadline_s=30.0) as manager:
+            host = manager.hosts[0]
+            beyond = host.n_rows + 1000
+            with pytest.raises(ShardCrashError) as raised:
+                host.lookup(np.array([host.row_start + beyond]))
+            assert raised.value.detail.startswith(
+                f"IndexError: index {beyond} is out of bounds"
+            )
+            rows, _ = host.lookup(np.array([host.row_start]))  # still serving
+            assert np.array_equal(rows, manager.table[[host.row_start]])
+
+    def test_hang_seconds_survive(self):
+        with _manager(lookup_deadline_s=30.0) as manager:
+            host = manager.hosts[0]
+            started = time.monotonic()
+            host.inject_hang(0.35)
+            host.lookup(np.array([host.row_start]))
+            assert 0.35 <= time.monotonic() - started < 2.0
+
+
+def test_host_side_pickles_nothing(monkeypatch):
+    """Lookups, updates and every control frame go unpickled."""
+    calls = []
+
+    def spy(name):
+        real = getattr(ForkingPickler, name)
+
+        def record(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return record
+
+    with _manager(n_replicas=1, lookup_deadline_s=5.0) as manager:
+        # The workers are forked already: the spies are the host's alone.
+        monkeypatch.setattr(ForkingPickler, "dumps", spy("dumps"))
+        monkeypatch.setattr(ForkingPickler, "loads", spy("loads"))
+        host = manager.hosts[0]
+        host.lookup(np.array([0, 1]))
+        manager.apply_update(np.array([2]), np.ones((1, DIM)))
+        host.inject_mute()
+        host.inject_hang(0.3)
+        with pytest.raises(ShardTimeoutError):
+            host.lookup(np.array([3]), deadline_s=0.05)
+        host.inject_crash()
+        result = manager.lookup(np.arange(N_NODES))
+        assert result.statuses[0] == STATUS_REPLICA
+        assert np.array_equal(result.rows, manager.table)
+    assert calls == []
+
+
+def test_host_rows_are_read_only_and_manager_rows_are_the_callers():
+    with _manager() as manager:
+        rows, _ = manager.hosts[0].lookup(np.array([0, 1]))
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 1.0
+        result = manager.lookup(np.arange(N_NODES))
+        assert result.rows.flags.writeable and result.rows.flags.owndata
+        result.rows[:] = 0.0
+        assert np.array_equal(
+            manager.lookup(np.arange(N_NODES)).rows, manager.table
+        )
