@@ -40,6 +40,14 @@ BLAME_CATEGORIES = (
     BLAME_CHECKPOINTER,
 )
 
+#: Node name of a backend breakdown share that is not itemized per
+#: shard, by blame category (any other category names its own node).
+_SHARE_NODE = {
+    BLAME_KERNEL: "kernel",
+    BLAME_BREAKER: "stall_absorbed",
+    BLAME_STALE_FALLBACK: "stale_read",
+}
+
 #: Record type of one causal-tree node on the live bus.
 FORENSIC_RECORD_TYPE = "forensic_span"
 
@@ -197,12 +205,12 @@ class RequestForensics:
         for category, seconds in breakdown.items():
             self._charge(category, float(seconds))
         shard_details = tuple(getattr(response, "shard_details", ()) or ())
-        non_shard = dict(breakdown)
+        non_shard = breakdown
         if shard_details:
             # Per-shard nodes replace the aggregate gather shares: the
             # kernel residual keeps only the compute+fresh-gather part
             # not itemized per shard.
-            itemized = sum(float(d["sim_seconds"]) for d in shard_details)
+            non_shard = dict(breakdown)
             non_shard[BLAME_KERNEL] = (
                 non_shard.get(BLAME_KERNEL, 0.0)
                 - sum(
@@ -212,17 +220,20 @@ class RequestForensics:
                 )
             )
             non_shard.pop(BLAME_SHARD_HEDGE, None)
-            del itemized
         for category, seconds in non_shard.items():
             seconds = float(seconds)
             if seconds <= 0.0:
                 continue
-            name = {
-                BLAME_KERNEL: "kernel",
-                BLAME_BREAKER: "stall_absorbed",
-                BLAME_STALE_FALLBACK: "stale_read",
-            }.get(category, category)
-            self._nodes.append((name, category, cursor, seconds, {}, True))
+            self._nodes.append(
+                (
+                    _SHARE_NODE.get(category, category),
+                    category,
+                    cursor,
+                    seconds,
+                    {},
+                    True,
+                )
+            )
             cursor += seconds
         for detail in shard_details:
             seconds = float(detail["sim_seconds"])

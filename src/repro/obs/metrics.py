@@ -311,7 +311,3 @@ class MetricsRegistry:
             else:
                 out[full] = metric.value
         return out
-
-    def reset(self) -> None:
-        """Drop every registered metric."""
-        self._metrics.clear()

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import secrets
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -77,6 +77,15 @@ RESPONSE_STATUSES = (
 DEFAULT_LADDERS: dict[str, tuple[str, ...]] = {
     "interactive": (FIDELITY_FULL, FIDELITY_PROPAGATION, FIDELITY_STALE),
     "batch": (FIDELITY_FULL, FIDELITY_STALE),
+}
+
+#: Label names of the server's labelled series, by family.
+_LABELS: dict[str, tuple[str, ...]] = {
+    "serve.responses": ("status", "klass"),
+    "serve.served": ("fidelity",),
+    "serve.latency": ("klass",),
+    "serve.blame_seconds": ("klass", "category"),
+    "serve.degraded": ("reason",),
 }
 
 
@@ -323,17 +332,46 @@ class EmbeddingServer:
             metrics=self.metrics,
             name="backend",
         )
-        self._pending: deque[ServeRequest] = deque()
+        #: Admitted requests with the trace id each got on submission.
+        self._pending: deque[tuple[ServeRequest, str]] = deque()
         # Per-server token so trace ids stay unique across concurrently
         # replaying servers that share one metrics registry.
         self._trace_token = secrets.token_hex(4)
         self._trace_seq = 0
-        self._trace_ids: dict[str, str] = {}
-        # Touch the counters probes and smoke checks read, so they are
-        # present (at zero) in every telemetry export.
-        self.metrics.counter("serve.unhandled_exceptions")
-        self.metrics.counter("serve.submitted")
-        self.metrics.gauge("serve.queue_depth").set(0)
+        self._bind_metrics()
+        self._queue_depth.set(0)
+
+    def _bind_metrics(self) -> None:
+        """Bind the series this server writes to ``self.metrics``.
+
+        The fixed series are bound (and so present, at zero, in every
+        telemetry export) here; a labelled one is bound on its first
+        use by :meth:`_series`.  ``run_trace`` calls this again when
+        ``self.metrics`` is no longer the registry bound last.
+        """
+        metrics = self.metrics
+        self._bound_to = metrics
+        self._count_unhandled = metrics.counter(
+            "serve.unhandled_exceptions"
+        ).inc
+        self._count_submitted = metrics.counter("serve.submitted").inc
+        self._queue_depth = metrics.gauge("serve.queue_depth")
+        self._queue_peak = metrics.gauge("serve.queue_peak")
+        self._labelled: dict[tuple[str, ...], Callable[..., None]] = {}
+
+    def _series(self, family: str, *values: str) -> Callable[..., None]:
+        """The bound ``inc`` (``observe`` for ``serve.latency``) of one
+        labelled series: ``family`` with :data:`_LABELS` ``= values``."""
+        key = (family, *values)
+        bound = self._labelled.get(key)
+        if bound is None:
+            labels = dict(zip(_LABELS[family], values))
+            if family == "serve.latency":
+                bound = self.metrics.histogram(family, **labels).observe
+            else:
+                bound = self.metrics.counter(family, **labels).inc
+            self._labelled[key] = bound
+        return bound
 
     # -- probes ----------------------------------------------------------
 
@@ -370,6 +408,8 @@ class EmbeddingServer:
         report = ServeReport()
         if not self.backend.warm:
             report.warmup_sim_seconds = self.backend.warm_up()
+        if self._bound_to is not self.metrics:
+            self._bind_metrics()
         self._pending.clear()
         requests = list(trace.requests)
         index = 0
@@ -380,12 +420,12 @@ class EmbeddingServer:
                 index = self._admit(requests, index, report)
                 if not self._pending:
                     continue
-                request = self._pending.popleft()
+                request, trace_id = self._pending.popleft()
                 self._update_queue_gauge()
                 try:
-                    self._handle(request, report)
+                    self._handle(request, trace_id, report)
                 except Exception as exc:
-                    self.metrics.counter("serve.unhandled_exceptions").inc()
+                    self._count_unhandled()
                     self._respond(
                         report,
                         ServeResponse(
@@ -395,6 +435,7 @@ class EmbeddingServer:
                             arrival_s=request.arrival_s,
                             completed_s=self.clock.now,
                             error=type(exc).__name__,
+                            trace_id=trace_id,
                         ),
                     )
         report.finished_at_s = self.clock.now
@@ -440,8 +481,8 @@ class EmbeddingServer:
                     )
             for arrival in arrivals:
                 report.submitted += 1
-                self._trace_ids[arrival.request_id] = self._next_trace_id()
-                self.metrics.counter("serve.submitted").inc()
+                trace_id = self._next_trace_id()
+                self._count_submitted()
                 if (
                     self.policy.shedding_enabled
                     and len(self._pending) >= self.policy.queue_limit
@@ -457,23 +498,25 @@ class EmbeddingServer:
                             status=STATUS_SHED,
                             arrival_s=arrival.arrival_s,
                             error=type(error).__name__,
+                            trace_id=trace_id,
                         ),
                     )
                 else:
-                    self._pending.append(arrival)
+                    self._pending.append((arrival, trace_id))
             self._update_queue_gauge()
         return index
 
     def _update_queue_gauge(self) -> None:
         depth = len(self._pending)
-        self.metrics.gauge("serve.queue_depth").set(depth)
-        peak = self.metrics.gauge("serve.queue_peak")
-        if depth > peak.value:
-            peak.set(depth)
+        self._queue_depth.set(depth)
+        if depth > self._queue_peak.value:
+            self._queue_peak.set(depth)
 
     # -- per-request handling --------------------------------------------
 
-    def _handle(self, request: ServeRequest, report: ServeReport) -> None:
+    def _handle(
+        self, request: ServeRequest, trace_id: str, report: ServeReport
+    ) -> None:
         deadline_at = request.arrival_s + request.deadline_s
         # Everything from arrival to this dequeue moment is admission
         # wait; everything after it is execution.  The forensics
@@ -506,6 +549,7 @@ class EmbeddingServer:
                     arrival_s=request.arrival_s,
                     completed_s=self.clock.now,
                     error=type(error).__name__,
+                    trace_id=trace_id,
                     queue_wait_s=queue_wait,
                 ),
                 forensics=forensics,
@@ -524,6 +568,7 @@ class EmbeddingServer:
                     arrival_s=request.arrival_s,
                     completed_s=self.clock.now,
                     error=BackendStallError.__name__,
+                    trace_id=trace_id,
                     queue_wait_s=queue_wait,
                     exec_s=self.clock.now - handled_at,
                 ),
@@ -543,6 +588,7 @@ class EmbeddingServer:
                 completed_s=completed,
                 error=DeadlineExceededError.__name__ if late else None,
                 stale_rows=stale_rows,
+                trace_id=trace_id,
                 queue_wait_s=queue_wait,
                 exec_s=completed - handled_at,
                 rung=fidelity,
@@ -566,15 +612,11 @@ class EmbeddingServer:
             if self.policy.deadline_aware:
                 predicted = self.backend.compute_cost(request.n_nodes, rung)
                 if self.clock.now + predicted > deadline_at:
-                    self.metrics.counter(
-                        "serve.degraded", reason="deadline"
-                    ).inc()
+                    self._series("serve.degraded", "deadline")()
                     forensics.record_skip(rung, "deadline", self.clock.now)
                     continue
             if self.policy.breaker_enabled and not self.breaker.allow():
-                self.metrics.counter(
-                    "serve.degraded", reason="breaker_open"
-                ).inc()
+                self._series("serve.degraded", "breaker_open")()
                 forensics.record_skip(rung, "breaker_open", self.clock.now)
                 continue
             try:
@@ -590,18 +632,14 @@ class EmbeddingServer:
                 forensics.record_stall(rung, stall.seconds, self.clock.now)
                 self.clock.advance(stall.seconds)
                 self.breaker.record_failure()
-                self.metrics.counter(
-                    "serve.degraded", reason="backend_stall"
-                ).inc()
+                self._series("serve.degraded", "backend_stall")()
                 continue
             except PartialResultError:
                 # Part of the sharded gather had neither a live worker
                 # nor a checkpoint.  A per-shard hole is not a backend
                 # failure — the breaker stays untouched, the request
                 # falls one rung (usually onto the global stale tier).
-                self.metrics.counter(
-                    "serve.degraded", reason="shard_partial"
-                ).inc()
+                self._series("serve.degraded", "shard_partial")()
                 forensics.record_skip(rung, "shard_partial", self.clock.now)
                 continue
             forensics.record_backend(rung, response, self.clock.now)
@@ -610,9 +648,7 @@ class EmbeddingServer:
             if response.stale_rows > 0:
                 # Served on this rung, but part of the gather came from
                 # a stale shard tier: degraded within the rung.
-                self.metrics.counter(
-                    "serve.degraded", reason="shard_stale"
-                ).inc()
+                self._series("serve.degraded", "shard_stale")()
             return rung, response.stale_rows
         return None, 0
 
@@ -643,32 +679,22 @@ class EmbeddingServer:
         response: ServeResponse,
         forensics: RequestForensics | None = None,
     ) -> None:
-        trace_id = self._trace_ids.pop(response.request_id, None)
-        if trace_id is None:
-            trace_id = self._next_trace_id()
-        response = replace(response, trace_id=trace_id)
+        trace_id = response.trace_id
+        klass = response.klass
         report.responses.append(response)
-        self.metrics.counter(
-            "serve.responses", status=response.status, klass=response.klass
-        ).inc()
+        self._series("serve.responses", response.status, klass)()
         if response.status == STATUS_SERVED:
-            self.metrics.counter(
-                "serve.served", fidelity=response.fidelity
-            ).inc()
+            self._series("serve.served", response.fidelity)()
         latency = response.latency_s
         if latency is not None:
-            self.metrics.histogram(
-                "serve.latency", klass=response.klass
-            ).observe(latency, exemplar=trace_id)
+            self._series("serve.latency", klass)(latency, exemplar=trace_id)
         if forensics is not None:
             # Blame seconds are counted even without a stream attached:
             # they are what `repro diff` gates and perf-gate publishes.
             for category, seconds in forensics.blame.items():
-                self.metrics.counter(
-                    "serve.blame_seconds",
-                    klass=response.klass,
-                    category=category,
-                ).inc(max(0.0, seconds))
+                self._series("serve.blame_seconds", klass, category)(
+                    max(0.0, seconds)
+                )
         if self.stream is not None:
             if forensics is None:
                 # Shed (or handler-torn) requests still leave a root

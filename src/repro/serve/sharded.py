@@ -21,6 +21,8 @@ between requests, exactly like a health-check loop would.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.core.embedding import OMeGaEmbedder
@@ -80,6 +82,12 @@ class ShardedEmbeddingBackend(EmbeddingBackend):
         self.supervisor: ShardSupervisor | None = None
         self.placement: dict | None = None
         self._serve_seq = 0
+        #: The full tier's bound ``serve.backend.calls`` /
+        #: ``serve.backend.sim_seconds`` increments and the registry they
+        #: are bound to (rebound when ``self.metrics`` changes).
+        self._bound_to: MetricsRegistry | None = None
+        self._count_call: Callable[[], None] | None = None
+        self._count_seconds: Callable[[float], None] | None = None
 
     # -- warmup ----------------------------------------------------------
 
@@ -193,7 +201,11 @@ class ShardedEmbeddingBackend(EmbeddingBackend):
         total = self.shards.routing.n_nodes
         stride = max(total // max(n_nodes, 1), 1)
         offset = (self._serve_seq * 13) % total
-        return (offset + np.arange(n_nodes, dtype=np.int64) * stride) % total
+        walk = np.arange(
+            offset, offset + n_nodes * stride, stride, dtype=np.int64
+        )
+        walk %= total
+        return walk
 
     def serve(
         self,
@@ -232,11 +244,17 @@ class ShardedEmbeddingBackend(EmbeddingBackend):
                 seconds += absorbed_stall
         self._serve_seq += 1
         result = self.shards.lookup(self._request_ids(n_nodes))
-        self.metrics.counter("serve.backend.calls", fidelity=fidelity).inc()
-        self.metrics.counter(
-            "serve.backend.sim_seconds", fidelity=fidelity
-        ).inc(seconds + result.sim_seconds)
+        if self._bound_to is not self.metrics:
+            self._bound_to = self.metrics
+            self._count_call = self.metrics.counter(
+                "serve.backend.calls", fidelity=FIDELITY_FULL
+            ).inc
+            self._count_seconds = self.metrics.counter(
+                "serve.backend.sim_seconds", fidelity=FIDELITY_FULL
+            ).inc
         total = seconds + result.sim_seconds
+        self._count_call()
+        self._count_seconds(total)
         hedge_s = sum(
             d["sim_seconds"] for d in result.shard_details if d["stale"]
         )

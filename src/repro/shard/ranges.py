@@ -13,6 +13,7 @@ the way EaTA equalizes per-thread completion times.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,13 +103,13 @@ class ShardRoutingTable:
                 )
             cursor = end
         object.__setattr__(self, "ranges", ranges)
-        # Range ends, for shard_of's binary search.  Derived from
-        # ``ranges`` and not a dataclass field, so equality and repr
-        # are those of ``ranges`` alone.
+        # Range ends, for the binary searches of shard_of (as an array)
+        # and split (as ints).  Derived from ``ranges`` and not dataclass
+        # fields, so equality and repr are those of ``ranges`` alone.
+        ends = tuple(end for _, end in ranges)
+        object.__setattr__(self, "_ends", ends)
         object.__setattr__(
-            self,
-            "_boundaries",
-            np.asarray([end for _, end in ranges], dtype=np.int64),
+            self, "_boundaries", np.asarray(ends, dtype=np.int64)
         )
 
     @property
@@ -117,18 +118,22 @@ class ShardRoutingTable:
 
     @property
     def n_nodes(self) -> int:
-        return self.ranges[-1][1]
+        return self._ends[-1]
+
+    def _check(self, node_ids: np.ndarray) -> tuple[int, int]:
+        """The smallest and largest of non-empty ``node_ids``, in range."""
+        low, high = int(node_ids.min()), int(node_ids.max())
+        if low < 0 or high >= self.n_nodes:
+            raise ValueError(
+                f"node ids outside [0, {self.n_nodes}): [{low}, {high}]"
+            )
+        return low, high
 
     def shard_of(self, node_ids: np.ndarray) -> np.ndarray:
         """Owning shard of every node id (vectorized)."""
         node_ids = np.asarray(node_ids, dtype=np.int64)
-        if len(node_ids) and (
-            node_ids.min() < 0 or node_ids.max() >= self.n_nodes
-        ):
-            raise ValueError(
-                f"node ids outside [0, {self.n_nodes}):"
-                f" [{node_ids.min()}, {node_ids.max()}]"
-            )
+        if len(node_ids):
+            self._check(node_ids)
         return np.searchsorted(self._boundaries, node_ids, side="right")
 
     def split(
@@ -139,18 +144,22 @@ class ShardRoutingTable:
         ``positions`` index back into the original request order, so
         gathered rows scatter straight into the caller's output buffer.
         Shards ascend, positions ascend within a shard, and an empty
-        request gives ``{}``.  One stable sort of the owners and a cut
-        at every change of owner; a request owned by a single shard
+        request gives ``{}``.  The smallest and largest id are taken
+        once, to validate and to route: ranges are contiguous, so when
+        one shard owns both it owns every id between, and the request
         (always, with one shard; usually, for a small request on large
-        ranges) skips the sort and is handed back as it came.
+        ranges) is handed back as it came, with no per-id search.
+        Otherwise, one stable sort of the owners and a cut at every
+        change of owner.
         """
         node_ids = np.asarray(node_ids, dtype=np.int64)
         if len(node_ids) == 0:
             return {}
-        owners = self.shard_of(node_ids)
-        first = owners[0]
-        if (owners == first).all():
-            return {int(first): (np.arange(len(node_ids)), node_ids)}
+        low, high = self._check(node_ids)
+        first = bisect_right(self._ends, low)
+        if first == bisect_right(self._ends, high):
+            return {first: (np.arange(len(node_ids)), node_ids)}
+        owners = np.searchsorted(self._boundaries, node_ids, side="right")
         order = np.argsort(owners, kind="stable")
         sorted_owners = owners[order]
         sorted_ids = node_ids[order]

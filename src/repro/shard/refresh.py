@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs.metrics import Gauge, MetricsRegistry
     from repro.shard.host import ShardHost
     from repro.shard.store import EmbeddingShardManager
 
@@ -50,10 +51,13 @@ class BackgroundCheckpointer:
 
     def __init__(self, manager: "EmbeddingShardManager") -> None:
         self.manager = manager
-        self.metrics = manager.metrics
         self.bg_checkpoints = 0
         self.sim_refresh_seconds = 0.0
         self.max_observed_staleness = 0
+        #: The ``shard.staleness_max`` gauge, bound to the manager's
+        #: registry of the last tick (rebound when that changes).
+        self._bound_to: "MetricsRegistry | None" = None
+        self._staleness_gauge: "Gauge | None" = None
 
     def staleness_of(self, host: "ShardHost") -> int:
         """A shard's current version lag against the whole table."""
@@ -96,9 +100,11 @@ class BackgroundCheckpointer:
         self.max_observed_staleness = max(
             self.max_observed_staleness, worst
         )
-        self.metrics.gauge("shard.staleness_max").set(
-            float(self.max_observed_staleness)
-        )
+        metrics = self.manager.metrics
+        if self._bound_to is not metrics:
+            self._bound_to = metrics
+            self._staleness_gauge = metrics.gauge("shard.staleness_max")
+        self._staleness_gauge.set(float(self.max_observed_staleness))
         return self.sim_refresh_seconds - before
 
     def _refresh(self, shard_id: int, host: "ShardHost", lag: int) -> None:
@@ -106,7 +112,7 @@ class BackgroundCheckpointer:
         host.catch_up(self.manager.rows_for(host), self.manager.version)
         self.sim_refresh_seconds += host.domain.sim_seconds - before
         self.bg_checkpoints += 1
-        self.metrics.counter(
+        self.manager.metrics.counter(
             "shard.bg_checkpoints", shard=str(shard_id)
         ).inc()
         self.manager._emit(

@@ -75,6 +75,12 @@ STATUS_STALE = "stale"
 STATUS_MISSING = "missing"
 
 
+def _span(shard_id: int, ids: np.ndarray) -> tuple[int, int, int]:
+    """``(shard_id, row_start, row_end)``: the node range a shard's
+    slice of a lookup covered (only stale and missing slices report it)."""
+    return shard_id, int(ids.min()), int(ids.max()) + 1
+
+
 @dataclass(frozen=True)
 class ShardPolicy:
     """Configuration of the sharded store.
@@ -204,6 +210,13 @@ class EmbeddingShardManager:
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self._dram = dram_spec()
         self._pm = pm_spec()
+        #: Simulated seconds of one shard's gather, by ``(stale, rows)``:
+        #: the cost model, both devices and the row width are fixed here,
+        #: so a price never changes once computed.
+        self._prices: dict[tuple[bool, int], float] = {}
+        #: The registry ``_lookups`` is bound to (see ``lookup``).
+        self._bound_to: MetricsRegistry | None = None
+        self._lookups: Callable[[], None] | None = None
         n_nodes = len(self.table)
         self.degrees = (
             np.asarray(degrees, dtype=np.float64)[:n_nodes]
@@ -536,6 +549,9 @@ class EmbeddingShardManager:
             ShardError: hedging disabled and a shard failed.
         """
         node_ids = np.asarray(node_ids, dtype=np.int64)
+        if self._bound_to is not self.metrics:
+            self._bound_to = self.metrics
+            self._lookups = self.metrics.counter("shard.lookups").inc
         self.lookup_seq += 1
         seq = self.lookup_seq
         self._apply_shard_faults(seq)
@@ -545,15 +561,14 @@ class EmbeddingShardManager:
         refresh_sim_seconds = (
             self.refresher.tick(seq) if self.refresher is not None else 0.0
         )
-        dim = self.table.shape[1]
-        out = np.empty((len(node_ids), dim), dtype=np.float64)
+        out = np.empty((len(node_ids), self.table.shape[1]), dtype=np.float64)
         statuses: dict[int, str] = {}
         stale_rows = 0
         stale_ranges: list[tuple[int, int, int]] = []
         missing_ranges: list[tuple[int, int, int]] = []
         shard_details: list[dict] = []
         sim_seconds = 0.0
-        self.metrics.counter("shard.lookups").inc()
+        self._lookups()
         split = self.routing.split(node_ids)
         # Scatter: every shard's slice is on its way before the first
         # reply is awaited, so the shards gather side by side and the
@@ -562,39 +577,38 @@ class EmbeddingShardManager:
             shard_id: self._send_primary(self.hosts[shard_id], ids)
             for shard_id, (_, ids) in split.items()
         }
+        # One shard owns the whole request, in request order.
+        whole = len(split) == 1
         # Gather, in shard order: failures, hedges and repairs happen
         # one shard at a time exactly as if the calls were sequential.
         for shard_id, (positions, ids) in split.items():
             host = self.hosts[shard_id]
-            self.rows_served[shard_id] += int(ids.size)
+            n_rows = len(ids)
+            self.rows_served[shard_id] += n_rows
             rows, status, version = self._gather_one(host, ids, sent[shard_id])
-            span = (shard_id, int(ids.min()), int(ids.max()) + 1)
             if rows is None:
                 statuses[shard_id] = STATUS_MISSING
-                missing_ranges.append(span)
+                missing_ranges.append(_span(shard_id, ids))
                 continue
-            out[positions] = rows
+            if whole:
+                out[...] = rows
+            else:
+                out[positions] = rows
             statuses[shard_id] = status
             stale = status == STATUS_STALE or version < self.version
             if stale:
-                stale_rows += int(ids.size)
-                stale_ranges.append(span)
-                self.metrics.counter("shard.stale_rows").inc(int(ids.size))
+                stale_rows += n_rows
+                stale_ranges.append(_span(shard_id, ids))
+                self.metrics.counter("shard.stale_rows").inc(n_rows)
             # Fresh rows are DRAM reads; stale ones come off PM, and a
             # read that fell to the checkpoint tier also pays the hedge.
             penalty = HEDGE_SIM_PENALTY_S if status == STATUS_STALE else 0.0
-            shard_cost = penalty + self.cost_model.access_time(
-                self._pm if stale else self._dram,
-                Operation.READ,
-                AccessPattern.RANDOM,
-                Locality.LOCAL,
-                float(ids.size * dim * 8),
-            )
+            shard_cost = penalty + self._price(stale, n_rows)
             shard_details.append(
                 {
                     "shard": shard_id,
                     "status": status,
-                    "rows": int(ids.size),
+                    "rows": n_rows,
                     "sim_seconds": shard_cost,
                     "hedge_penalty_s": penalty,
                     "stale": stale,
@@ -618,6 +632,20 @@ class EmbeddingShardManager:
             shard_details=tuple(shard_details),
             refresh_sim_seconds=refresh_sim_seconds,
         )
+
+    def _price(self, stale: bool, n_rows: int) -> float:
+        """Simulated seconds of reading ``n_rows`` rows of one shard:
+        DRAM random reads when fresh, PM random reads when stale."""
+        price = self._prices.get((stale, n_rows))
+        if price is None:
+            price = self._prices[stale, n_rows] = self.cost_model.access_time(
+                self._pm if stale else self._dram,
+                Operation.READ,
+                AccessPattern.RANDOM,
+                Locality.LOCAL,
+                float(n_rows * self.table.shape[1] * 8),
+            )
+        return price
 
     @staticmethod
     def _send_primary(

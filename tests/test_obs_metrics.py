@@ -245,10 +245,8 @@ class TestRegistry:
         records = json.loads(payload)
         assert {r["kind"] for r in records} == {"counter", "histogram"}
 
-    def test_len_and_reset(self):
+    def test_len(self):
         registry = MetricsRegistry()
         registry.counter("a")
         registry.gauge("b")
         assert len(registry) == 2
-        registry.reset()
-        assert len(registry) == 0

@@ -39,6 +39,8 @@ from repro.serve.server import (
     STATUS_SERVED,
     STATUS_SHED,
 )
+from repro.serve.sharded import ShardedEmbeddingBackend
+from repro.shard import ShardPolicy, SupervisorPolicy
 
 N_NODES = 150
 
@@ -451,6 +453,251 @@ class TestStaleTier:
             stale_backend._stale[0, 0] = 1.0
         first.rows[:] = -1.0  # the caller's to overwrite
         assert np.array_equal(stale_backend.serve_cached(8).rows, expected)
+
+
+# -- golden telemetry -------------------------------------------------------
+
+
+def faulted_replay(metrics: MetricsRegistry):
+    """A monolithic replay under a request burst and four hung calls.
+
+    Sheds, all three ladder degradations (deadline, open breaker,
+    stall) and repeated breaker trips occur.
+    """
+    backend = shared_backend()
+    mean_service = backend.compute_cost(1) * 8.5
+    plan = FaultPlan(
+        events=(
+            FaultEvent(kind="request_burst", site=ARRIVAL_SITE, count=10),
+            FaultEvent(
+                kind="backend_stall", site=BACKEND_SITE, count=4,
+                seconds=500.0 * mean_service,
+            ),
+        )
+    )
+    injector = FaultInjector(plan, MetricsRegistry())
+    policy = calibrated_policy(
+        backend,
+        queue_limit=4,
+        breaker=BreakerPolicy(
+            failure_threshold=2, recovery_seconds=20.0 * mean_service
+        ),
+    )
+    trace = RequestTrace.synthesize(
+        seed=3, n_requests=60,
+        per_node_cost_s=backend.compute_cost(1), load=0.8,
+    )
+    backend.faults = injector
+    try:
+        server = EmbeddingServer(
+            backend, policy, metrics=metrics, faults=injector
+        )
+        return server.run_trace(trace)
+    finally:
+        backend.faults = None
+
+
+def one_shard_backend(metrics: MetricsRegistry) -> ShardedEmbeddingBackend:
+    """A cold one-shard store whose wall-clock detectors never fire."""
+    return ShardedEmbeddingBackend(
+        OMeGaEmbedder(OMeGaConfig(n_threads=2, dim=8)),
+        chung_lu_edges(N_NODES, 900, seed=3),
+        N_NODES,
+        shard_policy=ShardPolicy(
+            n_shards=1, lookup_deadline_s=30.0, checkpoint_interval=5
+        ),
+        supervisor_policy=SupervisorPolicy(heartbeat_timeout_s=30.0),
+        metrics=metrics,
+    )
+
+
+def sharded_trace(backend, seed: int) -> RequestTrace:
+    return RequestTrace.synthesize(
+        seed=seed, n_requests=40,
+        per_node_cost_s=backend.compute_cost(1), load=0.5,
+    )
+
+
+class TestGoldenTelemetry:
+    """A replay's series and summary, to the last bit.
+
+    The literals are what the server printed before its metric handles
+    were bound once per registry; binding must not move a single value.
+    """
+
+    def test_faulted_monolithic_replay(self):
+        metrics = MetricsRegistry()
+        report = faulted_replay(metrics)
+        assert metrics.snapshot() == {
+            "serve.blame_seconds{category=breaker,klass=interactive}":
+                0.006557356642047524,
+            "serve.blame_seconds{category=kernel,klass=interactive}":
+                0.00028929514597268485,
+            "serve.blame_seconds{category=queue,klass=interactive}":
+                0.01958569142558232,
+            "serve.blame_seconds{category=stale_fallback,klass=batch}":
+                5.6028000000000006e-05,
+            "serve.blame_seconds{category=stale_fallback,klass=interactive}":
+                1.1340000000000002e-05,
+            "serve.breaker.failures{breaker=backend}": 4.0,
+            "serve.breaker.probe_successes{breaker=backend}": 2.0,
+            "serve.breaker.rejections{breaker=backend}": 25.0,
+            "serve.breaker.state{breaker=backend}": 0.0,
+            "serve.breaker.transitions{breaker=backend,from_state=closed,"
+            "to_state=open}": 1.0,
+            "serve.breaker.transitions{breaker=backend,from_state=half_open,"
+            "to_state=closed}": 1.0,
+            "serve.breaker.transitions{breaker=backend,from_state=half_open,"
+            "to_state=open}": 2.0,
+            "serve.breaker.transitions{breaker=backend,from_state=open,"
+            "to_state=half_open}": 3.0,
+            "serve.breaker.trips{breaker=backend}": 3.0,
+            "serve.degraded{reason=backend_stall}": 4.0,
+            "serve.degraded{reason=breaker_open}": 25.0,
+            "serve.degraded{reason=deadline}": 4.0,
+            "serve.latency{klass=batch}": {
+                "count": 5,
+                "mean": 1.1205599999999927e-05,
+                "sum": 5.6027999999999634e-05,
+            },
+            "serve.latency{klass=interactive}": {
+                "count": 36,
+                "mean": 0.0007345467559334036,
+                "sum": 0.02644368321360253,
+            },
+            "serve.queue_depth": 0.0,
+            "serve.queue_peak": 4.0,
+            "serve.responses{klass=batch,status=served}": 5.0,
+            "serve.responses{klass=batch,status=shed}": 3.0,
+            "serve.responses{klass=interactive,status=deadline_exceeded}":
+                18.0,
+            "serve.responses{klass=interactive,status=served}": 18.0,
+            "serve.responses{klass=interactive,status=shed}": 26.0,
+            "serve.served{fidelity=full}": 8.0,
+            "serve.served{fidelity=stale}": 15.0,
+            "serve.submitted": 70.0,
+            "serve.unhandled_exceptions": 0.0,
+        }
+        assert report.summary() == {
+            "balanced": True,
+            "deadline_exceeded": 18,
+            "failed": 0,
+            "fidelity": {"full": 8, "stale": 15},
+            "finished_at_s": 0.010813214791981982,
+            "p50_latency_s": 5.272789793128903e-05,
+            "p99_latency_s": 0.0016402295605118808,
+            "served": 23,
+            "shed": 29,
+            "submitted": 70,
+            "warmup_sim_seconds": 0.0,
+        }
+
+    def test_trace_ids_unique_and_exemplars_name_them(self):
+        metrics = MetricsRegistry()
+        report = faulted_replay(metrics)
+        trace_ids = [r.trace_id for r in report.responses]
+        assert None not in trace_ids
+        assert len(set(trace_ids)) == len(trace_ids) == report.submitted
+        assert any(".b" in r.request_id for r in report.responses)
+        exemplars = [
+            trace_id
+            for record in metrics.to_records()
+            if record["name"] == "serve.latency"
+            for pairs in record["exemplars"].values()
+            for _, trace_id in pairs
+        ]
+        assert exemplars
+        assert set(exemplars) <= set(trace_ids)
+
+    def test_one_shard_replay(self):
+        metrics = MetricsRegistry()
+        with one_shard_backend(metrics) as backend:
+            backend.warm_up()
+            report = EmbeddingServer(
+                backend, calibrated_policy(backend)
+            ).run_trace(sharded_trace(backend, seed=5))
+        assert metrics.snapshot() == {
+            "serve.backend.calls{fidelity=full}": 35.0,
+            "serve.backend.sim_seconds{fidelity=full}": 0.005676581249386808,
+            "serve.backend.warmups": 1.0,
+            "serve.blame_seconds{category=kernel,klass=batch}":
+                0.0048116903486946925,
+            "serve.blame_seconds{category=kernel,klass=interactive}":
+                0.0008648909006921163,
+            "serve.blame_seconds{category=queue,klass=batch}":
+                0.00040770023669559844,
+            "serve.blame_seconds{category=queue,klass=interactive}":
+                0.008385575072183092,
+            "serve.breaker.state{breaker=backend}": 0.0,
+            "serve.latency{klass=batch}": {
+                "count": 8,
+                "mean": 0.0006524238231737864,
+                "sum": 0.005219390585390291,
+            },
+            "serve.latency{klass=interactive}": {
+                "count": 32,
+                "mean": 0.0002890770616523504,
+                "sum": 0.009250465972875212,
+            },
+            "serve.queue_depth": 0.0,
+            "serve.queue_peak": 5.0,
+            "serve.responses{klass=batch,status=served}": 8.0,
+            "serve.responses{klass=interactive,status=deadline_exceeded}": 5.0,
+            "serve.responses{klass=interactive,status=served}": 27.0,
+            "serve.served{fidelity=full}": 35.0,
+            "serve.submitted": 40.0,
+            "serve.unhandled_exceptions": 0.0,
+            "shard.lookups": 35.0,
+            "shard.placement.balance{model=distdgl}": 1.0,
+            "shard.placement.balance{model=distger}": 1.0,
+            "shard.placement.balance{model=real}": 1.0,
+            "shard.placement.edge_cut{model=distdgl}": 0.0,
+            "shard.placement.edge_cut{model=distger}": 0.0,
+            "shard.placement.edge_cut{model=real}": 0.0,
+            "shard.placement.nnz{shard=0}": 1732.0,
+            "shard.placement.rows{shard=0}": 150.0,
+            "shard.staleness_max": 0.0,
+        }
+        assert report.summary() == {
+            "balanced": True,
+            "deadline_exceeded": 5,
+            "failed": 0,
+            "fidelity": {"full": 35},
+            "finished_at_s": 0.009383421427861407,
+            "p50_latency_s": 0.00033898037049698206,
+            "p99_latency_s": 0.0008879332850560606,
+            "served": 35,
+            "shed": 0,
+            "submitted": 40,
+            "warmup_sim_seconds": 0.0,
+        }
+
+    def test_handles_follow_a_new_registry(self):
+        """Series land in whatever registry is attached at call time."""
+        first = MetricsRegistry()
+        with one_shard_backend(first) as backend:
+            backend.warm_up()
+            server = EmbeddingServer(backend, calibrated_policy(backend))
+            server.run_trace(sharded_trace(backend, seed=5))
+            before = first.snapshot()
+            second = MetricsRegistry()
+            server.metrics = backend.metrics = second
+            backend.shards.metrics = second
+            report = server.run_trace(sharded_trace(backend, seed=6))
+        assert first.snapshot() == before
+        served = report.fidelity_counts()["full"]
+        assert second.value("serve.submitted") == report.submitted
+        assert second.value("serve.served", fidelity="full") == served
+        assert second.value("serve.backend.calls", fidelity="full") == (
+            second.value("shard.lookups")
+        )
+        assert second.value("shard.lookups") >= served
+        assert "shard.staleness_max" in second.snapshot()
+        assert sum(
+            second.value("serve.responses", status=s, klass=k)
+            for s in RESPONSE_STATUSES
+            for k in ("interactive", "batch")
+        ) == report.submitted
 
 
 # -- the accounting invariant (property) ----------------------------------
