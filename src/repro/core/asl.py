@@ -24,7 +24,7 @@ from repro.faults import (
     FaultInjector,
     RetryExhaustedError,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, MetricUpdate
 
 
 def optimal_partitions(
@@ -181,6 +181,27 @@ class StreamPlan:
         return load - overlap
 
 
+def record_stream_metrics(
+    plan: StreamPlan, exposed: float, metrics: MetricsRegistry
+) -> list[MetricUpdate]:
+    """One load's overlap telemetry as updates of a metrics registry.
+
+    Returns them bound to ``metrics``' series, in recording order (see
+    :func:`~repro.core.eata.record_allocation_metrics`).
+    ``asl.exposed_seconds`` is the streaming time left on the critical
+    path; ``asl.hidden_seconds`` is what the compute overlap absorbed.
+    """
+    return [
+        (metrics.counter("asl.loads").inc, 1.0),
+        (metrics.counter("asl.exposed_seconds").inc, exposed),
+        (metrics.counter("asl.hidden_seconds").inc,
+         plan.total_load_seconds - exposed),
+        (metrics.counter("asl.streamed_bytes").inc,
+         plan.batch_bytes * plan.n_partitions),
+        (metrics.gauge("asl.n_partitions").set, plan.n_partitions),
+    ]
+
+
 class StreamingLoader:
     """Plans ASL streaming for the SpMM engine.
 
@@ -222,22 +243,14 @@ class StreamingLoader:
         compute_seconds: float,
         metrics: MetricsRegistry | None = None,
     ) -> float:
-        """Exposed streaming seconds, with overlap telemetry.
-
-        ``asl.exposed_seconds`` is the streaming time left on the critical
-        path; ``asl.hidden_seconds`` is what the compute overlap absorbed
-        (pass ``compute_seconds=0`` for the no-overlap/disabled arm).
+        """Exposed streaming seconds, with overlap telemetry
+        (:func:`record_stream_metrics`; pass ``compute_seconds=0`` for the
+        no-overlap/disabled arm).
         """
         exposed = plan.exposed_seconds(compute_seconds)
         if metrics is not None:
-            hidden = plan.total_load_seconds - exposed
-            metrics.counter("asl.loads").inc()
-            metrics.counter("asl.exposed_seconds").inc(exposed)
-            metrics.counter("asl.hidden_seconds").inc(hidden)
-            metrics.counter("asl.streamed_bytes").inc(
-                plan.batch_bytes * plan.n_partitions
-            )
-            metrics.gauge("asl.n_partitions").set(plan.n_partitions)
+            for update, value in record_stream_metrics(plan, exposed, metrics):
+                update(value)
         return exposed
 
     def load(

@@ -25,20 +25,14 @@ matrix or product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from repro.formats.csdb import CSDBMatrix
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, MetricUpdate
 
 #: Histogram buckets for normalized entropy Z(H) in [0, 1].
 Z_ENTROPY_BUCKETS = tuple(i / 10.0 for i in range(1, 11))
-
-
-#: One replayable metric update: a bound ``Counter.inc`` / ``Gauge.set`` /
-#: ``Histogram.observe`` and the value to call it with.
-MetricUpdate = tuple[Callable[[float], None], float]
 
 
 def record_allocation_metrics(
@@ -130,11 +124,12 @@ class WorkloadPartition:
 
 
 class AllocatorContext:
-    """Prefix-sum arrays for O(1) entropy/workload queries on row ranges.
+    """Prefix-sum arrays for entropy/workload queries on row ranges.
 
     Eq. 3 over rows [a, b) with degrees ``d_j`` and total ``W`` reduces to
     ``H = log W - (sum d_j log d_j) / W``, so two prefix arrays (nnz and
-    ``d log d``) answer any range query in constant time.
+    ``d log d``) answer any range query in constant time, and
+    :meth:`fields` answers every range of a split in one array pass.
     """
 
     def __init__(self, matrix: CSDBMatrix) -> None:
@@ -142,9 +137,8 @@ class AllocatorContext:
         self.n_rows = matrix.n_rows
         degrees = matrix.row_degrees().astype(np.float64)
         self.nnz_prefix = matrix.nnz_prefix()
-        dlogd = np.zeros_like(degrees)
-        positive = degrees > 0
-        dlogd[positive] = degrees[positive] * np.log(degrees[positive])
+        # 0 log 0 = 0: an empty row contributes 0 * log 1.
+        dlogd = degrees * np.log(np.maximum(degrees, 1.0))
         self.dlogd_prefix = np.concatenate([[0.0], np.cumsum(dlogd)])
         self.log_v = float(np.log(max(self.n_rows, 2)))
         self.total_nnz = int(self.nnz_prefix[-1])
@@ -153,25 +147,45 @@ class AllocatorContext:
         """W_i: nnz in rows [row_start, row_end)."""
         return int(self.nnz_prefix[row_end] - self.nnz_prefix[row_start])
 
+    def fields(
+        self, starts: np.ndarray, ends: np.ndarray
+    ) -> tuple[np.ndarray, ...]:
+        """Every range ``[starts[i], ends[i])``'s partition fields at once.
+
+        Returns ``(nnz_start, nnz_end, entropy, z_entropy, scatter)``:
+        the edge-array bounds, Eq. 3 entropy (0 for an empty workload,
+        clipped at 0), Z(H) = H / log|V| (clipped at 1) and W_sca (0 for
+        no rows).
+        """
+        starts = np.asarray(starts, dtype=np.int64)
+        ends = np.asarray(ends, dtype=np.int64)
+        nnz_start = self.nnz_prefix[starts]
+        nnz_end = self.nnz_prefix[ends]
+        w = nnz_end - nnz_start
+        rows = ends - starts
+        # Empty ranges divide by 1 instead of 0 and are masked below; a
+        # non-empty range's arithmetic is untouched.
+        some_w = np.maximum(w, 1)
+        dlogd = self.dlogd_prefix[ends] - self.dlogd_prefix[starts]
+        entropy = np.log(some_w) - dlogd / some_w
+        entropy = np.where((w == 0) | (entropy < 0.0), 0.0, entropy)
+        z_entropy = entropy / self.log_v
+        z_entropy = np.where(z_entropy > 1.0, 1.0, z_entropy)
+        scatter = (w / np.maximum(rows, 1)) / max(self.matrix.n_cols, 1)
+        scatter = np.where(rows == 0, 0.0, scatter)
+        return nnz_start, nnz_end, entropy, z_entropy, scatter
+
     def entropy(self, row_start: int, row_end: int) -> float:
         """Eq. 3 entropy of rows [row_start, row_end), in nats."""
-        w = self.workload(row_start, row_end)
-        if w == 0:
-            return 0.0
-        dlogd = self.dlogd_prefix[row_end] - self.dlogd_prefix[row_start]
-        return max(float(np.log(w) - dlogd / w), 0.0)
+        return self.fields([row_start], [row_end])[2].item()
 
     def z_entropy(self, row_start: int, row_end: int) -> float:
         """Normalized entropy Z(H) = H / log|V|, clipped to [0, 1]."""
-        return min(self.entropy(row_start, row_end) / self.log_v, 1.0)
+        return self.fields([row_start], [row_end])[3].item()
 
     def scatter(self, row_start: int, row_end: int) -> float:
         """The paper's W_sca: mean nnz per row over |V| columns."""
-        n_rows = row_end - row_start
-        if n_rows == 0:
-            return 0.0
-        w = self.workload(row_start, row_end)
-        return (w / n_rows) / max(self.matrix.n_cols, 1)
+        return self.fields([row_start], [row_end])[4].item()
 
     def row_at_workload(self, target_nnz: float, row_start: int = 0) -> int:
         """Smallest row end such that rows [row_start, end) hold at least
@@ -180,20 +194,33 @@ class AllocatorContext:
         end = int(np.searchsorted(self.nnz_prefix, goal, side="left"))
         return min(max(end, row_start + 1), self.n_rows)
 
-    def make_partition(
-        self, thread_id: int, row_start: int, row_end: int
-    ) -> WorkloadPartition:
-        """Materialize a :class:`WorkloadPartition` for a row range."""
-        return WorkloadPartition(
-            thread_id=thread_id,
-            row_start=row_start,
-            row_end=row_end,
-            nnz_start=int(self.nnz_prefix[row_start]),
-            nnz_end=int(self.nnz_prefix[row_end]),
-            entropy=self.entropy(row_start, row_end),
-            z_entropy=self.z_entropy(row_start, row_end),
-            scatter=self.scatter(row_start, row_end),
-        )
+    def partitions(self, bounds) -> list[WorkloadPartition]:
+        """Thread ``t``'s workload is rows ``[bounds[t], bounds[t + 1])``."""
+        bounds = np.asarray(bounds, dtype=np.int64)
+        starts, ends = bounds[:-1], bounds[1:]
+        columns = (starts, ends, *self.fields(starts, ends))
+        return [
+            WorkloadPartition(thread_id, *values)
+            for thread_id, values in enumerate(
+                zip(*(column.tolist() for column in columns))
+            )
+        ]
+
+
+def equal_share_bounds(
+    prefix: np.ndarray, n_rows: int, n_threads: int
+) -> np.ndarray:
+    """Row bounds cutting a per-row prefix sum into ``n_threads`` equal shares.
+
+    Cut ``t`` is the first row where ``prefix`` (non-decreasing, length
+    ``n_rows + 1``) reaches ``t / n_threads`` of its total.  The targets
+    rise and never pass the total, so the cuts rise and stay within
+    ``[0, n_rows]``; the bounds run from 0 to ``n_rows``.
+    """
+    # ``np.linspace(0, total, n_threads + 1)[1:-1]``, bit for bit.
+    targets = np.arange(1, n_threads) * (prefix[-1] / n_threads)
+    cuts = np.searchsorted(prefix, targets, side="left")
+    return np.concatenate([[0], cuts, [n_rows]]).astype(np.int64)
 
 
 class ThreadAllocator:
@@ -228,11 +255,9 @@ class RoundRobinAllocator(ThreadAllocator):
     ) -> list[WorkloadPartition]:
         self._check(n_threads)
         ctx = AllocatorContext(matrix)
-        boundaries = np.linspace(0, ctx.n_rows, n_threads + 1).astype(np.int64)
-        return [
-            ctx.make_partition(t, int(boundaries[t]), int(boundaries[t + 1]))
-            for t in range(n_threads)
-        ]
+        return ctx.partitions(
+            np.linspace(0, ctx.n_rows, n_threads + 1).astype(np.int64)
+        )
 
 
 class NaturalOrderRoundRobinAllocator(ThreadAllocator):
@@ -304,20 +329,9 @@ class WorkloadBalancedAllocator(ThreadAllocator):
     ) -> list[WorkloadPartition]:
         self._check(n_threads)
         ctx = AllocatorContext(matrix)
-        targets = np.linspace(0, ctx.total_nnz, n_threads + 1)
-        partitions: list[WorkloadPartition] = []
-        row = 0
-        for t in range(n_threads):
-            if t == n_threads - 1:
-                end = ctx.n_rows
-            else:
-                end = int(
-                    np.searchsorted(ctx.nnz_prefix, targets[t + 1], side="left")
-                )
-                end = min(max(end, row), ctx.n_rows)
-            partitions.append(ctx.make_partition(t, row, end))
-            row = end
-        return partitions
+        return ctx.partitions(
+            equal_share_bounds(ctx.nnz_prefix, ctx.n_rows, n_threads)
+        )
 
 
 class EntropyAwareAllocator(ThreadAllocator):
@@ -394,54 +408,33 @@ class EntropyAwareAllocator(ThreadAllocator):
         self._check(n_threads)
         ctx = AllocatorContext(matrix)
         if n_threads == 1 or ctx.n_rows == 0:
-            first = ctx.make_partition(0, 0, ctx.n_rows)
-            rest = [
-                ctx.make_partition(t, ctx.n_rows, ctx.n_rows)
-                for t in range(1, n_threads)
-            ]
-            return [first, *rest]
+            return ctx.partitions([0] + [ctx.n_rows] * n_threads)
         degrees = matrix.row_degrees().astype(np.float64)
         w_nominal = max(ctx.total_nnz / n_threads, 1.0)
-        with np.errstate(divide="ignore"):
-            z = np.log(np.maximum(w_nominal / np.maximum(degrees, 1.0), 1.0))
+        z = np.log(np.maximum(w_nominal / np.maximum(degrees, 1.0), 1.0))
         z = np.minimum(z / ctx.log_v, 1.0)
         g = 1.0 - z + self.beta * z
         proxy = degrees / g + self.row_overhead_nnz
-        partitions = self._split_by_proxy(ctx, proxy, n_threads)
+        bounds = self._split_by_proxy(ctx, proxy, n_threads)
         # Feedback refinement: re-weight each row by its partition's
         # *measured* entropy (the per-row estimate above uses a nominal
         # window), then re-split.  Two sweeps suffice in practice.
         for _ in range(2):
-            rates = np.ones(ctx.n_rows)
-            for p in partitions:
-                if p.n_rows > 0:
-                    rates[p.row_start : p.row_end] = 1.0 / self._g(p.z_entropy)
+            z_entropy = ctx.fields(bounds[:-1], bounds[1:])[3]
+            rates = np.repeat(1.0 / self._g(z_entropy), np.diff(bounds))
             refined = degrees * rates + self.row_overhead_nnz
-            partitions = self._split_by_proxy(ctx, refined, n_threads)
-        return partitions
+            bounds = self._split_by_proxy(ctx, refined, n_threads)
+        return ctx.partitions(bounds)
 
+    @staticmethod
     def _split_by_proxy(
-        self,
         ctx: AllocatorContext,
         proxy: np.ndarray,
         n_threads: int,
-    ) -> list[WorkloadPartition]:
-        """Equal-quantile split of a per-row cost proxy."""
+    ) -> np.ndarray:
+        """Row bounds of the equal-quantile split of a per-row cost proxy."""
         proxy_prefix = np.concatenate([[0.0], np.cumsum(proxy)])
-        targets = np.linspace(0.0, proxy_prefix[-1], n_threads + 1)
-        partitions: list[WorkloadPartition] = []
-        row = 0
-        for t in range(n_threads):
-            if t == n_threads - 1:
-                end = ctx.n_rows
-            else:
-                end = int(
-                    np.searchsorted(proxy_prefix, targets[t + 1], side="left")
-                )
-                end = min(max(end, row), ctx.n_rows)
-            partitions.append(ctx.make_partition(t, row, end))
-            row = end
-        return partitions
+        return equal_share_bounds(proxy_prefix, ctx.n_rows, n_threads)
 
     def allocate_algorithm2(
         self, matrix: CSDBMatrix, n_threads: int
@@ -454,7 +447,7 @@ class EntropyAwareAllocator(ThreadAllocator):
         self._check(n_threads)
         ctx = AllocatorContext(matrix)
         if n_threads == 1:
-            return [ctx.make_partition(0, 0, ctx.n_rows)]
+            return ctx.partitions([0, ctx.n_rows])
 
         # Initial objective entropy H_i^p: the average entropy of the
         # plain equal-workload split (Algorithm 2, line 2).
@@ -468,14 +461,14 @@ class EntropyAwareAllocator(ThreadAllocator):
         ]
         h_objective = float(np.mean(initial_entropies)) if initial_entropies else 0.0
 
-        partitions: list[WorkloadPartition] = []
+        bounds = [0]
         allocated_h_sum = 0.0
         row = 0
         for t in range(n_threads):
             remaining_threads = n_threads - t
             if t == n_threads - 1 or row >= ctx.n_rows:
-                partitions.append(ctx.make_partition(t, row, ctx.n_rows))
                 row = ctx.n_rows
+                bounds.append(row)
                 continue
             remaining_w = ctx.total_nnz - ctx.nnz_prefix[row]
             w_i = remaining_w / remaining_threads
@@ -496,13 +489,12 @@ class EntropyAwareAllocator(ThreadAllocator):
             # Never starve the remaining threads of rows.
             max_end = ctx.n_rows - (remaining_threads - 1)
             end = min(end, max(max_end, row + 1))
-            partition = ctx.make_partition(t, row, end)
-            partitions.append(partition)
+            bounds.append(end)
             # Update the running objective (lines 9-12).
-            allocated_h_sum += partition.entropy
+            allocated_h_sum += ctx.entropy(row, end)
             h_objective = allocated_h_sum / (t + 1)
             row = end
-        return partitions
+        return ctx.partitions(bounds)
 
 
 def make_allocator(scheme: object, beta: float = 0.41) -> ThreadAllocator:

@@ -34,13 +34,14 @@ import numpy as np
 
 from repro.core.asl import (
     DEFAULT_RETRY_POLICY,
+    LoadOutcome,
     RetryPolicy,
     StreamingLoader,
     StreamPlan,
+    record_stream_metrics,
 )
 from repro.core.config import ExecBackend, MemoryMode, OMeGaConfig
 from repro.core.eata import (
-    MetricUpdate,
     ThreadAllocator,
     WorkloadPartition,
     make_allocator,
@@ -66,8 +67,8 @@ from repro.memsim.devices import (
     Operation,
 )
 from repro.memsim.trace import CostTrace
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER, SpanTracer
+from repro.obs.metrics import Counter, MetricsRegistry, MetricUpdate
+from repro.obs.tracer import NULL_TRACER, NullTracer, SpanTracer
 from repro.parallel.scheduler import KernelExecutor, SimulatedExecutor
 from repro.parallel.shared import get_shared_executor
 from repro.parallel.stats import ThreadStats, summarize_thread_times
@@ -99,32 +100,48 @@ class _Replay:
     """What every multiply of one pattern at one ``d`` repeats verbatim.
 
     Attributes:
-        ledger: Eq. 2's charges of every partition, in partition order.
-        thread_seconds: ``(thread id, Eq. 2 seconds)`` of every partition.
-        metrics: the registry ``updates`` are bound to.
+        ledger: the allocation, Eq. 2 and merge charges, in charging
+            order — everything but the stream terms.
+        thread_times: per-thread seconds on arrival at the barrier.
+        makespan: the clock after the barrier and the merge tail.
+        overlap: compute seconds the stream load overlaps.
+        stream_plan: ASL's plan (None outside heterogeneous mode).
+        outcome: the stream load without faults.
+        metrics: the registry ``updates`` and ``stream_updates`` are
+            bound to.
         updates: the allocation and prefetch metric updates, in order.
+        stream_updates: ``outcome``'s ASL metric updates, bound on the
+            first unfaulted call into ``metrics``.
     """
 
     ledger: CostTrace
-    thread_seconds: list[tuple[int, float]]
+    thread_times: np.ndarray
+    makespan: float
+    overlap: float
+    stream_plan: StreamPlan | None
+    outcome: LoadOutcome | None
     metrics: MetricsRegistry | None = None
     updates: list[MetricUpdate] = field(default_factory=list)
+    stream_updates: list[MetricUpdate] | None = None
 
 
 @dataclass
 class _Plan:
     """What an engine derives from a sparsity pattern alone.
 
-    ``dispatched`` are the partitions whose row ranges go to the kernel
-    executor; ``full_pass`` says that some rows sit in non-contiguous
-    (natural-order) partitions, a costing construct, and the result is
-    computed in one pass instead.
+    ``dispatched`` are the partitions whose row ranges (``ranges``) go to
+    the kernel executor, and ``weights`` what the one measured kernel
+    wall is apportioned to them by; ``full_pass`` says that some rows sit
+    in non-contiguous (natural-order) partitions, a costing construct,
+    and the result is computed in one pass instead.
     """
 
     partitions: list[WorkloadPartition]
     prefetch_plans: list[PrefetchPlan | DisabledPrefetchPlan]
     dispatched: list[WorkloadPartition]
     full_pass: bool
+    ranges: list[tuple[int, int]]
+    weights: list[int]
     replays: dict[int, _Replay] = field(default_factory=dict)
 
 
@@ -242,6 +259,10 @@ class SpMMEngine:
         # a plan, equal arrays built twice do not — and kept while a
         # matrix on the pattern is alive.
         self._plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        # The spmm.* series, bound once per registry; a swapped-out
+        # registry is not kept alive by them.
+        self._counters: dict[str, Counter] = {}
+        self._counters_of = weakref.ref(self.metrics)
 
     # -- device/tier resolution -------------------------------------------
 
@@ -316,13 +337,16 @@ class SpMMEngine:
             sparse_bytes + 2.0 * dense_bytes + 2.0 * result_bytes
         )
 
+        instrumented = (
+            matrix, dense, d, sparse_bytes, dense_bytes, result_bytes, compute
+        )
+        if isinstance(self.tracer, NullTracer):
+            # Every NullTracer method is inert; skip the span's setup.
+            return self._multiply_instrumented(*instrumented)
         with self.tracer.span(
             "spmm", nnz=matrix.nnz, n_rows=matrix.n_rows, dim=d
         ) as span:
-            result = self._multiply_instrumented(
-                matrix, dense, d, sparse_bytes, dense_bytes, result_bytes,
-                compute,
-            )
+            result = self._multiply_instrumented(*instrumented)
             self.tracer.advance_sim(result.sim_seconds)
             span.set("sim_seconds", result.sim_seconds)
             span.set("kernel_wall_seconds", result.kernel_wall_seconds)
@@ -339,22 +363,9 @@ class SpMMEngine:
         result_bytes: float,
         compute: bool,
     ) -> SpMMResult:
-        n_threads = self.config.n_threads
-        plan, replay = self._plan(matrix, d)
+        plan, replay = self._plan(matrix, d, sparse_bytes, result_bytes)
         for update, value in replay.updates:
             update(value)
-        trace = CostTrace()
-        clock = SimClock(n_threads)
-
-        # Allocation overhead (serial lead-in; the paper measures it
-        # under 1% of runtime).
-        alloc_ops = matrix.n_rows * self.allocator.overhead_ops_per_row
-        alloc_seconds = self.cost_model.compute_time(alloc_ops)
-        trace.charge("allocation", alloc_seconds)
-        clock.advance_all(alloc_seconds)
-        trace.merge(replay.ledger)
-        for thread_id, seconds in replay.thread_seconds:
-            clock.advance(thread_id, seconds)
 
         kernel_wall = 0.0
         output: np.ndarray | None = None
@@ -377,10 +388,7 @@ class SpMMEngine:
                     else None
                 )
                 self.kernel_executor.run_partitions(
-                    matrix,
-                    dense,
-                    [(p.row_start, p.row_end) for p in plan.dispatched],
-                    output,
+                    matrix, dense, plan.ranges, output
                 )
                 if stats is not None and before is not None:
                     # Warm-path observability: fold the executor's
@@ -388,32 +396,29 @@ class SpMMEngine:
                     # cache reuse and per-call submission overhead show
                     # up in reports without the executor knowing about
                     # the registry.
-                    self.metrics.counter("spmm.executor.plans").inc(
+                    self._counter("spmm.executor.plans").inc(
                         stats.plans - before[0]
                     )
-                    self.metrics.counter("spmm.executor.cache_hits").inc(
+                    self._counter("spmm.executor.cache_hits").inc(
                         stats.shared_cache_hits - before[1]
                     )
-                    self.metrics.counter("spmm.executor.cache_misses").inc(
+                    self._counter("spmm.executor.cache_misses").inc(
                         stats.shared_cache_misses - before[2]
                     )
-                    self.metrics.counter("spmm.executor.invalidations").inc(
+                    self._counter("spmm.executor.invalidations").inc(
                         stats.invalidations - before[3]
                     )
-                    self.metrics.counter(
-                        "spmm.executor.submit_wall_seconds"
-                    ).inc(stats.last_submit_wall_s)
+                    self._counter("spmm.executor.submit_wall_seconds").inc(
+                        stats.last_submit_wall_s
+                    )
             kernel_wall = time.perf_counter() - wall_start
-            self.metrics.counter("spmm.kernel_wall_seconds").inc(kernel_wall)
-            if not plan.full_pass:
+            self._counter("spmm.kernel_wall_seconds").inc(kernel_wall)
+            if not plan.full_pass and not isinstance(self.tracer, NullTracer):
                 # The seam carries no telemetry; the one measured wall
                 # is apportioned to the dispatched ranges by the
                 # quantity Eq. 2 charges by (rows when nothing has nnz).
-                weights = [p.nnz_count for p in plan.dispatched]
-                if not any(weights):
-                    weights = [p.n_rows for p in plan.dispatched]
-                total = sum(weights)
-                for partition, weight in zip(plan.dispatched, weights):
+                total = sum(plan.weights)
+                for partition, weight in zip(plan.dispatched, plan.weights):
                     self.tracer.record(
                         "spmm_partition",
                         wall_seconds=kernel_wall * weight / total,
@@ -423,68 +428,51 @@ class SpMMEngine:
                         rows=partition.n_rows,
                         nnz=partition.nnz_count,
                     )
-        thread_times = clock.thread_times
-        makespan = clock.synchronize()
 
-        # Serial tail: NaDP's cross-socket result stitch.
-        merge_fraction = self.placement.access_plan(0).merge_remote_write_fraction
-        if merge_fraction > 0.0:
-            # The stitch is itself parallel: every thread ships its share
-            # of the result across the socket link.
-            sharing = max(1, math.ceil(n_threads / self.topology.n_sockets))
-            merge_seconds = self.cost_model.access_time(
-                self._device_for_result(),
-                Operation.WRITE,
-                AccessPattern.SEQUENTIAL,
-                Locality.REMOTE,
-                merge_fraction * result_bytes / n_threads,
-                threads_sharing=sharing,
-            )
-            trace.charge("merge", merge_seconds, merge_fraction * result_bytes)
-            clock.advance_all(merge_seconds)
-
-        # ASL: stage the dense operand between pipeline stages, overlapped
-        # with this SpMM's compute.
-        stream_plan: StreamPlan | None = None
-        if self.config.memory_mode is MemoryMode.HETEROGENEOUS:
-            dram_budget = self.config.dram_headroom * self.scaled_capacity(
-                MemoryKind.DRAM
-            )
-            if self.config.streaming_enabled:
-                stream_plan = self.loader.plan(
-                    matrix.n_cols, d, dram_budget, sparse_bytes
-                )
-                compute_overlap = makespan
+        trace = replay.ledger.copy()
+        sim_seconds = replay.makespan
+        stream_plan = replay.stream_plan
+        if stream_plan is not None:
+            # ASL: stage the dense operand between pipeline stages,
+            # overlapped with this SpMM's compute.  Only faults move it
+            # from one call to the next.
+            if self.faults is None:
+                outcome = replay.outcome
+                if replay.stream_updates is None:
+                    replay.stream_updates = record_stream_metrics(
+                        stream_plan, outcome.exposed_seconds, self.metrics
+                    )
+                for update, value in replay.stream_updates:
+                    update(value)
             else:
-                stream_plan = self.loader.plan(matrix.n_cols, d, 0.0, sparse_bytes)
-                compute_overlap = 0.0
-            derate = self.faults.pm_derate() if self.faults is not None else 1.0
-            if derate < 1.0:
-                # A degraded PM tier stretches the transfer; the plan's
-                # batch structure is unchanged.
-                stream_plan = replace(
+                derate = self.faults.pm_derate()
+                if derate < 1.0:
+                    # A degraded PM tier stretches the transfer; the
+                    # plan's batch structure is unchanged.
+                    stream_plan = replace(
+                        stream_plan,
+                        total_load_seconds=stream_plan.total_load_seconds
+                        / derate,
+                    )
+                outcome = self.loader.load(
                     stream_plan,
-                    total_load_seconds=stream_plan.total_load_seconds / derate,
+                    replay.overlap,
+                    metrics=self.metrics,
+                    faults=self.faults,
+                    retry=self.retry_policy,
                 )
-            outcome = self.loader.load(
-                stream_plan,
-                compute_overlap,
-                metrics=self.metrics,
-                faults=self.faults,
-                retry=self.retry_policy,
-            )
             trace.charge("stream_load", outcome.exposed_seconds, dense_bytes)
             if outcome.retry_seconds > 0.0:
                 trace.charge("stream_retry", outcome.retry_seconds)
-            clock.advance_all(outcome.total_seconds)
+            sim_seconds += outcome.total_seconds
 
-        self.metrics.counter("spmm.calls").inc()
-        self.metrics.counter("spmm.nnz").inc(matrix.nnz)
-        self.metrics.counter("spmm.sim_seconds").inc(clock.makespan)
+        self._counter("spmm.calls").inc()
+        self._counter("spmm.nnz").inc(matrix.nnz)
+        self._counter("spmm.sim_seconds").inc(sim_seconds)
         return SpMMResult(
             output=output,
-            sim_seconds=clock.makespan,
-            thread_times=thread_times,
+            sim_seconds=sim_seconds,
+            thread_times=replay.thread_times.copy(),
             partitions=list(plan.partitions),
             prefetch_plans=list(plan.prefetch_plans),
             stream_plan=stream_plan,
@@ -493,9 +481,24 @@ class SpMMEngine:
             kernel_wall_seconds=kernel_wall,
         )
 
+    def _counter(self, name: str) -> Counter:
+        """``self.metrics.counter(name)``, looked up once per registry."""
+        if self._counters_of() is not self.metrics:
+            self._counters_of, self._counters = weakref.ref(self.metrics), {}
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = self.metrics.counter(name)
+        return counter
+
     # -- per-pattern planning -----------------------------------------------
 
-    def _plan(self, matrix: CSDBMatrix, d: int) -> tuple[_Plan, _Replay]:
+    def _plan(
+        self,
+        matrix: CSDBMatrix,
+        d: int,
+        sparse_bytes: float,
+        result_bytes: float,
+    ) -> tuple[_Plan, _Replay]:
         """A pattern's thread allocation and WoFP plans, and what a
         multiply at ``d`` replays of them.
 
@@ -509,6 +512,10 @@ class SpMMEngine:
             partitions = self.allocator.allocate(
                 matrix, self.config.n_threads
             )
+            dispatched = [p for p in partitions if p.contiguous and p.n_rows > 0]
+            weights = [p.nnz_count for p in dispatched]
+            if not any(weights):
+                weights = [p.n_rows for p in dispatched]
             plan = self._plans[matrix.pattern] = _Plan(
                 partitions,
                 [
@@ -517,21 +524,19 @@ class SpMMEngine:
                     else DisabledPrefetchPlan()
                     for partition in partitions
                 ],
-                [p for p in partitions if p.contiguous and p.n_rows > 0],
+                dispatched,
                 any(not p.contiguous and p.n_rows > 0 for p in partitions),
+                [(p.row_start, p.row_end) for p in dispatched],
+                weights,
             )
         replay = plan.replays.get(d)
         if replay is None:
-            # Summed the way a fresh ledger charged partition by
-            # partition would sum them: from zero, in partition order.
-            replay = plan.replays[d] = _Replay(CostTrace(), [])
-            for partition, prefetch in zip(plan.partitions, plan.prefetch_plans):
-                seconds, charges = self._partition_cost(partition, prefetch, d)
-                replay.thread_seconds.append((partition.thread_id, seconds))
-                for charge in charges:
-                    replay.ledger.charge(*charge)
+            replay = plan.replays[d] = self._replay(
+                plan, matrix, d, sparse_bytes, result_bytes
+            )
         if replay.metrics is not self.metrics:
             replay.metrics = self.metrics
+            replay.stream_updates = None
             replay.updates = record_allocation_metrics(
                 plan.partitions, self.metrics, self.allocator.name
             )
@@ -541,6 +546,80 @@ class SpMMEngine:
                 )
         return plan, replay
 
+    def _replay(
+        self,
+        plan: _Plan,
+        matrix: CSDBMatrix,
+        d: int,
+        sparse_bytes: float,
+        result_bytes: float,
+    ) -> _Replay:
+        """Charge one multiply's simulated time, less the kernel, once.
+
+        Runs the ledger and the per-thread clocks the way a call used to
+        run them on every multiply, with no faults and no metrics.
+        """
+        n_threads = self.config.n_threads
+        ledger = CostTrace()
+        clock = SimClock(n_threads)
+
+        # Allocation overhead (serial lead-in; the paper measures it
+        # under 1% of runtime).
+        alloc_ops = matrix.n_rows * self.allocator.overhead_ops_per_row
+        alloc_seconds = self.cost_model.compute_time(alloc_ops)
+        ledger.charge("allocation", alloc_seconds)
+        clock.advance_all(alloc_seconds)
+        access_plans = [
+            self.placement.access_plan(socket)
+            for socket in range(self.topology.n_sockets)
+        ]
+        for partition, prefetch in zip(plan.partitions, plan.prefetch_plans):
+            socket = self.topology.socket_of_thread(partition.thread_id, n_threads)
+            seconds, charges = self._partition_cost(
+                partition, prefetch, d, access_plans[socket]
+            )
+            clock.advance(partition.thread_id, seconds)
+            for charge in charges:
+                ledger.charge(*charge)
+        thread_times = clock.thread_times
+        makespan = clock.synchronize()
+
+        # Serial tail: NaDP's cross-socket result stitch.
+        merge_fraction = access_plans[0].merge_remote_write_fraction
+        if merge_fraction > 0.0:
+            # The stitch is itself parallel: every thread ships its share
+            # of the result across the socket link.
+            sharing = max(1, math.ceil(n_threads / self.topology.n_sockets))
+            merge_seconds = self.cost_model.access_time(
+                self._device_for_result(),
+                Operation.WRITE,
+                AccessPattern.SEQUENTIAL,
+                Locality.REMOTE,
+                merge_fraction * result_bytes / n_threads,
+                threads_sharing=sharing,
+            )
+            ledger.charge("merge", merge_seconds, merge_fraction * result_bytes)
+            clock.advance_all(merge_seconds)
+
+        stream_plan: StreamPlan | None = None
+        outcome: LoadOutcome | None = None
+        overlap = 0.0
+        if self.config.memory_mode is MemoryMode.HETEROGENEOUS:
+            if self.config.streaming_enabled:
+                dram_budget = self.config.dram_headroom * self.scaled_capacity(
+                    MemoryKind.DRAM
+                )
+                overlap = makespan
+            else:
+                dram_budget = 0.0
+            stream_plan = self.loader.plan(
+                matrix.n_cols, d, dram_budget, sparse_bytes
+            )
+            outcome = self.loader.load(stream_plan, overlap)
+        return _Replay(
+            ledger, thread_times, clock.makespan, overlap, stream_plan, outcome
+        )
+
     # -- per-partition costing ----------------------------------------------
 
     def _partition_cost(
@@ -548,8 +627,10 @@ class SpMMEngine:
         partition: WorkloadPartition,
         prefetch: PrefetchPlan | DisabledPrefetchPlan,
         d: int,
+        plan: AccessPlan,
     ) -> PartitionCost:
-        """Eq. 2: simulated seconds for one thread's workload.
+        """Eq. 2: simulated seconds for one thread's workload, whose
+        socket's locality mix is ``plan``.
 
         Returns the total and the ``(category, seconds, bytes)`` ledger
         charges that make it up, in charging order.
@@ -557,8 +638,6 @@ class SpMMEngine:
         if partition.nnz_count == 0 and partition.n_rows == 0:
             return 0.0, ()
         n_threads = self.config.n_threads
-        socket = self.topology.socket_of_thread(partition.thread_id, n_threads)
-        plan: AccessPlan = self.placement.access_plan(socket)
         sharing = max(1, math.ceil(n_threads / self.topology.n_sockets))
         sparse_dev = self._device_for_sparse()
         dense_dev = self._device_for_dense()

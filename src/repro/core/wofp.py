@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.eata import MetricUpdate, WorkloadPartition
+from repro.core.eata import WorkloadPartition
 from repro.formats.csdb import CSDBMatrix
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, MetricUpdate
 
 #: Histogram buckets for per-workload hit fractions (0..1 in 0.1 steps).
 HIT_FRACTION_BUCKETS = tuple(i / 10.0 for i in range(1, 11))
@@ -61,6 +61,17 @@ def record_prefetch_metrics(
         )
         updates.append((histogram.observe, plan.hit_fraction))
     return updates
+
+
+def _descending(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(-keys, kind="stable")`` of non-negative integer keys.
+
+    Sorted as ``max - keys`` in the narrowest unsigned type holding them:
+    the same stable order, by radix sort when the keys stay below 2**16
+    (a workload's column counts, most in-degrees).
+    """
+    top = keys.max()
+    return (top - keys).astype(np.min_scalar_type(top)).argsort(kind="stable")
 
 
 @dataclass(frozen=True)
@@ -172,7 +183,7 @@ class WorkloadPrefetcher:
         # Histogram instead of a sort: O(w + n_cols), same ascending
         # ``distinct`` and per-column ``counts`` as ``np.unique``.
         histogram = np.bincount(cols, minlength=matrix.n_cols)
-        distinct = np.flatnonzero(histogram)
+        (distinct,) = histogram.nonzero()
         counts = histogram[distinct]
         capacity = min(reserved, len(distinct))
         if self.selects_frequency(matrix, partition):
@@ -191,7 +202,7 @@ class WorkloadPrefetcher:
         reserved: int,
         workload: int,
     ) -> PrefetchPlan:
-        top = np.argsort(-counts, kind="stable")[:capacity]
+        top = _descending(counts)[:capacity]
         hot = distinct[top]
         hits = float(counts[top].sum())
         return PrefetchPlan(
@@ -216,7 +227,7 @@ class WorkloadPrefetcher:
         # Rank the workload's distinct columns by *global* in-degree: the
         # static proxy the paper uses when per-workload counting would not
         # pay for itself.
-        top = np.argsort(-col_degrees[distinct], kind="stable")[:capacity]
+        top = _descending(col_degrees[distinct])[:capacity]
         hot = distinct[top]
         hits = float(counts[top].sum())
         return PrefetchPlan(

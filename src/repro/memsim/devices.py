@@ -30,7 +30,19 @@ from dataclasses import dataclass, field
 GIB = 1024.0**3
 
 
-class MemoryKind(enum.Enum):
+class _Key(enum.Enum):
+    """An enum hashed by identity.
+
+    Members are singletons compared by identity, so this agrees with
+    ``==``; ``Enum``'s own ``__hash__`` hashes the name in Python, and
+    the bandwidth and latency tables below are looked up by these keys
+    dozens of times per Eq. 2 evaluation.
+    """
+
+    __hash__ = object.__hash__
+
+
+class MemoryKind(_Key):
     """The tiers of the simulated storage hierarchy."""
 
     DRAM = "dram"
@@ -39,21 +51,21 @@ class MemoryKind(enum.Enum):
     NETWORK = "network"
 
 
-class Operation(enum.Enum):
+class Operation(_Key):
     """Direction of a memory access."""
 
     READ = "read"
     WRITE = "write"
 
 
-class AccessPattern(enum.Enum):
+class AccessPattern(_Key):
     """Spatial access pattern of a batch of memory accesses."""
 
     SEQUENTIAL = "seq"
     RANDOM = "rand"
 
 
-class Locality(enum.Enum):
+class Locality(_Key):
     """NUMA locality of an access relative to the issuing thread's socket."""
 
     LOCAL = "local"

@@ -73,6 +73,13 @@ class CostTrace:
         for category, nbytes in other._bytes.items():
             self._bytes[category] += nbytes
 
+    def copy(self) -> "CostTrace":
+        """An independent trace holding the same charges, in the same order."""
+        twin = CostTrace()
+        twin._seconds.update(self._seconds)
+        twin._bytes.update(self._bytes)
+        return twin
+
     def to_dict(self) -> dict[str, dict[str, float]]:
         """Round-trippable plain-dict form (JSON-serializable)."""
         return {

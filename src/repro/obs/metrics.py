@@ -15,7 +15,12 @@ series of the same family.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable
+from bisect import bisect_left
+from typing import Any, Callable, Iterable
+
+#: One replayable metric update: a bound ``Counter.inc`` / ``Gauge.set`` /
+#: ``Histogram.observe`` and the value to call it with.
+MetricUpdate = tuple[Callable[[float], None], float]
 
 
 def _label_key(labels: dict[str, Any]) -> tuple[tuple[str, str], ...]:
@@ -130,13 +135,16 @@ class Histogram:
         value = float(value)
         self.count += 1
         self.sum += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-        index = len(self.bounds)  # +inf overflow unless a bound fits
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        # The first bound at or above the value; NaN overflows to +inf.
+        index = (
+            bisect_left(self.bounds, value)
+            if value == value
+            else len(self.bounds)
+        )
         self.bucket_counts[index] += 1
         if exemplar is not None:
             bucket = self.exemplars.setdefault(index, [])

@@ -95,9 +95,13 @@ class ExecutorStats:
 
 
 def _fuse_adjacent(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Merge each run of ranges where one starts at the previous one's end."""
+    """Non-empty ranges as int pairs, each run where one starts at the
+    previous one's end merged into one."""
     fused: list[tuple[int, int]] = []
     for row_start, row_end in ranges:
+        if row_end <= row_start:
+            continue
+        row_start, row_end = int(row_start), int(row_end)
         if fused and fused[-1][1] == row_start:
             fused[-1] = (fused[-1][0], row_end)
         else:
@@ -133,10 +137,10 @@ class SimulatedExecutor:
         output: np.ndarray,
     ) -> None:
         """Serial execution of the kernel-dispatch seam."""
-        ranges, covered = normalize_ranges(ranges, matrix.n_rows)
-        if not covered:
+        fused = _fuse_adjacent(ranges)
+        if fused != [(0, matrix.n_rows)]:
             output[:] = 0.0
-        for row_start, row_end in _fuse_adjacent(ranges):
+        for row_start, row_end in fused:
             output[matrix.perm[row_start:row_end]] = matrix.spmm_rows(
                 dense, row_start, row_end
             )

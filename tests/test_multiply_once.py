@@ -7,14 +7,18 @@ per-call formulation they replaced:
   call — traced or not: every backend makes the same kernel calls under
   a real tracer as under the null one, and the partition spans are the
   engine's apportioning of the one measured wall;
-- ``SpMMEngine`` evaluates Eq. 2 once per (matrix, d) and replays the
-  charges into every call's fresh ``CostTrace``/``SimClock``;
+- ``SpMMEngine`` charges everything simulated but the fault-driven
+  stream terms once per (pattern, d) and replays it into a fresh copy of
+  the ledger on every call — pinned call by call, registry by registry
+  and record by record against an engine whose cache is emptied before
+  every multiply;
 - ``CSDBMatrix`` keeps one kernel-ready CSR view of itself.
 """
 
 from __future__ import annotations
 
 import gc
+import json
 import math
 import time
 import weakref
@@ -24,11 +28,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ExecBackend, OMeGaConfig, ParallelConfig, SpMMEngine
+from repro.core import (
+    ExecBackend,
+    OMeGaConfig,
+    OMeGaEmbedder,
+    ParallelConfig,
+    SpMMEngine,
+)
 from repro.core.config import MemoryMode, PlacementScheme
 from repro.faults import ASL_LOAD_SITE, FaultEvent, FaultInjector, FaultPlan
 from repro.formats import CSDBMatrix, edges_to_csdb
 from repro.graphs import rmat_edges
+from repro.obs.export import TelemetrySession
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, SpanTracer
 from repro.parallel import (
@@ -536,3 +547,120 @@ def test_the_view_does_not_keep_its_matrix_alive():
     gc.collect()
     assert dead() is None
     assert len(engine._plans) == 0
+
+
+# -- (v) the replay over a run of calls, against a cleared cache -------------
+
+
+class ClearedCacheEngine(SpMMEngine):
+    """The oracle: every multiply allocates, plans, costs and binds anew."""
+
+    def multiply(self, matrix, dense, compute=True):
+        self._plans.clear()
+        return super().multiply(matrix, dense, compute)
+
+
+def call_bits(result):
+    """Everything simulated one call returns, ``repr``-exact."""
+    return repr(
+        (
+            result.sim_seconds,
+            result.thread_times.tolist(),
+            result.trace.to_dict(),
+            result.stream_plan,
+            [repr(p) for p in result.partitions],
+        )
+    )
+
+
+def registry_bits(metrics):
+    """A registry's records less the host-time series, ``repr``-exact."""
+    return repr(
+        [
+            record
+            for record in metrics.to_records()
+            if not record["name"].startswith(HOST_METRICS)
+        ]
+    )
+
+
+def faults():
+    return FaultInjector(
+        FaultPlan(
+            events=(
+                FaultEvent("pm_degrade", "pm", factor=0.01),
+                FaultEvent("transient_load", ASL_LOAD_SITE, count=1),
+            )
+        )
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_CONFIGS))
+def test_one_registry_over_many_calls_equals_a_cleared_cache(matrix, name):
+    config = OMeGaConfig(n_threads=8, **ENGINE_CONFIGS[name])
+    patterns = (
+        matrix,
+        edges_to_csdb(rmat_edges(8, edge_factor=6.0, seed=4), 1 << 8),
+    )
+    rng = np.random.default_rng(11)
+    operands = {d: rng.standard_normal((matrix.n_cols, d)) for d in (40, 32)}
+    seen = []
+    for engine in (SpMMEngine(config), ClearedCacheEngine(config)):
+        calls = [
+            call_bits(engine.multiply(pattern, operands[d]))
+            for d in (40, 32, 40, 40)
+            for pattern in patterns
+        ]
+        first = engine.metrics
+        engine.metrics = MetricsRegistry()
+        calls.append(call_bits(engine.multiply(patterns[1], operands[40])))
+        engine.faults = faults()
+        calls.append(call_bits(engine.multiply(patterns[0], operands[40])))
+        seen.append((calls, registry_bits(first), registry_bits(engine.metrics)))
+        assert first.value("spmm.calls") == 8.0
+        assert engine.metrics.value("spmm.calls") == 2.0
+    replayed, fresh = seen
+    assert replayed == fresh
+
+
+def test_an_embeds_telemetry_equals_a_cleared_cache(monkeypatch):
+    edges = rmat_edges(10, edge_factor=16.0, seed=1)
+    config = OMeGaConfig(n_threads=8, dim=16, capacity_scale=512)
+
+    def telemetry():
+        session = TelemetrySession(tracer=SpanTracer(trace_id="oracle"))
+        OMeGaEmbedder(
+            config, tracer=session.tracer, metrics=session.metrics
+        ).embed_edges(edges, 1 << 10)
+        return session
+
+    def masked(session):
+        """Span and metric records, wall-clock fields masked, as a multiset."""
+        records = []
+        for record in session.tracer.to_records():
+            record["wall_seconds"] = None
+            record["attributes"] = {
+                key: None if "wall" in key else value
+                for key, value in record["attributes"].items()
+            }
+            records.append(record)
+        records += [
+            record
+            for record in session.metrics.to_records()
+            if not record["name"].startswith(HOST_METRICS)
+        ]
+        return sorted(json.dumps(record, sort_keys=True) for record in records)
+
+    replayed = masked(telemetry())
+    multiply = SpMMEngine.multiply
+
+    def cleared(engine, *args, **kwargs):
+        engine._plans.clear()
+        return multiply(engine, *args, **kwargs)
+
+    monkeypatch.setattr(SpMMEngine, "multiply", cleared)
+    fresh = masked(telemetry())
+    assert replayed == fresh
+    names = [json.loads(record)["name"] for record in replayed]
+    assert names.count("spmm") == 25
+    assert names.count("spmm_partition") == 25 * 8

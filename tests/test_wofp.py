@@ -108,7 +108,7 @@ class TestPlans:
         from repro.core.eata import AllocatorContext
 
         ctx = AllocatorContext(skewed_csdb)
-        empty = ctx.make_partition(0, skewed_csdb.n_rows, skewed_csdb.n_rows)
+        (empty,) = ctx.partitions([skewed_csdb.n_rows] * 2)
         plan = WorkloadPrefetcher().plan(skewed_csdb, empty)
         assert plan.capacity == 0
         assert plan.hit_fraction == 0.0
