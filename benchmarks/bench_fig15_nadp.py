@@ -18,7 +18,7 @@ from common import (  # noqa: F401
 from repro.bench import format_seconds, format_table, project_full_scale
 from repro.core import MemoryMode, OMeGaConfig, PlacementScheme
 from repro.core.embedding import embedder_for_dataset
-from repro.memsim.allocator import CapacityError
+from repro.memsim.numa import CapacityError
 
 OVERALL_GRAPHS = ("PK", "LJ", "OR")  # end-to-end runs on the smaller trio
 

@@ -495,7 +495,11 @@ def test_online_resilience(run_once):
     assert storm["quarantined"] >= 1, "no damaged checkpoint quarantined"
     assert storm["restarts"] >= 1 and storm["lost_versions"] > 0
     assert storm["abandoned"] == 0
-    assert storm["stale_rows"] > 0, "walk-back never served stale rows"
+    # The split finishes at the sweep after it begins (the warming
+    # heartbeats are awaited when it begins), so the count is fixed.
+    assert storm["stale_rows"] == 32, (
+        f"storm served {storm['stale_rows']} stale rows, expected 32"
+    )
     assert storm["reshard_epoch"] >= 1, "the online split never finished"
     assert storm["n_shards_final"] > N_SHARDS
     assert storm["resharded_ranges"] >= 2

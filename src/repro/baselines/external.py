@@ -41,7 +41,6 @@ from repro.core.config import (
 )
 from repro.core.spmm import SPARSE_BYTES_PER_NNZ, SpMMEngine
 from repro.graphs.datasets import Dataset
-from repro.memsim.allocator import CapacityError
 from repro.memsim.costmodel import CostModel
 from repro.memsim.devices import (
     AccessPattern,
@@ -49,7 +48,7 @@ from repro.memsim.devices import (
     MemoryKind,
     Operation,
 )
-from repro.memsim.numa import NumaTopology
+from repro.memsim.numa import CapacityError, NumaTopology
 
 
 @dataclass

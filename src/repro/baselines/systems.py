@@ -22,7 +22,7 @@ from repro.core.config import (
 from repro.core.embedding import EmbeddingResult, OMeGaEmbedder
 from repro.faults import FaultInjector, FaultPlan
 from repro.graphs.datasets import Dataset
-from repro.memsim.allocator import CapacityError
+from repro.memsim.numa import CapacityError
 from repro.memsim.persistence import CheckpointedEmbedder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import SpanTracer

@@ -335,7 +335,7 @@ class OMeGaEmbedder:
         """Embed a graph given its CSDB adjacency matrix.
 
         Raises:
-            repro.memsim.allocator.CapacityError: in DRAM-only mode when
+            repro.memsim.CapacityError: in DRAM-only mode when
                 the pipeline working set exceeds the scaled DRAM capacity
                 (the OOMs of Fig. 12 on TW-2010/FR).
         """

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import MemoryMode, PlacementScheme
-from repro.memsim.allocator import PlacementPolicy
 from repro.memsim.numa import NumaTopology
 
 
@@ -63,8 +62,6 @@ class DataPlacement:
     """Base class: yields an :class:`AccessPlan` per thread socket."""
 
     name = "base"
-    #: How buffers are handed to the HeterogeneousAllocator.
-    allocator_policy = PlacementPolicy.LOCAL
 
     def __init__(self, topology: NumaTopology) -> None:
         self.topology = topology
@@ -85,7 +82,6 @@ class NaDPPlacement(DataPlacement):
     """
 
     name = "NaDP"
-    allocator_policy = PlacementPolicy.EXPLICIT
 
     def access_plan(self, thread_socket: int) -> AccessPlan:
         n = self.topology.n_sockets
@@ -105,7 +101,6 @@ class InterleavePlacement(DataPlacement):
     """
 
     name = "Interleave"
-    allocator_policy = PlacementPolicy.INTERLEAVE
 
     def access_plan(self, thread_socket: int) -> AccessPlan:
         n = self.topology.n_sockets
@@ -125,7 +120,6 @@ class LocalPlacement(DataPlacement):
     """
 
     name = "Local"
-    allocator_policy = PlacementPolicy.LOCAL
 
     def access_plan(self, thread_socket: int) -> AccessPlan:
         local = 1.0 if thread_socket == 0 else 0.0

@@ -56,7 +56,6 @@ from repro.core.wofp import (
 )
 from repro.faults import FaultInjector
 from repro.formats.csdb import CSDBMatrix
-from repro.memsim.allocator import CapacityError
 from repro.memsim.clock import SimClock
 from repro.memsim.costmodel import CostModel
 from repro.memsim.devices import (
@@ -66,6 +65,7 @@ from repro.memsim.devices import (
     MemoryKind,
     Operation,
 )
+from repro.memsim.numa import CapacityError
 from repro.memsim.trace import CostTrace
 from repro.obs.metrics import Counter, MetricsRegistry, MetricUpdate
 from repro.obs.tracer import NULL_TRACER, NullTracer, SpanTracer

@@ -6,13 +6,12 @@ analytical model:
 
 - :mod:`repro.memsim.devices` — bandwidth/latency tables for DRAM, PM, SSD
   and the network link, including thread-count saturation curves;
-- :mod:`repro.memsim.numa` — the two-socket topology and thread binding;
+- :mod:`repro.memsim.numa` — the two-socket topology, thread binding,
+  and per-tier capacity (:class:`CapacityError` when a working set
+  exceeds it);
 - :mod:`repro.memsim.costmodel` — converts access batches (bytes, pattern,
   locality, entropy) into simulated nanoseconds, implementing Eq. 5 of the
   paper for entropy-interpolated bandwidth;
-- :mod:`repro.memsim.allocator` — placement-tracking allocator with
-  capacity accounting and the OS policies (Local / Interleaved) plus
-  explicit placement used by NaDP;
 - :mod:`repro.memsim.clock` — per-thread simulated clocks and makespan;
 - :mod:`repro.memsim.trace` — per-operation cost ledgers (Fig. 7a);
 - :mod:`repro.memsim.probe` — the FIO/MLC-style probe that regenerates the
@@ -22,17 +21,15 @@ analytical model:
 - :mod:`repro.memsim.persistence` — App-direct flush/fence accounting and
   crash-consistent shadow commits.
 
+Where a buffer lives is not tracked per allocation: NaDP's per-socket
+access plans (:mod:`repro.core.nadp`) give each traffic class its
+locality mix, and :meth:`repro.core.spmm.SpMMEngine.check_dram_residency`
+enforces DRAM capacity.
+
 All SpMM numerics are still computed for real with numpy; only *time* is
 simulated.
 """
 
-from repro.memsim.allocator import (
-    CapacityError,
-    HeterogeneousAllocator,
-    Placement,
-    PlacementPolicy,
-    TieredMatrix,
-)
 from repro.memsim.clock import SimClock, VirtualClock
 from repro.memsim.costmodel import CostModel
 from repro.memsim.devices import (
@@ -57,7 +54,12 @@ from repro.memsim.persistence import (
     StageCheckpointStore,
     StageRecord,
 )
-from repro.memsim.numa import NumaTopology, cxl_testbed, paper_testbed
+from repro.memsim.numa import (
+    CapacityError,
+    NumaTopology,
+    cxl_testbed,
+    paper_testbed,
+)
 from repro.memsim.probe import BandwidthprobeResult, probe_bandwidth, probe_latency
 from repro.memsim.trace import CostTrace
 
@@ -76,16 +78,12 @@ __all__ = [
     "StageCheckpointStore",
     "StageRecord",
     "DeviceSpec",
-    "HeterogeneousAllocator",
     "Locality",
     "MemoryKind",
     "NumaTopology",
     "Operation",
-    "Placement",
-    "PlacementPolicy",
     "SimClock",
     "VirtualClock",
-    "TieredMatrix",
     "cxl_spec",
     "cxl_testbed",
     "default_devices",

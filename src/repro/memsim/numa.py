@@ -15,6 +15,14 @@ from dataclasses import dataclass, field
 from repro.memsim.devices import DeviceSpec, Locality, MemoryKind, default_devices
 
 
+class CapacityError(MemoryError):
+    """Raised when a working set exceeds a tier's :meth:`NumaTopology.capacity`.
+
+    This is the simulated analogue of the OOM failures the paper reports
+    for ProNE-DRAM / OMeGa-DRAM / FusedMM on billion-scale graphs.
+    """
+
+
 @dataclass(frozen=True)
 class NumaTopology:
     """A symmetric multi-socket NUMA machine.

@@ -295,6 +295,21 @@ class StageCheckpointStore:
         """Drop a damaged record from the log (it never serves again)."""
         self._records = [r for r in self._records if r is not record]
 
+    def drop_unreachable(self) -> None:
+        """Drop every record older than the newest earlier one that verifies.
+
+        Call after an append.  Damage lands only on the newest record
+        (:meth:`damage_last`) and a walk-back stops at the first record
+        that verifies, so the kept record is a floor :meth:`last_verified`
+        never passes — unless every record above it is quarantined and
+        a later fault then damages the floor itself before the next
+        append (DESIGN §6e).  Undamaged, two records remain.
+        """
+        for index in range(len(self._records) - 2, -1, -1):
+            if self.verify(self._records[index]):
+                del self._records[:index]
+                return
+
     def last_verified(
         self, on_quarantine: Callable[[StageRecord], None] | None = None
     ) -> StageRecord | None:

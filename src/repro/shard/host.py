@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import secrets
+import time
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -45,6 +46,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Simulated seconds charged per hedged shard (the abandoned primary
 #: read plus coordination); also the whole cost of a replica promotion.
 HEDGE_SIM_PENALTY_S = 5e-4
+
+
+def wait_heartbeats(hosts: list[ShardHost], timeout_s: float = 2.0) -> bool:
+    """Block until every live host's primary has beaten at least once."""
+    deadline = time.monotonic() + timeout_s
+    while not all(
+        not host.alive() or host.heartbeat_value() > 0 for host in hosts
+    ):
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 class ShardHost:
@@ -169,7 +182,9 @@ class ShardHost:
         ``crash=True`` the record is lost
         (:class:`~repro.memsim.persistence.CrashInjected` propagates)
         but every earlier checkpoint stays durable.  The log copies the
-        rows it is handed, so a later write never reaches the record.
+        rows it is handed, so a later write never reaches the record,
+        and keeps only the records recovery can still reach
+        (:meth:`~repro.memsim.persistence.StageCheckpointStore.drop_unreachable`).
         """
         sequence = self.checkpoints.append(
             f"shard-{self.shard_id}",
@@ -182,6 +197,7 @@ class ShardHost:
             },
             crash=crash,
         )
+        self.checkpoints.drop_unreachable()
         self.checkpoint_version = self.version
         return sequence
 

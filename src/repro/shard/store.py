@@ -59,7 +59,7 @@ from repro.shard.errors import (
     ShardCrashError,
     ShardTimeoutError,
 )
-from repro.shard.host import HEDGE_SIM_PENALTY_S, ShardHost
+from repro.shard.host import HEDGE_SIM_PENALTY_S, ShardHost, wait_heartbeats
 from repro.shard.ranges import (
     ShardRoutingTable,
     entropy_aware_node_ranges,
@@ -440,7 +440,9 @@ class EmbeddingShardManager:
         ``routing`` is the table :meth:`finish_migration` will swap in;
         the ranges it holds where the ``old`` shards were are the ones
         to warm.  A host that fails to start takes the ones before it
-        down with it, and no migration is recorded.
+        down with it, and no migration is recorded.  Returns once the
+        warmed primaries have beaten, so :meth:`migration_ready` holds
+        from the next supervisor sweep on, whatever the host's speed.
         """
         if self._migration is not None:
             raise RuntimeError("a reshard migration is already in flight")
@@ -456,6 +458,7 @@ class EmbeddingShardManager:
             for host in hosts:
                 host.close()
             raise
+        wait_heartbeats(hosts)
         self._migration = {
             "kind": kind,
             "old": old,

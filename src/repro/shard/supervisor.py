@@ -45,7 +45,7 @@ from typing import Any
 from repro.core.asl import RetryPolicy
 from repro.obs.metrics import MetricsRegistry
 from repro.shard.errors import ShardCrashError
-from repro.shard.host import ShardHost
+from repro.shard.host import ShardHost, wait_heartbeats
 from repro.shard.store import EmbeddingShardManager
 
 #: Default restart backoff: full jitter, seeded, ~1 ms base.
@@ -149,7 +149,6 @@ class ShardSupervisor:
         self.policy = policy
         self.metrics = metrics if metrics is not None else manager.metrics
         self.incidents: list[Incident] = []
-        self.sim_backoff_seconds = 0.0
         #: Simulated clock position of the serve call currently being
         #: supervised (stamped onto incidents for forensic joining).
         self._sim_now: float | None = None
@@ -203,15 +202,7 @@ class ShardSupervisor:
 
     def wait_heartbeats(self, timeout_s: float = 2.0) -> bool:
         """Block until every live shard has beaten at least once."""
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if all(
-                not host.alive() or host.heartbeat_value() > 0
-                for host in self.manager.hosts
-            ):
-                return True
-            time.sleep(0.01)
-        return False
+        return wait_heartbeats(self.manager.hosts, timeout_s)
 
     # -- elastic reshard -------------------------------------------------
 
@@ -283,7 +274,6 @@ class ShardSupervisor:
             self._record(incident)
             return [incident]
         backoff = self.policy.restart_backoff.delay(host.restarts)
-        self.sim_backoff_seconds += backoff
         before = host.recovery_sim_seconds
         try:
             lost = host.restart()

@@ -1,30 +1,13 @@
-"""Unit tests for the placement-tracking allocator and NUMA topology."""
+"""Unit tests for the NUMA topology."""
 
-import numpy as np
 import pytest
 
-from repro.memsim import (
-    CapacityError,
-    HeterogeneousAllocator,
-    Locality,
-    MemoryKind,
-    NumaTopology,
-    Placement,
-    PlacementPolicy,
-)
+from repro.memsim import Locality, MemoryKind, NumaTopology
 
 
 @pytest.fixture
 def topology():
     return NumaTopology(n_sockets=2, cores_per_socket=18)
-
-
-@pytest.fixture
-def allocator(topology):
-    # Tiny capacities so capacity behaviour is testable.
-    return HeterogeneousAllocator(
-        topology, dram_capacity_bytes=1000, pm_capacity_bytes=8000
-    )
 
 
 class TestTopology:
@@ -63,92 +46,3 @@ class TestTopology:
     def test_invalid_construction(self):
         with pytest.raises(ValueError, match="n_sockets"):
             NumaTopology(n_sockets=0)
-
-
-class TestPlacement:
-    def test_fractions_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            Placement(MemoryKind.DRAM, (0.5, 0.4), 100)
-
-    def test_home_socket(self):
-        p = Placement(MemoryKind.PM, (0.25, 0.75), 100)
-        assert p.home_socket == 1
-        assert p.local_fraction(0) == 0.25
-
-
-class TestAllocator:
-    def test_explicit_placement(self, allocator):
-        array = np.zeros(50, dtype=np.uint8)
-        m = allocator.allocate(
-            array, MemoryKind.DRAM, PlacementPolicy.EXPLICIT, socket=1
-        )
-        assert m.placement.socket_fractions == (0.0, 1.0)
-        assert allocator.used(MemoryKind.DRAM, socket=1) == 50
-        assert allocator.used(MemoryKind.DRAM, socket=0) == 0
-
-    def test_interleave_placement(self, allocator):
-        array = np.zeros(100, dtype=np.uint8)
-        m = allocator.allocate(
-            array, MemoryKind.DRAM, PlacementPolicy.INTERLEAVE
-        )
-        assert m.placement.socket_fractions == (0.5, 0.5)
-        assert allocator.used(MemoryKind.DRAM) == 100
-
-    def test_local_spills_to_other_socket(self, allocator):
-        a = np.zeros(900, dtype=np.uint8)
-        allocator.allocate(a, MemoryKind.DRAM, PlacementPolicy.EXPLICIT, socket=0)
-        spilled = allocator.allocate(
-            np.zeros(200, dtype=np.uint8),
-            MemoryKind.DRAM,
-            PlacementPolicy.LOCAL,
-            socket=0,
-        )
-        # 100 bytes fit on socket 0, 100 spill to socket 1.
-        assert spilled.placement.socket_fractions == (0.5, 0.5)
-
-    def test_explicit_over_capacity_raises(self, allocator):
-        with pytest.raises(CapacityError):
-            allocator.allocate(
-                np.zeros(2000, dtype=np.uint8),
-                MemoryKind.DRAM,
-                PlacementPolicy.EXPLICIT,
-                socket=0,
-            )
-
-    def test_local_over_total_capacity_raises(self, allocator):
-        with pytest.raises(CapacityError):
-            allocator.allocate(
-                np.zeros(3000, dtype=np.uint8),
-                MemoryKind.DRAM,
-                PlacementPolicy.LOCAL,
-            )
-
-    def test_free_releases_bytes(self, allocator):
-        m = allocator.allocate(
-            np.zeros(100, dtype=np.uint8),
-            MemoryKind.PM,
-            PlacementPolicy.INTERLEAVE,
-        )
-        assert allocator.used(MemoryKind.PM) == 100
-        allocator.free(m)
-        assert allocator.used(MemoryKind.PM) == 0
-        assert not allocator.live_matrices()
-
-    def test_double_free_rejected(self, allocator):
-        m = allocator.allocate(
-            np.zeros(10, dtype=np.uint8), MemoryKind.PM
-        )
-        allocator.free(m)
-        with pytest.raises(ValueError, match="not live"):
-            allocator.free(m)
-
-    def test_available(self, allocator):
-        allocator.allocate(np.zeros(300, dtype=np.uint8), MemoryKind.DRAM)
-        assert allocator.available(MemoryKind.DRAM) == 2 * 1000 - 300
-
-    def test_tiered_matrix_metadata(self, allocator):
-        array = np.zeros((5, 5))
-        m = allocator.allocate(array, MemoryKind.PM, name="dense")
-        assert m.kind is MemoryKind.PM
-        assert m.shape == (5, 5)
-        assert m.nbytes == array.nbytes

@@ -14,7 +14,6 @@ from repro.cli import main
 from repro.core import OMeGaConfig, OMeGaEmbedder, SpMMEngine
 from repro.formats import edges_to_csdb
 from repro.graphs import chung_lu_edges, save_edge_list
-from repro.memsim import HeterogeneousAllocator, MemoryKind, paper_testbed
 from repro.memsim.trace import SPMM_CATEGORIES, CostTrace
 from repro.obs import (
     MetricsRegistry,
@@ -258,20 +257,3 @@ class TestHarnessTelemetry:
 
     def test_run_experiment_without_session_is_passthrough(self):
         assert run_experiment("noop", lambda: 42) == 42
-
-
-class TestAllocatorMetrics:
-    def test_allocation_metrics_flow(self):
-        metrics = MetricsRegistry()
-        allocator = HeterogeneousAllocator(paper_testbed(), metrics=metrics)
-        array = np.zeros(1024, dtype=np.float64)
-        handle = allocator.allocate(array, MemoryKind.DRAM, socket=0)
-        assert metrics.value("mem.alloc.count", tier="dram", policy="local") == 1
-        assert metrics.value("mem.alloc.bytes", tier="dram") == array.nbytes
-        assert (
-            metrics.value("mem.used_bytes", tier="dram", socket=0)
-            == array.nbytes
-        )
-        allocator.free(handle)
-        assert metrics.value("mem.free.count", tier="dram") == 1
-        assert metrics.value("mem.used_bytes", tier="dram", socket=0) == 0

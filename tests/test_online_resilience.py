@@ -1,7 +1,7 @@
 """Tests for the online-resilience layer of the sharded store.
 
-Covers range-table edits, CRC-checksummed WAL records and verified
-walk-back recovery (quarantine, total-corruption
+Covers range-table edits, CRC-checksummed WAL records, WAL retention
+and verified walk-back recovery (quarantine, total-corruption
 abandonment), replica promotion (reactive, proactive, racing the
 background checkpointer), the elastic reshard protocol (dual-route
 split/merge, supervisor-driven splits, atomic swap + renumbering), the
@@ -13,6 +13,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.memsim.devices import pm_spec
@@ -164,6 +166,86 @@ class TestChecksummedRecords:
 
     def test_damage_empty_store_is_noop(self):
         assert _store().damage_last("corrupt") is None
+
+
+# -- WAL retention --------------------------------------------------------
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.just(("append",)),
+        st.tuples(st.just("damage"), st.sampled_from(["corrupt", "torn"])),
+        st.just(("last_verified",)),
+        st.just(("recover_rows",)),
+    ),
+    max_size=40,
+)
+
+
+class TestWalRetention:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_OPS)
+    def test_retained_log_answers_like_the_full_log(self, ops):
+        # A media fault lands on the record being written; one drawn
+        # after a walk-back quarantined that record is skipped, as the
+        # retained floor is exact only up to there (DESIGN §6e).
+        full, kept = _store(), _store()
+        quarantined = {"full": [], "kept": []}
+        written = []  # versions appended; a record's sequence is 1-based
+
+        def append():
+            version = len(written)
+            rows = np.full((4, 2), float(version))
+            for store in (full, kept):
+                store.append("shard-0", {"rows": rows}, {"version": version})
+            kept.drop_unreachable()
+            written.append(version)
+
+        def read(name, store, ids):
+            record = store.last_verified(
+                lambda r: quarantined[name].append(r.sequence)
+            )
+            if record is None:
+                return None
+            return (
+                record.sequence,
+                record.meta["version"],
+                record.arrays["rows"][ids].tolist(),
+            )
+
+        append()  # genesis
+        for op, *mode in ops:
+            if op == "append":
+                append()
+            elif op == "damage":
+                newest = full.last()
+                if newest is None or newest.sequence != len(written):
+                    continue
+                assert kept.damage_last(*mode).sequence == (
+                    full.damage_last(*mode).sequence
+                )
+            else:
+                ids = [0, 3] if op == "recover_rows" else []
+                assert read("kept", kept, ids) == read("full", full, ids)
+            assert quarantined["kept"] == quarantined["full"]
+            sequences = [r.sequence for r in full.records]
+            retained = [r.sequence for r in kept.records]
+            assert retained == sequences[len(sequences) - len(retained) :]
+
+    def test_undamaged_host_holds_two_records(self):
+        manager = _manager()
+        with manager:
+            rng = np.random.default_rng(8)
+            for _ in range(200):
+                ids = rng.integers(0, N_NODES, size=4)
+                manager.apply_update(ids, rng.standard_normal((4, DIM)))
+                manager.checkpoint_all()
+            for host in manager.hosts:
+                assert len(host.checkpoints.records) <= 2
+                ids = np.arange(host.row_start, host.row_end)
+                rows, version = host.recover_rows(ids)
+                assert version == manager.version
+                assert np.array_equal(rows, manager.rows_for(host))
 
 
 # -- verified walk-back recovery ------------------------------------------

@@ -512,7 +512,9 @@ class TestSupervisor:
             elapsed = time.monotonic() - started
             incident = supervisor.incidents[-1]
             assert 0.0 <= incident.backoff_s <= 1e-3
-            assert supervisor.sim_backoff_seconds == incident.backoff_s
+            assert sum(i.backoff_s for i in supervisor.incidents) == (
+                incident.backoff_s
+            )
             # The expected replay matches a fresh policy with the seed.
             twin = RetryPolicy(
                 max_retries=8,
