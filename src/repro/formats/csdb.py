@@ -18,10 +18,12 @@ row ``i`` is computed arithmetically (Eq. 1):
 Because blocks require rows sorted by degree, the matrix stores a
 permutation ``perm`` (CSDB row -> original row id).  All public operators
 speak the *original* indexing; the permutation is an internal detail,
-except for the SpMM engine which deliberately works in CSDB row space
-(partitions are contiguous runs of CSDB rows) and uses
-:meth:`CSDBMatrix.spmm_rows` + :attr:`CSDBMatrix.perm` to scatter results
-back.
+except for the SpMM engine which deliberately works in CSDB row space:
+partitions are contiguous runs of CSDB rows, their
+:meth:`CSDBMatrix.spmm_rows` products fill contiguous slices of a
+CSDB-order product, and :meth:`CSDBMatrix.to_original_order` alone maps
+that product to original row order, with one gather.  No other module
+reads the permutation to place a product.
 """
 
 from __future__ import annotations
@@ -340,6 +342,22 @@ class CSDBMatrix:
             raise ValueError("col_list and nnz_list lengths differ")
         if len(self.perm) != n_rows:
             raise ValueError(f"perm must have {n_rows} entries")
+        if n_rows:
+            # to_original_order gathers with mode="clip", which trusts
+            # every index: perm must be a permutation of range(n_rows).
+            lo, hi = int(self.perm.min()), int(self.perm.max())
+            if lo < 0 or hi >= n_rows:
+                raise ValueError(
+                    f"perm entry {lo if lo < 0 else hi} out of range"
+                    f" [0, {n_rows})"
+                )
+            counts = np.bincount(self.perm, minlength=n_rows)
+            if counts.max() > 1:
+                row = int(counts.argmax())
+                raise ValueError(
+                    f"perm is not a permutation of range({n_rows}):"
+                    f" row {row} appears {int(counts[row])} times"
+                )
         if len(self.col_list) and (
             self.col_list.min() < 0 or self.col_list.max() >= n_cols
         ):
@@ -533,6 +551,20 @@ class CSDBMatrix:
         )
         return rows @ dense
 
+    def to_original_order(
+        self, product: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Rows of a CSDB-order ``product`` in original row order.
+
+        One gather, ``out[r] = product[inv_perm[r]]``: random reads and
+        sequential writes, where the scatter ``out[perm] = product``
+        writes at random.  ``mode="clip"`` skips the index check that
+        ``_validate`` made once (perm is a permutation) and that would
+        otherwise make ``np.take`` buffer ``out``.  ``out`` must not
+        overlap ``product``; without it a new array is returned.
+        """
+        return np.take(product, self.inv_perm, axis=0, out=out, mode="clip")
+
     def spmm(self, dense: np.ndarray, verify: bool = False) -> np.ndarray:
         """Full SpMM ``self @ dense`` in original row order.
 
@@ -547,8 +579,7 @@ class CSDBMatrix:
         squeeze = dense.ndim == 1
         if squeeze:
             dense = dense[:, None]
-        out = np.empty((self.n_rows, dense.shape[1]), dtype=np.float64)
-        out[self.perm] = self.spmm_rows(dense, 0, self.n_rows)
+        out = self.to_original_order(self.spmm_rows(dense, 0, self.n_rows))
         if verify:
             reference = self.to_csr().spmm(dense)
             if not np.allclose(out, reference, rtol=1e-9, atol=1e-12):

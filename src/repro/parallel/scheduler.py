@@ -18,8 +18,15 @@ not depend on the range that contains it and every backend produces
 bit-identical output.
 
 The same contract lets the serial backend *fuse*: adjacent ranges are
-merged and run as one ``spmm_rows`` call and one scatter, so an engine
-multiply is a single kernel call.
+merged and run as one ``spmm_rows`` call, so an engine multiply is a
+single kernel call.
+
+Every backend writes its ranges' products into contiguous slices of one
+CSDB-order product and hands that to
+:meth:`~repro.formats.csdb.CSDBMatrix.to_original_order`, which maps it
+to the caller's row order with one gather; no backend reads the row
+permutation itself.  A fused pass over every row needs no product
+buffer: the kernel's result already is one.
 
 The seam carries no telemetry.  A backend executes the same
 instructions whether or not a tracer is attached; the engine times the
@@ -138,9 +145,13 @@ class SimulatedExecutor:
     ) -> None:
         """Serial execution of the kernel-dispatch seam."""
         fused = _fuse_adjacent(ranges)
-        if fused != [(0, matrix.n_rows)]:
-            output[:] = 0.0
-        for row_start, row_end in fused:
-            output[matrix.perm[row_start:row_end]] = matrix.spmm_rows(
-                dense, row_start, row_end
-            )
+        if fused == [(0, matrix.n_rows)]:
+            product = matrix.spmm_rows(dense, 0, matrix.n_rows)
+        else:
+            # Uncovered rows stay zero.
+            product = np.zeros(output.shape)
+            for row_start, row_end in fused:
+                product[row_start:row_end] = matrix.spmm_rows(
+                    dense, row_start, row_end
+                )
+        matrix.to_original_order(product, output)

@@ -11,10 +11,12 @@ Design invariants:
 
 - **Bit-identical output.**  Workers run exactly the same fused
   ``spmm_rows`` kernel as the serial path, one contiguous CSDB row range
-  per partition, and scatter their partial results into disjoint rows of
-  one shared output buffer (``out[perm[rst:red]] = partial``).  Each row
-  is the sequential sum over its own non-zeros, so the parallel result
-  equals the serial result bit for bit.
+  per partition, and write their partial results into disjoint
+  contiguous slices of one shared CSDB-order buffer
+  (``out[rst:red] = partial``); the parent maps that buffer to the
+  caller's row order with one gather.  Each row is the sequential sum
+  over its own non-zeros, so the parallel result equals the serial
+  result bit for bit.
 - **Simulated time is untouched.**  The executor only runs kernels; the
   engine charges Eq. 2 costs to the per-thread :class:`SimClock` exactly
   as under the simulated backend.
@@ -165,9 +167,9 @@ def _worker_main(jobs, results) -> None:
             for job_id, row_start, row_end, crash in tasks:
                 if crash:
                     os._exit(17)
-                partial = matrix.spmm_rows(dense, row_start, row_end)
-                out[matrix.perm[row_start:row_end]] = partial
-                del partial
+                out[row_start:row_end] = matrix.spmm_rows(
+                    dense, row_start, row_end
+                )
                 n_done += 1
             dense = out = None
             results.put(("ok", call_id, slot, n_done))
@@ -432,10 +434,13 @@ class SharedMemoryExecutor:
         output: np.ndarray,
         _inject_crash: bool = False,
     ) -> None:
-        """Execute CSDB row ranges on the pool, scattering into ``output``.
+        """Execute CSDB row ranges on the pool into ``output``.
 
         ``output`` (original row order, shape ``(n_rows, d)``) receives
         the joined result; rows not covered by any range are zeroed.
+        Workers fill contiguous slices of the shared CSDB-order output
+        segment, and this process gathers it into ``output`` with
+        :meth:`~repro.formats.csdb.CSDBMatrix.to_original_order`.
 
         Submission is batched: partitions are assigned largest-nnz-first
         onto the least-loaded worker and each worker receives *one* plan
@@ -512,7 +517,7 @@ class SharedMemoryExecutor:
         self.stats.last_submit_wall_s = time.perf_counter() - call_start
         self._await(call_id, len(self._workers))
         out_view = self._scratch["out"].view(output.shape)
-        np.copyto(output, out_view)
+        matrix.to_original_order(out_view, output)
         del out_view
         self.stats.last_call_wall_s = time.perf_counter() - call_start
 

@@ -17,9 +17,11 @@ in-memory matrix, no inter-process transport at all.
 Invariants shared with the other backends:
 
 - **Bit-identical output.**  Same fused ``spmm_rows`` kernel, one
-  contiguous CSDB row range per partition, scattered into disjoint
-  output rows — threads write non-overlapping row sets, so no
-  synchronization is needed and the result equals serial bit for bit.
+  contiguous CSDB row range per partition, written into its own
+  contiguous slice of a CSDB-order product — threads write disjoint
+  slices, so no synchronization is needed — and mapped to the caller's
+  row order by one gather after the join.  The result equals serial bit
+  for bit.
 - **Simulated time untouched.**  The executor only runs kernels.
 - **No telemetry.**  The seam carries none: the engine times the whole
   call and records the partition spans itself, so a traced multiply
@@ -124,8 +126,9 @@ class ThreadsExecutor:
 
         ``output`` (original row order, shape ``(n_rows, d)``) receives
         the joined result; rows not covered by any range are zeroed.
-        Threads scatter into disjoint row sets of ``output`` directly —
-        there is no staging buffer to copy back.
+        Threads fill disjoint contiguous slices of one CSDB-order
+        product; after the join this thread maps it to ``output`` with
+        :meth:`~repro.formats.csdb.CSDBMatrix.to_original_order`.
 
         Raises:
             Exception: whatever a partition kernel raised, re-raised on
@@ -134,9 +137,8 @@ class ThreadsExecutor:
         call_start = time.perf_counter()
         dense = np.ascontiguousarray(dense, dtype=np.float64)
         ranges, covered = normalize_ranges(ranges, matrix.n_rows)
-        if not covered:
-            output[:] = 0.0
         if not ranges:
+            output[:] = 0.0
             return
         pool = self._ensure_pool()
         # Pre-warm the lazily cached structural arrays on this thread;
@@ -144,11 +146,12 @@ class ThreadsExecutor:
         # build the same cache concurrently).
         matrix.nnz_prefix()
         matrix.row_degrees()
-        matrix.inv_perm  # property; cached like the others
         matrix.kernel_view()
+        # CSDB-order product; uncovered rows stay zero.
+        product = np.empty(output.shape) if covered else np.zeros(output.shape)
 
         def run_range(row_start: int, row_end: int) -> None:
-            output[matrix.perm[row_start:row_end]] = matrix.spmm_rows(
+            product[row_start:row_end] = matrix.spmm_rows(
                 dense, row_start, row_end
             )
 
@@ -164,6 +167,8 @@ class ThreadsExecutor:
                 future.result()
             except BaseException as exc:  # noqa: BLE001 - re-raised below
                 first = first if first is not None else exc
+        if first is None:
+            matrix.to_original_order(product, output)
         self.stats.last_call_wall_s = time.perf_counter() - call_start
         if first is not None:
             raise first

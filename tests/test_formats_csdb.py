@@ -114,6 +114,22 @@ class TestStructure:
                 shape=(1, 2),
             )
 
+    @pytest.mark.parametrize(
+        "perm, match",
+        (
+            ([0, 0, 2], r"not a permutation of range\(3\): row 0 appears 2"),
+            ([0, 5, 2], r"perm entry 5 out of range \[0, 3\)"),
+            ([0, -1, 2], r"perm entry -1 out of range \[0, 3\)"),
+        ),
+    )
+    def test_validation_rejects_a_perm_that_is_not_a_permutation(
+        self, perm, match
+    ):
+        # A repeated row would leave another row's product unwritten; an
+        # out-of-range one would fail only at the first multiply.
+        with pytest.raises(ValueError, match=match):
+            CSDBMatrix([1], [0, 3], [0, 1, 2], [1.0, 2.0, 3.0], perm, (3, 3))
+
 
 class TestAlgebra:
     def test_spmm_matches_dense(self, skewed_csdb, rng):

@@ -178,6 +178,25 @@ def test_property_fusion_is_invisible_over_range_cuts(matrix, cuts, keep, d):
     assert_arms_agree(matrix, dense, ranges)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), vector=st.booleans())
+def test_property_spmm_of_a_vector_and_of_one_column(matrix, seed, vector):
+    # The shape edges of CSDBMatrix.spmm's gather: a 1-D operand is
+    # squeezed back to 1-D, a (n, 1) one stays (n, 1), and either equals
+    # the scatter oracle bit for bit.
+    column = np.random.default_rng(seed).standard_normal((matrix.n_cols, 1))
+    expected = per_partition(matrix, column, [(0, matrix.n_rows)])
+    if vector:
+        expected = expected[:, 0]
+        for out in (matrix.spmm(column[:, 0]), matrix.spmv(column[:, 0])):
+            assert out.shape == (matrix.n_rows,)
+            assert out.tobytes() == expected.tobytes()
+    else:
+        out = matrix.spmm(column)
+        assert out.shape == (matrix.n_rows, 1)
+        assert out.tobytes() == expected.tobytes()
+
+
 def test_fused_dispatch_calls_the_kernel_once_per_run_of_adjacent_ranges(
     matrix, monkeypatch, tmp_path
 ):
