@@ -55,6 +55,14 @@ class ProNEParams:
     seed: int = 0
     spectral_filter: str = "gaussian"
 
+    def __post_init__(self) -> None:
+        for name, least in (
+            ("dim", 1), ("n_oversamples", 0), ("n_power_iterations", 0)
+        ):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+
 
 def smf_matrix(adjacency: CSDBMatrix, negative_exponent: float = 0.75) -> CSDBMatrix:
     """ProNE's factorization target: a shifted-PMI transform of D^-1 A.

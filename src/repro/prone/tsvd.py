@@ -6,14 +6,19 @@ operations OMeGa accelerates.  The implementation therefore takes the
 products as callables (``matmul(X) = A @ X`` and ``rmatmul(Y) = A.T @ Y``)
 so the caller can route them through the instrumented engine.
 
-The dense algebra between the products is sized to what each step needs:
+The dense algebra between the products is sized to what each step needs,
+and all of it runs on numpy's LAPACK.  scipy ships a second OpenBLAS
+with its own thread pool; alternating calls between the two pools made
+every dense step several times slower than either alone (DESIGN §6g),
+so nothing here imports ``scipy.linalg``:
 
-- *inside* the power iterations the block only has to stay a
-  well-conditioned basis of its range, not an orthonormal one, so it is
-  normalised with a partially pivoted LU (keep the unit lower-trapezoidal
-  factor) — several times cheaper than a Householder QR, and that factor
-  has full column rank even when the block itself is rank deficient;
-- one Householder QR at the end makes the basis ``Q`` orthonormal;
+- *inside* the power iterations the block only has to keep its range,
+  so it is normalised through its k x k Gram matrix
+  (:func:`tall_svd`'s left factor) — two GEMMs and a k x k ``eigh``; a
+  direction whose singular value reads as 0 becomes a zero column;
+- one Householder QR (``np.linalg.qr``) at the end makes the basis ``Q``
+  orthonormal, also for zero and rank-deficient inputs, and C-ordered
+  for the next ``rmatmul``;
 - the projection ``B = Q^T A`` (k x n) is factorised through its k x k
   Gram matrix (:func:`tall_svd` of ``B^T = A^T Q``, which is how one
   ``rmatmul`` delivers it).  No k x n SVD is ever formed.
@@ -25,10 +30,6 @@ singular value ``s_i`` carries relative error about
 resolved and may read as 0.  The embeddings here keep the *leading*
 singular directions of matrices whose leading spectrum spans a few
 octaves, where that is rounding noise (measured: DESIGN §6g).
-
-Ownership: a matmul callable returns an array its caller may overwrite
-(the LU and QR factorise the product's output in place); the callables'
-*inputs* are never written.
 """
 
 from __future__ import annotations
@@ -95,23 +96,17 @@ def randomized_tsvd(
         raise ValueError(
             f"rank {rank} exceeds min(shape) = {min(n_rows, n_cols)}"
         )
-    # Imported on first use: scipy.linalg adds ~60 ms and ~6 MB resident
-    # to a process that imports it (measured, EXPERIMENTS.md), and of
-    # everything `import repro` loads only this function needs it.
-    from scipy.linalg import lu, qr
-
-    in_place = {"overwrite_a": True, "check_finite": False}
     k = min(rank + n_oversamples, min(n_rows, n_cols))
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((n_cols, k))
     y = matmul(omega)
     for _ in range(n_power_iterations):
-        # Range-only normalisation: the row-permuted unit lower-trapezoidal
-        # factor of P L U = block has entries bounded by 1 and independent
-        # columns whatever the block's rank.
-        z = rmatmul(lu(y, permute_l=True, **in_place)[0])
-        y = matmul(lu(z, permute_l=True, **in_place)[0])
-    q = qr(y, mode="economic", **in_place)[0]
+        # Range-only normalisation through the k x k Gram matrix: the
+        # block's left singular vectors, a zero column where a singular
+        # value reads as 0.
+        z = rmatmul(tall_svd(y, k)[0])
+        y = matmul(tall_svd(z, k)[0])
+    q = np.linalg.qr(y)[0]
     # B = Q^T A arrives transposed, as A^T Q (n_cols, k), in one rmatmul:
     # B^T = V diag(s) W^T, so A ~= (Q W) diag(s) V^T.
     v, s, w = tall_svd(rmatmul(q), rank)

@@ -8,15 +8,22 @@ cost what the hardware asks; each piece has an oracle here:
   below, and the input embedding is never written;
 - ``CSDBMatrix.transpose`` is a gather + counting transpose — all five
   block arrays byte-equal to the sorting ``from_coo`` build it replaced;
-- ``randomized_tsvd`` normalises its power iterations by LU, keeps one
-  QR, and factorises the projection through a k x k Gram matrix —
-  checked against ``np.linalg.svd``; ``densify_embedding`` likewise;
+- ``randomized_tsvd`` normalises its power iterations and factorises
+  the projection through k x k Gram matrices and keeps one QR —
+  checked against ``np.linalg.svd``, also on a steep spectrum;
+  ``densify_embedding`` likewise;
+- an embed never imports ``scipy.linalg``, so its dense steps run on
+  one OpenBLAS;
 - degenerate inputs (zero block, edgeless graph, rank < k) stay finite;
 - the embedding's link-prediction AUC sits where the parent's did;
 - an embed's recorded ``SpMMResult``s no longer pin the products' outputs.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +221,22 @@ def test_tsvd_matches_lapack_on_a_decaying_spectrum(rng):
     assert np.allclose((u * s) @ vt, truncated, atol=1e-10)
 
 
+def test_tsvd_holds_its_accuracy_on_a_steep_spectrum(rng):
+    """Forty octaves of decay, where squaring a block's condition bites.
+
+    The power iterations normalise through k x k Gram matrices, which
+    square each block's condition number; the leading values and both
+    bases must still be LAPACK's to 1e-12.
+    """
+    a = decaying(rng, 400, 300, 2.0 ** -np.linspace(0, 40, 40))
+    rank = 8
+    u, s, vt = randomized_tsvd(*products(a), a.shape, rank)
+    s_ref = np.linalg.svd(a, compute_uv=False)[:rank]
+    assert np.abs(s / s_ref - 1.0).max() <= 1e-12
+    assert np.abs(u.T @ u - np.eye(rank)).max() <= 1e-12
+    assert np.abs(vt @ vt.T - np.eye(rank)).max() <= 1e-12
+
+
 def test_tsvd_rank_deficient_input_is_finite_and_exact_where_resolved(rng):
     a = decaying(rng, 60, 40, [10.0, 8.0, 5.0])
     u, s, vt = randomized_tsvd(*products(a), a.shape, rank=6)
@@ -274,8 +297,10 @@ def test_edgeless_graph_embeds_to_finite_zeros():
 # -- the embedding is as useful as it was -------------------------------------
 
 #: Link-prediction AUC of ``prone_embed`` (dim 32) on the conftest skewed
-#: graph at the parent of this change (QR per power iteration, LAPACK
-#: SVDs): 10 % held-out edges, split/negatives seed 0.
+#: graph as first recorded (QR per power iteration, LAPACK SVDs): 10 %
+#: held-out edges, split/negatives seed 0.  Both dense-algebra
+#: re-baselines since — the LU range finder with Gram SVDs, then Gram
+#: normalisation with numpy's QR (DESIGN §6g) — stay within its 0.005.
 PARENT_AUC = 0.56133125
 
 
@@ -285,6 +310,48 @@ def test_link_prediction_auc_is_where_the_parent_left_it(skewed_edges):
     embedding = prone_embed(edges_to_csdb(train, 600), ProNEParams(dim=32))
     auc = link_prediction_auc(embedding, test, negatives)
     assert abs(auc - PARENT_AUC) <= 0.005
+
+
+# -- one BLAS per embed --------------------------------------------------------
+
+
+_EMBED_BOTH_WAYS = """
+import sys
+from repro.core import OMeGaConfig, OMeGaEmbedder
+from repro.formats import edges_to_csdb
+from repro.graphs import rmat_edges
+from repro.prone import prone_embed
+from repro.prone.model import ProNEParams
+
+edges = rmat_edges(9, edge_factor=8.0, seed=1)
+prone_embed(edges_to_csdb(edges, 512), ProNEParams(dim=8))
+OMeGaEmbedder(OMeGaConfig(n_threads=2, dim=8)).embed_edges(edges, 512)
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_an_embed_never_calls_scipys_blas():
+    """Every dense step of an embed runs on numpy's OpenBLAS.
+
+    numpy and scipy each ship an OpenBLAS with its own thread pool
+    (``numpy.libs/libscipy_openblas64_*.so`` and
+    ``scipy.libs/libscipy_openblas*.so``).  Alternating between them is
+    what cost: on a 2-vCPU host a numpy Gram step of an 8192 x 40 block
+    took 0.6-0.9 ms alone but 3.9-4.5 ms between scipy LU / QR calls,
+    and inside an embed a Gram SVD took 13-14 ms against 1.05 ms once
+    nothing called scipy's pool (DESIGN §6g).  Both libraries stay
+    mapped — ``scipy.sparse`` and ``scipy.special`` load scipy's at
+    import — so the guard is that ``scipy.linalg``, the way into
+    scipy's pool, is never imported.  A fresh interpreter, since any
+    other test may import it.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _EMBED_BOTH_WAYS],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.split() == ["False"]
 
 
 # -- recorded results do not pin the products ----------------------------------

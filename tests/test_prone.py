@@ -223,6 +223,19 @@ class TestEndToEnd:
         final = prone_propagate(skewed_csdb, initial, params)
         assert not np.allclose(initial, final)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dim", 0), ("n_oversamples", -8), ("n_power_iterations", -1)],
+    )
+    def test_params_reject_what_would_shrink_or_skip_the_tsvd(self, field, value):
+        # A negative oversampling used to return fewer than `dim` columns.
+        with pytest.raises(ValueError, match=field):
+            ProNEParams(**{"dim": 16, field: value})
+
+    def test_params_accept_the_least_valid_values(self, skewed_csdb):
+        params = ProNEParams(dim=1, order=2, n_oversamples=0, n_power_iterations=0)
+        assert prone_embed(skewed_csdb, params).shape == (skewed_csdb.n_rows, 1)
+
     def test_densify_embedding(self, rng):
         m = rng.standard_normal((30, 12))
         emb = densify_embedding(m, 6)
