@@ -1,9 +1,9 @@
 """End-to-end workflow on your own graph file.
 
 Shows the full library surface a downstream user touches: parse a SNAP
-edge list, build + persist the CSDB matrix, run cost-accounted operators
-(SpMM / SDDMM / transpose), embed with a chosen spectral filter, and
-evaluate held-out link prediction — everything through the public API.
+edge list, build + persist the CSDB matrix, run the instrumented SpMM and
+a CSDB transpose, embed with a chosen spectral filter, and evaluate
+held-out link prediction — everything through the public API.
 
 Run:  python examples/custom_graph_pipeline.py
 """
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import OMeGaConfig, OMeGaEmbedder
-from repro.core import OperatorSuite
+from repro.core import SpMMEngine
 from repro.eval import (
     link_prediction_auc,
     sample_negative_edges,
@@ -46,17 +46,14 @@ def main() -> None:
         f" (CSR would need {8 * (n_nodes + 1):,} B of row pointers alone)"
     )
 
-    # 3. Cost-accounted operators.
-    suite = OperatorSuite(OMeGaConfig(n_threads=16, dim=16))
+    # 3. Operators: the instrumented SpMM (Algorithm 1) and a transpose.
     dense = np.random.default_rng(0).standard_normal((n_nodes, 16))
-    spmm = suite.spmm(matrix, dense)
-    sddmm = suite.sddmm(matrix, spmm.output, dense)
-    transpose = suite.transpose(matrix)
+    spmm = SpMMEngine(OMeGaConfig(n_threads=16, dim=16)).multiply(matrix, dense)
+    transpose = matrix.transpose()
     print(
-        "3. Operators (simulated): "
-        f"SpMM {spmm.sim_seconds * 1e3:.3f} ms,"
-        f" SDDMM {sddmm.sim_seconds * 1e3:.3f} ms,"
-        f" transpose {transpose.sim_seconds * 1e3:.3f} ms"
+        f"3. SpMM {spmm.sim_seconds * 1e3:.3f} ms simulated;"
+        f" transpose has {transpose.nnz:,} nnz"
+        f" in {transpose.n_blocks} degree blocks"
     )
 
     # 4. Embed with a non-default spectral filter.

@@ -46,7 +46,6 @@ from repro.core.embedding import (
     PipelineRun,
     PipelineState,
 )
-from repro.core.operators import OperatorResult, OperatorSuite
 from repro.core.nadp import (
     FALLBACK_ORDER,
     AccessPlan,
@@ -79,8 +78,6 @@ __all__ = [
     "NaturalOrderRoundRobinAllocator",
     "OMeGaConfig",
     "OMeGaEmbedder",
-    "OperatorResult",
-    "OperatorSuite",
     "PIPELINE_STAGES",
     "ParallelConfig",
     "PipelineRun",

@@ -6,7 +6,9 @@
   format (§III-A) with the operator set the paper requires
   (multiplication, addition, subtraction, transposition);
 - :mod:`repro.formats.convert` — conversions between edge lists, CSR,
-  CSDB and scipy sparse matrices.
+  CSDB and scipy sparse matrices;
+- :mod:`repro.formats.serialize` — the ``.npz`` container of a CSDB
+  matrix.
 """
 
 from repro.formats.csdb import (
@@ -28,9 +30,7 @@ from repro.formats.csr import CSRMatrix
 from repro.formats.serialize import (
     ContainerFormatError,
     load_csdb,
-    load_csr,
     save_csdb,
-    save_csr,
 )
 
 __all__ = [
@@ -48,7 +48,5 @@ __all__ = [
     "edges_to_csdb",
     "edges_to_csr",
     "load_csdb",
-    "load_csr",
     "save_csdb",
-    "save_csr",
 ]

@@ -28,7 +28,6 @@ reads the permutation to place a product.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
@@ -254,13 +253,13 @@ class CSDBMatrix:
     dies with the last.  :meth:`mark_mutated` moves a matrix onto a
     fresh pattern over the same arrays.
 
-    The matrix owns ``nnz_list``, its content hash and, once multiplied,
-    one kernel-ready scipy CSR view of itself (:meth:`kernel_view`).
-    The view's values alias ``nnz_list``.  Its index arrays are whatever
-    scipy makes of ``col_list`` and ``nnz_prefix``: aliases too where
-    ``csr_array`` keeps the int64 dtype it is given (scipy 1.17 does),
-    its own int32 copies on versions that narrow — about 4 B per
-    non-zero + 4 B per row per live multiplied *pattern*.  There is
+    The matrix owns ``nnz_list`` and, once multiplied, one kernel-ready
+    scipy CSR view of itself (:meth:`kernel_view`).  The view's values
+    alias ``nnz_list``.  Its index arrays are whatever scipy makes of
+    ``col_list`` and ``nnz_prefix``: aliases too where ``csr_array``
+    keeps the int64 dtype it is given (scipy 1.17 does), its own int32
+    copies on versions that narrow — about 4 B per non-zero + 4 B per
+    row per live multiplied *pattern*.  There is
     exactly one view per matrix, never one per row range: a narrowed
     view per range would hold a second copy of the indices for every
     executor that cuts the rows differently, and forked pool workers
@@ -315,7 +314,6 @@ class CSDBMatrix:
         self.block_ptr, self.shape = pattern.block_ptr, pattern.shape
         self.nnz_list = values
         self._kernel_view: csr_array | None = None
-        self._content_hash: str | None = None
 
     def _validate(self) -> None:
         n_rows, n_cols = self.shape
@@ -671,40 +669,16 @@ class CSDBMatrix:
             ).astype(np.int64)
         return self.pattern.col_degrees
 
-    # -- content identity ---------------------------------------------------
-
-    def content_hash(self) -> str:
-        """Hex digest over the five block arrays (cached after first call).
-
-        The shared-memory executor keys its persistent segment cache on
-        ``(instance identity, content hash)``: as long as the hash is
-        unchanged, the shared copy made by a previous ``multiply()`` is
-        reused without touching the arrays.  In-place mutation must be
-        announced via :meth:`mark_mutated`, which drops the cached
-        digest so the next lookup recomputes it and the executor
-        re-shares the matrix.
-        """
-        if self._content_hash is None:
-            digest = hashlib.blake2b(digest_size=16)
-            for array in (
-                self.deg_list, self.deg_ind, self.col_list, self.nnz_list,
-                self.perm,
-            ):
-                digest.update(np.ascontiguousarray(array).data)
-            digest.update(repr(self.shape).encode("ascii"))
-            self._content_hash = digest.hexdigest()
-        return self._content_hash
-
     def mark_mutated(self) -> None:
         """Invalidate derived caches after in-place *value* mutation.
 
         Call this after writing into ``nnz_list`` (e.g. re-weighting
-        edges in place): the content hash and kernel view are dropped
-        and the matrix moves onto a fresh pattern over the same arrays,
-        so its caches and plans are rebuilt and executors holding shared
-        copies re-share it; its former siblings keep theirs.  Structural
-        mutation (``deg_list``, ``deg_ind``, ``col_list``, ``perm``) is
-        not supported — build a fresh matrix instead.
+        edges in place): the kernel view is dropped and the matrix moves
+        onto a fresh pattern over the same arrays, so its caches and
+        plans are rebuilt and executors holding shared copies re-share
+        it; its former siblings keep theirs.  Structural mutation
+        (``deg_list``, ``deg_ind``, ``col_list``, ``perm``) is not
+        supported — build a fresh matrix instead.
         """
         self._bind(
             _Pattern(

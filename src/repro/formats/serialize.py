@@ -1,9 +1,10 @@
-"""Binary (de)serialization of CSDB and CSR matrices.
+"""Binary (de)serialization of CSDB matrices.
 
 Large-scale pipelines persist the converted graph so the reading
 procedure (Fig. 19a) runs once; this module provides a compact ``.npz``
-container for both formats with format/version validation, so a CSDB
-graph built on one machine can be memory-mapped on another.
+container for CSDB with kind/version validation, so a CSDB graph built
+once is loaded back without re-running the degree sort.  Loading reads
+the whole (zip-compressed) container into memory.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.formats.csdb import CSDBMatrix
-from repro.formats.csr import CSRMatrix
 
 #: Container-format version; bump on layout changes.
 FORMAT_VERSION = 1
@@ -29,11 +29,10 @@ class ContainerFormatError(ValueError):
     """
 
 
-#: Arrays every container of a given kind must carry.
-_REQUIRED_KEYS = {
-    "csdb": ("shape", "deg_list", "deg_ind", "col_list", "nnz_list", "perm"),
-    "csr": ("shape", "indptr", "indices", "data"),
-}
+#: Arrays every CSDB container must carry.
+_REQUIRED_KEYS = (
+    "shape", "deg_list", "deg_ind", "col_list", "nnz_list", "perm",
+)
 
 
 def _open_container(path: Path) -> np.lib.npyio.NpzFile:
@@ -65,60 +64,62 @@ def save_csdb(path: str | Path, matrix: CSDBMatrix) -> None:
 
 
 def load_csdb(path: str | Path) -> CSDBMatrix:
-    """Load a CSDB matrix saved by :func:`save_csdb`."""
-    with _open_container(Path(path)) as data:
-        _check_container(data, "csdb")
-        return CSDBMatrix(
-            deg_list=data["deg_list"],
-            deg_ind=data["deg_ind"],
-            col_list=data["col_list"],
-            nnz_list=data["nnz_list"],
-            perm=data["perm"],
-            shape=tuple(int(x) for x in data["shape"]),
-        )
+    """Load a CSDB matrix saved by :func:`save_csdb`.
+
+    Raises:
+        ContainerFormatError: the file is not a well-formed CSDB
+            container; the message names ``path``.
+    """
+    path = Path(path)
+    with _open_container(path) as data:
+        _check_container(data, path)
+        shape = data["shape"]
+        if shape.shape != (2,) or shape.dtype.kind not in "iu":
+            raise ContainerFormatError(
+                f"{path}: shape must be two integers, got {shape!r}"
+            )
+        try:
+            return CSDBMatrix(
+                deg_list=data["deg_list"],
+                deg_ind=data["deg_ind"],
+                col_list=data["col_list"],
+                nnz_list=data["nnz_list"],
+                perm=data["perm"],
+                shape=(int(shape[0]), int(shape[1])),
+            )
+        except ValueError as exc:
+            raise ContainerFormatError(f"{path}: {exc}") from exc
 
 
-def save_csr(path: str | Path, matrix: CSRMatrix) -> None:
-    """Persist a CSR matrix as a compressed .npz container."""
-    np.savez_compressed(
-        Path(path),
-        kind=np.array(["csr"]),
-        version=np.array([FORMAT_VERSION]),
-        shape=np.array(matrix.shape, dtype=np.int64),
-        indptr=matrix.indptr,
-        indices=matrix.indices,
-        data=matrix.data,
-    )
-
-
-def load_csr(path: str | Path) -> CSRMatrix:
-    """Load a CSR matrix saved by :func:`save_csr`."""
-    with _open_container(Path(path)) as data:
-        _check_container(data, "csr")
-        return CSRMatrix(
-            indptr=data["indptr"],
-            indices=data["indices"],
-            data=data["data"],
-            shape=tuple(int(x) for x in data["shape"]),
-        )
-
-
-def _check_container(data: np.lib.npyio.NpzFile, expected_kind: str) -> None:
-    if "kind" not in data or "version" not in data:
-        raise ContainerFormatError("not a repro matrix container")
-    kind = str(data["kind"][0])
-    if kind != expected_kind:
+def _one_entry(data: np.lib.npyio.NpzFile, key: str, path: Path):
+    array = data[key]
+    if array.shape != (1,):
         raise ContainerFormatError(
-            f"container holds a {kind!r} matrix, expected {expected_kind!r}"
+            f"{path}: {key} must hold one entry, got shape {array.shape}"
         )
-    version = int(data["version"][0])
+    return array[0]
+
+
+def _check_container(data: np.lib.npyio.NpzFile, path: Path) -> None:
+    if "kind" not in data or "version" not in data:
+        raise ContainerFormatError(f"{path}: not a repro matrix container")
+    kind = str(_one_entry(data, "kind", path))
+    if kind != "csdb":
+        raise ContainerFormatError(
+            f"{path}: container holds a {kind!r} matrix, expected 'csdb'"
+        )
+    version = _one_entry(data, "version", path)
+    if not isinstance(version, np.integer):
+        raise ContainerFormatError(
+            f"{path}: container version {version!r} is not an integer"
+        )
     if version > FORMAT_VERSION:
         raise ContainerFormatError(
-            f"container version {version} is newer than supported"
-            f" ({FORMAT_VERSION})"
+            f"{path}: container version {int(version)} is newer than"
+            f" supported ({FORMAT_VERSION})"
         )
-    missing = [k for k in _REQUIRED_KEYS[expected_kind] if k not in data]
+    missing = [k for k in _REQUIRED_KEYS if k not in data]
     if missing:
         raise ContainerFormatError(
-            f"{expected_kind} container is missing arrays: {missing}"
+            f"{path}: csdb container is missing arrays: {missing}"
         )

@@ -22,13 +22,12 @@ Design invariants:
   as under the simulated backend.
 - **Warm path.**  The shared copy of each operand matrix and the mapped
   dense/output scratch segments persist across calls, keyed by matrix
-  identity *and* content hash (see
-  :meth:`~repro.formats.csdb.CSDBMatrix.content_hash`): the second and
-  every later ``multiply()`` of a Chebyshev run pays only the dense
+  identity and checked against the matrix's pattern object: the second
+  and every later ``multiply()`` of a Chebyshev run pays only the dense
   copy and one batched plan enqueue per worker.  In-place mutation is
   announced via :meth:`~repro.formats.csdb.CSDBMatrix.mark_mutated`,
-  which changes the content hash and makes the executor retire and
-  re-share the matrix on its next call.
+  which moves the matrix onto a fresh pattern and makes the executor
+  retire and re-share it on its next call.
 - **Batched submission.**  Each call enqueues *one* plan message per
   worker carrying that worker's whole share of the partition plan
   (largest-nnz-first assignment onto the least-loaded worker) and
@@ -366,17 +365,17 @@ class SharedMemoryExecutor:
         """Owner-side shared copy of a matrix, cached across calls.
 
         Cache key is the live instance (``id`` guarded by a weakref) and
-        the value recorded at share time includes the content hash:
+        the value recorded at share time includes a weakref to the
+        matrix's pattern:
 
-        - same instance, same hash → reuse the existing segments (the
+        - same instance, same pattern → reuse the existing segments (the
           warm path — no copying, workers keep their attachments);
-        - same instance, changed hash (``mark_mutated`` after in-place
+        - same instance, new pattern (``mark_mutated`` after in-place
           edits) → retire the stale segments and re-share;
         - instance died → segments retired on the next call.
 
         Mutating array contents *without* calling ``mark_mutated`` is
-        not detected — hashing every call would defeat the warm path —
-        and is documented as unsupported.
+        not detected and is documented as unsupported.
         """
         for key, entry in list(self._matrices.items()):
             if entry[0]() is None:
@@ -385,7 +384,7 @@ class SharedMemoryExecutor:
                 del self._matrices[key]
         entry = self._matrices.get(id(matrix))
         if entry is not None:
-            if len(entry) > 2 and entry[2] != matrix.content_hash():
+            if entry[2]() is not matrix.pattern:
                 self._retired.extend(s.name for s in entry[1].handle.specs)
                 entry[1].close()
                 del self._matrices[id(matrix)]
@@ -399,7 +398,7 @@ class SharedMemoryExecutor:
             f"{secrets.token_hex(2)}"
         )
         self._matrices[id(matrix)] = (
-            weakref.ref(matrix), shared_mat, matrix.content_hash()
+            weakref.ref(matrix), shared_mat, weakref.ref(matrix.pattern)
         )
         return shared_mat.handle
 

@@ -191,7 +191,9 @@ class TestAlgebra:
         )
 
     def test_sub_to_zero(self, paper_csdb):
-        assert np.allclose((paper_csdb - paper_csdb).to_dense(), 0.0)
+        difference = paper_csdb - paper_csdb
+        assert np.allclose(difference.to_dense(), 0.0)
+        assert difference.nnz == 0
 
     def test_add_shape_mismatch(self, paper_csdb):
         other = CSDBMatrix.from_coo([0], [0], [1.0], (3, 3))

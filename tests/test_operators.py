@@ -1,77 +1,34 @@
-"""Unit tests for the engine-level CSDB operator suite."""
+"""The paper's §III-A CSDB operators, called as a user calls them.
+
+Multiply runs through the instrumented ``SpMMEngine``; add, subtract,
+transpose and scale are ``CSDBMatrix``'s own operators.
+"""
 
 import numpy as np
-import pytest
 
-from repro.core import OMeGaConfig
-from repro.core.operators import OperatorSuite
-
-
-@pytest.fixture
-def suite():
-    return OperatorSuite(OMeGaConfig(n_threads=4, dim=8))
-
-
-class TestSDDMM:
-    def test_matches_dense_reference(self, suite, skewed_csdb, rng):
-        left = rng.standard_normal((skewed_csdb.n_rows, 6))
-        right = rng.standard_normal((skewed_csdb.n_cols, 6))
-        result = suite.sddmm(skewed_csdb, left, right)
-        expected = skewed_csdb.to_dense() * (left @ right.T)
-        assert np.allclose(result.output.to_dense(), expected)
-        assert result.sim_seconds > 0
-
-    def test_preserves_structure(self, suite, skewed_csdb, rng):
-        left = rng.standard_normal((skewed_csdb.n_rows, 4))
-        right = rng.standard_normal((skewed_csdb.n_cols, 4))
-        out = suite.sddmm(skewed_csdb, left, right).output
-        assert np.array_equal(out.col_list, skewed_csdb.col_list)
-        assert np.array_equal(out.perm, skewed_csdb.perm)
-
-    def test_shape_validation(self, suite, skewed_csdb, rng):
-        with pytest.raises(ValueError, match="left"):
-            suite.sddmm(
-                skewed_csdb,
-                rng.standard_normal((3, 4)),
-                rng.standard_normal((skewed_csdb.n_cols, 4)),
-            )
-        with pytest.raises(ValueError, match="widths"):
-            suite.sddmm(
-                skewed_csdb,
-                rng.standard_normal((skewed_csdb.n_rows, 4)),
-                rng.standard_normal((skewed_csdb.n_cols, 5)),
-            )
+from repro.core import OMeGaConfig, SpMMEngine
 
 
 class TestAlgebraOperators:
-    def test_add(self, suite, paper_csdb):
-        result = suite.add(paper_csdb, paper_csdb)
-        assert np.allclose(result.output.to_dense(), 2 * paper_csdb.to_dense())
-        assert result.trace.seconds("add") == result.sim_seconds
+    def test_add(self, paper_csdb):
+        result = paper_csdb + paper_csdb
+        assert np.allclose(result.to_dense(), 2 * paper_csdb.to_dense())
 
-    def test_subtract(self, suite, paper_csdb):
-        result = suite.subtract(paper_csdb, paper_csdb)
-        assert result.output.nnz == 0
+    def test_subtract(self, paper_csdb):
+        result = paper_csdb - paper_csdb
+        assert result.nnz == 0
 
-    def test_transpose(self, suite, skewed_csdb):
-        result = suite.transpose(skewed_csdb)
-        assert np.allclose(
-            result.output.to_dense(), skewed_csdb.to_dense().T
-        )
-        assert result.sim_seconds > 0
+    def test_transpose(self, skewed_csdb):
+        result = skewed_csdb.transpose()
+        assert np.allclose(result.to_dense(), skewed_csdb.to_dense().T)
 
-    def test_scale(self, suite, paper_csdb):
-        result = suite.scale(paper_csdb, -2.0)
-        assert np.allclose(
-            result.output.to_dense(), -2.0 * paper_csdb.to_dense()
-        )
+    def test_scale(self, paper_csdb):
+        result = paper_csdb.scale(-2.0)
+        assert np.allclose(result.to_dense(), -2.0 * paper_csdb.to_dense())
 
-    def test_spmm_delegates_to_engine(self, suite, skewed_csdb, rng):
+    def test_spmm_delegates_to_engine(self, skewed_csdb, rng):
         dense = rng.standard_normal((skewed_csdb.n_cols, 8))
-        result = suite.spmm(skewed_csdb, dense)
+        engine = SpMMEngine(OMeGaConfig(n_threads=4, dim=8))
+        result = engine.multiply(skewed_csdb, dense)
         assert np.allclose(result.output, skewed_csdb.spmm(dense))
-
-    def test_costs_scale_with_size(self, suite, paper_csdb, skewed_csdb):
-        small = suite.transpose(paper_csdb).sim_seconds
-        large = suite.transpose(skewed_csdb).sim_seconds
-        assert large > small
+        assert result.sim_seconds > 0

@@ -7,7 +7,8 @@ Covers the warm-path contract shared by the real backends:
 - persistent segment-cache reuse across repeated ``multiply()`` calls
   (same shared segments, hit counters advancing, no re-staging);
 - explicit invalidation after in-place matrix mutation
-  (``mark_mutated`` → content hash changes → executor re-shares);
+  (``mark_mutated`` → fresh pattern → executor re-shares), and one
+  shared copy per instance, ``with_values`` siblings included;
 - crash during a *cached* call still tears down leak-free;
 - fork safety: a forked child abandons inherited pools and the parent
   keeps working;
@@ -225,13 +226,26 @@ class TestSegmentCacheReuse:
 
 
 class TestInvalidation:
-    def test_mark_mutated_changes_content_hash(self):
-        matrix = _rmat_csdb(6, seed=51)
-        h = matrix.content_hash()
-        assert h == matrix.content_hash()  # cached
-        matrix.nnz_list *= 2.0
-        matrix.mark_mutated()
-        assert matrix.content_hash() != h
+    def test_siblings_get_separate_shared_copies(self):
+        """The cache key is the instance: siblings share a pattern, not values."""
+        matrix = _rmat_csdb(7, seed=51)
+        sibling = matrix.with_values(
+            np.random.default_rng(5).standard_normal(matrix.nnz)
+        )
+        assert sibling.pattern is matrix.pattern
+        dense = np.random.default_rng(6).standard_normal((matrix.n_cols, 4))
+        pool = SharedMemoryExecutor(n_workers=2)
+        try:
+            ranges = _ranges(matrix, 4)
+            out = np.empty((matrix.n_rows, 4))
+            for operand in (matrix, sibling, matrix, sibling):
+                pool.run_partitions(operand, dense, ranges, out)
+                assert np.array_equal(out, _serial(operand, dense, ranges))
+            assert pool.stats.shared_cache_misses == 2
+            assert pool.stats.shared_cache_hits == 2
+            assert pool.stats.invalidations == 0
+        finally:
+            pool.close()
 
     def test_mutation_reshapes_the_shared_copy(self):
         matrix = _rmat_csdb(7, seed=52)

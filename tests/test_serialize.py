@@ -6,10 +6,24 @@ import pytest
 from repro.formats.serialize import (
     ContainerFormatError,
     load_csdb,
-    load_csr,
     save_csdb,
-    save_csr,
 )
+
+
+def _write(path, **overrides):
+    """A valid 3x3 CSDB container (one edge 0->1) with fields overridden."""
+    arrays = {
+        "kind": np.array(["csdb"]),
+        "version": np.array([1]),
+        "shape": np.array([3, 3]),
+        "deg_list": np.array([1, 0]),
+        "deg_ind": np.array([0, 1, 3]),
+        "col_list": np.array([1]),
+        "nnz_list": np.array([1.0]),
+        "perm": np.array([0, 1, 2]),
+    }
+    arrays.update(overrides)
+    np.savez(path, **arrays)
 
 
 class TestCSDBRoundtrip:
@@ -31,20 +45,19 @@ class TestCSDBRoundtrip:
         assert np.allclose(loaded.spmm(dense), skewed_csdb.spmm(dense))
 
 
-class TestCSRRoundtrip:
-    def test_roundtrip(self, tmp_path, skewed_csr):
-        path = tmp_path / "graph.npz"
-        save_csr(path, skewed_csr)
-        loaded = load_csr(path)
-        assert np.allclose(loaded.to_dense(), skewed_csr.to_dense())
-
-
 class TestValidation:
-    def test_kind_mismatch(self, tmp_path, skewed_csdb):
+    def test_the_hand_written_container_loads(self, tmp_path):
         path = tmp_path / "graph.npz"
-        save_csdb(path, skewed_csdb)
-        with pytest.raises(ValueError, match="expected 'csr'"):
-            load_csr(path)
+        _write(path)
+        assert load_csdb(path).to_dense().tolist() == [
+            [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
+        ]
+
+    def test_kind_mismatch(self, tmp_path):
+        path = tmp_path / "graph.npz"
+        _write(path, kind=np.array(["csr"]))
+        with pytest.raises(ValueError, match="expected 'csdb'"):
+            load_csdb(path)
 
     def test_not_a_container(self, tmp_path):
         path = tmp_path / "other.npz"
@@ -63,11 +76,34 @@ class TestValidation:
         with pytest.raises(ValueError, match="newer"):
             load_csdb(path)
 
-    def test_errors_are_typed(self, tmp_path, skewed_csdb):
+    def test_errors_are_typed(self, tmp_path):
         path = tmp_path / "graph.npz"
-        save_csdb(path, skewed_csdb)
+        _write(path, kind=np.array(["csr"]))
         with pytest.raises(ContainerFormatError):
-            load_csr(path)
+            load_csdb(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kind", np.array([], dtype=str)),
+            ("version", np.array(1)),
+            ("shape", np.array([3])),
+            ("version", np.array(["x"])),
+            ("perm", np.array([0, 0, 2])),
+            ("shape", np.array([3.5, 3])),
+        ],
+        ids=[
+            "empty-kind", "0d-version", "1-element-shape", "string-version",
+            "perm-not-a-permutation", "float-shape",
+        ],
+    )
+    def test_malformed_fields_raise_the_typed_error(
+        self, tmp_path, field, value
+    ):
+        path = tmp_path / "graph.npz"
+        _write(path, **{field: value})
+        with pytest.raises(ContainerFormatError, match="graph.npz"):
+            load_csdb(path)
 
     def test_truncated_blob(self, tmp_path, skewed_csdb):
         path = tmp_path / "graph.npz"
