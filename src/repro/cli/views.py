@@ -309,11 +309,6 @@ def run_attribute(args: argparse.Namespace) -> int:
                 ),
             )
         )
-        for klass, overlap in sorted(report.refresh_overlap.items()):
-            print(
-                f"checkpointer overlap ({klass}):"
-                f" {format_seconds(overlap)} — off the request clock"
-            )
     if violations:
         print(
             f"INVARIANT VIOLATED: {len(violations)} request(s) whose blame"

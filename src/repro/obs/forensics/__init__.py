@@ -17,7 +17,6 @@ from repro.obs.forensics.fold import ForensicsReport, fold_stream
 from repro.obs.forensics.records import (
     BLAME_BREAKER,
     BLAME_CATEGORIES,
-    BLAME_CHECKPOINTER,
     BLAME_KERNEL,
     BLAME_QUEUE,
     BLAME_SHARD_HEDGE,
@@ -43,7 +42,6 @@ from repro.obs.forensics.waterfall import (
 __all__ = [
     "BLAME_BREAKER",
     "BLAME_CATEGORIES",
-    "BLAME_CHECKPOINTER",
     "BLAME_KERNEL",
     "BLAME_QUEUE",
     "BLAME_SHARD_HEDGE",

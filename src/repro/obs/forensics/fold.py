@@ -47,9 +47,6 @@ class ForensicsReport:
     attribution: dict[str, dict[str, float]] = field(default_factory=dict)
     incidents: list[dict[str, Any]] = field(default_factory=list)
     reservoir: ExemplarReservoir = field(default_factory=ExemplarReservoir)
-    #: Background-checkpointer seconds that overlapped request gathers
-    #: (off the request clock; per-class annotation next to the table).
-    refresh_overlap: dict[str, float] = field(default_factory=dict)
 
     @property
     def n_requests(self) -> int:
@@ -121,7 +118,6 @@ class ForensicsReport:
                 for klass, blame in sorted(self.attribution.items())
             },
             "fractions": self.fractions(),
-            "refresh_overlap_s": dict(sorted(self.refresh_overlap.items())),
             "exemplars": {
                 trace_id: {
                     "klass": tree.klass,
@@ -173,13 +169,6 @@ def fold_stream(
         }
         report.summaries[trace_id] = summary
         merge_blame(report.attribution, tree.klass, tree.blame)
-        overlap = float(
-            tree.root.attributes.get("refresh_overlap_s", 0.0) or 0.0
-        )
-        if overlap:
-            report.refresh_overlap[tree.klass] = (
-                report.refresh_overlap.get(tree.klass, 0.0) + overlap
-            )
         if summary["status"] in _COMPLETED:
             reservoir.offer(trace_id, tree.klass, tree.latency_s)
         report.trees[trace_id] = tree

@@ -30,14 +30,12 @@ BLAME_BREAKER = "breaker"
 BLAME_SHARD_HEDGE = "shard_hedge"
 BLAME_STALE_FALLBACK = "stale_fallback"
 BLAME_KERNEL = "kernel"
-BLAME_CHECKPOINTER = "checkpointer"
 BLAME_CATEGORIES = (
     BLAME_QUEUE,
     BLAME_BREAKER,
     BLAME_SHARD_HEDGE,
     BLAME_STALE_FALLBACK,
     BLAME_KERNEL,
-    BLAME_CHECKPOINTER,
 )
 
 #: Node name of a backend breakdown share that is not itemized per
@@ -81,7 +79,6 @@ class RequestForensics:
         "deadline_s",
         "n_nodes",
         "blame",
-        "refresh_overlap_s",
         "lookup_seqs",
         "partial",
         "_nodes",
@@ -102,13 +99,6 @@ class RequestForensics:
         self.deadline_s = deadline_s
         self.n_nodes = n_nodes
         self.blame: dict[str, float] = {}
-        #: Background-checkpointer seconds that overlapped this request's
-        #: gathers.  Off the request clock by design (see
-        #: ``repro.shard.refresh``), so it is an annotation, not blame —
-        #: the ``checkpointer`` blame bucket stays 0 in simulation and
-        #: exists so the taxonomy is stable when a wall-clock front-end
-        #: starts charging it.
-        self.refresh_overlap_s = 0.0
         #: Store lookup sequence numbers this request's gathers used —
         #: the coordinate incident records are joined on.
         self.lookup_seqs: list[int] = []
@@ -177,25 +167,13 @@ class RequestForensics:
         preserves the sum invariant.
         """
         total = float(response.sim_seconds)
-        breakdown = getattr(response, "breakdown", None)
-        if not breakdown:
-            # A backend that predates breakdowns: the whole cost is the
-            # tier call itself.
-            category = (
-                BLAME_STALE_FALLBACK if rung == "stale" else BLAME_KERNEL
-            )
-            breakdown = {category: total}
+        breakdown = response.breakdown
         attrs: dict[str, Any] = {"outcome": "served"}
-        seq = getattr(response, "lookup_seq", None)
+        seq = response.lookup_seq
         if seq is not None:
             attrs["seq"] = int(seq)
             self.lookup_seqs.append(int(seq))
-        refresh = float(getattr(response, "refresh_overlap_s", 0.0) or 0.0)
-        if refresh > 0.0:
-            attrs["refresh_overlap_s"] = refresh
-            self.refresh_overlap_s += refresh
-            self.blame.setdefault(BLAME_CHECKPOINTER, 0.0)
-        stale_rows = int(getattr(response, "stale_rows", 0) or 0)
+        stale_rows = int(response.stale_rows)
         if stale_rows:
             attrs["stale_rows"] = stale_rows
         self._nodes.append((f"rung:{rung}", None, now, total, attrs, False))
@@ -204,7 +182,7 @@ class RequestForensics:
         cursor = now
         for category, seconds in breakdown.items():
             self._charge(category, float(seconds))
-        shard_details = tuple(getattr(response, "shard_details", ()) or ())
+        shard_details = response.shard_details
         non_shard = breakdown
         if shard_details:
             # Per-shard nodes replace the aggregate gather shares: the
@@ -298,7 +276,6 @@ class RequestForensics:
                 "n_nodes": self.n_nodes,
                 "blame": dict(self.blame),
                 "lookup_seqs": list(self.lookup_seqs),
-                "refresh_overlap_s": self.refresh_overlap_s,
             },
         }
         if self.partial:

@@ -108,12 +108,6 @@ def render_waterfall(tree: RequestTree, width: int = TRACK_WIDTH) -> str:
             f"  blame: {' · '.join(parts)}"
             f"  (sum {format_seconds(blame_total(blame))})"
         )
-    overlap = float(root.attributes.get("refresh_overlap_s", 0.0) or 0.0)
-    if overlap:
-        lines.append(
-            f"  checkpointer overlap: {format_seconds(overlap)}"
-            " (off the request clock)"
-        )
     for incident in tree.incidents:
         lines.append(f"  !! incident: {describe_incident(incident)}")
 

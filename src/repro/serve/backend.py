@@ -23,6 +23,8 @@ pipeline's streaming bandwidth.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.embedding import OMeGaEmbedder
@@ -49,54 +51,29 @@ FIDELITY_STALE = "stale"
 FIDELITY_LEVELS = (FIDELITY_FULL, FIDELITY_PROPAGATION, FIDELITY_STALE)
 
 
+@dataclass(slots=True, eq=False)
 class BackendResponse:
     """Rows served at one fidelity, with the simulated cost paid.
 
-    ``stale_rows`` / ``stale_ranges`` carry per-shard staleness when the
-    rows came from a sharded store that hedged part of the gather to its
-    checkpoint tier (zero/empty for the monolithic backend).
+    ``stale_rows`` counts the rows a sharded store hedged to its
+    checkpoint tier (zero for the monolithic backend).
 
     ``breakdown`` itemizes ``sim_seconds`` by blame category (see
     :mod:`repro.obs.forensics`); its values sum exactly to
     ``sim_seconds`` because the dominant (kernel) share is built as the
-    residual.  ``shard_details`` / ``lookup_seq`` /
-    ``refresh_overlap_s`` pass the sharded store's per-gather
-    itemization through to the server's forensics collector.
+    residual.  ``shard_details`` / ``lookup_seq`` pass the sharded
+    store's per-gather itemization through to the server's forensics
+    collector.  Background-checkpoint seconds are not part of a
+    response: the store's refresher keeps them in its own ledger.
     """
 
-    __slots__ = (
-        "rows",
-        "fidelity",
-        "sim_seconds",
-        "stale_rows",
-        "stale_ranges",
-        "breakdown",
-        "shard_details",
-        "lookup_seq",
-        "refresh_overlap_s",
-    )
-
-    def __init__(
-        self,
-        rows: np.ndarray,
-        fidelity: str,
-        sim_seconds: float,
-        stale_rows: int = 0,
-        stale_ranges: tuple[tuple[int, int, int], ...] = (),
-        breakdown: dict[str, float] | None = None,
-        shard_details: tuple[dict, ...] = (),
-        lookup_seq: int | None = None,
-        refresh_overlap_s: float = 0.0,
-    ) -> None:
-        self.rows = rows
-        self.fidelity = fidelity
-        self.sim_seconds = sim_seconds
-        self.stale_rows = stale_rows
-        self.stale_ranges = stale_ranges
-        self.breakdown = breakdown
-        self.shard_details = shard_details
-        self.lookup_seq = lookup_seq
-        self.refresh_overlap_s = refresh_overlap_s
+    rows: np.ndarray
+    fidelity: str
+    sim_seconds: float
+    breakdown: dict[str, float]
+    stale_rows: int = 0
+    shard_details: tuple[dict, ...] = ()
+    lookup_seq: int | None = None
 
 
 class EmbeddingBackend:
@@ -191,6 +168,25 @@ class EmbeddingBackend:
         ids = np.arange(n_nodes) % len(source)
         return source[ids]
 
+    def _compute_seconds(
+        self, n_nodes: int, fidelity: str, stall_budget_s: float
+    ) -> tuple[float, float]:
+        """Derated cost of one compute call plus any stall it absorbed,
+        as ``(seconds, absorbed_stall)``; raises
+        :class:`BackendStallError` when a stall outlives the budget."""
+        seconds = self.compute_cost(n_nodes, fidelity)
+        absorbed_stall = 0.0
+        if self.faults is not None:
+            seconds /= self.faults.pm_derate()
+            stall = self.faults.take_backend_stall()
+            if stall is not None:
+                self.metrics.counter("serve.backend.stalls").inc()
+                if stall.seconds > stall_budget_s:
+                    raise BackendStallError(stall.site, stall_budget_s)
+                absorbed_stall = stall.seconds
+                seconds += absorbed_stall
+        return seconds, absorbed_stall
+
     def serve(
         self,
         n_nodes: int,
@@ -216,17 +212,9 @@ class EmbeddingBackend:
                 f"compute tier serves {FIDELITY_FULL!r} or"
                 f" {FIDELITY_PROPAGATION!r}, got {fidelity!r}"
             )
-        seconds = self.compute_cost(n_nodes, fidelity)
-        absorbed_stall = 0.0
-        if self.faults is not None:
-            seconds /= self.faults.pm_derate()
-            stall = self.faults.take_backend_stall()
-            if stall is not None:
-                self.metrics.counter("serve.backend.stalls").inc()
-                if stall.seconds > stall_budget_s:
-                    raise BackendStallError(stall.site, stall_budget_s)
-                absorbed_stall = stall.seconds
-                seconds += absorbed_stall
+        seconds, absorbed_stall = self._compute_seconds(
+            n_nodes, fidelity, stall_budget_s
+        )
         source = (
             self._full if fidelity == FIDELITY_FULL else self._propagation
         )

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.embedding import OMeGaEmbedder
-from repro.faults import BackendStallError, FaultInjector
+from repro.faults import FaultInjector
 from repro.graphs.partition import (
     balanced_edge_partition,
     edge_cut_fraction,
@@ -231,17 +231,9 @@ class ShardedEmbeddingBackend(EmbeddingBackend):
             # here (or reactively during the gather below), so `repro
             # why` can join it onto overlapping request deadlines.
             self.supervisor.check(sim_now=sim_now)
-        seconds = self.compute_cost(n_nodes, fidelity)
-        absorbed_stall = 0.0
-        if self.faults is not None:
-            seconds /= self.faults.pm_derate()
-            stall = self.faults.take_backend_stall()
-            if stall is not None:
-                self.metrics.counter("serve.backend.stalls").inc()
-                if stall.seconds > stall_budget_s:
-                    raise BackendStallError(stall.site, stall_budget_s)
-                absorbed_stall = stall.seconds
-                seconds += absorbed_stall
+        seconds, absorbed_stall = self._compute_seconds(
+            n_nodes, fidelity, stall_budget_s
+        )
         self._serve_seq += 1
         result = self.shards.lookup(self._request_ids(n_nodes))
         if self._bound_to is not self.metrics:
@@ -271,11 +263,9 @@ class ShardedEmbeddingBackend(EmbeddingBackend):
             fidelity,
             total,
             stale_rows=result.stale_rows,
-            stale_ranges=result.stale_ranges,
             breakdown=breakdown,
             shard_details=result.shard_details,
             lookup_seq=result.seq,
-            refresh_overlap_s=result.refresh_sim_seconds,
         )
 
     # -- introspection ---------------------------------------------------

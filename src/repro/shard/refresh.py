@@ -15,9 +15,10 @@ segment and cuts a fresh WAL checkpoint
 (:meth:`~repro.shard.host.ShardHost.catch_up`), so it also heals
 shards that restarted stale, without anyone calling ``catch_up``
 explicitly.  Every refresh is billed to the simulated clock (the PM
-flush/fence cost of the checkpoint, accumulated in
-:attr:`sim_refresh_seconds`) — background maintenance is not free, it
-is just off the request path.
+flush/fence cost of the checkpoint) — background maintenance is not
+free, it is just off the request path.  :attr:`sim_refresh_seconds` is
+the one ledger of those seconds: no lookup, response or request blame
+carries a share of them.
 
 The ``staleness_bound`` SLO kind
 (:mod:`repro.obs.observatory.slo`) gates the result: the
@@ -68,8 +69,9 @@ class BackgroundCheckpointer:
         )
         return max(self.manager.version - checkpointed, 0)
 
-    def tick(self, seq: int) -> float:
-        """One request-loop tick; returns the simulated seconds it billed.
+    def tick(self, seq: int) -> None:
+        """One request-loop tick; adds what it bills to
+        :attr:`sim_refresh_seconds`.
 
         A shard is due when its staggered cadence slot comes up
         (``(seq + stagger) % checkpoint_interval == 0`` — shards
@@ -82,7 +84,6 @@ class BackgroundCheckpointer:
         interval = policy.checkpoint_interval
         bound = policy.staleness_bound
         n_shards = max(len(self.manager.hosts), 1)
-        before = self.sim_refresh_seconds
         worst = 0
         for shard_id, host in enumerate(self.manager.hosts):
             if host.abandoned:
@@ -105,7 +106,6 @@ class BackgroundCheckpointer:
             self._bound_to = metrics
             self._staleness_gauge = metrics.gauge("shard.staleness_max")
         self._staleness_gauge.set(float(self.max_observed_staleness))
-        return self.sim_refresh_seconds - before
 
     def _refresh(self, shard_id: int, host: "ShardHost", lag: int) -> None:
         before = host.domain.sim_seconds

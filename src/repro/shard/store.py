@@ -154,9 +154,6 @@ class ShardLookupResult:
             ``{shard, status, rows, sim_seconds, hedge_penalty_s,
             stale}`` dict per gathered shard, whose ``sim_seconds``
             sum exactly to :attr:`sim_seconds`.
-        refresh_sim_seconds: background-checkpointer seconds billed
-            during this lookup's refresh tick.  Off the request clock
-            by design; forensics records it as overlap, not latency.
     """
 
     rows: np.ndarray
@@ -166,7 +163,6 @@ class ShardLookupResult:
     sim_seconds: float
     seq: int
     shard_details: tuple[dict, ...] = ()
-    refresh_sim_seconds: float = 0.0
 
 
 class EmbeddingShardManager:
@@ -561,9 +557,8 @@ class EmbeddingShardManager:
         # Background maintenance rides the request loop: due shards
         # re-checkpoint (staggered, billed to the sim clock) before
         # this gather observes their staleness.
-        refresh_sim_seconds = (
-            self.refresher.tick(seq) if self.refresher is not None else 0.0
-        )
+        if self.refresher is not None:
+            self.refresher.tick(seq)
         out = np.empty((len(node_ids), self.table.shape[1]), dtype=np.float64)
         statuses: dict[int, str] = {}
         stale_rows = 0
@@ -633,7 +628,6 @@ class EmbeddingShardManager:
             sim_seconds=sim_seconds,
             seq=seq,
             shard_details=tuple(shard_details),
-            refresh_sim_seconds=refresh_sim_seconds,
         )
 
     def _price(self, stale: bool, n_rows: int) -> float:

@@ -259,6 +259,66 @@ class TestIncidentLinkage:
             assert "!! incident:" in rendered
 
 
+class TestBackgroundRefresh:
+    def test_refresh_seconds_stay_in_the_refresher(
+        self, tmp_path, edges, capsys
+    ):
+        """Background re-checkpoints run beside requests: their seconds
+        live only in the refresher's ledger, never in request blame."""
+        import numpy as np
+
+        from repro.cli import main
+        from repro.serve.sharded import ShardedEmbeddingBackend
+        from repro.shard.store import ShardPolicy
+
+        metrics = MetricsRegistry()
+        embedder = OMeGaEmbedder(
+            OMeGaConfig(n_threads=2, dim=DIM), metrics=metrics
+        )
+        path = tmp_path / "serve.live.jsonl"
+        with ShardedEmbeddingBackend(
+            embedder,
+            edges,
+            N_NODES,
+            shard_policy=ShardPolicy(n_shards=2, checkpoint_interval=5),
+            supervisor_policy=None,
+            metrics=metrics,
+        ) as backend:
+            backend.warm_up()
+            rng = np.random.default_rng(4)
+            for _ in range(3):
+                ids = rng.choice(N_NODES, size=6, replace=False)
+                backend.shards.apply_update(ids, rng.random((6, DIM)))
+            per_node = backend.compute_cost(1)
+            with TelemetryStream(path, flush_every=1) as stream:
+                server = EmbeddingServer(
+                    backend,
+                    ServePolicy.calibrated(per_node * 8.5),
+                    metrics=metrics,
+                    stream=stream,
+                )
+                server.run_trace(
+                    RequestTrace.synthesize(
+                        seed=2,
+                        n_requests=60,
+                        per_node_cost_s=per_node,
+                        load=1.0,
+                    )
+                )
+            refresher = backend.shards.refresher
+            summary = backend.shard_summary()
+        assert refresher.bg_checkpoints > 0
+        assert refresher.sim_refresh_seconds > 0.0
+        assert summary["refresh_sim_seconds"] == refresher.sim_refresh_seconds
+        forensics = fold_stream(load_records(path))
+        assert forensics.verify() == []
+        for blame in forensics.attribution.values():
+            assert "checkpointer" not in blame
+        capsys.readouterr()
+        assert main(["attribute", str(path), "--check"]) == 0
+        assert "checkpointer" not in capsys.readouterr().out
+
+
 class TestExemplarReservoir:
     def test_worst_k_keeps_slowest(self):
         reservoir = ExemplarReservoir(worst_k=3, sample_k=0, seed=0)
