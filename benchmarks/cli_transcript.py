@@ -66,7 +66,6 @@ VIEWS = [
     ["diff", "a.jsonl", "a.jsonl"],
     ["diff", "a.jsonl", "b.jsonl"],
     ["trend"],
-    ["baselines", "list"],
     ["why", "missing.jsonl"],
 ]
 

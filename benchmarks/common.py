@@ -84,22 +84,6 @@ def save_telemetry(session: TelemetrySession, name: str) -> Path:
     return session.save(telemetry_path(name))
 
 
-def publish_baseline(
-    session: TelemetrySession, name: str, store=None
-) -> str:
-    """Pin a session's telemetry in the baseline store under ``name``.
-
-    Returns the content key.  Stored runs are addressable by name or key
-    from ``repro diff`` (e.g. ``repro diff fig7_baseline new.jsonl``),
-    so a bench can publish today's numbers and future runs diff against
-    them without keeping loose JSONL files around.
-    """
-    from repro.obs import BaselineStore
-
-    store = store if store is not None else BaselineStore()
-    return store.put({"records": session.records()}, name=name)
-
-
 def write_report(name: str, text: str) -> None:
     """Print a report and persist it under benchmarks/results/."""
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -6,7 +6,6 @@ from repro.bench.calibration import (
     format_report,
 )
 from repro.bench.harness import (
-    ExperimentRow,
     format_seconds,
     format_table,
     geometric_mean,
@@ -17,7 +16,6 @@ from repro.bench.harness import (
 
 __all__ = [
     "CalibrationPoint",
-    "ExperimentRow",
     "calibration_report",
     "format_report",
     "format_seconds",

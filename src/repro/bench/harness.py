@@ -13,18 +13,9 @@ the result exposes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-
-
-@dataclass
-class ExperimentRow:
-    """One row of a printed experiment table."""
-
-    label: str
-    values: dict[str, object] = field(default_factory=dict)
 
 
 def telemetry_session(**meta: Any):

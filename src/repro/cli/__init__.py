@@ -8,7 +8,7 @@ subparser, ``run(args)`` does the work and returns the exit code.
 A new command is a ``configure_x`` / ``run_x`` pair in its family module
 — :mod:`~repro.cli.run` (runs the engine), :mod:`~repro.cli.serve` (the
 serving tier), :mod:`~repro.cli.views` (only reads a file),
-:mod:`~repro.cli.gate` (perf gate, baseline store) — plus one row here;
+:mod:`~repro.cli.gate` (the perf gate) — plus one row here;
 what it shares with other commands comes from :mod:`~repro.cli.scaffold`.
 """
 
@@ -44,7 +44,7 @@ COMMANDS = {
         views.configure_profile, views.run_profile,
     ),
     "perf-gate": (
-        "run the pinned micro-bench suite against the stored baseline",
+        "run the pinned micro-bench suite against the committed baseline",
         gate.configure_perf_gate, gate.run_perf_gate,
     ),
     "serve-sim": (
@@ -68,10 +68,6 @@ COMMANDS = {
     "trend": (
         "per-series perf trajectories over BENCH_omega.json",
         views.configure_trend, views.run_trend,
-    ),
-    "baselines": (
-        "inspect the baseline store (refs, payloads, gc)",
-        gate.configure_baselines, gate.run_baselines,
     ),
 }
 

@@ -1,14 +1,12 @@
 """The commands that only read a file: ``report``, ``diff``, ``profile``,
 ``top``, ``why`` and ``attribute`` render a ``--telemetry-out`` file
-(``diff`` also a stored baseline), ``trend`` the ``BENCH_omega.json``
-trajectory.
+(``diff`` two of them), ``trend`` the ``BENCH_omega.json`` trajectory.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from repro.bench.harness import format_seconds, format_table
 from repro.cli import scaffold
@@ -25,12 +23,8 @@ def run_report(args: argparse.Namespace) -> int:
 
 
 def configure_diff(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "run_a", help="baseline: telemetry JSONL file or stored baseline name"
-    )
-    parser.add_argument(
-        "run_b", help="candidate: telemetry JSONL file or stored baseline name"
-    )
+    parser.add_argument("run_a", help="baseline: telemetry JSONL file")
+    parser.add_argument("run_b", help="candidate: telemetry JSONL file")
     parser.add_argument(
         "--threshold", type=float, default=0.05,
         help="relative regression threshold on time-like series"
@@ -55,35 +49,13 @@ def configure_diff(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_run(spec: str) -> list:
-    """Records of one diff side: a JSONL path or a stored baseline.
-
-    Anything that exists on disk is read as a telemetry file; otherwise
-    the name (or raw content key) is resolved against the baseline
-    store, where payloads of the ``{"records": [...]}`` shape (see
-    ``benchmarks/common.publish_baseline``) hold a full export.
-    """
-    from repro.obs.live import load_records
-
-    if Path(spec).is_file():
-        return load_records(spec)
-    from repro.obs.observatory import BaselineStore
-
-    try:
-        payload = BaselineStore().load(spec)
-    except KeyError:
-        raise SystemExit(
-            f"{spec}: neither a telemetry file nor a stored baseline"
-        )
-    return payload.get("records", [])
-
-
 def run_diff(args: argparse.Namespace) -> int:
+    from repro.obs.live import load_records
     from repro.obs.observatory import diff_runs, render_diff
 
     report = diff_runs(
-        _load_run(args.run_a),
-        _load_run(args.run_b),
+        load_records(scaffold.stream_file(args.run_a)),
+        load_records(scaffold.stream_file(args.run_b)),
         threshold=args.threshold,
         include_profile=args.profile,
         include_placement=args.shard_placement,

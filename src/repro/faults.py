@@ -97,10 +97,6 @@ class InjectedCrash(FaultError):
         self.phase = phase
 
 
-class TransientLoadError(FaultError):
-    """One retryable streaming-load failure (a device stall)."""
-
-
 class RetryExhaustedError(FaultError):
     """A transient fault outlived the retry policy's budget."""
 

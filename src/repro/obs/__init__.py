@@ -23,9 +23,9 @@ adds the *where* and *when*:
   attribute``);
 - :mod:`repro.obs.report` — renders a telemetry file back into the
   Fig. 7(a)-style breakdown tables (``repro report``);
-- :mod:`repro.obs.observatory` — cross-run analysis: run manifests, the
-  content-addressed baseline store, telemetry diffing, flamegraph
-  profiles, SLO evaluation and the CI perf-regression gate
+- :mod:`repro.obs.observatory` — cross-run analysis: run manifests,
+  telemetry diffing, flamegraph profiles, SLO evaluation and the CI
+  perf-regression gate against one pinned baseline file
   (``repro diff`` / ``profile`` / ``perf-gate``, ``serve-sim --slo``).
 """
 
@@ -58,7 +58,6 @@ from repro.obs.report import (
     split_records,
 )
 from repro.obs.observatory import (
-    BaselineStore,
     RunManifest,
     SLOSpec,
     build_profile,
@@ -71,7 +70,6 @@ from repro.obs.observatory import (
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, SpanTracer
 
 __all__ = [
-    "BaselineStore",
     "RunManifest",
     "SLOSpec",
     "build_profile",

@@ -30,7 +30,6 @@ from repro.obs.forensics.tree import (
     ForensicNode,
     RequestTree,
     build_tree,
-    extract_incidents,
     join_incidents,
 )
 from repro.obs.forensics.waterfall import (
@@ -57,7 +56,6 @@ __all__ = [
     "blame_total",
     "build_tree",
     "describe_incident",
-    "extract_incidents",
     "fold_stream",
     "format_seconds",
     "join_incidents",

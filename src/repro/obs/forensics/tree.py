@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
-from repro.obs.forensics.records import FORENSIC_RECORD_TYPE, ROOT_NODE
+from repro.obs.forensics.records import ROOT_NODE
 
 #: Supervisor-driven ``shard_event`` kinds that are incidents (they name
 #: a repair or topology action, not routine traffic).
@@ -125,17 +125,6 @@ def build_tree(spans: Iterable[dict[str, Any]]) -> RequestTree | None:
     return RequestTree(trace_id=str(trace_id), root=root)
 
 
-def extract_incidents(
-    records: Iterable[dict[str, Any]],
-) -> list[dict[str, Any]]:
-    """Supervisor incident records from a stream, in emission order."""
-    return [
-        r
-        for r in records
-        if r.get("type") == "shard_event" and r.get("event") in INCIDENT_EVENTS
-    ]
-
-
 def incident_overlaps(
     incident: dict[str, Any],
     arrival_s: float,
@@ -172,17 +161,3 @@ def join_incidents(
             )
         ]
 
-
-def group_forensic_spans(
-    records: Iterable[dict[str, Any]],
-) -> dict[str, list[dict[str, Any]]]:
-    """Group a stream's forensic spans by trace id, order preserved."""
-    grouped: dict[str, list[dict[str, Any]]] = {}
-    for record in records:
-        if record.get("type") != FORENSIC_RECORD_TYPE:
-            continue
-        trace_id = record.get("trace_id")
-        if trace_id is None:
-            continue
-        grouped.setdefault(str(trace_id), []).append(record)
-    return grouped

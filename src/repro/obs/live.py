@@ -120,6 +120,24 @@ class TelemetryStream:
         self.close()
 
 
+def _parse_line(line: str, where: str) -> dict[str, Any] | None:
+    """One telemetry line: its record, or ``None`` when it is blank.
+
+    Anything but a JSON object raises ``ValueError`` naming ``where``
+    (``path:line``).  Both readers below decode through here.
+    """
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        record = json.loads(line)
+        if not isinstance(record, dict):
+            raise ValueError("not a JSON object")
+    except ValueError as exc:  # JSONDecodeError included
+        raise ValueError(f"{where}: invalid telemetry record: {exc}") from exc
+    return record
+
+
 def read_stream(path: str | Path) -> tuple[list[dict[str, Any]], int]:
     """Parse a telemetry file in file order: ``(records, n_skipped)``.
 
@@ -134,21 +152,15 @@ def read_stream(path: str | Path) -> tuple[list[dict[str, Any]], int]:
     records: list[dict[str, Any]] = []
     skipped = 0
     for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
         try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("not a JSON object")
-        except ValueError as exc:  # JSONDecodeError included
-            if line_no == len(lines):
-                skipped = 1
-                continue
-            raise ValueError(
-                f"{path}:{line_no}: invalid telemetry record: {exc}"
-            ) from exc
-        records.append(record)
+            record = _parse_line(line, f"{path}:{line_no}")
+        except ValueError:
+            if line_no < len(lines):
+                raise
+            skipped = 1
+            continue
+        if record is not None:
+            records.append(record)
     return records, skipped
 
 
@@ -157,7 +169,8 @@ class StreamFollower:
 
     Keeps a byte offset plus the partial tail of the last read, so each
     :meth:`poll` returns only records completed since the previous poll
-    and a half-written line is simply retried next time.
+    and a half-written line is simply retried next time.  A completed
+    line that is not a JSON object raises, as in :func:`read_stream`.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -167,6 +180,7 @@ class StreamFollower:
         self.closed = False
         self._offset = 0
         self._tail = ""
+        self._line_no = 0
 
     def poll(self) -> list[dict[str, Any]]:
         """Read newly completed records; also appended to ``records``."""
@@ -182,14 +196,9 @@ class StreamFollower:
         self._tail = lines.pop()  # "" when the chunk ended on a newline
         fresh: list[dict[str, Any]] = []
         for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
+            self._line_no += 1
+            record = _parse_line(line, f"{self.path}:{self._line_no}")
+            if record is not None:
                 fresh.append(record)
                 if record.get("type") == CLOSED_RECORD_TYPE:
                     self.closed = True

@@ -8,9 +8,6 @@ honest as the codebase grows:
 - :mod:`~repro.obs.observatory.manifest` — run manifests (git SHA,
   config hash, dataset, seed, sim/wall totals) stamped into every
   telemetry export;
-- :mod:`~repro.obs.observatory.store` — the content-addressed baseline
-  store under ``benchmarks/baselines/`` (immutable objects, movable
-  named refs);
 - :mod:`~repro.obs.observatory.diff` — per-stage / per-metric deltas
   between two runs with a regression threshold (``repro diff``);
 - :mod:`~repro.obs.observatory.profile` — the hierarchical span
@@ -19,8 +16,9 @@ honest as the codebase grows:
   error-budget burn rates over serve telemetry
   (``repro serve-sim --slo``);
 - :mod:`~repro.obs.observatory.perfgate` — the pinned micro-bench
-  suite, baseline comparison and ``BENCH_omega.json`` trajectory
-  (``repro perf-gate``, run as a CI job);
+  suite, its comparison against the committed
+  ``benchmarks/perf_gate_baseline.json`` and the ``BENCH_omega.json``
+  trajectory (``repro perf-gate``, run as a CI job);
 - :mod:`~repro.obs.observatory.trend` — per-series trajectories with
   sparklines over the accumulated ``BENCH_omega.json`` perf history
   (``repro trend``).
@@ -67,7 +65,6 @@ from repro.obs.observatory.slo import (
     evaluate_slo,
     render_slo,
 )
-from repro.obs.observatory.store import BaselineStore
 from repro.obs.observatory.trend import (
     load_trajectory,
     render_trend,
@@ -76,7 +73,6 @@ from repro.obs.observatory.trend import (
 )
 
 __all__ = [
-    "BaselineStore",
     "DeltaRow",
     "DiffReport",
     "GateReport",

@@ -1,7 +1,7 @@
 """Telemetry diffing: per-stage and per-metric deltas between two runs.
 
-``repro diff <run_a> <run_b>`` compares two telemetry exports (JSONL
-files or stored baseline payloads) series by series:
+``repro diff <run_a> <run_b>`` compares two telemetry exports
+(``--telemetry-out`` JSONL files) series by series:
 
 - **stages** — simulated seconds aggregated per span name (the
   pipeline stages: ``graph_read``, ``factorization``, ``propagation``,

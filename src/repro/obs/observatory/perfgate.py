@@ -5,7 +5,7 @@ end-to-end embedding, one standalone SpMM and one serve replay, all
 seeded, on a tiny R-MAT graph with the capacity scale cranked until the
 ASL streaming path engages (so PM-bandwidth effects are visible even at
 this size) — and compares the *simulated* stage seconds against the
-pinned baseline in the :class:`~repro.obs.observatory.store.BaselineStore`.
+pinned baseline, the committed ``benchmarks/perf_gate_baseline.json``.
 Simulated times are pure cost-model arithmetic over fixed inputs, so
 they are bit-stable across machines; any drift beyond the threshold is
 a genuine cost-model change, and the gate exits nonzero naming the
@@ -19,6 +19,7 @@ commit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -28,17 +29,15 @@ from repro.obs.observatory.manifest import (
     RunManifest,
     manifest_from_records,
 )
-from repro.obs.observatory.store import BaselineStore
 
-#: Name of the pinned baseline ref inside the store.
-GATE_BASELINE_NAME = "perf_gate"
+_REPO_ROOT = Path(__file__).resolve().parents[4]
+#: The pinned baseline, committed with the code it gates.
+DEFAULT_BASELINE = _REPO_ROOT / "benchmarks" / "perf_gate_baseline.json"
 #: Default trajectory file, at the repository root.
-DEFAULT_TRAJECTORY = (
-    Path(__file__).resolve().parents[4] / "BENCH_omega.json"
-)
+DEFAULT_TRAJECTORY = _REPO_ROOT / "BENCH_omega.json"
 
 #: Pinned suite parameters — changing any of these invalidates the
-#: stored baseline (the config hash in the manifest will differ).
+#: pinned baseline (the config hash in the manifest will differ).
 GATE_SCALE = 10
 GATE_EDGE_FACTOR = 8.0
 GATE_SEED = 0
@@ -71,7 +70,7 @@ class GateRun:
         return manifest
 
     def payload(self) -> dict[str, Any]:
-        """The store/trajectory payload (deterministic fields only)."""
+        """The baseline payload (deterministic fields only)."""
         manifest = self.manifest
         payload: dict[str, Any] = {
             "suite": "perf_gate",
@@ -226,7 +225,8 @@ class GateReport:
 
     run: GateRun
     verdicts: list[StageVerdict] = field(default_factory=list)
-    baseline_key: str | None = None
+    #: The pinned baseline file, when one exists or this run wrote it.
+    baseline_path: Path | None = None
     baseline_updated: bool = False
     trajectory_appended: bool = False
 
@@ -244,7 +244,7 @@ def compare_to_baseline(
     baseline: dict[str, Any],
     threshold: float = GATE_THRESHOLD,
 ) -> list[StageVerdict]:
-    """Stage-by-stage verdicts against a stored baseline payload."""
+    """Stage-by-stage verdicts against a baseline payload."""
     baseline_stages = baseline.get("stages", {})
     verdicts = []
     for stage, current in sorted(run.stages.items()):
@@ -280,20 +280,14 @@ def append_trajectory_point(
     path.write_text(json.dumps(points, indent=2) + "\n", encoding="utf-8")
 
 
-def append_trajectory(
-    run: GateRun,
-    path: str | Path,
-    baseline_key: str | None,
-    ok: bool,
-) -> None:
-    """Append one perf-gate point to ``BENCH_omega.json``."""
+def append_trajectory(run: GateRun, path: str | Path) -> None:
+    """Append one passing perf-gate point to ``BENCH_omega.json``."""
     manifest = run.manifest
     point: dict[str, Any] = {
         "run_id": manifest.run_id,
         "git_sha": manifest.git_sha,
         "config_hash": manifest.config_hash,
-        "baseline_key": baseline_key,
-        "ok": ok,
+        "ok": True,
         "stages": {k: float(v) for k, v in sorted(run.stages.items())},
     }
     if run.attribution:
@@ -303,8 +297,36 @@ def append_trajectory(
     append_trajectory_point(path, point)
 
 
+def read_baseline(path: Path, run: GateRun) -> dict[str, Any]:
+    """The baseline at ``path``; ``ValueError`` naming it unless it can
+    gate ``run`` (a JSON object of finite ``stages`` seconds, pinned
+    under the run's ``config_hash``, covering every stage the run has).
+    """
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError:
+        payload = None
+    stages = payload.get("stages") if isinstance(payload, dict) else None
+    if not isinstance(stages, dict) or not all(
+        type(v) in (int, float) and math.isfinite(v) for v in stages.values()
+    ):
+        problem = "not a JSON object with a `stages` object of finite numbers"
+    elif payload.get("config_hash") != run.manifest.config_hash:
+        problem = (
+            f"config_hash {payload.get('config_hash')!r} is not this"
+            f" run's {run.manifest.config_hash!r}"
+        )
+    elif missing := sorted(set(run.stages) - set(stages)):
+        problem = f"no baseline for stage(s) {', '.join(missing)}"
+    else:
+        return payload
+    raise ValueError(
+        f"{path}: {problem}; re-pin with `repro perf-gate --update-baseline`"
+    )
+
+
 def run_perf_gate(
-    store: BaselineStore | None = None,
+    baseline_path: str | Path = DEFAULT_BASELINE,
     threshold: float = GATE_THRESHOLD,
     update_baseline: bool = False,
     faults_path: str | Path | None = None,
@@ -313,35 +335,38 @@ def run_perf_gate(
 ) -> GateReport:
     """Run the suite, gate it, and (on success) extend the trajectory.
 
-    With ``update_baseline`` (or when no baseline exists yet and the run
-    is clean) the run's stages become the new pinned baseline.  Faulted
-    runs never update the baseline or the trajectory — chaos is for
-    testing the gate, not for moving the goalposts.
+    With ``update_baseline`` (or when ``baseline_path`` does not exist
+    yet and the run is clean) the run's stages become the new pinned
+    baseline; otherwise a baseline :func:`read_baseline` refuses raises.
+    Faulted runs never write the baseline or the trajectory — chaos is
+    for testing the gate, not for moving the goalposts.
     """
-    store = store if store is not None else BaselineStore()
+    path = Path(baseline_path)
     run = run_suite(faults_path, telemetry_path=telemetry_path)
     report = GateReport(run=run)
-    baseline_key = store.resolve(GATE_BASELINE_NAME)
-    chaos = faults_path is not None
+    baseline: dict[str, Any] = {}
+    if path.is_file():
+        report.baseline_path = path
+        try:
+            baseline = read_baseline(path, run)
+        except ValueError:
+            if not update_baseline:
+                raise
+    report.verdicts = compare_to_baseline(run, baseline, threshold)
 
-    if baseline_key is not None:
-        baseline = store.get(baseline_key)
-        report.baseline_key = baseline_key
-        report.verdicts = compare_to_baseline(run, baseline, threshold)
-    else:
-        report.verdicts = compare_to_baseline(run, {}, threshold)
-
-    if chaos:
+    if faults_path is not None:
         return report
 
-    if update_baseline or (baseline_key is None and report.ok):
-        report.baseline_key = store.put(run.payload(), name=GATE_BASELINE_NAME)
+    if update_baseline or (not path.exists() and report.ok):
+        path.write_text(
+            json.dumps(run.payload(), sort_keys=True, indent=2) + "\n",
+            encoding="utf-8",
+        )
+        report.baseline_path = path
         report.baseline_updated = True
 
     if report.ok and trajectory_path is not None:
-        append_trajectory(
-            run, trajectory_path, report.baseline_key, ok=True
-        )
+        append_trajectory(run, trajectory_path)
         report.trajectory_appended = True
     return report
 
@@ -350,6 +375,7 @@ def render_gate(report: GateReport, threshold: float = GATE_THRESHOLD) -> str:
     """Plain-text table of a gate run."""
     from repro.bench.harness import format_seconds, format_table
 
+    pinned = report.baseline_path
     rows = []
     for v in report.verdicts:
         ratio = f"{v.ratio * 100:+.2f}%" if v.ratio is not None else "-"
@@ -367,19 +393,19 @@ def render_gate(report: GateReport, threshold: float = GATE_THRESHOLD) -> str:
         rows,
         title=(
             f"perf-gate (threshold {threshold * 100:.0f}%,"
-            f" baseline {report.baseline_key or 'none'})"
+            f" baseline {pinned.name if pinned else 'none'})"
         ),
     )
     if report.regressions:
         names = ", ".join(v.stage for v in report.regressions)
         verdict = f"PERF GATE FAILED — regressed stages: {names}"
-    elif report.baseline_key is None:
-        verdict = "no baseline stored; run with --update-baseline to pin one"
+    elif pinned is None:
+        verdict = "no baseline pinned; run with --update-baseline to pin one"
     else:
         verdict = "perf gate passed"
     extras = []
     if report.baseline_updated:
-        extras.append(f"baseline updated -> {report.baseline_key}")
+        extras.append(f"baseline written to {pinned}")
     if report.trajectory_appended:
         extras.append("trajectory point appended")
     if extras:

@@ -429,14 +429,12 @@ def test_documented_commands_parse():
 
 
 def test_every_command_has_help(capsys):
-    lines = [[name] for name in COMMANDS]
-    lines += [["baselines", sub] for sub in ("list", "show", "gc")]
-    assert len(COMMANDS) == 16
-    for argv in lines:
+    assert len(COMMANDS) == 15
+    for name in COMMANDS:
         with pytest.raises(SystemExit) as exit_info:
-            main([*argv, "--help"])
-        assert exit_info.value.code == 0, argv
-        assert f"repro {' '.join(argv)}" in capsys.readouterr().out
+            main([name, "--help"])
+        assert exit_info.value.code == 0, name
+        assert f"repro {name}" in capsys.readouterr().out
 
 
 class TestTelemetryScaffold:
@@ -544,7 +542,6 @@ PARSER_SURFACE = {
     ],
     'perf-gate': [
         (('--threshold',), 'threshold', 'float', 0.05, None, None, False, None, '_StoreAction'),
-        (('--baseline-dir',), 'baseline_dir', None, None, None, None, False, 'DIR', '_StoreAction'),
         (('--update-baseline',), 'update_baseline', None, False, None, 0, False, None, '_StoreTrueAction'),
         (('--faults',), 'faults', None, None, None, None, False, 'PLAN', '_StoreAction'),
         (('--trajectory',), 'trajectory', None, None, None, None, False, 'PATH', '_StoreAction'),
@@ -607,17 +604,6 @@ PARSER_SURFACE = {
     'trend': [
         (('--trajectory',), 'trajectory', None, None, None, None, False, 'PATH', '_StoreAction'),
         (('--prefix',), 'prefix', None, None, None, None, False, 'P', '_StoreAction'),
-    ],
-    'baselines': [
-        (('--baseline-dir',), 'baseline_dir', None, None, None, None, False, 'DIR', '_StoreAction'),
-    ],
-    'baselines list': [
-    ],
-    'baselines show': [
-        ((), 'name', None, None, None, None, True, None, '_StoreAction'),
-    ],
-    'baselines gc': [
-        (('--apply',), 'apply', None, False, None, 0, False, None, '_StoreTrueAction'),
     ],
 }
 # fmt: on

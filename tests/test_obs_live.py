@@ -137,6 +137,19 @@ class TestStreamReaders:
         assert follower.closed
         assert len(follower.records) == 3
 
+    def test_follower_raises_on_terminated_garbage_line(self, tmp_path):
+        """A completed line that is not a JSON object is an error for the
+        follower exactly as for :func:`read_stream`, not a silent drop."""
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            json.dumps({"type": "span", "name": "a"}) + "\nnot json\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=r"bad\.jsonl:2: invalid"):
+            read_stream(path)
+        with pytest.raises(ValueError, match=r"bad\.jsonl:2: invalid"):
+            StreamFollower(path).poll()
+
     def test_merge_synthesizes_manifest_on_crash(self, tmp_path):
         path = tmp_path / "crashed.stream.jsonl"
         session, _ = _streamed_spmm(path)
@@ -368,24 +381,6 @@ class TestDiffProfile:
     def test_profile_off_by_default(self):
         report = diff_runs(self._spans(2.0), self._spans(3.0))
         assert not any(r.group == GROUP_PROFILE for r in report.rows)
-
-
-class TestBaselineGC:
-    def test_gc_dry_run_then_apply(self, tmp_path):
-        from repro.obs.observatory import BaselineStore
-
-        store = BaselineStore(tmp_path)
-        kept = store.put({"v": 1}, name="pinned")
-        orphan = store.put({"v": 2})
-        assert store.unreferenced_keys() == [orphan]
-
-        doomed = store.gc()  # dry run by default
-        assert doomed == [orphan]
-        assert store.keys() == sorted([kept, orphan])
-
-        assert store.gc(dry_run=False) == [orphan]
-        assert store.keys() == [kept]
-        assert store.load("pinned") == {"v": 1}
 
 
 class TestTrend:

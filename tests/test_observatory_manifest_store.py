@@ -1,6 +1,4 @@
-"""Run manifests and the content-addressed baseline store."""
-
-import json
+"""Run manifests and the content hashes behind their ids."""
 
 import pytest
 
@@ -14,7 +12,6 @@ from repro.obs.observatory.manifest import (
     git_sha,
     manifest_from_records,
 )
-from repro.obs.observatory.store import BaselineStore
 
 
 class TestContentHash:
@@ -131,58 +128,3 @@ class TestSessionManifest:
             return session.manifest().run_id
 
         assert make() == make()
-
-
-class TestBaselineStore:
-    def test_put_get_roundtrip(self, tmp_path):
-        store = BaselineStore(tmp_path)
-        key = store.put({"stages": {"a": 1.0}})
-        assert store.get(key) == {"stages": {"a": 1.0}}
-        assert store.keys() == [key]
-
-    def test_put_is_idempotent(self, tmp_path):
-        store = BaselineStore(tmp_path)
-        assert store.put({"x": 1}) == store.put({"x": 1})
-        assert len(store.keys()) == 1
-
-    def test_named_ref_repoints(self, tmp_path):
-        store = BaselineStore(tmp_path)
-        k1 = store.put({"v": 1}, name="gate")
-        assert store.resolve("gate") == k1
-        k2 = store.put({"v": 2}, name="gate")
-        assert store.resolve("gate") == k2
-        # Old object remains addressable.
-        assert store.get(k1) == {"v": 1}
-        assert store.names() == ["gate"]
-
-    def test_load_by_name_or_key(self, tmp_path):
-        store = BaselineStore(tmp_path)
-        key = store.put({"v": 3}, name="gate")
-        assert store.load("gate") == {"v": 3}
-        assert store.load(key) == {"v": 3}
-
-    def test_missing_lookups(self, tmp_path):
-        store = BaselineStore(tmp_path)
-        assert store.resolve("nope") is None
-        assert store.names() == [] and store.keys() == []
-        with pytest.raises(KeyError):
-            store.get("deadbeef")
-
-    def test_ref_to_unknown_object_rejected(self, tmp_path):
-        with pytest.raises(KeyError):
-            BaselineStore(tmp_path).set_ref("gate", "deadbeef")
-
-    def test_invalid_ref_name_rejected(self, tmp_path):
-        store = BaselineStore(tmp_path)
-        key = store.put({"v": 1})
-        for bad in ("../escape", ".hidden", "a/b", ""):
-            with pytest.raises(ValueError):
-                store.set_ref(bad, key)
-
-    def test_corrupt_object_detected(self, tmp_path):
-        store = BaselineStore(tmp_path)
-        key = store.put({"v": 1})
-        path = store.objects_dir / f"{key}.json"
-        path.write_text(json.dumps({"v": 2}), encoding="utf-8")
-        with pytest.raises(ValueError, match="corrupt"):
-            store.get(key)

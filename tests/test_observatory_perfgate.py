@@ -6,7 +6,9 @@ model), so these are integration tests of the acceptance criteria:
 - an identical re-run passes against the pinned baseline and appends a
   ``BENCH_omega.json`` trajectory point;
 - a run with PM bandwidth deliberately derated (the existing
-  ``pm_degrade`` fault) fails and *names* the regressed stages.
+  ``pm_degrade`` fault) fails and *names* the regressed stages;
+- a baseline file the run cannot be compared against is refused,
+  naming the file, instead of passing every stage unchecked.
 """
 
 import json
@@ -14,13 +16,13 @@ import json
 import pytest
 
 from repro.obs.observatory.perfgate import (
-    GATE_BASELINE_NAME,
+    DEFAULT_BASELINE,
     compare_to_baseline,
+    read_baseline,
     render_gate,
     run_perf_gate,
     run_suite,
 )
-from repro.obs.observatory.store import BaselineStore
 
 #: Severe PM-bandwidth derate: mild factors hide behind the streaming/
 #: compute overlap, 0.05 produces >50% simulated stage regressions.
@@ -88,19 +90,23 @@ class TestCompare:
 
 class TestGateLifecycle:
     def test_bootstrap_rerun_and_chaos(self, tmp_path, chaos_plan_path):
-        store = BaselineStore(tmp_path / "store")
+        baseline = tmp_path / "perf_gate_baseline.json"
         trajectory = tmp_path / "BENCH_omega.json"
 
         # 1. First clean run auto-pins the baseline and starts the
         # trajectory.
-        first = run_perf_gate(store, trajectory_path=trajectory)
+        first = run_perf_gate(baseline, trajectory_path=trajectory)
         assert first.ok and first.baseline_updated
-        assert store.resolve(GATE_BASELINE_NAME) == first.baseline_key
+        assert json.loads(baseline.read_text("utf-8")) == first.run.payload()
+        pinned = baseline.read_bytes()
         assert first.trajectory_appended
 
-        # 2. Identical re-run passes and appends a second point.
-        second = run_perf_gate(store, trajectory_path=trajectory)
+        # 2. Identical re-run passes, leaves the file byte-identical and
+        # appends a second point.
+        second = run_perf_gate(baseline, trajectory_path=trajectory)
         assert second.ok and not second.baseline_updated
+        assert second.baseline_path == baseline
+        assert baseline.read_bytes() == pinned
         assert second.trajectory_appended
         points = json.loads(trajectory.read_text(encoding="utf-8"))
         assert len(points) == 2
@@ -112,7 +118,7 @@ class TestGateLifecycle:
         # 3. Derated PM bandwidth: the gate fails and names the
         # regressed stages; baseline and trajectory stay untouched.
         chaos = run_perf_gate(
-            store,
+            baseline,
             faults_path=chaos_plan_path,
             trajectory_path=trajectory,
         )
@@ -122,7 +128,7 @@ class TestGateLifecycle:
         assert "spmm.total" in regressed
         assert "serve.p99_latency" not in regressed  # serve runs faultless
         assert not chaos.baseline_updated and not chaos.trajectory_appended
-        assert store.resolve(GATE_BASELINE_NAME) == first.baseline_key
+        assert baseline.read_bytes() == pinned
         assert len(json.loads(trajectory.read_text(encoding="utf-8"))) == 2
 
         # The rendered verdict names the stages (what CI surfaces).
@@ -131,25 +137,69 @@ class TestGateLifecycle:
         assert "embed.total" in text
 
     def test_update_baseline_repins(self, tmp_path):
-        store = BaselineStore(tmp_path / "store")
-        first = run_perf_gate(store)
-        repin = run_perf_gate(store, update_baseline=True)
+        baseline = tmp_path / "perf_gate_baseline.json"
+        run_perf_gate(baseline)
+        pinned = baseline.read_bytes()
+        repin = run_perf_gate(baseline, update_baseline=True)
         assert repin.baseline_updated
-        # Identical payload: the content address cannot move.
-        assert repin.baseline_key == first.baseline_key
+        # Identical run: the re-pinned file cannot move.
+        assert baseline.read_bytes() == pinned
+        # A baseline the gate refuses is re-pinned, not compared.
+        baseline.write_text("{}", encoding="utf-8")
+        repin = run_perf_gate(baseline, update_baseline=True)
+        assert repin.ok and repin.baseline_updated
+        assert baseline.read_bytes() == pinned
+
+
+class TestRefusedBaseline:
+    """Without ``--update-baseline`` the gate raises, naming the file, on
+    a baseline it cannot compare — each of these passed every stage."""
+
+    def _refused(self, tmp_path, payload):
+        baseline = tmp_path / "perf_gate_baseline.json"
+        text = payload if isinstance(payload, str) else json.dumps(payload)
+        baseline.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="perf_gate_baseline.json") as err:
+            run_perf_gate(baseline)
+        assert baseline.read_text(encoding="utf-8") == text
+        return str(err.value)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"suite": "perf_gate", "config_hash": "0da684d7896c65b4"},
+            {"config_hash": "0da684d7896c65b4", "stages": {"spmm.total": "1"}},
+            '{"stages": {"spmm.total": NaN}}',
+            "[]",
+        ],
+        ids=["no-stages", "string-stage", "nan-stage", "not-an-object"],
+    )
+    def test_malformed_file_refused(self, tmp_path, clean_run, payload):
+        message = self._refused(tmp_path, payload)
+        assert "finite numbers" in message
+
+    def test_config_hash_mismatch_refused(self, tmp_path, clean_run):
+        payload = {**clean_run.payload(), "config_hash": "0123456789abcdef"}
+        message = self._refused(tmp_path, payload)
+        assert "0123456789abcdef" in message
+        assert clean_run.manifest.config_hash in message
+
+    def test_missing_stage_refused(self, tmp_path, clean_run):
+        payload = clean_run.payload()
+        payload["stages"]["embed.totl"] = payload["stages"].pop("embed.total")
+        message = self._refused(tmp_path, payload)
+        assert "embed.total" in message
 
 
 class TestCommittedBaseline:
     def test_repo_baseline_matches_current_code(self, clean_run):
         """The committed baseline must agree with the code as built —
         otherwise CI's perf-gate job and this checkout disagree."""
-        store = BaselineStore()
-        key = store.resolve(GATE_BASELINE_NAME)
-        assert key is not None, (
-            "benchmarks/baselines has no pinned perf_gate ref; run"
+        assert DEFAULT_BASELINE.is_file(), (
+            f"{DEFAULT_BASELINE} is missing; run"
             " `repro perf-gate --update-baseline`"
         )
-        baseline = store.get(key)
+        baseline = read_baseline(DEFAULT_BASELINE, clean_run)
         verdicts = compare_to_baseline(clean_run, baseline)
         regressed = [v.stage for v in verdicts if v.regressed]
         assert not regressed, f"stages regressed vs committed baseline: {regressed}"
