@@ -44,9 +44,11 @@ from common import (  # noqa: F401
 from repro.bench import format_table
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.obs import MetricsRegistry
-from repro.obs.observatory import append_trajectory_point
 from repro.obs.observatory.manifest import git_sha
-from repro.obs.observatory.perfgate import DEFAULT_TRAJECTORY
+from repro.obs.observatory.trend import (
+    DEFAULT_TRAJECTORY,
+    append_trajectory_point,
+)
 from repro.obs.observatory.slo import SLOObjective, SLOSpec, evaluate_slo
 from repro.shard import (
     EmbeddingShardManager,

@@ -56,9 +56,11 @@ from repro.bench import format_seconds, format_table
 from repro.core import ExecBackend, OMeGaConfig, ParallelConfig, SpMMEngine
 from repro.formats import edges_to_csdb
 from repro.graphs import rmat_edges
-from repro.obs.observatory import append_trajectory_point
 from repro.obs.observatory.manifest import git_sha
-from repro.obs.observatory.perfgate import DEFAULT_TRAJECTORY
+from repro.obs.observatory.trend import (
+    DEFAULT_TRAJECTORY,
+    append_trajectory_point,
+)
 from repro.parallel import (
     shutdown_shared_executors,
     shutdown_threads_executors,

@@ -39,9 +39,11 @@ from repro.core import OMeGaConfig, OMeGaEmbedder
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.memsim.clock import VirtualClock
 from repro.obs import MetricsRegistry
-from repro.obs.observatory import append_trajectory_point
 from repro.obs.observatory.manifest import git_sha
-from repro.obs.observatory.perfgate import DEFAULT_TRAJECTORY
+from repro.obs.observatory.trend import (
+    DEFAULT_TRAJECTORY,
+    append_trajectory_point,
+)
 from repro.serve import EmbeddingServer, RequestTrace, ServePolicy
 from repro.serve.sharded import ShardedEmbeddingBackend
 from repro.shard import ShardPolicy, SupervisorPolicy

@@ -45,7 +45,7 @@ RUNS = [
     EMBED + ["--telemetry-out", "e.jsonl"],
     ["spmm", "PK", "--threads", "4"],
     ["compare", "PK", "--threads", "4", "--dim", "8"],
-    ["perf-gate", "--no-trajectory"],
+    ["perf-gate"],
     SERVE + ["--fault-seed", "3"],
     SERVE + ["--shards", "2"],
     EMBED + ["--faults", "crash.json"],
@@ -59,7 +59,6 @@ VIEWS = [
     ["profile", "a.jsonl"],
     ["profile", "a.jsonl", "--clock", "wall", "--out", "wall.folded"],
     ["top", "s.jsonl", "--once"],
-    ["top", "s.jsonl", "--once", "--format", "prom"],
     ["why", "s.jsonl", "--worst", "3"],
     ["attribute", "s.jsonl", "--check"],
     ["attribute", "s.jsonl", "--format", "json"],

@@ -114,11 +114,6 @@ def configure_top(parser: argparse.ArgumentParser) -> None:
         help="render a single frame from the stream's current contents",
     )
     parser.add_argument(
-        "--format", choices=("table", "prom"), default="table",
-        help="frame format with --once: human table or Prometheus"
-        " exposition text",
-    )
-    parser.add_argument(
         "--interval", type=float, default=0.5, metavar="S",
         help="seconds between follow-mode polls (default 0.5)",
     )
@@ -136,9 +131,7 @@ def run_top(args: argparse.Namespace) -> int:
     from repro.obs.live import (
         StreamFollower,
         build_top_frame,
-        latest_metric_records,
         read_stream,
-        render_prom,
         render_top,
     )
 
@@ -150,10 +143,7 @@ def run_top(args: argparse.Namespace) -> int:
 
     if args.once:
         records, _ = read_stream(scaffold.stream_file(args.stream))
-        if args.format == "prom":
-            print(render_prom(latest_metric_records(records)))
-        else:
-            print(render_top(build_top_frame(records, spec)))
+        print(render_top(build_top_frame(records, spec)))
         return 0
 
     import time
@@ -305,8 +295,11 @@ def configure_trend(parser: argparse.ArgumentParser) -> None:
 
 
 def run_trend(args: argparse.Namespace) -> int:
-    from repro.obs.observatory.perfgate import DEFAULT_TRAJECTORY
-    from repro.obs.observatory.trend import load_trajectory, render_trend
+    from repro.obs.observatory.trend import (
+        DEFAULT_TRAJECTORY,
+        load_trajectory,
+        render_trend,
+    )
 
     path = args.trajectory if args.trajectory else DEFAULT_TRAJECTORY
     points = load_trajectory(path)

@@ -25,9 +25,6 @@ from repro.core.config import (
     OMeGaConfig,
     ParallelConfig,
     PlacementScheme,
-    omega_config,
-    omega_dram_config,
-    omega_pm_config,
 )
 from repro.core.eata import (
     AllocatorContext,
@@ -98,8 +95,5 @@ __all__ = [
     "make_allocator",
     "make_placement",
     "plan_tier_fallback",
-    "omega_config",
-    "omega_dram_config",
-    "omega_pm_config",
     "optimal_partitions",
 ]

@@ -192,23 +192,3 @@ class OMeGaConfig:
     def with_overrides(self, **kwargs: object) -> "OMeGaConfig":
         """Copy with fields replaced (convenience for experiment arms)."""
         return replace(self, **kwargs)
-
-
-def omega_config(**kwargs: object) -> OMeGaConfig:
-    """Full OMeGa: all optimizations on (the paper's primary system)."""
-    return OMeGaConfig(**kwargs)
-
-
-def omega_dram_config(**kwargs: object) -> OMeGaConfig:
-    """OMeGa-DRAM: the ideal all-DRAM baseline."""
-    kwargs.setdefault("memory_mode", MemoryMode.DRAM_ONLY)
-    kwargs.setdefault("streaming_enabled", False)
-    return OMeGaConfig(**kwargs)
-
-
-def omega_pm_config(**kwargs: object) -> OMeGaConfig:
-    """OMeGa-PM: the worst-case all-PM baseline."""
-    kwargs.setdefault("memory_mode", MemoryMode.PM_ONLY)
-    kwargs.setdefault("prefetcher_enabled", False)
-    kwargs.setdefault("streaming_enabled", False)
-    return OMeGaConfig(**kwargs)

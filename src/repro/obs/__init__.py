@@ -24,9 +24,14 @@ adds the *where* and *when*:
 - :mod:`repro.obs.report` — renders a telemetry file back into the
   Fig. 7(a)-style breakdown tables (``repro report``);
 - :mod:`repro.obs.observatory` — cross-run analysis: run manifests,
-  telemetry diffing, flamegraph profiles, SLO evaluation and the CI
-  perf-regression gate against one pinned baseline file
-  (``repro diff`` / ``profile`` / ``perf-gate``, ``serve-sim --slo``).
+  telemetry diffing, flamegraph profiles, SLO evaluation, the CI
+  perf-regression gate against one pinned baseline file and the
+  benchmark trajectory (``repro diff`` / ``profile`` / ``perf-gate`` /
+  ``trend``, ``serve-sim --slo``).
+
+A run's one output is its telemetry file; ``repro report`` /
+``profile`` / ``top`` / ``why`` / ``attribute`` / ``diff`` are views of
+it.
 """
 
 from repro.obs.export import TELEMETRY_VERSION, TelemetrySession

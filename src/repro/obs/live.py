@@ -11,8 +11,7 @@
   process is still writing.
 - The ops view — :func:`build_top_frame` folds a stream's latest
   ``serve_snapshot`` (or final metrics) into the dashboard numbers
-  ``repro top`` renders, and :func:`render_prom` emits the same state
-  as Prometheus text exposition for scraping.
+  ``repro top`` renders as a table.
 
 The reader rule: every newline-terminated line must decode to a JSON
 object, else ``ValueError`` naming ``path:line``; an unterminated final
@@ -25,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -561,108 +559,3 @@ def render_top(frame: dict[str, Any]) -> str:
         lines.append("")
         lines.append(render_slo(frame["slo_report"]))
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Prometheus-style exposition
-# ---------------------------------------------------------------------------
-
-_PROM_BAD = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _prom_name(name: str) -> str:
-    clean = _PROM_BAD.sub("_", name)
-    if clean and clean[0].isdigit():
-        clean = "_" + clean
-    return clean
-
-
-def _prom_labels(labels: dict[str, Any]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{_prom_name(str(k))}="{v}"' for k, v in sorted(labels.items())
-    )
-    return "{" + inner + "}"
-
-
-def _prom_exemplar(exemplars: dict[str, Any], index: int) -> str:
-    """OpenMetrics exemplar suffix for one bucket line (or "").
-
-    Histogram records carry ``{bucket_index: [[value, trace_id], ...]}``
-    newest-first; the newest exemplar is the one exposed, as
-    ``... # {trace_id="req-..."} 0.00123``.
-    """
-    pairs = exemplars.get(str(index)) or []
-    if not pairs:
-        return ""
-    value, trace_id = pairs[0][0], pairs[0][1]
-    return f' # {{trace_id="{trace_id}"}} {float(value):g}'
-
-
-def render_prom(metric_records: list[dict[str, Any]]) -> str:
-    """Prometheus text exposition of a set of metric records.
-
-    Counters get the conventional ``_total`` suffix; histograms expand
-    to ``_bucket``/``_sum``/``_count`` with cumulative ``le`` buckets.
-    Built for the future network front-end's ``/metrics`` endpoint to
-    serve verbatim.
-    """
-    lines: list[str] = []
-    seen_types: set[str] = set()
-    for record in sorted(
-        metric_records,
-        key=lambda r: (str(r.get("name", "")), str(r.get("labels", ""))),
-    ):
-        kind = record.get("kind")
-        name = _prom_name(str(record.get("name", "")))
-        if not name:
-            continue
-        labels = record.get("labels") or {}
-        if kind == "counter":
-            full = f"{name}_total"
-            if full not in seen_types:
-                lines.append(f"# TYPE {full} counter")
-                seen_types.add(full)
-            lines.append(
-                f"{full}{_prom_labels(labels)} {float(record.get('value', 0.0))}"
-            )
-        elif kind == "gauge":
-            if name not in seen_types:
-                lines.append(f"# TYPE {name} gauge")
-                seen_types.add(name)
-            lines.append(
-                f"{name}{_prom_labels(labels)} {float(record.get('value', 0.0))}"
-            )
-        elif kind == "histogram":
-            if name not in seen_types:
-                lines.append(f"# TYPE {name} histogram")
-                seen_types.add(name)
-            bounds = list(record.get("bounds") or [])
-            counts = list(record.get("bucket_counts") or [])
-            exemplars = record.get("exemplars") or {}
-            cumulative = 0.0
-            for i, (bound, count) in enumerate(zip(bounds, counts)):
-                cumulative += float(count)
-                le_labels = dict(labels)
-                le_labels["le"] = f"{float(bound):g}"
-                lines.append(
-                    f"{name}_bucket{_prom_labels(le_labels)} {cumulative:g}"
-                    + _prom_exemplar(exemplars, i)
-                )
-            # Trailing counts beyond the bounds are the +inf overflow.
-            cumulative += sum(float(c) for c in counts[len(bounds):])
-            inf_labels = dict(labels)
-            inf_labels["le"] = "+Inf"
-            lines.append(
-                f"{name}_bucket{_prom_labels(inf_labels)} {cumulative:g}"
-                + _prom_exemplar(exemplars, len(bounds))
-            )
-            lines.append(
-                f"{name}_sum{_prom_labels(labels)}"
-                f" {float(record.get('sum', 0.0)):g}"
-            )
-            lines.append(
-                f"{name}_count{_prom_labels(labels)} {cumulative:g}"
-            )
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -2,9 +2,9 @@
 
 The pipeline's non-timing telemetry — WoFP hit/miss counts, pinned and
 allocated bytes, per-partition entropy, streaming exposure — flows into a
-:class:`MetricsRegistry`.  The model follows the Prometheus conventions
-(monotonic counters, last-value gauges, cumulative-bucket histograms) so
-snapshots map directly onto standard dashboards.
+:class:`MetricsRegistry` and from there into the run's telemetry file as
+``metric`` records.  The model follows the Prometheus conventions
+(monotonic counters, last-value gauges, cumulative-bucket histograms).
 
 Metrics are identified by a name plus an optional label mapping;
 ``registry.counter("wofp.hit_nnz", kind="degree")`` and
@@ -90,20 +90,9 @@ class Gauge(Counter):
 #: seconds (1 us .. hours) and dimensionless ratios.
 DEFAULT_BUCKETS = tuple(10.0**e for e in range(-6, 7))
 
-#: Exemplars retained per histogram bucket (newest win), following the
-#: OpenMetrics convention of a small bounded set per series.
-EXEMPLARS_PER_BUCKET = 4
-
 
 class Histogram:
-    """Fixed-bucket histogram with cumulative bucket counts.
-
-    Observations may carry an *exemplar* — a trace id pinned to the
-    bucket the value landed in, so an operator reading a p99 bucket in
-    the Prometheus exposition can jump straight to ``repro why
-    <trace_id>`` for that request's causal tree.  At most
-    :data:`EXEMPLARS_PER_BUCKET` are retained per bucket, newest first.
-    """
+    """Fixed-bucket histogram with cumulative bucket counts."""
 
     kind = "histogram"
 
@@ -126,12 +115,9 @@ class Histogram:
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
-        #: ``{bucket_index: [(value, trace_id), ...]}`` — newest first,
-        #: bounded; only buckets that ever saw an exemplar have a key.
-        self.exemplars: dict[int, list[tuple[float, str]]] = {}
 
-    def observe(self, value: float, exemplar: str | None = None) -> None:
-        """Record one observation, optionally pinning a trace exemplar."""
+    def observe(self, value: float) -> None:
+        """Record one observation."""
         value = float(value)
         self.count += 1
         self.sum += value
@@ -146,10 +132,6 @@ class Histogram:
             else len(self.bounds)
         )
         self.bucket_counts[index] += 1
-        if exemplar is not None:
-            bucket = self.exemplars.setdefault(index, [])
-            bucket.insert(0, (value, str(exemplar)))
-            del bucket[EXEMPLARS_PER_BUCKET:]
 
     @property
     def mean(self) -> float:
@@ -214,13 +196,8 @@ class Histogram:
         return (self.count - within) / self.count
 
     def to_record(self) -> dict[str, Any]:
-        """Serialize to a plain dict (the JSONL metric record payload).
-
-        The ``exemplars`` key only appears when an exemplar was ever
-        observed, so records written by this version load unchanged in
-        older readers and vice versa.
-        """
-        record = {
+        """Serialize to a plain dict (the JSONL metric record payload)."""
+        return {
             "type": "metric",
             "kind": self.kind,
             "name": self.name,
@@ -232,12 +209,6 @@ class Histogram:
             "bounds": list(self.bounds),
             "bucket_counts": list(self.bucket_counts),
         }
-        if self.exemplars:
-            record["exemplars"] = {
-                str(index): [[value, trace_id] for value, trace_id in pairs]
-                for index, pairs in sorted(self.exemplars.items())
-            }
-        return record
 
 
 class MetricsRegistry:

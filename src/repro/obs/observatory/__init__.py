@@ -16,12 +16,12 @@ honest as the codebase grows:
   error-budget burn rates over serve telemetry
   (``repro serve-sim --slo``);
 - :mod:`~repro.obs.observatory.perfgate` — the pinned micro-bench
-  suite, its comparison against the committed
-  ``benchmarks/perf_gate_baseline.json`` and the ``BENCH_omega.json``
-  trajectory (``repro perf-gate``, run as a CI job);
-- :mod:`~repro.obs.observatory.trend` — per-series trajectories with
-  sparklines over the accumulated ``BENCH_omega.json`` perf history
-  (``repro trend``).
+  suite and its comparison against the committed
+  ``benchmarks/perf_gate_baseline.json`` (``repro perf-gate``, run as a
+  CI job);
+- :mod:`~repro.obs.observatory.trend` — the ``BENCH_omega.json``
+  trajectory the benchmark scripts append to, and its per-series
+  sparklines (``repro trend``).
 
 Everything here is pure post-processing of exported JSONL records; no
 embedding numerics are touched.
@@ -44,7 +44,6 @@ from repro.obs.observatory.manifest import (
 from repro.obs.observatory.perfgate import (
     GateReport,
     GateRun,
-    append_trajectory_point,
     render_gate,
     run_perf_gate,
     run_suite,
@@ -66,6 +65,7 @@ from repro.obs.observatory.slo import (
     render_slo,
 )
 from repro.obs.observatory.trend import (
+    append_trajectory_point,
     load_trajectory,
     render_trend,
     sparkline,

@@ -11,9 +11,10 @@ they are bit-stable across machines; any drift beyond the threshold is
 a genuine cost-model change, and the gate exits nonzero naming the
 regressed stage.
 
-On a pass the gate appends one point to the ``BENCH_omega.json``
-trajectory, which is how the repo's perf history accumulates commit by
-commit.
+The gate prints its verdict and writes nothing else unless asked:
+``--update-baseline`` re-pins the baseline, and ``--telemetry-out``
+writes the run's one telemetry file, which ``repro profile`` renders as
+collapsed stacks.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from repro.obs.observatory.manifest import (
 _REPO_ROOT = Path(__file__).resolve().parents[4]
 #: The pinned baseline, committed with the code it gates.
 DEFAULT_BASELINE = _REPO_ROOT / "benchmarks" / "perf_gate_baseline.json"
-#: Default trajectory file, at the repository root.
-DEFAULT_TRAJECTORY = _REPO_ROOT / "BENCH_omega.json"
 
 #: Pinned suite parameters — changing any of these invalidates the
 #: pinned baseline (the config hash in the manifest will differ).
@@ -57,11 +56,6 @@ class GateRun:
 
     session: TelemetrySession
     stages: dict[str, float]
-    #: Per-class tail-latency blame fractions from the serve stage
-    #: (``{"interactive/queue": 0.83, ...}``) — published to the
-    #: trajectory as ``attribution.*`` series, not gated (the stage
-    #: seconds already gate the totals; the mix is for trend plots).
-    attribution: dict[str, float] = field(default_factory=dict)
 
     @property
     def manifest(self) -> RunManifest:
@@ -71,17 +65,11 @@ class GateRun:
 
     def payload(self) -> dict[str, Any]:
         """The baseline payload (deterministic fields only)."""
-        manifest = self.manifest
-        payload: dict[str, Any] = {
+        return {
             "suite": "perf_gate",
-            "config_hash": manifest.config_hash,
+            "config_hash": self.manifest.config_hash,
             "stages": {k: float(v) for k, v in sorted(self.stages.items())},
         }
-        if self.attribution:
-            payload["attribution"] = {
-                k: float(v) for k, v in sorted(self.attribution.items())
-            }
-        return payload
 
 
 def run_suite(
@@ -195,12 +183,9 @@ def run_suite(
     stages["serve.p99_latency"] = report.latency_percentile(
         99, ("served", "deadline_exceeded")
     )
-    from repro.obs.observatory.diff import extract_attribution_values
-
-    attribution = extract_attribution_values(session.metrics.to_records())
     session.event("perf_gate_stages", **stages)
     session.close_stream()
-    return GateRun(session=session, stages=stages, attribution=attribution)
+    return GateRun(session=session, stages=stages)
 
 
 @dataclass
@@ -228,7 +213,6 @@ class GateReport:
     #: The pinned baseline file, when one exists or this run wrote it.
     baseline_path: Path | None = None
     baseline_updated: bool = False
-    trajectory_appended: bool = False
 
     @property
     def regressions(self) -> list[StageVerdict]:
@@ -259,42 +243,6 @@ def compare_to_baseline(
             )
         )
     return verdicts
-
-
-def append_trajectory_point(
-    path: str | Path, point: dict[str, Any]
-) -> None:
-    """Append one arbitrary point to a ``BENCH_omega.json`` trajectory.
-
-    The trajectory is a JSON list; gate runs and benchmark results
-    (``bench_parallel_scaling``) all append here so the repo's perf
-    history accumulates in one place.
-    """
-    path = Path(path)
-    points: list[dict[str, Any]] = []
-    if path.is_file():
-        loaded = json.loads(path.read_text(encoding="utf-8"))
-        if isinstance(loaded, list):
-            points = loaded
-    points.append(point)
-    path.write_text(json.dumps(points, indent=2) + "\n", encoding="utf-8")
-
-
-def append_trajectory(run: GateRun, path: str | Path) -> None:
-    """Append one passing perf-gate point to ``BENCH_omega.json``."""
-    manifest = run.manifest
-    point: dict[str, Any] = {
-        "run_id": manifest.run_id,
-        "git_sha": manifest.git_sha,
-        "config_hash": manifest.config_hash,
-        "ok": True,
-        "stages": {k: float(v) for k, v in sorted(run.stages.items())},
-    }
-    if run.attribution:
-        point["attribution"] = {
-            k: float(v) for k, v in sorted(run.attribution.items())
-        }
-    append_trajectory_point(path, point)
 
 
 def read_baseline(path: Path, run: GateRun) -> dict[str, Any]:
@@ -330,16 +278,15 @@ def run_perf_gate(
     threshold: float = GATE_THRESHOLD,
     update_baseline: bool = False,
     faults_path: str | Path | None = None,
-    trajectory_path: str | Path | None = None,
     telemetry_path: str | Path | None = None,
 ) -> GateReport:
-    """Run the suite, gate it, and (on success) extend the trajectory.
+    """Run the suite and gate it against the pinned baseline.
 
     With ``update_baseline`` (or when ``baseline_path`` does not exist
     yet and the run is clean) the run's stages become the new pinned
     baseline; otherwise a baseline :func:`read_baseline` refuses raises.
-    Faulted runs never write the baseline or the trajectory — chaos is
-    for testing the gate, not for moving the goalposts.
+    Faulted runs never write the baseline — chaos is for testing the
+    gate, not for moving the goalposts.
     """
     path = Path(baseline_path)
     run = run_suite(faults_path, telemetry_path=telemetry_path)
@@ -364,10 +311,6 @@ def run_perf_gate(
         )
         report.baseline_path = path
         report.baseline_updated = True
-
-    if report.ok and trajectory_path is not None:
-        append_trajectory(run, trajectory_path)
-        report.trajectory_appended = True
     return report
 
 
@@ -403,11 +346,6 @@ def render_gate(report: GateReport, threshold: float = GATE_THRESHOLD) -> str:
         verdict = "no baseline pinned; run with --update-baseline to pin one"
     else:
         verdict = "perf gate passed"
-    extras = []
     if report.baseline_updated:
-        extras.append(f"baseline written to {pinned}")
-    if report.trajectory_appended:
-        extras.append("trajectory point appended")
-    if extras:
-        verdict = f"{verdict} ({'; '.join(extras)})"
+        verdict = f"{verdict} (baseline written to {pinned})"
     return f"{table}\n{verdict}"

@@ -1,7 +1,11 @@
-"""Perf-history trends over the ``BENCH_omega.json`` trajectory.
+"""The ``BENCH_omega.json`` trajectory: its format, writer and trends.
 
-``repro trend`` turns the append-only trajectory (perf-gate points with
-their ``stages`` dicts, ``bench_parallel_scaling`` points with nested
+The trajectory is a JSON list of points.  This module owns the file:
+:func:`append_trajectory_point` is its one writer (the ``benchmarks/``
+scripts append their results through it) and :func:`load_trajectory`
+its one reader; both refuse a file that is not a JSON list, naming it.
+``repro trend`` turns the points (perf-gate points with their
+``stages`` dicts, ``bench_parallel_scaling`` points with nested
 per-worker measurements) into per-series trajectories and renders each
 as a first/last/delta row with a unicode sparkline — the ten-second
 answer to "is the cost model drifting commit over commit?".
@@ -18,29 +22,53 @@ import json
 from pathlib import Path
 from typing import Any
 
+#: Default trajectory file, at the repository root.
+DEFAULT_TRAJECTORY = Path(__file__).resolve().parents[4] / "BENCH_omega.json"
+
 #: Ramp used for sparklines, lowest to highest.
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
 
-def load_trajectory(path: str | Path) -> list[dict[str, Any]]:
-    """Load a trajectory file; missing file is an empty history."""
-    path = Path(path)
+def _read_points(path: Path) -> list[Any]:
+    """The JSON list at ``path`` (``[]`` when there is no file);
+    ``ValueError`` naming the file when it holds anything else."""
     if not path.is_file():
         return []
-    loaded = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        loaded = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError included
+        raise ValueError(f"trajectory {path} is not valid JSON: {exc}") from exc
     if not isinstance(loaded, list):
         raise ValueError(
             f"trajectory {path} is not a JSON list (got {type(loaded).__name__})"
         )
-    return [p for p in loaded if isinstance(p, dict)]
+    return loaded
+
+
+def load_trajectory(path: str | Path) -> list[dict[str, Any]]:
+    """Load a trajectory file; missing file is an empty history."""
+    return [p for p in _read_points(Path(path)) if isinstance(p, dict)]
+
+
+def append_trajectory_point(
+    path: str | Path, point: dict[str, Any]
+) -> None:
+    """Append one point to a trajectory file.
+
+    A file :func:`load_trajectory` would refuse raises the same
+    ``ValueError`` and is left untouched.
+    """
+    path = Path(path)
+    points = _read_points(path)
+    points.append(point)
+    path.write_text(json.dumps(points, indent=2) + "\n", encoding="utf-8")
 
 
 def extract_point_series(point: dict[str, Any]) -> dict[str, float]:
     """Flatten one trajectory point into named numeric series.
 
-    Perf-gate points contribute ``stages.<name>`` plus
-    ``attribution.<class/category>`` (the serve stage's tail-latency
-    blame fractions); benchmark points with a nested ``points`` list
+    Points with a ``stages`` dict (the perf-gate history) contribute
+    ``stages.<name>``; benchmark points with a nested ``points`` list
     (``bench_parallel_scaling``) contribute
     ``<suite>.<backend>.w<workers>.<field>``.  Anything unrecognized is
     skipped.
@@ -51,11 +79,6 @@ def extract_point_series(point: dict[str, Any]) -> dict[str, float]:
         for name, value in stages.items():
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 out[f"stages.{name}"] = float(value)
-    attribution = point.get("attribution")
-    if isinstance(attribution, dict):
-        for name, value in attribution.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                out[f"attribution.{name}"] = float(value)
     inner = point.get("points")
     if isinstance(inner, list):
         suite = point.get("suite") or "bench"

@@ -82,9 +82,9 @@ class ExecutorStats:
             the operand matrix (and the mapped scratch segments).
         shared_cache_misses: calls that had to share (or re-share) the
             matrix.
-        invalidations: cached shared copies retired because the
-            matrix's content hash changed (see
-            :meth:`~repro.formats.csdb.CSDBMatrix.mark_mutated`).
+        invalidations: cached shared copies retired because
+            :meth:`~repro.formats.csdb.CSDBMatrix.mark_mutated` moved
+            the matrix onto a new pattern since it was shared.
         last_submit_wall_s: wall seconds the last call spent staging
             operands and enqueueing its plan (the per-call overhead the
             warm path amortizes).

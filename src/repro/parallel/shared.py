@@ -234,7 +234,7 @@ class SharedMemoryExecutor:
         self._call_seq = 0
         self._scratch_seq = 0
         # id(matrix) -> (weakref to matrix, owner-side SharedCSDB,
-        #                content hash at share time)
+        #                weakref to the matrix's pattern at share time)
         self._matrices: dict[int, tuple] = {}
         self._scratch: dict[str, _ScratchSegment] = {}
         self._retired: list[str] = []

@@ -687,10 +687,10 @@ class EmbeddingServer:
             self._series("serve.served", response.fidelity)()
         latency = response.latency_s
         if latency is not None:
-            self._series("serve.latency", klass)(latency, exemplar=trace_id)
+            self._series("serve.latency", klass)(latency)
         if forensics is not None:
             # Blame seconds are counted even without a stream attached:
-            # they are what `repro diff` gates and perf-gate publishes.
+            # they are what `repro diff --attribution` gates.
             for category, seconds in forensics.blame.items():
                 self._series("serve.blame_seconds", klass, category)(
                     max(0.0, seconds)

@@ -544,9 +544,6 @@ PARSER_SURFACE = {
         (('--threshold',), 'threshold', 'float', 0.05, None, None, False, None, '_StoreAction'),
         (('--update-baseline',), 'update_baseline', None, False, None, 0, False, None, '_StoreTrueAction'),
         (('--faults',), 'faults', None, None, None, None, False, 'PLAN', '_StoreAction'),
-        (('--trajectory',), 'trajectory', None, None, None, None, False, 'PATH', '_StoreAction'),
-        (('--no-trajectory',), 'no_trajectory', None, False, None, 0, False, None, '_StoreTrueAction'),
-        (('--profile-out',), 'profile_out', None, None, None, None, False, 'PATH', '_StoreAction'),
         (('--telemetry-out',), 'telemetry_out', None, None, None, None, False, 'PATH', '_StoreAction'),
     ],
     'serve-sim': [
@@ -585,7 +582,6 @@ PARSER_SURFACE = {
     'top': [
         ((), 'stream', None, None, None, None, True, None, '_StoreAction'),
         (('--once',), 'once', None, False, None, 0, False, None, '_StoreTrueAction'),
-        (('--format',), 'format', None, 'table', ['table', 'prom'], None, False, None, '_StoreAction'),
         (('--interval',), 'interval', 'float', 0.5, None, None, False, 'S', '_StoreAction'),
         (('--frames',), 'frames', 'int', 0, None, None, False, 'N', '_StoreAction'),
         (('--slo',), 'slo', None, None, None, None, False, 'SPEC', '_StoreAction'),

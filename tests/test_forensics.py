@@ -494,15 +494,3 @@ class TestObservatoryPlumbing:
             threshold=0.05,
         )
         assert not any(r.group == "attribution" for r in report.rows)
-
-    def test_trend_extracts_attribution_series(self):
-        from repro.obs.observatory.trend import trajectory_series
-
-        points = [
-            {"stages": {"serve.p99_latency": 0.01},
-             "attribution": {"interactive/queue": 0.8}},
-            {"stages": {"serve.p99_latency": 0.012},
-             "attribution": {"interactive/queue": 0.9}},
-        ]
-        series = trajectory_series(points)
-        assert series["attribution.interactive/queue"] == [0.8, 0.9]

@@ -22,7 +22,6 @@ from repro.obs.live import (
     latest_metric_records,
     load_records,
     read_stream,
-    render_prom,
     render_top,
 )
 from repro.obs.observatory import build_profile, diff_runs
@@ -264,11 +263,6 @@ class TestTopView:
         assert "submitted" in out
         assert "breaker=" in out
 
-        assert main(["top", str(stream), "--once", "--format", "prom"]) == 0
-        prom = capsys.readouterr().out
-        assert "# TYPE serve_submitted_total counter" in prom
-        assert "serve_submitted_total 6" in prom  # 60 requests
-
     def test_frame_matches_stream_counters(self, tmp_path):
         stream = self._serve_stream(tmp_path)
         records, skipped = read_stream(stream)
@@ -281,45 +275,6 @@ class TestTopView:
         assert frame["breaker_state"] in ("closed", "open", "half_open")
         rendered = render_top(frame)
         assert "requests" in rendered
-
-    def test_prom_rendering_shapes(self):
-        metric_records = [
-            {
-                "type": "metric",
-                "kind": "counter",
-                "name": "serve.submitted",
-                "labels": {},
-                "value": 3.0,
-            },
-            {
-                "type": "metric",
-                "kind": "gauge",
-                "name": "queue.depth",
-                "labels": {"klass": "interactive"},
-                "value": 2.0,
-            },
-            {
-                "type": "metric",
-                "kind": "histogram",
-                "name": "serve.latency",
-                "labels": {},
-                "count": 3,
-                "sum": 0.6,
-                "min": 0.1,
-                "max": 0.3,
-                "bounds": [0.1, 0.5],
-                "bucket_counts": [1, 2, 0],
-            },
-        ]
-        text = render_prom(metric_records)
-        assert "# TYPE serve_submitted_total counter" in text
-        assert "serve_submitted_total 3" in text
-        assert 'queue_depth{klass="interactive"} 2' in text
-        assert 'serve_latency_bucket{le="0.1"} 1' in text
-        assert 'serve_latency_bucket{le="0.5"} 3' in text
-        assert 'serve_latency_bucket{le="+Inf"} 3' in text
-        assert "serve_latency_sum 0.6" in text
-        assert "serve_latency_count 3" in text
 
     def test_latest_metrics_prefer_final_over_snapshot(self):
         snapshot_metric = {
@@ -423,6 +378,36 @@ class TestTrend:
         path.write_text(json.dumps(points), encoding="utf-8")
         assert main(["trend", "--trajectory", str(path)]) == 0
         assert "stages.embed.total" in capsys.readouterr().out
+
+    def test_append_round_trips(self, tmp_path):
+        from repro.obs.observatory import (
+            append_trajectory_point,
+            load_trajectory,
+        )
+
+        path = tmp_path / "t.json"
+        append_trajectory_point(path, {"stages": {"embed.total": 1.0}})
+        append_trajectory_point(path, {"stages": {"embed.total": 2.0}})
+        totals = [p["stages"]["embed.total"] for p in load_trajectory(path)]
+        assert totals == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "text", ['{"stages": {}}', "[1, 2"], ids=["object", "not-json"]
+    )
+    def test_writer_refuses_what_reader_refuses(self, tmp_path, text):
+        from repro.obs.observatory import (
+            append_trajectory_point,
+            load_trajectory,
+        )
+
+        path = tmp_path / "t.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="t.json") as read:
+            load_trajectory(path)
+        with pytest.raises(ValueError, match="t.json") as write:
+            append_trajectory_point(path, {"stages": {"embed.total": 1.0}})
+        assert str(write.value) == str(read.value)
+        assert path.read_text(encoding="utf-8") == text
 
 
 class TestEmbedSLOKinds:

@@ -148,57 +148,6 @@ class TestHistogram:
             registry.value("h")
 
 
-class TestHistogramExemplars:
-    def test_exemplar_pinned_to_bucket(self):
-        hist = MetricsRegistry().histogram("h", buckets=(1.0, 10.0))
-        hist.observe(0.5, exemplar="req-a")
-        hist.observe(5.0, exemplar="req-b")
-        hist.observe(100.0, exemplar="req-c")  # +inf overflow bucket
-        assert hist.exemplars[0] == [(0.5, "req-a")]
-        assert hist.exemplars[1] == [(5.0, "req-b")]
-        assert hist.exemplars[2] == [(100.0, "req-c")]
-
-    def test_exemplars_bounded_newest_first(self):
-        from repro.obs.metrics import EXEMPLARS_PER_BUCKET
-
-        hist = MetricsRegistry().histogram("h", buckets=(1.0,))
-        for i in range(10):
-            hist.observe(0.5, exemplar=f"req-{i}")
-        bucket = hist.exemplars[0]
-        assert len(bucket) == EXEMPLARS_PER_BUCKET
-        assert bucket[0] == (0.5, "req-9")
-
-    def test_observe_without_exemplar_unchanged(self):
-        hist = MetricsRegistry().histogram("h", buckets=(1.0,))
-        hist.observe(0.5)
-        assert hist.exemplars == {}
-        assert "exemplars" not in hist.to_record()
-
-    def test_record_carries_exemplars(self):
-        hist = MetricsRegistry().histogram("h", buckets=(1.0,))
-        hist.observe(0.5, exemplar="req-a")
-        record = hist.to_record()
-        assert record["exemplars"] == {"0": [[0.5, "req-a"]]}
-
-    def test_prom_rendering_uses_openmetrics_syntax(self):
-        from repro.obs.live import render_prom
-
-        hist = MetricsRegistry().histogram(
-            "serve.latency", buckets=(1.0,), klass="interactive"
-        )
-        hist.observe(0.5, exemplar="req-a")
-        hist.observe(2.0, exemplar="req-b")
-        text = render_prom([hist.to_record()])
-        assert (
-            'serve_latency_bucket{klass="interactive",le="1"} 1'
-            ' # {trace_id="req-a"} 0.5'
-        ) in text
-        assert (
-            'serve_latency_bucket{klass="interactive",le="+Inf"} 2'
-            ' # {trace_id="req-b"} 2'
-        ) in text
-
-
 class TestRegistry:
     def test_get_or_create_returns_same_object(self):
         registry = MetricsRegistry()

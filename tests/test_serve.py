@@ -592,22 +592,12 @@ class TestGoldenTelemetry:
             "warmup_sim_seconds": 0.0,
         }
 
-    def test_trace_ids_unique_and_exemplars_name_them(self):
-        metrics = MetricsRegistry()
-        report = faulted_replay(metrics)
+    def test_trace_ids_unique(self):
+        report = faulted_replay(MetricsRegistry())
         trace_ids = [r.trace_id for r in report.responses]
         assert None not in trace_ids
         assert len(set(trace_ids)) == len(trace_ids) == report.submitted
         assert any(".b" in r.request_id for r in report.responses)
-        exemplars = [
-            trace_id
-            for record in metrics.to_records()
-            if record["name"] == "serve.latency"
-            for pairs in record["exemplars"].values()
-            for _, trace_id in pairs
-        ]
-        assert exemplars
-        assert set(exemplars) <= set(trace_ids)
 
     def test_one_shard_replay(self):
         metrics = MetricsRegistry()

@@ -132,16 +132,6 @@ class TestConfigSurface:
         assert other.n_threads == 8
         assert config.dim == 32  # original untouched
 
-    def test_factory_configs(self):
-        from repro.core import omega_config, omega_dram_config, omega_pm_config
-
-        assert omega_config().memory_mode is MemoryMode.HETEROGENEOUS
-        assert omega_dram_config().memory_mode is MemoryMode.DRAM_ONLY
-        assert not omega_dram_config().streaming_enabled
-        pm = omega_pm_config()
-        assert pm.memory_mode is MemoryMode.PM_ONLY
-        assert not pm.prefetcher_enabled
-
     def test_invalid_thread_count(self):
         with pytest.raises(ValueError, match="n_threads"):
             OMeGaConfig(n_threads=0)
