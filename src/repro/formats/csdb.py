@@ -34,7 +34,9 @@ from multiprocessing import shared_memory
 import numpy as np
 from scipy.sparse import csr_array
 
-from repro.formats.csr import CSRMatrix, _stable_order
+from repro.formats.csr import (
+    CSRMatrix, _check_coo, _reserve_working_set, _sort_coo, _stable_order,
+)
 
 
 class KernelVerificationError(AssertionError):
@@ -336,8 +338,9 @@ class CSDBMatrix:
                 f"col_list length {len(self.col_list)} does not match"
                 f" block structure nnz {expected_nnz}"
             )
-        if len(self.col_list) != len(self.nnz_list):
-            raise ValueError("col_list and nnz_list lengths differ")
+        if self.col_list.ndim != 1 or self.col_list.shape != self.nnz_list.shape:
+            shapes = f"col_list {self.col_list.shape}, nnz_list {self.nnz_list.shape}"
+            raise ValueError(f"{shapes}: must be 1-D and equal")
         if len(self.perm) != n_rows:
             raise ValueError(f"perm must have {n_rows} entries")
         if n_rows:
@@ -366,29 +369,44 @@ class CSDBMatrix:
     @classmethod
     def from_csr(cls, csr: CSRMatrix) -> "CSDBMatrix":
         """Convert a CSR matrix by sorting rows into degree blocks."""
-        degrees = csr.row_degrees()
-        perm, deg_list, deg_ind = degree_blocks(degrees)
-        # CSDB row i is original row perm[i]'s run of the CSR arrays.
-        gather = _run_gather(csr.indptr[perm], degrees[perm])
-        return cls(
-            deg_list,
-            deg_ind,
-            csr.indices[gather],
-            csr.data[gather],
-            perm,
-            csr.shape,
+        return cls._from_runs(
+            csr.indptr[:-1], csr.row_degrees(), csr.indices, csr.data, csr.shape
         )
+
+    @classmethod
+    def _from_runs(cls, starts, degrees, cols, vals, shape) -> "CSDBMatrix":
+        """Degree-blocked rows; row ``r`` is ``degrees[r]`` entries at ``starts[r]``."""
+        perm, deg_list, deg_ind = degree_blocks(degrees)
+        # CSDB row i is original row perm[i]'s run of the arrays.
+        gather = _run_gather(starts[perm], degrees[perm])
+        return cls(deg_list, deg_ind, cols[gather], vals[gather], perm, shape)
 
     @classmethod
     def from_coo(
         cls,
         rows: np.ndarray,
         cols: np.ndarray,
-        vals: np.ndarray,
+        vals: np.ndarray | None,
         shape: tuple[int, int],
     ) -> "CSDBMatrix":
-        """Build from coordinate triplets (duplicates summed)."""
-        return cls.from_csr(CSRMatrix.from_coo(rows, cols, vals, shape))
+        """Coordinate triplets (duplicates summed) to CSDB, with no CSR on the way.
+
+        Byte for byte ``from_csr(CSRMatrix.from_coo(...))``: CSR's radix passes
+        with each row keyed by its rank in the degree-block order (Fig. 19a),
+        re-blocked only if summing duplicates shortened a row.  ``vals=None``
+        means every value is 1.
+        """
+        rows, cols, vals, shape = _check_coo(rows, cols, vals, shape)
+        _reserve_working_set(len(rows))
+        degrees = np.bincount(rows, minlength=shape[0])
+        perm, deg_list, deg_ind = degree_blocks(degrees)
+        rank = np.empty(len(perm), np.min_scalar_type(max(len(perm) - 1, 0)))
+        rank[perm] = np.arange(len(perm))
+        ptr, cols, vals = _sort_coo(rows, rank, degrees[perm], cols, shape[1], vals)
+        if len(cols) < len(rows):  # summing duplicates shortened a row
+            degrees[perm] = np.diff(ptr)
+            return cls._from_runs(ptr[rank], degrees, cols, vals, shape)
+        return cls(deg_list, deg_ind, cols, vals, perm, shape)
 
     # -- structure accessors ----------------------------------------------
 

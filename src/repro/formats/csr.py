@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import numpy as np
 
-#: nnz-sized 8-byte arrays one coordinate build works through: its three
-#: inputs, the order, the two gathers, the kept-entry counts and the
-#: group ids.
-_WORKING_SET_ARRAYS = 8
+#: nnz-sized 8-byte arrays alive at the peak of a graph read, inputs
+#: included (tracemalloc: 5.7 for ``CSDBMatrix.from_coo``, 5.3 for CSR's).
+_WORKING_SET_ARRAYS = 6
 #: The largest block glibc's adaptive thresholds follow (its
 #: ``DEFAULT_MMAP_THRESHOLD_MAX`` on 64-bit, less the page a chunk header
 #: rounds up to); a larger request would reserve address space for nothing.
@@ -72,7 +71,7 @@ def _stable_order(
     minor key and refining by a major one is the order of the pair.
     """
     for shift in range(0, max(int(n_keys) - 1, 0).bit_length(), 16):
-        digit = (keys >> shift).astype(np.uint16)  # the low 16 bits
+        digit = (keys >> shift if shift else keys).astype(np.uint16)  # low 16 bits
         if order is None:
             order = np.argsort(digit, kind="stable")
         else:
@@ -80,6 +79,65 @@ def _stable_order(
     if order is None:
         order = np.arange(len(keys), dtype=np.int64)
     return order
+
+
+def _check_coo(rows, cols, vals, shape):
+    """1-D int64 ``rows``/``cols``, float64 ``vals`` (or ``None``), inside ``shape``."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if vals is not None:
+        vals = np.asarray(vals, dtype=np.float64)
+    shapes = {array.shape for array in (rows, cols, vals) if array is not None}
+    if any(len(shape) != 1 for shape in shapes):
+        raise ValueError(f"rows, cols, vals must be 1-D, got shapes {sorted(shapes)}")
+    if len(shapes) > 1:
+        raise ValueError("rows, cols, vals must have equal length")
+    n_rows, n_cols = _key_dimensions(shape)
+    if len(rows) and (rows.min() < 0 or rows.max() >= n_rows):
+        raise ValueError("row index out of range")
+    if len(cols) and (cols.min() < 0 or cols.max() >= n_cols):
+        raise ValueError("column index out of range")
+    return rows, cols, vals, (n_rows, n_cols)
+
+
+def _sort_coo(rows, row_key, counts, cols, n_cols, vals, sum_duplicates=True):
+    """``(indptr, cols, vals)`` of triplets ordered by (row key, column).
+
+    Row ``r``'s key is ``row_key[r]`` (``r`` when ``None``); key ``k``'s
+    ``counts[k]`` entries, equal coordinates in input order, come out at
+    ``indptr[k]:indptr[k + 1]`` and are summed by :func:`_sum_ordered`.
+    """
+    keys = rows if row_key is None else row_key[rows]
+    order = _stable_order(keys, len(counts), _stable_order(cols, n_cols))
+    del keys
+    cols, vals = cols[order], None if vals is None else vals[order]
+    del order  # before the duplicates are summed, not after
+    return _sum_ordered(counts, cols, vals, sum_duplicates)
+
+
+def _sum_ordered(counts, cols, vals, sum_duplicates):
+    """``(indptr, cols, vals)`` of entries ordered by (row, col), ``counts`` per row.
+
+    Equal coordinates are summed from zero in the order given.  ``vals=None``
+    (all ones) is never gathered: a sum of ones is the duplicate count.
+    """
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    if sum_duplicates and len(cols):
+        # An entry opens a new coordinate when its column differs from
+        # the one before it or it is the first of its row.
+        keep = np.empty(len(cols), dtype=bool)
+        keep[0] = True
+        np.not_equal(cols[1:], cols[:-1], out=keep[1:])
+        keep[indptr[:-1][counts > 0]] = True
+        if not keep.all():
+            kept = np.zeros(len(cols) + 1, dtype=np.int64)
+            np.cumsum(keep, out=kept[1:])
+            vals = np.bincount(kept[1:] - 1, weights=vals)
+            return kept[indptr], cols[keep], vals.astype(np.float64, copy=False)
+        if vals is not None:
+            vals = vals + 0.0  # what summing from zero does to -0.0
+    return indptr, cols, np.ones(len(cols)) if vals is None else vals
 
 
 class CSRMatrix:
@@ -112,9 +170,9 @@ class CSRMatrix:
             raise ValueError("indptr must start at 0 and end at nnz")
         if np.any(np.diff(indptr) < 0):
             raise ValueError("indptr must be non-decreasing")
-        if len(indices) != len(data):
+        if indices.ndim != 1 or indices.shape != data.shape:
             raise ValueError(
-                f"indices ({len(indices)}) and data ({len(data)}) lengths differ"
+                f"indices {indices.shape} and data {data.shape} must be 1-D and equal"
             )
         if len(indices) and (indices.min() < 0 or indices.max() >= n_cols):
             raise ValueError("column index out of range")
@@ -130,7 +188,7 @@ class CSRMatrix:
         cls,
         rows: np.ndarray,
         cols: np.ndarray,
-        vals: np.ndarray,
+        vals: np.ndarray | None,
         shape: tuple[int, int],
         sum_duplicates: bool = True,
     ) -> "CSRMatrix":
@@ -140,70 +198,23 @@ class CSRMatrix:
         ``sum_duplicates``, entries sharing a coordinate are summed from
         zero in input order (so the result's bits do not depend on how
         the order is found), otherwise they are kept, in input order.
+        ``vals=None`` means every value is 1.
 
         The order is found by stable radix passes over 16-bit digits,
         columns then rows: ``ceil(bit_length(n - 1) / 16)`` passes for a
         dimension of size ``n`` (none for ``n <= 1``), each O(nnz).
 
         Raises:
-            ValueError: on out-of-range indices, or when ``n_rows *
-                n_cols`` does not fit the int64 coordinate key ``a ± b``
-                merges by (the build itself has no such limit).
+            ValueError: on arrays that are not 1-D or of unequal length,
+                out-of-range indices, or when ``n_rows * n_cols`` does not
+                fit the int64 coordinate key ``a ± b`` merges by (the build
+                itself has no such limit).
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        if not (len(rows) == len(cols) == len(vals)):
-            raise ValueError("rows, cols, vals must have equal length")
-        n_rows, n_cols = _key_dimensions(shape)
-        if len(rows):
-            if rows.min() < 0 or rows.max() >= n_rows:
-                raise ValueError("row index out of range")
-            if cols.min() < 0 or cols.max() >= n_cols:
-                raise ValueError("column index out of range")
+        rows, cols, vals, shape = _check_coo(rows, cols, vals, shape)
         _reserve_working_set(len(rows))
-        # Ordering by column and refining by row orders by (row, col) and
-        # keeps equal coordinates in input order.
-        order = _stable_order(rows, n_rows, _stable_order(cols, n_cols))
-        cols, vals = cols[order], vals[order]
-        del order  # before the duplicates are summed, not after
-        return cls._from_ordered(
-            np.bincount(rows, minlength=n_rows), cols, vals,
-            (n_rows, n_cols), sum_duplicates,
-        )
-
-    @classmethod
-    def _from_ordered(
-        cls,
-        counts: np.ndarray,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        shape: tuple[int, int],
-        sum_duplicates: bool,
-    ) -> "CSRMatrix":
-        """The build from entries already ordered by (row, col).
-
-        ``counts`` is the number of entries per row; equal coordinates
-        are adjacent and summed from zero in the order given.
-        """
-        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        if sum_duplicates and len(cols):
-            # An entry opens a new coordinate when its column differs
-            # from the one before it or it is the first of its row.
-            keep = np.empty(len(cols), dtype=bool)
-            keep[0] = True
-            np.not_equal(cols[1:], cols[:-1], out=keep[1:])
-            keep[indptr[:-1][counts > 0]] = True
-            if keep.all():
-                vals = vals + 0.0  # what summing from zero does to -0.0
-            else:
-                kept = np.zeros(len(cols) + 1, dtype=np.int64)
-                np.cumsum(keep, out=kept[1:])
-                vals = np.bincount(kept[1:] - 1, weights=vals)
-                cols = cols[keep]
-                indptr = kept[indptr]
-        return cls(indptr, cols, vals, shape)
+        counts = np.bincount(rows, minlength=shape[0])
+        built = _sort_coo(rows, None, counts, cols, shape[1], vals, sum_duplicates)
+        return cls(*built, shape)
 
     # -- basic properties -------------------------------------------------
 
@@ -311,8 +322,8 @@ class CSRMatrix:
         vals = np.empty(len(free), dtype=np.float64)
         vals[theirs], vals[ours] = sign * other.data, self.data
         counts = self.row_degrees() + other.row_degrees()
-        return CSRMatrix._from_ordered(
-            counts, cols, vals, self.shape, sum_duplicates=True
+        return CSRMatrix(
+            *_sum_ordered(counts, cols, vals, sum_duplicates=True), self.shape
         ).prune()
 
     def __add__(self, other: "CSRMatrix") -> "CSRMatrix":

@@ -43,6 +43,20 @@ class TestEdgeConversions:
         with pytest.raises(ValueError, match="weights"):
             edges_to_csr(paper_edges, 7, weights=np.ones(3))
 
+    @pytest.mark.parametrize("build", [edges_to_csr, edges_to_csdb])
+    @pytest.mark.parametrize("shape", [(2, 1), (2, 3), ()])
+    def test_weights_that_are_not_1d_are_rejected(self, build, shape):
+        # A (2, 1) column of weights used to build a (4, 1) nnz_list whose
+        # first multiply failed inside scipy; (2, 3) a (4, 3) CSR data.
+        edges = np.array([[0, 1], [1, 2]])
+        with pytest.raises(ValueError, match=rf"weights must be 1-D.*{shape}"):
+            build(edges, 3, weights=np.ones(shape))
+
+    @pytest.mark.parametrize("build", [edges_to_csr, edges_to_csdb])
+    def test_a_negative_node_count_is_named(self, build):
+        with pytest.raises(ValueError, match="n_nodes must be non-negative, got -1"):
+            build(np.array([[0, 1], [1, 2]]), -1)
+
     def test_bad_edge_shape(self):
         with pytest.raises(ValueError, match=r"\(m, 2\)"):
             edges_to_csr(np.zeros((3, 3), dtype=np.int64), 5)

@@ -114,6 +114,12 @@ class TestStructure:
                 shape=(1, 2),
             )
 
+    def test_validation_rejects_values_that_are_not_1d(self):
+        # Accepted before, a (3, 1) nnz_list failed only at the first
+        # multiply, inside scipy.
+        with pytest.raises(ValueError, match=r"col_list \(3,\), nnz_list \(3, 1\): must be 1-D"):
+            CSDBMatrix([1], [0, 3], [0, 1, 2], np.ones((3, 1)), [0, 1, 2], (3, 3))
+
     @pytest.mark.parametrize(
         "perm, match",
         (

@@ -49,6 +49,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="equal length"):
             CSRMatrix.from_coo([0, 1], [0], [1.0], (3, 3))
 
+    def test_rejects_data_that_is_not_1d(self):
+        with pytest.raises(ValueError, match=r"indices \(1,\) and data \(1, 3\) must be 1-D"):
+            CSRMatrix(np.array([0, 1]), np.array([0]), np.ones((1, 3)), (1, 1))
+        with pytest.raises(ValueError, match=r"1-D.*\(2, 1\)"):
+            CSRMatrix.from_coo([0, 1], [1, 0], np.ones((2, 1)), (2, 2))
+
     def test_rejects_bad_indptr(self):
         with pytest.raises(ValueError, match="indptr"):
             CSRMatrix(np.array([0, 2]), np.array([0]), np.array([1.0]), (1, 1))

@@ -776,13 +776,18 @@ class TestEnginePlanReuse:
 def test_one_embed_never_comparison_sorts_its_nonzeros_and_allocates_once(monkeypatch):
     edges = rmat_edges(9, edge_factor=8.0, seed=4)
     nnz = edges_to_csdb(edges, 512).nnz
-    builds, allocated, sorts = [], [], []
-    from_coo = CSRMatrix.from_coo.__func__
+    builds, csr_built, allocated, sorts = [], [], [], []
+    from_coo = CSDBMatrix.from_coo.__func__
+    csr_init = CSRMatrix.__init__
     allocate = EntropyAwareAllocator.allocate
 
     def counted_from_coo(cls, rows, *args, **kwargs):
         builds.append(len(rows))
         return from_coo(cls, rows, *args, **kwargs)
+
+    def counted_csr_init(self, *args, **kwargs):
+        csr_built.append(self)
+        csr_init(self, *args, **kwargs)
 
     def counted_allocate(self, matrix, n_threads):
         allocated.append(matrix)
@@ -800,17 +805,19 @@ def test_one_embed_never_comparison_sorts_its_nonzeros_and_allocates_once(monkey
 
         return spied
 
-    monkeypatch.setattr(CSRMatrix, "from_coo", classmethod(counted_from_coo))
+    monkeypatch.setattr(CSDBMatrix, "from_coo", classmethod(counted_from_coo))
+    monkeypatch.setattr(CSRMatrix, "__init__", counted_csr_init)
     monkeypatch.setattr(EntropyAwareAllocator, "allocate", counted_allocate)
     for name in ("argsort", "lexsort", "sort"):
         monkeypatch.setattr(np, name, spy(name))
 
     result = OMeGaEmbedder(OMeGaConfig(n_threads=4, dim=8)).embed_edges(edges, 512)
 
-    # The edge list alone: F^T is a value-sibling of F (an undirected
-    # graph's pattern is symmetric), A+I a scatter into the ordered rows
-    # and the Chebyshev operator a value-sibling of A+I.
+    # The edge list alone, straight into CSDB: F^T is a value-sibling of
+    # F (an undirected graph's pattern is symmetric), A+I a scatter into
+    # the ordered rows and the Chebyshev operator a value-sibling of A+I.
     assert len(builds) == 1
+    assert csr_built == []  # no CSR on the way, nor anywhere after
     # Every sort of as many elements as A has non-zeros is a counting
     # pass over 16-bit digits (WoFP's top-M ranking and the per-row
     # degree order are smaller than that).
