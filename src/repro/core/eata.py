@@ -1,18 +1,24 @@
 """Thread allocation for parallel SpMM: RR, WaTA and the paper's EaTA.
 
 A *workload partition* is a contiguous run of CSDB rows handed to one
-thread (``rst``/``red``/``bst`` of Algorithm 1).  Three allocators are
+thread (``rst``/``red``/``bst`` of Algorithm 1).  Four allocators are
 provided:
 
 - :class:`RoundRobinAllocator` (RR) — equal row counts per thread, the
   default of parallel toolkits; ignores skew entirely.
+- :class:`NaturalOrderRoundRobinAllocator` (natural-RR) — RR over the
+  original, unsorted row order (the CSR-system behaviour).
 - :class:`WorkloadBalancedAllocator` (WaTA) — equal nnz per thread
   (Huang et al.); balances bytes but not access randomness, so tail
   latency remains (Fig. 13a).
-- :class:`EntropyAwareAllocator` (EaTA, Algorithm 2) — measures each
-  candidate workload's entropy (Eq. 3) and rescales it by Eq. 7 so the
-  *predicted completion times* equalize, balancing work and tail latency
-  simultaneously.
+- :class:`EntropyAwareAllocator` (EaTA, Algorithm 2) — derates each
+  row's work by the Eq. 5 bandwidth factor of its workload's entropy
+  (Eq. 3) so the *predicted completion times* equalize, balancing work
+  and tail latency simultaneously.
+
+RR's cut (:func:`round_robin_bounds`) and EaTA's first pass
+(:func:`entropy_aware_bounds`) are module functions, so the sharded
+store (:mod:`repro.shard`) cuts its node ranges with the same code.
 
 All allocators are O(|V|) online over the prefix-sum arrays of an
 :class:`AllocatorContext`, which every ``allocate`` call builds afresh.
@@ -29,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.formats.csdb import CSDBMatrix
+from repro.memsim.costmodel import bandwidth_factor
 from repro.obs.metrics import MetricsRegistry, MetricUpdate
 
 #: Histogram buckets for normalized entropy Z(H) in [0, 1].
@@ -141,11 +148,6 @@ class AllocatorContext:
         dlogd = degrees * np.log(np.maximum(degrees, 1.0))
         self.dlogd_prefix = np.concatenate([[0.0], np.cumsum(dlogd)])
         self.log_v = float(np.log(max(self.n_rows, 2)))
-        self.total_nnz = int(self.nnz_prefix[-1])
-
-    def workload(self, row_start: int, row_end: int) -> int:
-        """W_i: nnz in rows [row_start, row_end)."""
-        return int(self.nnz_prefix[row_end] - self.nnz_prefix[row_start])
 
     def fields(
         self, starts: np.ndarray, ends: np.ndarray
@@ -175,25 +177,6 @@ class AllocatorContext:
         scatter = np.where(rows == 0, 0.0, scatter)
         return nnz_start, nnz_end, entropy, z_entropy, scatter
 
-    def entropy(self, row_start: int, row_end: int) -> float:
-        """Eq. 3 entropy of rows [row_start, row_end), in nats."""
-        return self.fields([row_start], [row_end])[2].item()
-
-    def z_entropy(self, row_start: int, row_end: int) -> float:
-        """Normalized entropy Z(H) = H / log|V|, clipped to [0, 1]."""
-        return self.fields([row_start], [row_end])[3].item()
-
-    def scatter(self, row_start: int, row_end: int) -> float:
-        """The paper's W_sca: mean nnz per row over |V| columns."""
-        return self.fields([row_start], [row_end])[4].item()
-
-    def row_at_workload(self, target_nnz: float, row_start: int = 0) -> int:
-        """Smallest row end such that rows [row_start, end) hold at least
-        ``target_nnz`` non-zeros (clamped to [row_start+1, n_rows])."""
-        goal = self.nnz_prefix[row_start] + target_nnz
-        end = int(np.searchsorted(self.nnz_prefix, goal, side="left"))
-        return min(max(end, row_start + 1), self.n_rows)
-
     def partitions(self, bounds) -> list[WorkloadPartition]:
         """Thread ``t``'s workload is rows ``[bounds[t], bounds[t + 1])``."""
         bounds = np.asarray(bounds, dtype=np.int64)
@@ -221,6 +204,57 @@ def equal_share_bounds(
     targets = np.arange(1, n_threads) * (prefix[-1] / n_threads)
     cuts = np.searchsorted(prefix, targets, side="left")
     return np.concatenate([[0], cuts, [n_rows]]).astype(np.int64)
+
+
+#: EaTA's constant per-row cost term (read_index), in nnz units.
+ROW_OVERHEAD_NNZ = 2.0
+
+
+def _check_beta(beta: float) -> None:
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must be in (0, 1], got {beta}")
+
+
+def _check_parts(n_parts: int) -> None:
+    if n_parts < 1:
+        raise ValueError(f"n_parts must be >= 1, got {n_parts}")
+
+
+def _equal_cost_bounds(cost: np.ndarray, n_parts: int) -> np.ndarray:
+    """Row bounds of the equal-quantile split of a per-row cost."""
+    prefix = np.concatenate([[0.0], np.cumsum(cost)])
+    return equal_share_bounds(prefix, len(cost), n_parts)
+
+
+def round_robin_bounds(n_rows: int, n_parts: int) -> np.ndarray:
+    """RR's cut: bounds of ``n_parts`` equal-row runs over ``n_rows`` rows."""
+    _check_parts(n_parts)
+    return np.linspace(0, n_rows, n_parts + 1).astype(np.int64)
+
+
+def entropy_aware_bounds(
+    degrees: np.ndarray, n_parts: int, beta: float = 0.41
+) -> np.ndarray:
+    """EaTA's first pass: bounds equalizing the per-row Eq. 5 cost proxy.
+
+    Each row of degree ``deg`` in a nominal workload
+    ``W_nom = total / n_parts`` sits in a window of normalized entropy
+    ``z = log(W_nom / deg) / log|V|``, so its predicted cost is
+    ``deg / g(z)`` (Eq. 5 bandwidth degradation) plus a constant per-row
+    term (read_index); prefix sums of that proxy yield equal-time
+    bounds in O(|V|).  ``beta`` is BW_rand / BW_seq of the device
+    serving the dense operand.  Returns ``n_parts + 1`` bounds from 0 to
+    ``len(degrees)``; trailing parts may be empty on degenerate inputs.
+    """
+    _check_parts(n_parts)
+    _check_beta(beta)
+    degrees = np.asarray(degrees, dtype=np.float64)
+    log_v = float(np.log(max(len(degrees), 2)))
+    w_nominal = max(float(degrees.sum()) / n_parts, 1.0)
+    z = np.log(np.maximum(w_nominal / np.maximum(degrees, 1.0), 1.0))
+    z = np.minimum(z / log_v, 1.0)
+    cost = degrees / bandwidth_factor(z, beta) + ROW_OVERHEAD_NNZ
+    return _equal_cost_bounds(cost, n_parts)
 
 
 class ThreadAllocator:
@@ -254,9 +288,8 @@ class RoundRobinAllocator(ThreadAllocator):
         self, matrix: CSDBMatrix, n_threads: int
     ) -> list[WorkloadPartition]:
         self._check(n_threads)
-        ctx = AllocatorContext(matrix)
-        return ctx.partitions(
-            np.linspace(0, ctx.n_rows, n_threads + 1).astype(np.int64)
+        return AllocatorContext(matrix).partitions(
+            round_robin_bounds(matrix.n_rows, n_threads)
         )
 
 
@@ -283,9 +316,7 @@ class NaturalOrderRoundRobinAllocator(ThreadAllocator):
         degrees_natural = matrix.row_degrees()[matrix.inv_perm].astype(
             np.float64
         )
-        boundaries = np.linspace(0, matrix.n_rows, n_threads + 1).astype(
-            np.int64
-        )
+        boundaries = round_robin_bounds(matrix.n_rows, n_threads)
         partitions: list[WorkloadPartition] = []
         for t in range(n_threads):
             chunk = degrees_natural[boundaries[t] : boundaries[t + 1]]
@@ -337,9 +368,9 @@ class WorkloadBalancedAllocator(ThreadAllocator):
 class EntropyAwareAllocator(ThreadAllocator):
     """EaTA (Algorithm 2): entropy-aware workload rescaling.
 
-    For each thread the dynamic balanced share ``W_i`` is computed, its
-    entropy ``H_i`` measured (Eq. 3), and the share rescaled by Eq. 7
-    against the running average objective entropy ``H_i^p``:
+    Algorithm 2 computes each thread's balanced share ``W_i``, measures
+    its entropy ``H_i`` (Eq. 3) and rescales the share by Eq. 7 against
+    the running average objective entropy ``H_i^p``:
 
         W_i^p = W_i * (H_p * g(H_p)) / (H_i * g(H_i)),
         g(H)  = 1 - Z(H) + beta * Z(H)
@@ -347,49 +378,20 @@ class EntropyAwareAllocator(ThreadAllocator):
     where ``beta = BW_rand / BW_seq`` of the dense-operand device.  A
     high-entropy (scattered) candidate workload therefore shrinks —
     its thread would otherwise be the straggler — and the freed work
-    flows to later, lower-entropy workloads.
+    flows to later, lower-entropy workloads.  :meth:`allocate` equalizes
+    the same time model without the online loop (see there).
 
     Args:
         beta: random/sequential read-bandwidth ratio of the device serving
             the dense matrix (PM in heterogeneous mode).
-        rescale_floor / rescale_ceiling: clamp on the Eq. 7 ratio to keep
-            the online scheme robust on degenerate matrices.
     """
 
     name = "EaTA"
     overhead_ops_per_row = 2.0
 
-    def __init__(
-        self,
-        beta: float = 0.41,
-        row_overhead_nnz: float = 2.0,
-        rescale_floor: float = 0.25,
-        rescale_ceiling: float = 4.0,
-    ) -> None:
-        if not 0.0 < beta <= 1.0:
-            raise ValueError(f"beta must be in (0, 1], got {beta}")
-        if row_overhead_nnz < 0:
-            raise ValueError(
-                f"row_overhead_nnz must be >= 0, got {row_overhead_nnz}"
-            )
-        if not 0.0 < rescale_floor <= 1.0 <= rescale_ceiling:
-            raise ValueError(
-                "need rescale_floor in (0, 1] and rescale_ceiling >= 1,"
-                f" got {rescale_floor}, {rescale_ceiling}"
-            )
+    def __init__(self, beta: float = 0.41) -> None:
+        _check_beta(beta)
         self.beta = beta
-        self.row_overhead_nnz = row_overhead_nnz
-        self.rescale_floor = rescale_floor
-        self.rescale_ceiling = rescale_ceiling
-
-    def _g(self, z: float) -> float:
-        """Eq. 5's bandwidth-degradation factor 1 - Z + beta*Z."""
-        return 1.0 - z + self.beta * z
-
-    def _time_proxy(self, ctx: AllocatorContext, row_start: int, row_end: int) -> float:
-        """H * g(Z(H)) — the Eq. 7 denominator for a row range."""
-        h = ctx.entropy(row_start, row_end)
-        return h * self._g(min(h / ctx.log_v, 1.0))
 
     def allocate(
         self, matrix: CSDBMatrix, n_threads: int
@@ -398,102 +400,27 @@ class EntropyAwareAllocator(ThreadAllocator):
 
         The paper calibrates Eq. 4's constant ``K`` on hardware and then
         rescales workloads online via Eq. 7; without hardware we equalize
-        the same time model directly.  Each row of degree ``deg`` in a
-        nominal workload ``W_nom = total/#threads`` sits in a window of
-        normalized entropy ``z = log(W_nom/deg)/log|V|``, so its predicted
-        cost is ``deg / g(z)`` (Eq. 5 bandwidth degradation) plus a
-        constant per-row term (read_index).  Prefix sums of that proxy
-        yield equal-time boundaries in O(|V|).
+        the same time model directly: :func:`entropy_aware_bounds` splits
+        a per-row cost proxy into equal quantiles, then two feedback
+        sweeps re-weight each row by its partition's *measured* entropy
+        and re-split.
         """
         self._check(n_threads)
         ctx = AllocatorContext(matrix)
         if n_threads == 1 or ctx.n_rows == 0:
             return ctx.partitions([0] + [ctx.n_rows] * n_threads)
         degrees = matrix.row_degrees().astype(np.float64)
-        w_nominal = max(ctx.total_nnz / n_threads, 1.0)
-        z = np.log(np.maximum(w_nominal / np.maximum(degrees, 1.0), 1.0))
-        z = np.minimum(z / ctx.log_v, 1.0)
-        g = 1.0 - z + self.beta * z
-        proxy = degrees / g + self.row_overhead_nnz
-        bounds = self._split_by_proxy(ctx, proxy, n_threads)
-        # Feedback refinement: re-weight each row by its partition's
-        # *measured* entropy (the per-row estimate above uses a nominal
-        # window), then re-split.  Two sweeps suffice in practice.
+        bounds = entropy_aware_bounds(degrees, n_threads, self.beta)
+        # The first pass estimates each row's entropy from a nominal
+        # window; two sweeps with the measured one suffice in practice.
         for _ in range(2):
             z_entropy = ctx.fields(bounds[:-1], bounds[1:])[3]
-            rates = np.repeat(1.0 / self._g(z_entropy), np.diff(bounds))
-            refined = degrees * rates + self.row_overhead_nnz
-            bounds = self._split_by_proxy(ctx, refined, n_threads)
-        return ctx.partitions(bounds)
-
-    @staticmethod
-    def _split_by_proxy(
-        ctx: AllocatorContext,
-        proxy: np.ndarray,
-        n_threads: int,
-    ) -> np.ndarray:
-        """Row bounds of the equal-quantile split of a per-row cost proxy."""
-        proxy_prefix = np.concatenate([[0.0], np.cumsum(proxy)])
-        return equal_share_bounds(proxy_prefix, ctx.n_rows, n_threads)
-
-    def allocate_algorithm2(
-        self, matrix: CSDBMatrix, n_threads: int
-    ) -> list[WorkloadPartition]:
-        """Literal Algorithm 2: online Eq. 7 rescaling of dynamic shares.
-
-        Kept for fidelity and ablation; :meth:`allocate` (the prefix-sum
-        equalizer of the same time model) is the production path.
-        """
-        self._check(n_threads)
-        ctx = AllocatorContext(matrix)
-        if n_threads == 1:
-            return ctx.partitions([0, ctx.n_rows])
-
-        # Initial objective entropy H_i^p: the average entropy of the
-        # plain equal-workload split (Algorithm 2, line 2).
-        targets = np.linspace(0, ctx.total_nnz, n_threads + 1)
-        split_rows = np.searchsorted(ctx.nnz_prefix, targets, side="left")
-        split_rows[0], split_rows[-1] = 0, ctx.n_rows
-        initial_entropies = [
-            ctx.entropy(int(split_rows[t]), int(split_rows[t + 1]))
-            for t in range(n_threads)
-            if split_rows[t + 1] > split_rows[t]
-        ]
-        h_objective = float(np.mean(initial_entropies)) if initial_entropies else 0.0
-
-        bounds = [0]
-        allocated_h_sum = 0.0
-        row = 0
-        for t in range(n_threads):
-            remaining_threads = n_threads - t
-            if t == n_threads - 1 or row >= ctx.n_rows:
-                row = ctx.n_rows
-                bounds.append(row)
-                continue
-            remaining_w = ctx.total_nnz - ctx.nnz_prefix[row]
-            w_i = remaining_w / remaining_threads
-            # Candidate balanced workload and its entropy (lines 4-5).
-            candidate_end = ctx.row_at_workload(w_i, row)
-            candidate_proxy = self._time_proxy(ctx, row, candidate_end)
-            objective_proxy = h_objective * self._g(
-                min(h_objective / ctx.log_v, 1.0)
+            rates = np.repeat(
+                1.0 / bandwidth_factor(z_entropy, self.beta), np.diff(bounds)
             )
-            # Eq. 7 rescaling (line 6), clamped for robustness.
-            if candidate_proxy > 0.0 and objective_proxy > 0.0:
-                ratio = objective_proxy / candidate_proxy
-            else:
-                ratio = 1.0
-            ratio = min(max(ratio, self.rescale_floor), self.rescale_ceiling)
-            w_p = max(w_i * ratio, 1.0)
-            end = ctx.row_at_workload(w_p, row)
-            # Never starve the remaining threads of rows.
-            max_end = ctx.n_rows - (remaining_threads - 1)
-            end = min(end, max(max_end, row + 1))
-            bounds.append(end)
-            # Update the running objective (lines 9-12).
-            allocated_h_sum += ctx.entropy(row, end)
-            h_objective = allocated_h_sum / (t + 1)
-            row = end
+            bounds = _equal_cost_bounds(
+                degrees * rates + ROW_OVERHEAD_NNZ, n_threads
+            )
         return ctx.partitions(bounds)
 
 

@@ -29,6 +29,15 @@ from repro.memsim.devices import (
 )
 
 
+def bandwidth_factor(z, beta):
+    """Eq. 5's bandwidth-degradation factor ``g(z) = 1 - z + beta * z``.
+
+    The share of sequential bandwidth a workload of normalized entropy
+    ``z`` keeps when ``beta = BW_rand / BW_seq``; elementwise on arrays.
+    """
+    return 1.0 - z + beta * z
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Converts access batches into simulated seconds.
@@ -119,7 +128,7 @@ class CostModel:
             op, AccessPattern.RANDOM, locality, threads_sharing
         )
         beta = (bw_rand / bw_seq) * device.scatter_beta_scale
-        return bw_seq * (1.0 - z + beta * z)
+        return bw_seq * bandwidth_factor(z, beta)
 
     def entropy_access_time(
         self,

@@ -19,11 +19,7 @@ from repro.shard.errors import (
     ShardTimeoutError,
 )
 from repro.shard.host import ShardHost
-from repro.shard.ranges import (
-    ShardRoutingTable,
-    entropy_aware_node_ranges,
-    uniform_node_ranges,
-)
+from repro.shard.ranges import ShardRoutingTable
 from repro.shard.refresh import BackgroundCheckpointer
 from repro.shard.store import (
     STATUS_FRESH,
@@ -61,6 +57,4 @@ __all__ = [
     "ShardSupervisor",
     "ShardTimeoutError",
     "SupervisorPolicy",
-    "entropy_aware_node_ranges",
-    "uniform_node_ranges",
 ]

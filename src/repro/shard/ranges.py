@@ -1,13 +1,11 @@
-"""Entropy-aware shard ranges and the scatter-gather routing table.
+"""The scatter-gather routing table over contiguous shard ranges.
 
-The embedding table is split into contiguous *node-id* ranges (routing
-stays an O(log N) binary search) whose boundaries come from the same
-EaTA time model the SpMM allocator uses
-(:class:`~repro.core.eata.EntropyAwareAllocator`): each node's expected
-lookup cost is its degree derated by the Eq. 5 bandwidth-degradation
-factor ``g(z)`` plus a constant per-row term, and the prefix sums of
-that proxy are split into equal quantiles.  Hot, scattered regions of
-the graph therefore land on smaller shards, equalizing per-shard load
+The embedding table is split into contiguous *node-id* ranges, so
+routing stays an O(log N) binary search.  The initial ranges are cut by
+the SpMM allocator's own functions
+(:func:`~repro.core.eata.entropy_aware_bounds` when degrees are known,
+:func:`~repro.core.eata.round_robin_bounds` when not): hot, scattered
+regions of the graph land on smaller shards, equalizing per-shard load
 the way EaTA equalizes per-thread completion times.
 """
 
@@ -17,66 +15,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def entropy_aware_node_ranges(
-    degrees: np.ndarray,
-    n_shards: int,
-    beta: float = 0.41,
-    row_overhead_nnz: float = 2.0,
-) -> list[tuple[int, int]]:
-    """Contiguous node ranges equalizing the EaTA cost proxy.
-
-    Args:
-        degrees: per-node degree (natural node-id order).
-        n_shards: number of shards to cut.
-        beta: random/sequential bandwidth ratio of Eq. 5.
-        row_overhead_nnz: constant per-row cost term.
-
-    Returns exactly ``n_shards`` half-open ``(start, end)`` ranges
-    covering ``[0, len(degrees))``; trailing shards may be empty on
-    degenerate inputs.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must be in (0, 1], got {beta}")
-    degrees = np.asarray(degrees, dtype=np.float64)
-    n_nodes = len(degrees)
-    if n_nodes == 0:
-        return [(0, 0)] * n_shards
-    total = float(degrees.sum())
-    log_v = float(np.log(max(n_nodes, 2)))
-    w_nominal = max(total / n_shards, 1.0)
-    # Each node's normalized-entropy window under a nominal shard load,
-    # exactly as EntropyAwareAllocator.allocate estimates it per row.
-    z = np.log(np.maximum(w_nominal / np.maximum(degrees, 1.0), 1.0))
-    z = np.minimum(z / log_v, 1.0)
-    g = 1.0 - z + beta * z
-    proxy = degrees / g + row_overhead_nnz
-    prefix = np.concatenate([[0.0], np.cumsum(proxy)])
-    targets = np.linspace(0.0, prefix[-1], n_shards + 1)
-    ranges: list[tuple[int, int]] = []
-    start = 0
-    for shard in range(n_shards):
-        if shard == n_shards - 1:
-            end = n_nodes
-        else:
-            end = int(np.searchsorted(prefix, targets[shard + 1], side="left"))
-            end = min(max(end, start), n_nodes)
-        ranges.append((start, end))
-        start = end
-    return ranges
-
-
-def uniform_node_ranges(n_nodes: int, n_shards: int) -> list[tuple[int, int]]:
-    """Plain equal-row ranges (the RR baseline; no degree information)."""
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    bounds = np.linspace(0, n_nodes, n_shards + 1).astype(np.int64)
-    return [
-        (int(bounds[i]), int(bounds[i + 1])) for i in range(n_shards)
-    ]
 
 
 @dataclass(frozen=True)

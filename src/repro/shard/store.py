@@ -1,8 +1,8 @@
 """Multi-process sharded embedding store with hedged scatter-gather.
 
 The embedding table is partitioned into contiguous node ranges
-(:mod:`repro.shard.ranges`: EaTA entropy-aware when the caller supplies
-degrees, equal rows when it does not), each owned by a
+(EaTA's first pass when the caller supplies degrees, RR's equal rows
+when it does not), each owned by a
 :class:`~repro.shard.host.ShardHost` — segment, worker processes and
 WAL — that talks to its workers over :mod:`repro.shard.transport`.
 
@@ -43,6 +43,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.core.eata import entropy_aware_bounds, round_robin_bounds
 from repro.faults import FaultInjector
 from repro.memsim.costmodel import CostModel
 from repro.memsim.devices import (
@@ -60,11 +61,7 @@ from repro.shard.errors import (
     ShardTimeoutError,
 )
 from repro.shard.host import HEDGE_SIM_PENALTY_S, ShardHost, wait_heartbeats
-from repro.shard.ranges import (
-    ShardRoutingTable,
-    entropy_aware_node_ranges,
-    uniform_node_ranges,
-)
+from repro.shard.ranges import ShardRoutingTable
 from repro.shard.refresh import BackgroundCheckpointer
 from repro.shard.transport import _SentLookup
 
@@ -214,17 +211,21 @@ class EmbeddingShardManager:
         self._bound_to: MetricsRegistry | None = None
         self._lookups: Callable[[], None] | None = None
         n_nodes = len(self.table)
-        self.degrees = (
-            np.asarray(degrees, dtype=np.float64)[:n_nodes]
-            if degrees is not None
-            else None
-        )
+        self.degrees = None
+        if degrees is None:
+            bounds = round_robin_bounds(n_nodes, policy.n_shards)
+        else:
+            self.degrees = np.asarray(degrees, dtype=np.float64)
+            if self.degrees.shape != (n_nodes,):
+                raise ValueError(
+                    f"degrees must be 1-D with one entry per table row:"
+                    f" got shape {self.degrees.shape} for {n_nodes} rows"
+                )
+            if not np.all(np.isfinite(self.degrees) & (self.degrees >= 0)):
+                raise ValueError("degrees must be finite and non-negative")
+            bounds = entropy_aware_bounds(self.degrees, policy.n_shards)
         self.routing = ShardRoutingTable(
-            ranges=tuple(
-                entropy_aware_node_ranges(self.degrees, policy.n_shards)
-                if self.degrees is not None
-                else uniform_node_ranges(n_nodes, policy.n_shards)
-            )
+            ranges=tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
         )
         self.version = 0
         self.lookup_seq = 0

@@ -11,6 +11,7 @@ from repro.core import (
     WorkloadBalancedAllocator,
     make_allocator,
 )
+from repro.core.eata import equal_share_bounds
 
 
 def assert_covers_all_rows(partitions, matrix):
@@ -22,10 +23,19 @@ def assert_covers_all_rows(partitions, matrix):
     assert sum(p.nnz_count for p in partitions) == matrix.nnz
 
 
+def range_fields(ctx, row_start, row_end):
+    """``AllocatorContext.fields`` of one range, as Python scalars."""
+    nnz_start, nnz_end, entropy, z_entropy, scatter = (
+        column.item() for column in ctx.fields([row_start], [row_end])
+    )
+    return nnz_end - nnz_start, entropy, z_entropy, scatter
+
+
 class TestAllocatorContext:
     def test_workload_totals(self, skewed_csdb):
         ctx = AllocatorContext(skewed_csdb)
-        assert ctx.workload(0, skewed_csdb.n_rows) == skewed_csdb.nnz
+        w = range_fields(ctx, 0, skewed_csdb.n_rows)[0]
+        assert w == skewed_csdb.nnz
 
     def test_entropy_eq3_matches_direct_computation(self, skewed_csdb):
         ctx = AllocatorContext(skewed_csdb)
@@ -34,40 +44,41 @@ class TestAllocatorContext:
         w = degrees.sum()
         p = degrees[degrees > 0] / w
         expected = float(-(p * np.log(p)).sum())
-        assert ctx.entropy(a, b) == pytest.approx(expected)
+        assert range_fields(ctx, a, b)[1] == pytest.approx(expected)
 
     def test_entropy_bounds(self, skewed_csdb):
         ctx = AllocatorContext(skewed_csdb)
         n = skewed_csdb.n_rows
-        h = ctx.entropy(0, n)
+        _, h, z, _ = range_fields(ctx, 0, n)
         assert 0.0 <= h <= np.log(n)
-        assert 0.0 <= ctx.z_entropy(0, n) <= 1.0
+        assert 0.0 <= z <= 1.0
 
     def test_entropy_single_row_is_zero(self, skewed_csdb):
         ctx = AllocatorContext(skewed_csdb)
-        assert ctx.entropy(0, 1) == 0.0
+        assert range_fields(ctx, 0, 1)[1] == 0.0
 
     def test_entropy_empty_range_is_zero(self, skewed_csdb):
         ctx = AllocatorContext(skewed_csdb)
-        assert ctx.entropy(3, 3) == 0.0
+        assert range_fields(ctx, 3, 3)[1] == 0.0
 
     def test_uniform_rows_entropy_is_log_count(self, paper_csdb):
         # The first block of the example graph has equal-degree rows.
         ctx = AllocatorContext(paper_csdb)
         block = int(paper_csdb.deg_ind[1])
-        assert ctx.entropy(0, block) == pytest.approx(np.log(block))
+        assert range_fields(ctx, 0, block)[1] == pytest.approx(np.log(block))
 
     def test_scatter_definition(self, skewed_csdb):
         ctx = AllocatorContext(skewed_csdb)
-        w = ctx.workload(0, 10)
+        w, _, _, scatter = range_fields(ctx, 0, 10)
         expected = (w / 10) / skewed_csdb.n_cols
-        assert ctx.scatter(0, 10) == pytest.approx(expected)
+        assert scatter == pytest.approx(expected)
 
-    def test_row_at_workload(self, skewed_csdb):
+    def test_equal_share_cut_halves_the_workload(self, skewed_csdb):
         ctx = AllocatorContext(skewed_csdb)
-        end = ctx.row_at_workload(ctx.total_nnz / 2)
-        half = ctx.workload(0, end)
-        assert abs(half - ctx.total_nnz / 2) <= skewed_csdb.row_degrees().max()
+        end = int(equal_share_bounds(ctx.nnz_prefix, ctx.n_rows, 2)[1])
+        half = range_fields(ctx, 0, end)[0]
+        total = skewed_csdb.nnz
+        assert abs(half - total / 2) <= skewed_csdb.row_degrees().max()
 
 
 class TestRoundRobin:
@@ -140,19 +151,6 @@ class TestEaTA:
         high_z = max(nonempty, key=lambda p: p.z_entropy)
         if high_z.z_entropy - low_z.z_entropy > 0.2:
             assert high_z.nnz_count < low_z.nnz_count
-
-    def test_algorithm2_variant_covers_rows(self, skewed_csdb):
-        partitions = EntropyAwareAllocator().allocate_algorithm2(
-            skewed_csdb, 8
-        )
-        assert_covers_all_rows(partitions, skewed_csdb)
-
-    def test_algorithm2_rescales_toward_objective(self, skewed_csdb):
-        """Eq. 7: entropy spread across threads narrows versus WaTA."""
-        eata = EntropyAwareAllocator().allocate_algorithm2(skewed_csdb, 8)
-        wata = WorkloadBalancedAllocator().allocate(skewed_csdb, 8)
-        spread = lambda ps: np.std([p.entropy for p in ps if p.nnz_count])
-        assert spread(eata) <= spread(wata) * 1.5
 
     def test_invalid_beta(self):
         with pytest.raises(ValueError, match="beta"):

@@ -67,11 +67,6 @@ class ScalarContext:
         w = self.workload(row_start, row_end)
         return (w / n_rows) / max(self.matrix.n_cols, 1)
 
-    def row_at_workload(self, target_nnz: float, row_start: int = 0) -> int:
-        goal = self.nnz_prefix[row_start] + target_nnz
-        end = int(np.searchsorted(self.nnz_prefix, goal, side="left"))
-        return min(max(end, row_start + 1), self.n_rows)
-
     def make_partition(
         self, thread_id: int, row_start: int, row_end: int
     ) -> WorkloadPartition:
@@ -147,67 +142,17 @@ def scalar_eata(allocator, matrix, n_threads):
         z = np.log(np.maximum(w_nominal / np.maximum(degrees, 1.0), 1.0))
     z = np.minimum(z / ctx.log_v, 1.0)
     g = 1.0 - z + allocator.beta * z
-    proxy = degrees / g + allocator.row_overhead_nnz
+    proxy = degrees / g + 2.0
     partitions = scalar_split_by_proxy(ctx, proxy, n_threads)
     for _ in range(2):
         rates = np.ones(ctx.n_rows)
         for p in partitions:
             if p.n_rows > 0:
-                rates[p.row_start : p.row_end] = 1.0 / allocator._g(p.z_entropy)
-        refined = degrees * rates + allocator.row_overhead_nnz
+                rates[p.row_start : p.row_end] = 1.0 / (
+                    1.0 - p.z_entropy + allocator.beta * p.z_entropy
+                )
+        refined = degrees * rates + 2.0
         partitions = scalar_split_by_proxy(ctx, refined, n_threads)
-    return partitions
-
-
-def scalar_algorithm2(allocator, matrix, n_threads):
-    ctx = ScalarContext(matrix)
-    if n_threads == 1:
-        return [ctx.make_partition(0, 0, ctx.n_rows)]
-
-    def time_proxy(row_start, row_end):
-        h = ctx.entropy(row_start, row_end)
-        return h * allocator._g(min(h / ctx.log_v, 1.0))
-
-    targets = np.linspace(0, ctx.total_nnz, n_threads + 1)
-    split_rows = np.searchsorted(ctx.nnz_prefix, targets, side="left")
-    split_rows[0], split_rows[-1] = 0, ctx.n_rows
-    initial_entropies = [
-        ctx.entropy(int(split_rows[t]), int(split_rows[t + 1]))
-        for t in range(n_threads)
-        if split_rows[t + 1] > split_rows[t]
-    ]
-    h_objective = float(np.mean(initial_entropies)) if initial_entropies else 0.0
-
-    partitions = []
-    allocated_h_sum = 0.0
-    row = 0
-    for t in range(n_threads):
-        remaining_threads = n_threads - t
-        if t == n_threads - 1 or row >= ctx.n_rows:
-            partitions.append(ctx.make_partition(t, row, ctx.n_rows))
-            row = ctx.n_rows
-            continue
-        remaining_w = ctx.total_nnz - ctx.nnz_prefix[row]
-        w_i = remaining_w / remaining_threads
-        candidate_end = ctx.row_at_workload(w_i, row)
-        candidate_proxy = time_proxy(row, candidate_end)
-        objective_proxy = h_objective * allocator._g(
-            min(h_objective / ctx.log_v, 1.0)
-        )
-        if candidate_proxy > 0.0 and objective_proxy > 0.0:
-            ratio = objective_proxy / candidate_proxy
-        else:
-            ratio = 1.0
-        ratio = min(max(ratio, allocator.rescale_floor), allocator.rescale_ceiling)
-        w_p = max(w_i * ratio, 1.0)
-        end = ctx.row_at_workload(w_p, row)
-        max_end = ctx.n_rows - (remaining_threads - 1)
-        end = min(end, max(max_end, row + 1))
-        partition = ctx.make_partition(t, row, end)
-        partitions.append(partition)
-        allocated_h_sum += partition.entropy
-        h_objective = allocated_h_sum / (t + 1)
-        row = end
     return partitions
 
 
@@ -305,8 +250,6 @@ def allocations(matrix, n_threads, beta):
                  scalar_wata(matrix, n_threads)),
         "EaTA": (eata.allocate(matrix, n_threads),
                  scalar_eata(eata, matrix, n_threads)),
-        "Algorithm 2": (eata.allocate_algorithm2(matrix, n_threads),
-                        scalar_algorithm2(eata, matrix, n_threads)),
     }
 
 
@@ -371,7 +314,8 @@ def test_range_queries_equal_the_scalar_ones(matrix, data):
         assert repr(entropy[i].item()) == repr(reference.entropy(a, b))
         assert repr(z_entropy[i].item()) == repr(reference.z_entropy(a, b))
         assert repr(scatter[i].item()) == repr(reference.scatter(a, b))
-        assert repr(ctx.entropy(a, b)) == repr(reference.entropy(a, b))
+        single = ctx.fields([a], [b])[2].item()
+        assert repr(single) == repr(reference.entropy(a, b))
 
 
 @settings(max_examples=80, deadline=None)

@@ -127,10 +127,10 @@ class TestAllocatorProperties:
         rows, cols, vals, shape = coo
         csdb = CSDBMatrix.from_coo(rows, cols, vals, shape)
         ctx = AllocatorContext(csdb)
-        h = ctx.entropy(0, csdb.n_rows)
+        _, _, h, z, _ = ctx.fields([0], [csdb.n_rows])
         rows_with_nnz = int((csdb.row_degrees() > 0).sum())
-        assert 0.0 <= h <= np.log(max(rows_with_nnz, 1)) + 1e-9
-        assert 0.0 <= ctx.z_entropy(0, csdb.n_rows) <= 1.0
+        assert 0.0 <= h[0] <= np.log(max(rows_with_nnz, 1)) + 1e-9
+        assert 0.0 <= z[0] <= 1.0
 
     @given(coo_matrices(), st.integers(0, 20), st.integers(0, 20))
     @settings(max_examples=40, deadline=None)
@@ -144,7 +144,8 @@ class TestAllocatorProperties:
             lo, hi = hi, lo
         ctx = AllocatorContext(csdb)
         if hi > lo:
-            assert ctx.entropy(lo, hi) <= np.log(hi - lo) + 1e-9
+            entropy = ctx.fields([lo], [hi])[2][0]
+            assert entropy <= np.log(hi - lo) + 1e-9
 
 
 class TestCostModelProperties:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.eata import entropy_aware_bounds, round_robin_bounds
 from repro.faults import (
     ALL_FAULT_KINDS,
     SHARD_FAULT_KINDS,
@@ -37,8 +38,6 @@ from repro.shard import (
     ShardSupervisor,
     ShardTimeoutError,
     SupervisorPolicy,
-    entropy_aware_node_ranges,
-    uniform_node_ranges,
 )
 from repro.shard.transport import SHARD_CRASH_EXIT_CODE
 
@@ -74,10 +73,70 @@ def _manager(
 # -- ranges and routing ---------------------------------------------------
 
 
+def _ranges(bounds: np.ndarray) -> list[tuple[int, int]]:
+    return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+
+
+def reference_entropy_ranges(degrees, n_shards, beta=0.41):
+    """The shard cut as ``repro.shard`` once computed it by hand."""
+    degrees = np.asarray(degrees, dtype=np.float64)
+    n_nodes = len(degrees)
+    if n_nodes == 0:
+        return [(0, 0)] * n_shards
+    total = float(degrees.sum())
+    log_v = float(np.log(max(n_nodes, 2)))
+    w_nominal = max(total / n_shards, 1.0)
+    z = np.log(np.maximum(w_nominal / np.maximum(degrees, 1.0), 1.0))
+    z = np.minimum(z / log_v, 1.0)
+    g = 1.0 - z + beta * z
+    proxy = degrees / g + 2.0
+    prefix = np.concatenate([[0.0], np.cumsum(proxy)])
+    targets = np.linspace(0.0, prefix[-1], n_shards + 1)
+    ranges = []
+    start = 0
+    for shard in range(n_shards):
+        if shard == n_shards - 1:
+            end = n_nodes
+        else:
+            end = int(np.searchsorted(prefix, targets[shard + 1], side="left"))
+            end = min(max(end, start), n_nodes)
+        ranges.append((start, end))
+        start = end
+    return ranges
+
+
+def reference_uniform_ranges(n_nodes, n_shards):
+    bounds = np.linspace(0, n_nodes, n_shards + 1).astype(np.int64)
+    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(n_shards)]
+
+
+def _seeded_degrees(seed: int) -> tuple[np.ndarray, int]:
+    """Integer, float, all-zero and one-hub degree vectors (some empty),
+    with shard counts up to and above the node count."""
+    rng = np.random.default_rng(seed)
+    n_nodes = int(rng.integers(0, 300)) if seed % 7 else int(rng.integers(0, 3))
+    kind = seed % 4
+    if kind == 0:
+        degrees = rng.integers(0, 60, size=n_nodes)
+    elif kind == 1:
+        degrees = rng.pareto(1.5, size=n_nodes) * rng.uniform(0.01, 100.0)
+    elif kind == 2:
+        degrees = np.zeros(n_nodes, dtype=rng.choice([np.int64, np.float64]))
+    else:
+        degrees = rng.integers(0, 3, size=n_nodes)
+        if n_nodes:
+            degrees[rng.integers(n_nodes)] = int(rng.integers(1, 10**6))
+    if seed % 3 == 0:
+        n_shards = n_nodes + int(rng.integers(1, 8))
+    else:
+        n_shards = int(rng.integers(1, 17))
+    return degrees, n_shards
+
+
 class TestRanges:
     def test_entropy_ranges_cover_contiguously(self):
         degrees = np.random.default_rng(1).pareto(1.5, size=500) + 1.0
-        ranges = entropy_aware_node_ranges(degrees, 4)
+        ranges = _ranges(entropy_aware_bounds(degrees, 4))
         assert len(ranges) == 4
         cursor = 0
         for start, end in ranges:
@@ -90,24 +149,71 @@ class TestRanges:
         # Sharply decreasing degrees: the hot head should land on a
         # smaller shard than a uniform cut would give it.
         degrees = np.linspace(1000.0, 1.0, 400) ** 2
-        ranges = entropy_aware_node_ranges(degrees, 4)
+        ranges = _ranges(entropy_aware_bounds(degrees, 4))
         first = ranges[0][1] - ranges[0][0]
         last = ranges[-1][1] - ranges[-1][0]
         assert first < 100 < last
 
     def test_uniform_ranges(self):
-        assert uniform_node_ranges(10, 3) == [(0, 3), (3, 6), (6, 10)]
+        assert _ranges(round_robin_bounds(10, 3)) == [(0, 3), (3, 6), (6, 10)]
 
     def test_empty_degrees(self):
-        assert entropy_aware_node_ranges(np.array([]), 3) == [(0, 0)] * 3
+        assert _ranges(entropy_aware_bounds(np.array([]), 3)) == [(0, 0)] * 3
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="n_shards"):
-            entropy_aware_node_ranges(np.ones(4), 0)
+        with pytest.raises(ValueError, match="n_parts"):
+            entropy_aware_bounds(np.ones(4), 0)
         with pytest.raises(ValueError, match="beta"):
-            entropy_aware_node_ranges(np.ones(4), 2, beta=0.0)
-        with pytest.raises(ValueError, match="n_shards"):
-            uniform_node_ranges(4, 0)
+            entropy_aware_bounds(np.ones(4), 2, beta=0.0)
+        with pytest.raises(ValueError, match="n_parts"):
+            round_robin_bounds(4, 0)
+
+    def test_cut_equals_the_hand_written_one(self):
+        for seed in range(2400):
+            degrees, n_shards = _seeded_degrees(seed)
+            assert _ranges(entropy_aware_bounds(degrees, n_shards)) == (
+                reference_entropy_ranges(degrees, n_shards)
+            ), seed
+            assert _ranges(round_robin_bounds(len(degrees), n_shards)) == (
+                reference_uniform_ranges(len(degrees), n_shards)
+            ), seed
+
+    @pytest.mark.parametrize("n_shards", (1, 2, 3, 4))
+    def test_fixture_ranges_are_pinned(self, n_shards):
+        degrees = np.linspace(500.0, 1.0, N_NODES) ** 2
+        pinned = {
+            1: ([(0, 64)], [(0, 64)]),
+            2: ([(0, 32), (32, 64)], [(0, 16), (16, 64)]),
+            3: ([(0, 21), (21, 42), (42, 64)], [(0, 10), (10, 23), (23, 64)]),
+            4: (
+                [(0, 16), (16, 32), (32, 48), (48, 64)],
+                [(0, 7), (7, 16), (16, 27), (27, 64)],
+            ),
+        }
+        uniform, entropy = pinned[n_shards]
+        assert list(_manager(n_shards=n_shards).routing.ranges) == uniform
+        manager = _manager(degrees=degrees, n_shards=n_shards)
+        assert list(manager.routing.ranges) == entropy
+        assert entropy == reference_entropy_ranges(degrees, n_shards)
+
+    @pytest.mark.parametrize(
+        "degrees",
+        (
+            np.ones(50),
+            np.ones(80),
+            np.ones((N_NODES, 1)),
+            np.full(N_NODES, np.nan),
+            np.r_[np.ones(N_NODES - 1), np.inf],
+            np.r_[np.ones(N_NODES - 1), -1.0],
+        ),
+        ids=("short", "long", "2-D", "nan", "inf", "negative"),
+    )
+    def test_degrees_must_fit_the_table(self, degrees):
+        with pytest.raises(ValueError, match="degrees") as raised:
+            _manager(degrees=degrees)
+        if np.ndim(degrees) == 1 and len(degrees) != N_NODES:
+            assert str(len(degrees)) in str(raised.value)
+            assert str(N_NODES) in str(raised.value)
 
 
 class TestRoutingTable:
