@@ -77,8 +77,13 @@ from repro.parallel.threads import get_threads_executor
 #: Bytes of CSDB per-row metadata touched by ``read_index`` (degree-block
 #: lookup + running offset).
 INDEX_BYTES_PER_ROW = 16.0
-#: Bytes per non-zero streamed by ``get_sparse_nnz`` (int32 column id +
-#: float64 weight, padded).
+#: Bytes of one dense-operand or result item in Eq. 2.  The model prices
+#: the paper's float64 operands whatever dtype the host kernel runs in:
+#: ProNE's float32 propagation half moves half these bytes on the host and
+#: is charged the same simulated seconds as a float64 run.
+MODELLED_ITEM_BYTES = 8
+#: Bytes per non-zero streamed by ``get_sparse_nnz``: a 4 B column id and
+#: a float64 weight, priced like the dense items whatever the host dtypes.
 SPARSE_BYTES_PER_NNZ = 12.0
 #: Scratch read+write traffic per multiply-accumulate when the scratch
 #: accumulators themselves live on PM (PM-only mode).  Each MAC pays a
@@ -313,7 +318,8 @@ class SpMMEngine:
 
         Args:
             matrix: the sparse operand in CSDB format.
-            dense: the dense operand, shape (n_cols, d).
+            dense: the dense operand, shape (n_cols, d); cast to
+                ``matrix.dtype``, which the product comes out in.
             compute: execute the real SpMM kernel (disable for
                 cost-only scalability sweeps over huge synthetic inputs).
 
@@ -322,7 +328,7 @@ class SpMMEngine:
                 (sparse + dense + result + scratch) exceeds the scaled
                 DRAM capacity.
         """
-        dense = np.asarray(dense, dtype=np.float64)
+        dense = np.asarray(dense, dtype=matrix.dtype)
         if dense.ndim == 1:
             dense = dense[:, None]
         if dense.shape[0] != matrix.n_cols:
@@ -331,8 +337,8 @@ class SpMMEngine:
             )
         d = dense.shape[1]
         sparse_bytes = matrix.nnz * SPARSE_BYTES_PER_NNZ + matrix.index_bytes()
-        dense_bytes = float(matrix.n_cols * d * 8)
-        result_bytes = float(matrix.n_rows * d * 8)
+        dense_bytes = float(matrix.n_cols * d * MODELLED_ITEM_BYTES)
+        result_bytes = float(matrix.n_rows * d * MODELLED_ITEM_BYTES)
         self.check_dram_residency(
             sparse_bytes + 2.0 * dense_bytes + 2.0 * result_bytes
         )
@@ -375,7 +381,7 @@ class SpMMEngine:
                 output = matrix.spmm(dense)
             else:
                 # run_partitions fully overwrites the buffer.
-                output = np.empty((matrix.n_rows, d), dtype=np.float64)
+                output = np.empty((matrix.n_rows, d), dtype=matrix.dtype)
                 stats = getattr(self.kernel_executor, "stats", None)
                 before = (
                     (
@@ -673,7 +679,7 @@ class SpMMEngine:
 
         # (3) get_dense_nnz — scattered dense-row gathers at Eq. 5
         # bandwidth; WoFP hits come from DRAM.
-        dense_bytes = float(w * d * 8)
+        dense_bytes = float(w * d * MODELLED_ITEM_BYTES)
         hit_bytes = dense_bytes * prefetch.hit_fraction
         miss_bytes = dense_bytes - hit_bytes
         t_dense = 0.0
@@ -726,7 +732,7 @@ class SpMMEngine:
         charges.append(("accumulate", t_acc, 0.0))
 
         # (5) write_result — sequential result writes.
-        result_bytes = float(rows * d * 8)
+        result_bytes = float(rows * d * MODELLED_ITEM_BYTES)
         t_write = self._split_locality(
             result_dev,
             Operation.WRITE,

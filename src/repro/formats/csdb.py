@@ -154,6 +154,18 @@ def attach_shared_array(
     return view, segment
 
 
+def as_values(values) -> np.ndarray:
+    """``values`` as a value array: float32 stays float32, all else is float64.
+
+    The two value dtypes a product runs in: float64 by default, float32
+    where a caller cast on purpose (ProNE's propagation half).
+    """
+    values = np.asarray(values)
+    if values.dtype == np.float32:
+        return values
+    return values.astype(np.float64, copy=False)
+
+
 def _run_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Index that concatenates the runs ``[starts[i], starts[i] + lengths[i])``.
 
@@ -289,7 +301,9 @@ class CSDBMatrix:
             deg_ind: row offsets of each degree block, length
                 ``len(deg_list) + 1``, ending at ``n_rows``.
             col_list: column ids of the non-zeros, in CSDB row order.
-            nnz_list: values of the non-zeros, aligned with ``col_list``.
+            nnz_list: values of the non-zeros, aligned with ``col_list``;
+                float32 values stay float32, any other dtype becomes
+                float64 (:func:`as_values`).
             perm: ``perm[csdb_row] = original_row``.
             shape: (n_rows, n_cols) in original indexing.
         """
@@ -301,7 +315,7 @@ class CSDBMatrix:
                 np.asarray(perm, dtype=np.int64),
                 (int(shape[0]), int(shape[1])),
             ),
-            np.asarray(nnz_list, dtype=np.float64),
+            as_values(nnz_list),
         )
         self._validate()
         self.block_ptr = self.pattern.block_ptr = np.concatenate(
@@ -414,6 +428,11 @@ class CSDBMatrix:
     def nnz(self) -> int:
         """Number of stored non-zeros."""
         return int(len(self.nnz_list))
+
+    @property
+    def dtype(self) -> np.dtype:
+        """Value dtype (float64 or float32); products come out in it."""
+        return self.nnz_list.dtype
 
     @property
     def n_rows(self) -> int:
@@ -544,14 +563,15 @@ class CSDBMatrix:
         over its non-zeros in ``col_list`` order, starting from zero,
         with one rounding per multiply and one per add.  A row's bits
         therefore do not depend on which range, executor or worker
-        computed it.
+        computed it.  The dense operand is cast to :attr:`dtype`, and the
+        product comes out in it.
         """
         if not 0 <= row_start <= row_end <= self.n_rows:
             raise ValueError(
                 f"invalid row range [{row_start}, {row_end})"
                 f" for {self.n_rows} rows"
             )
-        dense = np.asarray(dense, dtype=np.float64)
+        dense = np.asarray(dense, dtype=self.dtype)
         if dense.shape[0] != self.n_cols:
             raise ValueError(
                 f"dimension mismatch: {self.shape} @ {dense.shape}"
@@ -589,16 +609,27 @@ class CSDBMatrix:
             verify: cross-validate the kernel against the from-scratch
                 CSR reference (``self.to_csr().spmm``); raises
                 :class:`KernelVerificationError` on divergence.  Meant
-                for tests and debugging — it pays a full second SpMM.
+                for tests and debugging — it pays two more SpMMs.
+
+        The product is in :attr:`dtype`; the dense operand is cast to it.
         """
-        dense = np.asarray(dense, dtype=np.float64)
+        dense = np.asarray(dense, dtype=self.dtype)
         squeeze = dense.ndim == 1
         if squeeze:
             dense = dense[:, None]
         out = self.to_original_order(self.spmm_rows(dense, 0, self.n_rows))
         if verify:
-            reference = self.to_csr().spmm(dense)
-            if not np.allclose(out, reference, rtol=1e-9, atol=1e-12):
+            csr = self.to_csr()
+            reference = csr.spmm(dense)
+            # An entry sums at most deg_list[0] rounded products, so it is
+            # within deg_list[0] * eps * (|A| @ |dense|) of the exact value,
+            # eps being this dtype's; twice that covers the reference too.
+            magnitude = CSRMatrix(
+                csr.indptr, csr.indices, np.abs(csr.data), csr.shape
+            ).spmm(np.abs(dense))
+            terms = int(self.deg_list[0]) if self.n_blocks else 0
+            bound = 2 * terms * np.finfo(self.dtype).eps * magnitude
+            if not np.all(np.abs(out - reference) <= bound):
                 worst = float(np.max(np.abs(out - reference)))
                 raise KernelVerificationError(
                     "SpMM kernel diverged from the CSR reference"
@@ -633,16 +664,20 @@ class CSDBMatrix:
         if np.array_equal(by_column.indptr, indptr) and np.array_equal(
             by_column.indices, indices
         ):
-            values = np.empty(self.nnz, dtype=np.float64)
+            values = np.empty(self.nnz, dtype=self.dtype)
             values[gather] = by_column.data + 0.0
             return self.with_values(values)
-        return CSDBMatrix.from_csr(
+        transposed = CSDBMatrix.from_csr(
             CSRMatrix(
                 by_column.indptr,
                 by_column.indices,
                 by_column.data + 0.0,
                 (self.n_cols, self.n_rows),
             )
+        )
+        # CSR holds float64; a float32 matrix's values round-trip exactly.
+        return transposed.with_values(
+            transposed.nnz_list.astype(self.dtype, copy=False)
         )
 
     def _elementwise(self, other: "CSDBMatrix", sign: float) -> "CSDBMatrix":
@@ -663,8 +698,9 @@ class CSDBMatrix:
         structural is re-validated and the pattern's caches, present and
         future, are common to both.  ``transpose`` (of an asymmetric
         pattern) and the elementwise operators build fresh patterns.
+        float32 values stay float32; any other dtype becomes float64.
         """
-        values = np.asarray(values, dtype=np.float64)
+        values = as_values(values)
         if values.shape != self.nnz_list.shape:
             raise ValueError(
                 f"values must have shape {self.nnz_list.shape},"

@@ -149,7 +149,7 @@ class SimulatedExecutor:
             product = matrix.spmm_rows(dense, 0, matrix.n_rows)
         else:
             # Uncovered rows stay zero.
-            product = np.zeros(output.shape)
+            product = np.zeros(output.shape, dtype=matrix.dtype)
             for row_start, row_end in fused:
                 product[row_start:row_end] = matrix.spmm_rows(
                     dense, row_start, row_end

@@ -196,7 +196,7 @@ class _ScratchSegment:
         )
         self.capacity = max(nbytes, 1)
 
-    def view(self, shape: tuple[int, ...], dtype: str = "float64") -> np.ndarray:
+    def view(self, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
         return np.ndarray(shape, dtype=np.dtype(dtype), buffer=self.segment.buf)
 
     def release(self) -> None:
@@ -283,6 +283,11 @@ class SharedMemoryExecutor:
                 if proc.is_alive():  # pragma: no cover - stuck worker
                     proc.terminate()
                     proc.join(timeout=5.0)
+            # Each job queue's feeder thread exits with the queue, not
+            # with the pool: join it so a closed pool leaves no thread.
+            for jobs in self._job_queues:
+                jobs.close()
+                jobs.join_thread()
         self._release_shared()
         self._workers = []
         self._job_queues = []
@@ -403,10 +408,10 @@ class SharedMemoryExecutor:
         return shared_mat.handle
 
     def _scratch_spec(
-        self, tag: str, shape: tuple[int, ...]
+        self, tag: str, shape: tuple[int, ...], dtype: np.dtype
     ) -> SharedArraySpec:
         """Reusable scratch buffer spec, regrown when too small."""
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8
+        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         current = self._scratch.get(tag)
         if current is not None and current.capacity < nbytes:
             self._retired.append(current.segment.name)
@@ -420,7 +425,7 @@ class SharedMemoryExecutor:
             )
             self._scratch[tag] = current
         return SharedArraySpec(
-            name=current.segment.name, shape=tuple(shape), dtype="float64"
+            name=current.segment.name, shape=tuple(shape), dtype=str(dtype)
         )
 
     # -- execution --------------------------------------------------------
@@ -453,20 +458,20 @@ class SharedMemoryExecutor:
         call_start = time.perf_counter()
         if self._closed:
             raise WorkerCrashError("executor is closed")
-        dense = np.ascontiguousarray(dense, dtype=np.float64)
+        dense = np.ascontiguousarray(dense, dtype=matrix.dtype)
         ranges, covered = normalize_ranges(ranges, matrix.n_rows)
         if not ranges:
             output[:] = 0.0
             return
         self._ensure_workers()
         handle = self._shared_matrix(matrix)
-        dense_spec = self._scratch_spec("dense", dense.shape)
-        out_spec = self._scratch_spec("out", output.shape)
-        dense_view = self._scratch["dense"].view(dense.shape)
+        dense_spec = self._scratch_spec("dense", dense.shape, matrix.dtype)
+        out_spec = self._scratch_spec("out", output.shape, matrix.dtype)
+        dense_view = self._scratch["dense"].view(dense.shape, matrix.dtype)
         dense_view[:] = dense
         del dense_view
         if not covered:
-            out_view = self._scratch["out"].view(output.shape)
+            out_view = self._scratch["out"].view(output.shape, matrix.dtype)
             out_view[:] = 0.0
             del out_view
         retired = tuple(self._retired)
@@ -515,7 +520,7 @@ class SharedMemoryExecutor:
         self.stats.partitions += len(ranges)
         self.stats.last_submit_wall_s = time.perf_counter() - call_start
         self._await(call_id, len(self._workers))
-        out_view = self._scratch["out"].view(output.shape)
+        out_view = self._scratch["out"].view(output.shape, matrix.dtype)
         matrix.to_original_order(out_view, output)
         del out_view
         self.stats.last_call_wall_s = time.perf_counter() - call_start

@@ -135,7 +135,7 @@ class ThreadsExecutor:
                 the caller thread.  The pool remains usable.
         """
         call_start = time.perf_counter()
-        dense = np.ascontiguousarray(dense, dtype=np.float64)
+        dense = np.ascontiguousarray(dense, dtype=matrix.dtype)
         ranges, covered = normalize_ranges(ranges, matrix.n_rows)
         if not ranges:
             output[:] = 0.0
@@ -148,7 +148,8 @@ class ThreadsExecutor:
         matrix.row_degrees()
         matrix.kernel_view()
         # CSDB-order product; uncovered rows stay zero.
-        product = np.empty(output.shape) if covered else np.zeros(output.shape)
+        alloc = np.empty if covered else np.zeros
+        product = alloc(output.shape, dtype=matrix.dtype)
 
         def run_range(row_start: int, row_end: int) -> None:
             product[row_start:row_end] = matrix.spmm_rows(

@@ -20,6 +20,12 @@ buffer.
 Ownership: a matmul callable returns an array the filter may overwrite;
 the ``embedding`` argument is only ever read (the pipeline passes its
 checkpointed initial embedding).
+
+Dtype: the recurrence runs in the embedding's dtype — float32 stays
+float32, anything else becomes float64 — and the Bessel coefficients
+enter as Python floats, so they never widen a float32 term.  The
+pipeline passes float32 (:func:`repro.prone.model.prone_propagate`);
+the matmul callables must return the operand's dtype.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ from typing import Callable
 
 import numpy as np
 from scipy.special import iv
+
+from repro.formats.csdb import as_values
 
 MatMul = Callable[[np.ndarray], np.ndarray]
 
@@ -45,7 +53,8 @@ def chebyshev_gaussian_filter(
         operator_matmul: computes ``M @ X`` for the shifted Laplacian M.
         aggregate_matmul: computes ``A' @ X`` for the self-looped
             adjacency ``A' = I + A`` (the final aggregation step).
-        embedding: (n, d) initial embedding.
+        embedding: (n, d) initial embedding; its dtype (float32, or
+            float64 for any other) is the recurrence's.
         order: Chebyshev truncation order (ProNE default 10).
         theta: kernel bandwidth parameter (the Bessel argument).
 
@@ -55,7 +64,7 @@ def chebyshev_gaussian_filter(
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    x = np.asarray(embedding, dtype=np.float64)
+    x = as_values(embedding)
     if order == 1:
         return aggregate_matmul(x)
     scratch = np.empty_like(x)
@@ -63,13 +72,13 @@ def chebyshev_gaussian_filter(
     lx1 = operator_matmul(operator_matmul(x))
     np.multiply(lx1, 0.5, out=lx1)
     np.subtract(lx1, x, out=lx1)
-    conv = iv(0, theta) * x
-    conv -= np.multiply(lx1, 2.0 * iv(1, theta), out=scratch)
+    conv = float(iv(0, theta)) * x
+    conv -= np.multiply(lx1, 2.0 * float(iv(1, theta)), out=scratch)
     for i in range(2, order):
         lx2 = operator_matmul(operator_matmul(lx1))
         np.subtract(lx2, np.multiply(lx1, 2.0, out=scratch), out=lx2)
         np.subtract(lx2, lx0, out=lx2)
-        np.multiply(lx2, 2.0 * iv(i, theta), out=scratch)
+        np.multiply(lx2, 2.0 * float(iv(i, theta)), out=scratch)
         if i % 2 == 0:
             conv += scratch
         else:

@@ -17,7 +17,8 @@ All variants take the same ``(operator_matmul, aggregate_matmul,
 embedding)`` signature, so the embedding pipeline and benches can swap
 them freely.  Like the Chebyshev recurrence they work in place on the
 products' outputs (a matmul callable returns an array the filter may
-overwrite) and only ever read ``embedding``.
+overwrite) and only ever read ``embedding``, and they run in its dtype:
+float32 stays float32, anything else becomes float64.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.formats.csdb import as_values
 from repro.prone.chebyshev import chebyshev_gaussian_filter
 
 MatMul = Callable[[np.ndarray], np.ndarray]
@@ -49,7 +51,7 @@ def heat_kernel_filter(
         raise ValueError(f"order must be >= 1, got {order}")
     if s <= 0:
         raise ValueError(f"s must be > 0, got {s}")
-    x = np.asarray(embedding, dtype=np.float64)
+    x = as_values(embedding)
     term = x
     total = x.copy()
     for k in range(1, order + 1):
@@ -76,7 +78,7 @@ def ppr_filter(
         raise ValueError(f"order must be >= 1, got {order}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    x = x0 = np.asarray(embedding, dtype=np.float64)
+    x = x0 = as_values(embedding)
     scratch = np.empty_like(x0)
     for _ in range(order):
         # operator_matmul applies M = L - mu I; recover the random-walk

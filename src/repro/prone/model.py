@@ -21,6 +21,10 @@ from repro.prone.tsvd import embedding_from_factors, randomized_tsvd, tall_svd
 
 MatMulFactory = Callable[[CSDBMatrix], Callable[[np.ndarray], np.ndarray]]
 
+#: The propagation half's value dtype: the Chebyshev operator, ``A + I``
+#: and the filter's operands (DESIGN §6g).
+PROPAGATION_DTYPE = np.float32
+
 
 def _plain_matmul_factory(matrix: CSDBMatrix) -> Callable[[np.ndarray], np.ndarray]:
     """Default SpMM routing: the raw CSDB kernel, no instrumentation."""
@@ -133,13 +137,25 @@ def prone_propagate(
     matmul_factory: MatMulFactory = _plain_matmul_factory,
     tracer: SpanTracer | None = None,
 ) -> np.ndarray:
-    """Stage 2: spectral propagation through the configured filter."""
+    """Stage 2: spectral propagation through the configured filter.
+
+    The one precision switch of an embed: the operators are built in
+    float64 and cast, with the initial embedding, to
+    :data:`PROPAGATION_DTYPE`, so every product of the filter moves half
+    the bytes.  The filtered block comes back to float64 before
+    :func:`densify_embedding`; the returned embedding is float64.
+    """
     tracer = tracer if tracer is not None else NULL_TRACER
     with tracer.span("laplacian"):
         aggregate = add_identity(adjacency)
         operator = chebyshev_operator(
             adjacency, mu=params.mu, aggregate=aggregate
         )
+        operator, aggregate = (
+            matrix.with_values(matrix.nnz_list.astype(PROPAGATION_DTYPE))
+            for matrix in (operator, aggregate)
+        )
+        embedding = np.asarray(embedding, dtype=PROPAGATION_DTYPE)
     operator_matmul = matmul_factory(operator)
     aggregate_matmul = matmul_factory(aggregate)
     with tracer.span(
@@ -175,7 +191,7 @@ def prone_propagate(
                 " expected 'gaussian', 'heat' or 'ppr'"
             )
     with tracer.span("densify"):
-        return densify_embedding(filtered, params.dim)
+        return densify_embedding(filtered.astype(np.float64), params.dim)
 
 
 def prone_embed(

@@ -233,6 +233,18 @@ class TestBlockedKernel:
         out = skewed_csdb.spmm(b, verify=True)
         assert np.allclose(out, skewed_csdb.to_dense() @ b)
 
+    def test_verify_scales_its_tolerance_to_float32_values(
+        self, skewed_csdb, rng
+    ):
+        values = rng.standard_normal(skewed_csdb.nnz).astype(np.float32)
+        matrix = skewed_csdb.with_values(values)
+        b = rng.standard_normal((matrix.n_cols, 4))
+        out = matrix.spmm(b, verify=True)
+        assert out.dtype == np.float32
+        exact = matrix.to_dense() @ b.astype(np.float32).astype(np.float64)
+        assert not np.array_equal(out, exact)  # float32 rounding shows
+        assert np.allclose(out, exact, rtol=1e-5, atol=1e-5)
+
     def test_verify_raises_on_kernel_mismatch(
         self, skewed_csdb, rng, monkeypatch
     ):

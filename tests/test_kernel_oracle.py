@@ -10,7 +10,10 @@ threads at 1/2/4 workers) must
 (ii)  be ``allclose`` to ``csdb_to_scipy(A) @ B`` on the covered rows;
 (iii) leave every row outside the ranges reading exactly 0, and no row
       reading NaN, even though the caller's buffer arrives filled with
-      NaN and a backend zero-fills only when a row is uncovered.
+      NaN and a backend zero-fills only when a row is uncovered;
+(iv)  compute in the matrix's value dtype: a float32-valued matrix (the
+      propagation half's operators) gives float32 products, equal across
+      executors, and its scalar reference accumulates in float32.
 
 (i) holds on builds of scipy whose CSR kernel does not contract
 ``y += a * x`` into a fused multiply-add (the x86-64 wheels); equality
@@ -24,6 +27,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import OMeGaConfig, OMeGaEmbedder
+from repro.core.config import ExecBackend, ParallelConfig
 from repro.formats import CSDBMatrix, csdb_to_scipy, edges_to_csdb
 from repro.graphs import rmat_edges
 from repro.parallel import (
@@ -33,6 +38,8 @@ from repro.parallel import (
     shutdown_shared_executors,
     shutdown_threads_executors,
 )
+from repro.prone import prone_embed
+from repro.prone.model import ProNEParams
 
 WORKERS = (1, 2, 4)
 
@@ -53,13 +60,14 @@ def _executors():
 
 
 def scalar_reference(matrix, dense, ranges):
-    """The accumulation contract, spelled out one non-zero at a time."""
-    dense = np.asarray(dense, dtype=np.float64)
+    """The accumulation contract, spelled out one non-zero at a time,
+    in the matrix's value dtype."""
+    dense = np.asarray(dense, dtype=matrix.dtype)
     prefix = matrix.nnz_prefix()
-    out = np.zeros((matrix.n_rows, dense.shape[1]))
+    out = np.zeros((matrix.n_rows, dense.shape[1]), dtype=matrix.dtype)
     for row_start, row_end in ranges:
         for row in range(row_start, row_end):
-            acc = np.zeros(dense.shape[1])
+            acc = np.zeros(dense.shape[1], dtype=matrix.dtype)
             for k in range(prefix[row], prefix[row + 1]):
                 acc = acc + matrix.nnz_list[k] * dense[matrix.col_list[k]]
             out[matrix.perm[row]] = acc
@@ -72,12 +80,31 @@ def check_all_executors(matrix, dense, ranges):
     for row_start, row_end in ranges:
         covered[matrix.perm[row_start:row_end]] = True
     product = csdb_to_scipy(matrix) @ np.asarray(dense, dtype=np.float64)
+    # float32 sums of up to a few hundred terms of size ~1.
+    tolerance = {}
+    if matrix.dtype == np.float32:
+        tolerance = {"rtol": 1e-4, "atol": 1e-4}
+    first = None
     for label, executor in _executors():
-        out = np.full(expected.shape, np.nan)
+        out = np.full(expected.shape, np.nan, dtype=matrix.dtype)
         executor.run_partitions(matrix, dense, ranges, out)
+        first = out if first is None else first
+        assert np.array_equal(out, first), label
         assert np.array_equal(out, expected), label
-        assert np.allclose(out[covered], product[covered]), label
+        assert np.allclose(out[covered], product[covered], **tolerance), label
         assert not out[~covered].any(), label
+
+
+def _with_values_dtype(matrix, values):
+    """The matrix with its values in ``values`` ("float64" or "float32")."""
+    if values == "float64":
+        return matrix
+    cast = matrix.with_values(matrix.nnz_list.astype(np.float32))
+    assert cast.dtype == np.float32
+    return cast
+
+
+VALUES = ("float64", "float32")
 
 
 def _layout(dense, layout):
@@ -156,15 +183,27 @@ DEGENERATE = {
 }
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
-@pytest.mark.parametrize("case", sorted(DEGENERATE))
-def test_degenerate_shapes(case, layout):
+def check_degenerate(case, layout, values):
     matrix, d, ranges = DEGENERATE[case]()
     if ranges is None:
         cuts = np.linspace(0, matrix.n_rows, 4).astype(int)
         ranges = list(zip(cuts[:-1].tolist(), cuts[1:].tolist()))
     dense = np.random.default_rng(d).standard_normal((matrix.n_cols, d))
-    check_all_executors(matrix, _layout(dense, layout), ranges)
+    check_all_executors(
+        _with_values_dtype(matrix, values), _layout(dense, layout), ranges
+    )
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_degenerate_shapes(case, layout):
+    check_degenerate(case, layout, "float64")
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_degenerate_shapes_float32_values(case, layout):
+    check_degenerate(case, layout, "float32")
 
 
 @st.composite
@@ -181,7 +220,10 @@ def kernel_inputs(draw):
         hub = draw(st.integers(0, n_rows - 1))
         entries += [(hub, col, 0.5 + col) for col in range(n_cols)]
     rows, cols, vals = (list(x) for x in zip(*entries)) if entries else ([],) * 3
-    matrix = _from_coo(rows, cols, vals, (n_rows, n_cols))
+    matrix = _with_values_dtype(
+        _from_coo(rows, cols, vals, (n_rows, n_cols)),
+        draw(st.sampled_from(VALUES)),
+    )
     d = draw(st.integers(1, 5))
     seed = draw(st.integers(0, 2**16))
     dense = np.random.default_rng(seed).standard_normal((n_cols, d))
@@ -201,3 +243,24 @@ def kernel_inputs(draw):
 @given(kernel_inputs())
 def test_property_every_executor_matches_the_scalar_reference(inputs):
     check_all_executors(*inputs)
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [ExecBackend.SIMULATED, ExecBackend.THREADS, ExecBackend.SHARED_MEMORY],
+)
+def test_engine_embed_is_byte_equal_to_prone_embed(backend):
+    """Float32 propagation operands and float64 tSVD operands go through
+    every backend (each keeps the matrix's dtype) to the plain pipeline's
+    bytes."""
+    edges = rmat_edges(9, edge_factor=8.0, seed=3)
+    adjacency = edges_to_csdb(edges, 1 << 9)
+    config = OMeGaConfig(
+        n_threads=4,
+        dim=8,
+        parallel=ParallelConfig(backend=backend, n_workers=2),
+    )
+    result = OMeGaEmbedder(config).embed(adjacency)
+    reference = prone_embed(adjacency, ProNEParams(dim=8, seed=config.seed))
+    assert result.embedding.dtype == reference.dtype == np.float64
+    assert result.embedding.tobytes() == reference.tobytes()

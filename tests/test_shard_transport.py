@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.parallel import shutdown_shared_executors, shutdown_threads_executors
 from repro.shard import (
     STATUS_FRESH,
     STATUS_REPLICA,
@@ -261,6 +262,11 @@ class TestNothingLeaks:
         self.baseline = _leftovers()
 
     def test_coordinator_runs_no_feeder_thread(self):
+        # The process-wide SpMM pools are not the coordinator's: an
+        # earlier engine test may have left a shared-memory pool's
+        # queue feeder thread running.
+        shutdown_shared_executors()
+        shutdown_threads_executors()
         before = set(threading.enumerate())
         with _manager(n_replicas=1) as manager:
             _clean_run(manager)
