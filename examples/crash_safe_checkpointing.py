@@ -7,8 +7,9 @@ has, and recovers from each:
 
 1. *inside a commit* — a crash between a stage's flush and its
    commit-record flip loses that one WAL record and nothing else: the
-   embedding committed by the previous run is still what the store
-   recovers, and ``resume()`` redoes only the lost stage;
+   previous run's ``propagation`` record, kept in the log, still holds
+   the embedding it committed, and ``resume()`` redoes only the lost
+   stage;
 2. *between stages* — a seeded fault plan crashes the pipeline right
    after factorization; ``resume()`` recovers the durable stages, redoes
    only the propagation, and the final embedding is bit-identical to an
@@ -45,15 +46,16 @@ def main() -> None:
     print(
         f"1. Embedded {dataset.n_nodes:,} nodes in"
         f" {result.sim_seconds * 1e3:.2f} ms simulated;"
-        f" {len(checkpointed.wal.stages)} stage checkpoints and the final"
-        f" commit took {checkpointed.checkpoint_sim_seconds * 1e6:.1f} us"
+        f" {len(checkpointed.wal.stages)} stage checkpoints, the last one"
+        f" the commit, took"
+        f" {checkpointed.checkpoint_sim_seconds * 1e6:.1f} us"
         f" ({checkpointed.domain.fences} fences,"
         f" {checkpointed.domain.durable_bytes / 1024:.0f} KiB flushed)"
     )
 
     # A second run crashes between the last stage's flush and its
     # commit-record flip: that record is lost, the previous run's
-    # committed embedding is not.
+    # propagation record — its committed embedding — is not.
     torn_commit = FaultInjector(
         FaultPlan(
             events=(
@@ -69,11 +71,12 @@ def main() -> None:
         print(f"2. Crash injected during the {crash.site!r} checkpoint!")
 
     intact = np.array_equal(checkpointed.recover_embedding(), result.embedding)
+    retained = checkpointed.wal.records[0]
     print(
-        f"3. After restart the store recovers checkpoint"
-        f" #{checkpointed.store.committed_sequence} — previous embedding"
+        f"3. After restart the WAL recovers {retained.stage!r} checkpoint"
+        f" #{retained.sequence} — previous embedding"
         f" {'intact' if intact else 'LOST'};"
-        f" durable stages of the crashed run: {checkpointed.wal.stages}"
+        f" durable stages of the crashed run: {checkpointed.wal.stages[1:]}"
     )
     assert intact
 
@@ -82,7 +85,7 @@ def main() -> None:
     assert np.array_equal(redone.embedding, result.embedding)
     print(
         f"4. Resume redid the lost stage alone"
-        f" (now at checkpoint #{checkpointed.store.committed_sequence})"
+        f" (now at checkpoint #{checkpointed.wal.last().sequence})"
     )
 
     # -- a crash between stages ---------------------------------------------

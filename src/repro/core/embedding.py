@@ -577,6 +577,8 @@ class PipelineRun:
                 "dense_algebra",
             )
         self.state.embedding = embedding
+        # Spent: the propagation record commits the embedding alone.
+        self.state.initial = None
         self.state.propagation_seconds = (
             embedder._stage_seconds() - stage_mark
         )

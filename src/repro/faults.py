@@ -33,6 +33,7 @@ family, labelled by kind.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
@@ -194,14 +195,45 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "FaultEvent":
-        """Rebuild an event from :meth:`to_dict` output."""
+        """Rebuild an event from :meth:`to_dict` output.
+
+        Raises:
+            ValueError: naming the field that is missing or mistyped
+                (``kind``/``site``/``phase`` must be strings, ``count``
+                an integer, ``factor``/``seconds`` finite numbers).
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(f"an event must be an object, got {payload!r}")
+        fields = {
+            "count": 1, "factor": 1.0, "phase": "after_commit", "seconds": 0.0
+        } | payload
+        for name in ("kind", "site", "phase"):
+            if not isinstance(fields.get(name), str):
+                raise ValueError(
+                    f"event field {name!r} must be a string,"
+                    f" got {fields.get(name)!r}"
+                )
+        for name in ("count", "factor", "seconds"):
+            value = fields[name]
+            finite = isinstance(value, int) or (
+                isinstance(value, float) and math.isfinite(value)
+            )
+            if (
+                isinstance(value, bool)
+                or not finite
+                or (name == "count" and value != int(value))
+            ):
+                want = "an integer" if name == "count" else "a finite number"
+                raise ValueError(
+                    f"event field {name!r} must be {want}, got {value!r}"
+                )
         return cls(
-            kind=payload["kind"],
-            site=payload["site"],
-            count=int(payload.get("count", 1)),
-            factor=float(payload.get("factor", 1.0)),
-            phase=payload.get("phase", "after_commit"),
-            seconds=float(payload.get("seconds", 0.0)),
+            kind=fields["kind"],
+            site=fields["site"],
+            count=int(fields["count"]),
+            factor=float(fields["factor"]),
+            phase=fields["phase"],
+            seconds=float(fields["seconds"]),
         )
 
 
@@ -433,10 +465,15 @@ class FaultPlan:
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "FaultPlan":
         """Rebuild a plan from :meth:`to_dict` output."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"a plan must be an object, got {payload!r}")
+        events = payload.get("events", [])
+        if not isinstance(events, list):
+            raise ValueError(
+                f"plan field 'events' must be a list, got {events!r}"
+            )
         return cls(
-            events=tuple(
-                FaultEvent.from_dict(e) for e in payload.get("events", [])
-            ),
+            events=tuple(FaultEvent.from_dict(e) for e in events),
             seed=payload.get("seed"),
         )
 
@@ -450,8 +487,18 @@ class FaultPlan:
 
     @classmethod
     def load(cls, path: str | Path) -> "FaultPlan":
-        """Read a plan written by :meth:`save`."""
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read a plan written by :meth:`save`.
+
+        Raises:
+            ValueError: the file is not a valid plan; the message names
+                the file and the offending field.
+        """
+        try:
+            return cls.from_dict(
+                json.loads(Path(path).read_text(encoding="utf-8"))
+            )
+        except ValueError as err:
+            raise ValueError(f"fault plan {str(path)!r}: {err}") from None
 
 
 class FaultInjector:

@@ -19,7 +19,7 @@ analytical model:
 - :mod:`repro.memsim.memorymode` — the transparent Memory-Mode
   configuration (DRAM as a direct-mapped write-back cache);
 - :mod:`repro.memsim.persistence` — App-direct flush/fence accounting and
-  crash-consistent shadow commits.
+  the crash-consistent stage-checkpoint WAL.
 
 Where a buffer lives is not tracked per allocation: NaDP's per-socket
 access plans (:mod:`repro.core.nadp`) give each traffic class its
@@ -50,7 +50,6 @@ from repro.memsim.persistence import (
     CheckpointedEmbedder,
     CrashInjected,
     PersistenceDomain,
-    ShadowCommit,
     StageCheckpointStore,
     StageRecord,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "DirectMappedCache",
     "MemoryModeModel",
     "PersistenceDomain",
-    "ShadowCommit",
     "StageCheckpointStore",
     "StageRecord",
     "DeviceSpec",

@@ -8,15 +8,14 @@ simulation substrate:
 - :class:`PersistenceDomain` — charges ``CLWB``-style cache-line
   write-backs and ``SFENCE`` ordering points, and tracks which bytes are
   durable vs merely stored;
-- :class:`ShadowCommit` — the classic crash-consistent double-buffer
-  protocol (write shadow → flush → fence → flip a flushed commit record);
 - :class:`StageCheckpointStore` — a WAL-style append-only log of
   per-stage pipeline checkpoints (graph read, factorization,
-  propagation), each committed with the same flush/fence discipline;
+  propagation), each committed crash-consistently: store the payload →
+  flush → fence → flip a flushed commit record;
 - :class:`CheckpointedEmbedder` — runs the pipeline stage by stage,
   checkpointing after every stage, honouring injected crash points
   (:mod:`repro.faults`) and resuming from the last durable stage with a
-  bit-identical final embedding.
+  bit-identical final embedding; the ``propagation`` record commits it.
 
 Crashes are *injected* (``crash=True`` or a
 :class:`~repro.faults.FaultInjector`), so tests can verify recovery
@@ -40,12 +39,15 @@ from repro.memsim.devices import (
     DeviceSpec,
     Locality,
     Operation,
+    pm_spec,
 )
 
 #: Cache-line granularity of CLWB write-backs.
 CACHE_LINE_BYTES = 64
 #: Cost of one SFENCE ordering point, seconds (~tens of ns).
 FENCE_SECONDS = 30e-9
+#: The pipeline stage whose WAL record commits the finished embedding.
+COMMIT_STAGE = "propagation"
 
 
 @dataclass
@@ -108,76 +110,6 @@ class CrashInjected(InjectedCrash):
         RuntimeError.__init__(self, message)
         self.site = site
         self.phase = "before_commit"
-
-
-@dataclass
-class _Version:
-    data: np.ndarray
-    sequence: int
-
-
-class ShadowCommit:
-    """Crash-consistent double-buffered object store on a PM domain.
-
-    Protocol per commit: write the inactive buffer, flush, fence, then
-    flip the commit record (one durable 8-byte store + flush + fence).
-    A crash injected before the flip leaves the previous version intact.
-    """
-
-    def __init__(self, domain: PersistenceDomain) -> None:
-        self.domain = domain
-        self._buffers: list[_Version | None] = [None, None]
-        self._active: int = -1  # no committed version yet
-        self._sequence = 0
-
-    def commit(self, data: np.ndarray, crash: bool = False) -> int:
-        """Durably commit a new version; returns its sequence number.
-
-        Args:
-            data: the object state to persist (copied).
-            crash: abort after writing the shadow but *before* the commit
-                record flips — simulating a power failure.
-
-        Raises:
-            CrashInjected: when ``crash`` is set; the store still holds
-                the previous committed version.
-        """
-        shadow = 1 - self._active if self._active >= 0 else 0
-        self._sequence += 1
-        self._buffers[shadow] = _Version(
-            data=np.array(data, copy=True), sequence=self._sequence
-        )
-        self.domain.store(float(np.asarray(data).nbytes))
-        self.domain.flush()
-        self.domain.fence()
-        if crash:
-            # The shadow is durable but the commit record never flips.
-            self._sequence -= 1
-            self._buffers[shadow] = None
-            raise CrashInjected("crash injected before commit record flip")
-        # Flip the commit record durably.
-        self.domain.store(8.0)
-        self.domain.flush()
-        self.domain.fence()
-        self._active = shadow
-        return self._sequence
-
-    def recover(self) -> np.ndarray | None:
-        """State visible after a restart: the last committed version."""
-        if self._active < 0:
-            return None
-        version = self._buffers[self._active]
-        assert version is not None
-        return np.array(version.data, copy=True)
-
-    @property
-    def committed_sequence(self) -> int:
-        """Sequence number of the last durable commit (0 if none)."""
-        if self._active < 0:
-            return 0
-        version = self._buffers[self._active]
-        assert version is not None
-        return version.sequence
 
 
 def record_checksum(arrays: dict[str, np.ndarray], meta: dict) -> int:
@@ -364,9 +296,11 @@ class StageCheckpointStore:
         """Names of every durable stage, in commit order."""
         return [record.stage for record in self._records]
 
-    def clear(self) -> None:
-        """Truncate the log (the start of a fresh run)."""
-        self._records = []
+    def clear(self) -> StageRecord | None:
+        """Truncate the log to its newest commit record; returns it."""
+        kept = [r for r in self._records if r.stage == COMMIT_STAGE][-1:]
+        self._records = kept
+        return kept[0] if kept else None
 
 
 class CheckpointedEmbedder:
@@ -374,26 +308,29 @@ class CheckpointedEmbedder:
 
     Wraps an :class:`repro.core.embedding.OMeGaEmbedder`:
     :meth:`embed_with_checkpoints` / :meth:`resume` cut stage-granular
-    WAL checkpoints (after graph read, factorization and propagation)
-    and shadow-commit the finished embedding.  An injected crash loses
-    at most one stage; ``resume()`` recovers the last durable stage,
-    skips the completed work, and produces an embedding bit-identical
-    to an uninterrupted run.  Recovered simulated seconds are reported
-    via the ``checkpoint.*`` metrics.
+    WAL checkpoints (after graph read, factorization and propagation);
+    the ``propagation`` record, which holds the finished embedding and
+    nothing else, is its commit.  An injected crash loses at most one
+    stage; ``resume()`` recovers the last durable stage, skips the
+    completed work, and produces an embedding bit-identical to an
+    uninterrupted run.  Recovered simulated seconds are reported via
+    the ``checkpoint.*`` metrics.
     """
 
-    def __init__(self, embedder, domain: PersistenceDomain | None = None) -> None:
-        from repro.memsim.devices import pm_spec
-
+    def __init__(self, embedder) -> None:
         self.embedder = embedder
-        self.domain = domain or PersistenceDomain(device=pm_spec())
-        self.store = ShadowCommit(self.domain)
+        self.domain = PersistenceDomain(device=pm_spec())
         self.wal = StageCheckpointStore(self.domain)
         self._pending_graph: tuple[np.ndarray, int] | None = None
+        # The previous run's commit, kept by clear(): never resumed from.
+        self._retained: StageRecord | None = None
 
     def recover_embedding(self) -> np.ndarray | None:
-        """The last durably committed embedding (survives crashes)."""
-        return self.store.recover()
+        """A copy of the newest ``propagation`` record's embedding, or None."""
+        for record in reversed(self.wal.records):
+            if record.stage == COMMIT_STAGE:
+                return np.array(record.arrays["embedding"], copy=True)
+        return None
 
     def embed_with_checkpoints(
         self,
@@ -408,7 +345,7 @@ class CheckpointedEmbedder:
         :meth:`resume` to recover.  Returns the
         :class:`~repro.core.embedding.EmbeddingResult`.
         """
-        self.wal.clear()
+        self._retained = self.wal.clear()
         self._pending_graph = (np.asarray(edges), n_nodes)
         from repro.formats.convert import edges_to_csdb
 
@@ -435,9 +372,13 @@ class CheckpointedEmbedder:
         edges, n_nodes = self._pending_graph
         adjacency = edges_to_csdb(edges, n_nodes)
         record = self.wal.last()
+        # Copied: a resumed result must not alias the durable commit.
         state = (
-            PipelineState.from_payload(record.arrays, record.meta)
-            if record is not None
+            PipelineState.from_payload(
+                {name: a.copy() for name, a in record.arrays.items()},
+                record.meta,
+            )
+            if record is not None and record is not self._retained
             else None
         )
         run = self.embedder.start_run(
@@ -483,10 +424,9 @@ class CheckpointedEmbedder:
     def _drive(self, run, faults: FaultInjector | None):
         """Advance a run to completion, checkpointing at each boundary.
 
-        The persistence overhead accrued here (WAL appends + final
-        shadow commit, crashed or not) is exported as the
-        ``checkpoint.sim_seconds`` counter — the numerator of the
-        ``checkpoint_overhead_fraction`` SLO.
+        The persistence overhead accrued here (WAL appends, crashed or
+        not) is exported as the ``checkpoint.sim_seconds`` counter — the
+        numerator of the ``checkpoint_overhead_fraction`` SLO.
         """
         before = self.domain.sim_seconds
         try:
@@ -509,7 +449,6 @@ class CheckpointedEmbedder:
                     run.abort()
                     raise InjectedCrash(stage)
             result = run.finish()
-            self.store.commit(result.embedding)
         finally:
             self.embedder.metrics.counter("checkpoint.sim_seconds").inc(
                 self.domain.sim_seconds - before

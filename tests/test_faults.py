@@ -1,5 +1,7 @@
 """Unit tests for the fault-injection subsystem and crash recovery."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,12 @@ from repro.faults import (
 from repro.graphs import chung_lu_edges
 from repro.memsim.persistence import CheckpointedEmbedder
 from repro.obs import MetricsRegistry
+
+
+def _one_event(**fields):
+    """A one-event plan payload; a ``None`` field is left out."""
+    event = {"kind": "crash", "site": "graph_read"} | fields
+    return {"events": [{k: v for k, v in event.items() if v is not None}]}
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +69,38 @@ class TestFaultPlan:
         )
         path = plan.save(tmp_path / "plan.json")
         assert FaultPlan.load(path) == plan
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            (_one_event(kind="backend_stall", seconds=np.nan), "seconds"),
+            (_one_event(kind="pm_degrade", factor=np.inf), "factor"),
+            (_one_event(kind="transient_load", count=2.7), "count"),
+            (_one_event(count=True), "count"),
+            (_one_event(site=None), "site"),
+            (_one_event(kind="shard_crash", site=3), "site"),
+            (_one_event(kind=1), "kind"),
+            (_one_event(phase=7), "phase"),
+            ({"events": [3]}, "event"),
+            ({"events": None}, "'events'"),
+            ([], "plan must be an object"),
+        ],
+    )
+    def test_load_rejects_malformed_plans(self, tmp_path, payload, field):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match="plan.json") as err:
+            FaultPlan.load(path)
+        assert field in str(err.value)
+
+    def test_load_accepts_seeded_plans(self, tmp_path):
+        for plan in (
+            FaultPlan.random(3),
+            FaultPlan.random_serve(5),
+            FaultPlan.random_shard(7, n_shards=4),
+            FaultPlan(events=(FaultEvent("crash", "factorization"),), seed=0),
+        ):
+            assert FaultPlan.load(plan.save(tmp_path / "plan.json")) == plan
 
     def test_seeded_plan_deterministic(self):
         assert FaultPlan.random(seed=7) == FaultPlan.random(seed=7)
@@ -382,10 +422,52 @@ class TestCrashRecovery:
     def test_wal_commit_charges_persistence(self, fault_edges, fault_config):
         checkpointed = CheckpointedEmbedder(OMeGaEmbedder(fault_config))
         checkpointed.embed_with_checkpoints(fault_edges, 300)
-        # One WAL record per stage, each with two fences, plus the final
-        # shadow commit's two.
-        assert checkpointed.domain.fences == 2 * len(PIPELINE_STAGES) + 2
+        # One WAL record per stage, each with two fences; the
+        # propagation record is the commit and holds the embedding only.
+        assert checkpointed.domain.fences == 2 * len(PIPELINE_STAGES)
         assert checkpointed.checkpoint_sim_seconds > 0
+        assert set(checkpointed.wal.last().arrays) == {"embedding"}
+
+    @pytest.mark.parametrize("stage", PIPELINE_STAGES)
+    @pytest.mark.parametrize("phase", ["after_commit", "before_commit"])
+    def test_crashed_rerun_keeps_the_previous_commit(
+        self, stage, phase, fault_edges, fault_config, fresh_result
+    ):
+        other_edges = chung_lu_edges(240, 2000, seed=3)
+        fresh_other = OMeGaEmbedder(fault_config).embed_edges(
+            other_edges, 240
+        )
+        metrics = MetricsRegistry()
+        checkpointed = CheckpointedEmbedder(
+            OMeGaEmbedder(fault_config, metrics=metrics)
+        )
+        first = checkpointed.embed_with_checkpoints(fault_edges, 300)
+        assert np.array_equal(first.embedding, fresh_result.embedding)
+        injector = FaultInjector(
+            FaultPlan(events=(FaultEvent("crash", stage, phase=phase),))
+        )
+        with pytest.raises(InjectedCrash):
+            checkpointed.embed_with_checkpoints(
+                other_edges, 240, faults=injector
+            )
+        # The second run's commit is durable only once its propagation
+        # record is: until then the first run's embedding is recovered.
+        committed = (stage, phase) == ("propagation", "after_commit")
+        expected = fresh_other if committed else first
+        recovered = checkpointed.recover_embedding()
+        assert recovered.tobytes() == expected.embedding.tobytes()
+
+        resumed = checkpointed.resume(faults=injector)
+        assert resumed.embedding.tobytes() == fresh_other.embedding.tobytes()
+        assert resumed.sim_seconds == fresh_other.sim_seconds
+        assert resumed.n_spmm == fresh_other.n_spmm
+        durable = PIPELINE_STAGES.index(stage) + (phase == "after_commit")
+        assert metrics.counter(
+            "checkpoint.recovered_stages"
+        ).value == durable
+        assert np.array_equal(
+            checkpointed.recover_embedding(), fresh_other.embedding
+        )
 
 
 class TestFaultyStreamingRuns:

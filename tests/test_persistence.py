@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core import OMeGaConfig, OMeGaEmbedder
+from repro.faults import FaultEvent, FaultInjector, FaultPlan, InjectedCrash
+from repro.graphs import chung_lu_edges
 from repro.memsim import pm_spec
 from repro.memsim.persistence import (
+    CheckpointedEmbedder,
     CrashInjected,
     PersistenceDomain,
-    ShadowCommit,
     StageCheckpointStore,
 )
 
@@ -46,54 +49,72 @@ class TestPersistenceDomain:
             domain.store(-1)
 
 
-class TestShadowCommit:
-    def test_commit_and_recover(self, domain, rng):
-        store = ShadowCommit(domain)
-        data = rng.standard_normal((10, 4))
-        seq = store.commit(data)
-        assert seq == 1
-        assert np.array_equal(store.recover(), data)
+@pytest.fixture(scope="module")
+def two_graphs():
+    return (
+        (chung_lu_edges(120, 700, seed=2), 120),
+        (chung_lu_edges(100, 600, seed=4), 100),
+    )
 
-    def test_recover_before_any_commit(self, domain):
-        assert ShadowCommit(domain).recover() is None
 
-    def test_versions_alternate_buffers(self, domain, rng):
-        store = ShadowCommit(domain)
-        first = rng.standard_normal((5, 2))
-        second = rng.standard_normal((5, 2))
-        store.commit(first)
-        store.commit(second)
-        assert np.array_equal(store.recover(), second)
-        assert store.committed_sequence == 2
+def _checkpointed():
+    return CheckpointedEmbedder(
+        OMeGaEmbedder(OMeGaConfig(n_threads=2, dim=8))
+    )
 
-    def test_crash_preserves_previous_version(self, domain, rng):
-        store = ShadowCommit(domain)
-        safe = rng.standard_normal((8, 3))
-        store.commit(safe)
-        with pytest.raises(CrashInjected):
-            store.commit(rng.standard_normal((8, 3)), crash=True)
+
+def _crash(stage, phase="after_commit"):
+    return FaultInjector(
+        FaultPlan(events=(FaultEvent("crash", stage, phase=phase),))
+    )
+
+
+class TestRecoverEmbedding:
+    """The ``propagation`` WAL record is the one durable embedding."""
+
+    def test_commit_and_recover(self, two_graphs):
+        checkpointed = _checkpointed()
+        result = checkpointed.embed_with_checkpoints(*two_graphs[0])
+        recovered = checkpointed.recover_embedding()
+        assert np.array_equal(recovered, result.embedding)
+
+    def test_recover_before_any_commit(self):
+        assert _checkpointed().recover_embedding() is None
+
+    def test_crash_preserves_previous_version(self, two_graphs):
+        checkpointed = _checkpointed()
+        safe = checkpointed.embed_with_checkpoints(*two_graphs[0])
+        with pytest.raises(InjectedCrash):
+            checkpointed.embed_with_checkpoints(
+                *two_graphs[1], faults=_crash("propagation", "before_commit")
+            )
         # Recovery sees the pre-crash version, untouched.
-        assert np.array_equal(store.recover(), safe)
-        assert store.committed_sequence == 1
+        assert np.array_equal(checkpointed.recover_embedding(), safe.embedding)
 
-    def test_crash_on_first_commit_recovers_nothing(self, domain, rng):
-        store = ShadowCommit(domain)
-        with pytest.raises(CrashInjected):
-            store.commit(rng.standard_normal((4, 2)), crash=True)
-        assert store.recover() is None
+    def test_crash_on_first_commit_recovers_nothing(self, two_graphs):
+        checkpointed = _checkpointed()
+        with pytest.raises(InjectedCrash):
+            checkpointed.embed_with_checkpoints(
+                *two_graphs[0], faults=_crash("propagation", "before_commit")
+            )
+        assert checkpointed.recover_embedding() is None
 
-    def test_commit_copies_data(self, domain):
-        store = ShadowCommit(domain)
-        data = np.ones((3, 3))
-        store.commit(data)
-        data[:] = 0.0
-        assert np.all(store.recover() == 1.0)
-
-    def test_commit_charges_flush_and_fences(self, domain, rng):
-        store = ShadowCommit(domain)
-        store.commit(rng.standard_normal((100, 8)))
-        assert domain.fences == 2  # data fence + commit-record fence
-        assert domain.sim_seconds > 0
+    def test_recover_returns_a_copy(self, two_graphs):
+        checkpointed = _checkpointed()
+        result = checkpointed.embed_with_checkpoints(*two_graphs[0])
+        expected = result.embedding.copy()
+        result.embedding[:] = 0.0
+        checkpointed.recover_embedding()[:] = 0.0
+        assert np.array_equal(checkpointed.recover_embedding(), expected)
+        # A run resumed from its commit record returns its own copy too.
+        with pytest.raises(InjectedCrash):
+            checkpointed.embed_with_checkpoints(
+                *two_graphs[1], faults=_crash("propagation")
+            )
+        resumed = checkpointed.resume()
+        expected = resumed.embedding.copy()
+        resumed.embedding[:] = 0.0
+        assert np.array_equal(checkpointed.recover_embedding(), expected)
 
 
 class TestStageCheckpointStore:
@@ -161,6 +182,14 @@ class TestStageCheckpointStore:
     def test_clear_truncates(self, domain):
         store = StageCheckpointStore(domain)
         store.append("graph_read", {}, {})
-        store.clear()
+        assert store.clear() is None
         assert store.last() is None
         assert store.stages == []
+
+    def test_clear_keeps_the_newest_commit_record(self, domain):
+        store = StageCheckpointStore(domain)
+        for stage in ("propagation", "graph_read") * 2:
+            store.append(stage, {}, {})
+        kept = store.clear()
+        assert store.records == [kept]
+        assert (kept.stage, kept.sequence) == ("propagation", 3)

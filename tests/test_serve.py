@@ -422,6 +422,7 @@ class TestStaleTier:
     def test_rows_are_the_checkpointed_rows(self, stale_backend):
         n = stale_backend.n_nodes
         table = stale_backend._checkpointed.recover_embedding()
+        assert np.array_equal(table, stale_backend._full)
         for size in (1, 8, n + 3):
             response = stale_backend.serve_cached(size)
             assert response.fidelity == "stale"
