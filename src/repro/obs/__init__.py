@@ -8,7 +8,8 @@ adds the *where* and *when*:
   wall-clock durations, with a context-manager API;
 - :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
   histograms for non-timing telemetry (WoFP hits, allocated bytes,
-  partition entropy, streaming exposure);
+  partition entropy, streaming exposure); the one writer and the one
+  reader of ``metric`` records, so every view reads them through it;
 - :mod:`repro.obs.export` — the :class:`TelemetrySession` bundle (one
   tracer + registry + ledgers + the run's telemetry file) shared by the
   CLI and benches;

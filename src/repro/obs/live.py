@@ -27,6 +27,8 @@ import os
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
+from repro.obs.metrics import MetricsRegistry
+
 #: Schema version stamped into every stream's ``stream_meta`` header.
 STREAM_VERSION = 1
 
@@ -372,21 +374,6 @@ def latest_metric_records(
     return []
 
 
-def _label_values(
-    metric_records: list[dict[str, Any]], name: str, label: str
-) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for record in metric_records:
-        if record.get("name") != name:
-            continue
-        value = record.get("value")
-        if value is None:
-            continue
-        key = (record.get("labels") or {}).get(label, "")
-        out[key] = out.get(key, 0.0) + float(value)
-    return out
-
-
 def build_top_frame(
     records: list[dict[str, Any]],
     slo_spec: Any | None = None,
@@ -397,66 +384,58 @@ def build_top_frame(
     snapshots when possible (the live view), falling back to run-wide
     averages.  SLO burn rows appear when ``slo_spec`` is given.
     """
-    from repro.obs.observatory.slo import (
-        _counter_total,
-        _merged_latency_histogram,
-        evaluate_slo,
-    )
+    from repro.obs.observatory.slo import evaluate_slo
 
     snapshots = [
         r for r in records if r.get("type") == SNAPSHOT_RECORD_TYPE
     ]
     metric_records = latest_metric_records(records)
+    metrics = MetricsRegistry.from_records(metric_records)
     closed = any(r.get("type") == CLOSED_RECORD_TYPE for r in records)
 
-    sim_now = snapshots[-1]["sim_now_s"] if snapshots else 0.0
-    breaker = snapshots[-1]["breaker_state"] if snapshots else "-"
-    queue_depth = snapshots[-1]["queue_depth"] if snapshots else 0
+    last = snapshots[-1] if snapshots else {}
+    prev = snapshots[-2] if len(snapshots) >= 2 else {}
+    sim_now, sim_prev = (
+        float(s.get("sim_now_s", 0.0) or 0.0) for s in (last, prev)
+    )
+    breaker = last.get("breaker_state", "-")
+    queue_depth = int(last.get("queue_depth", 0) or 0)
 
-    submitted = _counter_total(metric_records, "serve.submitted")
-    statuses = _label_values(metric_records, "serve.responses", "status")
+    submitted = metrics.total("serve.submitted")
+    statuses = metrics.totals_by("serve.responses", "status")
     responded = sum(statuses.values())
 
     # Between-snapshot rates (per simulated second) when two snapshots
     # exist; otherwise the run-wide average.
+    dt = sim_now - sim_prev if prev else 0.0
     req_rate = shed_rate = None
-    if len(snapshots) >= 2:
-        prev, last = snapshots[-2], snapshots[-1]
-        dt = float(last["sim_now_s"]) - float(prev["sim_now_s"])
-        if dt > 0:
-            prev_metrics = list(prev.get("metrics") or [])
-            last_metrics = list(last.get("metrics") or [])
-            d_sub = _counter_total(
-                last_metrics, "serve.submitted"
-            ) - _counter_total(prev_metrics, "serve.submitted")
-            d_shed = _counter_total(
-                last_metrics, "serve.responses", {"status": "shed"}
-            ) - _counter_total(
-                prev_metrics, "serve.responses", {"status": "shed"}
-            )
-            req_rate = d_sub / dt
-            shed_rate = d_shed / dt
-    if req_rate is None and sim_now > 0:
+    if dt > 0:
+        before, now = (
+            MetricsRegistry.from_records(s.get("metrics") or [])
+            for s in (prev, last)
+        )
+        req_rate = (
+            now.total("serve.submitted") - before.total("serve.submitted")
+        ) / dt
+        shed_rate = (
+            now.total("serve.responses", status="shed")
+            - before.total("serve.responses", status="shed")
+        ) / dt
+    elif sim_now > 0:
         req_rate = submitted / sim_now
         shed_rate = statuses.get("shed", 0.0) / sim_now
 
-    histogram = _merged_latency_histogram(metric_records, None)
+    histogram = metrics.merged("serve.latency")
     p50 = histogram.quantile(0.5) if histogram is not None else math.nan
     p99 = histogram.quantile(0.99) if histogram is not None else math.nan
 
-    fidelity = _label_values(metric_records, "serve.served", "fidelity")
-    tier_calls = _label_values(
-        metric_records, "serve.backend.calls", "fidelity"
-    )
-    tier_seconds = _label_values(
-        metric_records, "serve.backend.sim_seconds", "fidelity"
-    )
+    fidelity = metrics.totals_by("serve.served", "fidelity")
+    tier_calls = metrics.totals_by("serve.backend.calls", "fidelity")
+    tier_seconds = metrics.totals_by("serve.backend.sim_seconds", "fidelity")
 
-    spmm_calls = _counter_total(metric_records, "spmm.calls")
-    spmm_nnz = _counter_total(metric_records, "spmm.nnz")
-    spmm_kernel_wall = _counter_total(
-        metric_records, "spmm.kernel_wall_seconds"
-    )
+    spmm_calls = metrics.total("spmm.calls")
+    spmm_nnz = metrics.total("spmm.nnz")
+    spmm_kernel_wall = metrics.total("spmm.kernel_wall_seconds")
     spmm_throughput = (
         spmm_nnz / spmm_kernel_wall if spmm_kernel_wall > 0 else math.nan
     )
@@ -468,9 +447,9 @@ def build_top_frame(
     return {
         "closed": closed,
         "n_snapshots": len(snapshots),
-        "sim_now_s": float(sim_now),
+        "sim_now_s": sim_now,
         "breaker_state": breaker,
-        "queue_depth": int(queue_depth),
+        "queue_depth": queue_depth,
         "submitted": submitted,
         "responded": responded,
         "statuses": statuses,

@@ -6,6 +6,11 @@ allocated bytes, per-partition entropy, streaming exposure — flows into a
 ``metric`` records.  The model follows the Prometheus conventions
 (monotonic counters, last-value gauges, cumulative-bucket histograms).
 
+This module is the one writer and the one reader of ``metric``
+records: :meth:`MetricsRegistry.to_records` writes them, and every view
+(``repro top``, ``diff``, the SLO evaluator) rebuilds a registry with
+:meth:`MetricsRegistry.from_records` and queries that.
+
 Metrics are identified by a name plus an optional label mapping;
 ``registry.counter("wofp.hit_nnz", kind="degree")`` and
 ``registry.counter("wofp.hit_nnz", kind="frequency")`` are distinct
@@ -34,7 +39,8 @@ def _label_key(labels: dict[str, Any]) -> tuple[tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-def _full_name(name: str, labels: dict[str, Any]) -> str:
+def full_name(name: str, labels: dict[str, Any]) -> str:
+    """``name{k=v,...}`` with labels sorted (``name`` alone without any)."""
     if not labels:
         return name
     inner = ",".join(f"{k}={v}" for k, v in _label_key(labels))
@@ -195,6 +201,20 @@ class Histogram:
                 break
         return (self.count - within) / self.count
 
+    def merge(self, other: "Histogram") -> None:
+        """Add another histogram's observations (same bounds required)."""
+        if other.bounds != self.bounds:
+            raise ValueError(
+                f"histograms {self.name!r} and {other.name!r} use mismatched"
+                f" buckets {self.bounds} vs {other.bounds}; cannot merge"
+            )
+        for i, bucket_count in enumerate(other.bucket_counts):
+            self.bucket_counts[i] += bucket_count
+        self.count += other.count
+        self.sum += other.sum
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+
     def to_record(self) -> dict[str, Any]:
         """Serialize to a plain dict (the JSONL metric record payload)."""
         return {
@@ -261,26 +281,100 @@ class MetricsRegistry:
         if metric is None:
             return 0.0
         if isinstance(metric, Histogram):
-            raise TypeError(f"{name!r} is a histogram; read its record instead")
+            raise TypeError(f"{name!r} is a histogram; use merged() instead")
         return metric.value
 
-    def family_total(self, name: str) -> float:
-        """Sum of a counter/gauge family's values across all label sets."""
-        return sum(
-            m.value
-            for m in self._metrics.values()
-            if m.name == name and not isinstance(m, Histogram)
-        )
+    def series(self, name: str, **labels: Any) -> list[Counter | Histogram]:
+        """Family ``name``'s series carrying ``labels`` (compared as strings)."""
+        return [
+            m
+            for m in self
+            if m.name == name
+            and all(str(m.labels.get(k)) == str(v) for k, v in labels.items())
+        ]
+
+    def total(self, name: str, **labels: Any) -> float:
+        """Sum of the counter/gauge series :meth:`series` selects (0.0: none)."""
+        series = self.series(name, **labels)
+        return sum((m.value for m in series if not isinstance(m, Histogram)), 0.0)
+
+    def totals_by(self, name: str, label: str) -> dict[Any, float]:
+        """:meth:`total` per value of one label (``""``: series without it)."""
+        out: dict[Any, float] = {}
+        for m in self.series(name):
+            if not isinstance(m, Histogram):
+                key = m.labels.get(label, "")
+                out[key] = out.get(key, 0.0) + m.value
+        return out
+
+    def merged(self, name: str, **labels: Any) -> Histogram | None:
+        """The histogram series :meth:`series` selects, merged (``None``: none)."""
+        parts = [m for m in self.series(name, **labels) if isinstance(m, Histogram)]
+        if not parts:
+            return None
+        merged = Histogram(name, {}, buckets=parts[0].bounds)
+        for part in parts:
+            merged.merge(part)
+        return merged
 
     def to_records(self) -> list[dict[str, Any]]:
         """Serialize every metric, sorted by (name, labels)."""
         return [metric.to_record() for metric in self]
 
+    @classmethod
+    def from_records(
+        cls, records: Iterable[dict[str, Any]]
+    ) -> "MetricsRegistry":
+        """Rebuild a registry from ``metric`` records: :meth:`to_records`' inverse.
+
+        The one reader of the record format.  It is tolerant: records of
+        another type, or without a string name or a known kind, are
+        skipped, as is a histogram without bounds; null fields read as
+        zero.  A series recorded twice adds up: counters and gauges sum,
+        histograms :meth:`~Histogram.merge` (``ValueError`` on mismatched
+        bounds).  A histogram and a counter/gauge under one name and
+        label set cannot come from a registry; the first one read stays.
+        """
+        registry = cls()
+        for record in records:
+            name, kind = record.get("name"), record.get("kind")
+            named = isinstance(name, str) and name
+            if record.get("type") != "metric" or not named or kind not in _KINDS:
+                continue
+            labels = record.get("labels") or {}
+            if kind == "histogram":
+                bounds = record.get("bounds")
+                if not bounds:
+                    continue
+                part = Histogram(name, labels, buckets=bounds)
+                counts = record.get("bucket_counts") or []
+                for i, n in enumerate(counts[: len(part.bucket_counts)]):
+                    part.bucket_counts[i] = int(n or 0)
+                part.count = int(record.get("count") or 0)
+                part.sum = float(record.get("sum") or 0.0)
+                for end in ("min", "max"):
+                    if record.get(end) is not None:
+                        setattr(part, end, float(record[end]))
+            else:
+                part = _KINDS[kind](name, labels)
+                part.value = float(record.get("value") or 0.0)
+            key = (name, _label_key(labels))
+            held = registry._metrics.setdefault(key, part)
+            if held is part or isinstance(held, Histogram) != isinstance(
+                part, Histogram
+            ):
+                continue
+            if isinstance(held, Histogram):
+                held.merge(part)
+            else:
+                held.value += part.value
+        return registry
+
     def snapshot(self) -> dict[str, Any]:
         """Flat ``{full_name: value-or-summary}`` view, for assertions."""
         out: dict[str, Any] = {}
         for metric in self:
-            full = _full_name(metric.name, metric.labels)
+            full = full_name(metric.name, metric.labels)
             if isinstance(metric, Histogram):
                 out[full] = {
                     "count": metric.count,
@@ -290,3 +384,7 @@ class MetricsRegistry:
             else:
                 out[full] = metric.value
         return out
+
+
+#: Record ``kind`` field -> the class that writes it.
+_KINDS: dict[str, type] = {c.kind: c for c in (Counter, Gauge, Histogram)}

@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.obs.forensics.blame import blame_fractions, merge_blame
+from repro.obs.metrics import Histogram, MetricsRegistry, full_name
 from repro.obs.observatory.manifest import RunManifest, manifest_from_records
 
 #: Series groups a diff covers, in render order.
@@ -157,21 +159,12 @@ def extract_placement_values(
     *lower-is-better* ratios, so the group is threshold-gated like the
     time series.
     """
+    prefix = "shard.placement."
     out: dict[str, float] = {}
-    for record in records:
-        if record.get("type") != "metric":
-            continue
-        name = record.get("name")
-        if not isinstance(name, str) or not name.startswith(
-            "shard.placement."
-        ):
-            continue
-        labels = record.get("labels") or {}
-        suffix = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-        key = name[len("shard.placement."):]
-        if suffix:
-            key = f"{key}[{suffix}]"
-        out[key] = float(record.get("value", 0.0) or 0.0)
+    for key, value in extract_metric_values(records).items():
+        if key.startswith(prefix):
+            name, brace, labels = key[len(prefix):].partition("{")
+            out[f"{name}[{labels[:-1]}]" if brace else name] = value
     return out
 
 
@@ -191,47 +184,29 @@ def extract_attribution_values(
     ``repro diff --attribution`` gate catches.
     """
     seconds: dict[str, dict[str, float]] = {}
-    for record in records:
-        if record.get("type") != "metric":
-            continue
-        if record.get("name") != "serve.blame_seconds":
-            continue
-        labels = record.get("labels") or {}
-        klass = str(labels.get("klass", "?"))
-        category = str(labels.get("category", "?"))
-        value = float(record.get("value", 0.0) or 0.0)
-        seconds.setdefault(klass, {})[category] = (
-            seconds.get(klass, {}).get(category, 0.0) + value
-        )
-    out: dict[str, float] = {}
-    for klass, blame in seconds.items():
-        total = sum(blame.values())
-        if total <= 0.0:
-            continue
-        for category, value in blame.items():
-            out[f"{klass}/{category}"] = value / total
-    return out
+    metrics = MetricsRegistry.from_records(records)
+    for series in metrics.series("serve.blame_seconds"):
+        if not isinstance(series, Histogram):
+            klass, category = (
+                str(series.labels.get(key, "?")) for key in ("klass", "category")
+            )
+            merge_blame(seconds, klass, {category: series.value})
+    return {
+        f"{klass}/{category}": fraction
+        for klass, blame in seconds.items()
+        for category, fraction in blame_fractions(blame).items()
+    }
 
 
 def extract_metric_values(
     records: list[dict[str, Any]],
 ) -> dict[str, float]:
     """Counter/gauge values keyed by their full labelled name."""
-    out: dict[str, float] = {}
-    for record in records:
-        if record.get("type") != "metric":
-            continue
-        if record.get("kind") not in ("counter", "gauge"):
-            continue
-        name = record.get("name")
-        if not isinstance(name, str):
-            continue
-        labels = record.get("labels") or {}
-        if labels:
-            inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-            name = f"{name}{{{inner}}}"
-        out[name] = float(record.get("value", 0.0) or 0.0)
-    return out
+    return {
+        full_name(series.name, series.labels): series.value
+        for series in MetricsRegistry.from_records(records)
+        if not isinstance(series, Histogram)
+    }
 
 
 def _diff_series(

@@ -14,38 +14,28 @@ metric records a :mod:`repro.serve` replay exports:
       {"name": "breaker", "kind": "breaker_trips", "target": 3}
     ]}
 
-Kinds:
+Every kind bounds one measured value: ``served_fraction`` is a floor
+(pass when value >= target), every other kind a ceiling (value <=
+target).  The burn rate is the share of the error budget spent, spent /
+budget (0 or inf when the budget is 0; above 1.0 the budget is gone).
+Each kind's budget is its target and it spends its value, except two:
 
 - ``latency_quantile`` — the q-quantile of the ``serve.latency``
-  histograms (optionally one request class) must stay at or below
-  ``target`` seconds.  The error budget is the ``1 - q`` tail mass; the
-  burn rate is the observed fraction of requests over the target
-  divided by that budget (1.0 = exactly spending the budget).
-- ``served_fraction`` — served / submitted must be at least ``target``;
-  budget ``1 - target``, burned by the non-served fraction.
-- ``status_fraction`` — at most ``target`` of submitted requests may
-  end in ``status`` (shed, deadline_exceeded, failed); budget is
-  ``target`` itself.
-- ``breaker_trips`` — at most ``target`` circuit-breaker trips; burn is
-  trips / target.
-- ``stage_seconds`` — the simulated seconds of one pipeline stage
-  (spans named ``stage``, summed over the export) must stay at or below
-  ``target`` — the embed pipeline's per-stage budget; burn is
-  observed / target.
-- ``checkpoint_overhead_fraction`` — the checkpointing layer's
-  simulated seconds (``checkpoint.sim_seconds``) as a fraction of the
-  embedding pipeline's (``embed.sim_seconds``) must stay at or below
-  ``target``; burn is fraction / target.
-- ``staleness_bound`` — the worst checkpoint staleness any lookup
-  observed (the ``shard.staleness_max`` gauge the background
-  checkpointer maintains, in table versions) must stay at or below
-  ``target``; burn is observed / target.  This is the objective the
-  online-resilience layer's background checkpoint refresh exists to
-  hold.
+  histograms (all, or one request ``klass``), in seconds; it spends the
+  fraction of requests over target from a ``1 - q`` budget;
+- ``served_fraction`` — served / submitted; it spends the unserved
+  fraction from a ``1 - target`` budget.
 
-Burn rates above 1.0 mean the objective's budget is exhausted — the
-pass/fail flag and the burn rate always agree on which side of the
-budget a run landed.
+The other values: ``status_fraction`` — the fraction of submitted
+requests ending in ``status``; ``breaker_trips`` — circuit-breaker
+trips; ``stage_seconds`` — the simulated seconds of the spans named
+``stage``; ``checkpoint_overhead_fraction`` — ``checkpoint.sim_seconds``
+over ``embed.sim_seconds``; ``staleness_bound`` — the worst checkpoint
+staleness any lookup saw (the ``shard.staleness_max`` gauge, in table
+versions), the bound the background checkpoint refresh exists to hold.
+
+An objective whose inputs the run never recorded passes with a NaN
+value and burn 0 (no trips recorded is 0 trips, not nothing).
 """
 
 from __future__ import annotations
@@ -56,7 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 #: Recognised objective kinds.
 SLO_KINDS = (
@@ -68,6 +58,15 @@ SLO_KINDS = (
     "checkpoint_overhead_fraction",
     "staleness_bound",
 )
+
+
+#: An objective's JSON fields and what each must hold when present
+#: (``name``, ``kind`` and ``target`` always are).
+_FIELDS = {
+    "name": "a string", "kind": "a string", "target": "a number",
+    "q": "a number", "klass": "a string", "status": "a string",
+    "stage": "a string",
+}
 
 
 @dataclass(frozen=True)
@@ -96,35 +95,25 @@ class SLOObjective:
     stage: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in SLO_KINDS:
+        kind, target = self.kind, self.target
+        if kind not in SLO_KINDS:
             raise ValueError(
-                f"unknown SLO kind {self.kind!r}; expected one of {SLO_KINDS}"
+                f"unknown SLO kind {kind!r}; expected one of {SLO_KINDS}"
             )
-        if self.kind == "latency_quantile":
-            if self.q is None or not 0.0 < self.q < 1.0:
-                raise ValueError(
-                    f"latency_quantile needs q in (0, 1), got {self.q}"
-                )
-            if self.target <= 0:
-                raise ValueError(f"target must be > 0 s, got {self.target}")
-        elif self.kind in (
-            "served_fraction",
-            "status_fraction",
-            "checkpoint_overhead_fraction",
-        ):
-            if not 0.0 <= self.target <= 1.0:
-                raise ValueError(
-                    f"{self.kind} target must be in [0, 1], got {self.target}"
-                )
-            if self.kind == "status_fraction" and not self.status:
-                raise ValueError("status_fraction needs a response status")
-        elif self.kind == "stage_seconds":
-            if not self.stage:
-                raise ValueError("stage_seconds needs a span (stage) name")
-            if self.target <= 0:
-                raise ValueError(f"target must be > 0 s, got {self.target}")
-        elif self.target < 0:
-            raise ValueError(f"target must be >= 0, got {self.target}")
+        if not math.isfinite(target):
+            raise ValueError(f"target must be finite, got {target}")
+        if kind == "latency_quantile" and not 0.0 < (self.q or 0.0) < 1.0:
+            raise ValueError(f"latency_quantile needs q in (0, 1), got {self.q}")
+        if kind.endswith("_fraction") and not 0.0 <= target <= 1.0:
+            raise ValueError(f"{kind} target must be in [0, 1], got {target}")
+        if kind == "status_fraction" and not self.status:
+            raise ValueError("status_fraction needs a response status")
+        if kind == "stage_seconds" and not self.stage:
+            raise ValueError("stage_seconds needs a span (stage) name")
+        if kind in ("latency_quantile", "stage_seconds") and target <= 0:
+            raise ValueError(f"target must be > 0 s, got {target}")
+        if target < 0:
+            raise ValueError(f"target must be >= 0, got {target}")
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -140,15 +129,30 @@ class SLOObjective:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "SLOObjective":
-        return cls(
-            name=str(payload["name"]),
-            kind=str(payload["kind"]),
-            target=float(payload["target"]),
-            q=float(payload["q"]) if payload.get("q") is not None else None,
-            klass=payload.get("klass"),
-            status=payload.get("status"),
-            stage=payload.get("stage"),
-        )
+        """Rebuild an objective from :meth:`to_dict` output.
+
+        Raises:
+            ValueError: naming the field that is missing or mistyped
+                (``name``/``kind`` must be strings, ``target`` a number,
+                ``q`` a number and ``klass``/``status``/``stage``
+                strings when present).
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(f"an objective must be an object, got {payload!r}")
+        fields: dict[str, Any] = {}
+        for key, noun in _FIELDS.items():
+            value = payload.get(key)
+            if value is None and key not in ("name", "kind", "target"):
+                continue
+            number = isinstance(value, (int, float)) and not isinstance(
+                value, bool
+            )
+            if not (number if noun == "a number" else isinstance(value, str)):
+                raise ValueError(
+                    f"objective field {key!r} must be {noun}, got {value!r}"
+                )
+            fields[key] = float(value) if number else value
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -160,18 +164,38 @@ class SLOSpec:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "SLOSpec":
-        objectives = tuple(
-            SLOObjective.from_dict(o) for o in payload.get("objectives", ())
-        )
+        """Rebuild a spec; ``ValueError`` names the malformed field."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"a spec must be an object, got {payload!r}")
+        entries = payload.get("objectives", [])
+        if not isinstance(entries, list):
+            raise ValueError(
+                f"spec field 'objectives' must be a list, got {entries!r}"
+            )
+        objectives = []
+        for i, entry in enumerate(entries):
+            try:
+                objectives.append(SLOObjective.from_dict(entry))
+            except ValueError as err:
+                raise ValueError(f"objectives[{i}]: {err}") from None
         if not objectives:
             raise ValueError("SLO spec declares no objectives")
-        return cls(objectives=objectives, name=payload.get("name", "slo"))
+        return cls(objectives=tuple(objectives), name=payload.get("name", "slo"))
 
     @classmethod
     def load(cls, path: str | Path) -> "SLOSpec":
-        return cls.from_dict(
-            json.loads(Path(path).read_text(encoding="utf-8"))
-        )
+        """Read a spec written by :meth:`save` (or by hand).
+
+        Raises:
+            ValueError: the file is not valid JSON or not a valid spec;
+                the message names the file and the offending field.
+        """
+        try:
+            return cls.from_dict(
+                json.loads(Path(path).read_text(encoding="utf-8"))
+            )
+        except ValueError as err:
+            raise ValueError(f"SLO spec {str(path)!r}: {err}") from None
 
     def save(self, path: str | Path) -> Path:
         path = Path(path)
@@ -213,274 +237,96 @@ class SLOReport:
         return [r for r in self.results if not r.passed]
 
 
-def _metric_records(
-    records: list[dict[str, Any]],
-) -> list[dict[str, Any]]:
-    return [r for r in records if r.get("type") == "metric"]
-
-
-def _counter_total(
-    records: list[dict[str, Any]],
-    name: str,
-    labels: dict[str, str] | None = None,
-) -> float:
-    total = 0.0
-    for record in _metric_records(records):
-        if record.get("name") != name:
-            continue
-        if record.get("kind") not in ("counter", "gauge"):
-            continue
-        record_labels = record.get("labels") or {}
-        if labels and any(
-            str(record_labels.get(k)) != str(v) for k, v in labels.items()
-        ):
-            continue
-        total += float(record.get("value", 0.0) or 0.0)
-    return total
-
-
-def _merged_latency_histogram(
-    records: list[dict[str, Any]], klass: str | None
-) -> Histogram | None:
-    """Rebuild (and merge) the exported ``serve.latency`` histograms."""
-    merged: Histogram | None = None
-    for record in _metric_records(records):
-        if record.get("name") != "serve.latency":
-            continue
-        if record.get("kind") != "histogram":
-            continue
-        labels = record.get("labels") or {}
-        if klass is not None and labels.get("klass") != klass:
-            continue
-        bounds = tuple(record.get("bounds") or ())
-        if not bounds:
-            continue
-        if merged is None:
-            merged = Histogram("serve.latency", {}, buckets=bounds)
-        elif merged.bounds != tuple(sorted(float(b) for b in bounds)):
-            raise ValueError(
-                "serve.latency histograms use mismatched buckets;"
-                " cannot merge for SLO evaluation"
-            )
-        counts = record.get("bucket_counts") or []
-        for i, c in enumerate(counts[: len(merged.bucket_counts)]):
-            merged.bucket_counts[i] += int(c)
-        merged.count += int(record.get("count", 0) or 0)
-        merged.sum += float(record.get("sum", 0.0) or 0.0)
-        if record.get("min") is not None:
-            merged.min = min(merged.min, float(record["min"]))
-        if record.get("max") is not None:
-            merged.max = max(merged.max, float(record["max"]))
-    return merged
-
-
-def _evaluate_latency(
-    objective: SLOObjective, records: list[dict[str, Any]]
-) -> ObjectiveResult:
-    hist = _merged_latency_histogram(records, objective.klass)
-    if hist is None or hist.count == 0:
-        return ObjectiveResult(
-            objective=objective,
-            value=math.nan,
-            passed=True,
-            burn_rate=0.0,
-            detail="no latency observations",
-        )
-    value = hist.quantile(objective.q)
-    budget = 1.0 - objective.q
-    bad = hist.fraction_over(objective.target)
-    burn = bad / budget if budget > 0 else math.inf
-    return ObjectiveResult(
-        objective=objective,
-        value=value,
-        passed=value <= objective.target,
-        burn_rate=burn,
-        detail=f"{hist.count} observations, {bad * 100:.2f}% over target",
-    )
-
-
-def _evaluate_served_fraction(
-    objective: SLOObjective, records: list[dict[str, Any]]
-) -> ObjectiveResult:
-    submitted = _counter_total(records, "serve.submitted")
-    served = _counter_total(records, "serve.responses", {"status": "served"})
-    if submitted == 0:
-        return ObjectiveResult(
-            objective=objective,
-            value=math.nan,
-            passed=True,
-            burn_rate=0.0,
-            detail="no requests submitted",
-        )
-    value = served / submitted
-    budget = 1.0 - objective.target
-    bad = 1.0 - value
+def _burn(spent: float, budget: float) -> float:
+    """Share of an error budget spent; 0 or inf when the budget is 0."""
     if budget > 0:
-        burn = bad / budget
-    else:
-        burn = 0.0 if bad == 0 else math.inf
-    return ObjectiveResult(
-        objective=objective,
-        value=value,
-        passed=value >= objective.target,
-        burn_rate=burn,
-        detail=f"{served:.0f}/{submitted:.0f} served",
-    )
+        return spent / budget
+    return 0.0 if spent == 0 else math.inf
 
 
-def _evaluate_status_fraction(
-    objective: SLOObjective, records: list[dict[str, Any]]
-) -> ObjectiveResult:
-    submitted = _counter_total(records, "serve.submitted")
-    bad_count = _counter_total(
-        records, "serve.responses", {"status": objective.status}
-    )
-    if submitted == 0:
-        return ObjectiveResult(
-            objective=objective,
-            value=math.nan,
-            passed=True,
-            burn_rate=0.0,
-            detail="no requests submitted",
+def _measure(
+    objective: SLOObjective,
+    metrics: MetricsRegistry,
+    records: list[dict[str, Any]],
+) -> tuple[float | None, float, str]:
+    """``(value, burn, detail)`` of one objective; ``None`` = nothing to read."""
+    kind, target = objective.kind, objective.target
+    if kind == "latency_quantile":
+        labels = {} if objective.klass is None else {"klass": objective.klass}
+        hist = metrics.merged("serve.latency", **labels)
+        if hist is None or hist.count == 0:
+            return None, 0.0, "no latency observations"
+        bad = hist.fraction_over(target)
+        return (
+            hist.quantile(objective.q),
+            _burn(bad, 1.0 - objective.q),
+            f"{hist.count} observations, {bad * 100:.2f}% over target",
         )
-    value = bad_count / submitted
-    if objective.target > 0:
-        burn = value / objective.target
-    else:
-        burn = 0.0 if value == 0 else math.inf
-    return ObjectiveResult(
-        objective=objective,
-        value=value,
-        passed=value <= objective.target,
-        burn_rate=burn,
-        detail=f"{bad_count:.0f}/{submitted:.0f} {objective.status}",
+    if kind in ("served_fraction", "status_fraction"):
+        submitted = metrics.total("serve.submitted")
+        if submitted == 0:
+            return None, 0.0, "no requests submitted"
+        if kind == "served_fraction":
+            served = metrics.total("serve.responses", status="served")
+            value = served / submitted
+            burn = _burn(1.0 - value, 1.0 - target)
+            return value, burn, f"{served:.0f}/{submitted:.0f} served"
+        count = metrics.total("serve.responses", status=objective.status)
+        value = count / submitted
+        detail = f"{count:.0f}/{submitted:.0f} {objective.status}"
+        return value, _burn(value, target), detail
+    if kind == "breaker_trips":
+        trips = metrics.total("serve.breaker.trips")
+        return trips, _burn(trips, target), f"{trips:.0f} trips"
+    if kind == "stage_seconds":
+        spans = [
+            r for r in records
+            if r.get("type") == "span" and r.get("name") == objective.stage
+        ]
+        if not spans:
+            return None, 0.0, f"no {objective.stage!r} spans"
+        seconds = sum(float(r.get("sim_seconds", 0.0) or 0.0) for r in spans)
+        return seconds, _burn(seconds, target), f"{len(spans)} span(s)"
+    if kind == "checkpoint_overhead_fraction":
+        checkpoint = metrics.total("checkpoint.sim_seconds")
+        embed = metrics.total("embed.sim_seconds")
+        if embed == 0:
+            return None, 0.0, "no embed.sim_seconds recorded"
+        value = checkpoint / embed
+        detail = f"{checkpoint:.4g}s checkpoint / {embed:.4g}s embed"
+        return value, _burn(value, target), detail
+    # staleness_bound: the worst lag any series of the gauge recorded.
+    observed = max(
+        (
+            m.value
+            for m in metrics.series("shard.staleness_max")
+            if not isinstance(m, Histogram)
+        ),
+        default=None,
     )
-
-
-def _evaluate_breaker_trips(
-    objective: SLOObjective, records: list[dict[str, Any]]
-) -> ObjectiveResult:
-    trips = _counter_total(records, "serve.breaker.trips")
-    if objective.target > 0:
-        burn = trips / objective.target
-    else:
-        burn = 0.0 if trips == 0 else math.inf
-    return ObjectiveResult(
-        objective=objective,
-        value=trips,
-        passed=trips <= objective.target,
-        burn_rate=burn,
-        detail=f"{trips:.0f} trips",
-    )
-
-
-def _evaluate_stage_seconds(
-    objective: SLOObjective, records: list[dict[str, Any]]
-) -> ObjectiveResult:
-    seconds = 0.0
-    n_spans = 0
-    for record in records:
-        if record.get("type") != "span":
-            continue
-        if record.get("name") != objective.stage:
-            continue
-        seconds += float(record.get("sim_seconds", 0.0) or 0.0)
-        n_spans += 1
-    if n_spans == 0:
-        return ObjectiveResult(
-            objective=objective,
-            value=math.nan,
-            passed=True,
-            burn_rate=0.0,
-            detail=f"no {objective.stage!r} spans",
-        )
-    burn = seconds / objective.target if objective.target > 0 else math.inf
-    return ObjectiveResult(
-        objective=objective,
-        value=seconds,
-        passed=seconds <= objective.target,
-        burn_rate=burn,
-        detail=f"{n_spans} span(s)",
-    )
-
-
-def _evaluate_checkpoint_overhead(
-    objective: SLOObjective, records: list[dict[str, Any]]
-) -> ObjectiveResult:
-    checkpoint = _counter_total(records, "checkpoint.sim_seconds")
-    embed = _counter_total(records, "embed.sim_seconds")
-    if embed == 0:
-        return ObjectiveResult(
-            objective=objective,
-            value=math.nan,
-            passed=True,
-            burn_rate=0.0,
-            detail="no embed.sim_seconds recorded",
-        )
-    value = checkpoint / embed
-    if objective.target > 0:
-        burn = value / objective.target
-    else:
-        burn = 0.0 if value == 0 else math.inf
-    return ObjectiveResult(
-        objective=objective,
-        value=value,
-        passed=value <= objective.target,
-        burn_rate=burn,
-        detail=f"{checkpoint:.4g}s checkpoint / {embed:.4g}s embed",
-    )
-
-
-def _evaluate_staleness_bound(
-    objective: SLOObjective, records: list[dict[str, Any]]
-) -> ObjectiveResult:
-    observed: float | None = None
-    for record in _metric_records(records):
-        if record.get("name") != "shard.staleness_max":
-            continue
-        if record.get("kind") not in ("counter", "gauge"):
-            continue
-        value = float(record.get("value", 0.0) or 0.0)
-        observed = value if observed is None else max(observed, value)
     if observed is None:
-        return ObjectiveResult(
-            objective=objective,
-            value=math.nan,
-            passed=True,
-            burn_rate=0.0,
-            detail="no shard.staleness_max recorded",
-        )
-    if objective.target > 0:
-        burn = observed / objective.target
-    else:
-        burn = 0.0 if observed == 0 else math.inf
-    return ObjectiveResult(
-        objective=objective,
-        value=observed,
-        passed=observed <= objective.target,
-        burn_rate=burn,
-        detail=f"max lag {observed:.0f} version(s)",
-    )
-
-
-_EVALUATORS = {
-    "latency_quantile": _evaluate_latency,
-    "served_fraction": _evaluate_served_fraction,
-    "status_fraction": _evaluate_status_fraction,
-    "breaker_trips": _evaluate_breaker_trips,
-    "stage_seconds": _evaluate_stage_seconds,
-    "checkpoint_overhead_fraction": _evaluate_checkpoint_overhead,
-    "staleness_bound": _evaluate_staleness_bound,
-}
+        return None, 0.0, "no shard.staleness_max recorded"
+    detail = f"max lag {observed:.0f} version(s)"
+    return observed, _burn(observed, target), detail
 
 
 def evaluate_slo(
     records: list[dict[str, Any]], spec: SLOSpec
 ) -> SLOReport:
     """Evaluate every objective of a spec over telemetry records."""
+    metrics = MetricsRegistry.from_records(records)
     report = SLOReport(spec=spec)
     for objective in spec.objectives:
-        report.results.append(_EVALUATORS[objective.kind](objective, records))
+        value, burn, detail = _measure(objective, metrics, records)
+        if value is None:
+            value, passed = math.nan, True
+        elif objective.kind == "served_fraction":
+            passed = value >= objective.target
+        else:
+            passed = value <= objective.target
+        report.results.append(
+            ObjectiveResult(objective, value, passed, burn, detail)
+        )
     return report
 
 
@@ -488,46 +334,27 @@ def render_slo(report: SLOReport) -> str:
     """Plain-text table of an SLO evaluation."""
     from repro.bench.harness import format_seconds, format_table
 
-    rows = []
-    for result in report.results:
-        objective = result.objective
-        if objective.kind in ("latency_quantile", "stage_seconds"):
-            value = (
-                format_seconds(result.value)
-                if not math.isnan(result.value)
-                else "-"
-            )
-            target = format_seconds(objective.target)
-        elif objective.kind in ("breaker_trips", "staleness_bound"):
-            value = (
-                f"{result.value:.0f}"
-                if not math.isnan(result.value)
-                else "-"
-            )
-            target = f"{objective.target:.0f}"
-        else:
-            value = (
-                f"{result.value * 100:.2f}%"
-                if not math.isnan(result.value)
-                else "-"
-            )
-            target = f"{objective.target * 100:.2f}%"
-        burn = (
-            f"{result.burn_rate:.2f}x"
-            if math.isfinite(result.burn_rate)
-            else "inf"
-        )
-        rows.append(
-            [
-                objective.name,
-                objective.kind,
-                value,
-                target,
-                burn,
-                "PASS" if result.passed else "FAIL",
-                result.detail,
-            ]
-        )
+    def fmt(kind: str, value: float) -> str:
+        if math.isnan(value):
+            return "-"
+        if kind in ("latency_quantile", "stage_seconds"):
+            return format_seconds(value)
+        if kind in ("breaker_trips", "staleness_bound"):
+            return f"{value:.0f}"
+        return f"{value * 100:.2f}%"
+
+    rows = [
+        [
+            r.objective.name,
+            r.objective.kind,
+            fmt(r.objective.kind, r.value),
+            fmt(r.objective.kind, r.objective.target),
+            f"{r.burn_rate:.2f}x" if math.isfinite(r.burn_rate) else "inf",
+            "PASS" if r.passed else "FAIL",
+            r.detail,
+        ]
+        for r in report.results
+    ]
     table = format_table(
         ["objective", "kind", "value", "target", "burn", "status", "detail"],
         rows,

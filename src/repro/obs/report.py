@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.memsim.trace import SPMM_CATEGORIES, CostTrace
+from repro.obs.metrics import full_name
 
 
 def _formatters() -> tuple[Callable, Callable]:
@@ -179,19 +180,17 @@ def _breakdown_tables(trace: CostTrace) -> list[str]:
 def _metric_tables(metrics: list[dict[str, Any]]) -> list[str]:
     _, format_table = _formatters()
 
-    def label_suffix(record: dict[str, Any]) -> str:
-        labels = record.get("labels") or {}
-        if not labels:
-            return ""
-        inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-        return f"{{{inner}}}"
+    def label_name(record: dict[str, Any]) -> str:
+        return full_name(
+            str(record.get("name", "<unnamed>")), record.get("labels") or {}
+        )
 
     tables = []
     scalars = [m for m in metrics if m.get("kind") in ("counter", "gauge")]
     if scalars:
         rows = [
             [
-                f"{m.get('name', '<unnamed>')}{label_suffix(m)}",
+                label_name(m),
                 m.get("kind"),
                 f"{float(m.get('value', 0.0) or 0.0):.6g}",
             ]
@@ -206,7 +205,7 @@ def _metric_tables(metrics: list[dict[str, Any]]) -> list[str]:
             mean = float(m.get("sum", 0.0) or 0.0) / count if count else 0.0
             rows.append(
                 [
-                    f"{m.get('name', '<unnamed>')}{label_suffix(m)}",
+                    label_name(m),
                     count,
                     f"{mean:.6g}",
                     f"{m['min']:.6g}" if m.get("min") is not None else "-",

@@ -87,7 +87,7 @@ class TestEmbedderTelemetry:
             small_edges, prefetcher_enabled=False
         )
         assert session.metrics.value("wofp.hit_nnz") == 0.0
-        assert session.metrics.family_total("wofp.plans") > 0  # disabled plans
+        assert session.metrics.total("wofp.plans") > 0  # disabled plans
 
     def test_asl_exposure_matches_stream_ledger(self, small_edges):
         session, result = instrumented_embed(small_edges)
@@ -103,7 +103,7 @@ class TestEmbedderTelemetry:
         for thread in range(4):
             z = session.metrics.value("eata.partition.z_entropy", thread=thread)
             assert 0.0 <= z <= 1.0
-        assert session.metrics.family_total("eata.allocations") > 0
+        assert session.metrics.total("eata.allocations") > 0
 
 
 class TestEngineTelemetry:

@@ -1,6 +1,10 @@
 """Unit tests for the metrics registry (repro.obs.metrics)."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     Counter,
@@ -28,7 +32,7 @@ class TestCounter:
         registry.counter("plans", kind="frequency").inc(1)
         assert registry.value("plans", kind="degree") == 3
         assert registry.value("plans", kind="frequency") == 1
-        assert registry.family_total("plans") == 4
+        assert registry.total("plans") == 4
 
     def test_untouched_metric_reads_zero(self):
         assert MetricsRegistry().value("never") == 0.0
@@ -199,3 +203,80 @@ class TestRegistry:
         registry.counter("a")
         registry.gauge("b")
         assert len(registry) == 2
+
+
+_finite = st.floats(
+    min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
+)
+_labels = st.dictionaries(
+    st.sampled_from(["klass", "status", "shard"]),
+    st.sampled_from(["a", "b", "7"]) | st.integers(0, 3),
+    max_size=2,
+)
+_series = st.tuples(
+    st.sampled_from(["counter", "gauge", "histogram"]),
+    st.sampled_from(["serve.latency", "spmm.calls", "wofp.hit_nnz"]),
+    _labels,
+    st.lists(_finite, max_size=6),
+)
+
+
+def _registry(series) -> MetricsRegistry:
+    registry = MetricsRegistry()
+    for kind, name, labels, values in series:
+        try:
+            if kind == "counter":
+                metric = registry.counter(name, **labels)
+                for value in values:
+                    metric.inc(abs(value))
+            elif kind == "gauge":
+                metric = registry.gauge(name, **labels)
+                for value in values:
+                    metric.set(value)
+            else:
+                metric = registry.histogram(name, (1e-3, 1.0, 1e3), **labels)
+                for value in values:
+                    metric.observe(value)
+        except TypeError:
+            pass  # the series exists under another kind
+    return registry
+
+
+class TestRecordRoundTrip:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_series, max_size=12))
+    def test_from_records_inverts_to_records(self, series):
+        records = _registry(series).to_records()
+        rebuilt = MetricsRegistry.from_records(records)
+        assert rebuilt.to_records() == records
+        # ... and through the file's JSON too.
+        decoded = json.loads(json.dumps(records))
+        assert MetricsRegistry.from_records(decoded).to_records() == records
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_series, max_size=12))
+    def test_total_is_the_registry_value_summed(self, series):
+        registry = _registry(series)
+        rebuilt = MetricsRegistry.from_records(registry.to_records())
+        for name in ("serve.latency", "spmm.calls", "wofp.hit_nnz"):
+            expected = sum(
+                (
+                    m.value
+                    for m in registry
+                    if m.name == name and not isinstance(m, Histogram)
+                ),
+                0.0,
+            )
+            assert rebuilt.total(name) == expected
+
+    def test_merge_adds_observations(self):
+        a = Histogram("h", {}, buckets=(1.0, 10.0))
+        b = Histogram("h", {"k": "v"}, buckets=(10.0, 1.0))
+        for value in (0.5, 20.0):
+            a.observe(value)
+        b.observe(5.0)
+        a.merge(b)
+        assert a.bucket_counts == [1, 1, 1]
+        assert (a.count, a.sum, a.min, a.max) == (3, 25.5, 0.5, 20.0)
+        with pytest.raises(ValueError, match="mismatched"):
+            a.merge(Histogram("h", {}, buckets=(1.0,)))

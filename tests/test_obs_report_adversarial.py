@@ -132,3 +132,31 @@ class TestRenderReportAdversarial:
         ]
         text = render_report(records)
         assert "Hot spans" in text and "hot" in text
+
+
+class TestTopFrameAdversarial:
+    """``repro top`` over snapshots that lack their header fields."""
+
+    def test_bare_snapshot_renders_with_defaults(self):
+        from repro.obs.live import build_top_frame, render_top
+
+        frame = build_top_frame([{"type": "serve_snapshot"}])
+        assert frame["sim_now_s"] == 0.0
+        assert frame["breaker_state"] == "-"
+        assert frame["queue_depth"] == 0
+        assert "breaker=-  queue_depth=0" in render_top(frame)
+
+    def test_rate_path_tolerates_missing_fields(self):
+        from repro.obs.live import build_top_frame, render_top
+
+        counter = {"type": "metric", "kind": "counter",
+                   "name": "serve.submitted", "value": 4.0}
+        records = [
+            {"type": "serve_snapshot", "metrics": []},
+            {"type": "serve_snapshot", "sim_now_s": 2.0,
+             "metrics": [counter]},
+        ]
+        frame = build_top_frame(records)
+        assert frame["req_rate"] == pytest.approx(2.0)
+        assert frame["breaker_state"] == "-"
+        assert "submitted" in render_top(frame)

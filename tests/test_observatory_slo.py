@@ -1,6 +1,8 @@
 """Declarative SLO evaluation with error-budget burn rates."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,11 @@ def _serve_records(latencies, submitted, served, deadline=0, trips=0):
     if trips:
         registry.counter("serve.breaker.trips").inc(trips)
     return registry.to_records()
+
+
+def _spec(**objective):
+    """A one-objective spec payload named ``x``."""
+    return {"objectives": [{"name": "x", **objective}]}
 
 
 class TestObjectiveValidation:
@@ -77,6 +84,56 @@ class TestSpecIO:
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError, match="objectives"):
             SLOSpec.from_dict({"objectives": []})
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            (_spec(kind="latency_quantile", q=0.99, target=math.nan), "target"),
+            (_spec(kind="latency_quantile", q=0.99, target=math.inf), "target"),
+            (_spec(kind="stage_seconds", stage="spmm", target=math.inf),
+             "target"),
+            (_spec(kind="stage_seconds", stage="spmm", target=math.nan),
+             "target"),
+            (_spec(kind="breaker_trips", target=math.nan), "target"),
+            (_spec(kind="breaker_trips", target=math.inf), "target"),
+            (_spec(kind="staleness_bound", target=math.nan), "target"),
+            (_spec(kind="staleness_bound", target=math.inf), "target"),
+            (_spec(kind="breaker_trips", target=True), "target"),
+            (_spec(kind="breaker_trips", target="3"), "target"),
+            (_spec(kind="breaker_trips"), "target"),
+            ({"objectives": [{"kind": "breaker_trips", "target": 1}]}, "name"),
+            ({"objectives": [{"name": "x", "target": 1}]}, "kind"),
+            (_spec(kind="latency_quantile", q="0.9", target=0.1), "q"),
+            (_spec(kind="status_fraction", status=3, target=0.1), "status"),
+            ({"objectives": {"name": "x"}}, "objectives"),
+            ({"objectives": ["x"]}, "objective"),
+            ([{"name": "x", "kind": "breaker_trips", "target": 1}], "spec"),
+        ],
+    )
+    def test_malformed_spec_rejected_naming_file_and_field(
+        self, tmp_path, payload, field
+    ):
+        with pytest.raises(ValueError, match=field):
+            SLOSpec.from_dict(payload)
+        path = tmp_path / "bad.slo.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=field) as err:
+            SLOSpec.load(path)
+        assert str(path) in str(err.value)
+
+    def test_bad_json_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.slo.json"
+        path.write_text('{"objectives": [', encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.slo.json"):
+            SLOSpec.load(path)
+
+    @pytest.mark.parametrize("name", ["serve_tail.slo.json", "embed.slo.json"])
+    def test_committed_specs_load_unchanged(self, name):
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / name
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        spec = SLOSpec.load(path)
+        assert spec.name == payload["name"]
+        assert [o.to_dict() for o in spec.objectives] == payload["objectives"]
 
 
 class TestEvaluation:
