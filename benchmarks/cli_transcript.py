@@ -48,6 +48,7 @@ RUNS = [
     ["perf-gate"],
     SERVE + ["--fault-seed", "3"],
     SERVE + ["--shards", "2"],
+    SERVE + ["--shards", "2", "--fault-seed", "3"],
     EMBED + ["--faults", "crash.json"],
     EMBED + ["--faults", "crash.json", "--resume"],
     EMBED + ["--follow"],

@@ -89,15 +89,6 @@ class _BaseSimulator:
             nbytes,
         )
 
-    def _ssd_rand_read(self, nbytes: float) -> float:
-        return self.cost_model.access_time(
-            self.topology.device(MemoryKind.SSD),
-            Operation.READ,
-            AccessPattern.RANDOM,
-            Locality.LOCAL,
-            nbytes,
-        )
-
     def _net_transfer(self, nbytes: float) -> float:
         return self.cost_model.access_time(
             self.topology.device(MemoryKind.NETWORK),

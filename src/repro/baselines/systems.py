@@ -69,11 +69,6 @@ class SystemResult:
     sim_seconds: float
     result: EmbeddingResult | None = None
 
-    @property
-    def projected_full_scale_seconds(self) -> float:
-        """Simulated time projected to the original graph's scale."""
-        return self.sim_seconds
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SystemResult({self.system} on {self.dataset}: {self.status},"

@@ -10,8 +10,6 @@ from repro.bench.harness import (
     format_table,
     geometric_mean,
     project_full_scale,
-    run_experiment,
-    telemetry_session,
 )
 
 __all__ = [
@@ -22,6 +20,4 @@ __all__ = [
     "format_table",
     "geometric_mean",
     "project_full_scale",
-    "run_experiment",
-    "telemetry_session",
 ]

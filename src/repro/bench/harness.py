@@ -1,63 +1,13 @@
-"""Table formatting, projection and telemetry helpers for the benchmarks.
+"""Table formatting and projection helpers for the benchmarks.
 
 Every bench prints two things per experiment: the rows/series the paper's
 table or figure reports, and (when scaled analogues are involved) the
 projection of simulated times back to the original graph scale.
-
-Benches can additionally emit the same structured telemetry as the CLI:
-:func:`telemetry_session` builds a :class:`~repro.obs.export.TelemetrySession`
-and :func:`run_experiment` wraps one experiment callable in a span,
-advancing the simulated clock and merging the result's cost ledger when
-the result exposes them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
-
 import numpy as np
-
-
-def telemetry_session(**meta: Any):
-    """Create a telemetry session for a bench run.
-
-    The returned :class:`~repro.obs.export.TelemetrySession` carries the
-    tracer/metrics pair to hand to :class:`~repro.core.SpMMEngine` or
-    :class:`~repro.core.OMeGaEmbedder`, and ``session.save(path)``
-    produces the same JSONL schema as the CLI's ``--telemetry-out``.
-    """
-    # Imported lazily: repro.obs.report reaches back into this module for
-    # its table formatters.
-    from repro.obs.export import TelemetrySession
-
-    return TelemetrySession(meta=meta)
-
-
-def run_experiment(
-    label: str,
-    fn: Callable[..., Any],
-    *args: Any,
-    session: Any | None = None,
-    advance_sim: bool = True,
-    **kwargs: Any,
-) -> Any:
-    """Run one experiment, optionally under a telemetry session's span.
-
-    When the callable's result exposes ``sim_seconds`` the span is
-    credited that much simulated time (disable via ``advance_sim=False``
-    if ``fn`` already drives the session's tracer, e.g. an embedder
-    constructed with it); a result's ``trace`` ledger is merged into the
-    session under ``label``.
-    """
-    if session is None:
-        return fn(*args, **kwargs)
-    with session.tracer.span(label):
-        result = fn(*args, **kwargs)
-        if advance_sim and hasattr(result, "sim_seconds"):
-            session.tracer.advance_sim(result.sim_seconds)
-    if hasattr(result, "trace"):
-        session.add_cost_trace(label, result.trace)
-    return result
 
 
 def geometric_mean(values: list[float]) -> float:

@@ -159,6 +159,8 @@ def run_serve_sim(args: argparse.Namespace) -> int:
     )
 
     edges, n_nodes, scale, name = scaffold.load_graph(args)
+    # A malformed --trace fails here, before the embed and shard spawns.
+    trace = RequestTrace.load(args.trace) if args.trace else None
     config = scaffold.config_from_args(args, scale)
     meta = scaffold.engine_meta(args, "serve-sim", name)
     with scaffold.telemetry(args, meta, force=bool(args.slo)) as session:
@@ -209,9 +211,7 @@ def run_serve_sim(args: argparse.Namespace) -> int:
         try:
             warmup_s = backend.warm_up()
             per_node = backend.compute_cost(1)
-            if args.trace:
-                trace = RequestTrace.load(args.trace)
-            else:
+            if trace is None:
                 trace = RequestTrace.synthesize(
                     seed=args.trace_seed,
                     n_requests=args.requests,

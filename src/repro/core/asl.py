@@ -276,7 +276,7 @@ class StreamingLoader:
         attempts = 0
         while True:
             attempts += 1
-            if faults is None or not faults.take_transient_failure(site):
+            if faults is None or not faults.take("transient_load", site):
                 exposed = self.observe(plan, compute_seconds, metrics)
                 return LoadOutcome(
                     exposed_seconds=exposed,

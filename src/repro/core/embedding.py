@@ -499,7 +499,7 @@ class PipelineRun:
             raise RuntimeError("pipeline already complete")
         embedder = self.embedder
         if embedder.faults is not None:
-            if embedder.faults.tier_loss(stage) is not None:
+            if embedder.faults.take("tier_loss", stage) is not None:
                 embedder.degrade_tier(
                     embedder.pipeline_working_set_bytes(
                         self.adjacency.n_rows, self.n_edges

@@ -9,9 +9,12 @@ boundaries, transient streaming-load errors, PM bandwidth degradation
 and PM tier-capacity loss — and a :class:`FaultInjector` is the runtime
 the instrumented components consult.
 
-Everything is deterministic: a plan is either written out event by
-event or generated from a seed (:meth:`FaultPlan.random`), so any
-chaos run can be replayed exactly.  Components react as follows:
+Everything is deterministic: a plan is written out event by event or
+drawn from a seed (the ``FaultPlan.random_*`` generators), so any chaos
+run can be replayed exactly.  Every event fires a fixed number of
+times — ``count`` times for the kinds in :data:`COUNTED_KINDS`, once
+for every other kind — and :meth:`FaultInjector.take` is the one rule
+that fires them.  Components react as follows:
 
 - ``crash`` — :class:`~repro.memsim.persistence.CheckpointedEmbedder`
   raises :class:`InjectedCrash` at the named stage boundary (after or,
@@ -26,8 +29,8 @@ chaos run can be replayed exactly.  Components react as follows:
   fallback order (local DRAM → remote DRAM → re-plan ASL with more
   partitions) instead of aborting.
 
-Every injected event is counted in the ``faults.injected`` metric
-family, labelled by kind.
+Every firing is counted in the ``faults.injected`` metric family,
+labelled by kind.
 """
 
 from __future__ import annotations
@@ -36,13 +39,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # import deferred: obs -> memsim -> persistence -> faults
     from repro.obs.metrics import MetricsRegistry
 
-#: Recognised pipeline fault kinds (the set :meth:`FaultPlan.random`
-#: draws from, kept stable so seeded plans replay bit-identically).
+#: Pipeline fault kinds (consulted by the embedder and the SpMM engine).
 FAULT_KINDS = ("crash", "transient_load", "pm_degrade", "tier_loss")
 #: Serving-layer fault kinds (:mod:`repro.serve`): a ``backend_stall``
 #: freezes one embed/stream backend call for ``seconds`` of simulated
@@ -75,6 +77,9 @@ SHARD_SITE_KINDS = SHARD_FAULT_KINDS + CHECKPOINT_FAULT_KINDS
 ALL_FAULT_KINDS = (
     FAULT_KINDS + SERVE_FAULT_KINDS + SHARD_FAULT_KINDS + CHECKPOINT_FAULT_KINDS
 )
+#: Kinds whose ``count`` is a number of firings; every other kind fires
+#: once (its ``count`` is a burst size or a lookup sequence number).
+COUNTED_KINDS = ("crash", "transient_load", "tier_loss", "backend_stall")
 #: Crash phases relative to a stage's WAL commit.
 CRASH_PHASES = ("after_commit", "before_commit")
 #: Default injection site of transient streaming-load failures.
@@ -132,11 +137,12 @@ class FaultEvent:
             ``transient_load``, ``"pm"`` for ``pm_degrade``,
             :data:`BACKEND_SITE` for ``backend_stall``,
             :data:`ARRIVAL_SITE` for ``request_burst``.
-        count: how many failures a ``transient_load``/``backend_stall``
-            event injects (consecutive attempts that fail), how many
-            duplicate arrivals a ``request_burst`` adds, or — for the
-            shard kinds — the 1-based lookup sequence number at which
-            the fault fires.
+        count: for :data:`COUNTED_KINDS`, how many times the event
+            fires (a ``transient_load``/``backend_stall`` fails that many
+            consecutive attempts).  Every other kind fires once: a
+            ``request_burst``'s count is the number of duplicate
+            arrivals it adds, and a shard kind's count is the 1-based
+            lookup sequence number at which it fires.
         factor: bandwidth multiplier of a ``pm_degrade`` event
             (0 < factor <= 1; 0.5 halves the PM streaming bandwidth).
         phase: when a ``crash`` fires relative to the stage's WAL
@@ -250,56 +256,6 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
-
-    @classmethod
-    def random(
-        cls,
-        seed: int,
-        stages: Iterable[str] = ("graph_read", "factorization", "propagation"),
-        n_events: int = 3,
-        max_transient: int = 2,
-    ) -> "FaultPlan":
-        """Seeded plan generator for chaos sweeps.
-
-        Draws ``n_events`` events uniformly over the four kinds; crash
-        and tier-loss sites come from ``stages``, transient counts from
-        ``[1, max_transient]``, degradation factors from [0.25, 0.95].
-        The same seed always yields the same plan.
-        """
-        import numpy as np
-
-        stages = tuple(stages)
-        rng = np.random.default_rng(seed)
-        events = []
-        for _ in range(n_events):
-            kind = FAULT_KINDS[int(rng.integers(len(FAULT_KINDS)))]
-            if kind == "crash":
-                events.append(
-                    FaultEvent(
-                        kind,
-                        stages[int(rng.integers(len(stages)))],
-                        phase=CRASH_PHASES[int(rng.integers(2))],
-                    )
-                )
-            elif kind == "transient_load":
-                events.append(
-                    FaultEvent(
-                        kind,
-                        ASL_LOAD_SITE,
-                        count=int(rng.integers(1, max_transient + 1)),
-                    )
-                )
-            elif kind == "pm_degrade":
-                events.append(
-                    FaultEvent(
-                        kind, "pm", factor=float(rng.uniform(0.25, 0.95))
-                    )
-                )
-            else:
-                events.append(
-                    FaultEvent(kind, stages[int(rng.integers(len(stages)))])
-                )
-        return cls(events=tuple(events), seed=seed)
 
     @classmethod
     def random_serve(
@@ -504,10 +460,11 @@ class FaultPlan:
 class FaultInjector:
     """Stateful runtime consuming a :class:`FaultPlan`.
 
-    Each event fires at most ``count`` times (once for crashes and tier
-    losses); consumed events never re-fire, so a resumed run does not
-    replay the crash that interrupted it.  All injections are counted
-    in ``faults.injected`` (labelled by kind) on the supplied registry.
+    Every event is armed with a fixed number of firings
+    (:data:`COUNTED_KINDS` fire ``count`` times, every other kind once)
+    and :meth:`take` is the one rule that spends them: a resumed run
+    never replays the crash that interrupted it.  Every firing adds one
+    to ``faults.injected`` (labelled by kind) on the supplied registry.
     """
 
     def __init__(
@@ -517,112 +474,54 @@ class FaultInjector:
 
         self.plan = plan
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._remaining: list[list] = [
-            [event, event.count] for event in plan.events
+        self._armed: list[list] = [
+            [event, event.count if event.kind in COUNTED_KINDS else 1]
+            for event in plan.events
         ]
 
-    def _consume(self, kind: str, site: str, n: int = 1) -> FaultEvent | None:
-        for entry in self._remaining:
-            event, remaining = entry
-            if event.kind == kind and event.site == site and remaining >= n:
-                entry[1] = remaining - n
-                self.metrics.counter("faults.injected", kind=kind).inc(n)
+    def take(
+        self,
+        kinds: str | tuple[str, ...],
+        site: str,
+        phase: str | None = None,
+        seq: int | None = None,
+    ) -> FaultEvent | None:
+        """Fire the first armed event of ``kinds`` at ``site``, if any.
+
+        ``phase`` (crashes) must equal the event's phase, and ``seq``
+        (the shard kinds) must have reached the event's ``count``; a
+        ``None`` leaves that field unchecked.
+        """
+        kinds = (kinds,) if isinstance(kinds, str) else kinds
+        for entry in self._armed:
+            event, left = entry
+            if (
+                left
+                and event.kind in kinds
+                and event.site == site
+                and phase in (None, event.phase)
+                and (seq is None or seq >= event.count)
+            ):
+                entry[1] = left - 1
+                self.metrics.counter("faults.injected", kind=event.kind).inc()
                 return event
         return None
 
-    # -- per-kind queries the instrumented components call -----------------
-
-    def should_crash(self, site: str, phase: str = "after_commit") -> bool:
-        """Consume a crash event at a stage boundary, if one is armed."""
-        for entry in self._remaining:
-            event, remaining = entry
-            if (
-                event.kind == "crash"
-                and event.site == site
-                and event.phase == phase
-                and remaining > 0
-            ):
-                entry[1] = remaining - 1
-                self.metrics.counter("faults.injected", kind="crash").inc()
-                return True
-        return False
-
-    def take_transient_failure(self, site: str = ASL_LOAD_SITE) -> bool:
-        """Consume one transient failure at a load site, if armed."""
-        return self._consume("transient_load", site) is not None
-
     def pm_derate(self) -> float:
-        """Product of every armed PM-degradation factor (1.0 = healthy).
+        """Product of every ``pm_degrade`` factor in the plan (1.0 = healthy).
 
-        Degradation events stay active once triggered — a slow DIMM does
-        not recover — so this does not consume them, but the first call
-        counts each event's injection.
+        Degradation is sticky — a slow DIMM does not recover — so every
+        call applies every factor, while :meth:`take` fires each event on
+        the first call only.
         """
         factor = 1.0
-        for entry in self._remaining:
-            event, remaining = entry
+        for event in self.plan.events:
             if event.kind == "pm_degrade":
-                if remaining > 0:
-                    entry[1] = 0
-                    self.metrics.counter(
-                        "faults.injected", kind="pm_degrade"
-                    ).inc()
+                self.take("pm_degrade", event.site)
                 factor *= event.factor
         return factor
 
-    def tier_loss(self, site: str) -> FaultEvent | None:
-        """Consume a PM tier-capacity-loss event at a stage start."""
-        return self._consume("tier_loss", site)
-
-    def take_backend_stall(self, site: str = BACKEND_SITE) -> FaultEvent | None:
-        """Consume one stalled backend call at a serving site, if armed."""
-        return self._consume("backend_stall", site)
-
-    def take_request_burst(self, site: str = ARRIVAL_SITE) -> FaultEvent | None:
-        """Consume one request-burst event at the admission queue.
-
-        A burst fires once; its ``count`` is the number of duplicate
-        requests it injects, so the whole event is drained in one take.
-        """
-        for entry in self._remaining:
-            event, remaining = entry
-            if (
-                event.kind == "request_burst"
-                and event.site == site
-                and remaining > 0
-            ):
-                entry[1] = 0
-                self.metrics.counter(
-                    "faults.injected", kind="request_burst"
-                ).inc()
-                return event
-        return None
-
-    def take_shard_fault(self, site: str, seq: int) -> FaultEvent | None:
-        """Consume one armed shard fault at ``site`` due by lookup ``seq``.
-
-        Shard events (including the checkpoint-media kinds) interpret
-        ``count`` as the 1-based scatter-gather lookup sequence number
-        at which they fire; each event fires exactly once, at the first
-        lookup whose sequence reaches it.  Call repeatedly to drain
-        multiple events due at the same sequence number.
-        """
-        for entry in self._remaining:
-            event, remaining = entry
-            if (
-                event.kind in SHARD_SITE_KINDS
-                and event.site == site
-                and remaining > 0
-                and seq >= event.count
-            ):
-                entry[1] = 0
-                self.metrics.counter(
-                    "faults.injected", kind=event.kind
-                ).inc()
-                return event
-        return None
-
     @property
     def pending(self) -> int:
-        """Total injections still armed."""
-        return sum(remaining for _, remaining in self._remaining)
+        """Firings still armed."""
+        return sum(left for _, left in self._armed)

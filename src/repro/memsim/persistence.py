@@ -436,16 +436,18 @@ class CheckpointedEmbedder:
                 except BaseException:
                     run.abort()
                     raise
-                crash_during = faults is not None and faults.should_crash(
-                    stage, phase="before_commit"
-                )
+                crash_during = faults is not None and faults.take(
+                    "crash", stage, phase="before_commit"
+                ) is not None
                 arrays, meta = run.state.to_payload()
                 try:
                     self.wal.append(stage, arrays, meta, crash=crash_during)
                 except CrashInjected:
                     run.abort()
                     raise
-                if faults is not None and faults.should_crash(stage):
+                if faults is not None and faults.take(
+                    "crash", stage, phase="after_commit"
+                ):
                     run.abort()
                     raise InjectedCrash(stage)
             result = run.finish()

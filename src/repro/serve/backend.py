@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.embedding import OMeGaEmbedder
-from repro.faults import BackendStallError, FaultInjector
+from repro.faults import BACKEND_SITE, BackendStallError, FaultInjector
 from repro.formats.convert import edges_to_csdb
 from repro.memsim.devices import (
     AccessPattern,
@@ -178,7 +178,7 @@ class EmbeddingBackend:
         absorbed_stall = 0.0
         if self.faults is not None:
             seconds /= self.faults.pm_derate()
-            stall = self.faults.take_backend_stall()
+            stall = self.faults.take("backend_stall", BACKEND_SITE)
             if stall is not None:
                 self.metrics.counter("serve.backend.stalls").inc()
                 if stall.seconds > stall_budget_s:

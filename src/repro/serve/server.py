@@ -38,7 +38,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.faults import BackendStallError, FaultInjector
+from repro.faults import ARRIVAL_SITE, BackendStallError, FaultInjector
 from repro.memsim.clock import VirtualClock
 from repro.obs.forensics.records import RequestForensics
 from repro.obs.metrics import MetricsRegistry
@@ -463,7 +463,7 @@ class EmbeddingServer:
             index += 1
             arrivals = [request]
             if self.faults is not None:
-                burst = self.faults.take_request_burst()
+                burst = self.faults.take("request_burst", ARRIVAL_SITE)
                 if burst is not None:
                     self.tracer.record(
                         "request_burst", count=burst.count,

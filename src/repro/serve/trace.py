@@ -16,6 +16,7 @@ fidelity or the cache — a half-fresh batch job helps nobody).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -66,7 +67,33 @@ class ServeRequest:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "ServeRequest":
-        """Rebuild a request from :meth:`to_dict` output."""
+        """Rebuild a request from :meth:`to_dict` output.
+
+        Raises:
+            ValueError: naming the field that is missing or mistyped
+                (``n_nodes`` must be an integer, ``arrival_s`` /
+                ``deadline_s`` finite numbers) or out of range.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(f"a request must be an object, got {payload!r}")
+        for name in ("request_id", "klass", "arrival_s", "n_nodes",
+                     "deadline_s"):
+            if name not in payload:
+                raise ValueError(f"request field {name!r} is missing")
+        for name in ("arrival_s", "n_nodes", "deadline_s"):
+            value = payload[name]
+            finite = isinstance(value, int) or (
+                isinstance(value, float) and math.isfinite(value)
+            )
+            if (
+                isinstance(value, bool)
+                or not finite
+                or (name == "n_nodes" and value != int(value))
+            ):
+                want = "an integer" if name == "n_nodes" else "a finite number"
+                raise ValueError(
+                    f"request field {name!r} must be {want}, got {value!r}"
+                )
         return cls(
             request_id=str(payload["request_id"]),
             arrival_s=float(payload["arrival_s"]),
@@ -180,10 +207,15 @@ class RequestTrace:
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "RequestTrace":
         """Rebuild a trace from :meth:`to_dict` output."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"a trace must be an object, got {payload!r}")
+        requests = payload.get("requests", [])
+        if not isinstance(requests, list):
+            raise ValueError(
+                f"trace field 'requests' must be a list, got {requests!r}"
+            )
         return cls(
-            requests=tuple(
-                ServeRequest.from_dict(r) for r in payload.get("requests", [])
-            ),
+            requests=tuple(ServeRequest.from_dict(r) for r in requests),
             seed=payload.get("seed"),
         )
 
@@ -197,5 +229,15 @@ class RequestTrace:
 
     @classmethod
     def load(cls, path: str | Path) -> "RequestTrace":
-        """Read a trace written by :meth:`save`."""
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read a trace written by :meth:`save`.
+
+        Raises:
+            ValueError: the file is not a valid trace; the message names
+                the file and the offending field.
+        """
+        try:
+            return cls.from_dict(
+                json.loads(Path(path).read_text(encoding="utf-8"))
+            )
+        except ValueError as err:
+            raise ValueError(f"request trace {str(path)!r}: {err}") from None

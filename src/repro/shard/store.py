@@ -44,7 +44,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.eata import entropy_aware_bounds, round_robin_bounds
-from repro.faults import FaultInjector
+from repro.faults import SHARD_SITE_KINDS, FaultInjector
 from repro.memsim.costmodel import CostModel
 from repro.memsim.devices import (
     AccessPattern,
@@ -523,8 +523,8 @@ class EmbeddingShardManager:
                 # Drain every event due at this sequence number, so
                 # combined faults (e.g. a hang plus a heartbeat loss on
                 # the same shard) land in one sweep.
-                event = self.faults.take_shard_fault(
-                    f"shard.{shard_id}", seq
+                event = self.faults.take(
+                    SHARD_SITE_KINDS, f"shard.{shard_id}", seq=seq
                 )
                 if event is None:
                     break

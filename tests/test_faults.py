@@ -12,7 +12,9 @@ from repro.core.asl import RetryPolicy, StreamingLoader, StreamPlan
 from repro.core.config import MemoryMode, PlacementScheme
 from repro.core.nadp import FALLBACK_ORDER, plan_tier_fallback
 from repro.faults import (
+    ARRIVAL_SITE,
     ASL_LOAD_SITE,
+    SHARD_SITE_KINDS,
     FaultError,
     FaultEvent,
     FaultInjector,
@@ -95,21 +97,11 @@ class TestFaultPlan:
 
     def test_load_accepts_seeded_plans(self, tmp_path):
         for plan in (
-            FaultPlan.random(3),
             FaultPlan.random_serve(5),
             FaultPlan.random_shard(7, n_shards=4),
             FaultPlan(events=(FaultEvent("crash", "factorization"),), seed=0),
         ):
             assert FaultPlan.load(plan.save(tmp_path / "plan.json")) == plan
-
-    def test_seeded_plan_deterministic(self):
-        assert FaultPlan.random(seed=7) == FaultPlan.random(seed=7)
-        assert FaultPlan.random(seed=7) != FaultPlan.random(seed=8)
-
-    def test_seeded_plan_events_valid(self):
-        for seed in range(20):
-            plan = FaultPlan.random(seed=seed, n_events=5)
-            assert len(plan.events) == 5  # validation ran in __post_init__
 
     def test_exceptions_are_typed(self):
         assert issubclass(InjectedCrash, FaultError)
@@ -119,11 +111,11 @@ class TestFaultPlan:
 
 class TestFaultInjector:
     def test_crash_consumed_once(self):
-        plan = FaultPlan(events=(FaultEvent("crash", "factorization"),))
-        injector = FaultInjector(plan)
-        assert injector.should_crash("graph_read") is False
-        assert injector.should_crash("factorization") is True
-        assert injector.should_crash("factorization") is False
+        event = FaultEvent("crash", "factorization")
+        injector = FaultInjector(FaultPlan(events=(event,)))
+        assert injector.take("crash", "graph_read") is None
+        assert injector.take("crash", "factorization") is event
+        assert injector.take("crash", "factorization") is None
 
     def test_crash_phase_must_match(self):
         plan = FaultPlan(
@@ -132,10 +124,13 @@ class TestFaultInjector:
             )
         )
         injector = FaultInjector(plan)
-        assert injector.should_crash("factorization") is False
         assert (
-            injector.should_crash("factorization", phase="before_commit")
-            is True
+            injector.take("crash", "factorization", phase="after_commit")
+            is None
+        )
+        assert (
+            injector.take("crash", "factorization", phase="before_commit")
+            is not None
         )
 
     def test_transient_count(self):
@@ -143,9 +138,9 @@ class TestFaultInjector:
             events=(FaultEvent("transient_load", ASL_LOAD_SITE, count=2),)
         )
         injector = FaultInjector(plan)
-        assert injector.take_transient_failure() is True
-        assert injector.take_transient_failure() is True
-        assert injector.take_transient_failure() is False
+        assert injector.take("transient_load", ASL_LOAD_SITE) is not None
+        assert injector.take("transient_load", ASL_LOAD_SITE) is not None
+        assert injector.take("transient_load", ASL_LOAD_SITE) is None
 
     def test_pm_derate_persists(self):
         plan = FaultPlan(
@@ -167,10 +162,26 @@ class TestFaultInjector:
         )
         metrics = MetricsRegistry()
         injector = FaultInjector(plan, metrics)
-        injector.should_crash("graph_read")
-        injector.tier_loss("propagation")
+        injector.take("crash", "graph_read", phase="after_commit")
+        injector.take("tier_loss", "propagation")
         assert metrics.counter("faults.injected", kind="crash").value == 1
         assert metrics.counter("faults.injected", kind="tier_loss").value == 1
+        assert injector.pending == 0
+
+    def test_pending_counts_firings(self):
+        """One-shot kinds arm one firing, whatever their ``count`` means."""
+        plan = FaultPlan(
+            events=(
+                FaultEvent("shard_crash", "shard.0", count=30),
+                FaultEvent("request_burst", ARRIVAL_SITE, count=12),
+                FaultEvent("pm_degrade", "pm", factor=0.5),
+            )
+        )
+        injector = FaultInjector(plan)
+        assert injector.pending == 3
+        assert injector.take(SHARD_SITE_KINDS, "shard.0", seq=30) is not None
+        assert injector.take("request_burst", ARRIVAL_SITE) is not None
+        assert injector.pm_derate() == 0.5
         assert injector.pending == 0
 
 

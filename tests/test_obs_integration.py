@@ -9,7 +9,6 @@ and their simulated seconds agree with ``CostTrace.breakdown()`` to
 import numpy as np
 import pytest
 
-from repro.bench.harness import run_experiment, telemetry_session
 from repro.cli import main
 from repro.core import OMeGaConfig, OMeGaEmbedder, SpMMEngine
 from repro.formats import edges_to_csdb
@@ -237,23 +236,3 @@ class TestCliTelemetry:
         assert code == 0
         names = {s["name"] for s in split_records(load_records(out))["span"]}
         assert "spmm" in names
-
-
-class TestHarnessTelemetry:
-    def test_run_experiment_records_span_and_ledger(self, small_edges):
-        session = telemetry_session(bench="unit")
-        config = OMeGaConfig(n_threads=2, dim=8)
-        matrix = edges_to_csdb(small_edges, 300)
-        dense = np.random.default_rng(0).standard_normal((300, 8))
-        engine = SpMMEngine(config)
-
-        result = run_experiment(
-            "one_spmm", engine.multiply, matrix, dense, session=session
-        )
-        (span,) = session.tracer.find("one_spmm")
-        assert span.sim_seconds == pytest.approx(result.sim_seconds)
-        assert session.cost_trace("one_spmm") is not None
-        assert session.meta == {"bench": "unit"}
-
-    def test_run_experiment_without_session_is_passthrough(self):
-        assert run_experiment("noop", lambda: 42) == 42

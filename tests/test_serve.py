@@ -7,6 +7,8 @@ every submitted request resolves to exactly one terminal status, under
 arbitrary seeded traces and fault plans.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -222,6 +224,17 @@ class TestServePolicy:
 # -- traces ---------------------------------------------------------------
 
 
+def _one_request(**fields):
+    """A one-request trace file's text; a ``None`` field is left out."""
+    request = {
+        "request_id": "r0", "arrival_s": 0.0, "klass": "interactive",
+        "n_nodes": 4, "deadline_s": 1.0,
+    } | fields
+    return json.dumps(
+        {"requests": [{k: v for k, v in request.items() if v is not None}]}
+    )
+
+
 class TestRequestTrace:
     def test_synthesize_is_deterministic(self):
         a = RequestTrace.synthesize(seed=5, n_requests=40)
@@ -242,6 +255,37 @@ class TestRequestTrace:
         trace = RequestTrace.synthesize(seed=9, n_requests=25)
         path = trace.save(tmp_path / "trace.json")
         assert RequestTrace.load(path) == trace
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            (_one_request(arrival_s=float("nan")), "arrival_s"),
+            (_one_request(arrival_s=float("inf")), "arrival_s"),
+            (_one_request(arrival_s="0.5"), "arrival_s"),
+            (_one_request(deadline_s=float("nan")), "deadline_s"),
+            (_one_request(deadline_s=float("inf")), "deadline_s"),
+            (_one_request(n_nodes=2.7), "n_nodes"),
+            (_one_request(n_nodes=True), "n_nodes"),
+            (_one_request(klass=None), "klass"),
+            (_one_request(klass=7), "klass"),
+            (json.dumps({"requests": [3]}), "request must be an object"),
+            (json.dumps({"requests": 5}), "'requests'"),
+            (json.dumps([]), "trace must be an object"),
+            ('{"requests": [', "Expecting"),
+        ],
+        ids=[
+            "nan-arrival", "inf-arrival", "string-arrival", "nan-deadline",
+            "inf-deadline", "fractional-n_nodes", "bool-n_nodes",
+            "missing-klass", "int-klass", "request-not-object",
+            "requests-not-list", "trace-not-object", "bad-json",
+        ],
+    )
+    def test_load_rejects_malformed_traces(self, tmp_path, text, field):
+        path = tmp_path / "trace.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="trace.json") as err:
+            RequestTrace.load(path)
+        assert field in str(err.value)
 
     @pytest.mark.parametrize(
         "kwargs",

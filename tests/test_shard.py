@@ -20,6 +20,7 @@ from repro.core.eata import entropy_aware_bounds, round_robin_bounds
 from repro.faults import (
     ALL_FAULT_KINDS,
     SHARD_FAULT_KINDS,
+    SHARD_SITE_KINDS,
     FaultEvent,
     FaultInjector,
     FaultPlan,
@@ -365,11 +366,11 @@ class TestShardFaultPlans:
             events=(FaultEvent(kind="shard_crash", site="shard.1", count=3),)
         )
         injector = FaultInjector(plan)
-        assert injector.take_shard_fault("shard.1", 2) is None
-        assert injector.take_shard_fault("shard.0", 3) is None
-        event = injector.take_shard_fault("shard.1", 3)
+        assert injector.take(SHARD_SITE_KINDS, "shard.1", seq=2) is None
+        assert injector.take(SHARD_SITE_KINDS, "shard.0", seq=3) is None
+        event = injector.take(SHARD_SITE_KINDS, "shard.1", seq=3)
         assert event is not None and event.kind == "shard_crash"
-        assert injector.take_shard_fault("shard.1", 4) is None
+        assert injector.take(SHARD_SITE_KINDS, "shard.1", seq=4) is None
 
 
 # -- scatter-gather -------------------------------------------------------
