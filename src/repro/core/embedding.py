@@ -2,7 +2,7 @@
 
 ``OMeGaEmbedder`` runs ProNE with every sparse product routed through the
 instrumented :class:`repro.core.spmm.SpMMEngine`, accumulating simulated
-time for:
+time on the run's one ledger, its :class:`PipelineState`, for:
 
 - the graph reading procedure (CSDB construction; Fig. 19a);
 - every SpMM of the tSVD bootstrap and the Chebyshev propagation;
@@ -103,13 +103,15 @@ class EmbeddingResult:
 
 @dataclass
 class PipelineState:
-    """Checkpointable state carried between pipeline stages.
+    """Checkpointable state of one embed run, and its only cost ledger.
 
     A stage-granular checkpoint is exactly one of these: the last
     completed stage, the numeric intermediates needed to continue
     (``initial`` after factorization, ``embedding`` after propagation)
-    and the accumulated cost accounting, so a resumed run reports the
-    same totals — and the same bits — as an uninterrupted one.
+    and the simulated seconds the run has accumulated.  The embedder
+    charges them here as they accrue, and a resumed run adopts the
+    recovered state itself, so it reports the same totals — and the
+    same bits — as an uninterrupted one.
     """
 
     stage: str | None = None
@@ -119,7 +121,7 @@ class PipelineState:
     spmm_seconds: float = 0.0
     serial_seconds: float = 0.0
     n_spmm: int = 0
-    trace_payload: dict = field(default_factory=dict)
+    trace: CostTrace = field(default_factory=CostTrace)
     initial: np.ndarray | None = None
     embedding: np.ndarray | None = None
 
@@ -150,7 +152,7 @@ class PipelineState:
             "spmm_seconds": self.spmm_seconds,
             "serial_seconds": self.serial_seconds,
             "n_spmm": self.n_spmm,
-            "trace_payload": self.trace_payload,
+            "trace_payload": self.trace.to_dict(),
         }
         return arrays, meta
 
@@ -167,7 +169,7 @@ class PipelineState:
             spmm_seconds=meta["spmm_seconds"],
             serial_seconds=meta["serial_seconds"],
             n_spmm=meta["n_spmm"],
-            trace_payload=meta["trace_payload"],
+            trace=CostTrace.from_dict(meta["trace_payload"]),
             initial=arrays.get("initial"),
             embedding=arrays.get("embedding"),
         )
@@ -219,22 +221,21 @@ class OMeGaEmbedder:
             faults=self.faults,
         )
         self._spmm_results: list[SpMMResult] = []
-        self._spmm_seconds = 0.0
-        self._serial_seconds = 0.0
-        self._trace = CostTrace()
+        self.state = PipelineState()
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _reset(self) -> None:
+    def _reset(self, state: PipelineState | None = None) -> PipelineState:
+        """Adopt a recovered run's ``state`` or start a fresh ledger."""
         self._spmm_results = []
-        self._spmm_seconds = 0.0
-        self._serial_seconds = 0.0
-        self._trace = CostTrace()
+        self.state = state if state is not None else PipelineState()
+        return self.state
 
     def _record_spmm(self, result: SpMMResult) -> None:
         self._spmm_results.append(result)
-        self._spmm_seconds += result.sim_seconds
-        self._trace.merge(result.trace)
+        self.state.spmm_seconds += result.sim_seconds
+        self.state.n_spmm += 1
+        self.state.trace.merge(result.trace)
 
     def _charge_serial(self, flops: float, category: str) -> None:
         # Dense BLAS (QR / small SVD) runs multithreaded in practice;
@@ -242,8 +243,8 @@ class OMeGaEmbedder:
         seconds = self.engine.cost_model.compute_time(
             flops / self.config.n_threads
         )
-        self._serial_seconds += seconds
-        self._trace.charge(category, seconds)
+        self.state.serial_seconds += seconds
+        self.state.trace.charge(category, seconds)
         self.tracer.advance_sim(seconds)
 
     def _matmul_factory(self, matrix: CSDBMatrix):
@@ -418,7 +419,7 @@ class OMeGaEmbedder:
         return fallback
 
     def _stage_seconds(self) -> float:
-        return self._spmm_seconds + self._serial_seconds
+        return self.state.spmm_seconds + self.state.serial_seconds
 
 
 class PipelineRun:
@@ -429,7 +430,7 @@ class PipelineRun:
     CheckpointedEmbedder`) takes control between stages instead — to
     append WAL records, honour injected crash points, or degrade
     placement.  A run created with a recovered :class:`PipelineState`
-    skips the completed stages, restores their cost accounting and
+    adopts it as the embedder's ledger, skips the completed stages and
     replays their simulated time onto the tracer as one
     ``recovered_stages`` span.
     """
@@ -451,13 +452,10 @@ class PipelineRun:
                 f" ({n_nodes}); reduce dim or use a larger graph"
             )
         self.n_edges = n_edges if n_edges is not None else adjacency.nnz // 2
-        embedder._reset()
+        self.state = embedder._reset(state)
         embedder.engine.check_dram_residency(
             embedder.pipeline_working_set_bytes(n_nodes, self.n_edges)
         )
-        self.state = state if state is not None else PipelineState()
-        self.recovered_sim_seconds = 0.0
-        self._recovered_n_spmm = 0
         self._wall_start = time.perf_counter()
         self._closed = False
         self._root_cm = embedder.tracer.span(
@@ -468,17 +466,11 @@ class PipelineRun:
         )
         self._root = self._root_cm.__enter__()
         if self.state.stage is not None:
-            # Restore the accumulators the completed stages earned, and
-            # replay their simulated time onto the tracer so the root
-            # span still covers the full pipeline.
-            embedder._spmm_seconds = self.state.spmm_seconds
-            embedder._serial_seconds = self.state.serial_seconds
-            embedder._trace = CostTrace.from_dict(self.state.trace_payload)
-            self._recovered_n_spmm = self.state.n_spmm
-            self.recovered_sim_seconds = self.state.sim_seconds
+            # Replay the completed stages' simulated time onto the
+            # tracer so the root span still covers the full pipeline.
             embedder.tracer.record(
                 "recovered_stages",
-                sim_seconds=self.recovered_sim_seconds,
+                sim_seconds=self.state.sim_seconds,
                 advance=True,
                 stages=list(self.state.completed_stages),
             )
@@ -511,12 +503,7 @@ class PipelineRun:
             self._run_factorization()
         else:
             self._run_propagation()
-        state = self.state
-        state.stage = stage
-        state.spmm_seconds = embedder._spmm_seconds
-        state.serial_seconds = embedder._serial_seconds
-        state.n_spmm = self._recovered_n_spmm + len(embedder._spmm_results)
-        state.trace_payload = embedder._trace.to_dict()
+        self.state.stage = stage
         return stage
 
     def _run_graph_read(self) -> None:
@@ -534,7 +521,7 @@ class PipelineRun:
                     n_nodes, self.n_edges
                 )
             embedder.tracer.advance_sim(read_seconds)
-        embedder._trace.charge("graph_read", read_seconds)
+        self.state.trace.charge("graph_read", read_seconds)
         self.state.read_seconds = read_seconds
 
     def _run_factorization(self) -> None:
@@ -601,8 +588,8 @@ class PipelineRun:
             for category in SPMM_CATEGORIES:
                 embedder.tracer.record(
                     category,
-                    sim_seconds=embedder._trace.seconds(category),
-                    nbytes=embedder._trace.bytes_moved(category),
+                    sim_seconds=state.trace.seconds(category),
+                    nbytes=state.trace.bytes_moved(category),
                 )
         self._root.set("sim_seconds", sim_seconds)
         self._root.set("n_spmm", state.n_spmm)
@@ -616,11 +603,11 @@ class PipelineRun:
             read_seconds=state.read_seconds,
             factorization_seconds=state.factorization_seconds,
             propagation_seconds=state.propagation_seconds,
-            spmm_seconds=embedder._spmm_seconds,
-            serial_seconds=embedder._serial_seconds,
+            spmm_seconds=state.spmm_seconds,
+            serial_seconds=state.serial_seconds,
             n_spmm=state.n_spmm,
             wall_seconds=time.perf_counter() - self._wall_start,
-            trace=embedder._trace,
+            trace=state.trace,
             spmm_results=embedder._spmm_results,
         )
 

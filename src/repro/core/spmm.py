@@ -223,7 +223,13 @@ class SpMMEngine:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.faults = faults
         self.retry_policy = retry_policy
-        self._dense_device = self._device_for_dense()
+        # The sparse matrix, the dense operand and the result live on one
+        # tier: DRAM in DRAM-only mode, PM otherwise.
+        self._dense_device = self.topology.device(
+            MemoryKind.DRAM
+            if self.config.memory_mode is MemoryMode.DRAM_ONLY
+            else MemoryKind.PM
+        )
         beta = self.cost_model.beta(self._dense_device, Locality.LOCAL)
         self.allocator: ThreadAllocator = make_allocator(
             self.config.allocation, beta=beta
@@ -270,19 +276,6 @@ class SpMMEngine:
         self._counters_of = weakref.ref(self.metrics)
 
     # -- device/tier resolution -------------------------------------------
-
-    def _device_for_sparse(self) -> DeviceSpec:
-        if self.config.memory_mode is MemoryMode.DRAM_ONLY:
-            return self.topology.device(MemoryKind.DRAM)
-        return self.topology.device(MemoryKind.PM)
-
-    def _device_for_dense(self) -> DeviceSpec:
-        if self.config.memory_mode is MemoryMode.DRAM_ONLY:
-            return self.topology.device(MemoryKind.DRAM)
-        return self.topology.device(MemoryKind.PM)
-
-    def _device_for_result(self) -> DeviceSpec:
-        return self._device_for_dense()
 
     def _dram(self) -> DeviceSpec:
         return self.topology.device(MemoryKind.DRAM)
@@ -597,7 +590,7 @@ class SpMMEngine:
             # of the result across the socket link.
             sharing = max(1, math.ceil(n_threads / self.topology.n_sockets))
             merge_seconds = self.cost_model.access_time(
-                self._device_for_result(),
+                self._dense_device,
                 Operation.WRITE,
                 AccessPattern.SEQUENTIAL,
                 Locality.REMOTE,
@@ -645,9 +638,7 @@ class SpMMEngine:
             return 0.0, ()
         n_threads = self.config.n_threads
         sharing = max(1, math.ceil(n_threads / self.topology.n_sockets))
-        sparse_dev = self._device_for_sparse()
-        dense_dev = self._device_for_dense()
-        result_dev = self._device_for_result()
+        device = self._dense_device
         dram = self._dram()
         w = partition.nnz_count
         rows = partition.n_rows
@@ -656,7 +647,7 @@ class SpMMEngine:
         # (1) read_index — sequential row-metadata reads.
         index_bytes = rows * INDEX_BYTES_PER_ROW
         t_index = self._split_locality(
-            sparse_dev,
+            device,
             Operation.READ,
             AccessPattern.SEQUENTIAL,
             index_bytes,
@@ -668,7 +659,7 @@ class SpMMEngine:
         # (2) get_sparse_nnz — sequential edge-stream reads.
         sparse_bytes = w * SPARSE_BYTES_PER_NNZ
         t_sparse = self._split_locality(
-            sparse_dev,
+            device,
             Operation.READ,
             AccessPattern.SEQUENTIAL,
             sparse_bytes,
@@ -700,10 +691,10 @@ class SpMMEngine:
             )
         if miss_bytes > 0.0:
             t_dense += self.cost_model.entropy_access_time(
-                dense_dev, Locality.LOCAL, miss_bytes * local_share, z, sharing
+                device, Locality.LOCAL, miss_bytes * local_share, z, sharing
             )
             t_dense += self.cost_model.entropy_access_time(
-                dense_dev,
+                device,
                 Locality.REMOTE,
                 miss_bytes * (1.0 - local_share),
                 z,
@@ -720,7 +711,7 @@ class SpMMEngine:
         if self.config.memory_mode is MemoryMode.PM_ONLY:
             scratch_bytes = macs * SCRATCH_BYTES_PER_MAC
             t_scratch = self.cost_model.access_time(
-                sparse_dev,
+                device,
                 Operation.WRITE,
                 AccessPattern.RANDOM,
                 Locality.LOCAL,
@@ -734,7 +725,7 @@ class SpMMEngine:
         # (5) write_result — sequential result writes.
         result_bytes = float(rows * d * MODELLED_ITEM_BYTES)
         t_write = self._split_locality(
-            result_dev,
+            device,
             Operation.WRITE,
             AccessPattern.SEQUENTIAL,
             result_bytes,
@@ -750,7 +741,7 @@ class SpMMEngine:
         if prefetch.capacity > 0:
             pinned = prefetch.pinned_bytes(d)
             t_load = self.cost_model.access_time(
-                dense_dev,
+                device,
                 Operation.READ,
                 AccessPattern.SEQUENTIAL,
                 Locality.LOCAL,

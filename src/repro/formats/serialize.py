@@ -33,6 +33,9 @@ class ContainerFormatError(ValueError):
 _REQUIRED_KEYS = (
     "shape", "deg_list", "deg_ind", "col_list", "nnz_list", "perm",
 )
+#: The CSDB arrays that hold counts, offsets or ids: integers only, since
+#: the matrix casts them to int64 and would silently truncate fractions.
+_INDEX_KEYS = ("deg_list", "deg_ind", "col_list", "perm")
 
 
 def _open_container(path: Path) -> np.lib.npyio.NpzFile:
@@ -78,14 +81,16 @@ def load_csdb(path: str | Path) -> CSDBMatrix:
             raise ContainerFormatError(
                 f"{path}: shape must be two integers, got {shape!r}"
             )
+        arrays = {k: data[k] for k in _REQUIRED_KEYS if k != "shape"}
+        for key in _INDEX_KEYS:
+            if arrays[key].dtype.kind not in "iu":
+                raise ContainerFormatError(
+                    f"{path}: {key} must hold integers,"
+                    f" got dtype {arrays[key].dtype}"
+                )
         try:
             return CSDBMatrix(
-                deg_list=data["deg_list"],
-                deg_ind=data["deg_ind"],
-                col_list=data["col_list"],
-                nnz_list=data["nnz_list"],
-                perm=data["perm"],
-                shape=(int(shape[0]), int(shape[1])),
+                **arrays, shape=(int(shape[0]), int(shape[1]))
             )
         except ValueError as exc:
             raise ContainerFormatError(f"{path}: {exc}") from exc
@@ -112,6 +117,10 @@ def _check_container(data: np.lib.npyio.NpzFile, path: Path) -> None:
     if not isinstance(version, np.integer):
         raise ContainerFormatError(
             f"{path}: container version {version!r} is not an integer"
+        )
+    if version < 1:
+        raise ContainerFormatError(
+            f"{path}: container version {int(version)} is below 1"
         )
     if version > FORMAT_VERSION:
         raise ContainerFormatError(

@@ -82,7 +82,6 @@ class RequestForensics:
         "lookup_seqs",
         "partial",
         "_nodes",
-        "_rung_uid",
     )
 
     def __init__(
@@ -109,7 +108,6 @@ class RequestForensics:
         #: Flat child-node list: (name, category, sim_start, sim_seconds,
         #: attributes, parent_is_rung).
         self._nodes: list[tuple[str, str | None, float, float, dict, bool]] = []
-        self._rung_uid: bool = False
 
     # -- producer hooks ---------------------------------------------------
 

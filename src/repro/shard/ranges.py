@@ -21,9 +21,8 @@ import numpy as np
 class ShardRoutingTable:
     """Maps node ids onto contiguous shard ranges.
 
-    Immutable: a reshard builds a new table (:meth:`split_range`,
-    :meth:`merge_ranges`) and swaps it in.  Lookups are vectorized
-    binary searches.
+    Immutable: a reshard builds a new table (:meth:`split_range`) and
+    swaps it in.  Lookups are vectorized binary searches.
     """
 
     ranges: tuple[tuple[int, int], ...]
@@ -121,14 +120,4 @@ class ShardRoutingTable:
             raise ValueError(f"split point {at} outside ({start}, {end})")
         ranges = list(self.ranges)
         ranges[shard : shard + 1] = [(start, at), (at, end)]
-        return ShardRoutingTable(ranges=tuple(ranges))
-
-    def merge_ranges(self, shard: int) -> "ShardRoutingTable":
-        """A new table with ``shard`` and ``shard + 1`` fused into one."""
-        if shard + 1 >= self.n_shards:
-            raise ValueError(f"shard {shard} has no right neighbour")
-        ranges = list(self.ranges)
-        ranges[shard : shard + 2] = [
-            (self.ranges[shard][0], self.ranges[shard + 1][1])
-        ]
         return ShardRoutingTable(ranges=tuple(ranges))

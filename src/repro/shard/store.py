@@ -407,48 +407,21 @@ class EmbeddingShardManager:
         — so the swap is atomic and lossless.  ``at`` overrides the
         degree-mass split point; a point that does not fall strictly
         inside the range (any point, for a range under two rows) is a
-        ``ValueError``.
-        """
-        row_start, row_end = self.routing.ranges[shard_id]
-        at = self._split_point(row_start, row_end) if at is None else int(at)
-        self._begin_migration(
-            "split",
-            slice(shard_id, shard_id + 1),
-            self.routing.split_range(shard_id, at),
-        )
-
-    def begin_merge(self, shard_id: int) -> None:
-        """Start merging two adjacent cold shards onto one new host.
-
-        Merges ``shard_id`` with ``shard_id + 1`` under the same
-        dual-route discipline as :meth:`begin_split`.
-        """
-        self._begin_migration(
-            "merge",
-            slice(shard_id, shard_id + 2),
-            self.routing.merge_ranges(shard_id),
-        )
-
-    def _begin_migration(
-        self, kind: str, old: slice, routing: ShardRoutingTable
-    ) -> None:
-        """Warm the hosts that replace shards ``old`` once ``routing`` is in.
-
-        ``routing`` is the table :meth:`finish_migration` will swap in;
-        the ranges it holds where the ``old`` shards were are the ones
-        to warm.  A host that fails to start takes the ones before it
-        down with it, and no migration is recorded.  Returns once the
+        ``ValueError``.  A host that fails to start takes the one before
+        it down with it, and no migration is recorded.  Returns once the
         warmed primaries have beaten, so :meth:`migration_ready` holds
         from the next supervisor sweep on, whatever the host's speed.
         """
+        row_start, row_end = self.routing.ranges[shard_id]
+        at = self._split_point(row_start, row_end) if at is None else int(at)
+        routing = self.routing.split_range(shard_id, at)
         if self._migration is not None:
             raise RuntimeError("a reshard migration is already in flight")
-        grown = routing.n_shards - self.routing.n_shards
-        new_ranges = routing.ranges[old.start : old.stop + grown]
+        new_ranges = routing.ranges[shard_id : shard_id + 2]
         hosts: list[ShardHost] = []
         try:
-            for row_start, row_end in new_ranges:
-                host = self._new_host(-1, row_start, row_end)
+            for start, end in new_ranges:
+                host = self._new_host(-1, start, end)
                 hosts.append(host)
                 host.start()
         except BaseException:
@@ -457,13 +430,12 @@ class EmbeddingShardManager:
             raise
         wait_heartbeats(hosts)
         self._migration = {
-            "kind": kind,
-            "old": old,
+            "old": slice(shard_id, shard_id + 1),
             "hosts": hosts,
             "routing": routing,
         }
         self._emit({"type": "shard_event", "event": "reshard_begun",
-                    "kind": kind, "shard": old.start,
+                    "kind": "split", "shard": shard_id,
                     "ranges": [list(r) for r in new_ranges],
                     "seq": self.lookup_seq})
 
@@ -506,7 +478,7 @@ class EmbeddingShardManager:
         self.reshard_epoch += 1
         self.metrics.counter("shard.resharded_ranges").inc(len(new_hosts))
         self._emit({"type": "shard_event", "event": "resharded",
-                    "kind": migration["kind"],
+                    "kind": "split",
                     "n_shards": self.routing.n_shards,
                     "ranges": self.routing.range_summaries(),
                     "seq": self.lookup_seq})

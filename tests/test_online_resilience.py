@@ -105,12 +105,11 @@ def _wait_migration_ready(manager, timeout_s: float = 3.0) -> bool:
 
 
 class TestRangeTableEdits:
-    def test_split_and_merge_roundtrip(self):
+    def test_split_cuts_one_range(self):
         routing = ShardRoutingTable(ranges=((0, 10), (10, 20)))
         split = routing.split_range(0, 5)
         assert split.ranges == ((0, 5), (5, 10), (10, 20))
-        merged = split.merge_ranges(0)
-        assert merged.ranges == routing.ranges
+        assert routing.ranges == ((0, 10), (10, 20))
 
     def test_split_point_validation(self):
         routing = ShardRoutingTable(ranges=((0, 10), (10, 20)))
@@ -118,8 +117,6 @@ class TestRangeTableEdits:
             routing.split_range(0, 0)
         with pytest.raises(ValueError, match="split point"):
             routing.split_range(0, 10)
-        with pytest.raises(ValueError, match="neighbour"):
-            routing.merge_ranges(1)
 
 
 # -- CRC-checksummed WAL records ------------------------------------------
@@ -462,17 +459,6 @@ class TestElasticReshard:
             assert np.array_equal(result.rows, manager.table)
             assert result.stale_rows == 0
 
-    def test_merge_adjacent_shards(self):
-        manager = _manager()
-        with manager:
-            manager.begin_merge(0)
-            assert _wait_migration_ready(manager)
-            manager.finish_migration()
-            assert manager.routing.n_shards == 1
-            assert manager.routing.ranges == ((0, N_NODES),)
-            result = manager.lookup(np.arange(N_NODES))
-            assert np.array_equal(result.rows, manager.table)
-
     @pytest.mark.parametrize("rows", [(31, 10), (30, 10)])
     def test_served_rows_conserved_across_split_and_merge(self, rows):
         manager = _manager()
@@ -485,9 +471,9 @@ class TestElasticReshard:
             manager.finish_migration()
             assert len(manager.rows_served) == 3
             assert sum(manager.rows_served) == sum(rows)
-            manager.begin_merge(1)
+            manager.begin_split(2)
             manager.finish_migration()
-            assert len(manager.rows_served) == 2
+            assert len(manager.rows_served) == 4
             assert sum(manager.rows_served) == sum(rows)
 
     def test_single_migration_in_flight(self):

@@ -91,10 +91,20 @@ class TestValidation:
             ("version", np.array(["x"])),
             ("perm", np.array([0, 0, 2])),
             ("shape", np.array([3.5, 3])),
+            # Index arrays an int64 cast would silently truncate.
+            ("col_list", np.array([1.7])),
+            ("perm", np.array([0, 1, 2]) + 0.2),
+            ("deg_ind", np.array([0.0, 1.5, 3.0])),
+            ("deg_list", np.array([1.5, 0.0])),
+            # Versions start at 1.
+            ("version", np.array([0])),
+            ("version", np.array([-5])),
         ],
         ids=[
             "empty-kind", "0d-version", "1-element-shape", "string-version",
-            "perm-not-a-permutation", "float-shape",
+            "perm-not-a-permutation", "float-shape", "fractional-col_list",
+            "fractional-perm", "fractional-deg_ind", "fractional-deg_list",
+            "version-0", "negative-version",
         ],
     )
     def test_malformed_fields_raise_the_typed_error(

@@ -244,8 +244,8 @@ def _split(manager):
     assert manager.lookup(np.arange(N_NODES)).stale_rows == 0
 
 
-def _merge_left_in_flight(manager):
-    manager.begin_merge(0)
+def _split_left_in_flight(manager):
+    manager.begin_split(0)
     assert manager.migrating
 
 
@@ -283,7 +283,7 @@ class TestNothingLeaks:
             _crash_and_restart,
             _promote,
             _split,
-            _merge_left_in_flight,
+            _split_left_in_flight,
         ],
     )
     def test_close_returns_to_baseline(self, scenario):
