@@ -534,7 +534,9 @@ class PipelineRun:
                 tracer=embedder.tracer,
             )
             k = embedder.params.dim + embedder.params.n_oversamples
-            # QR factorizations inside the tSVD + the small SVD.
+            # QR factorizations inside the tSVD + the small SVD.  The
+            # charge models the paper's QRs, not the host's Cholesky QR
+            # bases, so no simulated second moves with them (DESIGN §6g).
             embedder._charge_serial(
                 (2 * embedder.params.n_power_iterations + 2)
                 * 2.0 * n_nodes * k * k,

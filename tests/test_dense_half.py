@@ -8,13 +8,16 @@ cost what the hardware asks; each piece has an oracle here:
   below, and the input embedding is never written;
 - ``CSDBMatrix.transpose`` is a gather + counting transpose — all five
   block arrays byte-equal to the sorting ``from_coo`` build it replaced;
-- ``randomized_tsvd`` normalises its power iterations and factorises
-  the projection through k x k Gram matrices and keeps one QR —
-  checked against ``np.linalg.svd``, also on a steep spectrum;
-  ``densify_embedding`` likewise;
+- ``randomized_tsvd`` takes its range bases from Cholesky QR (one
+  Householder QR where the Gram matrix cannot be trusted) and factorises
+  the projection through a k x k Gram matrix — checked against
+  ``np.linalg.svd``, also on a steep spectrum; ``densify_embedding``
+  likewise (``test_tsvd_basis_oracle`` pins the bases against the
+  Householder tSVD they replaced);
 - an embed never imports ``scipy.linalg``, so its dense steps run on
   one OpenBLAS;
 - degenerate inputs (zero block, edgeless graph, rank < k) stay finite;
+  a non-finite operator and a rank outside ``1..k`` raise ``ValueError``;
 - the embedding's link-prediction AUC sits where the parent's did;
 - an embed's recorded ``SpMMResult``s no longer pin the products' outputs.
 """
@@ -40,7 +43,7 @@ from repro.prone.chebyshev import chebyshev_gaussian_filter
 from repro.prone.filters import heat_kernel_filter, ppr_filter
 from repro.prone.laplacian import add_identity, chebyshev_operator
 from repro.prone.model import ProNEParams, densify_embedding
-from repro.prone.tsvd import randomized_tsvd, tall_svd
+from repro.prone.tsvd import orthonormal_basis, randomized_tsvd, tall_svd
 
 from .test_pattern_once import CSDB_ARRAYS, assert_same_bits
 
@@ -283,6 +286,75 @@ def test_densify_matches_lapack_svd(rng):
 
 def test_densify_of_zero_block_is_zero():
     assert not densify_embedding(np.zeros((40, 8)), 8).any()
+
+
+@pytest.mark.parametrize("rank", [0, 5, 9])
+def test_tall_svd_rejects_a_rank_outside_its_width(rng, rank):
+    """It used to return ``min(rank, k)`` columns, or none at rank 0."""
+    with pytest.raises(ValueError, match=rf"rank .*k = 4.* got {rank}$"):
+        tall_svd(rng.standard_normal((50, 4)), rank)
+
+
+def test_densify_rejects_a_dim_wider_than_its_block(rng):
+    """It used to return an (n, 4) embedding when asked for 6 columns."""
+    with pytest.raises(ValueError, match=r"k = 4.* got 6$"):
+        densify_embedding(rng.standard_normal((40, 4)), 6)
+
+
+def _poisoned(a, fail_at, value):
+    """``products(a)`` whose call number ``fail_at`` (from 0) holds ``value``."""
+    calls = []
+
+    def poison(product):
+        def call(x):
+            out = product(x)
+            if len(calls) == fail_at:
+                out[1, 0] = value
+            calls.append(fail_at)
+            return out
+
+        return call
+
+    return tuple(poison(product) for product in products(a))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "fail_at, n_power_iterations, product",
+    [
+        (0, 2, "A @ omega"),
+        (1, 2, "A.T @ Y"),
+        (2, 2, "A @ Z"),
+        (4, 2, "A @ Z"),
+        (5, 2, "A.T @ Q"),
+        (1, 0, "A.T @ Q"),
+    ],
+)
+def test_a_non_finite_product_raises_a_typed_error_naming_it(
+    rng, value, fail_at, n_power_iterations, product
+):
+    a = decaying(rng, 60, 40, 2.0 ** -np.arange(10.0))
+    with pytest.raises(ValueError, match=rf"the product {product} is not finite"):
+        randomized_tsvd(
+            *_poisoned(a, fail_at, value), a.shape, rank=4,
+            n_power_iterations=n_power_iterations,
+        )
+
+
+def test_a_non_finite_operator_raises_from_the_first_product(rng):
+    a = decaying(rng, 60, 40, [10.0, 8.0, 5.0])
+    a[7, 3] = np.nan
+    with pytest.raises(ValueError, match=r"the product A @ omega is not finite"):
+        randomized_tsvd(*products(a), a.shape, rank=4)
+
+
+@pytest.mark.parametrize("passes", [1, 2])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_orthonormal_basis_rejects_a_non_finite_block(rng, value, passes):
+    block = rng.standard_normal((50, 4))
+    block[10, 2] = value
+    with pytest.raises(ValueError, match="NaN or an infinity"):
+        orthonormal_basis(block, passes)
 
 
 def test_edgeless_graph_embeds_to_finite_zeros():
