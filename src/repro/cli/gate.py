@@ -11,10 +11,7 @@ from repro.cli import scaffold
 
 
 def configure_perf_gate(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--threshold", type=float, default=0.05,
-        help="relative regression threshold on simulated stage seconds",
-    )
+    scaffold.threshold_flag(parser, "simulated stage seconds")
     parser.add_argument(
         "--update-baseline", action="store_true",
         help="pin this run's stages as the new baseline",
@@ -37,7 +34,7 @@ def run_perf_gate(args: argparse.Namespace) -> int:
         faults_path=args.faults,
         telemetry_path=args.telemetry_out,
     )
-    print(render_gate(report, threshold=args.threshold))
+    print(render_gate(report))
     if args.telemetry_out:
         print(f"telemetry written to {args.telemetry_out}")
     return 0 if report.ok else 1

@@ -25,6 +25,7 @@ from repro.graphs.datasets import DATASET_NAMES, load_dataset
 from repro.graphs.io import load_edge_list
 from repro.obs.export import TelemetrySession
 from repro.obs.live import progress_line
+from repro.obs.observatory.diff import REGRESSION_THRESHOLD, check_threshold
 
 
 def no_flags(parser: argparse.ArgumentParser) -> None:
@@ -88,6 +89,25 @@ def telemetry_flags(
             help="with --telemetry-out: also print stages and shard events"
             " in this terminal as they complete",
         )
+
+
+def regression_threshold(text: str) -> float:
+    """``--threshold``'s type: a finite number >= 0, else a usage error."""
+    try:
+        return check_threshold(float(text))
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
+def threshold_flag(parser: argparse.ArgumentParser, series: str) -> None:
+    """``--threshold`` of ``diff`` and ``perf-gate``: one default, one
+    domain, one regression rule."""
+    parser.add_argument(
+        "--threshold", type=regression_threshold,
+        default=REGRESSION_THRESHOLD,
+        help=f"relative regression threshold on {series}"
+        " (default %(default)s; breaches exit nonzero)",
+    )
 
 
 def engine_flags(parser: argparse.ArgumentParser) -> None:

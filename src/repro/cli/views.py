@@ -25,11 +25,7 @@ def run_report(args: argparse.Namespace) -> int:
 def configure_diff(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("run_a", help="baseline: telemetry JSONL file")
     parser.add_argument("run_b", help="candidate: telemetry JSONL file")
-    parser.add_argument(
-        "--threshold", type=float, default=0.05,
-        help="relative regression threshold on time-like series"
-        " (default 0.05 = 5%%; breaches exit nonzero)",
-    )
+    scaffold.threshold_flag(parser, "time-like series")
     parser.add_argument(
         "--profile", action="store_true",
         help="also diff per-node simulated self seconds of the folded"

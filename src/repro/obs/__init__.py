@@ -48,6 +48,7 @@ from repro.obs.live import (
     TelemetryStream,
     load_records,
     read_stream,
+    split_records,
 )
 from repro.obs.metrics import (
     Counter,
@@ -61,7 +62,6 @@ from repro.obs.report import (
     render_report,
     render_report_file,
     spmm_step_breakdown,
-    split_records,
 )
 from repro.obs.observatory import (
     RunManifest,

@@ -38,9 +38,9 @@ SNAPSHOT_RECORD_TYPE = "serve_snapshot"
 #: Record type marking a cleanly closed stream.
 CLOSED_RECORD_TYPE = "stream_closed"
 
-#: Record types that belong to the canonical session export shape, in
-#: the order :meth:`TelemetrySession.records` emits them.
-_CANONICAL_TYPES = ("meta", "manifest", "span", "metric", "cost_trace", "event")
+#: The record types of a session export, in the order
+#: :meth:`TelemetrySession.records` emits them.
+_SESSION_TYPES = ("meta", "manifest", "span", "metric", "cost_trace", "event")
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +211,22 @@ class StreamFollower:
 # ---------------------------------------------------------------------------
 
 
+def split_records(
+    records: list[dict[str, Any]],
+) -> dict[str, list[dict[str, Any]]]:
+    """Group records by their ``type`` field, in record order.
+
+    Every session type has a group, empty or not; any other type gets
+    its own (``"unknown"`` for a record without one).
+    """
+    groups: dict[str, list[dict[str, Any]]] = {
+        kind: [] for kind in _SESSION_TYPES
+    }
+    for record in records:
+        groups.setdefault(record.get("type", "unknown"), []).append(record)
+    return groups
+
+
 def canonical_order(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
     """Regroup file-order records into the session-records shape.
 
@@ -220,29 +236,24 @@ def canonical_order(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
     stream markers) in file order.  If the stream was cut before close,
     a manifest is synthesized from what survived.
     """
-    grouped: dict[str, list[dict[str, Any]]] = {t: [] for t in _CANONICAL_TYPES}
-    passthrough: list[dict[str, Any]] = []
-    for record in records:
-        grouped.get(record.get("type"), passthrough).append(record)
-
-    spans = sorted(
-        grouped["span"], key=lambda s: int(s.get("span_id", 0) or 0)
-    )
-    manifests = grouped["manifest"]
-    if not manifests:
-        manifests = [
-            _synthesize_manifest(
-                grouped["meta"], spans, grouped["metric"], grouped["event"]
-            )
-        ]
+    groups = split_records(records)
+    spans = sorted(groups["span"], key=lambda s: int(s.get("span_id", 0) or 0))
+    manifests = groups["manifest"] or [
+        _synthesize_manifest(
+            groups["meta"], spans, groups["metric"], groups["event"]
+        )
+    ]
     return (
-        grouped["meta"][:1]
+        groups["meta"][:1]
         + manifests[:1]
         + spans
-        + grouped["metric"]
-        + grouped["cost_trace"]
-        + grouped["event"]
-        + passthrough
+        + groups["metric"]
+        + groups["cost_trace"]
+        + groups["event"]
+        + [
+            r for r in records
+            if r.get("type", "unknown") not in _SESSION_TYPES
+        ]
     )
 
 

@@ -12,20 +12,27 @@
 - **metrics** — counters and gauges, reported for context but never
   gated (the diff cannot know which direction is good).
 
-A time-like series regresses when ``b > a * (1 + threshold)``; the
-report collects every breach so the CLI can exit nonzero and *name*
-the regressed stage, which is what keeps the paper's cross-
-configuration ratios honest as the code evolves.
+A time-like series regresses when ``b > a * (1 + threshold)`` or when
+``b`` is not finite; the report collects every breach so the CLI can
+exit nonzero and *name* the regressed stage, which is what keeps the
+paper's cross-configuration ratios honest as the code evolves.
+:func:`diff_series` is that rule, written once: ``repro perf-gate``
+judges its stages with it too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.obs.forensics.blame import blame_fractions, merge_blame
 from repro.obs.metrics import Histogram, MetricsRegistry, full_name
 from repro.obs.observatory.manifest import RunManifest, manifest_from_records
+
+#: The default regression threshold of both gates (``repro diff`` and
+#: ``repro perf-gate``): a gated series may grow by this fraction.
+REGRESSION_THRESHOLD = 0.05
 
 #: Series groups a diff covers, in render order.
 GROUP_STAGES = "stage"
@@ -73,7 +80,7 @@ class DiffReport:
     """Everything one diff produced."""
 
     rows: list[DeltaRow] = field(default_factory=list)
-    threshold: float = 0.05
+    threshold: float = REGRESSION_THRESHOLD
     manifest_a: RunManifest | None = None
     manifest_b: RunManifest | None = None
 
@@ -209,17 +216,31 @@ def extract_metric_values(
     }
 
 
-def _diff_series(
+def check_threshold(threshold: float) -> float:
+    """``threshold``, or ``ValueError`` naming it unless finite and >= 0."""
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(
+            f"threshold must be a finite number >= 0, got {threshold!r}"
+        )
+    return threshold
+
+
+def diff_series(
     group: str,
     a: dict[str, float],
     b: dict[str, float],
     threshold: float,
     gated: bool,
 ) -> list[DeltaRow]:
+    """The one regression rule: a row per name of ``a`` or ``b``.  A gated
+    row regresses when ``b`` is not finite or exceeds ``a * (1 + t)``."""
+    check_threshold(threshold)
     rows = []
     for name in sorted(set(a) | set(b)):
         va, vb = a.get(name), b.get(name)
-        if va is None:
+        if gated and vb is not None and not math.isfinite(vb):
+            status = STATUS_REGRESSED
+        elif va is None:
             status = STATUS_ADDED
         elif vb is None:
             status = STATUS_REMOVED
@@ -236,7 +257,7 @@ def _diff_series(
 def diff_runs(
     records_a: list[dict[str, Any]],
     records_b: list[dict[str, Any]],
-    threshold: float = 0.05,
+    threshold: float = REGRESSION_THRESHOLD,
     include_profile: bool = False,
     include_placement: bool = False,
     include_attribution: bool = False,
@@ -252,70 +273,29 @@ def diff_runs(
     group — a latency mix shifting toward queue or hedge blame fails
     the diff even when the totals look flat.
     """
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
     report = DiffReport(
         threshold=threshold,
         manifest_a=manifest_from_records(records_a),
         manifest_b=manifest_from_records(records_b),
     )
-    report.rows.extend(
-        _diff_series(
-            GROUP_STAGES,
-            extract_stage_seconds(records_a),
-            extract_stage_seconds(records_b),
-            threshold,
-            gated=True,
-        )
-    )
-    report.rows.extend(
-        _diff_series(
-            GROUP_COSTS,
-            extract_cost_seconds(records_a),
-            extract_cost_seconds(records_b),
-            threshold,
-            gated=True,
-        )
-    )
-    if include_profile:
-        report.rows.extend(
-            _diff_series(
-                GROUP_PROFILE,
-                extract_profile_self_seconds(records_a),
-                extract_profile_self_seconds(records_b),
-                threshold,
-                gated=True,
+    for group, extract, wanted in (
+        (GROUP_STAGES, extract_stage_seconds, True),
+        (GROUP_COSTS, extract_cost_seconds, True),
+        (GROUP_PROFILE, extract_profile_self_seconds, include_profile),
+        (GROUP_PLACEMENT, extract_placement_values, include_placement),
+        (GROUP_ATTRIBUTION, extract_attribution_values, include_attribution),
+        (GROUP_METRICS, extract_metric_values, True),
+    ):
+        if wanted:
+            report.rows.extend(
+                diff_series(
+                    group,
+                    extract(records_a),
+                    extract(records_b),
+                    threshold,
+                    gated=group != GROUP_METRICS,
+                )
             )
-        )
-    if include_placement:
-        report.rows.extend(
-            _diff_series(
-                GROUP_PLACEMENT,
-                extract_placement_values(records_a),
-                extract_placement_values(records_b),
-                threshold,
-                gated=True,
-            )
-        )
-    if include_attribution:
-        report.rows.extend(
-            _diff_series(
-                GROUP_ATTRIBUTION,
-                extract_attribution_values(records_a),
-                extract_attribution_values(records_b),
-                threshold,
-                gated=True,
-            )
-        )
-    report.rows.extend(
-        _diff_series(
-            GROUP_METRICS,
-            extract_metric_values(records_a),
-            extract_metric_values(records_b),
-            threshold,
-            gated=False,
-        )
-    )
     return report
 
 

@@ -5,11 +5,13 @@ end-to-end embedding, one standalone SpMM and one serve replay, all
 seeded, on a tiny R-MAT graph with the capacity scale cranked until the
 ASL streaming path engages (so PM-bandwidth effects are visible even at
 this size) — and compares the *simulated* stage seconds against the
-pinned baseline, the committed ``benchmarks/perf_gate_baseline.json``.
-Simulated times are pure cost-model arithmetic over fixed inputs, so
-they are bit-stable across machines; any drift beyond the threshold is
-a genuine cost-model change, and the gate exits nonzero naming the
-regressed stage.
+pinned baseline, the committed ``benchmarks/perf_gate_baseline.json``,
+with ``repro diff``'s one regression rule
+(:func:`~repro.obs.observatory.diff.diff_series`).  Simulated times are
+pure cost-model arithmetic over fixed inputs, so they are bit-stable
+across machines; any drift beyond the threshold (or a stage that is not
+a finite number) is a genuine cost-model change, and the gate exits
+nonzero naming the regressed stage.
 
 The gate prints its verdict and writes nothing else unless asked:
 ``--update-baseline`` re-pins the baseline, and ``--telemetry-out``
@@ -26,6 +28,14 @@ from pathlib import Path
 from typing import Any
 
 from repro.obs.export import TelemetrySession
+from repro.obs.observatory.diff import (
+    GROUP_STAGES,
+    REGRESSION_THRESHOLD,
+    STATUS_REGRESSED,
+    DeltaRow,
+    check_threshold,
+    diff_series,
+)
 from repro.obs.observatory.manifest import (
     RunManifest,
     manifest_from_records,
@@ -46,8 +56,6 @@ GATE_DIM = 8
 #: the DRAM streaming budget, so the ASL/PM path is actually exercised.
 GATE_CAPACITY_SCALE = 4_000_000
 GATE_SERVE_REQUESTS = 200
-#: Default regression threshold on simulated stage seconds.
-GATE_THRESHOLD = 0.05
 
 
 @dataclass
@@ -189,60 +197,38 @@ def run_suite(
 
 
 @dataclass
-class StageVerdict:
-    """Comparison of one stage against the baseline."""
-
-    stage: str
-    baseline: float | None
-    current: float
-    regressed: bool
-
-    @property
-    def ratio(self) -> float | None:
-        if self.baseline is None or self.baseline == 0.0:
-            return None
-        return (self.current - self.baseline) / self.baseline
-
-
-@dataclass
 class GateReport:
-    """Outcome of one perf-gate run."""
+    """Outcome of one perf-gate run: a diff row per stage of the run."""
 
     run: GateRun
-    verdicts: list[StageVerdict] = field(default_factory=list)
+    threshold: float
+    rows: list[DeltaRow] = field(default_factory=list)
     #: The pinned baseline file, when one exists or this run wrote it.
     baseline_path: Path | None = None
     baseline_updated: bool = False
 
     @property
-    def regressions(self) -> list[StageVerdict]:
-        return [v for v in self.verdicts if v.regressed]
+    def regressions(self) -> list[DeltaRow]:
+        return [r for r in self.rows if r.status == STATUS_REGRESSED]
 
     @property
     def ok(self) -> bool:
         return not self.regressions
 
 
-def compare_to_baseline(
-    run: GateRun,
-    baseline: dict[str, Any],
-    threshold: float = GATE_THRESHOLD,
-) -> list[StageVerdict]:
-    """Stage-by-stage verdicts against a baseline payload."""
-    baseline_stages = baseline.get("stages", {})
-    verdicts = []
-    for stage, current in sorted(run.stages.items()):
-        base = baseline_stages.get(stage)
-        regressed = base is not None and current > base * (1.0 + threshold)
-        verdicts.append(
-            StageVerdict(
-                stage=stage,
-                baseline=base,
-                current=current,
-                regressed=regressed,
-            )
-        )
-    return verdicts
+def gate_rows(
+    stages: dict[str, float], baseline: dict[str, Any], threshold: float
+) -> list[DeltaRow]:
+    """The run's stages against a baseline payload, one row each; a
+    baseline stage the run lacks is not listed."""
+    pinned = baseline.get("stages", {})
+    return diff_series(
+        GROUP_STAGES,
+        {stage: pinned[stage] for stage in stages if stage in pinned},
+        stages,
+        threshold,
+        gated=True,
+    )
 
 
 def read_baseline(path: Path, run: GateRun) -> dict[str, Any]:
@@ -275,7 +261,7 @@ def read_baseline(path: Path, run: GateRun) -> dict[str, Any]:
 
 def run_perf_gate(
     baseline_path: str | Path = DEFAULT_BASELINE,
-    threshold: float = GATE_THRESHOLD,
+    threshold: float = REGRESSION_THRESHOLD,
     update_baseline: bool = False,
     faults_path: str | Path | None = None,
     telemetry_path: str | Path | None = None,
@@ -289,8 +275,9 @@ def run_perf_gate(
     gate, not for moving the goalposts.
     """
     path = Path(baseline_path)
+    check_threshold(threshold)
     run = run_suite(faults_path, telemetry_path=telemetry_path)
-    report = GateReport(run=run)
+    report = GateReport(run=run, threshold=threshold)
     baseline: dict[str, Any] = {}
     if path.is_file():
         report.baseline_path = path
@@ -299,7 +286,7 @@ def run_perf_gate(
         except ValueError:
             if not update_baseline:
                 raise
-    report.verdicts = compare_to_baseline(run, baseline, threshold)
+    report.rows = gate_rows(run.stages, baseline, threshold)
 
     if faults_path is not None:
         return report
@@ -314,33 +301,33 @@ def run_perf_gate(
     return report
 
 
-def render_gate(report: GateReport, threshold: float = GATE_THRESHOLD) -> str:
+def render_gate(report: GateReport) -> str:
     """Plain-text table of a gate run."""
     from repro.bench.harness import format_seconds, format_table
 
     pinned = report.baseline_path
     rows = []
-    for v in report.verdicts:
-        ratio = f"{v.ratio * 100:+.2f}%" if v.ratio is not None else "-"
+    for r in report.rows:
+        ratio = f"{r.ratio * 100:+.2f}%" if r.ratio is not None else "-"
         rows.append(
             [
-                v.stage,
-                format_seconds(v.baseline) if v.baseline is not None else "-",
-                format_seconds(v.current),
+                r.name,
+                format_seconds(r.a) if r.a is not None else "-",
+                format_seconds(r.b),
                 ratio,
-                "REGRESSED" if v.regressed else "ok",
+                "REGRESSED" if r.status == STATUS_REGRESSED else "ok",
             ]
         )
     table = format_table(
         ["stage", "baseline", "current", "delta", "status"],
         rows,
         title=(
-            f"perf-gate (threshold {threshold * 100:.0f}%,"
+            f"perf-gate (threshold {report.threshold * 100:.0f}%,"
             f" baseline {pinned.name if pinned else 'none'})"
         ),
     )
     if report.regressions:
-        names = ", ".join(v.stage for v in report.regressions)
+        names = ", ".join(r.name for r in report.regressions)
         verdict = f"PERF GATE FAILED — regressed stages: {names}"
     elif pinned is None:
         verdict = "no baseline pinned; run with --update-baseline to pin one"

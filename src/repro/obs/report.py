@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.memsim.trace import SPMM_CATEGORIES, CostTrace
+from repro.obs.live import split_records
 from repro.obs.metrics import full_name
 
 
@@ -35,23 +36,6 @@ def _formatters() -> tuple[Callable, Callable]:
     from repro.bench.harness import format_seconds, format_table
 
     return format_seconds, format_table
-
-
-def split_records(
-    records: list[dict[str, Any]],
-) -> dict[str, list[dict[str, Any]]]:
-    """Group records by their ``type`` field."""
-    groups: dict[str, list[dict[str, Any]]] = {
-        "meta": [],
-        "manifest": [],
-        "span": [],
-        "metric": [],
-        "cost_trace": [],
-        "event": [],
-    }
-    for record in records:
-        groups.setdefault(record.get("type", "unknown"), []).append(record)
-    return groups
 
 
 def merged_cost_trace(records: list[dict[str, Any]]) -> CostTrace:

@@ -529,7 +529,7 @@ PARSER_SURFACE = {
     'diff': [
         ((), 'run_a', None, None, None, None, True, None, '_StoreAction'),
         ((), 'run_b', None, None, None, None, True, None, '_StoreAction'),
-        (('--threshold',), 'threshold', 'float', 0.05, None, None, False, None, '_StoreAction'),
+        (('--threshold',), 'threshold', 'regression_threshold', 0.05, None, None, False, None, '_StoreAction'),
         (('--profile',), 'profile', None, False, None, 0, False, None, '_StoreTrueAction'),
         (('--shard-placement',), 'shard_placement', None, False, None, 0, False, None, '_StoreTrueAction'),
         (('--attribution',), 'attribution', None, False, None, 0, False, None, '_StoreTrueAction'),
@@ -541,7 +541,7 @@ PARSER_SURFACE = {
         (('--top',), 'top', 'int', 15, None, None, False, None, '_StoreAction'),
     ],
     'perf-gate': [
-        (('--threshold',), 'threshold', 'float', 0.05, None, None, False, None, '_StoreAction'),
+        (('--threshold',), 'threshold', 'regression_threshold', 0.05, None, None, False, None, '_StoreAction'),
         (('--update-baseline',), 'update_baseline', None, False, None, 0, False, None, '_StoreTrueAction'),
         (('--faults',), 'faults', None, None, None, None, False, 'PLAN', '_StoreAction'),
         (('--telemetry-out',), 'telemetry_out', None, None, None, None, False, 'PATH', '_StoreAction'),

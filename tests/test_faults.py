@@ -329,6 +329,38 @@ class TestCrashRecovery:
             "checkpoint.recovered_stages"
         ).value == len(expected_durable)
 
+    def test_recovered_seconds_grow_with_the_durable_prefix(
+        self, fault_edges, fault_config
+    ):
+        """A crash after a stage's WAL commit recovers that stage's work
+        (so more than one before it); only a crash in the first stage
+        may recover nothing."""
+        recovered = {}
+        for stage in PIPELINE_STAGES:
+            for phase in ("after_commit", "before_commit"):
+                plan = FaultPlan(
+                    events=(FaultEvent("crash", stage, phase=phase),)
+                )
+                metrics = MetricsRegistry()
+                injector = FaultInjector(plan, metrics)
+                checkpointed = CheckpointedEmbedder(
+                    OMeGaEmbedder(fault_config, metrics=metrics)
+                )
+                with pytest.raises(InjectedCrash):
+                    checkpointed.embed_with_checkpoints(
+                        fault_edges, 300, faults=injector
+                    )
+                checkpointed.resume(faults=injector)
+                recovered[stage, phase] = metrics.counter(
+                    "checkpoint.recovered_sim_seconds"
+                ).value
+        for stage in PIPELINE_STAGES[1:]:
+            assert recovered[stage, "after_commit"] > 0.0
+            assert (
+                recovered[stage, "after_commit"]
+                >= recovered[stage, "before_commit"]
+            )
+
     def test_recovered_sim_seconds_reported(
         self, fault_edges, fault_config, fresh_result
     ):

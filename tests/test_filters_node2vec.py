@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core import OMeGaConfig, OMeGaEmbedder
+from repro.eval import node_classification_accuracy
+from repro.graphs import planted_partition_edges
 from repro.prone import prone_embed
 from repro.prone.filters import heat_kernel_filter, make_filter, ppr_filter
 from repro.prone.laplacian import add_identity, chebyshev_operator
@@ -99,6 +102,26 @@ class TestFilterRegistry:
             embeddings[name] = emb
         # The variants genuinely differ.
         assert not np.allclose(embeddings["gaussian"], embeddings["heat"])
+
+    def test_each_filter_recovers_planted_communities(self):
+        """On a five-community planted graph every filter classifies far
+        above the 20 % chance rate, and the Gaussian band-pass (ProNE's,
+        the paper's choice) is within 0.1 of the best."""
+        edges, labels = planted_partition_edges(
+            1500, 22_000, n_communities=5, p_in=0.85, seed=11
+        )
+        accuracies = {}
+        for name in ("gaussian", "heat", "ppr"):
+            embedder = OMeGaEmbedder(
+                OMeGaConfig(n_threads=16, dim=32),
+                params=ProNEParams(dim=32, order=8, spectral_filter=name),
+            )
+            result = embedder.embed_edges(edges, 1500)
+            accuracies[name] = node_classification_accuracy(
+                result.embedding, labels, seed=0
+            )
+        assert all(acc > 0.5 for acc in accuracies.values()), accuracies
+        assert accuracies["gaussian"] >= max(accuracies.values()) - 0.1
 
     def test_unknown_filter_in_params(self, skewed_csdb):
         params = ProNEParams(dim=8, spectral_filter="nope")

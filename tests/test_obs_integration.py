@@ -22,8 +22,8 @@ from repro.obs import (
     merged_cost_trace,
     render_report,
     spmm_step_breakdown,
-    split_records,
 )
+from repro.obs.live import split_records
 
 
 @pytest.fixture

@@ -7,11 +7,11 @@ produce *something* rather than raise.
 
 import pytest
 
+from repro.obs.live import canonical_order, split_records
 from repro.obs.report import (
     merged_cost_trace,
     render_report,
     render_report_file,
-    split_records,
     spmm_step_breakdown,
 )
 
@@ -25,6 +25,24 @@ class TestSplitRecords:
         groups = split_records([{"type": "mystery"}, {}])
         assert groups["mystery"] == [{"type": "mystery"}]
         assert groups["unknown"] == [{}]
+
+    def test_canonical_order_reads_the_same_grouping(self):
+        records = [
+            {"type": "stream_closed"},
+            {"type": "span", "span_id": 2},
+            {"type": "manifest"},
+            {"type": "mystery"},
+            {"type": "span", "span_id": 1},
+            {},
+            {"type": "meta"},
+        ]
+        groups = split_records(records)
+        assert canonical_order(records) == (
+            groups["meta"]
+            + groups["manifest"]
+            + sorted(groups["span"], key=lambda r: r["span_id"])
+            + [{"type": "stream_closed"}, {"type": "mystery"}, {}]
+        )
 
 
 class TestRenderReportAdversarial:

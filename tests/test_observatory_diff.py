@@ -92,6 +92,21 @@ class TestDiffRuns:
         with pytest.raises(ValueError, match="threshold"):
             diff_runs([], [], threshold=-0.1)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        # Both used to pass every series: nothing exceeds a * (1 + nan).
+        a, b = [_span("s", 1.0)], [_span("s", 100.0)]
+        with pytest.raises(ValueError, match=repr(threshold)):
+            diff_runs(a, b, threshold=threshold)
+
+    @pytest.mark.parametrize("sim", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_span_regresses(self, sim):
+        a = [_span("s", 1.0, 0), _span("t", 1.0, 1)]
+        b = [_span("s", sim, 0), _span("t", 1.0, 1)]
+        report = diff_runs(a, b)
+        assert [r.name for r in report.regressions] == ["s"]
+        assert "REGRESSED (1): stage:s" in render_diff(report)
+
     def test_delta_and_ratio(self):
         row = DeltaRow(group="stage", name="s", a=2.0, b=3.0, status="x")
         assert row.delta == pytest.approx(1.0)

@@ -9,16 +9,22 @@ model), so these are integration tests of the acceptance criteria:
 - a run with PM bandwidth deliberately derated (the existing
   ``pm_degrade`` fault) fails and *names* the regressed stages;
 - a baseline file the run cannot be compared against is refused,
-  naming the file, instead of passing every stage unchecked.
+  naming the file, instead of passing every stage unchecked;
+- a threshold that is not a finite number >= 0 is refused, and a stage
+  that reads NaN or ±inf regresses, instead of passing every stage.
 """
 
 import json
 
 import pytest
 
+from repro.cli import main
+from repro.obs.observatory import perfgate
+from repro.obs.observatory.diff import REGRESSION_THRESHOLD, STATUS_REGRESSED
 from repro.obs.observatory.perfgate import (
     DEFAULT_BASELINE,
-    compare_to_baseline,
+    GateRun,
+    gate_rows,
     read_baseline,
     render_gate,
     run_perf_gate,
@@ -66,23 +72,35 @@ class TestSuite:
         assert set(payload) == {"suite", "config_hash", "stages"}
 
 
+def _regressed(rows):
+    return [r.name for r in rows if r.status == STATUS_REGRESSED]
+
+
 class TestCompare:
     def test_no_baseline_never_regresses(self, clean_run):
-        verdicts = compare_to_baseline(clean_run, {})
-        assert all(not v.regressed for v in verdicts)
-        assert all(v.baseline is None for v in verdicts)
+        rows = gate_rows(clean_run.stages, {}, REGRESSION_THRESHOLD)
+        assert not _regressed(rows)
+        assert all(r.a is None for r in rows)
 
     def test_identical_baseline_passes(self, clean_run):
-        verdicts = compare_to_baseline(clean_run, clean_run.payload())
-        assert all(not v.regressed for v in verdicts)
+        rows = gate_rows(
+            clean_run.stages, clean_run.payload(), REGRESSION_THRESHOLD
+        )
+        assert not _regressed(rows)
 
     def test_slowdown_detected(self, clean_run):
         payload = clean_run.payload()
         payload["stages"] = {
             k: v / 2.0 for k, v in payload["stages"].items()
         }
-        verdicts = compare_to_baseline(clean_run, payload)
-        assert all(v.regressed for v in verdicts)
+        rows = gate_rows(clean_run.stages, payload, REGRESSION_THRESHOLD)
+        assert _regressed(rows) == sorted(clean_run.stages)
+
+    def test_only_the_runs_stages_are_listed(self, clean_run):
+        payload = clean_run.payload()
+        payload["stages"]["retired.stage"] = 1.0
+        rows = gate_rows(clean_run.stages, payload, REGRESSION_THRESHOLD)
+        assert [r.name for r in rows] == sorted(clean_run.stages)
 
 
 class TestGateLifecycle:
@@ -109,7 +127,7 @@ class TestGateLifecycle:
         # regressed stages; it writes nothing.
         chaos = run_perf_gate(baseline, faults_path=chaos_plan_path)
         assert not chaos.ok
-        regressed = {v.stage for v in chaos.regressions}
+        regressed = {r.name for r in chaos.regressions}
         assert "embed.total" in regressed
         assert "spmm.total" in regressed
         assert "serve.p99_latency" not in regressed  # serve runs faultless
@@ -186,8 +204,8 @@ class TestCommittedBaseline:
             " `repro perf-gate --update-baseline`"
         )
         baseline = read_baseline(DEFAULT_BASELINE, clean_run)
-        verdicts = compare_to_baseline(clean_run, baseline)
-        regressed = [v.stage for v in verdicts if v.regressed]
+        rows = gate_rows(clean_run.stages, baseline, REGRESSION_THRESHOLD)
+        regressed = _regressed(rows)
         assert not regressed, f"stages regressed vs committed baseline: {regressed}"
 
     def test_repin_is_idempotent(self, clean_run):
@@ -195,3 +213,67 @@ class TestCommittedBaseline:
         committed bytes, so re-pinning never shows up in a diff."""
         text = json.dumps(clean_run.payload(), sort_keys=True, indent=2) + "\n"
         assert DEFAULT_BASELINE.read_bytes() == text.encode("utf-8")
+
+
+class TestThresholdDomain:
+    """A threshold that is not a finite number >= 0 is refused before the
+    suite runs: ``nan`` and ``inf`` used to pass every stage and ``-0.5``
+    to fail unchanged ones."""
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-0.5"])
+    def test_refused(self, tmp_path, monkeypatch, threshold):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(perfgate, "run_suite", no_suite)
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            run_perf_gate(tmp_path / "b.json", threshold=float(threshold))
+        assert not (tmp_path / "b.json").exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-0.5"])
+    @pytest.mark.parametrize("command", ["perf-gate", "diff"])
+    def test_cli_flag_refused(self, tmp_path, capsys, command, threshold):
+        argv = [command, "--threshold", threshold]
+        if command == "diff":
+            stream = tmp_path / "t.jsonl"
+            stream.write_text('{"type": "meta"}\n', encoding="utf-8")
+            argv[1:1] = [str(stream), str(stream)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code != 0
+        err = capsys.readouterr().err
+        assert "finite number >= 0" in err and threshold in err
+
+
+class TestNonFiniteStage:
+    """A stage the cost model prices at NaN or ±inf regresses: ``nan >
+    base * 1.05`` is False, so such a stage used to pass the gate."""
+
+    def _with_stage(self, monkeypatch, clean_run, value):
+        stages = {**clean_run.stages, "spmm.total": value}
+        monkeypatch.setattr(
+            perfgate,
+            "run_suite",
+            lambda *a, **k: GateRun(session=clean_run.session, stages=stages),
+        )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_fails_the_gate_and_is_named(
+        self, tmp_path, monkeypatch, clean_run, value
+    ):
+        baseline = tmp_path / "perf_gate_baseline.json"
+        baseline.write_text(json.dumps(clean_run.payload()), encoding="utf-8")
+        self._with_stage(monkeypatch, clean_run, value)
+        report = run_perf_gate(baseline)
+        assert not report.ok
+        assert [r.name for r in report.regressions] == ["spmm.total"]
+        assert render_gate(report).endswith(
+            "PERF GATE FAILED — regressed stages: spmm.total"
+        )
+
+    def test_never_pinned(self, tmp_path, monkeypatch, clean_run):
+        baseline = tmp_path / "perf_gate_baseline.json"
+        self._with_stage(monkeypatch, clean_run, float("nan"))
+        report = run_perf_gate(baseline)
+        assert not report.ok and not report.baseline_updated
+        assert not baseline.exists()
