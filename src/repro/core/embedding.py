@@ -134,8 +134,9 @@ class PipelineState:
 
     @property
     def sim_seconds(self) -> float:
-        """Simulated seconds accumulated so far."""
-        return self.read_seconds + self.spmm_seconds + self.serial_seconds
+        """Simulated seconds accumulated so far, summed in the order the
+        result's ``sim_seconds`` is (reading, then generation)."""
+        return self.read_seconds + (self.spmm_seconds + self.serial_seconds)
 
     def to_payload(self) -> tuple[dict[str, np.ndarray], dict]:
         """Split into (arrays, JSON-able metadata) for a WAL record."""
@@ -582,7 +583,7 @@ class PipelineRun:
             raise RuntimeError("run already closed")
         embedder = self.embedder
         state = self.state
-        sim_seconds = state.read_seconds + embedder._stage_seconds()
+        sim_seconds = state.sim_seconds
         # Summary spans: the Fig. 7(a) per-step SpMM totals, exact
         # copies of the merged CostTrace (annotations, so the sim
         # cursor — already advanced by the engine — is untouched).

@@ -18,9 +18,9 @@ adds the *where* and *when*:
   loader (:func:`load_records`), the follower and the ``repro top`` ops
   view;
 - :mod:`repro.obs.forensics` — per-request tail-latency forensics:
-  causal trees on the live bus, critical-path blame attribution whose
-  categories sum exactly to the simulated latency, bounded exemplar
-  reservoirs and incident linkage (``repro why`` / ``repro
+  one causal tree per ``serve_request`` record, critical-path blame
+  attribution whose categories sum exactly to the simulated latency,
+  bounded exemplar reservoirs and incident linkage (``repro why`` / ``repro
   attribute``);
 - :mod:`repro.obs.report` — renders a telemetry file back into the
   Fig. 7(a)-style breakdown tables (``repro report``);

@@ -10,9 +10,10 @@ records, written by exactly one
   it finishes;
 - ``{"type": "event", ...}``       — free-form instant events, appended
   as they are recorded;
-- ``serve_snapshot`` / ``serve_request`` / ``forensic_span`` /
-  ``shard_event`` — what the serve tier and the shard supervisor put on
-  the same stream while they run;
+- ``serve_snapshot`` / ``serve_request`` / ``shard_event`` — what the
+  serve tier and the shard supervisor put on the same stream while they
+  run; a ``serve_request`` is one resolved request whole: its root
+  fields plus its causal ``nodes`` (:mod:`repro.obs.forensics.records`);
 - ``{"type": "metric", ...}``      — one counter/gauge/histogram;
 - ``{"type": "cost_trace", ...}``  — a named :class:`CostTrace` ledger
   (full float precision, so downstream breakdowns reproduce
@@ -39,8 +40,10 @@ from repro.memsim.trace import CostTrace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span, SpanTracer
 
-#: Schema version stamped into every meta record.
-TELEMETRY_VERSION = 1
+#: Schema version stamped into every meta record.  Version 2: a
+#: request's forensic tree rides its ``serve_request`` record; version
+#: 1 wrote it as separate ``forensic_span`` records linked by uid.
+TELEMETRY_VERSION = 2
 
 
 class TelemetrySession:

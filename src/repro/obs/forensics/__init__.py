@@ -1,8 +1,8 @@
 """Tail-latency forensics: per-request critical-path attribution.
 
-Every request the serving loop resolves is emitted as a causal tree of
-``forensic_span`` records on the live bus; this package holds the
-producer (:class:`RequestForensics`), the reconstruction and
+Every request the serving loop resolves is written as one
+``serve_request`` record carrying its causal tree; this package holds
+the producer (:class:`RequestForensics`), the tree building and
 incident-join machinery, the blame-sum invariant, the bounded exemplar
 reservoir, and the renderers behind ``repro why`` / ``repro attribute``.
 """
@@ -21,9 +21,7 @@ from repro.obs.forensics.records import (
     BLAME_QUEUE,
     BLAME_SHARD_HEDGE,
     BLAME_STALE_FALLBACK,
-    FORENSIC_RECORD_TYPE,
     RequestForensics,
-    next_forensic_uid,
 )
 from repro.obs.forensics.reservoir import ExemplarReservoir
 from repro.obs.forensics.tree import (
@@ -45,7 +43,6 @@ __all__ = [
     "BLAME_QUEUE",
     "BLAME_SHARD_HEDGE",
     "BLAME_STALE_FALLBACK",
-    "FORENSIC_RECORD_TYPE",
     "SUM_REL_TOL",
     "ExemplarReservoir",
     "ForensicNode",
@@ -59,7 +56,6 @@ __all__ = [
     "fold_stream",
     "format_seconds",
     "join_incidents",
-    "next_forensic_uid",
     "render_waterfall",
     "verify_tree",
 ]

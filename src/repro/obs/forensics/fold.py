@@ -1,10 +1,9 @@
 """Folding a telemetry stream into a forensics report.
 
-One pass over the records: request trees are assembled batch-by-batch
-(the server emits each request's ``forensic_span`` records
-contiguously, root first), offered to the bounded
+One pass over the records: each ``serve_request`` record is one
+request's whole tree, built, offered to the bounded
 :class:`~repro.obs.forensics.reservoir.ExemplarReservoir`, and either
-retained in full or reduced to their root summary.  Aggregate blame
+retained in full or reduced to its root summary.  Aggregate blame
 attribution covers *every* request, not just the retained exemplars —
 the reservoir bounds tree memory, never the accounting.
 """
@@ -20,7 +19,6 @@ from repro.obs.forensics.blame import (
     merge_blame,
     verify_tree,
 )
-from repro.obs.forensics.records import FORENSIC_RECORD_TYPE, ROOT_NODE
 from repro.obs.forensics.reservoir import ExemplarReservoir
 from repro.obs.forensics.tree import (
     INCIDENT_EVENTS,
@@ -146,53 +144,34 @@ def fold_stream(
     reservoir = ExemplarReservoir(worst_k=worst_k, sample_k=sample_k, seed=seed)
     report = ForensicsReport(reservoir=reservoir)
     keep_set = set(keep)
-    buffers: dict[str, list[dict[str, Any]]] = {}
-    open_trace: str | None = None
-
-    def finalize(trace_id: str) -> None:
-        spans = buffers.pop(trace_id, None)
-        if not spans:
-            return
-        tree = build_tree(spans)
-        if tree is None:
-            return
-        summary = {
-            "klass": tree.klass,
-            "status": tree.status,
-            "fidelity": tree.root.attributes.get("fidelity"),
-            "latency_s": tree.latency_s,
-            "blame": tree.blame,
-            "arrival_s": tree.arrival_s,
-            "deadline_s": tree.deadline_s,
-            "lookup_seqs": tree.lookup_seqs,
-            "partial": bool(tree.root.attributes.get("partial")),
-        }
-        report.summaries[trace_id] = summary
-        merge_blame(report.attribution, tree.klass, tree.blame)
-        if summary["status"] in _COMPLETED:
-            reservoir.offer(trace_id, tree.klass, tree.latency_s)
-        report.trees[trace_id] = tree
-        retained = reservoir.retained() | keep_set
-        for stale_id in [t for t in report.trees if t not in retained]:
-            del report.trees[stale_id]
-
     for record in records:
         kind = record.get("type")
-        if kind == FORENSIC_RECORD_TYPE:
-            trace_id = str(record.get("trace_id"))
-            if record.get("name") == ROOT_NODE and trace_id != open_trace:
-                if open_trace is not None:
-                    finalize(open_trace)
-                open_trace = trace_id
-            buffers.setdefault(trace_id, []).append(record)
+        # A version-1 ``serve_request`` carries no ``nodes``: its tree
+        # went to separate records this fold no longer reads.
+        if kind == "serve_request" and "nodes" in record:
+            tree = build_tree(record)
+            trace_id = tree.trace_id
+            summary = {
+                "klass": tree.klass,
+                "status": tree.status,
+                "fidelity": tree.root.attributes.get("fidelity"),
+                "latency_s": tree.latency_s,
+                "blame": tree.blame,
+                "arrival_s": tree.arrival_s,
+                "deadline_s": tree.deadline_s,
+                "lookup_seqs": tree.lookup_seqs,
+                "partial": bool(tree.root.attributes.get("partial")),
+            }
+            report.summaries[trace_id] = summary
+            merge_blame(report.attribution, tree.klass, tree.blame)
+            if summary["status"] in _COMPLETED:
+                reservoir.offer(trace_id, tree.klass, tree.latency_s)
+            report.trees[trace_id] = tree
+            retained = reservoir.retained() | keep_set
+            for stale_id in [t for t in report.trees if t not in retained]:
+                del report.trees[stale_id]
         elif kind == "shard_event" and record.get("event") in INCIDENT_EVENTS:
             report.incidents.append(record)
-    if open_trace is not None:
-        finalize(open_trace)
-    for trace_id in list(buffers):
-        # Out-of-order leftovers (merged multi-writer streams): finalize
-        # whatever batches survived.
-        finalize(trace_id)
 
     join_incidents(report.trees.values(), report.incidents)
     # Incident context also joins the root summaries, so aggregate views

@@ -1,25 +1,26 @@
-"""Forensic span records: the wire shape of per-request causal trees.
+"""Per-request causal trees: the collector and its one record.
 
-Every request the server resolves becomes a small batch of
-``forensic_span`` records on the live bus — a root ``request`` node plus
-one child per causal step (queue wait, each degradation rung attempted,
-per-shard gather rungs, stall burns).  Each node carries the blame
-*category* its simulated seconds are charged to, so the tree is not just
-a timeline: summing the categorized node durations reconstructs the
-request's total simulated latency exactly (the critical-path invariant
-``repro why`` and the forensics CI job assert).
+Every request the server resolves becomes exactly one ``serve_request``
+record on the run's telemetry stream.  The record carries the request
+itself (class, status, fidelity, arrival, deadline, latency, blame,
+lookup sequences, ``partial``) and its causal nodes in the order they
+happened: queue wait, each degradation rung attempted, per-shard gather
+legs, stall burns.  Each node carries the blame *category* its simulated
+seconds are charged to, so the tree is not just a timeline: summing the
+categorized node durations reconstructs the request's total simulated
+latency exactly (the critical-path invariant ``repro why`` and the
+forensics CI job assert).  A JSONL line is written whole or not at all,
+so a reader sees a request's whole tree or none of it.
 
 The :class:`RequestForensics` collector is the server-side producer: it
 rides along ``EmbeddingServer._handle`` / ``_serve_ladder``, observing
-every ``clock.advance`` the request pays for, and serializes to records
-at response time.  It never changes a simulated cost — forensics is a
+every ``clock.advance`` the request pays for, and becomes the record at
+response time.  It never changes a simulated cost — forensics is a
 read-only shadow of the event loop.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
 from typing import Any
 
 #: Blame categories, matching the paper's Fig. 13 tail-latency
@@ -46,18 +47,8 @@ _SHARE_NODE = {
     BLAME_STALE_FALLBACK: "stale_read",
 }
 
-#: Record type of one causal-tree node on the live bus.
-FORENSIC_RECORD_TYPE = "forensic_span"
-
 #: Name of the root node of every request tree.
 ROOT_NODE = "request"
-
-_UID_COUNTER = itertools.count()
-
-
-def next_forensic_uid() -> str:
-    """Process-unique id for one forensic node (what children link by)."""
-    return f"f{os.getpid()}-{next(_UID_COUNTER)}"
 
 
 class RequestForensics:
@@ -65,8 +56,8 @@ class RequestForensics:
 
     The server creates one per handled request, calls the ``record_*``
     hooks at every site that advances the virtual clock on the
-    request's behalf, and finally serializes the tree with
-    :meth:`to_records`.  ``blame`` accumulates the same seconds bucketed
+    request's behalf, and finally writes the request with
+    :meth:`to_record`.  ``blame`` accumulates the same seconds bucketed
     by category; its values always sum to the seconds the hooks saw,
     which (queue wait included) is the request's end-to-end simulated
     latency.
@@ -106,7 +97,7 @@ class RequestForensics:
         #: emitted, but exempt from the blame-sum invariant.
         self.partial = False
         #: Flat child-node list: (name, category, sim_start, sim_seconds,
-        #: attributes, parent_is_rung).
+        #: attributes, under_rung).
         self._nodes: list[tuple[str, str | None, float, float, dict, bool]] = []
 
     # -- producer hooks ---------------------------------------------------
@@ -238,63 +229,40 @@ class RequestForensics:
 
     # -- serialization ----------------------------------------------------
 
-    def to_records(
+    def to_record(
         self,
         trace_id: str,
         status: str,
         fidelity: str | None,
         completed_s: float | None,
-    ) -> list[dict[str, Any]]:
-        """Serialize the tree: root first, then children in causal order.
+        stale_rows: int,
+    ) -> dict[str, Any]:
+        """The request's one ``serve_request`` record.
 
-        Children of rung nodes point at the most recent rung's uid, so
-        the reconstructed tree is request -> rungs -> (kernel / stall /
-        shard) leaves.
+        ``nodes`` lists the tree below the root in causal order, each as
+        ``[name, category, sim_start, sim_seconds, attributes,
+        under_rung]``: ``under_rung`` hangs a node under the latest
+        ``rung:*`` node before it (the root when there is none), so the
+        tree is request -> rungs -> (kernel / stall / shard) leaves.
         """
-        root_uid = next_forensic_uid()
-        latency = (
-            completed_s - self.arrival_s if completed_s is not None else None
-        )
-        root: dict[str, Any] = {
-            "type": FORENSIC_RECORD_TYPE,
+        return {
+            "type": "serve_request",
             "trace_id": trace_id,
-            "uid": root_uid,
-            "parent_uid": None,
-            "name": ROOT_NODE,
-            "category": None,
-            "sim_start": self.arrival_s,
-            "sim_seconds": latency if latency is not None else 0.0,
-            "attributes": {
-                "request_id": self.request_id,
-                "klass": self.klass,
-                "status": status,
-                "fidelity": fidelity,
-                "arrival_s": self.arrival_s,
-                "deadline_s": self.deadline_s,
-                "n_nodes": self.n_nodes,
-                "blame": dict(self.blame),
-                "lookup_seqs": list(self.lookup_seqs),
-            },
+            "request_id": self.request_id,
+            "klass": self.klass,
+            "status": status,
+            "fidelity": fidelity,
+            "arrival_s": self.arrival_s,
+            "deadline_s": self.deadline_s,
+            "n_nodes": self.n_nodes,
+            "latency_s": (
+                completed_s - self.arrival_s
+                if completed_s is not None
+                else None
+            ),
+            "stale_rows": stale_rows,
+            "blame": self.blame,
+            "lookup_seqs": self.lookup_seqs,
+            "partial": self.partial,
+            "nodes": self._nodes,
         }
-        if self.partial:
-            root["attributes"]["partial"] = True
-        records = [root]
-        rung_uid = root_uid
-        for name, category, start, seconds, attrs, under_rung in self._nodes:
-            uid = next_forensic_uid()
-            records.append(
-                {
-                    "type": FORENSIC_RECORD_TYPE,
-                    "trace_id": trace_id,
-                    "uid": uid,
-                    "parent_uid": rung_uid if under_rung else root_uid,
-                    "name": name,
-                    "category": category,
-                    "sim_start": start,
-                    "sim_seconds": seconds,
-                    "attributes": dict(attrs),
-                }
-            )
-            if name.startswith("rung:"):
-                rung_uid = uid
-        return records

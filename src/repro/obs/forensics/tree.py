@@ -1,10 +1,10 @@
-"""Reconstructing causal trees from a telemetry stream.
+"""Causal trees from ``serve_request`` records.
 
-``forensic_span`` records (one batch per request, see
-:mod:`repro.obs.forensics.records`) link by ``uid``/``parent_uid``.
-This module folds a record list back into :class:`RequestTree` objects
-and joins supervisor incidents onto the requests whose deadlines they
-overlapped — the "this p99 spike = shard 3 promotion at seq 1041" view.
+Each request's record (see :mod:`repro.obs.forensics.records`) carries
+its root fields and its nodes in causal order; :func:`build_tree` turns
+one record into a :class:`RequestTree`.  This module also joins
+supervisor incidents onto the requests whose deadlines they overlapped
+— the "this p99 spike = shard 3 promotion at seq 1041" view.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ INCIDENT_EVENTS = ("promote", "restart", "shard_abandoned", "reshard")
 class ForensicNode:
     """One node of a reconstructed request tree."""
 
-    uid: str
     name: str
     category: str | None
     sim_start: float
@@ -80,49 +79,39 @@ class RequestTree:
         return self.root.walk()
 
 
-def _node_from_record(record: dict[str, Any]) -> ForensicNode:
-    return ForensicNode(
-        uid=str(record.get("uid")),
-        name=str(record.get("name", "?")),
-        category=record.get("category"),
-        sim_start=float(record.get("sim_start", 0.0) or 0.0),
-        sim_seconds=float(record.get("sim_seconds", 0.0) or 0.0),
-        attributes=dict(record.get("attributes") or {}),
+#: ``serve_request`` fields that become the root node's attributes.
+_ROOT_FIELDS = (
+    "request_id",
+    "klass",
+    "status",
+    "fidelity",
+    "arrival_s",
+    "deadline_s",
+    "n_nodes",
+    "stale_rows",
+    "blame",
+    "lookup_seqs",
+    "partial",
+)
+
+
+def build_tree(record: dict[str, Any]) -> RequestTree:
+    """One request's causal tree from its ``serve_request`` record."""
+    latency = record["latency_s"]
+    root = ForensicNode(
+        name=ROOT_NODE,
+        category=None,
+        sim_start=record["arrival_s"],
+        sim_seconds=latency if latency is not None else 0.0,
+        attributes={key: record[key] for key in _ROOT_FIELDS},
     )
-
-
-def build_tree(spans: Iterable[dict[str, Any]]) -> RequestTree | None:
-    """Link one request's ``forensic_span`` batch into a tree.
-
-    Orphans (a ``parent_uid`` that never arrived — a torn stream tail)
-    graft onto the root rather than dropping, so a damaged tree still
-    accounts for its seconds.  Returns ``None`` when no root survived.
-    """
-    spans = list(spans)
-    nodes: dict[str, ForensicNode] = {}
-    trace_id = None
-    for record in spans:
-        node = _node_from_record(record)
-        nodes[node.uid] = node
-        if trace_id is None:
-            trace_id = record.get("trace_id")
-    root = next(
-        (
-            nodes[str(r.get("uid"))]
-            for r in spans
-            if r.get("parent_uid") is None and r.get("name") == ROOT_NODE
-        ),
-        None,
-    )
-    if root is None:
-        return None
-    for record in spans:
-        uid = str(record.get("uid"))
-        if nodes[uid] is root:
-            continue
-        parent = nodes.get(str(record.get("parent_uid")))
-        (parent if parent is not None else root).children.append(nodes[uid])
-    return RequestTree(trace_id=str(trace_id), root=root)
+    rung = root
+    for name, category, start, seconds, attrs, under_rung in record["nodes"]:
+        node = ForensicNode(name, category, start, seconds, attrs)
+        (rung if under_rung else root).children.append(node)
+        if name.startswith("rung:"):
+            rung = node
+    return RequestTree(trace_id=record["trace_id"], root=root)
 
 
 def incident_overlaps(

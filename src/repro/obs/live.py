@@ -232,7 +232,7 @@ def canonical_order(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
 
     Meta, manifest, spans in id order, metrics, cost traces, events —
     what :meth:`TelemetrySession.records` returns — followed by the
-    stream-only records (snapshots, forensic spans, shard events,
+    stream-only records (snapshots, serve requests, shard events,
     stream markers) in file order.  If the stream was cut before close,
     a manifest is synthesized from what survived.
     """

@@ -13,7 +13,7 @@
   gated (the diff cannot know which direction is good).
 
 A time-like series regresses when ``b > a * (1 + threshold)`` or when
-``b`` is not finite; the report collects every breach so the CLI can
+``a`` or ``b`` is not finite; the report collects every breach so the CLI can
 exit nonzero and *name* the regressed stage, which is what keeps the
 paper's cross-configuration ratios honest as the code evolves.
 :func:`diff_series` is that rule, written once: ``repro perf-gate``
@@ -216,6 +216,11 @@ def extract_metric_values(
     }
 
 
+def threshold_label(threshold: float) -> str:
+    """``threshold`` as the percentage a report title prints."""
+    return f"threshold {threshold * 100:.10g}%"
+
+
 def check_threshold(threshold: float) -> float:
     """``threshold``, or ``ValueError`` naming it unless finite and >= 0."""
     if not (math.isfinite(threshold) and threshold >= 0):
@@ -233,7 +238,9 @@ def diff_series(
     gated: bool,
 ) -> list[DeltaRow]:
     """The one regression rule: a row per name of ``a`` or ``b``.  A gated
-    row regresses when ``b`` is not finite or exceeds ``a * (1 + t)``."""
+    row regresses when ``b`` is not finite or exceeds ``a * (1 + t)``,
+    and when ``a`` is not finite (a NaN or infinite baseline would
+    otherwise hide any candidate)."""
     check_threshold(threshold)
     rows = []
     for name in sorted(set(a) | set(b)):
@@ -244,7 +251,7 @@ def diff_series(
             status = STATUS_ADDED
         elif vb is None:
             status = STATUS_REMOVED
-        elif gated and vb > va * (1.0 + threshold):
+        elif gated and (not math.isfinite(va) or vb > va * (1.0 + threshold)):
             status = STATUS_REGRESSED
         elif gated and vb < va * (1.0 - threshold):
             status = STATUS_IMPROVED
@@ -353,7 +360,7 @@ def render_diff(report: DiffReport) -> str:
                 [r.name, fmt(group, r.a), fmt(group, r.b), ratio, r.status]
             )
         if gated:
-            title = f"{title} (threshold {report.threshold * 100:.0f}%)"
+            title = f"{title} ({threshold_label(report.threshold)})"
         sections.append(
             format_table(
                 ["series", "baseline", "candidate", "delta", "status"],

@@ -35,6 +35,7 @@ from repro.obs.observatory.diff import (
     DeltaRow,
     check_threshold,
     diff_series,
+    threshold_label,
 )
 from repro.obs.observatory.manifest import (
     RunManifest,
@@ -161,7 +162,6 @@ def run_suite(
     )
     with session.tracer.span("spmm_micro"):
         spmm = engine.multiply(matrix, dense, compute=False)
-        session.tracer.advance_sim(spmm.sim_seconds)
     session.add_cost_trace("spmm_micro", spmm.trace)
     stages["spmm.total"] = spmm.sim_seconds
 
@@ -322,7 +322,7 @@ def render_gate(report: GateReport) -> str:
         ["stage", "baseline", "current", "delta", "status"],
         rows,
         title=(
-            f"perf-gate (threshold {report.threshold * 100:.0f}%,"
+            f"perf-gate ({threshold_label(report.threshold)},"
             f" baseline {pinned.name if pinned else 'none'})"
         ),
     )

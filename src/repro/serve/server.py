@@ -185,15 +185,6 @@ class ServeResponse:
     #: included), so every served/shed/failed request is queryable in
     #: the telemetry stream.
     trace_id: str | None = None
-    #: Admission-queue wait vs execution breakdown of the latency
-    #: (both zero for shed requests, which never dequeue).
-    queue_wait_s: float = 0.0
-    exec_s: float = 0.0
-    #: Degradation rung whose backend call actually produced the rows —
-    #: unlike ``fidelity``, it survives late completion (a
-    #: ``deadline_exceeded`` response nulls ``fidelity`` but keeps the
-    #: rung it burned its budget on).
-    rung: str | None = None
 
     @property
     def latency_s(self) -> float | None:
@@ -311,8 +302,9 @@ class EmbeddingServer:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.faults = faults if faults is not None else backend.faults
         #: Live :class:`~repro.obs.live.TelemetryStream` to feed — one
-        #: ``serve_request`` event per response plus a ``serve_snapshot``
-        #: every ``snapshot_every`` responses (what ``repro top`` tails).
+        #: ``serve_request`` record (the request's forensic tree) per
+        #: response plus a ``serve_snapshot`` every ``snapshot_every``
+        #: responses (what ``repro top`` tails).
         self.stream = stream
         if stream is not None:
             # Incident (`shard_event`) records must land on the same
@@ -522,8 +514,6 @@ class EmbeddingServer:
         # wait; everything after it is execution.  The forensics
         # collector shadows each clock advance the request pays for, so
         # its blame buckets sum to the end-to-end simulated latency.
-        handled_at = self.clock.now
-        queue_wait = max(0.0, handled_at - request.arrival_s)
         forensics = RequestForensics(
             request_id=request.request_id,
             klass=request.klass,
@@ -531,7 +521,7 @@ class EmbeddingServer:
             deadline_s=request.deadline_s,
             n_nodes=request.n_nodes,
         )
-        forensics.begin_handling(handled_at)
+        forensics.begin_handling(self.clock.now)
         if self.clock.now >= deadline_at:
             # The budget died in the queue: reject before spending any
             # service on it (the shedding path's cheaper sibling).
@@ -550,7 +540,6 @@ class EmbeddingServer:
                     completed_s=self.clock.now,
                     error=type(error).__name__,
                     trace_id=trace_id,
-                    queue_wait_s=queue_wait,
                 ),
                 forensics=forensics,
             )
@@ -569,8 +558,6 @@ class EmbeddingServer:
                     completed_s=self.clock.now,
                     error=BackendStallError.__name__,
                     trace_id=trace_id,
-                    queue_wait_s=queue_wait,
-                    exec_s=self.clock.now - handled_at,
                 ),
                 forensics=forensics,
             )
@@ -589,9 +576,6 @@ class EmbeddingServer:
                 error=DeadlineExceededError.__name__ if late else None,
                 stale_rows=stale_rows,
                 trace_id=trace_id,
-                queue_wait_s=queue_wait,
-                exec_s=completed - handled_at,
-                rung=fidelity,
             ),
             forensics=forensics,
         )
@@ -697,8 +681,8 @@ class EmbeddingServer:
                 )
         if self.stream is not None:
             if forensics is None:
-                # Shed (or handler-torn) requests still leave a root
-                # node, so every submitted request is reconstructable.
+                # Shed (or handler-torn) requests still leave a record
+                # with no nodes, so every submitted request is in it.
                 forensics = RequestForensics(
                     request_id=response.request_id,
                     klass=response.klass,
@@ -707,28 +691,14 @@ class EmbeddingServer:
                 )
                 if response.status == STATUS_FAILED:
                     forensics.partial = True
-            for record in forensics.to_records(
-                trace_id,
-                response.status,
-                response.fidelity,
-                response.completed_s,
-            ):
-                self.stream.emit(record)
             self.stream.emit(
-                {
-                    "type": "serve_request",
-                    "trace_id": trace_id,
-                    "request_id": response.request_id,
-                    "klass": response.klass,
-                    "status": response.status,
-                    "fidelity": response.fidelity,
-                    "latency_s": latency,
-                    "stale_rows": response.stale_rows,
-                    "sim_now_s": self.clock.now,
-                    "queue_wait_s": response.queue_wait_s,
-                    "exec_s": response.exec_s,
-                    "rung": response.rung,
-                }
+                forensics.to_record(
+                    trace_id,
+                    response.status,
+                    response.fidelity,
+                    response.completed_s,
+                    response.stale_rows,
+                )
             )
             if len(report.responses) % self.snapshot_every == 0:
                 self._emit_snapshot()

@@ -161,26 +161,34 @@ class TestBlameSumInvariant:
 
 
 class TestServeRequestEnrichment:
-    def test_records_carry_queue_exec_and_rung(self, tmp_path, edges):
+    def test_one_record_per_request(self, tmp_path, edges):
         path = tmp_path / "serve.live.jsonl"
-        _run_server(edges, path, trace_seed=5)
-        served = [
-            r
-            for r in load_records(path)
-            if r.get("type") == "serve_request" and r.get("status") == "served"
-        ]
+        report, _ = _run_server(edges, path, trace_seed=5, fault_seed=7)
+        records = load_records(path)
+        requests = [r for r in records if r.get("type") == "serve_request"]
+        assert sorted(r["trace_id"] for r in requests) == sorted(
+            r.trace_id for r in report.responses
+        )
+        assert not any(r.get("type") == "forensic_span" for r in records)
+        served = [r for r in requests if r["status"] == "served"]
         assert served
         for record in served:
-            assert record["rung"] in ("full", "propagation_only", "stale")
-            total = record["queue_wait_s"] + record["exec_s"]
+            # The queue wait is the queue blame; the rest is execution.
+            assert record["nodes"]
             assert math.isclose(
-                total, record["latency_s"], rel_tol=1e-9, abs_tol=1e-15
+                sum(record["blame"].values()),
+                record["latency_s"],
+                rel_tol=1e-9,
+                abs_tol=1e-15,
             )
+        for record in requests:
+            if record["status"] == "shed":
+                assert record["nodes"] == [] and record["latency_s"] is None
 
     def test_old_records_without_breakdown_still_fold(self):
-        # A pre-forensics stream has serve_request records but no
-        # forensic spans: the fold degrades to an empty report instead
-        # of failing.
+        # A version-1 stream's serve_request records carry no nodes
+        # (its trees were separate records): the fold degrades to an
+        # empty report instead of failing.
         records = [
             {"type": "stream_meta", "pid": 1},
             {
@@ -227,7 +235,7 @@ class TestIncidentLinkage:
             with TelemetryStream(path, flush_every=1) as stream:
                 # The server propagates its stream into the sharded
                 # store, so shard_event incidents land next to the
-                # forensic spans they explain.
+                # request records they explain.
                 server = EmbeddingServer(
                     backend,
                     ServePolicy.calibrated(per_node * 8.5),
@@ -354,51 +362,40 @@ class TestExemplarReservoir:
 
 
 class TestTreeAssembly:
-    def test_orphan_spans_graft_to_root(self):
-        spans = [
-            {
-                "type": "forensic_span",
-                "trace_id": "t1",
-                "uid": "a",
-                "parent_uid": None,
-                "name": "request",
-                "category": None,
-                "sim_start": 0.0,
-                "sim_seconds": 1.0,
-                "attributes": {"klass": "interactive", "status": "served",
-                               "blame": {"kernel": 1.0}},
-            },
-            {
-                "type": "forensic_span",
-                "trace_id": "t1",
-                "uid": "b",
-                "parent_uid": "missing",  # writer of the parent died
-                "name": "kernel",
-                "category": "kernel",
-                "sim_start": 0.0,
-                "sim_seconds": 1.0,
-                "attributes": {},
-            },
+    def test_nodes_hang_under_the_latest_rung(self):
+        record = {
+            "type": "serve_request",
+            "trace_id": "t1",
+            "request_id": "r1",
+            "klass": "interactive",
+            "status": "served",
+            "fidelity": "propagation_only",
+            "arrival_s": 0.0,
+            "deadline_s": 5.0,
+            "n_nodes": 4,
+            "latency_s": 3.0,
+            "stale_rows": 0,
+            "blame": {"queue": 1.0, "breaker": 1.0, "kernel": 1.0},
+            "lookup_seqs": [],
+            "partial": False,
+            "nodes": [
+                ["queue_wait", "queue", 0.0, 1.0, {}, False],
+                ["rung:full", None, 1.0, 1.0,
+                 {"outcome": "stall_abandoned"}, False],
+                ["stall_burn", "breaker", 1.0, 1.0, {}, True],
+                ["rung:propagation_only", None, 2.0, 1.0,
+                 {"outcome": "served"}, False],
+                ["kernel", "kernel", 2.0, 1.0, {}, True],
+            ],
+        }
+        tree = build_tree(record)
+        assert tree.trace_id == "t1" and tree.latency_s == 3.0
+        assert [c.name for c in tree.root.children] == [
+            "queue_wait", "rung:full", "rung:propagation_only",
         ]
-        tree = build_tree(spans)
-        assert tree is not None
-        assert [c.name for c in tree.root.children] == ["kernel"]
-
-    def test_no_root_no_tree(self):
-        spans = [
-            {
-                "type": "forensic_span",
-                "trace_id": "t1",
-                "uid": "b",
-                "parent_uid": "missing",
-                "name": "kernel",
-                "category": "kernel",
-                "sim_start": 0.0,
-                "sim_seconds": 1.0,
-                "attributes": {},
-            }
-        ]
-        assert build_tree(spans) is None
+        full, served = tree.root.children[1:]
+        assert [c.name for c in full.children] == ["stall_burn"]
+        assert [c.name for c in served.children] == ["kernel"]
 
 
 class TestCli:

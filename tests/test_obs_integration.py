@@ -148,7 +148,7 @@ class TestExportAndReport:
         path = session.save(tmp_path / "t.jsonl")
         records = load_records(path)
         groups = split_records(records)
-        assert groups["meta"][0]["telemetry_version"] == 1
+        assert groups["meta"][0]["telemetry_version"] == 2
         assert groups["span"] and groups["metric"] and groups["cost_trace"]
         restored = merged_cost_trace(records)
         for category, seconds in result.trace.breakdown().items():

@@ -107,6 +107,20 @@ class TestDiffRuns:
         assert [r.name for r in report.regressions] == ["s"]
         assert "REGRESSED (1): stage:s" in render_diff(report)
 
+    def test_non_finite_baseline_regresses(self):
+        # A NaN baseline used to hide the candidate: b > nan is False.
+        a = [_span("x", float("nan"), 0), _span("t", 1.0, 1)]
+        b = [_span("x", 100.0, 0), _span("t", 1.0, 1)]
+        report = diff_runs(a, b)
+        assert [r.name for r in report.regressions] == ["x"]
+        assert "REGRESSED (1): stage:x" in render_diff(report)
+
+    def test_title_prints_the_threshold_used(self):
+        report = diff_runs([_span("s", 1.0)], [_span("s", 1.0)], threshold=0.004)
+        assert "(threshold 0.4%)" in render_diff(report)
+        default = diff_runs([_span("s", 1.0)], [_span("s", 1.0)])
+        assert "(threshold 5%)" in render_diff(default)
+
     def test_delta_and_ratio(self):
         row = DeltaRow(group="stage", name="s", a=2.0, b=3.0, status="x")
         assert row.delta == pytest.approx(1.0)

@@ -15,6 +15,7 @@ model), so these are integration tests of the acceptance criteria:
 """
 
 import json
+import math
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.obs.observatory import perfgate
 from repro.obs.observatory.diff import REGRESSION_THRESHOLD, STATUS_REGRESSED
 from repro.obs.observatory.perfgate import (
     DEFAULT_BASELINE,
+    GateReport,
     GateRun,
     gate_rows,
     read_baseline,
@@ -71,6 +73,18 @@ class TestSuite:
         assert payload["suite"] == "perf_gate"
         assert set(payload) == {"suite", "config_hash", "stages"}
 
+    def test_spmm_span_is_the_products_seconds(self, clean_run):
+        # The engine advances the cursor inside its own span; a second
+        # advance by the caller used to make this span twice as wide.
+        (span,) = [
+            r
+            for r in clean_run.session.records()
+            if r["type"] == "span" and r["name"] == "spmm_micro"
+        ]
+        assert math.isclose(
+            span["sim_seconds"], clean_run.stages["spmm.total"], rel_tol=1e-9
+        )
+
 
 def _regressed(rows):
     return [r.name for r in rows if r.status == STATUS_REGRESSED]
@@ -95,6 +109,14 @@ class TestCompare:
         }
         rows = gate_rows(clean_run.stages, payload, REGRESSION_THRESHOLD)
         assert _regressed(rows) == sorted(clean_run.stages)
+
+    def test_title_prints_the_threshold_used(self, clean_run):
+        report = GateReport(
+            run=clean_run,
+            threshold=0.004,
+            rows=gate_rows(clean_run.stages, clean_run.payload(), 0.004),
+        )
+        assert render_gate(report).startswith("perf-gate (threshold 0.4%,")
 
     def test_only_the_runs_stages_are_listed(self, clean_run):
         payload = clean_run.payload()

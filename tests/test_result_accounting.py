@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import OMeGaConfig, OMeGaEmbedder, SpMMEngine
 from repro.formats import edges_to_csdb
-from repro.graphs import chung_lu_edges
+from repro.graphs import chung_lu_edges, rmat_edges
 from repro.memsim import MemoryKind
 from repro.prone.chebyshev import spmm_calls_for_order
 from repro.prone.model import ProNEParams
@@ -85,6 +85,21 @@ class TestPipelineBookkeeping:
         assert np.array_equal(first.embedding, second.embedding)
         assert first.sim_seconds == pytest.approx(second.sim_seconds)
         assert second.n_spmm == first.n_spmm  # counters reset per run
+
+
+    @pytest.mark.parametrize("scale", [9, 10, 11])
+    def test_ledger_total_is_the_results(self, scale):
+        # The ledger's total is what a resume reports as recovered; it
+        # once summed (read + spmm) + serial and missed the result's
+        # read + (spmm + serial) by an ulp (R-MAT-11 seed 2, 4 threads).
+        for seed in range(6):
+            edges = rmat_edges(scale, edge_factor=8.0, seed=seed)
+            for n_threads in (1, 4, 8, 16):
+                embedder = OMeGaEmbedder(
+                    OMeGaConfig(n_threads=n_threads, dim=8, seed=seed)
+                )
+                result = embedder.embed_edges(edges, 1 << scale)
+                assert embedder.state.sim_seconds == result.sim_seconds
 
 
 class TestCapacityAccounting:
