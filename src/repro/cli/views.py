@@ -192,6 +192,7 @@ def run_why(args: argparse.Namespace) -> int:
         load_records(scaffold.stream_file(args.stream)),
         worst_k=max(args.worst, 8),
         keep=keep,
+        source=args.stream,
     )
     if args.trace_id:
         tree = report.find(args.trace_id)
@@ -235,7 +236,9 @@ def run_attribute(args: argparse.Namespace) -> int:
     from repro.obs.forensics.blame import ordered_categories
     from repro.obs.live import load_records
 
-    report = fold_stream(load_records(scaffold.stream_file(args.stream)))
+    report = fold_stream(
+        load_records(scaffold.stream_file(args.stream)), source=args.stream
+    )
     violations = report.verify()
     if args.format == "json":
         import json

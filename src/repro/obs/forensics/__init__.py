@@ -13,7 +13,11 @@ from repro.obs.forensics.blame import (
     blame_total,
     verify_tree,
 )
-from repro.obs.forensics.fold import ForensicsReport, fold_stream
+from repro.obs.forensics.fold import (
+    ForensicsReport,
+    TelemetryVersionError,
+    fold_stream,
+)
 from repro.obs.forensics.records import (
     BLAME_BREAKER,
     BLAME_CATEGORIES,
@@ -49,6 +53,7 @@ __all__ = [
     "ForensicsReport",
     "RequestForensics",
     "RequestTree",
+    "TelemetryVersionError",
     "blame_fractions",
     "blame_total",
     "build_tree",

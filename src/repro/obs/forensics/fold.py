@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from repro.obs.export import TELEMETRY_VERSION
 from repro.obs.forensics.blame import (
     blame_fractions,
     blame_total,
@@ -30,6 +31,23 @@ from repro.obs.forensics.tree import (
 
 #: Response statuses that carry a latency (everything but shed).
 _COMPLETED = ("served", "deadline_exceeded", "failed")
+
+
+class TelemetryVersionError(ValueError):
+    """A telemetry file of a record schema this fold cannot read.
+
+    Version 1 wrote each request's tree as separate ``forensic_span``
+    records; folded as version 2 it would read as zero requests and
+    pass every check empty.
+    """
+
+    def __init__(self, source: str, version: Any) -> None:
+        super().__init__(
+            f"{source}: telemetry version {version}, but request"
+            f" forensics read version {TELEMETRY_VERSION} only"
+        )
+        self.source = source
+        self.version = version
 
 
 @dataclass
@@ -135,20 +153,29 @@ def fold_stream(
     sample_k: int = 8,
     seed: int = 0,
     keep: tuple[str, ...] = (),
+    source: str = "<stream>",
 ) -> ForensicsReport:
     """Fold stream records into a :class:`ForensicsReport`.
 
     ``keep`` force-retains specific trace ids regardless of the
     reservoir's verdict (the ``repro why <trace_id>`` path).
+
+    Raises:
+        TelemetryVersionError: a meta record names another telemetry
+            version; ``source`` (the file) is named in the message.
     """
     reservoir = ExemplarReservoir(worst_k=worst_k, sample_k=sample_k, seed=seed)
     report = ForensicsReport(reservoir=reservoir)
     keep_set = set(keep)
     for record in records:
         kind = record.get("type")
-        # A version-1 ``serve_request`` carries no ``nodes``: its tree
-        # went to separate records this fold no longer reads.
-        if kind == "serve_request" and "nodes" in record:
+        if kind == "meta":
+            version = record.get("telemetry_version", TELEMETRY_VERSION)
+            if version != TELEMETRY_VERSION:
+                raise TelemetryVersionError(source, version)
+        # A ``serve_request`` with no ``nodes`` (a stream without a meta
+        # record, cut from a version-1 file) has no tree to fold.
+        elif kind == "serve_request" and "nodes" in record:
             tree = build_tree(record)
             trace_id = tree.trace_id
             summary = {

@@ -420,6 +420,7 @@ class EmbeddingServer:
                     self._count_unhandled()
                     self._respond(
                         report,
+                        request,
                         ServeResponse(
                             request_id=request.request_id,
                             klass=request.klass,
@@ -484,6 +485,7 @@ class EmbeddingServer:
                     )
                     self._respond(
                         report,
+                        arrival,
                         ServeResponse(
                             request_id=arrival.request_id,
                             klass=arrival.klass,
@@ -532,6 +534,7 @@ class EmbeddingServer:
             )
             self._respond(
                 report,
+                request,
                 ServeResponse(
                     request_id=request.request_id,
                     klass=request.klass,
@@ -550,6 +553,7 @@ class EmbeddingServer:
         if fidelity is None:
             self._respond(
                 report,
+                request,
                 ServeResponse(
                     request_id=request.request_id,
                     klass=request.klass,
@@ -566,6 +570,7 @@ class EmbeddingServer:
         late = completed > deadline_at
         self._respond(
             report,
+            request,
             ServeResponse(
                 request_id=request.request_id,
                 klass=request.klass,
@@ -660,6 +665,7 @@ class EmbeddingServer:
     def _respond(
         self,
         report: ServeReport,
+        request: ServeRequest,
         response: ServeResponse,
         forensics: RequestForensics | None = None,
     ) -> None:
@@ -684,10 +690,11 @@ class EmbeddingServer:
                 # Shed (or handler-torn) requests still leave a record
                 # with no nodes, so every submitted request is in it.
                 forensics = RequestForensics(
-                    request_id=response.request_id,
-                    klass=response.klass,
-                    arrival_s=response.arrival_s,
-                    deadline_s=0.0,
+                    request_id=request.request_id,
+                    klass=request.klass,
+                    arrival_s=request.arrival_s,
+                    deadline_s=request.deadline_s,
+                    n_nodes=request.n_nodes,
                 )
                 if response.status == STATUS_FAILED:
                     forensics.partial = True

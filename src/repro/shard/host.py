@@ -78,6 +78,7 @@ class ShardHost:
         row_start: int,
         policy: "ShardPolicy",
         ctx=None,
+        spin_s: float = 0.0,
     ) -> None:
         self.shard_id = shard_id
         self.row_start = row_start
@@ -94,6 +95,9 @@ class ShardHost:
         #: checkpoint record is quarantined (set by the manager).
         self.on_quarantine: Callable[[int, int, str], None] | None = None
         self._ctx = ctx if ctx is not None else mp_context()
+        #: Spin window of every worker this host spawns, and of the
+        #: host's waits on them (:func:`repro.shard.transport.spin_window`).
+        self.spin_s = spin_s
         #: The version watermark: written here, read by every worker of
         #: this shard when it acks.  Lock-free — one writer, and an
         #: aligned 8-byte store is not torn.
@@ -139,7 +143,7 @@ class ShardHost:
 
     def _spawn_worker(self) -> _ShardWorker:
         return _ShardWorker(
-            self._ctx, self.spec, self.row_start, self._watermark
+            self._ctx, self.spec, self.row_start, self._watermark, self.spin_s
         )
 
     def close(self) -> None:

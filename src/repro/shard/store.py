@@ -63,7 +63,7 @@ from repro.shard.errors import (
 from repro.shard.host import HEDGE_SIM_PENALTY_S, ShardHost, wait_heartbeats
 from repro.shard.ranges import ShardRoutingTable
 from repro.shard.refresh import BackgroundCheckpointer
-from repro.shard.transport import _SentLookup
+from repro.shard.transport import _SentLookup, spin_window, usable_cpus
 
 #: How rows were sourced for one shard of a scatter-gather.
 STATUS_FRESH = "fresh"
@@ -244,14 +244,22 @@ class EmbeddingShardManager:
     # -- lifecycle -------------------------------------------------------
 
     def _new_host(
-        self, shard_id: int, row_start: int, row_end: int
+        self,
+        routing: ShardRoutingTable,
+        index: int,
+        shard_id: int | None = None,
     ) -> ShardHost:
+        """A host for range ``index`` of ``routing`` (its shard id
+        ``index`` unless ``shard_id`` says otherwise); it spins when that
+        table's shards leave a CPU to each spinner."""
+        row_start, row_end = routing.ranges[index]
         host = ShardHost(
-            shard_id,
+            index if shard_id is None else shard_id,
             self.table[row_start:row_end],
             row_start,
             self.policy,
             ctx=self._ctx,
+            spin_s=spin_window(routing.n_shards, usable_cpus()),
         )
         host.version = self.version
         host.on_quarantine = self._note_quarantine
@@ -272,10 +280,8 @@ class EmbeddingShardManager:
         if self._started:
             return self
         try:
-            for shard_id, (row_start, row_end) in enumerate(
-                self.routing.ranges
-            ):
-                host = self._new_host(shard_id, row_start, row_end)
+            for shard_id in range(self.routing.n_shards):
+                host = self._new_host(self.routing, shard_id)
                 self.hosts.append(host)
                 host.start()
         except BaseException:
@@ -420,8 +426,8 @@ class EmbeddingShardManager:
         new_ranges = routing.ranges[shard_id : shard_id + 2]
         hosts: list[ShardHost] = []
         try:
-            for start, end in new_ranges:
-                host = self._new_host(-1, start, end)
+            for index in (shard_id, shard_id + 1):
+                host = self._new_host(routing, index, shard_id=-1)
                 hosts.append(host)
                 host.start()
         except BaseException:

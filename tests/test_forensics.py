@@ -13,6 +13,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,7 @@ from repro.obs.forensics import (
     BLAME_CATEGORIES,
     SUM_REL_TOL,
     ExemplarReservoir,
+    TelemetryVersionError,
     blame_fractions,
     build_tree,
     fold_stream,
@@ -184,6 +189,36 @@ class TestServeRequestEnrichment:
         for record in requests:
             if record["status"] == "shed":
                 assert record["nodes"] == [] and record["latency_s"] is None
+
+    def test_shed_records_carry_their_requests_budget(
+        self, tmp_path, edges
+    ):
+        path = tmp_path / "serve.live.jsonl"
+        report, _ = _run_server(
+            edges, path, trace_seed=5, fault_seed=11, load=2.0
+        )
+        assert report.shed > 0
+        # The same trace again: every record's request, burst copies
+        # ("<id>.b<i>") included, by id.
+        backend = EmbeddingBackend(
+            OMeGaEmbedder(OMeGaConfig(n_threads=2, dim=DIM)), edges, N_NODES
+        )
+        backend.warm_up()
+        trace = RequestTrace.synthesize(
+            seed=5,
+            n_requests=80,
+            per_node_cost_s=backend.compute_cost(1),
+            load=2.0,
+        )
+        by_id = {request.request_id: request for request in trace.requests}
+        records = [
+            r for r in load_records(path) if r.get("type") == "serve_request"
+        ]
+        assert {r["status"] for r in records} >= {"shed", "served"}
+        for record in records:
+            request = by_id[record["request_id"].split(".b")[0]]
+            assert record["deadline_s"] == request.deadline_s
+            assert record["n_nodes"] == request.n_nodes
 
     def test_old_records_without_breakdown_still_fold(self):
         # A version-1 stream's serve_request records carry no nodes
@@ -448,6 +483,47 @@ class TestCli:
         assert payload["n_requests"] > 0
         for fractions in payload["fractions"].values():
             assert math.isclose(sum(fractions.values()), 1.0, rel_tol=1e-9)
+
+
+class TestTelemetryVersion:
+    def _version_one_file(self, tmp_path):
+        path = tmp_path / "v1.jsonl"
+        records = [
+            {"type": "meta", "telemetry_version": 1},
+            {
+                "type": "forensic_span",
+                "trace_id": "req-00000000-000001",
+                "uid": 1,
+                "parent_uid": None,
+                "name": "request",
+                "sim_start": 0.0,
+                "sim_seconds": 0.01,
+            },
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return path
+
+    def test_fold_names_the_file_and_the_version(self, tmp_path):
+        path = self._version_one_file(tmp_path)
+        with pytest.raises(TelemetryVersionError) as raised:
+            fold_stream(load_records(path), source=str(path))
+        assert raised.value.version == 1
+        assert str(path) in str(raised.value)
+        assert "telemetry version 1" in str(raised.value)
+
+    @pytest.mark.parametrize("view", ["why", "attribute"])
+    def test_views_refuse_a_version_one_file(self, tmp_path, view):
+        path = self._version_one_file(tmp_path)
+        argv = [view, str(path)] + (["--check"] if view == "attribute" else [])
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, check=False,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode != 0
+        assert "TelemetryVersionError" in done.stderr
+        assert f"{path}: telemetry version 1" in done.stderr
 
 
 class TestObservatoryPlumbing:

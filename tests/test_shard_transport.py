@@ -1,5 +1,6 @@
 """Tests for the shard transport: one duplex pipe per worker, the
-version watermark in shared memory, send-all-then-receive scatter.
+version watermark in shared memory, send-all-then-receive scatter,
+spin-then-block waits.
 
 Everything goes through public ``ShardHost`` / ``EmbeddingShardManager``
 calls.  What is pinned here is the behaviour the transport owes the rest
@@ -7,10 +8,12 @@ of the store: a dead worker reads as a crash at once (EOF, not the
 deadline), a hung one as a timeout whose late ack is dropped, shards
 gather side by side, no message size deadlocks the pipe, updates cost
 the workers nothing, nothing — thread, fd, process or segment —
-outlives ``close()`` on any path, and every message is a binary frame
-that nothing on the host side pickles or unpickles.
+outlives ``close()`` on any path, every message is a binary frame
+that nothing on the host side pickles or unpickles, and a spinning end
+of the pipe keeps every one of those promises.
 """
 
+import contextlib
 import gc
 import glob
 import multiprocessing
@@ -32,10 +35,12 @@ from repro.shard import (
     STATUS_STALE,
     EmbeddingShardManager,
     ShardCrashError,
+    ShardHost,
     ShardPolicy,
     ShardTimeoutError,
 )
 from repro.shard import store as store_module
+from repro.shard.transport import SPIN_S, spin_window, usable_cpus
 
 pytestmark = pytest.mark.usefixtures("no_shard_leftovers")
 
@@ -323,14 +328,21 @@ class TestNothingLeaks:
 
 
 def test_spawned_workers_take_the_pipe_and_the_watermark(monkeypatch):
-    # macOS and Windows have no fork: the Connection and the shared
-    # watermark reach the worker pickled through Process(args=...).
+    # macOS and Windows have no fork: the Connection, the shared
+    # watermark and the spin window reach the worker pickled through
+    # Process(args=...).  The window is forced on, whatever the CPUs.
     monkeypatch.setattr(
         store_module,
         "mp_context",
         lambda: multiprocessing.get_context("spawn"),
     )
+    monkeypatch.setattr(store_module, "spin_window", lambda *_: SPIN_S)
     with _manager(n_replicas=1, lookup_deadline_s=30.0) as manager:
+        assert all(
+            worker.spin_s == SPIN_S
+            for host in manager.hosts
+            for worker in host.workers
+        )
         first = manager.lookup(np.arange(N_NODES))
         assert np.array_equal(first.rows, manager.table)
         manager.apply_update(np.array([2, 40]), np.full((2, DIM), 3.0))
@@ -345,7 +357,137 @@ def test_spawned_workers_take_the_pipe_and_the_watermark(monkeypatch):
         assert np.array_equal(second.rows, manager.table)
 
 
-# -- (vii) the wire ---------------------------------------------------------
+# -- (vii) spin, then block -------------------------------------------------
+
+
+@contextlib.contextmanager
+def _spinning_host(spin_s, lookup_deadline_s=30.0):
+    """One started shard whose worker and waits spin ``spin_s``."""
+    table = np.random.default_rng(5).standard_normal((N_NODES, DIM))
+    host = ShardHost(
+        0,
+        table,
+        0,
+        ShardPolicy(n_shards=1, lookup_deadline_s=lookup_deadline_s),
+        spin_s=spin_s,
+    )
+    try:
+        host.start()
+        yield host, table
+    finally:
+        host.close()
+
+
+class TestSpin:
+    @pytest.mark.parametrize(
+        ("n_shards", "n_cpus", "spins"),
+        [(1, 1, False), (2, 2, False), (1, 2, True), (4, 5, True)],
+    )
+    def test_spins_only_with_a_cpu_per_spinner(self, n_shards, n_cpus, spins):
+        assert spin_window(n_shards, n_cpus) == (SPIN_S if spins else 0.0)
+
+    @pytest.mark.parametrize(
+        ("files", "n_cpus"),
+        [
+            ({}, None),
+            ({"cpu.max": "max 100000\n"}, None),
+            ({"cpu.max": "150000 100000\n"}, 1),
+            ({"cpu.max": "50000 100000\n"}, 0),
+            ({"cpu/cpu.cfs_quota_us": "-1\n",
+              "cpu/cpu.cfs_period_us": "100000\n"}, None),
+            ({"cpu/cpu.cfs_quota_us": "100000\n",
+              "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+        ],
+    )
+    def test_a_cpu_quota_caps_the_affinity_mask(self, tmp_path, files, n_cpus):
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        mask = len(os.sched_getaffinity(0))
+        expected = mask if n_cpus is None else min(mask, n_cpus)
+        assert usable_cpus(str(tmp_path)) == expected
+
+    def test_idle_replicas_do_not_count(self, monkeypatch):
+        # One shard plus a replica on two CPUs spins: the replica only
+        # answers hedges, so it never spins beside its primary.
+        monkeypatch.setattr(store_module, "usable_cpus", lambda: 2)
+        with _manager(n_shards=1, n_replicas=1) as manager:
+            assert all(
+                worker.spin_s == SPIN_S for worker in manager.hosts[0].workers
+            )
+
+    def test_a_split_counts_the_table_it_builds_for(self, monkeypatch):
+        # Two shards on three CPUs spin; the split's hosts serve a table
+        # of three shards, so they block.
+        monkeypatch.setattr(store_module, "usable_cpus", lambda: 3)
+        with _manager() as manager:
+            assert [host.spin_s for host in manager.hosts] == [SPIN_S] * 2
+            manager.begin_split(0)
+            assert [host.spin_s for host in manager._warming] == [0.0] * 2
+
+    def test_worker_killed_in_its_spin_window_is_a_crash(self):
+        # A 5 s window: the kill lands while the worker spins.
+        with _spinning_host(5.0) as (host, table):
+            rows, _ = host.lookup(np.array([3]))
+            assert np.array_equal(rows, table[[3]])
+            os.kill(host.workers[0].process.pid, signal.SIGKILL)
+            started = time.monotonic()
+            with pytest.raises(ShardCrashError, match="dead|died mid-call"):
+                host.lookup(np.array([3]))
+            assert time.monotonic() - started < 2.0
+
+    def test_host_spin_ends_at_eof(self):
+        # The host spins up to 5 s on a hung worker; its death must end
+        # the spin as EOF, not wait the window (or the 30 s deadline).
+        with _spinning_host(5.0) as (host, _):
+            host.inject_hang(20.0)
+            pid = host.workers[0].process.pid
+            killer = threading.Timer(0.1, os.kill, (pid, signal.SIGKILL))
+            killer.start()
+            started = time.monotonic()
+            try:
+                with pytest.raises(ShardCrashError, match="died mid-call"):
+                    host.lookup(np.array([0]))
+            finally:
+                killer.join(timeout=5.0)
+            assert time.monotonic() - started < 2.0
+
+    def test_hang_past_the_deadline_times_out_at_it(self):
+        with _spinning_host(SPIN_S) as (host, table):
+            host.lookup(np.array([0]))  # the worker now spins
+            host.inject_hang(1.0)
+            started = time.monotonic()
+            with pytest.raises(ShardTimeoutError):
+                host.lookup(np.array([1]), deadline_s=0.2)
+            assert 0.2 <= time.monotonic() - started < 0.6
+
+    def test_deadline_shorter_than_the_window_is_honoured(self):
+        with _spinning_host(0.5) as (host, _):
+            host.inject_hang(1.0)
+            started = time.monotonic()
+            with pytest.raises(ShardTimeoutError):
+                host.lookup(np.array([1]), deadline_s=0.02)
+            assert 0.02 <= time.monotonic() - started < 0.25
+        with _spinning_host(SPIN_S) as (host, _):
+            host.inject_hang(1.0)
+            started = time.monotonic()
+            with pytest.raises(ShardTimeoutError):
+                host.lookup(np.array([1]), deadline_s=SPIN_S / 4)
+            assert time.monotonic() - started < 0.25
+
+    def test_muted_worker_stops_beating_and_keeps_serving(self):
+        with _spinning_host(SPIN_S) as (host, table):
+            host.inject_mute()
+            host.lookup(np.array([0]))  # acked after the MUTE was read
+            beats = host.heartbeat_value()
+            for node in range(1, 20):
+                rows, _ = host.lookup(np.array([node]))
+                assert np.array_equal(rows, table[[node]])
+            time.sleep(0.15)  # seven idle beat intervals
+            assert host.heartbeat_value() == beats
+
+
+# -- (viii) the wire --------------------------------------------------------
 
 
 class TestFrames:
