@@ -3,6 +3,7 @@
 
     python benchmarks/shard_spin_cost.py [--ops 20] [--seed 31] [--window S]
                                          [--shards N] [--replicas R]
+                                         [--busy N]
 
 Builds the layered benchmark's ``serve_sharded`` workload twice in one
 process, once with the store's spin window forced to ``--window``
@@ -14,8 +15,15 @@ trace) on the two alternately, ``--ops`` times each.  Per op it reads the wall t
 CPU time of the host (``time.process_time``) and of the shard workers
 (utime + stime from ``/proc/<pid>/stat``), and the voluntary context
 switches of each (``getrusage``; ``/proc/<pid>/status``) -- a process
-that blocks and is woken makes one.  Prints the medians per arm.
-Linux only (``/proc``).
+that blocks and is woken makes one.  Every ``EmbeddingShardManager.lookup``
+call of an op is timed too.  Prints the medians per op and the lookup
+p50 / p99 per arm.
+
+``--busy N`` runs the ops beside N CPU-bound sibling processes that the
+script starts after both arms are built and stops when it is done (the
+contention arm: a spinning end competes with them for a CPU).  N above
+``os.cpu_count()`` is refused before anything starts.  Nothing outside
+the script's own processes is touched.  Linux only (``/proc``).
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import argparse
 import functools
 import resource
 import statistics
+import subprocess
 import time
 from pathlib import Path
 
@@ -87,6 +96,38 @@ def build(
     return workload
 
 
+def time_lookups(workload: workloads.ServeWorkload) -> list[float]:
+    """Time every shard-manager lookup of ``workload`` from now on;
+    returns the list the wall seconds are appended to."""
+    manager = workload.backend.shards
+    lookup, seconds = manager.lookup, []
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return lookup(*args, **kwargs)
+        finally:
+            seconds.append(time.perf_counter() - start)
+
+    manager.lookup = timed
+    return seconds
+
+
+def start_busy(n: int) -> list[subprocess.Popen]:
+    """``n`` CPU-bound sibling processes, each one busy loop."""
+    return [
+        subprocess.Popen([sys.executable, "-c", "while True: pass"])
+        for _ in range(n)
+    ]
+
+
+def stop_busy(siblings: list[subprocess.Popen]) -> None:
+    for sibling in siblings:
+        sibling.terminate()
+    for sibling in siblings:
+        sibling.wait()
+
+
 def one_op(workload: workloads.ServeWorkload, index: int) -> tuple[float, ...]:
     """Wall, host CPU and worker CPU seconds of one replayed trace, and
     the host's and the workers' voluntary context switches."""
@@ -117,31 +158,44 @@ def main() -> None:
     parser.add_argument("--window", type=float, default=SPIN_S)
     parser.add_argument("--shards", type=int, default=workloads.N_SHARDS)
     parser.add_argument("--replicas", type=int, default=0)
+    parser.add_argument("--busy", type=int, default=0)
     args = parser.parse_args()
+    if not 0 <= args.busy <= (os.cpu_count() or 1):
+        parser.error(
+            f"--busy must be in [0, {os.cpu_count()}] (os.cpu_count()),"
+            f" got {args.busy}"
+        )
     arms = {
         name: build(args.seed, window, args.shards, args.replicas)
         for name, window in (("spin", args.window), ("block", 0.0))
     }
     rows: dict[str, list[tuple[float, ...]]] = {name: [] for name in arms}
+    lookups = {name: time_lookups(workload) for name, workload in arms.items()}
+    siblings: list[subprocess.Popen] = []
     try:
+        siblings = start_busy(args.busy)
         for index in range(args.ops):
             order = list(arms) if index % 2 == 0 else list(arms)[::-1]
             for name in order:
                 rows[name].append(one_op(arms[name], 1 + index))
     finally:
+        stop_busy(siblings)
         for workload in arms.values():
             workload.teardown()
     print(f"serve_sharded op, seed {args.seed}, window {args.window} s,"
           f" {args.shards} shard(s) x {1 + args.replicas} workers,"
-          f" {len(os.sched_getaffinity(0))} CPU(s), {args.ops} ops per arm"
-          " (medians per op; times in ms)")
+          f" {len(os.sched_getaffinity(0))} CPU(s), {args.busy} busy"
+          f" sibling(s), {args.ops} ops per arm"
+          " (medians per op; times in ms, lookups in us)")
     for name, samples in rows.items():
         wall, cpu, workers, host_cs, worker_cs = (
             statistics.median(column) for column in zip(*samples)
         )
+        cuts = statistics.quantiles(lookups[name], n=100)
         print(f"  {name:5s} wall {wall * 1e3:6.1f}  host CPU {cpu * 1e3:6.1f}"
               f"  worker CPU {workers * 1e3:6.1f}"
-              f"  switches: host {host_cs:5.0f}  workers {worker_cs:5.0f}")
+              f"  switches: host {host_cs:5.0f}  workers {worker_cs:5.0f}"
+              f"  lookup p50 {cuts[49] * 1e6:6.0f}  p99 {cuts[98] * 1e6:6.0f}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ A telemetry file is an append-only JSON-Lines stream of self-describing
 records, written by exactly one
 :class:`~repro.obs.live.TelemetryStream`:
 
-- ``{"type": "stream_meta", ...}`` — the writer's header (pid, trace);
+- ``{"type": "stream_meta", ...}`` — the writer's header (telemetry
+  version, pid, trace);
 - ``{"type": "meta", ...}``        — run metadata (graph, config, version);
 - ``{"type": "span", ...}``        — one tracer span, appended the moment
   it finishes;
@@ -40,9 +41,10 @@ from repro.memsim.trace import CostTrace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span, SpanTracer
 
-#: Schema version stamped into every meta record.  Version 2: a
-#: request's forensic tree rides its ``serve_request`` record; version
-#: 1 wrote it as separate ``forensic_span`` records linked by uid.
+#: Schema version stamped into every meta record and every stream's
+#: ``stream_meta`` header.  Version 2: a request's forensic tree rides
+#: its ``serve_request`` record; version 1 wrote it as separate
+#: ``forensic_span`` records linked by uid.
 TELEMETRY_VERSION = 2
 
 

@@ -11,7 +11,6 @@ from repro.obs.forensics.blame import (
     SUM_REL_TOL,
     blame_fractions,
     blame_total,
-    verify_tree,
 )
 from repro.obs.forensics.fold import (
     ForensicsReport,
@@ -62,5 +61,4 @@ __all__ = [
     "format_seconds",
     "join_incidents",
     "render_waterfall",
-    "verify_tree",
 ]

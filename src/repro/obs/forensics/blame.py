@@ -1,19 +1,16 @@
 """The critical-path invariant: blame sums to simulated latency.
 
-Blame is produced *by construction* (every ``clock.advance`` a request
-pays for is charged to exactly one category at the site that advances
-the clock), so verification here is a consistency check over the
-serialized tree, not a re-derivation — if it fails, a producer forgot
-an advance site and the forensics layer is lying.
+Blame is produced *by construction* (the request's ledger is what
+advances the serve clock, and it charges every float it advances by to
+exactly one category), so ``ForensicsReport.verify`` is a consistency
+check over the serialized records, not a re-derivation — if it fails,
+the clock moved for a request outside its ledger and the forensics
+layer is lying.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any
-
 from repro.obs.forensics.records import BLAME_CATEGORIES
-from repro.obs.forensics.tree import RequestTree
 
 #: Relative tolerance of the sum invariant.  The charges are the exact
 #: floats the clock advanced by; only summation order differs, so the
@@ -36,29 +33,6 @@ def blame_fractions(blame: dict[str, float]) -> dict[str, float]:
     if total <= 0.0:
         return {}
     return {category: value / total for category, value in blame.items()}
-
-
-def verify_tree(
-    tree: RequestTree, rel_tol: float = SUM_REL_TOL
-) -> dict[str, Any] | None:
-    """Check one tree's invariant; returns a violation dict or ``None``.
-
-    A zero-latency request (served entirely between clock ticks, or a
-    shed request) passes when its blame is also (near) zero.
-    """
-    blame = tree.blame
-    total = blame_total(blame)
-    latency = tree.latency_s
-    if math.isclose(total, latency, rel_tol=rel_tol, abs_tol=1e-15):
-        return None
-    return {
-        "trace_id": tree.trace_id,
-        "klass": tree.klass,
-        "status": tree.status,
-        "latency_s": latency,
-        "blame_total_s": total,
-        "error_s": total - latency,
-    }
 
 
 def merge_blame(

@@ -10,15 +10,16 @@ the reservoir bounds tree memory, never the accounting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.obs.export import TELEMETRY_VERSION
 from repro.obs.forensics.blame import (
+    SUM_REL_TOL,
     blame_fractions,
     blame_total,
     merge_blame,
-    verify_tree,
 )
 from repro.obs.forensics.reservoir import ExemplarReservoir
 from repro.obs.forensics.tree import (
@@ -89,11 +90,15 @@ class ForensicsReport:
             for klass, blame in sorted(self.attribution.items())
         }
 
-    def verify(self, rel_tol: float = 1e-9) -> list[dict[str, Any]]:
-        """Sum-invariant violations across every request and exemplar."""
-        import math
+    def verify(self, rel_tol: float = SUM_REL_TOL) -> list[dict[str, Any]]:
+        """Sum-invariant violations across every request.
 
-        violations = [
+        Every summary is checked but a partial one: a shed request's
+        latency reads 0, so it passes only with no blame.  Retained
+        trees are a subset of the summaries and carry the same blame
+        and latency, so they need no check of their own.
+        """
+        return [
             {
                 "trace_id": trace_id,
                 "klass": summary["klass"],
@@ -104,8 +109,7 @@ class ForensicsReport:
                 - summary["latency_s"],
             }
             for trace_id, summary in self.summaries.items()
-            if summary["status"] in _COMPLETED
-            and not summary.get("partial")
+            if not summary["partial"]
             and not math.isclose(
                 blame_total(summary["blame"]),
                 summary["latency_s"],
@@ -113,15 +117,6 @@ class ForensicsReport:
                 abs_tol=1e-15,
             )
         ]
-        for tree in self.trees.values():
-            if tree.root.attributes.get("partial"):
-                continue
-            violation = verify_tree(tree, rel_tol)
-            if violation is not None and not any(
-                v["trace_id"] == violation["trace_id"] for v in violations
-            ):
-                violations.append(violation)
-        return violations
 
     def to_payload(self) -> dict[str, Any]:
         """JSON-able view for ``repro attribute --format json`` and CI."""
@@ -161,15 +156,18 @@ def fold_stream(
     reservoir's verdict (the ``repro why <trace_id>`` path).
 
     Raises:
-        TelemetryVersionError: a meta record names another telemetry
-            version; ``source`` (the file) is named in the message.
+        TelemetryVersionError: a ``meta`` or ``stream_meta`` record
+            names another telemetry version; ``source`` (the file) is
+            named in the message.
     """
     reservoir = ExemplarReservoir(worst_k=worst_k, sample_k=sample_k, seed=seed)
     report = ForensicsReport(reservoir=reservoir)
     keep_set = set(keep)
     for record in records:
         kind = record.get("type")
-        if kind == "meta":
+        if kind in ("meta", "stream_meta"):
+            # A header without the key predates the stamp: the current
+            # version.
             version = record.get("telemetry_version", TELEMETRY_VERSION)
             if version != TELEMETRY_VERSION:
                 raise TelemetryVersionError(source, version)

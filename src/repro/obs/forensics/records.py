@@ -1,4 +1,4 @@
-"""Per-request causal trees: the collector and its one record.
+"""A served request's ledger and its one record.
 
 Every request the server resolves becomes exactly one ``serve_request``
 record on the run's telemetry stream.  The record carries the request
@@ -12,11 +12,12 @@ latency exactly (the critical-path invariant ``repro why`` and the
 forensics CI job assert).  A JSONL line is written whole or not at all,
 so a reader sees a request's whole tree or none of it.
 
-The :class:`RequestForensics` collector is the server-side producer: it
-rides along ``EmbeddingServer._handle`` / ``_serve_ladder``, observing
-every ``clock.advance`` the request pays for, and becomes the record at
-response time.  It never changes a simulated cost — forensics is a
-read-only shadow of the event loop.
+The :class:`RequestForensics` ledger *is* the request's clock advance:
+``EmbeddingServer`` builds it at the dequeue moment, and every second
+the request pays for is one ledger call that advances the serve clock
+by that float and charges the same float to a blame category.  The
+ledger keeps only what each call was handed; :meth:`to_record` builds
+the node list from that, so a run without a stream builds none.
 """
 
 from __future__ import annotations
@@ -52,15 +53,18 @@ ROOT_NODE = "request"
 
 
 class RequestForensics:
-    """Per-request causal collector riding the serving event loop.
+    """One request's blame ledger: the only code that advances the serve
+    clock on the request's behalf.
 
-    The server creates one per handled request, calls the ``record_*``
-    hooks at every site that advances the virtual clock on the
-    request's behalf, and finally writes the request with
-    :meth:`to_record`.  ``blame`` accumulates the same seconds bucketed
-    by category; its values always sum to the seconds the hooks saw,
-    which (queue wait included) is the request's end-to-end simulated
-    latency.
+    Built with the serve clock at the dequeue moment, it charges the
+    admission-queue wait; :meth:`stall` and :meth:`served` each advance
+    the clock by the seconds the request paid and charge the same
+    floats to ``blame`` (zero charges skipped), so ``blame`` sums to the
+    request's end-to-end simulated latency by construction.  Built
+    without a clock (a shed or handler-torn request), it charges
+    nothing.  Each call keeps only what it was handed — rung, clock
+    time, and the stall seconds, the backend response or the skip
+    reason — and :meth:`to_record` builds the causal nodes from them.
     """
 
     __slots__ = (
@@ -70,164 +74,92 @@ class RequestForensics:
         "deadline_s",
         "n_nodes",
         "blame",
-        "lookup_seqs",
         "partial",
-        "_nodes",
+        "_clock",
+        "_wait",
+        "_steps",
     )
 
-    def __init__(
-        self,
-        request_id: str,
-        klass: str,
-        arrival_s: float,
-        deadline_s: float,
-        n_nodes: int = 0,
-    ) -> None:
-        self.request_id = request_id
-        self.klass = klass
-        self.arrival_s = arrival_s
-        self.deadline_s = deadline_s
-        self.n_nodes = n_nodes
+    def __init__(self, request: Any, clock: Any = None) -> None:
+        self.request_id = request.request_id
+        self.klass = request.klass
+        self.arrival_s = request.arrival_s
+        self.deadline_s = request.deadline_s
+        self.n_nodes = request.n_nodes
         self.blame: dict[str, float] = {}
-        #: Store lookup sequence numbers this request's gathers used —
-        #: the coordinate incident records are joined on.
-        self.lookup_seqs: list[int] = []
-        #: True when the collector missed part of the request's life
-        #: (an unhandled exception tore the handler): the tree is still
+        #: True when the ledger missed part of the request's life (an
+        #: unhandled exception tore the handler): the record is still
         #: emitted, but exempt from the blame-sum invariant.
         self.partial = False
-        #: Flat child-node list: (name, category, sim_start, sim_seconds,
-        #: attributes, under_rung).
-        self._nodes: list[tuple[str, str | None, float, float, dict, bool]] = []
+        self._clock = clock
+        #: (rung, clock time, stall seconds | backend response | skip
+        #: reason) per ladder step, in order.
+        self._steps: list[tuple[str, float, Any]] = []
+        # Everything from arrival to the dequeue moment is queue wait.
+        self._wait = 0.0
+        if clock is not None:
+            self._wait = max(0.0, clock.now - self.arrival_s)
+            if self._wait:
+                self.blame[BLAME_QUEUE] = self._wait
 
-    # -- producer hooks ---------------------------------------------------
+    # -- the charging sites ------------------------------------------------
 
-    def _charge(self, category: str, seconds: float) -> None:
-        if seconds:
-            self.blame[category] = self.blame.get(category, 0.0) + seconds
+    def _advance(
+        self, rung: str, handed: Any, seconds: float, charges: Any
+    ) -> None:
+        clock = self._clock
+        self._steps.append((rung, clock.now, handed))
+        blame = self.blame
+        for category, value in charges:
+            value = float(value)
+            if value:
+                blame[category] = blame.get(category, 0.0) + value
+        clock.advance(seconds)
 
-    def begin_handling(self, now: float) -> None:
-        """Dequeue moment: everything before it is admission-queue wait."""
-        wait = max(0.0, now - self.arrival_s)
-        self._charge(BLAME_QUEUE, wait)
-        if wait > 0.0:
-            self._nodes.append(
-                ("queue_wait", BLAME_QUEUE, self.arrival_s, wait, {}, False)
-            )
-
-    def record_skip(self, rung: str, reason: str, now: float) -> None:
-        """A rung skipped for free (deadline prediction / open breaker /
-        partial shard result) — zero cost, but part of the causal path."""
-        self._nodes.append(
-            (
-                f"rung:{rung}",
-                None,
-                now,
-                0.0,
-                {"outcome": "skipped", "reason": reason},
-                False,
-            )
-        )
-
-    def record_stall(self, rung: str, seconds: float, now: float) -> None:
+    def stall(self, rung: str, seconds: float) -> None:
         """A compute call hung past its budget: the budget was burned
         waiting, then the call was abandoned (a breaker failure)."""
-        self._charge(BLAME_BREAKER, seconds)
-        self._nodes.append(
-            (
-                f"rung:{rung}",
-                None,
-                now,
-                seconds,
-                {"outcome": "stall_abandoned"},
-                False,
-            )
-        )
-        self._nodes.append(
-            ("stall_burn", BLAME_BREAKER, now, seconds, {}, True)
-        )
+        self._advance(rung, seconds, seconds, ((BLAME_BREAKER, seconds),))
 
-    def record_backend(self, rung: str, response: Any, now: float) -> None:
-        """The rung that served: unpack the backend's cost breakdown.
+    def served(self, rung: str, response: Any) -> None:
+        """The rung that served: pay ``response.sim_seconds``.
 
         ``response.breakdown`` values sum exactly to
         ``response.sim_seconds`` by construction (the backend builds the
         kernel share as the residual), so charging them individually
         preserves the sum invariant.
         """
-        total = float(response.sim_seconds)
-        breakdown = response.breakdown
-        attrs: dict[str, Any] = {"outcome": "served"}
-        seq = response.lookup_seq
-        if seq is not None:
-            attrs["seq"] = int(seq)
-            self.lookup_seqs.append(int(seq))
-        stale_rows = int(response.stale_rows)
-        if stale_rows:
-            attrs["stale_rows"] = stale_rows
-        self._nodes.append((f"rung:{rung}", None, now, total, attrs, False))
-        # Children of the rung node, laid out sequentially inside the
-        # rung's advance window so the waterfall has real extents.
-        cursor = now
-        for category, seconds in breakdown.items():
-            self._charge(category, float(seconds))
-        shard_details = response.shard_details
-        non_shard = breakdown
-        if shard_details:
-            # Per-shard nodes replace the aggregate gather shares: the
-            # kernel residual keeps only the compute+fresh-gather part
-            # not itemized per shard.
-            non_shard = dict(breakdown)
-            non_shard[BLAME_KERNEL] = (
-                non_shard.get(BLAME_KERNEL, 0.0)
-                - sum(
-                    float(d["sim_seconds"])
-                    for d in shard_details
-                    if not d.get("stale")
-                )
-            )
-            non_shard.pop(BLAME_SHARD_HEDGE, None)
-        for category, seconds in non_shard.items():
-            seconds = float(seconds)
-            if seconds <= 0.0:
-                continue
-            self._nodes.append(
-                (
-                    _SHARE_NODE.get(category, category),
-                    category,
-                    cursor,
-                    seconds,
-                    {},
-                    True,
-                )
-            )
-            cursor += seconds
-        for detail in shard_details:
-            seconds = float(detail["sim_seconds"])
-            stale = bool(detail.get("stale"))
-            shard_attrs = {
-                "shard": int(detail["shard"]),
-                "status": detail.get("status"),
-                "rows": int(detail.get("rows", 0)),
-            }
-            penalty = float(detail.get("hedge_penalty_s", 0.0) or 0.0)
-            if penalty:
-                shard_attrs["hedge_penalty_s"] = penalty
-            if seq is not None:
-                shard_attrs["seq"] = int(seq)
-            self._nodes.append(
-                (
-                    f"shard:{detail['shard']}",
-                    BLAME_SHARD_HEDGE if stale else BLAME_KERNEL,
-                    cursor,
-                    seconds,
-                    shard_attrs,
-                    True,
-                )
-            )
-            cursor += seconds
+        self._advance(
+            rung, response, response.sim_seconds, response.breakdown.items()
+        )
+
+    def skip(self, rung: str, reason: str) -> None:
+        """A rung skipped for free (deadline prediction / open breaker /
+        partial shard result) — zero cost, but part of the causal path."""
+        self._steps.append((rung, self._clock.now, reason))
 
     # -- serialization ----------------------------------------------------
+
+    def _nodes(self) -> tuple[list[tuple], list[int]]:
+        """The causal nodes below the root, and the lookup sequences."""
+        nodes: list[tuple[str, str | None, float, float, dict, bool]] = []
+        seqs: list[int] = []
+        if self._wait > 0.0:
+            nodes.append(
+                ("queue_wait", BLAME_QUEUE, self.arrival_s, self._wait, {}, False)
+            )
+        for rung, now, handed in self._steps:
+            name = f"rung:{rung}"
+            if isinstance(handed, str):
+                attrs = {"outcome": "skipped", "reason": handed}
+                nodes.append((name, None, now, 0.0, attrs, False))
+            elif isinstance(handed, (int, float)):
+                attrs = {"outcome": "stall_abandoned"}
+                nodes.append((name, None, now, handed, attrs, False))
+                nodes.append(("stall_burn", BLAME_BREAKER, now, handed, {}, True))
+            else:
+                _served_nodes(nodes, seqs, name, now, handed)
+        return nodes, seqs
 
     def to_record(
         self,
@@ -245,6 +177,7 @@ class RequestForensics:
         ``rung:*`` node before it (the root when there is none), so the
         tree is request -> rungs -> (kernel / stall / shard) leaves.
         """
+        nodes, seqs = self._nodes()
         return {
             "type": "serve_request",
             "trace_id": trace_id,
@@ -262,7 +195,74 @@ class RequestForensics:
             ),
             "stale_rows": stale_rows,
             "blame": self.blame,
-            "lookup_seqs": self.lookup_seqs,
+            "lookup_seqs": seqs,
             "partial": self.partial,
-            "nodes": self._nodes,
+            "nodes": nodes,
         }
+
+
+def _served_nodes(
+    nodes: list[tuple], seqs: list[int], name: str, now: float, response: Any
+) -> None:
+    """The served rung's node and its children: the backend's cost
+    breakdown, itemized per shard when the store gathered from shards."""
+    attrs: dict[str, Any] = {"outcome": "served"}
+    seq = response.lookup_seq
+    if seq is not None:
+        attrs["seq"] = int(seq)
+        seqs.append(int(seq))
+    stale_rows = int(response.stale_rows)
+    if stale_rows:
+        attrs["stale_rows"] = stale_rows
+    nodes.append((name, None, now, float(response.sim_seconds), attrs, False))
+    # Children of the rung node, laid out sequentially inside the
+    # rung's advance window so the waterfall has real extents.
+    cursor = now
+    breakdown = response.breakdown
+    shard_details = response.shard_details
+    non_shard = breakdown
+    if shard_details:
+        # Per-shard nodes replace the aggregate gather shares: the
+        # kernel residual keeps only the compute+fresh-gather part
+        # not itemized per shard.
+        non_shard = dict(breakdown)
+        non_shard[BLAME_KERNEL] = (
+            non_shard.get(BLAME_KERNEL, 0.0)
+            - sum(
+                float(d["sim_seconds"])
+                for d in shard_details
+                if not d.get("stale")
+            )
+        )
+        non_shard.pop(BLAME_SHARD_HEDGE, None)
+    for category, seconds in non_shard.items():
+        seconds = float(seconds)
+        if seconds <= 0.0:
+            continue
+        share = _SHARE_NODE.get(category, category)
+        nodes.append((share, category, cursor, seconds, {}, True))
+        cursor += seconds
+    for detail in shard_details:
+        seconds = float(detail["sim_seconds"])
+        stale = bool(detail.get("stale"))
+        shard_attrs = {
+            "shard": int(detail["shard"]),
+            "status": detail.get("status"),
+            "rows": int(detail.get("rows", 0)),
+        }
+        penalty = float(detail.get("hedge_penalty_s", 0.0) or 0.0)
+        if penalty:
+            shard_attrs["hedge_penalty_s"] = penalty
+        if seq is not None:
+            shard_attrs["seq"] = int(seq)
+        nodes.append(
+            (
+                f"shard:{detail['shard']}",
+                BLAME_SHARD_HEDGE if stale else BLAME_KERNEL,
+                cursor,
+                seconds,
+                shard_attrs,
+                True,
+            )
+        )
+        cursor += seconds

@@ -27,10 +27,8 @@ import os
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
+from repro.obs.export import TELEMETRY_VERSION
 from repro.obs.metrics import MetricsRegistry
-
-#: Schema version stamped into every stream's ``stream_meta`` header.
-STREAM_VERSION = 1
 
 #: Record type of the periodic serving snapshot on a live stream.
 SNAPSHOT_RECORD_TYPE = "serve_snapshot"
@@ -55,8 +53,9 @@ class TelemetryStream:
     ``flush_every`` records (``1`` = flush each record), so a follower
     sees progress while the run is live and a crash loses at most the
     unflushed tail.  The first record is always a ``stream_meta`` header
-    identifying the writing process and trace.  ``on_record`` is called
-    with each record once it is written (``--follow`` prints from it).
+    naming the telemetry version, the writing process and the trace.
+    ``on_record`` is called with each record once it is written
+    (``--follow`` prints from it).
     """
 
     def __init__(
@@ -79,7 +78,7 @@ class TelemetryStream:
         self.emit(
             {
                 "type": "stream_meta",
-                "stream_version": STREAM_VERSION,
+                "telemetry_version": TELEMETRY_VERSION,
                 "role": "coordinator",
                 "pid": os.getpid(),
                 "trace_id": trace_id,

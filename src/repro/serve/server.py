@@ -24,6 +24,13 @@ discrete-event loop:
    deadline-exceeded, or failed (only possible with a ladder that does
    not end in the cached tier).
 
+A handled request's
+:class:`~repro.obs.forensics.records.RequestForensics` ledger is the
+only code that advances the clock on its behalf: each stall burn and
+served rung is one ledger call that advances the clock and charges the
+same seconds to the request's blame, so blame sums to latency by
+construction.
+
 ``healthz()`` / ``readyz()`` expose the liveness/readiness view a load
 balancer would poll, and every decision is counted in ``serve.*``
 metrics plus latency histograms per request class.
@@ -513,17 +520,10 @@ class EmbeddingServer:
     ) -> None:
         deadline_at = request.arrival_s + request.deadline_s
         # Everything from arrival to this dequeue moment is admission
-        # wait; everything after it is execution.  The forensics
-        # collector shadows each clock advance the request pays for, so
-        # its blame buckets sum to the end-to-end simulated latency.
-        forensics = RequestForensics(
-            request_id=request.request_id,
-            klass=request.klass,
-            arrival_s=request.arrival_s,
-            deadline_s=request.deadline_s,
-            n_nodes=request.n_nodes,
-        )
-        forensics.begin_handling(self.clock.now)
+        # wait; everything after it is execution, and the ledger is what
+        # advances the clock for it, so its blame buckets sum to the
+        # end-to-end simulated latency.
+        ledger = RequestForensics(request, self.clock)
         if self.clock.now >= deadline_at:
             # The budget died in the queue: reject before spending any
             # service on it (the shedding path's cheaper sibling).
@@ -544,11 +544,11 @@ class EmbeddingServer:
                     error=type(error).__name__,
                     trace_id=trace_id,
                 ),
-                forensics=forensics,
+                ledger=ledger,
             )
             return
         fidelity, stale_rows = self._serve_ladder(
-            request, deadline_at, forensics
+            request, deadline_at, ledger
         )
         if fidelity is None:
             self._respond(
@@ -563,7 +563,7 @@ class EmbeddingServer:
                     error=BackendStallError.__name__,
                     trace_id=trace_id,
                 ),
-                forensics=forensics,
+                ledger=ledger,
             )
             return
         completed = self.clock.now
@@ -582,31 +582,30 @@ class EmbeddingServer:
                 stale_rows=stale_rows,
                 trace_id=trace_id,
             ),
-            forensics=forensics,
+            ledger=ledger,
         )
 
     def _serve_ladder(
         self,
         request: ServeRequest,
         deadline_at: float,
-        forensics: RequestForensics,
+        ledger: RequestForensics,
     ) -> tuple[str | None, int]:
         """Walk the class ladder; returns (served fidelity, stale rows)."""
         for rung in self.policy.ladder_for(request.klass):
             if rung == FIDELITY_STALE:
                 response = self.backend.serve_cached(request.n_nodes)
-                forensics.record_backend(rung, response, self.clock.now)
-                self.clock.advance(response.sim_seconds)
+                ledger.served(rung, response)
                 return rung, response.stale_rows
             if self.policy.deadline_aware:
                 predicted = self.backend.compute_cost(request.n_nodes, rung)
                 if self.clock.now + predicted > deadline_at:
                     self._series("serve.degraded", "deadline")()
-                    forensics.record_skip(rung, "deadline", self.clock.now)
+                    ledger.skip(rung, "deadline")
                     continue
             if self.policy.breaker_enabled and not self.breaker.allow():
                 self._series("serve.degraded", "breaker_open")()
-                forensics.record_skip(rung, "breaker_open", self.clock.now)
+                ledger.skip(rung, "breaker_open")
                 continue
             try:
                 response = self.backend.serve(
@@ -618,8 +617,7 @@ class EmbeddingServer:
             except BackendStallError as stall:
                 # The call hung; we waited out the stall budget, then
                 # abandoned it and fell one rung down the ladder.
-                forensics.record_stall(rung, stall.seconds, self.clock.now)
-                self.clock.advance(stall.seconds)
+                ledger.stall(rung, stall.seconds)
                 self.breaker.record_failure()
                 self._series("serve.degraded", "backend_stall")()
                 continue
@@ -629,10 +627,9 @@ class EmbeddingServer:
                 # failure — the breaker stays untouched, the request
                 # falls one rung (usually onto the global stale tier).
                 self._series("serve.degraded", "shard_partial")()
-                forensics.record_skip(rung, "shard_partial", self.clock.now)
+                ledger.skip(rung, "shard_partial")
                 continue
-            forensics.record_backend(rung, response, self.clock.now)
-            self.clock.advance(response.sim_seconds)
+            ledger.served(rung, response)
             self.breaker.record_success()
             if response.stale_rows > 0:
                 # Served on this rung, but part of the gather came from
@@ -667,7 +664,7 @@ class EmbeddingServer:
         report: ServeReport,
         request: ServeRequest,
         response: ServeResponse,
-        forensics: RequestForensics | None = None,
+        ledger: RequestForensics | None = None,
     ) -> None:
         trace_id = response.trace_id
         klass = response.klass
@@ -678,28 +675,21 @@ class EmbeddingServer:
         latency = response.latency_s
         if latency is not None:
             self._series("serve.latency", klass)(latency)
-        if forensics is not None:
+        if ledger is not None:
             # Blame seconds are counted even without a stream attached:
             # they are what `repro diff --attribution` gates.
-            for category, seconds in forensics.blame.items():
+            for category, seconds in ledger.blame.items():
                 self._series("serve.blame_seconds", klass, category)(
                     max(0.0, seconds)
                 )
         if self.stream is not None:
-            if forensics is None:
+            if ledger is None:
                 # Shed (or handler-torn) requests still leave a record
                 # with no nodes, so every submitted request is in it.
-                forensics = RequestForensics(
-                    request_id=request.request_id,
-                    klass=request.klass,
-                    arrival_s=request.arrival_s,
-                    deadline_s=request.deadline_s,
-                    n_nodes=request.n_nodes,
-                )
-                if response.status == STATUS_FAILED:
-                    forensics.partial = True
+                ledger = RequestForensics(request)
+                ledger.partial = response.status == STATUS_FAILED
             self.stream.emit(
-                forensics.to_record(
+                ledger.to_record(
                     trace_id,
                     response.status,
                     response.fidelity,

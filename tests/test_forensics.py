@@ -16,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ import pytest
 from repro.core import OMeGaConfig, OMeGaEmbedder
 from repro.faults import FaultInjector, FaultPlan
 from repro.graphs import chung_lu_edges
+from repro.obs.export import TELEMETRY_VERSION
 from repro.obs.forensics import (
     BLAME_CATEGORIES,
     SUM_REL_TOL,
@@ -33,6 +35,7 @@ from repro.obs.forensics import (
     fold_stream,
     render_waterfall,
 )
+from repro.obs.forensics.records import RequestForensics
 from repro.obs.live import TelemetryStream, load_records
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import EmbeddingServer, RequestTrace, ServePolicy
@@ -48,7 +51,8 @@ def edges():
 
 
 def _run_server(edges, stream_path, trace_seed, fault_seed=None, load=1.2):
-    """One seeded serve replay with a live stream; returns the report."""
+    """One seeded serve replay with a live stream (none when
+    ``stream_path`` is None); returns the report."""
     metrics = MetricsRegistry()
     embedder = OMeGaEmbedder(
         OMeGaConfig(n_threads=2, dim=DIM), metrics=metrics
@@ -62,7 +66,11 @@ def _run_server(edges, stream_path, trace_seed, fault_seed=None, load=1.2):
     )
     backend.warm_up()
     per_node = backend.compute_cost(1)
-    with TelemetryStream(stream_path, flush_every=1) as stream:
+    with (
+        TelemetryStream(stream_path, flush_every=1)
+        if stream_path is not None
+        else nullcontext()
+    ) as stream:
         server = EmbeddingServer(
             backend,
             ServePolicy.calibrated(per_node * 8.5),
@@ -165,6 +173,52 @@ class TestBlameSumInvariant:
                 )
 
 
+class TestLedger:
+    def test_a_replay_without_a_stream_builds_no_node_list(
+        self, edges, monkeypatch
+    ):
+        """The ledger keeps what each charging call was handed; the
+        record's six-field nodes are built only when a stream writes
+        the record."""
+        ledgers = []
+        init = RequestForensics.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            ledgers.append(self)
+
+        monkeypatch.setattr(RequestForensics, "__init__", spy)
+        report, metrics = _run_server(edges, None, trace_seed=3, fault_seed=7)
+        assert len(ledgers) == report.submitted - report.shed
+        assert metrics.total("serve.blame_seconds") > 0
+        held = [
+            item
+            for ledger in ledgers
+            for slot in type(ledger).__slots__
+            if isinstance(getattr(ledger, slot, None), list)
+            for item in getattr(ledger, slot)
+        ]
+        assert held, "the ledgers kept no ladder steps"
+        nodes = [i for i in held if isinstance(i, tuple) and len(i) == 6]
+        assert nodes == []
+
+    def test_blame_and_clock_are_one_ledger(self, tmp_path, edges):
+        """Without a stream the run's blame counters, latencies and
+        finishing time are those of the streamed run, bit for bit."""
+        path = tmp_path / "serve.live.jsonl"
+        streamed, streamed_metrics = _run_server(edges, path, 5, 7)
+        plain, plain_metrics = _run_server(edges, None, 5, 7)
+        assert plain.summary() == streamed.summary()
+        series = [
+            (m.labels, m.value.hex())
+            for m in plain_metrics.series("serve.blame_seconds")
+        ]
+        assert series == [
+            (m.labels, m.value.hex())
+            for m in streamed_metrics.series("serve.blame_seconds")
+        ]
+
+
 class TestServeRequestEnrichment:
     def test_one_record_per_request(self, tmp_path, edges):
         path = tmp_path / "serve.live.jsonl"
@@ -236,6 +290,25 @@ class TestServeRequestEnrichment:
         forensics = fold_stream(records)
         assert forensics.n_requests == 0
         assert forensics.verify() == []
+
+    def test_verify_reports_a_shed_record_with_blame(self, tmp_path, edges):
+        """A shed request has no latency and must carry no blame; one
+        that does is reported, though the reservoir never retains it."""
+        path = tmp_path / "serve.live.jsonl"
+        _run_server(edges, path, trace_seed=5, fault_seed=11, load=2.0)
+        records = load_records(path)
+        shed = next(
+            r
+            for r in records
+            if r.get("type") == "serve_request" and r["status"] == "shed"
+        )
+        assert fold_stream(records).verify() == []
+        shed["blame"] = {"queue": 1e-3}
+        forensics = fold_stream(records)
+        assert shed["trace_id"] not in forensics.trees
+        assert [v["trace_id"] for v in forensics.verify()] == [
+            shed["trace_id"]
+        ]
 
 
 class TestIncidentLinkage:
@@ -502,6 +575,26 @@ class TestTelemetryVersion:
         ]
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         return path
+
+    def test_the_stream_header_names_the_telemetry_version(self, tmp_path):
+        path = tmp_path / "bare.jsonl"
+        with TelemetryStream(path):
+            pass
+        header = load_records(path)[-1]
+        assert header["type"] == "stream_meta"
+        assert header["telemetry_version"] == TELEMETRY_VERSION
+        assert "stream_version" not in header
+
+    def test_a_bare_stream_of_another_version_is_refused(self, tmp_path):
+        # A TelemetryStream file has no meta record: its header is the
+        # only place the version is written.
+        path = self._version_one_file(tmp_path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[0] = {"type": "stream_meta", "telemetry_version": 1}
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(TelemetryVersionError) as raised:
+            fold_stream(load_records(path), source=str(path))
+        assert raised.value.version == 1
 
     def test_fold_names_the_file_and_the_version(self, tmp_path):
         path = self._version_one_file(tmp_path)

@@ -10,8 +10,8 @@ are version 1's; the current ones are reached as
 ``forensics.fold_stream``.
 
 Each scenario replays a seeded serve run with a live stream while a spy
-on :meth:`RequestForensics.to_record` hands the same collector to the
-reference writer.  The reference stream is the run's file with each
+on :meth:`RequestForensics.to_record` hands the same collector, as the
+record it wrote, to the reference writer.  The reference stream is the run's file with each
 ``serve_request`` record replaced by the batch the reference wrote for
 it, so both folds read one run: the trace ids are the same on both
 sides and need no normalising.  The report payload, ``verify()``, every
@@ -25,6 +25,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Iterable, Iterator
 
 import pytest
@@ -287,20 +288,27 @@ def edges():
 @pytest.fixture
 def reference_batches(monkeypatch):
     """Trace id -> the batch the reference writer made of its collector,
-    round-tripped through JSON as a version-1 stream did."""
+    round-tripped through JSON as a version-1 stream did.
+
+    The ledger builds its nodes and lookup sequences only into the
+    record, so the reference reads the collector's fields from the
+    record the ledger wrote (``_nodes`` is the record's ``nodes``).
+    """
     batches: dict[str, list[dict[str, Any]]] = {}
     to_record = RequestForensics.to_record
 
     def spy(self, trace_id, status, fidelity, completed_s, stale_rows):
+        record = to_record(
+            self, trace_id, status, fidelity, completed_s, stale_rows
+        )
+        collector = SimpleNamespace(_nodes=record["nodes"], **record)
         batches[trace_id] = json.loads(
             json.dumps(
-                to_records(self, trace_id, status, fidelity, completed_s),
+                to_records(collector, trace_id, status, fidelity, completed_s),
                 sort_keys=True,
             )
         )
-        return to_record(
-            self, trace_id, status, fidelity, completed_s, stale_rows
-        )
+        return record
 
     monkeypatch.setattr(RequestForensics, "to_record", spy)
     return batches
