@@ -171,8 +171,9 @@ class StageCheckpointStore:
         arrays: dict[str, np.ndarray],
         meta: dict,
         crash: bool = False,
-    ) -> int:
-        """Durably append one stage checkpoint; returns its sequence.
+    ) -> float:
+        """Durably append one stage checkpoint; returns what its flushes
+        and fences cost (the record's sequence is on :meth:`last`).
 
         Raises:
             CrashInjected: when ``crash`` is set — the record is lost,
@@ -186,16 +187,14 @@ class StageCheckpointStore:
             payload_bytes += float(array.nbytes)
         payload_bytes += float(len(json.dumps(meta, sort_keys=True)))
         self.domain.store(payload_bytes)
-        self.domain.flush()
-        self.domain.fence()
+        seconds = self.domain.flush() + self.domain.fence()
         if crash:
             raise CrashInjected(
                 f"crash injected during the {stage!r} checkpoint commit",
                 site=stage,
             )
         self.domain.store(8.0)
-        self.domain.flush()
-        self.domain.fence()
+        seconds += self.domain.flush() + self.domain.fence()
         self._sequence += 1
         stored_meta = json.loads(json.dumps(meta))
         self._records.append(
@@ -207,7 +206,7 @@ class StageCheckpointStore:
                 crc=record_checksum(stored, stored_meta),
             )
         )
-        return self._sequence
+        return seconds
 
     def last(self) -> StageRecord | None:
         """The most recent durable record (what a restart recovers)."""

@@ -93,10 +93,10 @@ class ForensicsReport:
     def verify(self, rel_tol: float = SUM_REL_TOL) -> list[dict[str, Any]]:
         """Sum-invariant violations across every request.
 
-        Every summary is checked but a partial one: a shed request's
-        latency reads 0, so it passes only with no blame.  Retained
-        trees are a subset of the summaries and carry the same blame
-        and latency, so they need no check of their own.
+        Every summary is checked, handler-torn ones included: a shed
+        request's latency reads 0, so it passes only with no blame.
+        Retained trees are a subset of the summaries and carry the same
+        blame and latency, so they need no check of their own.
         """
         return [
             {
@@ -109,8 +109,7 @@ class ForensicsReport:
                 - summary["latency_s"],
             }
             for trace_id, summary in self.summaries.items()
-            if not summary["partial"]
-            and not math.isclose(
+            if not math.isclose(
                 blame_total(summary["blame"]),
                 summary["latency_s"],
                 rel_tol=rel_tol,

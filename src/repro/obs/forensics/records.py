@@ -60,11 +60,12 @@ class RequestForensics:
     admission-queue wait; :meth:`stall` and :meth:`served` each advance
     the clock by the seconds the request paid and charge the same
     floats to ``blame`` (zero charges skipped), so ``blame`` sums to the
-    request's end-to-end simulated latency by construction.  Built
-    without a clock (a shed or handler-torn request), it charges
-    nothing.  Each call keeps only what it was handed — rung, clock
-    time, and the stall seconds, the backend response or the skip
-    reason — and :meth:`to_record` builds the causal nodes from them.
+    request's end-to-end simulated latency by construction, also for a
+    request whose handler an exception tore.  Built without a clock (a
+    shed request), it charges nothing.  Each call keeps only what it
+    was handed — rung, clock time, and the stall seconds, the backend
+    response or the skip reason — and :meth:`to_record` builds the
+    causal nodes from them.
     """
 
     __slots__ = (
@@ -87,9 +88,9 @@ class RequestForensics:
         self.deadline_s = request.deadline_s
         self.n_nodes = request.n_nodes
         self.blame: dict[str, float] = {}
-        #: True when the ledger missed part of the request's life (an
-        #: unhandled exception tore the handler): the record is still
-        #: emitted, but exempt from the blame-sum invariant.
+        #: True when an unhandled exception tore the handler: the record
+        #: carries what was charged up to the tear, which still sums to
+        #: the latency.
         self.partial = False
         self._clock = clock
         #: (rung, clock time, stall seconds | backend response | skip

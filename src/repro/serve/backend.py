@@ -100,7 +100,6 @@ class EmbeddingBackend:
         self._stale: np.ndarray | None = None
         self._full_cost_per_node = 0.0
         self._propagation_cost_per_node = 0.0
-        self.warmup_sim_seconds = 0.0
 
     # -- warmup ----------------------------------------------------------
 
@@ -112,10 +111,11 @@ class EmbeddingBackend:
     def warm_up(self) -> float:
         """Build every serving tier; returns the simulated warmup cost.
 
-        Idempotent: a second call is free.
+        Idempotent: a second call is free (it builds nothing and
+        returns 0.0).
         """
         if self.warm:
-            return self.warmup_sim_seconds
+            return 0.0
         self._checkpointed = CheckpointedEmbedder(self.embedder)
         result = self._checkpointed.embed_with_checkpoints(
             self.edges, self.n_nodes
@@ -130,13 +130,12 @@ class EmbeddingBackend:
         self._propagation_cost_per_node = propagation_seconds / max(
             self.n_nodes, 1
         )
-        self.warmup_sim_seconds = (
+        self.metrics.counter("serve.backend.warmups").inc()
+        return (
             result.sim_seconds
             + propagation_seconds
             + self._checkpointed.checkpoint_sim_seconds
         )
-        self.metrics.counter("serve.backend.warmups").inc()
-        return self.warmup_sim_seconds
 
     def _require_warm(self) -> None:
         if not self.warm:

@@ -421,10 +421,17 @@ class EmbeddingServer:
                     continue
                 request, trace_id = self._pending.popleft()
                 self._update_queue_gauge()
+                # Everything from arrival to this dequeue moment is
+                # admission wait; everything after it is execution, and
+                # the ledger is what advances the clock for it, so its
+                # blame buckets sum to the end-to-end simulated latency,
+                # also when an exception tears the handler.
+                ledger = RequestForensics(request, self.clock)
                 try:
-                    self._handle(request, trace_id, report)
+                    self._handle(request, trace_id, report, ledger)
                 except Exception as exc:
                     self._count_unhandled()
+                    ledger.partial = True
                     self._respond(
                         report,
                         request,
@@ -437,6 +444,7 @@ class EmbeddingServer:
                             error=type(exc).__name__,
                             trace_id=trace_id,
                         ),
+                        ledger=ledger,
                     )
         report.finished_at_s = self.clock.now
         self._emit_snapshot()
@@ -516,14 +524,13 @@ class EmbeddingServer:
     # -- per-request handling --------------------------------------------
 
     def _handle(
-        self, request: ServeRequest, trace_id: str, report: ServeReport
+        self,
+        request: ServeRequest,
+        trace_id: str,
+        report: ServeReport,
+        ledger: RequestForensics,
     ) -> None:
         deadline_at = request.arrival_s + request.deadline_s
-        # Everything from arrival to this dequeue moment is admission
-        # wait; everything after it is execution, and the ledger is what
-        # advances the clock for it, so its blame buckets sum to the
-        # end-to-end simulated latency.
-        ledger = RequestForensics(request, self.clock)
         if self.clock.now >= deadline_at:
             # The budget died in the queue: reject before spending any
             # service on it (the shedding path's cheaper sibling).
@@ -684,10 +691,9 @@ class EmbeddingServer:
                 )
         if self.stream is not None:
             if ledger is None:
-                # Shed (or handler-torn) requests still leave a record
-                # with no nodes, so every submitted request is in it.
+                # Shed requests still leave a record with no nodes, so
+                # every submitted request is in it.
                 ledger = RequestForensics(request)
-                ledger.partial = response.status == STATUS_FAILED
             self.stream.emit(
                 ledger.to_record(
                     trace_id,

@@ -95,11 +95,12 @@ class ShardedEmbeddingBackend(EmbeddingBackend):
         """Build the tiers, then shard the full table into processes.
 
         The shard genesis checkpoints' persistence cost joins the
-        warmup bill.
+        warmup bill; a second call is free, as for the monolithic
+        backend.
         """
         if self.warm:
-            return self.warmup_sim_seconds
-        super().warm_up()
+            return 0.0
+        seconds = super().warm_up()
         degrees = np.bincount(
             np.asarray(self.edges, dtype=np.int64).ravel(),
             minlength=self.n_nodes,
@@ -118,11 +119,9 @@ class ShardedEmbeddingBackend(EmbeddingBackend):
                 self.shards, self.supervisor_policy, metrics=self.metrics
             )
             self.supervisor.wait_heartbeats()
-        self.warmup_sim_seconds += sum(
-            host.domain.sim_seconds for host in self.shards.hosts
-        )
+        seconds += sum(host.domain.sim_seconds for host in self.shards.hosts)
         self.placement = self._measure_placement(degrees)
-        return self.warmup_sim_seconds
+        return seconds
 
     def _measure_placement(self, degrees: np.ndarray) -> dict:
         """Real shard placement vs the DistDGL / DistGER cost models.

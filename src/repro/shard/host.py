@@ -90,7 +90,6 @@ class ShardHost:
         self.promotions = 0
         self.quarantined = 0
         self.abandoned = False
-        self.recovery_sim_seconds = 0.0
         #: Called with (shard_id, sequence, reason) when a damaged
         #: checkpoint record is quarantined (set by the manager).
         self.on_quarantine: Callable[[int, int, str], None] | None = None
@@ -178,8 +177,9 @@ class ShardHost:
 
     # -- durability ------------------------------------------------------
 
-    def checkpoint(self, crash: bool = False) -> int:
-        """Durably journal the shard's current rows.
+    def checkpoint(self, crash: bool = False) -> float:
+        """Durably journal the shard's current rows; returns what the
+        append's flushes and fences cost in simulated seconds.
 
         Follows the WAL discipline of
         :class:`~repro.memsim.persistence.StageCheckpointStore`: with
@@ -190,7 +190,7 @@ class ShardHost:
         and keeps only the records recovery can still reach
         (:meth:`~repro.memsim.persistence.StageCheckpointStore.drop_unreachable`).
         """
-        sequence = self.checkpoints.append(
+        seconds = self.checkpoints.append(
             f"shard-{self.shard_id}",
             {"rows": self._view},
             {
@@ -203,7 +203,7 @@ class ShardHost:
         )
         self.checkpoints.drop_unreachable()
         self.checkpoint_version = self.version
-        return sequence
+        return seconds
 
     def last_verified_record(self) -> StageRecord:
         """Newest checkpoint whose CRC verifies, quarantining bad ones.
@@ -261,40 +261,37 @@ class ShardHost:
 
     # -- recovery --------------------------------------------------------
 
-    def _bill_recovery_read(self, nbytes: float) -> None:
-        """Charge a PM sequential read to the recovery sim-clock bill."""
-        self.recovery_sim_seconds += self.domain.cost_model.access_time(
-            self.domain.device,
-            Operation.READ,
-            AccessPattern.SEQUENTIAL,
-            Locality.LOCAL,
-            float(nbytes),
-        )
-
-    def restart(self) -> int:
+    def restart(self) -> tuple[int, float]:
         """Replace dead/hung processes, restoring rows from the WAL.
 
         Process memory (and, as modelled, the segment contents) died
         with the shard, so the segment is rebuilt from the newest
         *verified* checkpoint — the shard comes back at that record's
-        version, and the staleness it reopens with is returned
-        (``lost_versions = version_before_crash - checkpoint_version``).
-        The full WAL replay (a PM sequential read of the shard's rows)
-        is billed to :attr:`recovery_sim_seconds` — the downtime the
+        version.  Returns the staleness it reopens with
+        (``lost_versions = version_before_crash - checkpoint_version``)
+        and the simulated seconds of the full WAL replay, a PM
+        sequential read of the shard's rows — the downtime the
         promotion path avoids.
         """
         for worker in self._workers:
             worker.stop(graceful=False)
         record = self.last_verified_record()
+        rows = record.arrays["rows"]
         lost = self.version - int(record.meta["version"])
-        self._view[:] = record.arrays["rows"]
-        self._bill_recovery_read(record.arrays["rows"].nbytes)
+        self._view[:] = rows
+        seconds = self.domain.cost_model.access_time(
+            self.domain.device,
+            Operation.READ,
+            AccessPattern.SEQUENTIAL,
+            Locality.LOCAL,
+            float(rows.nbytes),
+        )
         self.version = int(record.meta["version"])
         self.checkpoint_version = self.version
         self.generation += 1
         self.restarts += 1
         self._spawn_workers()
-        return lost
+        return lost, seconds
 
     def has_fresh_replica(self) -> bool:
         """Whether a live replica could take over without WAL replay.
@@ -307,7 +304,7 @@ class ShardHost:
             worker.process.is_alive() for worker in self._workers[1:]
         )
 
-    def promote_replica(self) -> int:
+    def promote_replica(self) -> tuple[int, float]:
         """Fail over to a live replica without touching the WAL.
 
         The first live replica becomes the primary; the dead (or stuck)
@@ -315,11 +312,11 @@ class ShardHost:
         spawned, restoring the replica budget.  No rows are lost
         (``lost_versions == 0`` by construction: the replica serves the
         same shared segment at the same version) and no checkpoint is
-        read — only a coordination penalty is billed to
-        :attr:`recovery_sim_seconds`, which is what makes failover
-        sub-checkpoint-interval.
+        read — only a coordination penalty is billed, which is what
+        makes failover sub-checkpoint-interval.
 
-        Returns the worker index that was promoted.
+        Returns the worker index that was promoted and the simulated
+        seconds billed (:data:`HEDGE_SIM_PENALTY_S`).
 
         Raises:
             ShardCrashError: no live replica to promote.
@@ -345,20 +342,20 @@ class ShardHost:
             if worker not in standbys:
                 worker.stop(graceful=False)
         self._workers = [replica, *standbys, self._spawn_worker()]
-        self.recovery_sim_seconds += HEDGE_SIM_PENALTY_S
         self.generation += 1
         self.promotions += 1
-        return candidate
+        return candidate, HEDGE_SIM_PENALTY_S
 
-    def catch_up(self, rows: np.ndarray, version: int) -> None:
-        """Replay the authoritative rows and re-checkpoint.
+    def catch_up(self, rows: np.ndarray, version: int) -> float:
+        """Replay the authoritative rows and re-checkpoint; returns the
+        checkpoint's cost (:meth:`checkpoint`).
 
         After this the shard is bit-identical to a fresh load of the
         manager's table at ``version``.
         """
         self._view[:] = rows
         self.version = version
-        self.checkpoint()
+        return self.checkpoint()
 
     # -- fault injection -------------------------------------------------
 

@@ -14,11 +14,11 @@ A refresh replays the manager's authoritative rows into the shard
 segment and cuts a fresh WAL checkpoint
 (:meth:`~repro.shard.host.ShardHost.catch_up`), so it also heals
 shards that restarted stale, without anyone calling ``catch_up``
-explicitly.  Every refresh is billed to the simulated clock (the PM
-flush/fence cost of the checkpoint) — background maintenance is not
-free, it is just off the request path.  :attr:`sim_refresh_seconds` is
-the one ledger of those seconds: no lookup, response or request blame
-carries a share of them.
+explicitly.  Every refresh is billed in simulated seconds (the PM
+flush/fence cost of the checkpoint, as ``catch_up`` returns it) —
+background maintenance is not free, it is just off the request path.
+:attr:`sim_refresh_seconds` adds up those returns: no lookup, response
+or request blame carries a share of them.
 
 The ``staleness_bound`` SLO kind
 (:mod:`repro.obs.observatory.slo`) gates the result: the
@@ -108,9 +108,9 @@ class BackgroundCheckpointer:
         self._staleness_gauge.set(float(self.max_observed_staleness))
 
     def _refresh(self, shard_id: int, host: "ShardHost", lag: int) -> None:
-        before = host.domain.sim_seconds
-        host.catch_up(self.manager.rows_for(host), self.manager.version)
-        self.sim_refresh_seconds += host.domain.sim_seconds - before
+        self.sim_refresh_seconds += host.catch_up(
+            self.manager.rows_for(host), self.manager.version
+        )
         self.bg_checkpoints += 1
         self.manager.metrics.counter(
             "shard.bg_checkpoints", shard=str(shard_id)

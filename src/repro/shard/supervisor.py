@@ -115,9 +115,9 @@ class Incident:
         lost_versions: staleness the shard reopened with (restart only;
             a promotion always reopens at the live version, i.e. 0).
         backoff_s: jittered backoff charged for this restart.
-        recovery_s: simulated seconds the repair itself cost (the PM
-            checkpoint read of a WAL restart, or the hedge penalty of a
-            promotion).
+        recovery_s: simulated seconds the repair itself cost, as the
+            repair call returned them: the PM sequential read of a WAL
+            restart's replay, or the hedge penalty of a promotion.
         seq: the store's lookup sequence number when the incident was
             acted on — the coordinate forensics joins incidents onto
             request trees with.
@@ -246,55 +246,35 @@ class ShardSupervisor:
         # Promotion first: a warm standby already tracks the live
         # version, so failover costs one hedge penalty and replays
         # nothing.  WAL restart is the no-fresh-replica fallback.
+        action, lost, backoff, recovery_s = "abandon", 0, 0.0, 0.0
         if host.policy.n_replicas > 0 and host.has_fresh_replica():
-            before = host.recovery_sim_seconds
             try:
-                host.promote_replica()
+                _, recovery_s = host.promote_replica()
             except ShardCrashError:
                 pass  # replica died under us: fall through to restart
             else:
-                self._beats.pop((host.shard_id, host.generation - 1), None)
-                incident = Incident(
-                    shard_id=host.shard_id,
-                    reason=reason,
-                    action="promote",
-                    lost_versions=0,
-                    recovery_s=host.recovery_sim_seconds - before,
-                    seq=self.manager.lookup_seq,
-                    sim_now_s=self._sim_now,
-                )
-                self._record(incident)
-                return [incident]
-        if host.restarts >= self.policy.max_restarts:
+                action = "promote"
+        if action == "abandon" and host.restarts < self.policy.max_restarts:
+            delay = self.policy.restart_backoff.delay(host.restarts)
+            try:
+                lost, recovery_s = host.restart()
+            except ShardCrashError:
+                # No verified checkpoint survives (all quarantined): the
+                # shard cannot reopen with trusted rows, so abandon it.
+                pass
+            else:
+                action, backoff = "restart", delay
+        if action == "abandon":
             host.abandoned = True
-            incident = Incident(
-                shard_id=host.shard_id, reason=reason, action="abandon",
-                seq=self.manager.lookup_seq, sim_now_s=self._sim_now,
-            )
-            self._record(incident)
-            return [incident]
-        backoff = self.policy.restart_backoff.delay(host.restarts)
-        before = host.recovery_sim_seconds
-        try:
-            lost = host.restart()
-        except ShardCrashError:
-            # No verified checkpoint survives (all quarantined): the
-            # shard cannot reopen with trusted rows, so abandon it.
-            host.abandoned = True
-            incident = Incident(
-                shard_id=host.shard_id, reason=reason, action="abandon",
-                seq=self.manager.lookup_seq, sim_now_s=self._sim_now,
-            )
-            self._record(incident)
-            return [incident]
-        self._beats.pop((host.shard_id, host.generation - 1), None)
+        else:
+            self._beats.pop((host.shard_id, host.generation - 1), None)
         incident = Incident(
             shard_id=host.shard_id,
             reason=reason,
-            action="restart",
+            action=action,
             lost_versions=lost,
             backoff_s=backoff,
-            recovery_s=host.recovery_sim_seconds - before,
+            recovery_s=recovery_s,
             seq=self.manager.lookup_seq,
             sim_now_s=self._sim_now,
         )

@@ -262,7 +262,7 @@ class TestWalkBackRecovery:
             host = manager.hosts[0]
             host.inject_crash()
             assert host.inject_checkpoint_fault("checkpoint_corrupt")
-            lost = host.restart()
+            lost, _ = host.restart()
             # The damaged v1 record was quarantined; recovery landed on
             # the genesis checkpoint, so the shard reopened at v0.
             assert host.quarantined == 1

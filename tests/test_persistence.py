@@ -122,9 +122,9 @@ class TestStageCheckpointStore:
         store = StageCheckpointStore(domain)
         first = rng.standard_normal((6, 4))
         store.append("graph_read", {}, {"read_seconds": 1.0})
-        seq = store.append("factorization", {"initial": first}, {"x": 2})
-        assert seq == 2
+        store.append("factorization", {"initial": first}, {"x": 2})
         record = store.last()
+        assert record.sequence == 2
         assert record.stage == "factorization"
         assert np.array_equal(record.arrays["initial"], first)
         assert store.stages == ["graph_read", "factorization"]

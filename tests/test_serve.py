@@ -463,6 +463,16 @@ class TestStaleTier:
         backend.warm_up()
         return backend
 
+    def test_a_second_warm_up_charges_nothing(self):
+        backend = EmbeddingBackend(
+            OMeGaEmbedder(OMeGaConfig(n_threads=2, dim=8)),
+            chung_lu_edges(N_NODES, 900, seed=3),
+            N_NODES,
+        )
+        assert backend.warm_up() > 0.0
+        assert backend.warm_up() == 0.0
+        assert not hasattr(backend, "warmup_sim_seconds")
+
     def test_rows_are_the_checkpointed_rows(self, stale_backend):
         n = stale_backend.n_nodes
         table = stale_backend._checkpointed.recover_embedding()

@@ -11,6 +11,9 @@ itself: for a seeded monolithic chaos run with a handler-torn request
 and for 2-shard runs with a shard crash (with and without a replica),
 every ``serve_request`` record, every ``serve.blame_seconds`` series
 (by ``float.hex``) and every ``ServeReport.summary()`` must be equal.
+The monolithic case was regenerated once since, when the handler-torn
+request started to keep its ledger: its record and its class's queue
+blame moved, nothing else did.
 
 A record is pinned by the SHA-256 of its canonical JSON line, with the
 per-server trace-id token (``req-<token>-``) cut, since that token is
@@ -26,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -35,6 +39,7 @@ from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.graphs import chung_lu_edges
 from repro.memsim.devices import pm_spec
 from repro.memsim.persistence import PersistenceDomain, StageCheckpointStore
+from repro.obs import forensics
 from repro.obs.live import TelemetryStream, load_records
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import EmbeddingServer, RequestTrace, ServePolicy
@@ -123,7 +128,7 @@ def _monolithic_torn(path):
             _trace(backend, 3, 120, load=1.2, deadline_slack=3.0)
         )
     assert metrics.value("serve.unhandled_exceptions") == 1
-    return _pin(path, metrics, [report])
+    return metrics, [report]
 
 
 def _sharded_crash(path, n_replicas):
@@ -169,13 +174,13 @@ def _sharded_crash(path, n_replicas):
                 PersistenceDomain(device=pm_spec())
             )
             reports.append(server.run_trace(_trace(backend, 12, 20, load=1.1)))
-    return _pin(path, metrics, reports)
+    return metrics, reports
 
 
 def run_case(name, path):
     if name == "monolithic_torn":
-        return _monolithic_torn(path)
-    return _sharded_crash(path, int(name.rsplit("=", 1)[-1]))
+        return _pin(path, *_monolithic_torn(path))
+    return _pin(path, *_sharded_crash(path, int(name.rsplit("=", 1)[-1])))
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +201,33 @@ def test_case_matches_parent(name, expected, tmp_path):
     assert pinned["summaries"] == expected[name]["summaries"]
     assert pinned["blame_seconds"] == expected[name]["blame_seconds"]
     assert pinned["records"] == expected[name]["records"]
+
+
+def test_a_torn_request_keeps_its_ledger(tmp_path):
+    """The torn request's queue wait is blamed like any other request's,
+    so every record passes the blame-sum check and each class's blame
+    counters add up to its latency histogram."""
+    path = tmp_path / "serve.jsonl"
+    metrics, _ = _monolithic_torn(path)
+    records = load_records(path)
+    torn = [
+        r for r in records if r.get("type") == "serve_request" and r["partial"]
+    ]
+    assert len(torn) == 1 and torn[0]["status"] == "failed"
+    assert torn[0]["blame"] and torn[0]["latency_s"] > 0
+    assert forensics.fold_stream(records).verify() == []
+    classes = {m.labels["klass"] for m in metrics.series("serve.latency")}
+    assert classes
+    for klass in classes:
+        blame = sum(
+            m.value for m in metrics.series("serve.blame_seconds", klass=klass)
+        )
+        latency = sum(
+            m.sum for m in metrics.series("serve.latency", klass=klass)
+        )
+        assert math.isclose(
+            blame, latency, rel_tol=forensics.SUM_REL_TOL
+        ), klass
 
 
 if __name__ == "__main__":

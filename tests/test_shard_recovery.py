@@ -180,7 +180,7 @@ class TestBehindShardStaysStale:
         manager.apply_update([lost], np.full((1, DIM), 9.0))
         host = manager.hosts[0]
         host.inject_crash()
-        assert host.restart() == 1
+        assert host.restart()[0] == 1
         return host, lost, genesis
 
     def _assert_stale_until_catch_up(self, manager, host, lost, genesis):
