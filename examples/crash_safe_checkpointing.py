@@ -48,9 +48,9 @@ def main() -> None:
         f" {result.sim_seconds * 1e3:.2f} ms simulated;"
         f" {len(checkpointed.wal.stages)} stage checkpoints, the last one"
         f" the commit, took"
-        f" {checkpointed.checkpoint_sim_seconds * 1e6:.1f} us"
-        f" ({checkpointed.domain.fences} fences,"
-        f" {checkpointed.domain.durable_bytes / 1024:.0f} KiB flushed)"
+        f" {result.checkpoint_seconds * 1e6:.1f} us"
+        f" ({checkpointed.wal.fences} fences,"
+        f" {checkpointed.wal.durable_bytes / 1024:.0f} KiB flushed)"
     )
 
     # A second run crashes between the last stage's flush and its

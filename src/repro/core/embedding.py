@@ -74,6 +74,9 @@ class EmbeddingResult:
         n_spmm: number of SpMM operations executed.
         wall_seconds: real wall-clock time of the run (for the harness).
         trace: merged per-category cost ledger.
+        checkpoint_seconds: simulated PM persistence the run's WAL
+            appends billed (:class:`~repro.memsim.CheckpointedEmbedder`;
+            0.0 for a plain run).  Not part of ``sim_seconds``.
         spmm_results: the individual engine results (thread times,
             partitions, plans, ledgers) with ``output=None``: a product's
             output belongs to the pipeline step that asked for it, which
@@ -92,6 +95,7 @@ class EmbeddingResult:
     wall_seconds: float
     trace: CostTrace
     spmm_results: list[SpMMResult] = field(default_factory=list)
+    checkpoint_seconds: float = 0.0
 
     @property
     def spmm_fraction(self) -> float:

@@ -56,7 +56,6 @@ from repro.core.wofp import (
 )
 from repro.faults import FaultInjector
 from repro.formats.csdb import CSDBMatrix
-from repro.memsim.clock import SimClock
 from repro.memsim.costmodel import CostModel
 from repro.memsim.devices import (
     AccessPattern,
@@ -108,7 +107,7 @@ class _Replay:
         ledger: the allocation, Eq. 2 and merge charges, in charging
             order — everything but the stream terms.
         thread_times: per-thread seconds on arrival at the barrier.
-        makespan: the clock after the barrier and the merge tail.
+        makespan: the slowest thread's time plus the merge tail.
         overlap: compute seconds the stream load overlaps.
         stream_plan: ASL's plan (None outside heterogeneous mode).
         outcome: the stream load without faults.
@@ -555,19 +554,18 @@ class SpMMEngine:
     ) -> _Replay:
         """Charge one multiply's simulated time, less the kernel, once.
 
-        Runs the ledger and the per-thread clocks the way a call used to
+        Runs the ledger and the per-thread times the way a call used to
         run them on every multiply, with no faults and no metrics.
         """
         n_threads = self.config.n_threads
         ledger = CostTrace()
-        clock = SimClock(n_threads)
 
         # Allocation overhead (serial lead-in; the paper measures it
         # under 1% of runtime).
         alloc_ops = matrix.n_rows * self.allocator.overhead_ops_per_row
         alloc_seconds = self.cost_model.compute_time(alloc_ops)
         ledger.charge("allocation", alloc_seconds)
-        clock.advance_all(alloc_seconds)
+        thread_times = np.full(n_threads, alloc_seconds, dtype=np.float64)
         access_plans = [
             self.placement.access_plan(socket)
             for socket in range(self.topology.n_sockets)
@@ -577,11 +575,12 @@ class SpMMEngine:
             seconds, charges = self._partition_cost(
                 partition, prefetch, d, access_plans[socket]
             )
-            clock.advance(partition.thread_id, seconds)
+            thread_times[partition.thread_id] += seconds
             for charge in charges:
                 ledger.charge(*charge)
-        thread_times = clock.thread_times
-        makespan = clock.synchronize()
+        # The barrier: every thread waits for the slowest.
+        makespan = float(thread_times.max())
+        merge_seconds = 0.0
 
         # Serial tail: NaDP's cross-socket result stitch.
         merge_fraction = access_plans[0].merge_remote_write_fraction
@@ -598,7 +597,6 @@ class SpMMEngine:
                 threads_sharing=sharing,
             )
             ledger.charge("merge", merge_seconds, merge_fraction * result_bytes)
-            clock.advance_all(merge_seconds)
 
         stream_plan: StreamPlan | None = None
         outcome: LoadOutcome | None = None
@@ -616,7 +614,12 @@ class SpMMEngine:
             )
             outcome = self.loader.load(stream_plan, overlap)
         return _Replay(
-            ledger, thread_times, clock.makespan, overlap, stream_plan, outcome
+            ledger,
+            thread_times,
+            makespan + merge_seconds,
+            overlap,
+            stream_plan,
+            outcome,
         )
 
     # -- per-partition costing ----------------------------------------------

@@ -12,7 +12,7 @@ analytical model:
 - :mod:`repro.memsim.costmodel` — converts access batches (bytes, pattern,
   locality, entropy) into simulated nanoseconds, implementing Eq. 5 of the
   paper for entropy-interpolated bandwidth;
-- :mod:`repro.memsim.clock` — per-thread simulated clocks and makespan;
+- :mod:`repro.memsim.clock` — the serving layer's event clock;
 - :mod:`repro.memsim.trace` — per-operation cost ledgers (Fig. 7a);
 - :mod:`repro.memsim.probe` — the FIO/MLC-style probe that regenerates the
   bandwidth characterization of Fig. 9;
@@ -30,7 +30,7 @@ All SpMM numerics are still computed for real with numpy; only *time* is
 simulated.
 """
 
-from repro.memsim.clock import SimClock, VirtualClock
+from repro.memsim.clock import VirtualClock
 from repro.memsim.costmodel import CostModel
 from repro.memsim.devices import (
     AccessPattern,
@@ -49,7 +49,6 @@ from repro.memsim.memorymode import DirectMappedCache, MemoryModeModel
 from repro.memsim.persistence import (
     CheckpointedEmbedder,
     CrashInjected,
-    PersistenceDomain,
     StageCheckpointStore,
     StageRecord,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "CrashInjected",
     "DirectMappedCache",
     "MemoryModeModel",
-    "PersistenceDomain",
     "StageCheckpointStore",
     "StageRecord",
     "DeviceSpec",
@@ -80,7 +78,6 @@ __all__ = [
     "MemoryKind",
     "NumaTopology",
     "Operation",
-    "SimClock",
     "VirtualClock",
     "cxl_spec",
     "cxl_testbed",

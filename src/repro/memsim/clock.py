@@ -1,26 +1,23 @@
-"""Per-thread simulated clocks and the serving event clock.
-
-A parallel phase is simulated by advancing each thread's clock by the cost
-of its workload; the phase's completion time (the *makespan*) is the
-maximum across threads, and the spread of the per-thread times yields the
-tail-latency statistics of Fig. 13.
+"""The serving event clock.
 
 :class:`VirtualClock` is the single monotonic clock of the serving layer
 (:mod:`repro.serve`): request arrivals, queue waits, backend service and
 circuit-breaker recovery windows are all positions on it, so a replayed
 request trace is deterministic down to the tie-breaks.
+
+It is a position, not a total.  A parallel kernel phase keeps no clock:
+:meth:`repro.core.spmm.SpMMEngine.multiply` returns the makespan over its
+per-thread Eq. 2 times, and every other simulated charge is the return
+value of the call that incurs it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 class VirtualClock:
     """A single monotonically advancing simulated clock.
 
-    Unlike :class:`SimClock` (per-thread makespan accounting inside one
-    kernel), a ``VirtualClock`` is a global event-time cursor: the serving
+    A global event-time cursor: the serving
     event loop advances it past arrivals, queue waits and service times,
     and components that need "now" (deadline checks, breaker recovery)
     read :attr:`now`.
@@ -48,57 +45,3 @@ class VirtualClock:
         if timestamp > self._now:
             self._now = float(timestamp)
         return self._now
-
-
-class SimClock:
-    """Tracks simulated elapsed time for a set of logical threads."""
-
-    def __init__(self, n_threads: int) -> None:
-        if n_threads < 1:
-            raise ValueError(f"n_threads must be >= 1, got {n_threads}")
-        self.n_threads = n_threads
-        self._times = np.zeros(n_threads, dtype=np.float64)
-
-    def advance(self, thread_id: int, seconds: float) -> None:
-        """Advance one thread's clock."""
-        if seconds < 0:
-            raise ValueError(f"seconds must be >= 0, got {seconds}")
-        self._times[thread_id] += seconds
-
-    def advance_all(self, seconds: float) -> None:
-        """Advance every thread's clock (serial/barrier phases)."""
-        if seconds < 0:
-            raise ValueError(f"seconds must be >= 0, got {seconds}")
-        self._times += seconds
-
-    def synchronize(self) -> float:
-        """Barrier: bring every thread up to the slowest one.
-
-        Returns the makespan at the barrier.
-        """
-        makespan = float(self._times.max())
-        self._times[:] = makespan
-        return makespan
-
-    @property
-    def thread_times(self) -> np.ndarray:
-        """Copy of the per-thread elapsed times, in seconds."""
-        return self._times.copy()
-
-    @property
-    def makespan(self) -> float:
-        """Completion time of the slowest thread."""
-        return float(self._times.max())
-
-    @property
-    def mean_time(self) -> float:
-        """Average per-thread elapsed time."""
-        return float(self._times.mean())
-
-    def percentile(self, q: float) -> float:
-        """Percentile of the per-thread time distribution (q in [0, 100])."""
-        return float(np.percentile(self._times, q))
-
-    def reset(self) -> None:
-        """Zero all clocks."""
-        self._times[:] = 0.0

@@ -5,13 +5,12 @@
 crash recovery".  This module supplies those facilities for the
 simulation substrate:
 
-- :class:`PersistenceDomain` — charges ``CLWB``-style cache-line
-  write-backs and ``SFENCE`` ordering points, and tracks which bytes are
-  durable vs merely stored;
 - :class:`StageCheckpointStore` — a WAL-style append-only log of
   per-stage pipeline checkpoints (graph read, factorization,
-  propagation), each committed crash-consistently: store the payload →
-  flush → fence → flip a flushed commit record;
+  propagation) on one PM device, each committed crash-consistently:
+  flush the payload's cache lines (``CLWB``) → fence (``SFENCE``) →
+  flip a flushed, fenced commit record.  An append returns what it
+  cost; the store keeps no running total of seconds;
 - :class:`CheckpointedEmbedder` — runs the pipeline stage by stage,
   checkpointing after every stage, honouring injected crash points
   (:mod:`repro.faults`) and resuming from the last durable stage with a
@@ -19,14 +18,15 @@ simulation substrate:
 
 Crashes are *injected* (``crash=True`` or a
 :class:`~repro.faults.FaultInjector`), so tests can verify recovery
-semantics exactly.
+semantics exactly.  A torn append still paid for its payload's flush
+and fence: that charge rides the :class:`CrashInjected` it raises.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -36,7 +36,6 @@ from repro.faults import FaultInjector, InjectedCrash
 from repro.memsim.costmodel import CostModel
 from repro.memsim.devices import (
     AccessPattern,
-    DeviceSpec,
     Locality,
     Operation,
     pm_spec,
@@ -50,66 +49,20 @@ FENCE_SECONDS = 30e-9
 COMMIT_STAGE = "propagation"
 
 
-@dataclass
-class PersistenceDomain:
-    """Durability accounting for one PM device.
+class CrashInjected(InjectedCrash):
+    """Raised when a commit is aborted by an injected crash.
 
-    Stores are fast (cache-resident) until flushed; ``flush`` charges the
-    PM write path per cache line, ``fence`` orders them.  ``sim_seconds``
-    accumulates the persistence overhead the paper's App-direct mode
-    pays and Memory Mode does not expose to the application.
+    ``sim_seconds`` is what the torn append had already paid: its
+    payload's flush and fence.
     """
 
-    device: DeviceSpec
-    cost_model: CostModel = field(default_factory=CostModel)
-    sim_seconds: float = 0.0
-    stored_bytes: float = 0.0
-    durable_bytes: float = 0.0
-    fences: int = 0
-
-    def store(self, nbytes: float) -> None:
-        """Buffer ``nbytes`` of stores (not yet durable)."""
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        self.stored_bytes += nbytes
-
-    def flush(self) -> float:
-        """CLWB all pending stores to the PM media; returns the cost."""
-        pending = self.stored_bytes
-        if pending == 0.0:
-            return 0.0
-        lines = -(-pending // CACHE_LINE_BYTES)
-        seconds = self.cost_model.access_time(
-            self.device,
-            Operation.WRITE,
-            AccessPattern.SEQUENTIAL,
-            Locality.LOCAL,
-            lines * CACHE_LINE_BYTES,
-        )
-        self.sim_seconds += seconds
-        self.durable_bytes += pending
-        self.stored_bytes = 0.0
-        return seconds
-
-    def fence(self) -> float:
-        """SFENCE: order preceding flushes; returns the cost."""
-        self.fences += 1
-        self.sim_seconds += FENCE_SECONDS
-        return FENCE_SECONDS
-
-    @property
-    def all_durable(self) -> bool:
-        """True when no stores are pending."""
-        return self.stored_bytes == 0.0
-
-
-class CrashInjected(InjectedCrash):
-    """Raised when a commit is aborted by an injected crash."""
-
-    def __init__(self, message: str, site: str = "commit") -> None:
+    def __init__(
+        self, message: str, site: str = "commit", sim_seconds: float = 0.0
+    ) -> None:
         RuntimeError.__init__(self, message)
         self.site = site
         self.phase = "before_commit"
+        self.sim_seconds = sim_seconds
 
 
 def record_checksum(arrays: dict[str, np.ndarray], meta: dict) -> int:
@@ -146,13 +99,15 @@ class StageRecord:
 
 
 class StageCheckpointStore:
-    """WAL-style append-only stage-checkpoint log on a PM domain.
+    """WAL-style append-only stage-checkpoint log on a PM device.
 
-    Each append follows the App-direct discipline: store the record's
-    payload, flush, fence, then flip a flushed commit record.  A crash
+    Each append follows the App-direct discipline: flush the record's
+    payload, fence, then flip a flushed commit record.  A crash
     injected before the flip (``crash=True``) loses only that record —
     every earlier stage stays durable, which is exactly what
-    :meth:`CheckpointedEmbedder.resume` recovers.
+    :meth:`CheckpointedEmbedder.resume` recovers.  ``fences`` and
+    ``durable_bytes`` count every ordering point and flushed byte,
+    torn appends' included.
 
     Every record carries a CRC32 over its payload
     (:func:`record_checksum`); readers that must not trust the media
@@ -160,10 +115,27 @@ class StageCheckpointStore:
     :meth:`last_verified`, which walks back past damaged records.
     """
 
-    def __init__(self, domain: PersistenceDomain) -> None:
-        self.domain = domain
+    def __init__(self) -> None:
+        self.device = pm_spec()
+        self.cost_model = CostModel()
+        self.fences = 0
+        self.durable_bytes = 0.0
         self._records: list[StageRecord] = []
         self._sequence = 0
+
+    def _persist(self, nbytes: float) -> float:
+        """CLWB ``nbytes`` to the PM media, then SFENCE; returns the cost."""
+        lines = -(-nbytes // CACHE_LINE_BYTES)
+        seconds = self.cost_model.access_time(
+            self.device,
+            Operation.WRITE,
+            AccessPattern.SEQUENTIAL,
+            Locality.LOCAL,
+            lines * CACHE_LINE_BYTES,
+        )
+        self.durable_bytes += nbytes
+        self.fences += 1
+        return seconds + FENCE_SECONDS
 
     def append(
         self,
@@ -177,7 +149,8 @@ class StageCheckpointStore:
 
         Raises:
             CrashInjected: when ``crash`` is set — the record is lost,
-                the log up to the previous stage survives.
+                the log up to the previous stage survives; the
+                payload's flush and fence are on its ``sim_seconds``.
         """
         payload_bytes = 0.0
         stored = {}
@@ -186,15 +159,14 @@ class StageCheckpointStore:
             stored[name] = array
             payload_bytes += float(array.nbytes)
         payload_bytes += float(len(json.dumps(meta, sort_keys=True)))
-        self.domain.store(payload_bytes)
-        seconds = self.domain.flush() + self.domain.fence()
+        seconds = self._persist(payload_bytes)
         if crash:
             raise CrashInjected(
                 f"crash injected during the {stage!r} checkpoint commit",
                 site=stage,
+                sim_seconds=seconds,
             )
-        self.domain.store(8.0)
-        seconds += self.domain.flush() + self.domain.fence()
+        seconds += self._persist(8.0)
         self._sequence += 1
         stored_meta = json.loads(json.dumps(meta))
         self._records.append(
@@ -318,8 +290,7 @@ class CheckpointedEmbedder:
 
     def __init__(self, embedder) -> None:
         self.embedder = embedder
-        self.domain = PersistenceDomain(device=pm_spec())
-        self.wal = StageCheckpointStore(self.domain)
+        self.wal = StageCheckpointStore()
         self._pending_graph: tuple[np.ndarray, int] | None = None
         # The previous run's commit, kept by clear(): never resumed from.
         self._retained: StageRecord | None = None
@@ -423,11 +394,13 @@ class CheckpointedEmbedder:
     def _drive(self, run, faults: FaultInjector | None):
         """Advance a run to completion, checkpointing at each boundary.
 
-        The persistence overhead accrued here (WAL appends, crashed or
-        not) is exported as the ``checkpoint.sim_seconds`` counter — the
-        numerator of the ``checkpoint_overhead_fraction`` SLO.
+        What the WAL appends bill (a torn one's payload charge rides
+        its :class:`CrashInjected`) is exported as the
+        ``checkpoint.sim_seconds`` counter — the numerator of the
+        ``checkpoint_overhead_fraction`` SLO — and, for the attempt
+        that finishes, as the result's ``checkpoint_seconds``.
         """
-        before = self.domain.sim_seconds
+        seconds = 0.0
         try:
             while run.next_stage is not None:
                 try:
@@ -440,8 +413,11 @@ class CheckpointedEmbedder:
                 ) is not None
                 arrays, meta = run.state.to_payload()
                 try:
-                    self.wal.append(stage, arrays, meta, crash=crash_during)
-                except CrashInjected:
+                    seconds += self.wal.append(
+                        stage, arrays, meta, crash=crash_during
+                    )
+                except CrashInjected as crash:
+                    seconds += crash.sim_seconds
                     run.abort()
                     raise
                 if faults is not None and faults.take(
@@ -452,11 +428,7 @@ class CheckpointedEmbedder:
             result = run.finish()
         finally:
             self.embedder.metrics.counter("checkpoint.sim_seconds").inc(
-                self.domain.sim_seconds - before
+                seconds
             )
+        result.checkpoint_seconds = seconds
         return result
-
-    @property
-    def checkpoint_sim_seconds(self) -> float:
-        """Total persistence overhead charged to the PM domain."""
-        return self.domain.sim_seconds

@@ -18,8 +18,8 @@ Design invariants:
   over its own non-zeros, so the parallel result equals the serial
   result bit for bit.
 - **Simulated time is untouched.**  The executor only runs kernels; the
-  engine charges Eq. 2 costs to the per-thread :class:`SimClock` exactly
-  as under the simulated backend.
+  engine charges Eq. 2 costs to its per-thread times, and takes their
+  makespan, exactly as under the simulated backend.
 - **Warm path.**  The shared copy of each operand matrix and the mapped
   dense/output scratch segments persist across calls, keyed by matrix
   identity and checked against the matrix's pattern object: the second

@@ -132,9 +132,7 @@ class EmbeddingBackend:
         )
         self.metrics.counter("serve.backend.warmups").inc()
         return (
-            result.sim_seconds
-            + propagation_seconds
-            + self._checkpointed.checkpoint_sim_seconds
+            result.sim_seconds + propagation_seconds + result.checkpoint_seconds
         )
 
     def _require_warm(self) -> None:

@@ -105,7 +105,7 @@ class ShardedEmbeddingBackend(EmbeddingBackend):
             np.asarray(self.edges, dtype=np.int64).ravel(),
             minlength=self.n_nodes,
         )[: self.n_nodes]
-        self.shards = EmbeddingShardManager(
+        shards = EmbeddingShardManager(
             self._full,
             degrees=degrees,
             policy=self.shard_policy,
@@ -113,13 +113,14 @@ class ShardedEmbeddingBackend(EmbeddingBackend):
             metrics=self.metrics,
             stream=self.stream,
             cost_model=self.embedder.engine.cost_model,
-        ).start()
+        )
+        seconds += shards.start()
+        self.shards = shards
         if self.supervisor_policy is not None:
             self.supervisor = ShardSupervisor(
                 self.shards, self.supervisor_policy, metrics=self.metrics
             )
             self.supervisor.wait_heartbeats()
-        seconds += sum(host.domain.sim_seconds for host in self.shards.hosts)
         self.placement = self._measure_placement(degrees)
         return seconds
 

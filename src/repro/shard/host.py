@@ -5,7 +5,7 @@ row_end)``: the rows live in a named shared-memory segment served by a
 primary worker process (plus optional replicas,
 :mod:`repro.shard.transport`), and are journaled into a
 :class:`~repro.memsim.persistence.StageCheckpointStore` on a simulated
-PM persistence domain.  Lifecycle, checkpoint / restart / promote and
+PM device.  Lifecycle, checkpoint / restart / promote and
 fault injection live here; routing, hedging and resharding are the
 manager's (:mod:`repro.shard.store`).
 """
@@ -25,17 +25,8 @@ from repro.formats.csdb import (
     create_shared_array,
     unlink_segment,
 )
-from repro.memsim.devices import (
-    AccessPattern,
-    Locality,
-    Operation,
-    pm_spec,
-)
-from repro.memsim.persistence import (
-    PersistenceDomain,
-    StageCheckpointStore,
-    StageRecord,
-)
+from repro.memsim.devices import AccessPattern, Locality, Operation
+from repro.memsim.persistence import StageCheckpointStore, StageRecord
 from repro.parallel import mp_context
 from repro.shard.errors import CheckpointCorruptionError, ShardCrashError
 from repro.shard.transport import _SentLookup, _ShardWorker
@@ -107,8 +98,7 @@ class ShardHost:
             np.asarray(rows, dtype=np.float64), self._name
         )
         self._view, self._segment = attach_shared_array(self.spec)
-        self.domain = PersistenceDomain(device=pm_spec())
-        self.checkpoints = StageCheckpointStore(self.domain)
+        self.checkpoints = StageCheckpointStore()
         self._workers: list[_ShardWorker] = []
         self._closed = False
 
@@ -127,13 +117,15 @@ class ShardHost:
 
     # -- lifecycle -------------------------------------------------------
 
-    def start(self, checkpoint: bool = True) -> None:
-        """Spawn the primary (+replicas) and cut the genesis checkpoint."""
+    def start(self, checkpoint: bool = True) -> float:
+        """Spawn the primary (+replicas) and cut the genesis checkpoint;
+        returns the checkpoint's cost (:meth:`checkpoint`; 0.0 without
+        one)."""
         if self._workers:
             raise RuntimeError(f"shard {self.shard_id} already started")
-        if checkpoint:
-            self.checkpoint()
+        seconds = self.checkpoint() if checkpoint else 0.0
         self._spawn_workers()
+        return seconds
 
     def _spawn_workers(self) -> None:
         self._workers = [
@@ -279,8 +271,8 @@ class ShardHost:
         rows = record.arrays["rows"]
         lost = self.version - int(record.meta["version"])
         self._view[:] = rows
-        seconds = self.domain.cost_model.access_time(
-            self.domain.device,
+        seconds = self.checkpoints.cost_model.access_time(
+            self.checkpoints.device,
             Operation.READ,
             AccessPattern.SEQUENTIAL,
             Locality.LOCAL,

@@ -275,15 +275,17 @@ class EmbeddingShardManager:
                     "shard": shard_id, "sequence": sequence,
                     "reason": reason})
 
-    def start(self) -> "EmbeddingShardManager":
-        """Spawn every shard and cut genesis checkpoints."""
+    def start(self) -> float:
+        """Spawn every shard and cut genesis checkpoints; returns what
+        the checkpoints cost (a second call is free)."""
         if self._started:
-            return self
+            return 0.0
+        seconds = 0.0
         try:
             for shard_id in range(self.routing.n_shards):
                 host = self._new_host(self.routing, shard_id)
                 self.hosts.append(host)
-                host.start()
+                seconds += host.start()
         except BaseException:
             self.close()
             raise
@@ -296,7 +298,7 @@ class EmbeddingShardManager:
                         "entropy" if self.degrees is not None else "uniform"
                     ),
                     "ranges": self.routing.range_summaries()})
-        return self
+        return seconds
 
     def close(self) -> None:
         """Stop every shard process and unlink segments (idempotent)."""
@@ -315,7 +317,8 @@ class EmbeddingShardManager:
             raise first
 
     def __enter__(self) -> "EmbeddingShardManager":
-        return self.start()
+        self.start()
+        return self
 
     def __exit__(self, *exc: object) -> None:
         self.close()

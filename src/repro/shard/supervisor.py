@@ -39,7 +39,7 @@ drained in and the routing table swaps atomically.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.core.asl import RetryPolicy
@@ -63,7 +63,8 @@ class SupervisorPolicy:
             before an alive shard counts as hung.
         max_restarts: restarts allowed per shard before abandonment.
         restart_backoff: seeded (jittered) backoff schedule; each
-            restart's delay is *recorded* as simulated seconds.
+            restart's delay is *recorded* as simulated seconds.  Every
+            supervisor draws from its own copy, seeded alike.
         reshard_imbalance: served-row load-imbalance ratio
             (max/mean over :attr:`EmbeddingShardManager.rows_served`)
             past which :meth:`ShardSupervisor.check` begins an online
@@ -147,6 +148,10 @@ class ShardSupervisor:
     ) -> None:
         self.manager = manager
         self.policy = policy
+        #: This supervisor's own copy of the backoff schedule: a fresh
+        #: jitter RNG seeded from the policy, so its draws never depend
+        #: on what another supervisor sharing the policy drew before.
+        self._backoff = replace(policy.restart_backoff)
         self.metrics = metrics if metrics is not None else manager.metrics
         self.incidents: list[Incident] = []
         #: Simulated clock position of the serve call currently being
@@ -255,7 +260,7 @@ class ShardSupervisor:
             else:
                 action = "promote"
         if action == "abandon" and host.restarts < self.policy.max_restarts:
-            delay = self.policy.restart_backoff.delay(host.restarts)
+            delay = self._backoff.delay(host.restarts)
             try:
                 lost, recovery_s = host.restart()
             except ShardCrashError:

@@ -464,11 +464,11 @@ class TestCrashRecovery:
 
     def test_wal_commit_charges_persistence(self, fault_edges, fault_config):
         checkpointed = CheckpointedEmbedder(OMeGaEmbedder(fault_config))
-        checkpointed.embed_with_checkpoints(fault_edges, 300)
+        result = checkpointed.embed_with_checkpoints(fault_edges, 300)
         # One WAL record per stage, each with two fences; the
         # propagation record is the commit and holds the embedding only.
-        assert checkpointed.domain.fences == 2 * len(PIPELINE_STAGES)
-        assert checkpointed.checkpoint_sim_seconds > 0
+        assert checkpointed.wal.fences == 2 * len(PIPELINE_STAGES)
+        assert result.checkpoint_seconds > 0
         assert set(checkpointed.wal.last().arrays) == {"embedding"}
 
     @pytest.mark.parametrize("stage", PIPELINE_STAGES)

@@ -1,59 +1,9 @@
-"""Unit tests for the simulated clocks and cost ledgers."""
+"""Unit tests for the per-operation cost ledgers."""
 
-import numpy as np
 import pytest
 
-from repro.memsim import CostTrace, SimClock
+from repro.memsim import CostTrace
 from repro.memsim.trace import SPMM_CATEGORIES
-
-
-class TestSimClock:
-    def test_advance_and_makespan(self):
-        clock = SimClock(3)
-        clock.advance(0, 1.0)
-        clock.advance(1, 2.5)
-        assert clock.makespan == 2.5
-        assert clock.mean_time == pytest.approx((1.0 + 2.5) / 3)
-
-    def test_synchronize_is_barrier(self):
-        clock = SimClock(2)
-        clock.advance(0, 1.0)
-        makespan = clock.synchronize()
-        assert makespan == 1.0
-        assert np.all(clock.thread_times == 1.0)
-
-    def test_advance_all(self):
-        clock = SimClock(2)
-        clock.advance_all(0.5)
-        assert np.all(clock.thread_times == 0.5)
-
-    def test_percentile(self):
-        clock = SimClock(10)
-        for t in range(10):
-            clock.advance(t, float(t))
-        assert clock.percentile(50) == pytest.approx(4.5)
-        assert clock.percentile(100) == 9.0
-
-    def test_reset(self):
-        clock = SimClock(2)
-        clock.advance(0, 3.0)
-        clock.reset()
-        assert clock.makespan == 0.0
-
-    def test_negative_time_rejected(self):
-        clock = SimClock(1)
-        with pytest.raises(ValueError, match="seconds"):
-            clock.advance(0, -1.0)
-
-    def test_invalid_thread_count(self):
-        with pytest.raises(ValueError, match="n_threads"):
-            SimClock(0)
-
-    def test_thread_times_is_copy(self):
-        clock = SimClock(2)
-        times = clock.thread_times
-        times[0] = 99.0
-        assert clock.makespan == 0.0
 
 
 class TestCostTrace:

@@ -17,12 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
-from repro.memsim.devices import pm_spec
-from repro.memsim.persistence import (
-    PersistenceDomain,
-    StageCheckpointStore,
-    record_checksum,
-)
+from repro.memsim.persistence import StageCheckpointStore, record_checksum
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observatory.diff import (
     GROUP_PLACEMENT,
@@ -123,7 +118,7 @@ class TestRangeTableEdits:
 
 
 def _store() -> StageCheckpointStore:
-    return StageCheckpointStore(PersistenceDomain(device=pm_spec()))
+    return StageCheckpointStore()
 
 
 class TestChecksummedRecords:

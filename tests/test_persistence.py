@@ -1,52 +1,47 @@
 """Unit tests for the App-direct persistence facilities (§II-B)."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import OMeGaConfig, OMeGaEmbedder
 from repro.faults import FaultEvent, FaultInjector, FaultPlan, InjectedCrash
 from repro.graphs import chung_lu_edges
-from repro.memsim import pm_spec
+from repro.memsim import (
+    AccessPattern,
+    CostModel,
+    Locality,
+    Operation,
+    pm_spec,
+)
 from repro.memsim.persistence import (
+    CACHE_LINE_BYTES,
+    FENCE_SECONDS,
     CheckpointedEmbedder,
     CrashInjected,
-    PersistenceDomain,
     StageCheckpointStore,
 )
 
 
+def _persist(nbytes: float) -> float:
+    """One CLWB of ``nbytes`` (whole cache lines) to PM, then one SFENCE."""
+    lines = -(-nbytes // CACHE_LINE_BYTES)
+    return (
+        CostModel().access_time(
+            pm_spec(),
+            Operation.WRITE,
+            AccessPattern.SEQUENTIAL,
+            Locality.LOCAL,
+            lines * CACHE_LINE_BYTES,
+        )
+        + FENCE_SECONDS
+    )
+
+
 @pytest.fixture
-def domain():
-    return PersistenceDomain(device=pm_spec())
-
-
-class TestPersistenceDomain:
-    def test_stores_are_not_durable_until_flushed(self, domain):
-        domain.store(1000)
-        assert not domain.all_durable
-        assert domain.durable_bytes == 0.0
-        domain.flush()
-        assert domain.all_durable
-        assert domain.durable_bytes == 1000
-
-    def test_flush_charges_pm_write_cost(self, domain):
-        domain.store(2**20)
-        cost = domain.flush()
-        assert cost > 0
-        assert domain.sim_seconds == pytest.approx(cost)
-
-    def test_empty_flush_is_free(self, domain):
-        assert domain.flush() == 0.0
-
-    def test_fence_cost_and_count(self, domain):
-        domain.fence()
-        domain.fence()
-        assert domain.fences == 2
-        assert domain.sim_seconds == pytest.approx(2 * 30e-9)
-
-    def test_negative_store_rejected(self, domain):
-        with pytest.raises(ValueError, match="nbytes"):
-            domain.store(-1)
+def store():
+    return StageCheckpointStore()
 
 
 @pytest.fixture(scope="module")
@@ -118,8 +113,7 @@ class TestRecoverEmbedding:
 
 
 class TestStageCheckpointStore:
-    def test_append_and_last(self, domain, rng):
-        store = StageCheckpointStore(domain)
+    def test_append_and_last(self, store, rng):
         first = rng.standard_normal((6, 4))
         store.append("graph_read", {}, {"read_seconds": 1.0})
         store.append("factorization", {"initial": first}, {"x": 2})
@@ -129,15 +123,13 @@ class TestStageCheckpointStore:
         assert np.array_equal(record.arrays["initial"], first)
         assert store.stages == ["graph_read", "factorization"]
 
-    def test_append_copies_arrays(self, domain):
-        store = StageCheckpointStore(domain)
+    def test_append_copies_arrays(self, store):
         data = np.ones((3, 2))
         store.append("factorization", {"initial": data}, {})
         data[:] = 0.0
         assert np.all(store.last().arrays["initial"] == 1.0)
 
-    def test_crash_loses_only_pending_record(self, domain, rng):
-        store = StageCheckpointStore(domain)
+    def test_crash_loses_only_pending_record(self, store, rng):
         store.append("graph_read", {}, {})
         with pytest.raises(CrashInjected) as err:
             store.append(
@@ -150,16 +142,24 @@ class TestStageCheckpointStore:
         assert err.value.phase == "before_commit"
         assert store.stages == ["graph_read"]
 
-    def test_append_charges_flush_and_fences(self, domain, rng):
-        store = StageCheckpointStore(domain)
-        store.append(
-            "factorization", {"initial": rng.standard_normal((50, 8))}, {}
-        )
-        assert domain.fences == 2  # payload fence + commit-record fence
-        assert domain.sim_seconds > 0
+    def test_append_charges_flush_and_fences(self, store, rng):
+        initial = rng.standard_normal((50, 8))
+        seconds = store.append("factorization", {"initial": initial}, {})
+        assert store.fences == 2  # payload fence + commit-record fence
+        # The payload (array + "{}" meta) and the 8-byte commit record.
+        assert store.durable_bytes == initial.nbytes + 2 + 8
+        assert seconds == _persist(initial.nbytes + 2) + _persist(8)
 
-    def test_last_verified_walks_back_and_quarantines(self, domain, rng):
-        store = StageCheckpointStore(domain)
+    def test_torn_append_bills_its_payload(self, store, rng):
+        initial = rng.standard_normal((50, 8))
+        with pytest.raises(CrashInjected) as err:
+            store.append("factorization", {"initial": initial}, {}, crash=True)
+        # The payload was flushed and fenced; the commit record never was.
+        assert err.value.sim_seconds == _persist(initial.nbytes + 2)
+        assert store.fences == 1
+        assert store.durable_bytes == initial.nbytes + 2
+
+    def test_last_verified_walks_back_and_quarantines(self, store, rng):
         assert store.last_verified() is None
         for version in range(3):
             store.append(
@@ -179,17 +179,75 @@ class TestStageCheckpointStore:
         assert [r.meta["v"] for r in dropped] == [2, 1]
         assert store.records == []
 
-    def test_clear_truncates(self, domain):
-        store = StageCheckpointStore(domain)
+    def test_clear_truncates(self, store):
         store.append("graph_read", {}, {})
         assert store.clear() is None
         assert store.last() is None
         assert store.stages == []
 
-    def test_clear_keeps_the_newest_commit_record(self, domain):
-        store = StageCheckpointStore(domain)
+    def test_clear_keeps_the_newest_commit_record(self, store):
         for stage in ("propagation", "graph_read") * 2:
             store.append(stage, {}, {})
         kept = store.clear()
         assert store.records == [kept]
         assert (kept.stage, kept.sequence) == ("propagation", 3)
+
+
+class TestWalBill:
+    """``checkpoint.sim_seconds`` is every append's flush + fence charges,
+    a torn commit's payload included, recomputed from the cost model."""
+
+    @pytest.fixture
+    def appends(self, monkeypatch):
+        """Each append's ``(payload_bytes, torn)``, in call order."""
+        seen = []
+        append = StageCheckpointStore.append
+
+        def spy(self, stage, arrays, meta, crash=False):
+            payload = sum(np.asarray(a).nbytes for a in arrays.values())
+            payload += len(json.dumps(meta, sort_keys=True))
+            seen.append((float(payload), crash))
+            return append(self, stage, arrays, meta, crash=crash)
+
+        monkeypatch.setattr(StageCheckpointStore, "append", spy)
+        return seen
+
+    @staticmethod
+    def _bill(appends) -> float:
+        """What ``_drive`` adds up over one attempt's appends."""
+        seconds = 0.0
+        for payload, torn in appends:
+            charge = _persist(payload)
+            seconds += charge if torn else charge + _persist(8.0)
+        return seconds
+
+    def test_resumed_run_bills_the_torn_commit(self, two_graphs, appends):
+        checkpointed = _checkpointed()
+        metrics = checkpointed.embedder.metrics
+        with pytest.raises(CrashInjected):
+            checkpointed.embed_with_checkpoints(
+                *two_graphs[0], faults=_crash("factorization", "before_commit")
+            )
+        crashed = list(appends)
+        assert [torn for _, torn in crashed] == [False, True]
+        assert metrics.value("checkpoint.sim_seconds") == self._bill(crashed)
+        del appends[:]
+        result = checkpointed.resume()
+        assert [torn for _, torn in appends] == [False, False]
+        assert result.checkpoint_seconds == self._bill(appends)
+        assert metrics.value("checkpoint.sim_seconds") == (
+            self._bill(crashed) + self._bill(appends)
+        )
+
+    def test_unresumed_crash_is_billed(self, two_graphs, appends):
+        checkpointed = _checkpointed()
+        with pytest.raises(CrashInjected):
+            checkpointed.run_to_completion(
+                *two_graphs[0],
+                faults=_crash("propagation", "before_commit"),
+                resume=False,
+            )
+        assert [torn for _, torn in appends] == [False, False, True]
+        assert checkpointed.embedder.metrics.value(
+            "checkpoint.sim_seconds"
+        ) == self._bill(appends)

@@ -33,8 +33,7 @@ import pytest
 from repro.core import OMeGaConfig, OMeGaEmbedder
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.graphs import chung_lu_edges
-from repro.memsim.devices import pm_spec
-from repro.memsim.persistence import PersistenceDomain, StageCheckpointStore
+from repro.memsim.persistence import StageCheckpointStore
 from repro.obs import forensics
 from repro.obs.forensics.blame import merge_blame
 from repro.obs.forensics.fold import _COMPLETED, ForensicsReport
@@ -480,9 +479,7 @@ def test_sharded_shard_crash(tmp_path, edges, reference_batches, n_replicas):
             backend.shards.on_failure = None
             host = backend.shards.hosts[1]
             host.inject_crash()
-            host.checkpoints = StageCheckpointStore(
-                PersistenceDomain(device=pm_spec())
-            )
+            host.checkpoints = StageCheckpointStore()
             _replay(server, 12, backend, 20, load=1.1)
     seen = _outcomes(_assert_same_folds(path, reference_batches))
     # A replica takes over (and is promoted); without one the read falls

@@ -37,8 +37,7 @@ import pytest
 from repro.core import OMeGaConfig, OMeGaEmbedder
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.graphs import chung_lu_edges
-from repro.memsim.devices import pm_spec
-from repro.memsim.persistence import PersistenceDomain, StageCheckpointStore
+from repro.memsim.persistence import StageCheckpointStore
 from repro.obs import forensics
 from repro.obs.live import TelemetryStream, load_records
 from repro.obs.metrics import MetricsRegistry
@@ -170,9 +169,7 @@ def _sharded_crash(path, n_replicas):
             backend.shards.on_failure = None
             host = backend.shards.hosts[1]
             host.inject_crash()
-            host.checkpoints = StageCheckpointStore(
-                PersistenceDomain(device=pm_spec())
-            )
+            host.checkpoints = StageCheckpointStore()
             reports.append(server.run_trace(_trace(backend, 12, 20, load=1.1)))
     return metrics, reports
 

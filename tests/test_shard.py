@@ -466,19 +466,13 @@ class TestScatterGather:
             )
 
     def test_partial_result_when_no_rung_left(self):
-        from repro.memsim.persistence import (
-            PersistenceDomain,
-            StageCheckpointStore,
-        )
-        from repro.memsim.devices import pm_spec
+        from repro.memsim.persistence import StageCheckpointStore
 
         with _manager() as manager:
             host = manager.hosts[0]
             host.inject_crash()
             # Wipe the WAL: no live worker, no replica, no checkpoint.
-            host.checkpoints = StageCheckpointStore(
-                PersistenceDomain(device=pm_spec())
-            )
+            host.checkpoints = StageCheckpointStore()
             with pytest.raises(PartialResultError) as err:
                 manager.lookup(np.arange(N_NODES))
             (shard, start, end), = err.value.missing_ranges
@@ -633,6 +627,23 @@ class TestSupervisor:
             # Recorded, not slept: repair is far faster than even a
             # handful of real backoffs would allow.
             assert elapsed < 5.0
+
+    def test_supervisors_sharing_a_policy_draw_alike(self):
+        from repro.shard.supervisor import DEFAULT_RESTART_BACKOFF
+
+        # One default policy, two supervisors in turn: each draws its
+        # backoffs from its own RNG seeded by the policy, so what the
+        # first drew does not move the second's first draw.
+        policy = SupervisorPolicy()
+        first = []
+        for _ in range(2):
+            with _manager() as manager:
+                supervisor = ShardSupervisor(manager, policy)
+                manager.hosts[0].inject_crash()
+                manager.lookup(np.arange(N_NODES))
+                first.append(supervisor.incidents[0].backoff_s)
+        twin = dataclasses.replace(DEFAULT_RESTART_BACKOFF)
+        assert first == [twin.delay(0)] * 2
 
     def test_incident_is_frozen_record(self):
         incident = Incident(shard_id=2, reason="crash", action="restart")

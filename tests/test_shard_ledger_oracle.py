@@ -29,7 +29,6 @@ Regenerate only when the simulated numbers are meant to move::
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +45,7 @@ from repro.serve.sharded import ShardedEmbeddingBackend
 from repro.shard import PartialResultError
 from repro.shard.host import HEDGE_SIM_PENALTY_S, ShardHost
 from repro.shard.store import ShardPolicy
-from repro.shard.supervisor import DEFAULT_RESTART_BACKOFF, SupervisorPolicy
+from repro.shard.supervisor import SupervisorPolicy
 
 FIXTURE = Path(__file__).with_name("shard_ledger_oracle.json")
 N_NODES = 240
@@ -181,10 +180,6 @@ def run_case(name):
         N_NODES,
         shard_policy=ShardPolicy(**fleet),
         supervisor_policy=SupervisorPolicy(
-            # A fresh copy: the default instance's jitter RNG is shared
-            # by every supervisor in the process, so its draws would
-            # depend on what ran before.
-            restart_backoff=replace(DEFAULT_RESTART_BACKOFF),
             heartbeat_timeout_s=30.0,
             reshard_imbalance=imbalance,
             reshard_min_lookups=12,

@@ -17,12 +17,7 @@ from repro.core import OMeGaConfig, OMeGaEmbedder
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.graphs import chung_lu_edges
 from repro.memsim.clock import VirtualClock
-from repro.memsim.devices import pm_spec
-from repro.memsim.persistence import (
-    CrashInjected,
-    PersistenceDomain,
-    StageCheckpointStore,
-)
+from repro.memsim.persistence import CrashInjected, StageCheckpointStore
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import EmbeddingServer, RequestTrace, ServePolicy
 from repro.serve.backend import FIDELITY_FULL, FIDELITY_STALE
@@ -333,9 +328,7 @@ class TestServeIntegration:
             host = backend.shards.hosts[0]
             host.inject_crash()
             # Wipe the WAL: the hedge of last resort has nothing left.
-            host.checkpoints = StageCheckpointStore(
-                PersistenceDomain(device=pm_spec())
-            )
+            host.checkpoints = StageCheckpointStore()
             policy = ServePolicy.calibrated(backend.compute_cost(1) * 8.5)
             server = EmbeddingServer(
                 backend, policy, clock=VirtualClock(), metrics=metrics
