@@ -44,6 +44,40 @@ def store():
     return StageCheckpointStore()
 
 
+def _pm_write(nbytes: float) -> float:
+    """A sequential local PM write of ``nbytes``, with no fence."""
+    return CostModel().access_time(
+        pm_spec(),
+        Operation.WRITE,
+        AccessPattern.SEQUENTIAL,
+        Locality.LOCAL,
+        nbytes,
+    )
+
+
+class TestPersistenceDomain:
+    """How the store prices reaching the PM persistence domain."""
+
+    def test_fence_cost_and_count(self, store):
+        # An empty record: a one-line "{}" payload and a one-line commit.
+        seconds = store.append("graph_read", {}, {})
+        assert store.fences == 2
+        assert FENCE_SECONDS == 30e-9
+        fences = seconds - 2 * _pm_write(CACHE_LINE_BYTES)
+        assert fences == pytest.approx(2 * 30e-9)
+
+    def test_flush_charges_pm_write_cost(self, store):
+        payload = np.zeros(2**17)  # 1 MiB, a whole number of lines
+        seconds = store.append("factorization", {"x": payload}, {})
+        assert _pm_write(2**20) > 0
+        assert seconds == pytest.approx(
+            _pm_write(2**20 + CACHE_LINE_BYTES)
+            + _pm_write(CACHE_LINE_BYTES)
+            + 2 * FENCE_SECONDS
+        )
+        assert store.durable_bytes == 2**20 + 2 + 8
+
+
 @pytest.fixture(scope="module")
 def two_graphs():
     return (
