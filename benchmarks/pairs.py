@@ -20,16 +20,32 @@ worse by more than the metric's bound; ``WORSE`` -- it is; ``unresolved``
 also runs ``--trace 1`` once per side (after both untraced runs, in the
 same order), and the named rows get the same medians, quartiles and
 wins/ties -- a report of where a saving appears, with no verdict.
+
+``--record PATH`` appends the run to a trajectory file (the repo's is
+``BENCH_omega.json``) as one entry, ``{"suite": "pairs", "schema": 1}``:
+both trees' commit SHAs (``+dirty`` when tracked files differ from the
+commit), the workload, the seeds, the host's CPU count and, per
+end-to-end metric, both sides' quartiles, the wins, ties and verdict.
+``repro trend`` reads it as ``pairs.<workload>.<metric>.ratio``, the
+change's median over the parent's.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from repro.obs.observatory.trend import append_trajectory_point  # noqa: E402
+
+#: Version of the entry ``--record`` writes.
+RECORD_SCHEMA = 1
 
 
 def run_once(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -52,15 +68,25 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def compare(parent, change, better: str) -> dict:
+    """Both sides' quartiles of one metric over the pairs, and the
+    change's wins and ties."""
+    sign = 1.0 if better == "higher" else -1.0
+    return {
+        "parent": list(quartiles(parent)),
+        "change": list(quartiles(change)),
+        "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+        "ties": sum(c == p for p, c in zip(parent, change)),
+    }
+
+
 def summary(parent, change, better: str) -> tuple[str, int]:
     """The report of one metric over the pairs, and the change's wins."""
-    sign = 1.0 if better == "higher" else -1.0
-    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    ties = sum(c == p for p, c in zip(parent, change))
-    (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+    row = compare(parent, change, better)
+    (p1, pm, p3), (c1, cm, c3) = row["parent"], row["change"]
     text = (f"{pm:.5g} [{p1:.5g}-{p3:.5g}] -> {cm:.5g} [{c1:.5g}-{c3:.5g}]"
-            f" | {wins}/{len(parent)} wins, {ties} ties")
-    return text, wins
+            f" | {row['wins']}/{len(parent)} wins, {row['ties']} ties")
+    return text, row["wins"]
 
 
 def verdict(parent, change, better: str, bound: float) -> tuple[str, str]:
@@ -74,6 +100,18 @@ def verdict(parent, change, better: str, bound: float) -> tuple[str, str]:
     if max((p3 - p1) / abs(pm), (c3 - c1) / abs(cm)) > bound:
         return text, "unresolved"
     return text, "WORSE" if -gain / abs(pm) > bound else "ok"
+
+
+def tree_sha(tree: Path) -> str:
+    """``tree``'s commit, ``+dirty`` when tracked files differ from it."""
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", "-C", str(tree), *args],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    dirty = git("status", "--porcelain", "--untracked-files=no")
+    return git("rev-parse", "HEAD") + ("+dirty" if dirty else "")
 
 
 def layer_rows(names: str, spec: dict) -> list[dict]:
@@ -101,8 +139,14 @@ def main() -> int:
     parser.add_argument("--layers", default="", metavar="NAME[,NAME...]",
                         help="per-layer rows to report from one traced run"
                              " per side per pair")
+    parser.add_argument("--record", type=Path, metavar="PATH",
+                        help="append the run as one entry to this"
+                             " trajectory file")
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    # Taken before the runs: recording changes the change's tree.
+    shas = {side: tree_sha(tree) for side, tree in trees.items()
+            if args.record}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text("utf-8"))
     layers = layer_rows(args.layers, spec)
     passes = [(0, spec["end_to_end"])] + ([(1, layers)] if layers else [])
@@ -133,15 +177,23 @@ def main() -> int:
                     print(line, flush=True)
     status = 1 if failed_runs else 0
     print(f"\n{args.workload}: parent median [q1-q3] -> change median [q1-q3]")
+    rows = {}
     for metric in spec["end_to_end"]:
         name = metric["name"]
+        parent, change = samples[0, "parent"][name], samples[0, "change"][name]
         text, outcome = verdict(
-            samples[0, "parent"][name], samples[0, "change"][name],
-            metric["better"], metric["bound"],
+            parent, change, metric["better"], metric["bound"]
         )
         print(f"  {name} ({metric['unit']}, {metric['better']} is better,"
               f" bound {metric['bound']}): {text} | {outcome}")
         status |= outcome == "WORSE"
+        rows[name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "bound": metric["bound"],
+            **compare(parent, change, metric["better"]),
+            "verdict": outcome,
+        }
     if layers:
         print("\ntraced runs (--trace 1):")
         print_header([row["name"] for row in layers])
@@ -157,6 +209,19 @@ def main() -> int:
                   f" {text}")
     print(f"  runs with a failed check: {failed_runs} of"
           f" {len(passes) * 2 * args.pairs}")
+    if args.record:
+        append_trajectory_point(args.record, {
+            "suite": "pairs",
+            "schema": RECORD_SCHEMA,
+            "workload": args.workload,
+            "parent_sha": shas["parent"],
+            "change_sha": shas["change"],
+            "seeds": [args.seed_base + pair for pair in range(args.pairs)],
+            "failed_runs": failed_runs,
+            "host": {"nproc": len(os.sched_getaffinity(0))},
+            "metrics": rows,
+        })
+        print(f"  recorded in {args.record}")
     return status
 
 

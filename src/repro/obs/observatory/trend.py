@@ -6,7 +6,8 @@ scripts append their results through it) and :func:`load_trajectory`
 its one reader; both refuse a file that is not a JSON list, naming it.
 ``repro trend`` turns the points (perf-gate points with their
 ``stages`` dicts, ``bench_parallel_scaling`` points with nested
-per-worker measurements) into per-series trajectories and renders each
+per-worker measurements, ``benchmarks/pairs.py --record`` entries)
+into per-series trajectories and renders each
 as a first/last/delta row with a unicode sparkline — the ten-second
 answer to "is the cost model drifting commit over commit?".
 
@@ -70,10 +71,18 @@ def extract_point_series(point: dict[str, Any]) -> dict[str, float]:
     Points with a ``stages`` dict (the perf-gate history) contribute
     ``stages.<name>``; benchmark points with a nested ``points`` list
     (``bench_parallel_scaling``) contribute
-    ``<suite>.<backend>.w<workers>.<field>``.  Anything unrecognized is
-    skipped.
+    ``<suite>.<backend>.w<workers>.<field>``; a ``pairs`` entry
+    (``benchmarks/pairs.py --record``, schema 1) contributes
+    ``pairs.<workload>.<metric>.ratio``, the change's median over the
+    parent's.  Anything unrecognized is skipped.
     """
     out: dict[str, float] = {}
+    if point.get("suite") == "pairs" and point.get("schema") == 1:
+        for name, row in point["metrics"].items():
+            (_, parent, _), (_, change, _) = row["parent"], row["change"]
+            if parent:
+                out[f"pairs.{point['workload']}.{name}.ratio"] = change / parent
+        return out
     stages = point.get("stages")
     if isinstance(stages, dict):
         for name, value in stages.items():

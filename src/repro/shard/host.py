@@ -89,7 +89,7 @@ class ShardHost:
         #: host's waits on them (:func:`repro.shard.transport.spin_window`).
         self.spin_s = spin_s
         #: The version watermark: written here, read by every worker of
-        #: this shard when it acks.  Lock-free — one writer, and an
+        #: this shard when it replies.  Lock-free — one writer, and an
         #: aligned 8-byte store is not torn.
         self._watermark = self._ctx.RawValue("q", 0)
         token = secrets.token_hex(4)
@@ -393,16 +393,16 @@ class ShardHost:
         deadline_s: float | None = None,
         replica: int = 0,
     ) -> _SentLookup:
-        """Send half of a lookup: put the request on worker ``replica``.
+        """Send half of a lookup: publish the request to worker ``replica``.
 
         The deadline of the call (the policy's unless given) starts
         here; see :meth:`_ShardWorker.send_lookup
-        <repro.shard.transport._ShardWorker.send_lookup>` for what is
-        and is not written to a worker that owes an ack.
+        <repro.shard.transport._ShardWorker.send_lookup>` for why
+        nothing is published to a worker that owes a reply.
 
         Raises:
             ShardCrashError: the worker is dead or its pipe is closed.
-            ShardTimeoutError: the owed acks did not arrive in time.
+            ShardTimeoutError: the owed reply did not arrive in time.
         """
         if replica >= len(self._workers):
             raise ShardCrashError(self.shard_id, f"no worker {replica}")
@@ -415,13 +415,12 @@ class ShardHost:
     def finish_lookup(self, sent: _SentLookup) -> tuple[np.ndarray, int]:
         """Receive half of a lookup: the rows and the version they carry.
 
-        The rows are read-only: a view of the worker's reply, not a
-        copy.
+        The rows are a read-only copy out of the worker's mailbox.
 
         Raises:
             ShardCrashError: the worker died (EOF) or reported an error.
-            ShardTimeoutError: no ack within the call's deadline; an ack
-                that has already arrived is never a timeout.
+            ShardTimeoutError: no reply within the call's deadline; a
+                reply that has already arrived is never a timeout.
         """
         return sent.worker.finish_lookup(sent)
 
@@ -437,7 +436,7 @@ class ShardHost:
 
         Raises:
             ShardCrashError: the worker is (or dies) unresponsive.
-            ShardTimeoutError: no ack within ``deadline_s``.
+            ShardTimeoutError: no reply within ``deadline_s``.
         """
         return self.finish_lookup(
             self.send_lookup(node_ids, deadline_s, replica)

@@ -407,7 +407,7 @@ class EmbeddingShardManager:
             return min(max(at, row_start + 1), row_end - 1)
         return (row_start + row_end) // 2
 
-    def begin_split(self, shard_id: int, at: int | None = None) -> None:
+    def begin_split(self, shard_id: int, at: int | None = None) -> float:
         """Start migrating one hot shard's range onto two new hosts.
 
         The protocol is dual-route: until :meth:`finish_migration`
@@ -420,6 +420,8 @@ class EmbeddingShardManager:
         it down with it, and no migration is recorded.  Returns once the
         warmed primaries have beaten, so :meth:`migration_ready` holds
         from the next supervisor sweep on, whatever the host's speed.
+        Returns what the two hosts' genesis checkpoints cost in
+        simulated seconds (:meth:`ShardHost.start`).
         """
         row_start, row_end = self.routing.ranges[shard_id]
         at = self._split_point(row_start, row_end) if at is None else int(at)
@@ -428,11 +430,12 @@ class EmbeddingShardManager:
             raise RuntimeError("a reshard migration is already in flight")
         new_ranges = routing.ranges[shard_id : shard_id + 2]
         hosts: list[ShardHost] = []
+        seconds = 0.0
         try:
             for index in (shard_id, shard_id + 1):
                 host = self._new_host(routing, index, shard_id=-1)
                 hosts.append(host)
-                host.start()
+                seconds += host.start()
         except BaseException:
             for host in hosts:
                 host.close()
@@ -447,6 +450,7 @@ class EmbeddingShardManager:
                     "kind": "split", "shard": shard_id,
                     "ranges": [list(r) for r in new_ranges],
                     "seq": self.lookup_seq})
+        return seconds
 
     def migration_ready(self) -> bool:
         """Whether every warming host is live and has heartbeaten."""

@@ -118,7 +118,8 @@ class Incident:
         backoff_s: jittered backoff charged for this restart.
         recovery_s: simulated seconds the repair itself cost, as the
             repair call returned them: the PM sequential read of a WAL
-            restart's replay, or the hedge penalty of a promotion.
+            restart's replay, the hedge penalty of a promotion, or the
+            two genesis checkpoints of a reshard's new hosts.
         seq: the store's lookup sequence number when the incident was
             acted on — the coordinate forensics joins incidents onto
             request trees with.
@@ -235,10 +236,11 @@ class ShardSupervisor:
         start, end = manager.routing.ranges[hottest]
         if end - start < 2 or manager.hosts[hottest].abandoned:
             return
-        manager.begin_split(hottest)
+        seconds = manager.begin_split(hottest)
         incident = Incident(
             shard_id=hottest, reason="imbalance", action="reshard",
-            seq=manager.lookup_seq, sim_now_s=self._sim_now,
+            recovery_s=seconds, seq=manager.lookup_seq,
+            sim_now_s=self._sim_now,
         )
         self._record(incident)
         sweep.append(incident)

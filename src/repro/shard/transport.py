@@ -1,26 +1,76 @@
-"""The shard pipe protocol, both ends of it.
+"""The shard transport, both ends of it: a mailbox in shared memory for
+lookups, a pipe for control frames and wake-ups.
 
-A :class:`~repro.shard.host.ShardHost` talks to each of its worker
-processes over one duplex ``Connection`` — the only channel between
-them — and shares two things with them through memory: the rows (the
-segment) and the table version those rows are current to (an 8-byte
-watermark).  This module is the worker's loop (:func:`shard_main`) and
-the host's handle on it (:class:`_ShardWorker`), so every frame layout
-is written once.
+A :class:`~repro.shard.host.ShardHost` shares three things with each of
+its worker processes through memory: the rows (the row segment), the
+table version those rows are current to (an 8-byte watermark) and one
+mailbox per worker, a named segment that lookups cross in both
+directions.  Beside them runs one duplex ``Connection`` per worker.
+This module is the worker's loop (:func:`shard_main`) and the host's
+handle on it (:class:`_ShardWorker`), so the mailbox layout and every
+frame are written once.
 
-Every message is one binary frame, ``Connection.send_bytes(head +
-payload)``: the head is :data:`_HEAD` (kind byte, ``req_id`` int64,
-``version`` int64; 24 bytes with padding, so the payload starts 8-byte
-aligned) and the payload is raw bytes — nothing is pickled either way:
+**The mailbox** (``shard-<pid>-<token>-box``, made and unlinked by the
+host's handle, attached by name by the worker, as the row segment is)
+is int64 words, then the ids, then the rows:
 
-- ``LOOKUP`` — payload: the requested ids, raw int64.  The worker
-  gathers the rows and acks ``OK`` (payload: the rows, raw float64,
-  which the host reads in place with ``np.frombuffer``) or ``ERROR``
-  (payload: UTF-8 text) when the gather raises; ``version`` is the
-  watermark at ack time.  Lookups are the only messages that are acked,
-  one ack each, in order;
-- ``CRASH`` — hard-exit without acking (an injected ``shard_crash``).
-  Acks are written synchronously, so there is nothing left to flush:
+- the host's line, written by the host alone: ``req_seq`` (sequence
+  number of the last request published), ``n_ids`` and ``host_parked``;
+- the worker's line, one cache line on, written by the worker alone:
+  ``reply_seq`` (of the last request answered), ``status`` (``OK`` or
+  ``ERROR``), ``version`` and ``worker_parked``;
+- room for :data:`MAILBOX_IDS` int64 ids and as many float64 rows.
+
+A lookup is one transaction per :data:`MAILBOX_IDS` ids (longer requests
+run as consecutive transactions inside one deadline).  **Publish order:**
+the host writes the ids and ``n_ids``, then ``req_seq``; the worker
+gathers the rows straight into the mailbox (``ndarray.take(out=)``),
+writes ``status`` and the watermark's ``version``, then ``reply_seq``.
+An end that reads the other's sequence number therefore reads what was
+written before it.  The host copies the rows out (a read-only copy).
+
+**Memory ordering.**  Publication relies on x86-64 store order (stores
+become visible in program order, loads are not reordered with other
+loads), as the watermark already does; every word is an aligned 8-byte
+store, never torn.  The one reordering x86-64 allows — a load passing
+an earlier store — is what parking must rule out, and there both ends
+run a store→load fence: an uncontended ``threading.Lock`` round trip,
+whose locked instruction orders every earlier store before every later
+load.
+
+**Who parks and who rings.**  Both ends spin, then block.  A worker
+that has just answered, and a host waiting on a reply, first spin on
+the other end's sequence number — a memory read, no system call — for
+up to :data:`SPIN_S` (the host for at most what is left of its
+deadline).  Spinning burns a CPU, so it is on only when the coordinator
+and every primary worker can each have one to itself:
+:func:`spin_window` decides it before a host spawns its workers, from
+the shard count and :func:`usable_cpus`, and the window rides to each
+worker as a spawn argument.  Replicas are not counted: a worker spins
+only after a reply, and a replica replies only to a hedge, which its
+primary has stopped answering.  Where the rule fails the window is 0.
+
+An end that blocks *parks*: it sets its parked word, fences, re-reads
+the other end's sequence number and blocks on its pipe only if that has
+not moved.  The other end, after publishing, fences and reads the
+parked word, and writes a frame (``DOORBELL`` to a worker, ``WAKE`` to
+the host) only when it is set.  Each side stores before it loads, so at
+least one of them sees the other: a request is never left unseen by a
+parked worker.  Even so a parked worker re-reads its mailbox on every
+heartbeat-paced wake, so a lost doorbell would cost one idle interval,
+never a hang.
+
+**The pipe** carries binary frames, ``Connection.send_bytes(head +
+payload)`` with head :data:`_HEAD` (kind byte, ``req_id`` int64,
+``version`` int64; 24 bytes), and nothing is pickled either way:
+
+- ``DOORBELL`` / ``WAKE`` — a head alone; the reader re-reads the
+  mailbox;
+- ``ERROR`` — a lookup's gather raised: payload the UTF-8 text,
+  ``req_id`` the request's sequence number.  It is written before the
+  reply is published, so a host that reads ``status == ERROR`` finds
+  the text on its pipe;
+- ``CRASH`` — hard-exit without replying (an injected ``shard_crash``);
   the host reads EOF;
 - ``HANG`` — payload: float64 seconds; sleep without heartbeating or
   serving (an injected ``shard_hang``);
@@ -28,55 +78,53 @@ aligned) and the payload is raw bytes — nothing is pickled either way:
   ``heartbeat_loss``, the supervisor's false-positive path);
 - ``SHUTDOWN`` — clean shutdown.
 
-Each end waits on its pipe with one ``select.poll`` object registered
-once (``Connection.poll`` builds a selector per call).  A ``poll`` owns
-no file descriptor, so a worker handle holds exactly its pipe end.
-
-Both ends spin, then block.  A worker that has just sent a reply, and a
-host waiting on an ack, first poll with a zero timeout for up to
-:data:`SPIN_S` (the host for at most what is left of its deadline), then
-fall back to the blocking wait.  A lookup answered inside the window
-costs no scheduler wake-up on either side.  Spinning burns a CPU, so it
-is on only when the coordinator and every primary worker can each have
-one to itself: :func:`spin_window` decides it before a host spawns its
-workers, from the shard count and :func:`usable_cpus`, and the window
-rides to each worker as a spawn argument.  Replicas are not counted: a
-worker spins only after a reply, and a replica replies only to a hedge,
-which its primary has stopped answering.  Where the rule fails the
-window is 0 and both ends block at once.  Deadlines, EOF, heartbeats
-and every injected fault behave the same either way.
+A worker that sees a new request reads its pipe first, so a control
+frame posted before a lookup is acted on before that lookup is served,
+as when both went down one pipe.  Each end waits on its pipe with one
+``select.poll`` object registered once (``Connection.poll`` builds a
+selector per call); a ``poll`` owns no file descriptor.
 
 There is no version message, and an update sends nothing at all — it
-writes rows and watermark in place, and the next ack reads both.  The
-table version an ack carries is read, at ack time, from the host's
-shared watermark (one 8-byte value in shared memory, written by the
-host alone) — the same place and moment the rows come from, so an ack
+writes rows and watermark in place, and the next reply reads both.  The
+version a reply carries is read, at reply time, from the host's shared
+watermark — the same place and moment the rows come from, so a reply
 can never pair fresh rows with an old version or the reverse.
 
-The host never writes to a worker that still owes an ack (it receives
-that ack first), so neither side can block writing a large message the
-other is not reading.
+**The drain-before-send rule.**  The host never publishes to a worker
+that still owes a reply (one of a call that timed out): it waits for
+that reply first, inside the new call's deadline, and drops it.  The
+mailbox has one ids area and one rows area, so this is what keeps the
+host from overwriting ids the worker has yet to read, and the worker
+from overwriting rows under a newer request.
 
-Liveness is a heartbeat counter (a shared ``Value``) bumped every loop
-iteration — while idle the pipe poll's timeout paces the bumps,
-so a healthy-but-quiet shard still beats and a hung one visibly does
-not — plus EOF: a process that dies closes its end of the connection,
-which the host reads as a crash at once.
+Liveness is a heartbeat counter (a shared ``Value``) bumped on every
+reply and every park — while idle the pipe poll's timeout paces the
+bumps, so a healthy-but-quiet shard still beats and a hung one visibly
+does not — plus EOF: a process that dies closes its end of the
+connection, which the host reads as a crash at once.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import secrets
 import select
 import struct
+import threading
 import time
+from multiprocessing import shared_memory
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.formats.csdb import SharedArraySpec, attach_shared_array
+from repro.formats.csdb import (
+    SharedArraySpec,
+    attach_segment,
+    attach_shared_array,
+    unlink_segment,
+)
 from repro.shard.errors import ShardCrashError, ShardTimeoutError
 
 #: Exit code of an injected shard crash (asserted by the crash test).
@@ -85,19 +133,60 @@ SHARD_CRASH_EXIT_CODE = 23
 #: Wall seconds between a worker's heartbeat bumps while idle.
 HEARTBEAT_INTERVAL_S = 0.02
 
-#: Poll granularity while waiting on a shard ack (fast crash detection).
+#: Poll granularity while waiting on a shard reply (fast crash detection).
 _POLL_S = 0.02
 
-#: Wall seconds an end of the pipe polls without blocking before it
-#: blocks: a worker after each reply, the host before each ack.
+#: Wall seconds an end spins on the mailbox before it parks: a worker
+#: after each reply, the host before each reply.
 SPIN_S = 1e-3
+
+#: Ids (and rows) one mailbox transaction carries.
+MAILBOX_IDS = 4096
 
 #: Head of every frame: kind, req_id, version (+ 7 pad bytes after kind).
 _HEAD = struct.Struct("<B7xqq")
 #: Payload of a HANG frame: the seconds to sleep.
 _SECONDS = struct.Struct("<d")
 
-_LOOKUP, _OK, _ERROR, _CRASH, _HANG, _MUTE, _SHUTDOWN = range(7)
+_OK, _ERROR, _DOORBELL, _WAKE, _CRASH, _HANG, _MUTE, _SHUTDOWN = range(8)
+
+# The mailbox's int64 words: the host's line, then the worker's.
+_REQ_SEQ, _N_IDS, _HOST_PARKED = 0, 1, 2
+_REPLY_SEQ, _STATUS, _VERSION, _WORKER_PARKED = 8, 9, 10, 11
+_N_WORDS = 16
+
+#: Spin iterations between two reads of the pipe and the clock.
+_SPIN_CHECK = 32
+
+
+class _Mailbox:
+    """Views of one mailbox segment: ``words`` (a memoryview of int64),
+    ``ids`` and ``rows`` (ndarrays of :data:`MAILBOX_IDS` entries)."""
+
+    __slots__ = ("segment", "words", "ids", "rows")
+
+    def __init__(self, segment, row_shape: tuple[int, ...]) -> None:
+        self.segment = segment
+        self.words = segment.buf[: _N_WORDS * 8].cast("q")
+        self.ids = np.ndarray(
+            MAILBOX_IDS, np.int64, segment.buf, _N_WORDS * 8
+        )
+        self.rows = np.ndarray(
+            (MAILBOX_IDS, *row_shape),
+            np.float64,
+            segment.buf,
+            (_N_WORDS + MAILBOX_IDS) * 8,
+        )
+
+    @staticmethod
+    def size(row_shape: tuple[int, ...]) -> int:
+        return (_N_WORDS + MAILBOX_IDS * (1 + math.prod(row_shape))) * 8
+
+    def close(self) -> None:
+        """Drop the views, then the mapping."""
+        self.words.release()
+        self.ids = self.rows = None
+        self.segment.close()
 
 
 def _input_waiter(conn) -> Callable[[int], list]:
@@ -111,14 +200,6 @@ def _input_waiter(conn) -> Callable[[int], list]:
 def _ms(seconds: float) -> int:
     """A poll timeout in whole milliseconds, rounded up (never a spin)."""
     return max(0, math.ceil(seconds * 1e3))
-
-
-def _spin(wait: Callable[[int], list], seconds: float) -> None:
-    """Poll ``wait`` without blocking until input (or EOF) is ready or
-    ``seconds`` have passed."""
-    until = time.monotonic() + seconds
-    while not wait(0) and time.monotonic() < until:
-        pass
 
 
 def usable_cpus(cgroup: str = "/sys/fs/cgroup") -> int:
@@ -144,7 +225,7 @@ def usable_cpus(cgroup: str = "/sys/fs/cgroup") -> int:
 
 
 def spin_window(n_shards: int, n_cpus: int) -> float:
-    """Seconds each end of a shard pipe spins before it blocks.
+    """Seconds each end of a shard's transport spins before it parks.
 
     :data:`SPIN_S` when the coordinator and the primary worker of each
     of ``n_shards`` shards can spin on a CPU of its own
@@ -165,56 +246,102 @@ def shard_main(
     watermark,
     heartbeat,
     spin_s: float,
+    box_name: str,
 ) -> None:
     """Entry point of one shard process (also used by replicas).
 
     The worker serves rows ``[row_start, row_start + len(segment))``;
     ``conn`` is its end of the duplex pipe, ``watermark`` the host's
-    shared version value and ``spin_s`` its spin window after a reply.
+    shared version value, ``spin_s`` its spin window after a reply and
+    ``box_name`` its mailbox segment.
     """
     view, segment = attach_shared_array(spec)
+    box = _Mailbox(attach_segment(box_name), tuple(spec.shape[1:]))
+    words = box.words
     wait = _input_waiter(conn)
+    fence = threading.Lock()
     idle_ms = _ms(HEARTBEAT_INTERVAL_S)
     muted = False
+    served = 0
+    spinning = False
+    spin_until = 0.0
+    spins = 0
     try:
         while True:
-            if not muted:
-                with heartbeat.get_lock():
-                    heartbeat.value += 1
-            try:
-                if not wait(idle_ms):
+            seq = words[_REQ_SEQ]
+            if seq == served:
+                if spinning:
+                    # The mailbox every round; the pipe and the clock
+                    # every _SPIN_CHECK rounds.
+                    spins += 1
+                    if spins % _SPIN_CHECK:
+                        continue
+                    spinning = time.monotonic() < spin_until
+                    ready = wait(0)
+                else:
+                    # Park: block on the pipe unless a request slipped
+                    # in after the last read.
+                    if not muted:
+                        with heartbeat.get_lock():
+                            heartbeat.value += 1
+                    words[_WORKER_PARKED] = 1
+                    with fence:  # store→load: worker_parked, then req_seq
+                        pass
+                    ready = words[_REQ_SEQ] == served and wait(idle_ms)
+                    words[_WORKER_PARKED] = 0
+                if not ready:
                     continue
+            elif not wait(0):
+                # A new request, and no control frame posted before it.
+                n_ids = words[_N_IDS]
+                try:
+                    view.take(
+                        box.ids[:n_ids] - row_start, 0, box.rows[:n_ids]
+                    )
+                    words[_STATUS] = _OK
+                except Exception as exc:  # noqa: BLE001 - forwarded
+                    text = f"{type(exc).__name__}: {exc}".encode()
+                    try:
+                        conn.send_bytes(
+                            _HEAD.pack(_ERROR, seq, watermark.value) + text
+                        )
+                    except OSError:
+                        return  # the host closed its end mid-reply
+                    words[_STATUS] = _ERROR
+                words[_VERSION] = watermark.value
+                words[_REPLY_SEQ] = served = seq
+                with fence:  # store→load: reply_seq, then host_parked
+                    pass
+                if words[_HOST_PARKED]:
+                    try:
+                        conn.send_bytes(_HEAD.pack(_WAKE, seq, 0))
+                    except OSError:
+                        return
+                if spin_s:
+                    # A spinning worker may not park for a while: beat.
+                    if not muted:
+                        with heartbeat.get_lock():
+                            heartbeat.value += 1
+                    spinning, spin_until = True, time.monotonic() + spin_s
+                continue
+            # A frame is waiting: a DOORBELL needs nothing more.
+            try:
                 frame = conn.recv_bytes()
             except (EOFError, OSError):
                 return  # the host is gone
-            kind, req_id, _ = _HEAD.unpack_from(frame)
+            kind = frame[0]
             if kind == _SHUTDOWN:
                 return
             if kind == _CRASH:
                 os._exit(SHARD_CRASH_EXIT_CODE)
             if kind == _HANG:
                 time.sleep(_SECONDS.unpack_from(frame, _HEAD.size)[0])
-                continue
-            if kind == _MUTE:
+            elif kind == _MUTE:
                 muted = True
-                continue
-            # kind == _LOOKUP
-            try:
-                ids = np.frombuffer(frame, np.int64, offset=_HEAD.size)
-                rows = view[ids - row_start]
-                reply = _HEAD.pack(_OK, req_id, watermark.value) + rows.data
-            except Exception as exc:  # noqa: BLE001 - forwarded
-                text = f"{type(exc).__name__}: {exc}".encode()
-                reply = _HEAD.pack(_ERROR, req_id, watermark.value) + text
-            try:
-                conn.send_bytes(reply)
-            except OSError:
-                return  # the host closed its end mid-reply
-            if spin_s:
-                _spin(wait, spin_s)
     finally:
         del view
         try:
+            box.close()
             segment.close()
         except BufferError:  # pragma: no cover - view still exported
             pass
@@ -224,7 +351,9 @@ def shard_main(
 
 
 class _SentLookup(NamedTuple):
-    """The send half of one lookup, handed to the receive half."""
+    """The send half of one lookup, handed to the receive half:
+    ``req_id`` is the sequence number of the transaction in flight,
+    which carries ``ids[start:start + MAILBOX_IDS]``."""
 
     worker: "_ShardWorker"
     shard_id: int
@@ -232,51 +361,76 @@ class _SentLookup(NamedTuple):
     req_id: int
     deadline_s: float
     deadline_at: float
+    ids: np.ndarray | None = None
+    start: int = 0
 
 
 class _ShardWorker:
     """Owner-side handle of one shard process (primary or replica).
 
-    ``next_req`` is the id of the last lookup sent and ``acked`` the id
-    of the last ack received; they differ only while a call is in
-    flight or after one timed out, and the difference is what the
-    worker still owes (see :meth:`send_lookup`).
+    ``next_req`` is the sequence number of the last request published
+    and ``acked`` that of the last reply received; they differ only
+    while a call is in flight or after one timed out, and the difference
+    is what the worker still owes (see :meth:`send_lookup`).
     """
 
     __slots__ = (
         "process", "conn", "wait", "spin_s", "row_shape", "heartbeat",
-        "next_req", "acked",
+        "next_req", "acked", "box", "box_name", "fence", "error",
     )
 
     def __init__(self, ctx, spec, row_start, watermark, spin_s):
-        self.conn, child_conn = ctx.Pipe()
-        self.wait = _input_waiter(self.conn)
-        self.spin_s = spin_s
         self.row_shape = tuple(spec.shape[1:])
-        self.heartbeat = ctx.Value("Q", 0, lock=True)
+        self.box_name = f"shard-{os.getpid()}-{secrets.token_hex(4)}-box"
+        self.box = _Mailbox(
+            shared_memory.SharedMemory(
+                name=self.box_name,
+                create=True,
+                size=_Mailbox.size(self.row_shape),
+            ),
+            self.row_shape,
+        )
+        self.conn = child_conn = None
+        self.fence = threading.Lock()
+        self.spin_s = spin_s
         self.next_req = 0
         self.acked = 0
-        self.process = ctx.Process(
-            target=shard_main,
-            args=(
-                spec, row_start, child_conn, watermark, self.heartbeat, spin_s
-            ),
-            daemon=True,
-        )
+        #: ``(req_id, text)`` of the last ERROR frame read.
+        self.error: tuple[int, str] | None = None
         try:
+            self.conn, child_conn = ctx.Pipe()
+            self.wait = _input_waiter(self.conn)
+            self.heartbeat = ctx.Value("Q", 0, lock=True)
+            self.process = ctx.Process(
+                target=shard_main,
+                args=(
+                    spec, row_start, child_conn, watermark, self.heartbeat,
+                    spin_s, self.box_name,
+                ),
+                daemon=True,
+            )
             self.process.start()
         except BaseException:
-            self.conn.close()
+            if self.conn is not None:
+                self.conn.close()
+            self._unlink_box()
             raise
         finally:
             # The child holds the only copy of its end from here on, so
             # its death — however it dies — reads as EOF on ours.
-            child_conn.close()
+            if child_conn is not None:
+                child_conn.close()
+
+    def _unlink_box(self) -> None:
+        # unlink_segment re-registers the name with the resource tracker
+        # before it unlinks: a worker that attached may have dropped it.
+        self.box.close()
+        unlink_segment(self.box_name)
 
     # -- unacked control messages ---------------------------------------
 
     def _post(self, kind: int, payload: bytes = b"") -> None:
-        """Send an unacked control frame; a dead worker ignores it."""
+        """Send a control frame; a dead worker ignores it."""
         if self.process.is_alive():
             try:
                 self.conn.send_bytes(_HEAD.pack(kind, 0, 0) + payload)
@@ -300,7 +454,7 @@ class _ShardWorker:
         self._post(_MUTE)
 
     def stop(self, graceful: bool = True, timeout: float = 2.0) -> None:
-        """End the process and close the pipe.
+        """End the process, close the pipe and unlink the mailbox.
 
         ``graceful`` asks first (a ``SHUTDOWN`` frame) and waits
         ``timeout``; a worker that is dead, hung or being replaced is
@@ -313,6 +467,7 @@ class _ShardWorker:
             self.process.terminate()
             self.process.join(timeout=timeout)
         self.conn.close()
+        self._unlink_box()
 
     # -- lookups ---------------------------------------------------------
 
@@ -323,64 +478,96 @@ class _ShardWorker:
         node_ids: np.ndarray,
         deadline_s: float,
     ) -> _SentLookup:
-        """Send half of a lookup: put the request on the pipe.
+        """Send half of a lookup: publish the first transaction.
 
         ``shard_id`` and ``replica`` name this worker in the errors the
         call can raise.  The deadline of the call starts here.  A worker
-        that still owes the ack of an earlier, timed-out call is busy
-        with that call (or about to write its reply) and is not reading
-        its pipe, so nothing is written to it until those acks have been
-        received and dropped — the host only ever writes to a worker
-        that is reading, and a worker only ever writes to a host that
-        will read, whatever the sizes of the request and the reply.  (A
-        request larger than the pipe's buffer, sent to a worker that is
-        hung, blocks here until the worker reads or dies; the deadline
-        is judged afterwards.)
+        that still owes the reply of an earlier, timed-out call may still
+        read the mailbox's ids or write its rows, so nothing is
+        published to it until that reply has arrived and been dropped.
 
         Raises:
             ShardCrashError: the worker is dead or its pipe is closed.
-            ShardTimeoutError: the owed acks did not arrive in time.
+            ShardTimeoutError: the owed reply did not arrive in time.
         """
         if not self.process.is_alive():
             raise ShardCrashError(
                 shard_id,
                 f"worker {replica} dead (exit {self.process.exitcode})",
             )
-        last = _SentLookup(
+        deadline_at = time.monotonic() + deadline_s
+        if self.acked != self.next_req:
+            self._await_reply(  # the owed reply, dropped
+                _SentLookup(
+                    self, shard_id, replica, self.next_req, deadline_s,
+                    deadline_at,
+                )
+            )
+        sent = _SentLookup(
             self,
             shard_id,
             replica,
-            self.next_req,
+            self.next_req + 1,
             deadline_s,
-            time.monotonic() + deadline_s,
+            deadline_at,
+            np.ascontiguousarray(node_ids, dtype=np.int64),
         )
-        if self.acked != last.req_id:
-            self._await_ack(last)  # owed acks, dropped
-        sent = last._replace(req_id=last.req_id + 1)
-        ids = np.ascontiguousarray(node_ids, dtype=np.int64)
+        self._publish(sent)
+        return sent
+
+    def _publish(self, sent: _SentLookup) -> None:
+        """Publish ``sent``'s transaction, ``sent.ids[sent.start:]`` up
+        to :data:`MAILBOX_IDS` of them; ring the worker if it is parked."""
+        chunk = sent.ids[sent.start : sent.start + MAILBOX_IDS]
+        words = self.box.words
+        self.box.ids[: len(chunk)] = chunk
+        words[_N_IDS] = len(chunk)
+        words[_REQ_SEQ] = self.next_req = sent.req_id
+        with self.fence:  # store→load: req_seq, then worker_parked
+            pass
+        if words[_WORKER_PARKED]:
+            self._ring(sent)
+
+    def _ring(self, sent: _SentLookup) -> None:
+        """Wake a parked worker: a DOORBELL frame."""
         try:
-            self.conn.send_bytes(_HEAD.pack(_LOOKUP, sent.req_id, 0) + ids.data)
+            self.conn.send_bytes(_HEAD.pack(_DOORBELL, sent.req_id, 0))
         except OSError:
             raise self._died(sent) from None
-        self.next_req = sent.req_id
-        return sent
 
     def finish_lookup(self, sent: _SentLookup) -> tuple[np.ndarray, int]:
         """Receive half of a lookup: the rows and the version they carry.
 
-        The rows are a read-only view of the ack frame (no copy); a
-        caller that writes copies first.
+        The rows are a read-only copy out of the mailbox.  A request
+        longer than :data:`MAILBOX_IDS` ids publishes its next
+        transaction as each reply arrives, all inside the one deadline.
 
         Raises:
             ShardCrashError: the worker died (EOF) or reported an error.
-            ShardTimeoutError: no ack within the call's deadline; an ack
-                that has already arrived is never a timeout.
+            ShardTimeoutError: no reply within the call's deadline; a
+                reply that has already arrived is never a timeout.
         """
-        status, version, frame = self._await_ack(sent)
-        if status != _OK:
-            raise ShardCrashError(sent.shard_id, frame[_HEAD.size:].decode())
-        rows = np.frombuffer(frame, np.float64, offset=_HEAD.size)
-        return rows.reshape(-1, *self.row_shape), version
+        n_ids = len(sent.ids)
+        rows = None
+        while True:
+            status, version = self._await_reply(sent)
+            if status != _OK:
+                raise ShardCrashError(sent.shard_id, self._error_text(sent))
+            n_chunk = min(MAILBOX_IDS, n_ids - sent.start)
+            if n_chunk == n_ids:
+                rows = self.box.rows[:n_chunk].copy()
+                break
+            if rows is None:
+                rows = np.empty((n_ids, *self.row_shape))
+            rows[sent.start : sent.start + n_chunk] = self.box.rows[:n_chunk]
+            if sent.start + n_chunk == n_ids:
+                break
+            sent = sent._replace(
+                req_id=sent.req_id + 1, start=sent.start + n_chunk
+            )
+            self._publish(sent)
+        rows.flags.writeable = False
+        return rows, version
 
     def _died(self, sent: _SentLookup) -> ShardCrashError:
         self.process.join(timeout=_POLL_S)  # EOF can beat the exit status
@@ -390,28 +577,59 @@ class _ShardWorker:
             f" (exit {self.process.exitcode})",
         )
 
-    def _await_ack(self, sent: _SentLookup) -> tuple[int, int, bytes]:
-        """Receive acks up to ``sent.req_id``'s — its (status, version,
-        frame); earlier ones are stale (their calls timed out) and
-        dropped."""
-        if self.spin_s:
-            _spin(
-                self.wait,
-                min(self.spin_s, sent.deadline_at - time.monotonic()),
-            )
-        while True:
-            remaining = sent.deadline_at - time.monotonic()
-            try:
-                if self.wait(_ms(min(_POLL_S, remaining))):
-                    frame = self.conn.recv_bytes()
-                    status, req_id, version = _HEAD.unpack_from(frame)
-                    self.acked = req_id
-                    if req_id == sent.req_id:
-                        return status, version, frame
+    def _read_frame(self, sent: _SentLookup) -> None:
+        """Take one frame off the pipe: an ERROR's text is kept, a WAKE
+        needs nothing more.  EOF is the worker's death."""
+        try:
+            frame = self.conn.recv_bytes()
+        except (EOFError, OSError):
+            raise self._died(sent) from None
+        kind, req_id, _ = _HEAD.unpack_from(frame)
+        if kind == _ERROR:
+            self.error = (req_id, frame[_HEAD.size :].decode())
+
+    def _error_text(self, sent: _SentLookup) -> str:
+        """The text of ``sent``'s ERROR frame, which the worker wrote
+        before it published the reply."""
+        while self.error is None or self.error[0] != sent.req_id:
+            self._read_frame(sent)
+        return self.error[1]
+
+    def _await_reply(self, sent: _SentLookup) -> tuple[int, int]:
+        """Wait for the reply to ``sent.req_id``: its (status, version).
+
+        Spins for the window (reading the pipe, for EOF, every
+        :data:`_SPIN_CHECK` rounds), then parks.
+        """
+        words, seq = self.box.words, sent.req_id
+        if self.spin_s and words[_REPLY_SEQ] != seq:
+            until = min(time.monotonic() + self.spin_s, sent.deadline_at)
+            spins = 0
+            while words[_REPLY_SEQ] != seq:
+                spins += 1
+                if spins % _SPIN_CHECK:
                     continue
-            except (EOFError, OSError):
-                raise self._died(sent) from None
+                if self.wait(0):
+                    self._read_frame(sent)
+                if time.monotonic() >= until:
+                    break
+        while words[_REPLY_SEQ] != seq:
+            remaining = sent.deadline_at - time.monotonic()
+            words[_HOST_PARKED] = 1
+            with self.fence:  # store→load: host_parked, then reply_seq
+                pass
+            ready = words[_REPLY_SEQ] != seq and self.wait(
+                _ms(min(_POLL_S, remaining))
+            )
+            words[_HOST_PARKED] = 0
+            if ready:
+                self._read_frame(sent)
+                continue
+            if words[_REPLY_SEQ] == seq:
+                break
             if remaining <= 0:
                 raise ShardTimeoutError(sent.shard_id, sent.deadline_s)
             if not self.process.is_alive():
                 raise self._died(sent)
+        self.acked = seq
+        return words[_STATUS], words[_VERSION]

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -13,6 +14,12 @@ from repro.bench import (
     format_table,
     geometric_mean,
     project_full_scale,
+)
+from repro.obs.observatory.trend import (
+    DEFAULT_TRAJECTORY,
+    extract_point_series,
+    load_trajectory,
+    trajectory_series,
 )
 
 
@@ -167,3 +174,72 @@ class TestPairsLayers:
             " | 0/2 wins, 0 ties\n" in out
         )
         assert "self_s" not in out
+
+
+class TestPairsRecord:
+    """``pairs.py --record``: one trajectory entry per run, read back by
+    ``repro trend``."""
+
+    def test_one_entry_per_run(self, pairs, tmp_path, monkeypatch):
+        for side in ("p", "c"):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "BENCHMARK.json").write_text(
+                json.dumps(TestPairsLayers.SPEC)
+            )
+
+        def fake_run(tree, workload, seed, trace=0):
+            value = 2.0 if tree.name == "c" else 1.0
+            return {"correct": True, "metrics": {"op": {"value": value}}}
+
+        monkeypatch.setattr(pairs, "run_once", fake_run)
+        monkeypatch.setattr(pairs, "tree_sha", lambda tree: f"{tree.name}0")
+        trajectory = tmp_path / "BENCH.json"
+        monkeypatch.setattr(sys, "argv", [
+            "pairs.py", "--parent", str(tmp_path / "p"),
+            "--change", str(tmp_path / "c"), "--workload", "w",
+            "--pairs", "2", "--seed-base", "7", "--record", str(trajectory),
+        ])
+        assert pairs.main() == 0
+        [entry] = load_trajectory(trajectory)
+        assert entry == {
+            "suite": "pairs",
+            "schema": 1,
+            "workload": "w",
+            "parent_sha": "p0",
+            "change_sha": "c0",
+            "seeds": [7, 8],
+            "failed_runs": 0,
+            "host": {"nproc": len(os.sched_getaffinity(0))},
+            "metrics": {
+                "op": {
+                    "unit": "x",
+                    "better": "higher",
+                    "bound": 0.2,
+                    "parent": [1.0, 1.0, 1.0],
+                    "change": [2.0, 2.0, 2.0],
+                    "wins": 2,
+                    "ties": 0,
+                    "verdict": "gain",
+                }
+            },
+        }
+        assert extract_point_series(entry) == {"pairs.w.op.ratio": 2.0}
+
+    def test_committed_trajectory_holds_a_serve_sharded_entry(self):
+        spec = json.loads(
+            (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text()
+        )
+        entries = [
+            point
+            for point in load_trajectory(DEFAULT_TRAJECTORY)
+            if point.get("suite") == "pairs"
+            and point.get("workload") == "serve_sharded"
+        ]
+        assert entries, "no serve_sharded pairs entry in BENCH_omega.json"
+        entry = entries[-1]
+        assert entry["schema"] == 1
+        assert sorted(entry["metrics"]) == sorted(
+            row["name"] for row in spec["end_to_end"]
+        )
+        series = trajectory_series(entries)
+        assert "pairs.serve_sharded.op_rel_yardstick.ratio" in series

@@ -18,8 +18,9 @@ Two kinds of number are not compared with the fixture: each incident's
 ``recovery_s`` and the refresh total.  A difference of running sums
 only approximated them; they must equal the charges recomputed here
 from the cost model — a promotion's hedge penalty, a restart's PM
-sequential read of the rows it replays, and each refresh's WAL append
-(two flush + fence pairs).
+sequential read of the rows it replays, a reshard's two genesis
+checkpoints of its new hosts, and each refresh's WAL append (two
+flush + fence pairs).
 
 Regenerate only when the simulated numbers are meant to move::
 
@@ -42,7 +43,7 @@ from repro.memsim.devices import AccessPattern, Locality, Operation, pm_spec
 from repro.memsim.persistence import CACHE_LINE_BYTES, FENCE_SECONDS
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.sharded import ShardedEmbeddingBackend
-from repro.shard import PartialResultError
+from repro.shard import EmbeddingShardManager, PartialResultError
 from repro.shard.host import HEDGE_SIM_PENALTY_S, ShardHost
 from repro.shard.store import ShardPolicy
 from repro.shard.supervisor import SupervisorPolicy
@@ -126,17 +127,36 @@ def _drive(
         backend.supervisor.check()
 
 
+def _journal_meta(host):
+    """The meta a checkpoint of ``host`` journals now."""
+    return {
+        "version": host.version,
+        "row_start": host.row_start,
+        "row_end": host.row_end,
+        "n_rows": host.n_rows,
+    }
+
+
 class _Spy:
-    """Records what each restart replays and each catch-up journals."""
+    """Records what each restart replays and what each catch-up and
+    each warming host's genesis checkpoint journal."""
 
     def __init__(self):
         self.restart_rows: list[int] = []
         self.catch_ups: list[dict] = []
+        self.warm_starts: list[dict] = []
         self._restart = ShardHost.restart
         self._catch_up = ShardHost.catch_up
+        self._start = ShardHost.start
 
     def __enter__(self):
         spy = self
+
+        def start(host, checkpoint=True):
+            # A reshard's new hosts go by shard id -1 until the swap.
+            if host.shard_id == -1 and checkpoint:
+                spy.warm_starts.append(_journal_meta(host))
+            return spy._start(host, checkpoint)
 
         def restart(host):
             out = spy._restart(host)
@@ -145,23 +165,18 @@ class _Spy:
 
         def catch_up(host, rows, version):
             out = spy._catch_up(host, rows, version)
-            spy.catch_ups.append(
-                {
-                    "version": host.version,
-                    "row_start": host.row_start,
-                    "row_end": host.row_end,
-                    "n_rows": host.n_rows,
-                }
-            )
+            spy.catch_ups.append(_journal_meta(host))
             return out
 
         ShardHost.restart = restart
         ShardHost.catch_up = catch_up
+        ShardHost.start = start
         return self
 
     def __exit__(self, *exc):
         ShardHost.restart = self._restart
         ShardHost.catch_up = self._catch_up
+        ShardHost.start = self._start
 
 
 def run_case(name):
@@ -223,6 +238,7 @@ def run_case(name):
         "refresh_sim_seconds": refresh,
         "restart_rows": spy.restart_rows,
         "catch_ups": spy.catch_ups,
+        "warm_starts": spy.warm_starts,
     }
     return pinned, seen
 
@@ -257,17 +273,24 @@ def _refresh_seconds(meta):
     return _append_seconds(payload)
 
 
-def expected_recovery(incidents, restart_rows):
+def expected_recovery(incidents, restart_rows, warm_starts):
     rows = iter(restart_rows)
+    starts = iter(warm_starts)
     charges = []
     for _shard, _reason, action, *_ in incidents:
         if action == "promote":
             charges.append(HEDGE_SIM_PENALTY_S)
         elif action == "restart":
             charges.append(_pm_seconds(Operation.READ, next(rows) * DIM * 8))
+        elif action == "reshard":
+            # The two new hosts' genesis checkpoints, in start order.
+            charges.append(
+                _refresh_seconds(next(starts)) + _refresh_seconds(next(starts))
+            )
         else:
             charges.append(0.0)
     assert next(rows, None) is None
+    assert next(starts, None) is None
     return charges
 
 
@@ -299,9 +322,21 @@ def test_case_matches_parent(name, expected):
     # A warm backend charges nothing for a second warm-up.
     assert seen["warm_again"] == 0.0
     assert seen["recovery_s"] == expected_recovery(
-        pinned["incidents"], seen["restart_rows"]
+        pinned["incidents"], seen["restart_rows"], seen["warm_starts"]
     )
     assert seen["refresh_sim_seconds"] == expected_refresh(seen["catch_ups"])
+
+
+@pytest.mark.usefixtures("no_shard_leftovers")
+def test_begin_split_returns_both_genesis_checkpoints():
+    table = np.random.default_rng(SEED).standard_normal((N_NODES, DIM))
+    with _Spy() as spy, EmbeddingShardManager(
+        table, policy=ShardPolicy(n_shards=2)
+    ) as manager:
+        manager.apply_update(np.array([1]), np.ones((1, DIM)))
+        seconds = manager.begin_split(0)
+    assert [meta["version"] for meta in spy.warm_starts] == [1, 1]
+    assert seconds == sum(map(_refresh_seconds, spy.warm_starts)) > 0.0
 
 
 def test_the_cases_exercise_every_charge(expected):

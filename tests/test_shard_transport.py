@@ -1,16 +1,18 @@
-"""Tests for the shard transport: one duplex pipe per worker, the
-version watermark in shared memory, send-all-then-receive scatter,
-spin-then-block waits.
+"""Tests for the shard transport: a shared-memory mailbox and one duplex
+pipe per worker, the version watermark in shared memory,
+send-all-then-receive scatter, spin-then-park waits.
 
-Everything goes through public ``ShardHost`` / ``EmbeddingShardManager``
-calls.  What is pinned here is the behaviour the transport owes the rest
-of the store: a dead worker reads as a crash at once (EOF, not the
-deadline), a hung one as a timeout whose late ack is dropped, shards
-gather side by side, no message size deadlocks the pipe, updates cost
-the workers nothing, nothing — thread, fd, process or segment —
-outlives ``close()`` on any path, every message is a binary frame
-that nothing on the host side pickles or unpickles, and a spinning end
-of the pipe keeps every one of those promises.
+Everything but the mailbox tests goes through public ``ShardHost`` /
+``EmbeddingShardManager`` calls; those also read a worker's parked word
+and remove the host's doorbell, the two seams of parking.  What is
+pinned here is the behaviour the transport owes the rest of the store:
+a dead worker reads as a crash at once (EOF, not the deadline), a hung
+one as a timeout whose late reply is dropped, shards gather side by
+side, no request size deadlocks either end, updates cost the workers
+nothing, nothing — thread, fd, process or segment — outlives
+``close()`` on any path, every frame is binary and nothing on the host
+side pickles or unpickles, a spinning end keeps every one of those
+promises, and a parked one is woken by its doorbell.
 """
 
 import contextlib
@@ -40,7 +42,16 @@ from repro.shard import (
     ShardTimeoutError,
 )
 from repro.shard import store as store_module
-from repro.shard.transport import SPIN_S, spin_window, usable_cpus
+from repro.shard.transport import (
+    _POLL_S,
+    _WORKER_PARKED,
+    HEARTBEAT_INTERVAL_S,
+    MAILBOX_IDS,
+    SPIN_S,
+    _ShardWorker,
+    spin_window,
+    usable_cpus,
+)
 
 pytestmark = pytest.mark.usefixtures("no_shard_leftovers")
 
@@ -571,3 +582,105 @@ def test_host_rows_are_read_only_and_manager_rows_are_the_callers():
         assert np.array_equal(
             manager.lookup(np.arange(N_NODES)).rows, manager.table
         )
+
+
+# -- (ix) the mailbox -------------------------------------------------------
+
+
+def _parked(host, timeout_s=5.0):
+    """Wait until the primary has parked on its pipe."""
+    words = host.workers[0].box.words
+    deadline = time.monotonic() + timeout_s
+    while not words[_WORKER_PARKED]:
+        assert time.monotonic() < deadline, "the worker never parked"
+        time.sleep(1e-3)
+
+
+class TestMailbox:
+    @pytest.mark.parametrize(
+        "n_ids",
+        [0, MAILBOX_IDS - 1, MAILBOX_IDS, MAILBOX_IDS + 1, 2 * MAILBOX_IDS + 1],
+    )
+    def test_transactions_round_trip_exactly(self, n_ids):
+        with _manager(lookup_deadline_s=30.0) as manager:
+            host = manager.hosts[1]
+            # Far more ids than rows: every request repeats ids.
+            ids = np.random.default_rng(n_ids).integers(
+                host.row_start, host.row_end, n_ids
+            )
+            manager.apply_update(np.array([host.row_start]), np.ones((1, DIM)))
+            rows, version = host.lookup(ids)
+            assert rows.shape == (n_ids, DIM)
+            assert not rows.flags.writeable
+            assert np.array_equal(rows, manager.table[ids])
+            assert version == manager.version
+            result = manager.lookup(np.concatenate([ids, ids[::-1]]))
+            assert result.stale_rows == 0
+            assert np.array_equal(
+                result.rows, manager.table[np.concatenate([ids, ids[::-1]])]
+            )
+
+    def test_parked_worker_answers_its_doorbell(self):
+        with _spinning_host(SPIN_S) as (host, table):
+            elapsed = []
+            for node in range(7):
+                _parked(host)  # long past the spin window
+                started = time.monotonic()
+                rows, _ = host.lookup(np.array([node]))
+                elapsed.append(time.monotonic() - started)
+                assert np.array_equal(rows, table[[node]])
+            # A missed doorbell waits for the next heartbeat-paced wake,
+            # up to _POLL_S; a rung one does not.
+            assert sorted(elapsed)[3] < _POLL_S / 4
+
+    def test_lost_doorbell_costs_one_idle_interval(self, monkeypatch):
+        monkeypatch.setattr(_ShardWorker, "_ring", lambda self, sent: None)
+        with _spinning_host(0.0) as (host, table):
+            for node in range(5):
+                _parked(host)
+                started = time.monotonic()
+                rows, _ = host.lookup(np.array([node]))
+                assert time.monotonic() - started < HEARTBEAT_INTERVAL_S + 0.2
+                assert np.array_equal(rows, table[[node]])
+
+    def test_error_in_a_later_transaction_keeps_its_text(self):
+        with _manager(lookup_deadline_s=30.0) as manager:
+            host = manager.hosts[0]
+            beyond = host.n_rows + 1000
+            ids = np.full(MAILBOX_IDS + 1, host.row_start)
+            ids[-1] = host.row_start + beyond
+            with pytest.raises(ShardCrashError) as raised:
+                host.lookup(ids)
+            assert raised.value.detail.startswith(
+                f"IndexError: index {beyond} is out of bounds"
+            )
+            rows, _ = host.lookup(ids[:-1])  # still serving
+            assert np.array_equal(rows, manager.table[ids[:-1]])
+
+    def test_late_reply_of_a_timed_out_chunked_call_is_dropped(self):
+        with _manager(lookup_deadline_s=0.15) as manager:
+            host = manager.hosts[0]
+            span = np.arange(host.row_start, host.row_end)
+            first = np.resize(span, 2 * MAILBOX_IDS + 1)
+            host.inject_hang(0.5)
+            with pytest.raises(ShardTimeoutError):
+                host.lookup(first)
+            with pytest.raises(ShardTimeoutError):
+                host.lookup(first[::-1])
+            time.sleep(0.5)
+            last = np.resize(span[::-1], MAILBOX_IDS + 1)
+            rows, _ = host.lookup(last, deadline_s=30.0)
+            assert np.array_equal(rows, manager.table[last])
+
+
+def test_spawned_worker_round_trips_and_leaves_no_segment(monkeypatch):
+    monkeypatch.setattr(
+        store_module,
+        "mp_context",
+        lambda: multiprocessing.get_context("spawn"),
+    )
+    with _manager(n_shards=1, lookup_deadline_s=30.0) as manager:
+        ids = np.resize(np.arange(N_NODES), MAILBOX_IDS + 1)
+        result = manager.lookup(ids)
+        assert np.array_equal(result.rows, manager.table[ids])
+    assert glob.glob(f"/dev/shm/shard-{os.getpid()}-*") == []
