@@ -42,13 +42,10 @@ load.
 that has just answered, and a host waiting on a reply, first spin on
 the other end's sequence number — a memory read, no system call — for
 up to :data:`SPIN_S` (the host for at most what is left of its
-deadline).  Spinning burns a CPU, so it is on only when the coordinator
-and every primary worker can each have one to itself:
-:func:`spin_window` decides it before a host spawns its workers, from
-the shard count and :func:`usable_cpus`, and the window rides to each
-worker as a spawn argument.  Replicas are not counted: a worker spins
-only after a reply, and a replica replies only to a hedge, which its
-primary has stopped answering.  Where the rule fails the window is 0.
+deadline).  Spinning burns a CPU, so :func:`spin_window` turns it on
+only where the coordinator and every primary worker have a CPU each;
+elsewhere the window is 0.  The window rides to each worker as a spawn
+argument.
 
 An end that blocks *parks*: it sets its parked word, fences, re-reads
 the other end's sequence number and blocks on its pipe only if that has
@@ -98,10 +95,11 @@ host from overwriting ids the worker has yet to read, and the worker
 from overwriting rows under a newer request.
 
 Liveness is a heartbeat counter (a shared ``Value``) bumped on every
-reply and every park — while idle the pipe poll's timeout paces the
-bumps, so a healthy-but-quiet shard still beats and a hung one visibly
-does not — plus EOF: a process that dies closes its end of the
-connection, which the host reads as a crash at once.
+park and, while the worker spins, every reply — while idle the pipe
+poll's timeout paces the bumps, so a healthy-but-quiet shard still
+beats and a hung one visibly does not — plus EOF: a process that dies
+closes its end of the connection, which the host reads as a crash at
+once.
 """
 
 from __future__ import annotations
@@ -231,7 +229,9 @@ def spin_window(n_shards: int, n_cpus: int) -> float:
     of ``n_shards`` shards can spin on a CPU of its own
     (``1 + n_shards <= n_cpus``), else 0: a spinner that shares a CPU
     takes it from the process it waits on (on one CPU, a spinning op
-    took 11× as long as a blocking one).
+    took 11× as long as a blocking one).  Replicas are not counted: a
+    worker spins only after a reply, and a replica replies only to a
+    hedge, which its primary has stopped answering.
     """
     return SPIN_S if 1 + n_shards <= n_cpus else 0.0
 

@@ -684,3 +684,33 @@ def test_spawned_worker_round_trips_and_leaves_no_segment(monkeypatch):
         result = manager.lookup(ids)
         assert np.array_equal(result.rows, manager.table[ids])
     assert glob.glob(f"/dev/shm/shard-{os.getpid()}-*") == []
+
+
+@pytest.mark.parametrize("spin_s", [0.0, SPIN_S], ids=["park", "spin"])
+def test_more_workers_than_cpus_stay_exact(monkeypatch, spin_s):
+    # Eight workers (four shards, one replica each) on however few CPUs:
+    # lookups that span every shard, replica reads and updates
+    # interleave, and every row and version must be the table's.  A
+    # reply read before its rows, or a lost doorbell that left a call to
+    # its deadline, breaks it.
+    monkeypatch.setattr(store_module, "spin_window", lambda *_: spin_s)
+    rng = np.random.default_rng(11)
+    with _manager(
+        n_shards=4, n_replicas=1, lookup_deadline_s=30.0
+    ) as manager:
+        started = time.monotonic()
+        for step in range(150):
+            ids = rng.integers(0, N_NODES, int(rng.integers(1, 3 * N_NODES)))
+            result = manager.lookup(ids)
+            assert result.stale_rows == 0
+            assert np.array_equal(result.rows, manager.table[ids])
+            host = manager.hosts[step % 4]
+            rows, version = host.lookup(
+                np.array([host.row_start]), replica=1
+            )
+            assert version == manager.version
+            assert np.array_equal(rows, manager.table[[host.row_start]])
+            manager.apply_update(
+                rng.integers(0, N_NODES, 3), rng.standard_normal((3, DIM))
+            )
+        assert time.monotonic() - started < 60.0
