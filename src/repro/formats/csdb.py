@@ -28,8 +28,9 @@ reads the permutation to place a product.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -37,6 +38,11 @@ from scipy.sparse import csr_array
 from repro.formats.csr import (
     CSRMatrix, _check_coo, _reserve_working_set, _sort_coo, _stable_order,
 )
+
+
+#: Held while an attach silences the resource tracker (before 3.13): a
+#: segment another thread created meanwhile would go unregistered.
+_UNTRACKED = threading.Lock()
 
 
 class KernelVerificationError(AssertionError):
@@ -82,28 +88,28 @@ class SharedCSDBHandle:
 
 
 def attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without tracker side effects.
+    """Attach to an existing segment; the resource tracker never hears of it.
 
-    ``SharedMemory(name=...)`` in a non-owner process registers the
-    segment with its resource tracker, which would unlink it when that
-    process exits (the well-known CPython gh-82300 wart).  Python 3.13+
-    exposes ``track=False``; on older versions we attach and unregister.
+    The creator's registration is what unlinks the segment if it dies
+    without ``close()``, and its children share its tracker, which keeps
+    one entry per name: dropping an attach's registration (CPython
+    gh-82300) would drop the creator's.  3.13+ has ``track=False``.
     """
     try:
         return shared_memory.SharedMemory(name=name, track=False)
     except TypeError:  # pragma: no cover - depends on Python version
-        segment = shared_memory.SharedMemory(name=name)
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:
-            pass
-        return segment
+        with _UNTRACKED:
+            register = resource_tracker.register
+            resource_tracker.register = lambda *_: None
+            try:
+                return shared_memory.SharedMemory(name=name)
+            finally:
+                resource_tracker.register = register
 
 
 def unlink_segment(name: str) -> None:
-    """Attach (plainly, so the tracker entry survives) and unlink.
+    """Attach and unlink; the unlink drops the creator's registration
+    (on 3.13+ only if the attach is tracked, so this one is).
 
     A missing segment is not an error — cleanup paths may race.
     """

@@ -165,7 +165,7 @@ class ShardHost:
         return self._workers[replica].process.is_alive()
 
     def heartbeat_value(self, replica: int = 0) -> int:
-        return int(self._workers[replica].heartbeat.value)
+        return self._workers[replica].heartbeat()
 
     # -- durability ------------------------------------------------------
 

@@ -18,16 +18,18 @@ is int64 words, then the ids, then the rows:
   number of the last request published), ``n_ids`` and ``host_parked``;
 - the worker's line, one cache line on, written by the worker alone:
   ``reply_seq`` (of the last request answered), ``status`` (``OK`` or
-  ``ERROR``), ``version`` and ``worker_parked``;
+  ``ERROR``), ``version``, ``worker_parked``, ``error_len``, ``heartbeat``;
 - room for :data:`MAILBOX_IDS` int64 ids and as many float64 rows.
 
 A lookup is one transaction per :data:`MAILBOX_IDS` ids (longer requests
 run as consecutive transactions inside one deadline).  **Publish order:**
 the host writes the ids and ``n_ids``, then ``req_seq``; the worker
-gathers the rows straight into the mailbox (``ndarray.take(out=)``),
-writes ``status`` and the watermark's ``version``, then ``reply_seq``.
-An end that reads the other's sequence number therefore reads what was
-written before it.  The host copies the rows out (a read-only copy).
+gathers the rows straight into the mailbox (``ndarray.take(out=)``) —
+or, if that raised, writes its UTF-8 text over them, cut to fit, and
+``error_len`` — writes ``status`` and the watermark's ``version``, then
+``reply_seq``.  An end that reads the other's sequence number therefore
+reads what was written before it.  The host copies the rows out (a
+read-only copy), or raises with the text.
 
 **Memory ordering.**  Publication relies on x86-64 store order (stores
 become visible in program order, loads are not reordered with other
@@ -57,19 +59,14 @@ parked worker.  Even so a parked worker re-reads its mailbox on every
 heartbeat-paced wake, so a lost doorbell would cost one idle interval,
 never a hang.
 
-**The pipe** carries binary frames, ``Connection.send_bytes(head +
-payload)`` with head :data:`_HEAD` (kind byte, ``req_id`` int64,
-``version`` int64; 24 bytes), and nothing is pickled either way:
+**The pipe** carries frames that are a kind byte
+(``Connection.send_bytes``), nothing pickled; the host reads only
+``WAKE`` and EOF:
 
-- ``DOORBELL`` / ``WAKE`` — a head alone; the reader re-reads the
-  mailbox;
-- ``ERROR`` — a lookup's gather raised: payload the UTF-8 text,
-  ``req_id`` the request's sequence number.  It is written before the
-  reply is published, so a host that reads ``status == ERROR`` finds
-  the text on its pipe;
+- ``DOORBELL`` / ``WAKE`` — the reader re-reads the mailbox;
 - ``CRASH`` — hard-exit without replying (an injected ``shard_crash``);
   the host reads EOF;
-- ``HANG`` — payload: float64 seconds; sleep without heartbeating or
+- ``HANG`` — then float64 seconds; sleep without heartbeating or
   serving (an injected ``shard_hang``);
 - ``MUTE`` — stop heartbeating but keep serving (an injected
   ``heartbeat_loss``, the supervisor's false-positive path);
@@ -94,12 +91,11 @@ mailbox has one ids area and one rows area, so this is what keeps the
 host from overwriting ids the worker has yet to read, and the worker
 from overwriting rows under a newer request.
 
-Liveness is a heartbeat counter (a shared ``Value``) bumped on every
-park and, while the worker spins, every reply — while idle the pipe
-poll's timeout paces the bumps, so a healthy-but-quiet shard still
-beats and a hung one visibly does not — plus EOF: a process that dies
-closes its end of the connection, which the host reads as a crash at
-once.
+Liveness is the ``heartbeat`` word, bumped on every park and, while
+the worker spins, every reply — while idle the pipe poll's timeout
+paces the bumps, so a healthy-but-quiet shard still beats and a hung
+one visibly does not — plus EOF: a process that dies closes its end of
+the connection, which the other end reads at once.
 """
 
 from __future__ import annotations
@@ -111,7 +107,7 @@ import select
 import struct
 import threading
 import time
-from multiprocessing import shared_memory
+from multiprocessing import shared_memory, util
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -141,16 +137,16 @@ SPIN_S = 1e-3
 #: Ids (and rows) one mailbox transaction carries.
 MAILBOX_IDS = 4096
 
-#: Head of every frame: kind, req_id, version (+ 7 pad bytes after kind).
-_HEAD = struct.Struct("<B7xqq")
-#: Payload of a HANG frame: the seconds to sleep.
+#: What follows the kind byte of a HANG frame: the seconds to sleep.
 _SECONDS = struct.Struct("<d")
 
-_OK, _ERROR, _DOORBELL, _WAKE, _CRASH, _HANG, _MUTE, _SHUTDOWN = range(8)
+_DOORBELL, _WAKE, _CRASH, _HANG, _MUTE, _SHUTDOWN = range(6)  # frame kinds
+_OK, _ERROR = range(2)  # a reply's status
 
 # The mailbox's int64 words: the host's line, then the worker's.
 _REQ_SEQ, _N_IDS, _HOST_PARKED = 0, 1, 2
 _REPLY_SEQ, _STATUS, _VERSION, _WORKER_PARKED = 8, 9, 10, 11
+_ERROR_LEN, _HEARTBEAT = 12, 13
 _N_WORDS = 16
 
 #: Spin iterations between two reads of the pipe and the clock.
@@ -159,9 +155,10 @@ _SPIN_CHECK = 32
 
 class _Mailbox:
     """Views of one mailbox segment: ``words`` (a memoryview of int64),
-    ``ids`` and ``rows`` (ndarrays of :data:`MAILBOX_IDS` entries)."""
+    ``ids`` and ``rows`` (ndarrays of :data:`MAILBOX_IDS` entries) and
+    ``text`` (the rows area's bytes, where an error's text goes)."""
 
-    __slots__ = ("segment", "words", "ids", "rows")
+    __slots__ = ("segment", "words", "ids", "rows", "text")
 
     def __init__(self, segment, row_shape: tuple[int, ...]) -> None:
         self.segment = segment
@@ -175,6 +172,7 @@ class _Mailbox:
             segment.buf,
             (_N_WORDS + MAILBOX_IDS) * 8,
         )
+        self.text = self.rows.view(np.uint8).reshape(-1)
 
     @staticmethod
     def size(row_shape: tuple[int, ...]) -> int:
@@ -183,7 +181,7 @@ class _Mailbox:
     def close(self) -> None:
         """Drop the views, then the mapping."""
         self.words.release()
-        self.ids = self.rows = None
+        self.ids = self.rows = self.text = None
         self.segment.close()
 
 
@@ -244,7 +242,6 @@ def shard_main(
     row_start: int,
     conn,
     watermark,
-    heartbeat,
     spin_s: float,
     box_name: str,
 ) -> None:
@@ -282,8 +279,7 @@ def shard_main(
                     # Park: block on the pipe unless a request slipped
                     # in after the last read.
                     if not muted:
-                        with heartbeat.get_lock():
-                            heartbeat.value += 1
+                        words[_HEARTBEAT] += 1
                     words[_WORKER_PARKED] = 1
                     with fence:  # store→load: worker_parked, then req_seq
                         pass
@@ -301,12 +297,9 @@ def shard_main(
                     words[_STATUS] = _OK
                 except Exception as exc:  # noqa: BLE001 - forwarded
                     text = f"{type(exc).__name__}: {exc}".encode()
-                    try:
-                        conn.send_bytes(
-                            _HEAD.pack(_ERROR, seq, watermark.value) + text
-                        )
-                    except OSError:
-                        return  # the host closed its end mid-reply
+                    text = text[: box.text.size]  # cut to fit
+                    box.text[: len(text)] = np.frombuffer(text, np.uint8)
+                    words[_ERROR_LEN] = len(text)
                     words[_STATUS] = _ERROR
                 words[_VERSION] = watermark.value
                 words[_REPLY_SEQ] = served = seq
@@ -314,14 +307,13 @@ def shard_main(
                     pass
                 if words[_HOST_PARKED]:
                     try:
-                        conn.send_bytes(_HEAD.pack(_WAKE, seq, 0))
+                        conn.send_bytes(bytes((_WAKE,)))
                     except OSError:
                         return
                 if spin_s:
                     # A spinning worker may not park for a while: beat.
                     if not muted:
-                        with heartbeat.get_lock():
-                            heartbeat.value += 1
+                        words[_HEARTBEAT] += 1
                     spinning, spin_until = True, time.monotonic() + spin_s
                 continue
             # A frame is waiting: a DOORBELL needs nothing more.
@@ -335,7 +327,7 @@ def shard_main(
             if kind == _CRASH:
                 os._exit(SHARD_CRASH_EXIT_CODE)
             if kind == _HANG:
-                time.sleep(_SECONDS.unpack_from(frame, _HEAD.size)[0])
+                time.sleep(_SECONDS.unpack_from(frame, 1)[0])
             elif kind == _MUTE:
                 muted = True
     finally:
@@ -375,8 +367,8 @@ class _ShardWorker:
     """
 
     __slots__ = (
-        "process", "conn", "wait", "spin_s", "row_shape", "heartbeat",
-        "next_req", "acked", "box", "box_name", "fence", "error",
+        "process", "conn", "wait", "spin_s", "row_shape", "next_req",
+        "acked", "box", "box_name", "fence",
     )
 
     def __init__(self, ctx, spec, row_start, watermark, spin_s):
@@ -395,17 +387,17 @@ class _ShardWorker:
         self.spin_s = spin_s
         self.next_req = 0
         self.acked = 0
-        #: ``(req_id, text)`` of the last ERROR frame read.
-        self.error: tuple[int, str] | None = None
         try:
             self.conn, child_conn = ctx.Pipe()
+            # Processes forked from here on, this worker too, close their
+            # copy of the host's end: the host's death is EOF to them.
+            util.register_after_fork(self.conn, type(self.conn).close)
             self.wait = _input_waiter(self.conn)
-            self.heartbeat = ctx.Value("Q", 0, lock=True)
             self.process = ctx.Process(
                 target=shard_main,
                 args=(
-                    spec, row_start, child_conn, watermark, self.heartbeat,
-                    spin_s, self.box_name,
+                    spec, row_start, child_conn, watermark, spin_s,
+                    self.box_name,
                 ),
                 daemon=True,
             )
@@ -422,10 +414,12 @@ class _ShardWorker:
                 child_conn.close()
 
     def _unlink_box(self) -> None:
-        # unlink_segment re-registers the name with the resource tracker
-        # before it unlinks: a worker that attached may have dropped it.
         self.box.close()
         unlink_segment(self.box_name)
+
+    def heartbeat(self) -> int:
+        """The heartbeat; only while the worker runs (``stop`` closes it)."""
+        return self.box.words[_HEARTBEAT]
 
     # -- unacked control messages ---------------------------------------
 
@@ -433,7 +427,7 @@ class _ShardWorker:
         """Send a control frame; a dead worker ignores it."""
         if self.process.is_alive():
             try:
-                self.conn.send_bytes(_HEAD.pack(kind, 0, 0) + payload)
+                self.conn.send_bytes(bytes((kind,)) + payload)
             except OSError:
                 pass  # died between the check and the write
 
@@ -531,7 +525,7 @@ class _ShardWorker:
     def _ring(self, sent: _SentLookup) -> None:
         """Wake a parked worker: a DOORBELL frame."""
         try:
-            self.conn.send_bytes(_HEAD.pack(_DOORBELL, sent.req_id, 0))
+            self.conn.send_bytes(bytes((_DOORBELL,)))
         except OSError:
             raise self._died(sent) from None
 
@@ -552,7 +546,10 @@ class _ShardWorker:
         while True:
             status, version = self._await_reply(sent)
             if status != _OK:
-                raise ShardCrashError(sent.shard_id, self._error_text(sent))
+                text = self.box.text[: self.box.words[_ERROR_LEN]]
+                raise ShardCrashError(
+                    sent.shard_id, text.tobytes().decode(errors="replace")
+                )
             n_chunk = min(MAILBOX_IDS, n_ids - sent.start)
             if n_chunk == n_ids:
                 rows = self.box.rows[:n_chunk].copy()
@@ -578,22 +575,12 @@ class _ShardWorker:
         )
 
     def _read_frame(self, sent: _SentLookup) -> None:
-        """Take one frame off the pipe: an ERROR's text is kept, a WAKE
-        needs nothing more.  EOF is the worker's death."""
+        """Take one frame, a WAKE, off the pipe; EOF is the worker's
+        death."""
         try:
-            frame = self.conn.recv_bytes()
+            self.conn.recv_bytes()
         except (EOFError, OSError):
             raise self._died(sent) from None
-        kind, req_id, _ = _HEAD.unpack_from(frame)
-        if kind == _ERROR:
-            self.error = (req_id, frame[_HEAD.size :].decode())
-
-    def _error_text(self, sent: _SentLookup) -> str:
-        """The text of ``sent``'s ERROR frame, which the worker wrote
-        before it published the reply."""
-        while self.error is None or self.error[0] != sent.req_id:
-            self._read_frame(sent)
-        return self.error[1]
 
     def _await_reply(self, sent: _SentLookup) -> tuple[int, int]:
         """Wait for the reply to ``sent.req_id``: its (status, version).

@@ -10,9 +10,10 @@ a dead worker reads as a crash at once (EOF, not the deadline), a hung
 one as a timeout whose late reply is dropped, shards gather side by
 side, no request size deadlocks either end, updates cost the workers
 nothing, nothing — thread, fd, process or segment — outlives
-``close()`` on any path, every frame is binary and nothing on the host
-side pickles or unpickles, a spinning end keeps every one of those
-promises, and a parked one is woken by its doorbell.
+``close()`` on any path, nor a coordinator that dies without it, every
+frame is binary and nothing on the host side pickles or unpickles, a
+spinning end keeps every one of those promises, a parked one is woken
+by its doorbell, and the host reads no frame but a one-byte ``WAKE``.
 """
 
 import contextlib
@@ -21,14 +22,18 @@ import glob
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import types
+from multiprocessing.connection import Connection
 from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
 
+from repro.formats.csdb import unlink_segment
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import shutdown_shared_executors, shutdown_threads_executors
 from repro.shard import (
@@ -44,6 +49,7 @@ from repro.shard import (
 from repro.shard import store as store_module
 from repro.shard.transport import (
     _POLL_S,
+    _WAKE,
     _WORKER_PARKED,
     HEARTBEAT_INTERVAL_S,
     MAILBOX_IDS,
@@ -335,12 +341,55 @@ class TestNothingLeaks:
         assert _leftovers() == self.baseline
 
 
+_ORPHAN = """
+import os
+import numpy as np
+from repro.shard import ShardHost, ShardPolicy
+
+host = ShardHost(0, np.ones((64, 4)), 0, ShardPolicy(n_shards=1))
+host.start()
+host.lookup(np.arange(4))
+print(host.spec.name, host.workers[0].box_name, flush=True)
+os._exit(1)
+"""
+
+
+def test_a_coordinator_that_dies_unclosed_leaks_no_segment(tmp_path):
+    # No close(): the workers read EOF and exit, and the resource
+    # tracker they share with the coordinator unlinks what the
+    # coordinator registered — unless an attach dropped the name.
+    out, err = tmp_path / "out", tmp_path / "err"
+    with out.open("w") as stdout, err.open("w") as stderr:
+        coordinator = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN],
+            stdout=stdout,
+            stderr=stderr,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            start_new_session=True,  # its workers share its group
+        )
+    names = []
+    try:
+        assert coordinator.wait(timeout=60) == 1, err.read_text()
+        names = out.read_text().split()
+        assert len(names) == 2, err.read_text()
+        deadline = time.monotonic() + 10.0
+        while any(os.path.exists(f"/dev/shm/{name}") for name in names):
+            assert time.monotonic() < deadline, f"{names} outlived the run"
+            time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(coordinator.pid, signal.SIGKILL)
+        for name in names:
+            unlink_segment(name)
+
+
 # -- (vi) the spawn start method --------------------------------------------
 
 
 def test_spawned_workers_take_the_pipe_and_the_watermark(monkeypatch):
     # macOS and Windows have no fork: the Connection, the shared
-    # watermark and the spin window reach the worker pickled through
+    # watermark, the spin window and the mailbox's name (its heartbeat
+    # and error text with it) reach the worker pickled through
     # Process(args=...).  The window is forced on, whatever the CPUs.
     monkeypatch.setattr(
         store_module,
@@ -656,6 +705,37 @@ class TestMailbox:
             )
             rows, _ = host.lookup(ids[:-1])  # still serving
             assert np.array_equal(rows, manager.table[ids[:-1]])
+
+    def test_every_frame_the_host_reads_is_a_one_byte_wake(
+        self, monkeypatch
+    ):
+        # Replies, their errors and liveness all live in the mailbox: a
+        # blocking host reads nothing off its pipe but WAKE frames.
+        frames = []
+        real = Connection.recv_bytes
+
+        def spy(conn, *args):
+            frames.append(real(conn, *args))
+            return frames[-1]
+
+        with _spinning_host(0.0) as (host, table):
+            # The worker is forked already: the spy is the host's alone.
+            monkeypatch.setattr(Connection, "recv_bytes", spy)
+            rows, _ = host.lookup(np.array([1, 2]))
+            assert np.array_equal(rows, table[[1, 2]])
+            with pytest.raises(ShardCrashError, match="IndexError"):
+                host.lookup(np.array([N_NODES + 1000]))
+            ids = np.full(MAILBOX_IDS + 1, 3)
+            ids[-1] = N_NODES + 1000
+            with pytest.raises(ShardCrashError, match="IndexError"):
+                host.lookup(ids)
+            _parked(host)
+            beats = host.heartbeat_value()
+            time.sleep(2 * HEARTBEAT_INTERVAL_S)
+            assert host.heartbeat_value() > beats
+            rows, _ = host.lookup(np.array([4]))
+            assert np.array_equal(rows, table[[4]])
+        assert all(frame == bytes((_WAKE,)) for frame in frames), frames
 
     def test_late_reply_of_a_timed_out_chunked_call_is_dropped(self):
         with _manager(lookup_deadline_s=0.15) as manager:
