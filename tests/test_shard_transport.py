@@ -341,27 +341,57 @@ class TestNothingLeaks:
         assert _leftovers() == self.baseline
 
 
-_ORPHAN = """
-import os
-import numpy as np
+# Each scenario leaves ``names``: the segments its coordinator made
+# (a row segment per shard and a mailbox per worker).
+_ORPHANS = {
+    "host": (2, """
 from repro.shard import ShardHost, ShardPolicy
-
 host = ShardHost(0, np.ones((64, 4)), 0, ShardPolicy(n_shards=1))
 host.start()
 host.lookup(np.arange(4))
-print(host.spec.name, host.workers[0].box_name, flush=True)
-os._exit(1)
-"""
+names = [host.spec.name, host.workers[0].box_name]
+"""),
+    # Two shards: each worker is forked after its sibling's pipe exists,
+    # so only a pipe end closed after fork lets the coordinator's death
+    # reach every worker as EOF.
+    "manager": (6, """
+from repro.shard import EmbeddingShardManager, ShardPolicy
+table = np.random.default_rng(5).standard_normal((64, 4))
+manager = EmbeddingShardManager(
+    table, policy=ShardPolicy(n_shards=2, n_replicas=1)
+)
+manager.start()
+assert manager.lookup(np.arange(64)).stale_rows == 0
+names = [h.spec.name for h in manager.hosts] + [
+    w.box_name for h in manager.hosts for w in h.workers
+]
+"""),
+}
 
 
-def test_a_coordinator_that_dies_unclosed_leaks_no_segment(tmp_path):
+def _group_alive(pgid):
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("scenario", sorted(_ORPHANS))
+def test_a_coordinator_that_dies_unclosed_leaks_no_segment(tmp_path, scenario):
     # No close(): the workers read EOF and exit, and the resource
     # tracker they share with the coordinator unlinks what the
     # coordinator registered — unless an attach dropped the name.
+    # Nothing of the coordinator's process group may outlive it either.
+    n_names, body = _ORPHANS[scenario]
+    program = (
+        "import os\nimport numpy as np\n" + body
+        + "print(*names, flush=True)\nos._exit(1)\n"
+    )
     out, err = tmp_path / "out", tmp_path / "err"
     with out.open("w") as stdout, err.open("w") as stderr:
         coordinator = subprocess.Popen(
-            [sys.executable, "-c", _ORPHAN],
+            [sys.executable, "-c", program],
             stdout=stdout,
             stderr=stderr,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
@@ -371,10 +401,16 @@ def test_a_coordinator_that_dies_unclosed_leaks_no_segment(tmp_path):
     try:
         assert coordinator.wait(timeout=60) == 1, err.read_text()
         names = out.read_text().split()
-        assert len(names) == 2, err.read_text()
+        assert len(names) == n_names, err.read_text()
         deadline = time.monotonic() + 10.0
-        while any(os.path.exists(f"/dev/shm/{name}") for name in names):
-            assert time.monotonic() < deadline, f"{names} outlived the run"
+        while True:
+            left = [n for n in names if os.path.exists(f"/dev/shm/{n}")]
+            alive = _group_alive(coordinator.pid)
+            if not (left or alive):
+                break
+            assert time.monotonic() < deadline, (
+                f"outlived the run: segments {left}, process group: {alive}"
+            )
             time.sleep(0.05)
     finally:
         with contextlib.suppress(ProcessLookupError):
