@@ -196,21 +196,18 @@ WALL_THRESHOLD = 0.25
 def wall_band(suite=None, timer=time.perf_counter) -> None:
     """Writing a telemetry file is free at the granularity CI measures:
     the median wall of ``suite`` (the perf gate's) with a file sits
-    within 25 % of the median without one."""
+    within 25 % of the median without one.  The runs alternate (bare,
+    written, bare, ...), so a warm-up paid by the first runs lands on
+    both sides and the medians drop it."""
     if suite is None:
         from repro.obs.observatory.perfgate import run_suite as suite
-
-    def median_wall(write):
-        walls = []
-        for i in range(3):
-            path = f"overhead.{i}.jsonl" if write else None
+    walls: dict[bool, list[float]] = {False: [], True: []}
+    for i in range(3):
+        for write in (False, True):
             t0 = timer()
-            suite(telemetry_path=path)
-            walls.append(timer() - t0)
-        return statistics.median(walls)
-
-    bare = median_wall(write=False)
-    written = median_wall(write=True)
+            suite(telemetry_path=f"overhead.{i}.jsonl" if write else None)
+            walls[write].append(timer() - t0)
+    bare, written = (statistics.median(walls[w]) for w in (False, True))
     ratio = (written - bare) / bare
     print(f"bare={bare:.3f}s written={written:.3f}s"
           f" overhead={ratio * 100:+.1f}% band=±{WALL_THRESHOLD * 100:.0f}%")

@@ -172,9 +172,10 @@ class ServePolicy:
         return cls(**defaults)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ServeResponse:
-    """Terminal outcome of one submitted request."""
+    """Terminal outcome of one submitted request (a plain record, built
+    once per request; not to be mutated)."""
 
     request_id: str
     klass: str

@@ -412,17 +412,25 @@ class ShardHost:
             self.shard_id, replica, node_ids, deadline_s
         )
 
-    def finish_lookup(self, sent: _SentLookup) -> tuple[np.ndarray, int]:
+    def finish_lookup(
+        self,
+        sent: _SentLookup,
+        out: np.ndarray | None = None,
+        positions: np.ndarray | slice = slice(None),
+    ) -> tuple[np.ndarray, int]:
         """Receive half of a lookup: the rows and the version they carry.
 
-        The rows are a read-only copy out of the worker's mailbox.
+        The rows are copied once out of the worker's mailbox: into
+        ``out`` at ``positions`` (returned), or into a new read-only
+        array (:meth:`_ShardWorker.finish_lookup
+        <repro.shard.transport._ShardWorker.finish_lookup>`).
 
         Raises:
             ShardCrashError: the worker died (EOF) or reported an error.
             ShardTimeoutError: no reply within the call's deadline; a
                 reply that has already arrived is never a timeout.
         """
-        return sent.worker.finish_lookup(sent)
+        return sent.worker.finish_lookup(sent, out, positions)
 
     def lookup(
         self,

@@ -57,14 +57,22 @@ class ShardRoutingTable:
     def n_nodes(self) -> int:
         return self._ends[-1]
 
-    def _check(self, node_ids: np.ndarray) -> tuple[int, int]:
-        """The smallest and largest of non-empty ``node_ids``, in range."""
-        low, high = int(node_ids.min()), int(node_ids.max())
-        if low < 0 or high >= self.n_nodes:
+    def _check(self, node_ids: np.ndarray) -> int:
+        """The largest of non-empty ``node_ids``, all checked in range.
+
+        One pass over the unsigned view, where a negative id reads as
+        larger than any table (``argmax`` is several times cheaper than
+        a ``max`` reduction on a short request); the smallest and
+        largest signed ids are taken only for the error.
+        """
+        unsigned = node_ids.view(np.uint64)
+        high = unsigned.item(unsigned.argmax())
+        if high >= self.n_nodes:
+            low, high = int(node_ids.min()), int(node_ids.max())
             raise ValueError(
                 f"node ids outside [0, {self.n_nodes}): [{low}, {high}]"
             )
-        return low, high
+        return high
 
     def shard_of(self, node_ids: np.ndarray) -> np.ndarray:
         """Owning shard of every node id (vectorized)."""
@@ -75,27 +83,28 @@ class ShardRoutingTable:
 
     def split(
         self, node_ids: np.ndarray
-    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    ) -> dict[int, tuple[np.ndarray | slice, np.ndarray]]:
         """Group a lookup by shard: ``{shard: (positions, node_ids)}``.
 
         ``positions`` index back into the original request order, so
         gathered rows scatter straight into the caller's output buffer.
         Shards ascend, positions ascend within a shard, and an empty
-        request gives ``{}``.  The smallest and largest id are taken
-        once, to validate and to route: ranges are contiguous, so when
-        one shard owns both it owns every id between, and the request
+        request gives ``{}``.  Ranges are contiguous, so the shard that
+        owns the smallest and the largest id owns every id between: then
         (always, with one shard; usually, for a small request on large
-        ranges) is handed back as it came, with no per-id search.
-        Otherwise, one stable sort of the owners and a cut at every
-        change of owner.
+        ranges) the request is handed back as it came, with
+        ``slice(None)`` for positions and no per-id search.  Otherwise,
+        one stable sort of the owners and a cut at every change of
+        owner.
         """
         node_ids = np.asarray(node_ids, dtype=np.int64)
         if len(node_ids) == 0:
             return {}
-        low, high = self._check(node_ids)
-        first = bisect_right(self._ends, low)
-        if first == bisect_right(self._ends, high):
-            return {first: (np.arange(len(node_ids)), node_ids)}
+        last = bisect_right(self._ends, self._check(node_ids))
+        if last == 0 or last == bisect_right(
+            self._ends, node_ids.item(node_ids.argmin())
+        ):
+            return {last: (slice(None), node_ids)}
         owners = np.searchsorted(self._boundaries, node_ids, side="right")
         order = np.argsort(owners, kind="stable")
         sorted_owners = owners[order]

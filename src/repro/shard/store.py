@@ -133,9 +133,10 @@ class ShardPolicy:
         return self.checkpoint_interval > 0 or self.staleness_bound > 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class ShardLookupResult:
-    """Outcome of one scatter-gather lookup.
+    """Outcome of one scatter-gather lookup (a plain record, built once
+    per lookup; not to be mutated).
 
     Attributes:
         rows: gathered embedding rows, request order.
@@ -346,10 +347,11 @@ class EmbeddingShardManager:
         atomic table swap loses nothing.
         """
         node_ids = np.asarray(node_ids, dtype=np.int64)
+        split = self.routing.split(node_ids)  # ids checked before a write
         self.table[node_ids] = rows
         previous = self.version
         self.version += 1
-        for shard, (_, ids) in self.routing.split(node_ids).items():
+        for shard, (_, ids) in split.items():
             self.hosts[shard].write_rows(ids, self.table[ids])
         warming = self._warming
         for host in warming:
@@ -561,24 +563,19 @@ class EmbeddingShardManager:
             shard_id: self._send_primary(self.hosts[shard_id], ids)
             for shard_id, (_, ids) in split.items()
         }
-        # One shard owns the whole request, in request order.
-        whole = len(split) == 1
         # Gather, in shard order: failures, hedges and repairs happen
         # one shard at a time exactly as if the calls were sequential.
         for shard_id, (positions, ids) in split.items():
             host = self.hosts[shard_id]
             n_rows = len(ids)
             self.rows_served[shard_id] += n_rows
-            rows, status, version = self._gather_one(host, ids, sent[shard_id])
-            if rows is None:
-                statuses[shard_id] = STATUS_MISSING
+            status, version = self._gather_one(
+                host, ids, sent[shard_id], out, positions
+            )
+            statuses[shard_id] = status
+            if status == STATUS_MISSING:
                 missing_ranges.append(_span(shard_id, ids))
                 continue
-            if whole:
-                out[...] = rows
-            else:
-                out[positions] = rows
-            statuses[shard_id] = status
             stale = status == STATUS_STALE or version < self.version
             if stale:
                 stale_rows += n_rows
@@ -652,8 +649,12 @@ class EmbeddingShardManager:
         host: ShardHost,
         ids: np.ndarray,
         sent: "_SentLookup | ShardCrashError | ShardTimeoutError | None",
-    ) -> tuple[np.ndarray | None, str, int]:
-        """The hedging ladder for one shard's slice of a lookup.
+        out: np.ndarray,
+        positions: np.ndarray | slice,
+    ) -> tuple[str, int]:
+        """The hedging ladder for one shard's slice of a lookup: writes
+        its rows to ``out[positions]`` and returns their status and
+        version (``STATUS_MISSING`` and -1 when no rung served them).
 
         ``sent`` is what :meth:`_send_primary` returned for this shard.
         """
@@ -669,15 +670,15 @@ class EmbeddingShardManager:
                 "shard.abandoned_reads", shard=str(host.shard_id)
             ).inc()
             try:
-                rows, _ = host.recover_rows(ids)
-                return rows, STATUS_STALE, host.checkpoint_version or 0
+                out[positions], _ = host.recover_rows(ids)
+                return STATUS_STALE, host.checkpoint_version or 0
             except ShardCrashError:
-                return None, STATUS_MISSING, -1
+                return STATUS_MISSING, -1
         try:
             if isinstance(sent, Exception):
                 raise sent
-            rows, version = host.finish_lookup(sent)
-            return rows, STATUS_FRESH, version
+            _, version = host.finish_lookup(sent, out, positions)
+            return STATUS_FRESH, version
         except (ShardCrashError, ShardTimeoutError) as exc:
             self.metrics.counter(
                 "shard.failures",
@@ -691,18 +692,20 @@ class EmbeddingShardManager:
         # Hedge 1: replicas share the segment, so they are fresh.
         for replica in range(1, 1 + self.policy.n_replicas):
             try:
-                rows, version = host.lookup(ids, replica=replica)
+                _, version = host.finish_lookup(
+                    host.send_lookup(ids, replica=replica), out, positions
+                )
                 self.metrics.counter("shard.hedged", target="replica").inc()
-                return rows, STATUS_REPLICA, version
+                return STATUS_REPLICA, version
             except (ShardCrashError, ShardTimeoutError):
                 continue
         # Hedge 2: the stale checkpoint tier.
         try:
-            rows, _ = host.recover_rows(ids)
+            out[positions], _ = host.recover_rows(ids)
             self.metrics.counter("shard.hedged", target="checkpoint").inc()
             self._emit({"type": "shard_event", "event": "hedged",
                         "shard": host.shard_id, "target": "checkpoint"})
-            return rows, STATUS_STALE, host.checkpoint_version or 0
+            return STATUS_STALE, host.checkpoint_version or 0
         except ShardCrashError:
             # No live worker and no verified checkpoint: a genuine miss.
-            return None, STATUS_MISSING, -1
+            return STATUS_MISSING, -1

@@ -28,8 +28,8 @@ gathers the rows straight into the mailbox (``ndarray.take(out=)``) —
 or, if that raised, writes its UTF-8 text over them, cut to fit, and
 ``error_len`` — writes ``status`` and the watermark's ``version``, then
 ``reply_seq``.  An end that reads the other's sequence number therefore
-reads what was written before it.  The host copies the rows out (a
-read-only copy), or raises with the text.
+reads what was written before it.  The host copies each row out once,
+into the caller's array or a new read-only one, or raises with the text.
 
 **Memory ordering.**  Publication relies on x86-64 store order (stores
 become visible in program order, loads are not reordered with other
@@ -95,7 +95,9 @@ Liveness is the ``heartbeat`` word, bumped on every park and, while
 the worker spins, every reply — while idle the pipe poll's timeout
 paces the bumps, so a healthy-but-quiet shard still beats and a hung
 one visibly does not — plus EOF: a process that dies closes its end of
-the connection, which the other end reads at once.
+the connection, which the other end reads at once.  A lookup asks
+nothing more: the host calls ``Process.is_alive`` only after a parked
+wait times out, never on the way in.
 """
 
 from __future__ import annotations
@@ -480,33 +482,30 @@ class _ShardWorker:
         read the mailbox's ids or write its rows, so nothing is
         published to it until that reply has arrived and been dropped.
 
+        Liveness is not asked here (no ``is_alive``): a worker found dead
+        is EPIPE on the doorbell of a parked one, EOF while the owed
+        reply is awaited, or EOF in :meth:`finish_lookup`.
+
         Raises:
             ShardCrashError: the worker is dead or its pipe is closed.
             ShardTimeoutError: the owed reply did not arrive in time.
         """
-        if not self.process.is_alive():
-            raise ShardCrashError(
-                shard_id,
-                f"worker {replica} dead (exit {self.process.exitcode})",
-            )
-        deadline_at = time.monotonic() + deadline_s
-        if self.acked != self.next_req:
-            self._await_reply(  # the owed reply, dropped
-                _SentLookup(
-                    self, shard_id, replica, self.next_req, deadline_s,
-                    deadline_at,
-                )
-            )
         sent = _SentLookup(
             self,
             shard_id,
             replica,
             self.next_req + 1,
             deadline_s,
-            deadline_at,
+            time.monotonic() + deadline_s,
             np.ascontiguousarray(node_ids, dtype=np.int64),
         )
-        self._publish(sent)
+        try:
+            if self.acked != self.next_req:
+                # The owed reply, dropped.
+                self._await_reply(sent._replace(req_id=self.next_req))
+            self._publish(sent)
+        except ShardCrashError:
+            raise self._died(sent, "dead") from None
         return sent
 
     def _publish(self, sent: _SentLookup) -> None:
@@ -529,12 +528,22 @@ class _ShardWorker:
         except OSError:
             raise self._died(sent) from None
 
-    def finish_lookup(self, sent: _SentLookup) -> tuple[np.ndarray, int]:
+    def finish_lookup(
+        self,
+        sent: _SentLookup,
+        out: np.ndarray | None = None,
+        positions: np.ndarray | slice = slice(None),
+    ) -> tuple[np.ndarray, int]:
         """Receive half of a lookup: the rows and the version they carry.
 
-        The rows are a read-only copy out of the mailbox.  A request
-        longer than :data:`MAILBOX_IDS` ids publishes its next
-        transaction as each reply arrives, all inside the one deadline.
+        Each row is copied once, out of the mailbox: reply row ``i``
+        into ``out[positions[i]]`` (``out[i]`` for ``slice(None)``, as
+        :meth:`ShardRoutingTable.split
+        <repro.shard.ranges.ShardRoutingTable.split>` gives positions),
+        and ``out`` is returned; without ``out``, into a new read-only
+        array.  A request longer than :data:`MAILBOX_IDS` ids publishes
+        its next transaction as each reply arrives, all inside the one
+        deadline.
 
         Raises:
             ShardCrashError: the worker died (EOF) or reported an error.
@@ -542,7 +551,8 @@ class _ShardWorker:
                 reply that has already arrived is never a timeout.
         """
         n_ids = len(sent.ids)
-        rows = None
+        rows = np.empty((n_ids, *self.row_shape)) if out is None else out
+        in_order = isinstance(positions, slice)
         while True:
             status, version = self._await_reply(sent)
             if status != _OK:
@@ -550,28 +560,26 @@ class _ShardWorker:
                 raise ShardCrashError(
                     sent.shard_id, text.tobytes().decode(errors="replace")
                 )
-            n_chunk = min(MAILBOX_IDS, n_ids - sent.start)
-            if n_chunk == n_ids:
-                rows = self.box.rows[:n_chunk].copy()
+            end = min(n_ids, sent.start + MAILBOX_IDS)
+            at = slice(sent.start, end)
+            rows[at if in_order else positions[at]] = self.box.rows[
+                : end - sent.start
+            ]
+            if end == n_ids:
                 break
-            if rows is None:
-                rows = np.empty((n_ids, *self.row_shape))
-            rows[sent.start : sent.start + n_chunk] = self.box.rows[:n_chunk]
-            if sent.start + n_chunk == n_ids:
-                break
-            sent = sent._replace(
-                req_id=sent.req_id + 1, start=sent.start + n_chunk
-            )
+            sent = sent._replace(req_id=sent.req_id + 1, start=end)
             self._publish(sent)
-        rows.flags.writeable = False
+        if out is None:
+            rows.flags.writeable = False
         return rows, version
 
-    def _died(self, sent: _SentLookup) -> ShardCrashError:
+    def _died(
+        self, sent: _SentLookup, how: str = "died mid-call"
+    ) -> ShardCrashError:
         self.process.join(timeout=_POLL_S)  # EOF can beat the exit status
         return ShardCrashError(
             sent.shard_id,
-            f"worker {sent.replica} died mid-call"
-            f" (exit {self.process.exitcode})",
+            f"worker {sent.replica} {how} (exit {self.process.exitcode})",
         )
 
     def _read_frame(self, sent: _SentLookup) -> None:

@@ -313,11 +313,36 @@ def _walls(*walls):
 def test_wall_band_takes_its_timer_and_suite():
     paths = []
     suite = lambda telemetry_path: paths.append(telemetry_path)  # noqa: E731
-    # Medians 1.0 and 1.25: on the band's edge.
-    ci.wall_band(suite, _walls(1.0, 9.0, 0.5, 1.25, 0.1, 30.0))
-    assert paths == [None] * 3 + [f"overhead.{i}.jsonl" for i in range(3)]
+    # Bare, written, bare, ...: medians 1.0 and 1.25, on the band's edge.
+    ci.wall_band(suite, _walls(1.0, 1.25, 9.0, 0.1, 0.5, 30.0))
+    assert paths == [
+        path for i in range(3) for path in (None, f"overhead.{i}.jsonl")
+    ]
     with pytest.raises(AssertionError, match="beyond noise band"):
-        ci.wall_band(suite, _walls(1.0, 1.0, 1.0, *[up(1.25)] * 3))
+        ci.wall_band(suite, _walls(*[1.0, up(1.25)] * 3))
+
+
+def _warming_suite(overhead):
+    """A suite and its clock: a run takes 1 s, ``overhead`` more with a
+    file, and the first two runs 1 s more (a warm-up), whatever they
+    are."""
+    clock, runs = [0.0], []
+
+    def suite(telemetry_path):
+        runs.append(telemetry_path)
+        clock[0] += 1.0 + overhead * (telemetry_path is not None)
+        clock[0] += 1.0 * (len(runs) <= 2)
+
+    return suite, lambda: clock[0]
+
+
+def test_wall_band_charges_a_warm_up_to_neither_side(capsys):
+    # Three bare runs first read this suite as -50 %, and a real +30 %
+    # cost as -35 %: the warm-up hid it.
+    ci.wall_band(*_warming_suite(0.0))
+    assert "overhead=+0.0%" in capsys.readouterr().out
+    with pytest.raises(AssertionError, match="beyond noise band"):
+        ci.wall_band(*_warming_suite(0.3))
 
 
 @pytest.fixture

@@ -40,7 +40,7 @@ from repro.shard import (
     ShardTimeoutError,
     SupervisorPolicy,
 )
-from repro.shard.transport import SHARD_CRASH_EXIT_CODE
+from repro.shard.transport import MAILBOX_IDS, SHARD_CRASH_EXIT_CODE
 
 pytestmark = pytest.mark.usefixtures("no_shard_leftovers")
 
@@ -262,13 +262,66 @@ class TestRoutingTable:
         got = routing.split(ids)
         want = self._split_by_masks(routing, ids)
         # Same shards in the same (ascending) order, same positions and
-        # ids in the same (ascending-position) order; {} when empty.
+        # ids in the same (ascending-position) order; {} when empty.  A
+        # shard that owns the whole request gets ``slice(None)``.
         assert list(got) == list(want) == sorted(want)
         for shard, (positions, shard_ids) in want.items():
-            assert np.array_equal(got[shard][0], positions)
+            got_positions = got[shard][0]
+            if isinstance(got_positions, slice):
+                assert got_positions == slice(None) and len(want) == 1
+                got_positions = np.arange(len(ids))
+            assert np.array_equal(got_positions, positions)
             assert np.array_equal(got[shard][1], shard_ids)
-            assert got[shard][0].dtype == positions.dtype
+            assert got_positions.dtype == positions.dtype
             assert got[shard][1].dtype == shard_ids.dtype
+
+    @staticmethod
+    def _owners_by_min_max(routing, node_ids):
+        """The former validation: ``min()`` and ``max()`` of the ids,
+        then the search.  Kept as the reference."""
+        node_ids = np.asarray(node_ids, dtype=np.int64)
+        if len(node_ids):
+            low, high = int(node_ids.min()), int(node_ids.max())
+            if low < 0 or high >= routing.n_nodes:
+                raise ValueError(
+                    f"node ids outside [0, {routing.n_nodes}): [{low}, {high}]"
+                )
+        ends = np.asarray([end for _, end in routing.ranges])
+        return np.searchsorted(ends, node_ids, side="right")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.lists(st.integers(-3, 22), min_size=1, max_size=12),
+        length=st.sampled_from([0, 1, 2, 17, MAILBOX_IDS + 1]),
+        kind=st.sampled_from(["range", "one-range"]),
+    )
+    def test_split_and_shard_of_match_min_max_reference(
+        self, base, length, kind
+    ):
+        # Ids cycle through ``base``, so every request but a single id
+        # may repeat ids; ids outside [0, 20) must fail alike, message
+        # included.
+        routing = {
+            "range": self._table(),
+            "one-range": ShardRoutingTable(ranges=((0, 20),)),
+        }[kind]
+        ids = np.resize(np.asarray(base, dtype=np.int64), length)
+        try:
+            owners = self._owners_by_min_max(routing, ids)
+        except ValueError as exc:
+            for call in (routing.shard_of, routing.split):
+                with pytest.raises(ValueError) as raised:
+                    call(ids)
+                assert str(raised.value) == str(exc)
+            return
+        assert np.array_equal(routing.shard_of(ids), owners)
+        got = routing.split(ids)
+        assert list(got) == sorted(set(owners.tolist()))
+        back = np.full(len(ids), -1)
+        for shard, (positions, shard_ids) in got.items():
+            assert np.all(owners[positions] == shard)
+            back[positions] = shard_ids
+        assert np.array_equal(back, ids)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):

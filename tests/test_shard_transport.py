@@ -44,6 +44,7 @@ from repro.shard import (
     ShardCrashError,
     ShardHost,
     ShardPolicy,
+    ShardSupervisor,
     ShardTimeoutError,
 )
 from repro.shard import store as store_module
@@ -667,6 +668,63 @@ def test_host_rows_are_read_only_and_manager_rows_are_the_callers():
         assert np.array_equal(
             manager.lookup(np.arange(N_NODES)).rows, manager.table
         )
+
+
+def test_a_lookup_asks_no_liveness_and_a_sweep_asks_once_a_host(
+    monkeypatch,
+):
+    calls = []
+    real = multiprocessing.process.BaseProcess.is_alive
+
+    def spy(process):
+        calls.append(process.pid)
+        return real(process)
+
+    with _manager(n_shards=2) as manager:
+        supervisor = ShardSupervisor(manager)
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "is_alive", spy
+        )
+        for _ in range(3):
+            manager.lookup(np.arange(N_NODES))
+        assert calls == []
+        supervisor.check()
+        assert sorted(calls) == sorted(
+            host.workers[0].process.pid for host in manager.hosts
+        )
+
+
+@pytest.mark.parametrize(
+    ("spin_s", "parked"),
+    [(0.0, True), (SPIN_S, True), (5.0, False)],
+    ids=["park", "spin-then-park", "spinning"],
+)
+def test_a_worker_killed_between_lookups_fails_the_next(
+    monkeypatch, spin_s, parked
+):
+    # A parked worker's death is EPIPE on its doorbell, a spinning
+    # one's EOF: either way one failure in the next lookup, hedged.
+    monkeypatch.setattr(store_module, "spin_window", lambda *_: spin_s)
+    failures = []
+    with _manager(n_shards=1) as manager:
+        manager.on_failure = lambda *args: failures.append(args)
+        manager.lookup(np.arange(N_NODES))
+        worker = manager.hosts[0].workers[0]
+        if parked:
+            _parked(manager.hosts[0])
+        assert bool(worker.box.words[_WORKER_PARKED]) == parked
+        os.kill(worker.process.pid, signal.SIGKILL)
+        worker.process.join(timeout=5.0)
+        assert worker.process.exitcode == -signal.SIGKILL
+        result = manager.lookup(np.arange(N_NODES))
+        assert result.statuses == {0: STATUS_STALE}
+        assert np.array_equal(result.rows, manager.table)
+        assert [(shard, type(exc)) for shard, exc in failures] == [
+            (0, ShardCrashError)
+        ]
+        assert manager.metrics.value(
+            "shard.failures", shard="0", kind="ShardCrashError"
+        ) == 1
 
 
 # -- (ix) the mailbox -------------------------------------------------------
