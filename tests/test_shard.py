@@ -462,6 +462,14 @@ class TestScatterGather:
             assert np.array_equal(result.rows, rows)
             # Write-through keeps every shard at the table version.
             assert result.stale_rows == 0
+            # Ids outside the table are refused before anything is
+            # written: no row wraps around, no version moves.
+            before = manager.table.copy()
+            for bad in ([5, -1], [5, N_NODES]):
+                with pytest.raises(ValueError, match="outside"):
+                    manager.apply_update(np.array(bad), rows)
+            assert np.array_equal(manager.table, before)
+            assert manager.version == 1
 
     def test_injected_crash_hedges_to_checkpoint(self):
         plan = FaultPlan(
