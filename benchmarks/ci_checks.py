@@ -23,11 +23,14 @@ unknown name exits 2 and lists the checks.  By the CI job that runs them:
 - resilience-chaos: ``resilience-arms`` and ``repair-charges
   online_resilience.telemetry.jsonl``.
 - shard-chaos and resilience-chaos: ``leaves-nothing -- <command…>``.
+- tests: ``knobs-have-callers`` (no input: it reads the source tree).
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
+import dataclasses
 import glob
 import json
 import math
@@ -37,10 +40,12 @@ import statistics
 import subprocess
 import sys
 import time
+import typing
 from collections import Counter
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from repro.obs import forensics  # noqa: E402
 from repro.obs.live import load_records  # noqa: E402
@@ -370,6 +375,47 @@ def leaves_nothing(command: list[str], wait_s: float = 10.0) -> int:
     return code
 
 
+def _set_names(roots) -> set:
+    """Every keyword-argument name and string dict key under ``roots``."""
+    names = set()
+    for root in roots:
+        for path in sorted((ROOT / root).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.keyword):
+                    names.add(node.arg)
+                elif isinstance(node, ast.Dict):
+                    names.update(key.value for key in node.keys
+                                 if isinstance(key, ast.Constant))
+    return names
+
+
+def knobs_have_callers(configs=None, roots=("src", "benchmarks", "examples")):
+    """Every field of the config dataclasses is set by a caller outside
+    the tests: its name is a keyword argument or a string dict key in
+    ``roots``.  A field no caller sets should be a constant.  A set
+    field that holds a dataclass is checked through, field by field."""
+    if configs is None:
+        from repro.core.config import OMeGaConfig, ParallelConfig
+        from repro.serve import ServePolicy
+        from repro.shard import ShardPolicy, SupervisorPolicy
+        configs = (OMeGaConfig, ParallelConfig, ServePolicy, ShardPolicy,
+                   SupervisorPolicy)
+    names, todo, seen, unset = _set_names(roots), list(configs), set(), []
+    while todo:
+        config = todo.pop(0)
+        if config in seen:
+            continue
+        seen.add(config)
+        hints = typing.get_type_hints(config)
+        for field in dataclasses.fields(config):
+            if field.name not in names:
+                unset.append(f"{config.__name__}.{field.name}")
+            elif dataclasses.is_dataclass(hints[field.name]):
+                todo.append(hints[field.name])
+    assert not unset, f"fields no caller sets: {', '.join(unset)}"
+    print(f"every field of {len(seen)} config dataclasses has a caller")
+
+
 def _read(path: str):
     """A telemetry file through the product's one loader, else JSON."""
     if path.endswith(".jsonl"):
@@ -383,6 +429,7 @@ CHECKS = {check.__name__.replace("_", "-"): check for check in (
     gate_stages, wall_band, breaker_tripped, request_records,
     blame_equals_attribution, blame_sums_to_latency, restart_landed,
     blame_fractions, resilience_arms, repair_charges, leaves_nothing,
+    knobs_have_callers,
 )}
 
 #: How a check's arguments become its inputs; by default each is a file.

@@ -96,10 +96,6 @@ class FeatureCache:
             self._entries.popitem(last=False)
         return False
 
-    def access_many(self, nodes: np.ndarray) -> int:
-        """Touch a batch; returns the number of misses."""
-        return sum(0 if self.access(int(node)) else 1 for node in nodes)
-
     @property
     def hit_rate(self) -> float:
         """Fraction of accesses served from cache."""

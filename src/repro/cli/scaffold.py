@@ -10,7 +10,7 @@ import argparse
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 from repro.core.config import (
     AllocationScheme,
@@ -32,9 +32,34 @@ def no_flags(parser: argparse.ArgumentParser) -> None:
     """``configure`` of a command that takes no arguments."""
 
 
+def checked(
+    build: Callable[[Any], object], cast: Callable[[str], Any] = int
+) -> Callable[[str], Any]:
+    """An argparse ``type``: ``cast`` the text, then ``build`` what the
+    flag sets from the value.  The bound is the one the built object's
+    own validation states, and a value outside it is a usage error that
+    names the flag (exit 2), not a traceback."""
+
+    def parse(text: str) -> Any:
+        value = cast(text)
+        try:
+            build(value)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+        return value
+
+    parse.__name__ = cast.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
 def size_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=16)
-    parser.add_argument("--dim", type=int, default=32)
+    parser.add_argument(
+        "--threads", type=checked(lambda n: OMeGaConfig(n_threads=n)),
+        default=16,
+    )
+    parser.add_argument(
+        "--dim", type=checked(lambda d: OMeGaConfig(dim=d)), default=32
+    )
 
 
 def arm_flags(parser: argparse.ArgumentParser) -> None:
@@ -70,7 +95,8 @@ def backend_flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=checked(lambda n: ParallelConfig(n_workers=n)),
+        default=None, metavar="N",
         help="worker processes for the shared-memory backend (default 2)",
     )
 

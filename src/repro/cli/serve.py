@@ -11,6 +11,13 @@ from repro.bench.harness import format_seconds, format_table
 from repro.cli import scaffold
 from repro.core.embedding import OMeGaEmbedder
 from repro.faults import FaultInjector, FaultPlan
+from repro.serve import (
+    EmbeddingBackend,
+    EmbeddingServer,
+    RequestTrace,
+    ServePolicy,
+)
+from repro.shard import ShardPolicy, SupervisorPolicy
 
 
 def configure_serve_sim(parser: argparse.ArgumentParser) -> None:
@@ -28,7 +35,12 @@ def configure_serve_sim(parser: argparse.ArgumentParser) -> None:
         help="seed of the synthesized trace (ignored with --trace)",
     )
     parser.add_argument(
-        "--load", type=float, default=0.8,
+        "--load",
+        type=scaffold.checked(
+            lambda load: RequestTrace.synthesize(0, n_requests=0, load=load),
+            float,
+        ),
+        default=0.8,
         help="offered utilization of the synthesized trace",
     )
     parser.add_argument(
@@ -51,7 +63,11 @@ def configure_serve_sim(parser: argparse.ArgumentParser) -> None:
         "--save-faults", metavar="PATH",
         help="write the active fault plan as JSON",
     )
-    parser.add_argument("--queue-limit", type=int, default=64)
+    parser.add_argument(
+        "--queue-limit",
+        type=scaffold.checked(lambda n: ServePolicy(queue_limit=n)),
+        default=64,
+    )
     parser.add_argument(
         "--no-breaker", action="store_true",
         help="disable the circuit breaker (chaos-comparison arm)",
@@ -79,22 +95,32 @@ def configure_serve_sim(parser: argparse.ArgumentParser) -> None:
         help="disable the shard supervisor (crashed shards stay down)",
     )
     parser.add_argument(
-        "--checkpoint-interval", type=int, default=0, metavar="N",
+        "--checkpoint-interval",
+        type=scaffold.checked(lambda n: ShardPolicy(checkpoint_interval=n)),
+        default=0, metavar="N",
         help="background-checkpoint each shard every N lookups"
         " (staggered across shards; 0 = no cadence)",
     )
     parser.add_argument(
-        "--staleness-bound", type=int, default=0, metavar="V",
+        "--staleness-bound",
+        type=scaffold.checked(lambda v: ShardPolicy(staleness_bound=v)),
+        default=0, metavar="V",
         help="force a background checkpoint whenever a shard falls V"
         " table versions behind (0 = unbounded)",
     )
     parser.add_argument(
-        "--replicas", type=int, default=0, metavar="N",
+        "--replicas",
+        type=scaffold.checked(lambda n: ShardPolicy(n_replicas=n)),
+        default=0, metavar="N",
         help="N warm standby replicas per shard; the supervisor promotes"
         " one on primary death instead of replaying the WAL",
     )
     parser.add_argument(
-        "--reshard", type=float, default=0.0, metavar="RATIO",
+        "--reshard",
+        type=scaffold.checked(
+            lambda r: SupervisorPolicy(reshard_imbalance=r), float
+        ),
+        default=0.0, metavar="RATIO",
         help="split the hottest shard online when served-row load"
         " imbalance (max/mean) exceeds RATIO (0 = never reshard)",
     )
@@ -151,12 +177,6 @@ def _shard_rows(info: dict) -> list:
 
 def run_serve_sim(args: argparse.Namespace) -> int:
     from repro.memsim.clock import VirtualClock
-    from repro.serve import (
-        EmbeddingBackend,
-        EmbeddingServer,
-        RequestTrace,
-        ServePolicy,
-    )
 
     edges, n_nodes, scale, name = scaffold.load_graph(args)
     # A malformed --trace fails here, before the embed and shard spawns.
@@ -180,7 +200,6 @@ def run_serve_sim(args: argparse.Namespace) -> int:
         shard_info = None
         if args.shards:
             from repro.serve.sharded import ShardedEmbeddingBackend
-            from repro.shard import ShardPolicy, SupervisorPolicy
 
             backend = ShardedEmbeddingBackend(
                 embedder,

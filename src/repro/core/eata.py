@@ -124,11 +124,6 @@ class WorkloadPartition:
             return self.nnz_override
         return self.nnz_end - self.nnz_start
 
-    @property
-    def is_empty(self) -> bool:
-        """True when the thread received no work."""
-        return self.nnz_count == 0 and self.n_rows == 0
-
 
 class AllocatorContext:
     """Prefix-sum arrays for entropy/workload queries on row ranges.

@@ -643,10 +643,6 @@ class CSDBMatrix:
                 )
         return out[:, 0] if squeeze else out
 
-    def spmv(self, vector: np.ndarray) -> np.ndarray:
-        """Sparse x vector multiplication in original indexing."""
-        return self.spmm(np.asarray(vector).reshape(-1))
-
     def transpose(self) -> "CSDBMatrix":
         """Transposed copy, re-blocked by the transpose's row degrees.
 
@@ -686,24 +682,13 @@ class CSDBMatrix:
             transposed.nnz_list.astype(self.dtype, copy=False)
         )
 
-    def _elementwise(self, other: "CSDBMatrix", sign: float) -> "CSDBMatrix":
-        return CSDBMatrix.from_csr(
-            self.to_csr()._elementwise(other.to_csr(), sign)
-        )
-
-    def __add__(self, other: "CSDBMatrix") -> "CSDBMatrix":
-        return self._elementwise(other, 1.0)
-
-    def __sub__(self, other: "CSDBMatrix") -> "CSDBMatrix":
-        return self._elementwise(other, -1.0)
-
     def with_values(self, values: np.ndarray) -> "CSDBMatrix":
         """Same sparsity pattern, new non-zero values.
 
         The result is a sibling on this matrix's pattern object: nothing
         structural is re-validated and the pattern's caches, present and
-        future, are common to both.  ``transpose`` (of an asymmetric
-        pattern) and the elementwise operators build fresh patterns.
+        future, are common to both.  ``transpose`` of an asymmetric
+        pattern builds a fresh one.
         float32 values stay float32; any other dtype becomes float64.
         """
         values = as_values(values)

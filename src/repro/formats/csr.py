@@ -207,8 +207,7 @@ class CSRMatrix:
         Raises:
             ValueError: on arrays that are not 1-D or of unequal length,
                 out-of-range indices, or when ``n_rows * n_cols`` does not
-                fit the int64 coordinate key ``a ± b`` merges by (the build
-                itself has no such limit).
+                fit an int64 ``row * n_cols + col`` coordinate key.
         """
         rows, cols, vals, shape = _check_coo(rows, cols, vals, shape)
         _reserve_working_set(len(rows))
@@ -279,20 +278,6 @@ class CSRMatrix:
             )
         return out
 
-    def spmv(self, vector: np.ndarray) -> np.ndarray:
-        """Sparse x vector multiplication."""
-        return self.spmm(np.asarray(vector).reshape(-1, 1)).ravel()
-
-    def transpose(self) -> "CSRMatrix":
-        """Transposed copy (CSR of the transpose)."""
-        return CSRMatrix.from_coo(
-            self.indices,
-            self.nnz_row_ids(),
-            self.data,
-            (self.n_cols, self.n_rows),
-            sum_duplicates=False,
-        )
-
     def to_dense(self) -> np.ndarray:
         """Dense ndarray copy (testing/small matrices only)."""
         return np.bincount(
@@ -300,57 +285,6 @@ class CSRMatrix:
             weights=self.data,
             minlength=self.n_rows * self.n_cols,
         ).reshape(self.shape)
-
-    def _elementwise(self, other: "CSRMatrix", sign: float) -> "CSRMatrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        _, n_cols = _key_dimensions(self.shape)
-        # Both operands are ordered by (row, col), so they are merged,
-        # not sorted: an entry of ``other`` goes after every entry of
-        # ``self`` whose coordinate is not greater (equal coordinates are
-        # summed in operand order) and ``self`` fills the slots left.
-        theirs = np.searchsorted(
-            self.nnz_row_ids() * n_cols + self.indices,
-            other.nnz_row_ids() * n_cols + other.indices,
-            side="right",
-        ) + np.arange(other.nnz, dtype=np.int64)
-        free = np.ones(self.nnz + other.nnz, dtype=bool)
-        free[theirs] = False
-        ours = np.flatnonzero(free)
-        cols = np.empty(len(free), dtype=np.int64)
-        cols[theirs], cols[ours] = other.indices, self.indices
-        vals = np.empty(len(free), dtype=np.float64)
-        vals[theirs], vals[ours] = sign * other.data, self.data
-        counts = self.row_degrees() + other.row_degrees()
-        return CSRMatrix(
-            *_sum_ordered(counts, cols, vals, sum_duplicates=True), self.shape
-        ).prune()
-
-    def __add__(self, other: "CSRMatrix") -> "CSRMatrix":
-        return self._elementwise(other, 1.0)
-
-    def __sub__(self, other: "CSRMatrix") -> "CSRMatrix":
-        return self._elementwise(other, -1.0)
-
-    def scale(self, factor: float) -> "CSRMatrix":
-        """Return ``factor * self``."""
-        return CSRMatrix(self.indptr, self.indices, self.data * factor, self.shape)
-
-    def prune(self, tol: float = 0.0) -> "CSRMatrix":
-        """Drop stored entries with ``|value| <= tol``."""
-        keep = np.abs(self.data) > tol
-        if keep.all():
-            return self
-        # Masking keeps the (row, col) order; a row now starts after the
-        # entries kept before its old start.
-        kept_before = np.zeros(self.nnz + 1, dtype=np.int64)
-        np.cumsum(keep, out=kept_before[1:])
-        return CSRMatrix(
-            kept_before[self.indptr],
-            self.indices[keep],
-            self.data[keep],
-            self.shape,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CSRMatrix(shape={self.shape}, nnz={self.nnz})"

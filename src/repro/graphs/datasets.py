@@ -100,14 +100,6 @@ class Dataset:
         """Summary statistics of the scaled analogue."""
         return graph_stats(self.edges, self.n_nodes)
 
-    def full_scale_nodes(self) -> int:
-        """|V| of the original graph."""
-        return self.paper.n_nodes
-
-    def full_scale_edges(self) -> int:
-        """|E| of the original graph."""
-        return self.paper.n_edges
-
 
 def load_dataset(
     name: str, scale: int | None = None, seed: int | None = None

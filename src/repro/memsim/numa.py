@@ -46,11 +46,6 @@ class NumaTopology:
                 f"cores_per_socket must be >= 1, got {self.cores_per_socket}"
             )
 
-    @property
-    def total_cores(self) -> int:
-        """Total physical core count across all sockets."""
-        return self.n_sockets * self.cores_per_socket
-
     def socket_of_thread(self, thread_id: int, n_threads: int) -> int:
         """Socket a thread is bound to under block-wise binding.
 
@@ -62,15 +57,6 @@ class NumaTopology:
             raise ValueError(f"thread_id {thread_id} out of range [0, {n_threads})")
         per_socket = -(-n_threads // self.n_sockets)  # ceil division
         return min(thread_id // per_socket, self.n_sockets - 1)
-
-    def threads_on_socket(self, socket: int, n_threads: int) -> int:
-        """Number of threads bound to ``socket`` under block-wise binding."""
-        self._check_socket(socket)
-        return sum(
-            1
-            for t in range(n_threads)
-            if self.socket_of_thread(t, n_threads) == socket
-        )
 
     def locality(self, thread_socket: int, data_socket: int) -> Locality:
         """Classify an access as local or remote."""

@@ -87,10 +87,6 @@ class Gauge(Counter):
         """Gauges may move in either direction."""
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        """Decrease the gauge."""
-        self.value -= amount
-
 
 #: Default histogram buckets: log-spaced, wide enough for both simulated
 #: seconds (1 us .. hours) and dimensionless ratios.

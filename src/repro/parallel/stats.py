@@ -38,13 +38,6 @@ class ThreadStats:
             return 1.0
         return self.maximum / self.mean
 
-    @property
-    def coefficient_of_variation(self) -> float:
-        """std / mean, a scale-free imbalance measure."""
-        if self.mean == 0.0:
-            return 0.0
-        return self.std / self.mean
-
 
 def summarize_thread_times(times: np.ndarray) -> ThreadStats:
     """Summarize a vector of per-thread completion times."""

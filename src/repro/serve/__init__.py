@@ -22,7 +22,6 @@ from repro.serve.breaker import (
     STATE_CLOSED,
     STATE_HALF_OPEN,
     STATE_OPEN,
-    BreakerPolicy,
     CircuitBreaker,
     CircuitOpenError,
 )
@@ -48,7 +47,6 @@ from repro.serve.trace import REQUEST_CLASSES, RequestTrace, ServeRequest
 __all__ = [
     "BREAKER_STATES",
     "BackendResponse",
-    "BreakerPolicy",
     "CircuitBreaker",
     "CircuitOpenError",
     "DEFAULT_LADDERS",

@@ -14,7 +14,6 @@ whole story of a chaos run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.obs.metrics import MetricsRegistry
@@ -28,6 +27,13 @@ BREAKER_STATES = (STATE_CLOSED, STATE_OPEN, STATE_HALF_OPEN)
 #: Gauge encoding of the states (0 = healthy, 2 = tripped).
 _STATE_CODES = {STATE_CLOSED: 0, STATE_HALF_OPEN: 1, STATE_OPEN: 2}
 
+#: Consecutive failures that trip a closed breaker.
+FAILURE_THRESHOLD = 3
+#: Consecutive probe successes that close a half-open breaker.
+HALF_OPEN_PROBES = 2
+#: The ``breaker`` label of every series (the server has one breaker).
+NAME = "backend"
+
 
 class CircuitOpenError(RuntimeError):
     """A call was rejected because the breaker is open."""
@@ -40,61 +46,27 @@ class CircuitOpenError(RuntimeError):
         self.retry_after_s = retry_after_s
 
 
-@dataclass(frozen=True)
-class BreakerPolicy:
-    """Tuning knobs of one :class:`CircuitBreaker`.
-
-    Attributes:
-        failure_threshold: consecutive failures that trip a closed
-            breaker.
-        recovery_seconds: how long an open breaker rejects calls before
-            admitting half-open probes.
-        half_open_probes: consecutive probe successes needed to close a
-            half-open breaker.
-    """
-
-    failure_threshold: int = 3
-    recovery_seconds: float = 5.0
-    half_open_probes: int = 2
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {self.failure_threshold}"
-            )
-        if self.recovery_seconds <= 0:
-            raise ValueError(
-                f"recovery_seconds must be > 0, got {self.recovery_seconds}"
-            )
-        if self.half_open_probes < 1:
-            raise ValueError(
-                f"half_open_probes must be >= 1, got {self.half_open_probes}"
-            )
-
-
 class CircuitBreaker:
     """Failure-counting breaker on a simulated clock.
 
     Args:
-        policy: thresholds and recovery window.
+        recovery_seconds: how long an open breaker rejects calls before
+            admitting half-open probes.
         clock: zero-argument callable returning the current simulated
             time (e.g. a :class:`repro.memsim.clock.VirtualClock`'s
             ``now`` via ``lambda: clock.now``).
         metrics: registry receiving the ``serve.breaker.*`` series.
-        name: label distinguishing multiple breakers in one registry.
     """
 
     def __init__(
         self,
-        policy: BreakerPolicy | None = None,
+        recovery_seconds: float,
         clock: Callable[[], float] = lambda: 0.0,
         metrics: MetricsRegistry | None = None,
-        name: str = "backend",
     ) -> None:
-        self.policy = policy or BreakerPolicy()
+        self.recovery_seconds = recovery_seconds
         self.clock = clock
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.name = name
         self._state = STATE_CLOSED
         self._consecutive_failures = 0
         self._probe_successes = 0
@@ -112,10 +84,10 @@ class CircuitBreaker:
     @property
     def trips(self) -> int:
         """How many times the breaker has opened."""
-        return int(self.metrics.value("serve.breaker.trips", breaker=self.name))
+        return int(self.metrics.value("serve.breaker.trips", breaker=NAME))
 
     def _sync_gauge(self) -> None:
-        self.metrics.gauge("serve.breaker.state", breaker=self.name).set(
+        self.metrics.gauge("serve.breaker.state", breaker=NAME).set(
             _STATE_CODES[self._state]
         )
 
@@ -124,12 +96,12 @@ class CircuitBreaker:
             return
         self.metrics.counter(
             "serve.breaker.transitions",
-            breaker=self.name,
+            breaker=NAME,
             from_state=self._state,
             to_state=to_state,
         ).inc()
         if to_state == STATE_OPEN:
-            self.metrics.counter("serve.breaker.trips", breaker=self.name).inc()
+            self.metrics.counter("serve.breaker.trips", breaker=NAME).inc()
             self._opened_at = self.clock()
         self._state = to_state
         self._sync_gauge()
@@ -137,7 +109,7 @@ class CircuitBreaker:
     def _maybe_enter_half_open(self) -> None:
         if (
             self._state == STATE_OPEN
-            and self.clock() >= self._opened_at + self.policy.recovery_seconds
+            and self.clock() >= self._opened_at + self.recovery_seconds
         ):
             self._probe_successes = 0
             self._transition(STATE_HALF_OPEN)
@@ -154,7 +126,7 @@ class CircuitBreaker:
         self._maybe_enter_half_open()
         if self._state == STATE_OPEN:
             self.metrics.counter(
-                "serve.breaker.rejections", breaker=self.name
+                "serve.breaker.rejections", breaker=NAME
             ).inc()
             return False
         return True
@@ -163,9 +135,9 @@ class CircuitBreaker:
         """Raise :class:`CircuitOpenError` unless a call may proceed."""
         if not self.allow():
             remaining = (
-                self._opened_at + self.policy.recovery_seconds - self.clock()
+                self._opened_at + self.recovery_seconds - self.clock()
             )
-            raise CircuitOpenError(self.name, max(remaining, 0.0))
+            raise CircuitOpenError(NAME, max(remaining, 0.0))
 
     def record_success(self) -> None:
         """Report a successful backend call."""
@@ -173,14 +145,14 @@ class CircuitBreaker:
         if self._state == STATE_HALF_OPEN:
             self._probe_successes += 1
             self.metrics.counter(
-                "serve.breaker.probe_successes", breaker=self.name
+                "serve.breaker.probe_successes", breaker=NAME
             ).inc()
-            if self._probe_successes >= self.policy.half_open_probes:
+            if self._probe_successes >= HALF_OPEN_PROBES:
                 self._transition(STATE_CLOSED)
 
     def record_failure(self) -> None:
         """Report a failed backend call (stall, fault, timeout)."""
-        self.metrics.counter("serve.breaker.failures", breaker=self.name).inc()
+        self.metrics.counter("serve.breaker.failures", breaker=NAME).inc()
         if self._state == STATE_HALF_OPEN:
             # One failed probe re-trips immediately.
             self._probe_successes = 0
@@ -189,7 +161,7 @@ class CircuitBreaker:
         self._consecutive_failures += 1
         if (
             self._state == STATE_CLOSED
-            and self._consecutive_failures >= self.policy.failure_threshold
+            and self._consecutive_failures >= FAILURE_THRESHOLD
         ):
             self._consecutive_failures = 0
             self._transition(STATE_OPEN)

@@ -52,16 +52,11 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, SpanTracer
 from repro.serve.backend import (
     FIDELITY_FULL,
-    FIDELITY_LEVELS,
     FIDELITY_PROPAGATION,
     FIDELITY_STALE,
     EmbeddingBackend,
 )
-from repro.serve.breaker import (
-    STATE_OPEN,
-    BreakerPolicy,
-    CircuitBreaker,
-)
+from repro.serve.breaker import STATE_OPEN, CircuitBreaker
 from repro.serve.errors import DeadlineExceededError, QueueFullError
 from repro.serve.trace import RequestTrace, ServeRequest
 from repro.shard.errors import PartialResultError
@@ -78,13 +73,17 @@ RESPONSE_STATUSES = (
     STATUS_FAILED,
 )
 
-#: Default degradation ladders per request class: interactive traffic
-#: may fall all the way to the cache; batch scoring skips the
-#: half-fresh middle rung (full fidelity or the cache).
+#: Degradation ladders per request class (any other class gets the
+#: interactive one): interactive traffic may fall all the way to the
+#: cache; batch scoring skips the half-fresh middle rung (full fidelity
+#: or the cache).
 DEFAULT_LADDERS: dict[str, tuple[str, ...]] = {
     "interactive": (FIDELITY_FULL, FIDELITY_PROPAGATION, FIDELITY_STALE),
     "batch": (FIDELITY_FULL, FIDELITY_STALE),
 }
+
+#: A ``serve_snapshot`` goes to the stream every this many responses.
+SNAPSHOT_EVERY = 50
 
 #: Label names of the server's labelled series, by family.
 _LABELS: dict[str, tuple[str, ...]] = {
@@ -104,25 +103,21 @@ class ServePolicy:
         queue_limit: bound of the admission queue (with shedding on).
         stall_budget_s: how long one compute-tier call may hang before
             it is abandoned (and counted as a breaker failure).
-        breaker: circuit-breaker thresholds.
+        breaker_recovery_s: how long an open breaker rejects calls
+            before admitting half-open probes.
         breaker_enabled: gate compute rungs through the breaker.
         shedding_enabled: enforce ``queue_limit`` (off = unbounded).
         deadline_aware: skip a compute rung whose predicted (healthy)
             cost would already blow the request's deadline — serve a
             degraded answer in time instead of a fresh one late.
-        ladders: per-class fidelity ladders (missing classes get the
-            interactive ladder).
     """
 
     queue_limit: int = 64
     stall_budget_s: float = 0.05
-    breaker: BreakerPolicy = BreakerPolicy()
+    breaker_recovery_s: float = 5.0
     breaker_enabled: bool = True
     shedding_enabled: bool = True
     deadline_aware: bool = True
-    ladders: dict[str, tuple[str, ...]] = field(
-        default_factory=lambda: dict(DEFAULT_LADDERS)
-    )
 
     def __post_init__(self) -> None:
         if self.queue_limit < 1:
@@ -133,18 +128,15 @@ class ServePolicy:
             raise ValueError(
                 f"stall_budget_s must be > 0, got {self.stall_budget_s}"
             )
-        for klass, ladder in self.ladders.items():
-            if not ladder:
-                raise ValueError(f"empty ladder for class {klass!r}")
-            for rung in ladder:
-                if rung not in FIDELITY_LEVELS:
-                    raise ValueError(
-                        f"unknown fidelity {rung!r} in {klass!r} ladder"
-                    )
+        if self.breaker_recovery_s <= 0:
+            raise ValueError(
+                "breaker_recovery_s must be > 0,"
+                f" got {self.breaker_recovery_s}"
+            )
 
     def ladder_for(self, klass: str) -> tuple[str, ...]:
         """The fidelity ladder of a request class."""
-        return tuple(self.ladders.get(klass, DEFAULT_LADDERS["interactive"]))
+        return DEFAULT_LADDERS.get(klass, DEFAULT_LADDERS["interactive"])
 
     @classmethod
     def calibrated(cls, mean_service_s: float, **overrides: Any) -> "ServePolicy":
@@ -164,9 +156,7 @@ class ServePolicy:
             )
         defaults: dict[str, Any] = {
             "stall_budget_s": 50.0 * mean_service_s,
-            "breaker": BreakerPolicy(
-                recovery_seconds=200.0 * mean_service_s
-            ),
+            "breaker_recovery_s": 200.0 * mean_service_s,
         }
         defaults.update(overrides)
         return cls(**defaults)
@@ -297,12 +287,7 @@ class EmbeddingServer:
         tracer: SpanTracer | None = None,
         faults: FaultInjector | None = None,
         stream: Any | None = None,
-        snapshot_every: int = 50,
     ) -> None:
-        if snapshot_every < 1:
-            raise ValueError(
-                f"snapshot_every must be >= 1, got {snapshot_every}"
-            )
         self.backend = backend
         self.policy = policy or ServePolicy()
         self.clock = clock or VirtualClock()
@@ -311,7 +296,7 @@ class EmbeddingServer:
         self.faults = faults if faults is not None else backend.faults
         #: Live :class:`~repro.obs.live.TelemetryStream` to feed — one
         #: ``serve_request`` record (the request's forensic tree) per
-        #: response plus a ``serve_snapshot`` every ``snapshot_every``
+        #: response plus a ``serve_snapshot`` every :data:`SNAPSHOT_EVERY`
         #: responses (what ``repro top`` tails).
         self.stream = stream
         if stream is not None:
@@ -325,12 +310,10 @@ class EmbeddingServer:
             shards = getattr(backend, "shards", None)
             if shards is not None and shards.stream is None:
                 shards.stream = stream
-        self.snapshot_every = snapshot_every
         self.breaker = CircuitBreaker(
-            self.policy.breaker,
+            self.policy.breaker_recovery_s,
             clock=lambda: self.clock.now,
             metrics=self.metrics,
-            name="backend",
         )
         #: Admitted requests with the trace id each got on submission.
         self._pending: deque[tuple[ServeRequest, str]] = deque()
@@ -704,5 +687,5 @@ class EmbeddingServer:
                     response.stale_rows,
                 )
             )
-            if len(report.responses) % self.snapshot_every == 0:
+            if len(report.responses) % SNAPSHOT_EVERY == 0:
                 self._emit_snapshot()

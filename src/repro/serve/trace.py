@@ -24,6 +24,11 @@ from typing import Any
 #: Recognised request classes.
 REQUEST_CLASSES = ("interactive", "batch")
 
+#: Share of synthesized requests that are interactive (1–16 nodes); the
+#: rest are batch (16–``MAX_BATCH_NODES`` nodes).
+INTERACTIVE_FRACTION = 0.8
+MAX_BATCH_NODES = 256
+
 
 @dataclass(frozen=True)
 class ServeRequest:
@@ -126,9 +131,7 @@ class RequestTrace:
         n_requests: int = 500,
         per_node_cost_s: float = 1e-5,
         load: float = 0.8,
-        interactive_fraction: float = 0.8,
         deadline_slack: float = 20.0,
-        max_batch_nodes: int = 256,
     ) -> "RequestTrace":
         """Seeded open-loop trace generator.
 
@@ -150,30 +153,21 @@ class RequestTrace:
             raise ValueError(
                 f"per_node_cost_s must be > 0, got {per_node_cost_s}"
             )
-        if not 0.0 <= interactive_fraction <= 1.0:
-            raise ValueError(
-                "interactive_fraction must be in [0, 1],"
-                f" got {interactive_fraction}"
-            )
-        if max_batch_nodes < 16:
-            raise ValueError(
-                f"max_batch_nodes must be >= 16, got {max_batch_nodes}"
-            )
         rng = np.random.default_rng(seed)
         # Expected node counts of each class (uniform integer draws).
         mean_interactive_nodes = (1 + 16) / 2.0
-        mean_batch_nodes = (16 + max_batch_nodes) / 2.0
+        mean_batch_nodes = (16 + MAX_BATCH_NODES) / 2.0
         interactive_service = per_node_cost_s * mean_interactive_nodes
         batch_service = per_node_cost_s * mean_batch_nodes
         expected_service = (
-            interactive_fraction * interactive_service
-            + (1.0 - interactive_fraction) * batch_service
+            INTERACTIVE_FRACTION * interactive_service
+            + (1.0 - INTERACTIVE_FRACTION) * batch_service
         )
         interarrival = expected_service / load
         arrivals = np.cumsum(rng.exponential(interarrival, size=n_requests))
         requests = []
         for i in range(n_requests):
-            interactive = rng.random() < interactive_fraction
+            interactive = rng.random() < INTERACTIVE_FRACTION
             if interactive:
                 klass = "interactive"
                 n_nodes = int(rng.integers(1, 17))
@@ -182,7 +176,7 @@ class RequestTrace:
                 )
             else:
                 klass = "batch"
-                n_nodes = int(rng.integers(16, max_batch_nodes + 1))
+                n_nodes = int(rng.integers(16, MAX_BATCH_NODES + 1))
                 deadline = 10.0 * deadline_slack * batch_service * float(
                     rng.uniform(0.5, 1.5)
                 )

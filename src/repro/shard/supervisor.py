@@ -23,7 +23,7 @@ Only when no fresh replica survives does it fall back to a WAL restart
 newest *CRC-verified* checkpoint and reopens **bounded-stale**: at most
 ``table_version - checkpoint_version`` updates behind, a bound the
 supervisor reports per incident.  Restarts are budgeted
-(``max_restarts`` per shard); past the budget the shard is *abandoned*
+(:data:`MAX_RESTARTS` per shard); past the budget the shard is *abandoned*
 and the manager serves its range from the checkpoint tier only.  Each
 restart charges a full-jitter backoff delay from a seeded
 :class:`~repro.core.asl.RetryPolicy` — recorded, not slept, so chaos
@@ -39,7 +39,7 @@ drained in and the routing table swaps atomically.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.core.asl import RetryPolicy
@@ -48,9 +48,15 @@ from repro.shard.errors import ShardCrashError
 from repro.shard.host import ShardHost, wait_heartbeats
 from repro.shard.store import EmbeddingShardManager
 
-#: Default restart backoff: full jitter, seeded, ~1 ms base.
+#: Restarts allowed per shard before it is abandoned.
+MAX_RESTARTS = 8
+
+#: Restart backoff: full jitter, seeded, ~1 ms base.  Each restart's
+#: delay is *recorded* as simulated seconds; every supervisor draws from
+#: its own copy, seeded alike.
 DEFAULT_RESTART_BACKOFF = RetryPolicy(
-    max_retries=8, base_delay_seconds=1e-3, jitter="full", jitter_seed=7
+    max_retries=MAX_RESTARTS, base_delay_seconds=1e-3, jitter="full",
+    jitter_seed=7,
 )
 
 
@@ -61,10 +67,6 @@ class SupervisorPolicy:
     Attributes:
         heartbeat_timeout_s: wall seconds without heartbeat progress
             before an alive shard counts as hung.
-        max_restarts: restarts allowed per shard before abandonment.
-        restart_backoff: seeded (jittered) backoff schedule; each
-            restart's delay is *recorded* as simulated seconds.  Every
-            supervisor draws from its own copy, seeded alike.
         reshard_imbalance: served-row load-imbalance ratio
             (max/mean over :attr:`EmbeddingShardManager.rows_served`)
             past which :meth:`ShardSupervisor.check` begins an online
@@ -74,10 +76,6 @@ class SupervisorPolicy:
     """
 
     heartbeat_timeout_s: float = 0.5
-    max_restarts: int = 8
-    restart_backoff: RetryPolicy = field(
-        default_factory=lambda: DEFAULT_RESTART_BACKOFF
-    )
     reshard_imbalance: float = 0.0
     reshard_min_lookups: int = 20
 
@@ -86,10 +84,6 @@ class SupervisorPolicy:
             raise ValueError(
                 "heartbeat_timeout_s must be > 0,"
                 f" got {self.heartbeat_timeout_s}"
-            )
-        if self.max_restarts < 0:
-            raise ValueError(
-                f"max_restarts must be >= 0, got {self.max_restarts}"
             )
         if self.reshard_imbalance < 0:
             raise ValueError(
@@ -150,9 +144,9 @@ class ShardSupervisor:
         self.manager = manager
         self.policy = policy
         #: This supervisor's own copy of the backoff schedule: a fresh
-        #: jitter RNG seeded from the policy, so its draws never depend
-        #: on what another supervisor sharing the policy drew before.
-        self._backoff = replace(policy.restart_backoff)
+        #: jitter RNG seeded alike, so its draws never depend on what
+        #: another supervisor drew before.
+        self._backoff = replace(DEFAULT_RESTART_BACKOFF)
         self.metrics = metrics if metrics is not None else manager.metrics
         self.incidents: list[Incident] = []
         #: Simulated clock position of the serve call currently being
@@ -261,7 +255,7 @@ class ShardSupervisor:
                 pass  # replica died under us: fall through to restart
             else:
                 action = "promote"
-        if action == "abandon" and host.restarts < self.policy.max_restarts:
+        if action == "abandon" and host.restarts < MAX_RESTARTS:
             delay = self._backoff.delay(host.restarts)
             try:
                 lost, recovery_s = host.restart()

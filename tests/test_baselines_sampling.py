@@ -53,12 +53,14 @@ class TestFeatureCache:
 
     def test_hit_rate(self):
         cache = FeatureCache(capacity=10)
-        cache.access_many(np.array([1, 2, 3, 1, 2, 3]))
+        for node in (1, 2, 3, 1, 2, 3):
+            cache.access(node)
         assert cache.hit_rate == pytest.approx(0.5)
 
     def test_zero_capacity_never_hits(self):
         cache = FeatureCache(capacity=0)
-        cache.access_many(np.array([1, 1, 1]))
+        for _ in range(3):
+            cache.access(1)
         assert cache.hit_rate == 0.0
 
     def test_invalid_capacity(self):
@@ -73,7 +75,8 @@ class TestBelady:
         seq = rng.zipf(1.5, size=2000) % 200
         capacity = 20
         lru = FeatureCache(capacity)
-        lru.access_many(seq)
+        for node in seq:
+            lru.access(int(node))
         optimal = belady_hit_rate(seq, capacity)
         assert optimal >= lru.hit_rate
 

@@ -2,6 +2,7 @@
 fails on each named mutation of it, through the same command line CI
 calls."""
 
+import dataclasses
 import importlib.util
 import itertools
 import json
@@ -299,9 +300,31 @@ def test_each_check_passes_and_bites(tmp_path, capsys, check, mutation):
         ci.main([check, *_write(tmp_path, files)])
 
 
-def test_every_check_but_two_has_a_file_input():
-    # wall-band and leaves-nothing are tested below.
-    assert set(_inputs()) == set(ci.CHECKS) - {"wall-band", "leaves-nothing"}
+def test_every_check_without_a_file_input_is_tested_below():
+    assert set(_inputs()) == set(ci.CHECKS) - {
+        "wall-band", "leaves-nothing", "knobs-have-callers",
+    }
+
+
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    never_set_anywhere: int = 0
+
+
+@dataclasses.dataclass(frozen=True)
+class _Mutant:
+    queue_limit: int = 64  # set by the CLI
+    parallel: _Inner = _Inner()  # set by the CLI, so checked through
+
+
+def test_knobs_have_callers_names_a_field_no_caller_sets(capsys):
+    assert ci.main(["knobs-have-callers"]) == 0
+    assert "has a caller" in capsys.readouterr().out
+    with pytest.raises(AssertionError) as unset:
+        ci.knobs_have_callers([_Mutant])
+    assert str(unset.value).endswith(
+        "fields no caller sets: _Inner.never_set_anywhere"
+    )
 
 
 def _walls(*walls):

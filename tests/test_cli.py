@@ -307,6 +307,36 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            ("embed PK --threads 0", "n_threads"),
+            ("embed PK --dim 0", "dim"),
+            ("spmm PK --workers 0", "n_workers"),
+            ("compare PK --threads -2", "n_threads"),
+            ("serve-sim PK --shards 1 --replicas -1", "n_replicas"),
+            ("serve-sim PK --shards 1 --checkpoint-interval -3",
+             "checkpoint_interval"),
+            ("serve-sim PK --shards 1 --staleness-bound -1",
+             "staleness_bound"),
+            ("serve-sim PK --shards 1 --reshard -1", "reshard_imbalance"),
+            ("serve-sim PK --shards 1 --queue-limit 0", "queue_limit"),
+            ("serve-sim PK --shards 1 --load 0", "load"),
+        ],
+    )
+    def test_an_out_of_range_value_is_a_usage_error(
+        self, argv, field, capsys
+    ):
+        argv = argv.split()
+        flag = argv[-2]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        *_, last = capsys.readouterr().err.strip().splitlines()
+        assert last.startswith(
+            f"repro {argv[0]}: error: argument {flag}: {field} must be"
+        ), last
+
 
 class TestExecBackendFlags:
     def test_embed_shared_memory_bit_identical(self, tmp_path):

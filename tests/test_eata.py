@@ -191,4 +191,4 @@ class TestPartitionProperties:
 
     def test_empty_partition_flag(self, paper_csdb):
         partitions = WorkloadBalancedAllocator().allocate(paper_csdb, 20)
-        assert any(p.is_empty for p in partitions)
+        assert any(p.nnz_count == 0 and p.n_rows == 0 for p in partitions)

@@ -93,46 +93,6 @@ class TestAlgebra:
         assert out.shape == (7, 1)
         assert np.allclose(out.ravel(), paper_csr.to_dense() @ v)
 
-    def test_spmv(self, paper_csr, rng):
-        v = rng.standard_normal(7)
-        assert np.allclose(paper_csr.spmv(v), paper_csr.to_dense() @ v)
-
     def test_spmm_dimension_mismatch(self, paper_csr, rng):
         with pytest.raises(ValueError, match="dimension mismatch"):
             paper_csr.spmm(rng.standard_normal((5, 3)))
-
-    def test_transpose(self, skewed_csr):
-        assert np.allclose(
-            skewed_csr.transpose().to_dense(), skewed_csr.to_dense().T
-        )
-
-    def test_transpose_rectangular(self):
-        m = CSRMatrix.from_coo([0, 1], [2, 0], [1.0, 2.0], (2, 4))
-        t = m.transpose()
-        assert t.shape == (4, 2)
-        assert np.allclose(t.to_dense(), m.to_dense().T)
-
-    def test_add_sub(self, paper_csr):
-        total = paper_csr + paper_csr
-        assert np.allclose(total.to_dense(), 2 * paper_csr.to_dense())
-        zero = paper_csr - paper_csr
-        assert zero.nnz == 0
-
-    def test_add_shape_mismatch(self, paper_csr):
-        other = CSRMatrix.from_coo([0], [0], [1.0], (3, 3))
-        with pytest.raises(ValueError, match="shape mismatch"):
-            paper_csr + other
-
-    def test_scale(self, paper_csr):
-        assert np.allclose(
-            paper_csr.scale(2.5).to_dense(), 2.5 * paper_csr.to_dense()
-        )
-
-    def test_prune(self):
-        m = CSRMatrix.from_coo([0, 1], [0, 1], [0.0, 1.0], (2, 2))
-        pruned = m.prune()
-        assert pruned.nnz == 1
-        assert pruned.to_dense()[1, 1] == 1.0
-
-    def test_prune_noop_returns_self(self, paper_csr):
-        assert paper_csr.prune() is paper_csr

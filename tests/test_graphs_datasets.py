@@ -67,8 +67,8 @@ class TestLoading:
 
     def test_full_scale_accessors(self):
         d = load_dataset("OR")
-        assert d.full_scale_nodes() == PAPER_GRAPHS["OR"].n_nodes
-        assert d.full_scale_edges() == PAPER_GRAPHS["OR"].n_edges
+        assert d.paper.n_nodes == PAPER_GRAPHS["OR"].n_nodes
+        assert d.paper.n_edges == PAPER_GRAPHS["OR"].n_edges
 
 
 class TestTable:

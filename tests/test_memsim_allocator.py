@@ -1,5 +1,7 @@
 """Unit tests for the NUMA topology."""
 
+from collections import Counter
+
 import pytest
 
 from repro.memsim import Locality, MemoryKind, NumaTopology
@@ -11,8 +13,10 @@ def topology():
 
 
 class TestTopology:
-    def test_total_cores(self, topology):
-        assert topology.total_cores == 36
+    def test_total_cores(self):
+        # The default models the paper's machine: 2 sockets x 18 cores.
+        default = NumaTopology()
+        assert default.n_sockets * default.cores_per_socket == 36
 
     def test_thread_binding_blocks(self, topology):
         sockets = [topology.socket_of_thread(t, 30) for t in range(30)]
@@ -20,11 +24,14 @@ class TestTopology:
         assert sockets[15:] == [1] * 15
 
     def test_threads_on_socket(self, topology):
-        assert topology.threads_on_socket(0, 30) == 15
-        assert topology.threads_on_socket(1, 30) == 15
-        assert topology.threads_on_socket(0, 7) + topology.threads_on_socket(
-            1, 7
-        ) == 7
+        def per_socket(n_threads):
+            return Counter(
+                topology.socket_of_thread(t, n_threads)
+                for t in range(n_threads)
+            )
+
+        assert per_socket(30) == {0: 15, 1: 15}
+        assert sum(per_socket(7).values()) == 7
 
     def test_thread_out_of_range(self, topology):
         with pytest.raises(ValueError, match="thread_id"):

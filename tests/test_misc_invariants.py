@@ -103,7 +103,6 @@ class TestEmptyMatrixOperators:
     def test_empty_everything(self):
         empty = CSDBMatrix.from_coo([], [], [], (6, 6))
         assert empty.transpose().nnz == 0
-        assert (empty + empty).nnz == 0
         assert empty.scale(5.0).nnz == 0
         assert np.allclose(empty.spmm(np.eye(6)), 0.0)
         assert empty.col_degrees().sum() == 0

@@ -49,7 +49,7 @@ class TestGauge:
     def test_inc_dec(self):
         gauge = MetricsRegistry().gauge("g")
         gauge.inc(5.0)
-        gauge.dec(2.0)
+        gauge.inc(-2.0)
         assert gauge.value == 3.0
 
     def test_kind_conflict_rejected(self):

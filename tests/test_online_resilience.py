@@ -40,6 +40,7 @@ from repro.shard import (
     ShardSupervisor,
     SupervisorPolicy,
 )
+from repro.shard.supervisor import MAX_RESTARTS
 
 pytestmark = pytest.mark.usefixtures("no_shard_leftovers")
 
@@ -519,21 +520,22 @@ class TestAbandonedShortCircuit:
         stream = _ListStream()
         manager = _manager(metrics=metrics, stream=stream)
         with manager:
-            supervisor = ShardSupervisor(
-                manager, SupervisorPolicy(max_restarts=0), metrics=metrics
-            )
+            supervisor = ShardSupervisor(manager, metrics=metrics)
             supervisor.wait_heartbeats()
-            manager.hosts[0].inject_crash()
-            first = manager.lookup(np.arange(N_NODES))
-            assert first.stale_rows > 0
+            # Past the restart budget: the ninth crash abandons.
+            for _ in range(MAX_RESTARTS + 1):
+                manager.hosts[0].inject_crash()
+                first = manager.lookup(np.arange(N_NODES))
+                assert first.stale_rows > 0
             assert manager.hosts[0].abandoned
             for _ in range(5):
                 result = manager.lookup(np.arange(N_NODES))
                 assert result.stale_rows > 0
-            # One failure, one abandonment event, one hedge — the five
-            # short-circuited reads spam neither counters nor the bus.
+            # One failure and one hedge per crash, one abandonment event
+            # — the five short-circuited reads spam neither counters nor
+            # the bus.
             assert len(stream.events("shard_abandoned")) == 1
-            assert len(stream.events("hedged")) == 1
+            assert len(stream.events("hedged")) == MAX_RESTARTS + 1
             assert (
                 metrics.value("shard.abandoned_reads", shard="0") == 5
             )
@@ -543,7 +545,7 @@ class TestAbandonedShortCircuit:
                     shard="0",
                     kind="ShardCrashError",
                 )
-                == 1
+                == MAX_RESTARTS + 1
             )
 
 

@@ -1,7 +1,7 @@
 """The paper's §III-A CSDB operators, called as a user calls them.
 
-Multiply runs through the instrumented ``SpMMEngine``; add, subtract,
-transpose and scale are ``CSDBMatrix``'s own operators.
+Multiply runs through the instrumented ``SpMMEngine``; transpose and
+scale are ``CSDBMatrix``'s own operators.
 """
 
 import numpy as np
@@ -10,14 +10,6 @@ from repro.core import OMeGaConfig, SpMMEngine
 
 
 class TestAlgebraOperators:
-    def test_add(self, paper_csdb):
-        result = paper_csdb + paper_csdb
-        assert np.allclose(result.to_dense(), 2 * paper_csdb.to_dense())
-
-    def test_subtract(self, paper_csdb):
-        result = paper_csdb - paper_csdb
-        assert result.nnz == 0
-
     def test_transpose(self, skewed_csdb):
         result = skewed_csdb.transpose()
         assert np.allclose(result.to_dense(), skewed_csdb.to_dense().T)

@@ -6,8 +6,8 @@ replaced, kept below as the oracle:
 
 - ``CSRMatrix.from_coo``: stable 16-bit radix passes, columns then rows,
   vs. the former ``np.lexsort`` + two ``np.add.at`` passes (and
-  ``CSDBMatrix.to_csr`` / ``CSRMatrix.prune``, which no longer re-sort
-  ordered data, vs. their ``from_coo`` formulations);
+  ``CSDBMatrix.to_csr``, which no longer re-sorts ordered data, vs. its
+  ``from_coo`` formulation);
 - ``chebyshev_operator``: a value-only update on the blocks of ``A + I``
   vs. the former second ``from_coo`` of ``(-DA, (1-mu)I)``;
 - ``SpMMEngine``: EaTA partitions and WoFP plans kept per live sparsity
@@ -16,8 +16,7 @@ replaced, kept below as the oracle:
 - ``add_identity``: the diagonal scattered into the ordered rows vs. the
   former ``from_coo`` of entries + diagonal; ``transpose`` of a symmetric
   pattern: a value-sibling vs. the ``from_coo`` of the swapped
-  coordinates; ``a +- b``: a merge of two ordered operands vs. the
-  ``from_coo`` of their concatenation.
+  coordinates.
 """
 
 import gc
@@ -218,15 +217,6 @@ def from_coo_to_csr(matrix: CSDBMatrix) -> CSRMatrix:
     )
 
 
-def from_coo_prune(matrix: CSRMatrix, tol: float) -> CSRMatrix:
-    """The formulation ``CSRMatrix.prune`` had: mask, then a sorting build."""
-    keep = np.abs(matrix.data) > tol
-    return CSRMatrix.from_coo(
-        matrix.nnz_row_ids()[keep], matrix.indices[keep], matrix.data[keep],
-        matrix.shape, sum_duplicates=False,
-    )
-
-
 def assert_same_csr(actual: CSRMatrix, expected: CSRMatrix) -> None:
     assert actual.shape == expected.shape
     for name in ("indptr", "indices", "data"):
@@ -256,17 +246,6 @@ class TestOrderedDataIsNotResorted:
         matrix = CSDBMatrix.from_csr(csr)
         assert_same_csr(matrix.to_csr(), from_coo_to_csr(matrix))
         assert_same_csr(matrix.to_csr(), csr)
-
-    @pytest.mark.parametrize("tol", [0.0, 0.5, 10.0])
-    def test_prune_equals_the_from_coo_formulation(self, name, tol):
-        csr = _ordered_build_cases()[name]
-        assert_same_csr(csr.prune(tol), from_coo_prune(csr, tol))
-
-    def test_a_prune_that_removes_nothing_returns_the_matrix(self, name):
-        csr = _ordered_build_cases()[name]
-        kept = csr.prune()  # stored zeros go
-        assert kept.prune() is kept
-        assert (csr.prune() is csr) == bool((csr.data != 0).all())
 
 
 # -- CSDBMatrix helpers ------------------------------------------------------
@@ -416,16 +395,6 @@ def from_coo_transpose(matrix: CSDBMatrix) -> CSDBMatrix:
     )
 
 
-def from_coo_elementwise(a: CSRMatrix, b: CSRMatrix, sign: float) -> CSRMatrix:
-    """The formulation ``a +- b`` had: the concatenation, re-sorted."""
-    return CSRMatrix.from_coo(
-        np.concatenate([a.nnz_row_ids(), b.nnz_row_ids()]),
-        np.concatenate([a.indices, b.indices]),
-        np.concatenate([a.data, sign * b.data]),
-        a.shape,
-    ).prune()
-
-
 @st.composite
 def square_matrices(draw):
     """Small square CSDB matrices storing none, some or all of the diagonal.
@@ -512,54 +481,6 @@ def test_transpose_equals_the_from_coo_formulation(name):
     assert (transposed.pattern is matrix.pattern) == symmetric
     assert not np.shares_memory(transposed.nnz_list, matrix.nnz_list)
     assert_same_csdb(transposed.transpose(), from_coo_transpose(transposed))
-
-
-@st.composite
-def csr_pairs(draw):
-    """Two ordered CSR operands of one shape whose patterns overlap."""
-    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    entry = st.tuples(
-        st.integers(0, n_rows - 1), st.integers(0, n_cols - 1), AWKWARD_VALUES
-    )
-
-    def operand():
-        entries = draw(st.lists(entry, max_size=20))
-        return CSRMatrix.from_coo(
-            [e[0] for e in entries], [e[1] for e in entries],
-            [e[2] for e in entries], (n_rows, n_cols),
-            # Unsummed, an operand repeats coordinates; the merge keeps
-            # their order as the stable sort did.
-            sum_duplicates=draw(st.booleans()),
-        )
-
-    return operand(), operand()
-
-
-class TestElementwiseMergesOrderedOperands:
-    @given(csr_pairs(), st.sampled_from([1.0, -1.0]))
-    @settings(max_examples=300, deadline=None)
-    def test_csr_arrays_are_bit_equal_to_the_from_coo_formulation(self, pair, sign):
-        a, b = pair
-        assert_same_csr(a._elementwise(b, sign), from_coo_elementwise(a, b, sign))
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_csdb_arrays_are_bit_equal_to_the_from_coo_formulation(self, sign):
-        graphs = _operator_graphs()
-        a, b = graphs["self_loops_and_repeats"], graphs["no_self_loops"]
-        b = b.with_values(np.random.default_rng(1).standard_normal(b.nnz))
-        for left, right in ((a, b), (b, a), (a, a)):  # a - a: all cancelled
-            merged = left._elementwise(right, sign)
-            expected = from_coo_elementwise(left.to_csr(), right.to_csr(), sign)
-            assert_same_csdb(merged, CSDBMatrix.from_csr(expected))
-        assert (a - a).nnz == 0
-
-    def test_shape_mismatch_and_oversized_shapes_raise_as_before(self):
-        small = CSRMatrix.from_coo([0], [0], [1.0], (2, 2))
-        with pytest.raises(ValueError, match="shape mismatch"):
-            small + CSRMatrix.from_coo([0], [0], [1.0], (2, 3))
-        huge = CSRMatrix(np.zeros(2, dtype=np.int64), [], [], (1, 2**63))
-        with pytest.raises(ValueError, match="too large"):
-            huge + huge
 
 
 # -- SpMMEngine plan reuse ---------------------------------------------------

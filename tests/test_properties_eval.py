@@ -16,7 +16,8 @@ class TestCacheProperties:
     def test_belady_dominates_lru(self, sequence, capacity):
         sequence = np.array(sequence)
         lru = FeatureCache(capacity)
-        lru.access_many(sequence)
+        for node in sequence:
+            lru.access(int(node))
         assert belady_hit_rate(sequence, capacity) >= lru.hit_rate - 1e-12
 
     @given(st.lists(st.integers(0, 30), min_size=1, max_size=300))

@@ -25,7 +25,6 @@ from repro.faults import (
 from repro.graphs import chung_lu_edges
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
-    BreakerPolicy,
     CircuitBreaker,
     CircuitOpenError,
     EmbeddingBackend,
@@ -83,13 +82,9 @@ class ManualClock:
         return self.now
 
 
-def make_breaker(**policy_kwargs):
+def make_breaker(metrics=None):
     clock = ManualClock()
-    policy = BreakerPolicy(
-        failure_threshold=3, recovery_seconds=1.0, half_open_probes=2,
-        **policy_kwargs,
-    )
-    return CircuitBreaker(policy, clock=clock), clock
+    return CircuitBreaker(1.0, clock=clock, metrics=metrics), clock
 
 
 class TestCircuitBreaker:
@@ -100,6 +95,7 @@ class TestCircuitBreaker:
         assert breaker.trips == 0
 
     def test_trips_after_consecutive_failures(self):
+        # FAILURE_THRESHOLD: the 3rd consecutive failure trips.
         breaker, _ = make_breaker()
         breaker.record_failure()
         breaker.record_failure()
@@ -138,6 +134,7 @@ class TestCircuitBreaker:
         assert breaker.allow()
 
     def test_probe_successes_close(self):
+        # HALF_OPEN_PROBES: the 2nd consecutive probe success closes.
         breaker, clock = make_breaker()
         for _ in range(3):
             breaker.record_failure()
@@ -162,28 +159,14 @@ class TestCircuitBreaker:
 
     def test_rejections_are_counted(self):
         metrics = MetricsRegistry()
-        clock = ManualClock()
-        breaker = CircuitBreaker(
-            BreakerPolicy(failure_threshold=1), clock=clock, metrics=metrics
-        )
-        breaker.record_failure()
+        breaker, _ = make_breaker(metrics)
+        for _ in range(3):
+            breaker.record_failure()
         assert not breaker.allow()
         assert not breaker.allow()
         assert (
             metrics.value("serve.breaker.rejections", breaker="backend") == 2
         )
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(failure_threshold=0),
-            dict(recovery_seconds=0.0),
-            dict(half_open_probes=0),
-        ],
-    )
-    def test_policy_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            BreakerPolicy(**kwargs)
 
 
 # -- policies -------------------------------------------------------------
@@ -193,7 +176,7 @@ class TestServePolicy:
     def test_calibrated_scales_time_knobs(self):
         policy = ServePolicy.calibrated(1e-4)
         assert policy.stall_budget_s == pytest.approx(5e-3)
-        assert policy.breaker.recovery_seconds == pytest.approx(2e-2)
+        assert policy.breaker_recovery_s == pytest.approx(2e-2)
 
     def test_calibrated_explicit_override_wins(self):
         policy = ServePolicy.calibrated(1e-4, stall_budget_s=1.0)
@@ -212,8 +195,8 @@ class TestServePolicy:
         [
             dict(queue_limit=0),
             dict(stall_budget_s=0.0),
-            dict(ladders={"interactive": ()}),
-            dict(ladders={"interactive": ("fresh-ish",)}),
+            dict(breaker_recovery_s=0.0),
+            dict(breaker_recovery_s=-1.0),
         ],
     )
     def test_policy_validation(self, kwargs):
@@ -310,8 +293,6 @@ class TestRequestTrace:
         [
             dict(load=0.0),
             dict(per_node_cost_s=0.0),
-            dict(interactive_fraction=1.5),
-            dict(max_batch_nodes=8),
         ],
     )
     def test_synthesize_validation(self, kwargs):
@@ -396,9 +377,7 @@ class TestEmbeddingServer:
         injector = FaultInjector(plan, MetricsRegistry())
         backend.faults = injector
         try:
-            policy = calibrated_policy(
-                backend, breaker=BreakerPolicy(failure_threshold=2)
-            )
+            policy = calibrated_policy(backend)
             trace = RequestTrace.synthesize(
                 seed=2, n_requests=80,
                 per_node_cost_s=backend.compute_cost(1), load=0.5,
@@ -517,7 +496,8 @@ def faulted_replay(metrics: MetricsRegistry):
     """A monolithic replay under a request burst and four hung calls.
 
     Sheds, all three ladder degradations (deadline, open breaker,
-    stall) and repeated breaker trips occur.
+    stall) and repeated breaker trips occur: the first three hung calls
+    trip the breaker and the fourth fails its half-open probe.
     """
     backend = shared_backend()
     mean_service = backend.compute_cost(1) * 8.5
@@ -534,9 +514,7 @@ def faulted_replay(metrics: MetricsRegistry):
     policy = calibrated_policy(
         backend,
         queue_limit=4,
-        breaker=BreakerPolicy(
-            failure_threshold=2, recovery_seconds=20.0 * mean_service
-        ),
+        breaker_recovery_s=20.0 * mean_service,
     )
     trace = RequestTrace.synthesize(
         seed=3, n_requests=60,
@@ -583,66 +561,74 @@ class TestGoldenTelemetry:
     def test_faulted_monolithic_replay(self):
         metrics = MetricsRegistry()
         report = faulted_replay(metrics)
+        # At the default breaker thresholds, as the commit before they
+        # became constants prints them for this plan.
         assert metrics.snapshot() == {
+            "serve.blame_seconds{category=breaker,klass=batch}":
+                0.003278678321023762,
             "serve.blame_seconds{category=breaker,klass=interactive}":
-                0.006557356642047524,
+                0.003278678321023762,
+            "serve.blame_seconds{category=kernel,klass=batch}":
+                0.000705880156173351,
             "serve.blame_seconds{category=kernel,klass=interactive}":
-                0.00028929514597268485,
+                0.0003278678321023761,
+            "serve.blame_seconds{category=queue,klass=batch}":
+                0.0016709179086829558,
             "serve.blame_seconds{category=queue,klass=interactive}":
-                0.01958569142558232,
+                0.020980558991928543,
             "serve.blame_seconds{category=stale_fallback,klass=batch}":
-                5.6028000000000006e-05,
+                4.0656000000000005e-05,
             "serve.blame_seconds{category=stale_fallback,klass=interactive}":
-                1.1340000000000002e-05,
+                6.636000000000001e-06,
             "serve.breaker.failures{breaker=backend}": 4.0,
             "serve.breaker.probe_successes{breaker=backend}": 2.0,
-            "serve.breaker.rejections{breaker=backend}": 25.0,
+            "serve.breaker.rejections{breaker=backend}": 13.0,
             "serve.breaker.state{breaker=backend}": 0.0,
             "serve.breaker.transitions{breaker=backend,from_state=closed,"
             "to_state=open}": 1.0,
             "serve.breaker.transitions{breaker=backend,from_state=half_open,"
             "to_state=closed}": 1.0,
             "serve.breaker.transitions{breaker=backend,from_state=half_open,"
-            "to_state=open}": 2.0,
+            "to_state=open}": 1.0,
             "serve.breaker.transitions{breaker=backend,from_state=open,"
-            "to_state=half_open}": 3.0,
-            "serve.breaker.trips{breaker=backend}": 3.0,
+            "to_state=half_open}": 2.0,
+            "serve.breaker.trips{breaker=backend}": 2.0,
             "serve.degraded{reason=backend_stall}": 4.0,
-            "serve.degraded{reason=breaker_open}": 25.0,
-            "serve.degraded{reason=deadline}": 4.0,
+            "serve.degraded{reason=breaker_open}": 13.0,
+            "serve.degraded{reason=deadline}": 2.0,
             "serve.latency{klass=batch}": {
                 "count": 5,
-                "mean": 1.1205599999999927e-05,
-                "sum": 5.6027999999999634e-05,
+                "mean": 0.0011392264771760137,
+                "sum": 0.005696132385880069,
             },
             "serve.latency{klass=interactive}": {
-                "count": 36,
-                "mean": 0.0007345467559334036,
-                "sum": 0.02644368321360253,
+                "count": 33,
+                "mean": 0.000745264883183475,
+                "sum": 0.024593741145054675,
             },
             "serve.queue_depth": 0.0,
             "serve.queue_peak": 4.0,
             "serve.responses{klass=batch,status=served}": 5.0,
             "serve.responses{klass=batch,status=shed}": 3.0,
             "serve.responses{klass=interactive,status=deadline_exceeded}":
-                18.0,
-            "serve.responses{klass=interactive,status=served}": 18.0,
-            "serve.responses{klass=interactive,status=shed}": 26.0,
-            "serve.served{fidelity=full}": 8.0,
-            "serve.served{fidelity=stale}": 15.0,
+                17.0,
+            "serve.responses{klass=interactive,status=served}": 16.0,
+            "serve.responses{klass=interactive,status=shed}": 29.0,
+            "serve.served{fidelity=full}": 12.0,
+            "serve.served{fidelity=stale}": 9.0,
             "serve.submitted": 70.0,
             "serve.unhandled_exceptions": 0.0,
         }
         assert report.summary() == {
             "balanced": True,
-            "deadline_exceeded": 18,
+            "deadline_exceeded": 17,
             "failed": 0,
-            "fidelity": {"full": 8, "stale": 15},
+            "fidelity": {"full": 12, "stale": 9},
             "finished_at_s": 0.010813214791981982,
-            "p50_latency_s": 5.272789793128903e-05,
-            "p99_latency_s": 0.0016402295605118808,
-            "served": 23,
-            "shed": 29,
+            "p50_latency_s": 0.0009187017860972208,
+            "p99_latency_s": 0.0016528262005118806,
+            "served": 21,
+            "shed": 32,
             "submitted": 70,
             "warmup_sim_seconds": 0.0,
         }

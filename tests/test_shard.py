@@ -40,6 +40,7 @@ from repro.shard import (
     ShardTimeoutError,
     SupervisorPolicy,
 )
+from repro.shard.supervisor import DEFAULT_RESTART_BACKOFF, MAX_RESTARTS
 from repro.shard.transport import MAILBOX_IDS, SHARD_CRASH_EXIT_CODE
 
 pytestmark = pytest.mark.usefixtures("no_shard_leftovers")
@@ -390,8 +391,6 @@ class TestPolicyValidation:
     def test_supervisor_policy(self):
         with pytest.raises(ValueError, match="heartbeat_timeout_s"):
             SupervisorPolicy(heartbeat_timeout_s=0.0)
-        with pytest.raises(ValueError, match="max_restarts"):
-            SupervisorPolicy(max_restarts=-1)
 
 
 # -- shard fault plans ----------------------------------------------------
@@ -640,14 +639,18 @@ class TestSupervisor:
 
     def test_restart_budget_abandons(self):
         with _manager() as manager:
-            policy = SupervisorPolicy(max_restarts=0)
-            supervisor = ShardSupervisor(manager, policy)
-            manager.hosts[0].inject_crash()
-            result = manager.lookup(np.arange(N_NODES))
+            supervisor = ShardSupervisor(manager)
             host = manager.hosts[0]
+            # MAX_RESTARTS (8) crashes restart; the ninth abandons.
+            for _ in range(MAX_RESTARTS + 1):
+                assert not host.abandoned
+                host.inject_crash()
+                result = manager.lookup(np.arange(N_NODES))
             assert host.abandoned
-            assert host.restarts == 0
-            assert supervisor.incidents[-1].action == "abandon"
+            assert host.restarts == MAX_RESTARTS == 8
+            assert [i.action for i in supervisor.incidents] == (
+                ["restart"] * 8 + ["abandon"]
+            )
             assert manager.metrics.value("shard.abandoned", shard="0") == 1
             # Abandoned shards keep serving from the checkpoint tier.
             assert result.statuses[0] == STATUS_STALE
@@ -656,18 +659,8 @@ class TestSupervisor:
             assert np.array_equal(again.rows, manager.table)
 
     def test_backoff_recorded_not_slept(self):
-        from repro.core.asl import RetryPolicy
-
         with _manager() as manager:
-            policy = SupervisorPolicy(
-                restart_backoff=RetryPolicy(
-                    max_retries=8,
-                    base_delay_seconds=1e-3,
-                    jitter="full",
-                    jitter_seed=7,
-                )
-            )
-            supervisor = ShardSupervisor(manager, policy)
+            supervisor = ShardSupervisor(manager)
             manager.hosts[0].inject_crash()
             started = time.monotonic()
             manager.lookup(np.arange(N_NODES))
@@ -677,24 +670,17 @@ class TestSupervisor:
             assert sum(i.backoff_s for i in supervisor.incidents) == (
                 incident.backoff_s
             )
-            # The expected replay matches a fresh policy with the seed.
-            twin = RetryPolicy(
-                max_retries=8,
-                base_delay_seconds=1e-3,
-                jitter="full",
-                jitter_seed=7,
-            )
+            # The expected replay matches a fresh copy of the schedule.
+            twin = dataclasses.replace(DEFAULT_RESTART_BACKOFF)
             assert incident.backoff_s == twin.delay(0)
             # Recorded, not slept: repair is far faster than even a
             # handful of real backoffs would allow.
             assert elapsed < 5.0
 
     def test_supervisors_sharing_a_policy_draw_alike(self):
-        from repro.shard.supervisor import DEFAULT_RESTART_BACKOFF
-
         # One default policy, two supervisors in turn: each draws its
-        # backoffs from its own RNG seeded by the policy, so what the
-        # first drew does not move the second's first draw.
+        # backoffs from its own copy of the schedule, seeded alike, so
+        # what the first drew does not move the second's first draw.
         policy = SupervisorPolicy()
         first = []
         for _ in range(2):

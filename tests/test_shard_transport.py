@@ -739,6 +739,18 @@ def _parked(host, timeout_s=5.0):
         time.sleep(1e-3)
 
 
+def _beats_past(host, beats, timeout_s=2.0):
+    """Wait until the primary's heartbeat counter moves past ``beats``.
+
+    A beat is due every ``HEARTBEAT_INTERVAL_S``; a fixed sleep of a few
+    intervals misses it when a loaded box schedules the worker late.
+    """
+    deadline = time.monotonic() + timeout_s
+    while host.heartbeat_value() <= beats:
+        assert time.monotonic() < deadline, "the worker never beat"
+        time.sleep(HEARTBEAT_INTERVAL_S / 4)
+
+
 class TestMailbox:
     @pytest.mark.parametrize(
         "n_ids",
@@ -825,8 +837,7 @@ class TestMailbox:
                 host.lookup(ids)
             _parked(host)
             beats = host.heartbeat_value()
-            time.sleep(2 * HEARTBEAT_INTERVAL_S)
-            assert host.heartbeat_value() > beats
+            _beats_past(host, beats)  # a parked worker still beats
             rows, _ = host.lookup(np.array([4]))
             assert np.array_equal(rows, table[[4]])
         assert all(frame == bytes((_WAKE,)) for frame in frames), frames

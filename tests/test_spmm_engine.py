@@ -52,7 +52,7 @@ class TestCorrectness:
         v = rng.standard_normal(skewed_csdb.n_cols)
         result = engine().multiply(skewed_csdb, v)
         assert result.output.shape == (skewed_csdb.n_rows, 1)
-        assert np.allclose(result.output.ravel(), skewed_csdb.spmv(v))
+        assert np.allclose(result.output.ravel(), skewed_csdb.spmm(v))
 
     def test_compute_false_skips_numerics(self, skewed_csdb, dense):
         result = engine().multiply(skewed_csdb, dense, compute=False)
