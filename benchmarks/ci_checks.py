@@ -395,11 +395,12 @@ def knobs_have_callers(configs=None, roots=("src", "benchmarks", "examples")):
     ``roots``.  A field no caller sets should be a constant.  A set
     field that holds a dataclass is checked through, field by field."""
     if configs is None:
+        from repro.core.asl import RetryPolicy
         from repro.core.config import OMeGaConfig, ParallelConfig
         from repro.serve import ServePolicy
         from repro.shard import ShardPolicy, SupervisorPolicy
         configs = (OMeGaConfig, ParallelConfig, ServePolicy, ShardPolicy,
-                   SupervisorPolicy)
+                   SupervisorPolicy, RetryPolicy)
     names, todo, seen, unset = _set_names(roots), list(configs), set(), []
     while todo:
         config = todo.pop(0)

@@ -27,7 +27,12 @@ def configure_serve_sim(parser: argparse.ArgumentParser) -> None:
         help="request trace JSON (RequestTrace.save); default: synthesize",
     )
     parser.add_argument(
-        "--requests", type=int, default=500,
+        "--requests",
+        # An empty trace for a valid count: only the bound is checked.
+        type=scaffold.checked(
+            lambda n: RequestTrace.synthesize(0, n_requests=min(n, 0))
+        ),
+        default=500,
         help="synthesized trace length (ignored with --trace)",
     )
     parser.add_argument(
@@ -86,7 +91,9 @@ def configure_serve_sim(parser: argparse.ArgumentParser) -> None:
         " (per-objective pass/fail + burn rate; violations exit nonzero)",
     )
     parser.add_argument(
-        "--shards", type=int, default=0, metavar="N",
+        "--shards",
+        type=scaffold.checked(lambda n: n and ShardPolicy(n_shards=n)),
+        default=0, metavar="N",
         help="serve the full tier from N shard processes (0 = monolithic);"
         " with --fault-seed the plan also gets seeded shard chaos",
     )

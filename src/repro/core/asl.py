@@ -63,6 +63,9 @@ def optimal_partitions(
 #: Recognised :attr:`RetryPolicy.jitter` modes.
 JITTER_MODES = ("none", "full")
 
+#: Per-retry backoff growth factor of every :class:`RetryPolicy`.
+BACKOFF_MULTIPLIER = 2.0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -71,11 +74,11 @@ class RetryPolicy:
     Attributes:
         max_retries: failed attempts tolerated before
             :class:`~repro.faults.RetryExhaustedError`.
-        base_delay_seconds: backoff before the first retry.
-        multiplier: per-retry backoff growth factor.
+        base_delay_seconds: backoff before the first retry; each retry
+            after it waits :data:`BACKOFF_MULTIPLIER` times longer.
         jitter: ``"none"`` (pure exponential, the historical behaviour)
             or ``"full"`` — each delay is drawn uniformly from
-            ``[0, base * multiplier**attempt]`` (the AWS "full jitter"
+            ``[0, base * BACKOFF_MULTIPLIER**attempt]`` (the AWS "full jitter"
             scheme), decorrelating retry storms when many loads fail at
             once.
         jitter_seed: seed of the policy's private RNG, so a jittered
@@ -84,7 +87,6 @@ class RetryPolicy:
 
     max_retries: int = 3
     base_delay_seconds: float = 1e-3
-    multiplier: float = 2.0
     jitter: str = "none"
     jitter_seed: int = 0
 
@@ -97,10 +99,6 @@ class RetryPolicy:
             raise ValueError(
                 "base_delay_seconds must be >= 0,"
                 f" got {self.base_delay_seconds}"
-            )
-        if self.multiplier < 1.0:
-            raise ValueError(
-                f"multiplier must be >= 1, got {self.multiplier}"
             )
         if self.jitter not in JITTER_MODES:
             raise ValueError(
@@ -119,7 +117,7 @@ class RetryPolicy:
         the delay *sequence* (not each individual delay) is the
         deterministic, replayable unit.
         """
-        cap = self.base_delay_seconds * self.multiplier**attempt
+        cap = self.base_delay_seconds * BACKOFF_MULTIPLIER**attempt
         if self.jitter == "none":
             return cap
         return float(self._rng.uniform(0.0, cap))

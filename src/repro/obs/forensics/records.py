@@ -99,9 +99,9 @@ class RequestForensics:
         # Everything from arrival to the dequeue moment is queue wait.
         self._wait = 0.0
         if clock is not None:
-            self._wait = max(0.0, clock.now - self.arrival_s)
-            if self._wait:
-                self.blame[BLAME_QUEUE] = self._wait
+            wait = clock.now - self.arrival_s
+            if wait > 0.0:
+                self._wait = self.blame[BLAME_QUEUE] = wait
 
     # -- the charging sites ------------------------------------------------
 

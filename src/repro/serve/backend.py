@@ -136,7 +136,7 @@ class EmbeddingBackend:
         )
 
     def _require_warm(self) -> None:
-        if not self.warm:
+        if self._full is None:
             raise RuntimeError("backend is cold; call warm_up() first")
 
     # -- calibration hooks (trace synthesis, policy defaults) ------------
@@ -144,6 +144,11 @@ class EmbeddingBackend:
     def compute_cost(self, n_nodes: int, fidelity: str = FIDELITY_FULL) -> float:
         """Healthy simulated cost of one compute-tier request."""
         self._require_warm()
+        return self._healthy_seconds(n_nodes, fidelity)
+
+    def _healthy_seconds(self, n_nodes: int, fidelity: str) -> float:
+        """:meth:`compute_cost` without the warm check, for the serve
+        paths, which have made it."""
         per_node = (
             self._full_cost_per_node
             if fidelity == FIDELITY_FULL
@@ -170,8 +175,9 @@ class EmbeddingBackend:
     ) -> tuple[float, float]:
         """Derated cost of one compute call plus any stall it absorbed,
         as ``(seconds, absorbed_stall)``; raises
-        :class:`BackendStallError` when a stall outlives the budget."""
-        seconds = self.compute_cost(n_nodes, fidelity)
+        :class:`BackendStallError` when a stall outlives the budget.
+        The caller has checked that the backend is warm."""
+        seconds = self._healthy_seconds(n_nodes, fidelity)
         absorbed_stall = 0.0
         if self.faults is not None:
             seconds /= self.faults.pm_derate()

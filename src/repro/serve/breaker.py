@@ -123,12 +123,13 @@ class CircuitBreaker:
         (which moves the breaker to half-open).  Half-open: yes — the
         call is a probe whose outcome decides the next transition.
         """
-        self._maybe_enter_half_open()
         if self._state == STATE_OPEN:
-            self.metrics.counter(
-                "serve.breaker.rejections", breaker=NAME
-            ).inc()
-            return False
+            self._maybe_enter_half_open()
+            if self._state == STATE_OPEN:
+                self.metrics.counter(
+                    "serve.breaker.rejections", breaker=NAME
+                ).inc()
+                return False
         return True
 
     def check(self) -> None:

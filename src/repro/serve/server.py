@@ -341,6 +341,10 @@ class EmbeddingServer:
         self._queue_depth = metrics.gauge("serve.queue_depth")
         self._queue_peak = metrics.gauge("serve.queue_peak")
         self._labelled: dict[tuple[str, ...], Callable[..., None]] = {}
+        #: What :meth:`_respond` writes, bound once per ``(status, klass,
+        #: fidelity)`` and per ``klass`` (the blame counters by category).
+        self._response_series: dict[tuple, tuple] = {}
+        self._blame_series: dict[str, dict[str, Callable[..., None]]] = {}
 
     def _series(self, family: str, *values: str) -> Callable[..., None]:
         """The bound ``inc`` (``observe`` for ``serve.latency``) of one
@@ -395,16 +399,20 @@ class EmbeddingServer:
             self._bind_metrics()
         self._pending.clear()
         requests = list(trace.requests)
+        n_requests = len(requests)
+        pending = self._pending
         index = 0
-        with self.tracer.span("serve_trace", n_requests=len(requests)):
-            while index < len(requests) or self._pending:
-                if not self._pending:
+        with self.tracer.span("serve_trace", n_requests=n_requests):
+            while index < n_requests or pending:
+                if not pending:
                     self.clock.advance_to(requests[index].arrival_s)
                 index = self._admit(requests, index, report)
-                if not self._pending:
+                if not pending:
                     continue
-                request, trace_id = self._pending.popleft()
-                self._update_queue_gauge()
+                request, trace_id = pending.popleft()
+                # A dequeue never raises the peak: the admission that
+                # queued this request has already set it.
+                self._queue_depth.set(len(pending))
                 # Everything from arrival to this dequeue moment is
                 # admission wait; everything after it is execution, and
                 # the ledger is what advances the clock for it, so its
@@ -432,14 +440,15 @@ class EmbeddingServer:
                     )
         report.finished_at_s = self.clock.now
         self._emit_snapshot()
-        self.tracer.record(
-            "serve_summary",
-            submitted=report.submitted,
-            served=report.served,
-            shed=report.shed,
-            deadline_exceeded=report.deadline_exceeded,
-            breaker_trips=self.breaker.trips,
-        )
+        if self.tracer is not NULL_TRACER:  # the counts are a pass each
+            self.tracer.record(
+                "serve_summary",
+                submitted=report.submitted,
+                served=report.served,
+                shed=report.shed,
+                deadline_exceeded=report.deadline_exceeded,
+                breaker_trips=self.breaker.trips,
+            )
         return report
 
     # -- admission -------------------------------------------------------
@@ -448,9 +457,10 @@ class EmbeddingServer:
         self, requests: list[ServeRequest], index: int, report: ServeReport
     ) -> int:
         """Move every due arrival into the queue (or shed it)."""
-        while index < len(requests) and (
-            requests[index].arrival_s <= self.clock.now
-        ):
+        now = self.clock.now  # nothing here advances the clock
+        pending = self._pending
+        n_requests = len(requests)
+        while index < n_requests and requests[index].arrival_s <= now:
             request = requests[index]
             index += 1
             arrivals = [request]
@@ -473,11 +483,12 @@ class EmbeddingServer:
                     )
             for arrival in arrivals:
                 report.submitted += 1
-                trace_id = self._next_trace_id()
+                self._trace_seq += 1
+                trace_id = f"req-{self._trace_token}-{self._trace_seq:06d}"
                 self._count_submitted()
                 if (
                     self.policy.shedding_enabled
-                    and len(self._pending) >= self.policy.queue_limit
+                    and len(pending) >= self.policy.queue_limit
                 ):
                     error = QueueFullError(
                         arrival.request_id, self.policy.queue_limit
@@ -495,15 +506,12 @@ class EmbeddingServer:
                         ),
                     )
                 else:
-                    self._pending.append((arrival, trace_id))
-            self._update_queue_gauge()
+                    pending.append((arrival, trace_id))
+            depth = len(pending)
+            self._queue_depth.set(depth)
+            if depth > self._queue_peak.value:
+                self._queue_peak.set(depth)
         return index
-
-    def _update_queue_gauge(self) -> None:
-        depth = len(self._pending)
-        self._queue_depth.set(depth)
-        if depth > self._queue_peak.value:
-            self._queue_peak.set(depth)
 
     # -- per-request handling --------------------------------------------
 
@@ -515,13 +523,14 @@ class EmbeddingServer:
         ledger: RequestForensics,
     ) -> None:
         deadline_at = request.arrival_s + request.deadline_s
-        if self.clock.now >= deadline_at:
+        now = self.clock.now
+        if now >= deadline_at:
             # The budget died in the queue: reject before spending any
             # service on it (the shedding path's cheaper sibling).
             error = DeadlineExceededError(
                 request.request_id,
                 request.deadline_s,
-                self.clock.now - request.arrival_s,
+                now - request.arrival_s,
             )
             self._respond(
                 report,
@@ -531,7 +540,7 @@ class EmbeddingServer:
                     klass=request.klass,
                     status=STATUS_DEADLINE,
                     arrival_s=request.arrival_s,
-                    completed_s=self.clock.now,
+                    completed_s=now,
                     error=type(error).__name__,
                     trace_id=trace_id,
                 ),
@@ -539,7 +548,7 @@ class EmbeddingServer:
             )
             return
         fidelity, stale_rows = self._serve_ladder(
-            request, deadline_at, ledger
+            request, deadline_at, ledger, now
         )
         if fidelity is None:
             self._respond(
@@ -581,8 +590,11 @@ class EmbeddingServer:
         request: ServeRequest,
         deadline_at: float,
         ledger: RequestForensics,
+        now: float,
     ) -> tuple[str | None, int]:
-        """Walk the class ladder; returns (served fidelity, stale rows)."""
+        """Walk the class ladder from clock time ``now``; returns (served
+        fidelity, stale rows).  Only a stall moves the clock before the
+        rung that serves."""
         for rung in self.policy.ladder_for(request.klass):
             if rung == FIDELITY_STALE:
                 response = self.backend.serve_cached(request.n_nodes)
@@ -590,7 +602,7 @@ class EmbeddingServer:
                 return rung, response.stale_rows
             if self.policy.deadline_aware:
                 predicted = self.backend.compute_cost(request.n_nodes, rung)
-                if self.clock.now + predicted > deadline_at:
+                if now + predicted > deadline_at:
                     self._series("serve.degraded", "deadline")()
                     ledger.skip(rung, "deadline")
                     continue
@@ -603,12 +615,13 @@ class EmbeddingServer:
                     request.n_nodes,
                     rung,
                     self.policy.stall_budget_s,
-                    sim_now=self.clock.now,
+                    sim_now=now,
                 )
             except BackendStallError as stall:
                 # The call hung; we waited out the stall budget, then
                 # abandoned it and fell one rung down the ladder.
                 ledger.stall(rung, stall.seconds)
+                now = self.clock.now
                 self.breaker.record_failure()
                 self._series("serve.degraded", "backend_stall")()
                 continue
@@ -628,11 +641,6 @@ class EmbeddingServer:
                 self._series("serve.degraded", "shard_stale")()
             return rung, response.stale_rows
         return None, 0
-
-    def _next_trace_id(self) -> str:
-        """Unique per-request trace id (assigned at submission)."""
-        self._trace_seq += 1
-        return f"req-{self._trace_token}-{self._trace_seq:06d}"
 
     def _emit_snapshot(self) -> None:
         """Force-flushed snapshot of the live serving state."""
@@ -657,22 +665,32 @@ class EmbeddingServer:
         response: ServeResponse,
         ledger: RequestForensics | None = None,
     ) -> None:
-        trace_id = response.trace_id
         klass = response.klass
         report.responses.append(response)
-        self._series("serve.responses", response.status, klass)()
-        if response.status == STATUS_SERVED:
-            self._series("serve.served", response.fidelity)()
-        latency = response.latency_s
+        completed = response.completed_s
+        latency = None if completed is None else completed - response.arrival_s
+        key = (response.status, klass, response.fidelity)
+        try:
+            bound = self._response_series[key]
+        except KeyError:
+            bound = self._bind_response(key, latency is not None)
+        count, count_served, observe_latency, blame_series = bound
+        count()
+        if count_served is not None:
+            count_served()
         if latency is not None:
-            self._series("serve.latency", klass)(latency)
+            observe_latency(latency)
         if ledger is not None:
             # Blame seconds are counted even without a stream attached:
             # they are what `repro diff --attribution` gates.
             for category, seconds in ledger.blame.items():
-                self._series("serve.blame_seconds", klass, category)(
-                    max(0.0, seconds)
-                )
+                try:
+                    inc = blame_series[category]
+                except KeyError:
+                    inc = blame_series[category] = self._series(
+                        "serve.blame_seconds", klass, category
+                    )
+                inc(seconds if seconds > 0.0 else 0.0)
         if self.stream is not None:
             if ledger is None:
                 # Shed requests still leave a record with no nodes, so
@@ -680,7 +698,7 @@ class EmbeddingServer:
                 ledger = RequestForensics(request)
             self.stream.emit(
                 ledger.to_record(
-                    trace_id,
+                    response.trace_id,
                     response.status,
                     response.fidelity,
                     response.completed_s,
@@ -689,3 +707,21 @@ class EmbeddingServer:
             )
             if len(report.responses) % SNAPSHOT_EVERY == 0:
                 self._emit_snapshot()
+
+    def _bind_response(self, key: tuple, has_latency: bool) -> tuple:
+        """The series one kind of response writes, bound in the order
+        :meth:`_respond` first writes them: its count, its fidelity's
+        served count, its class's latency (every status but shed has
+        one) and its class's blame counters."""
+        status, klass, fidelity = key
+        bound = self._response_series[key] = (
+            self._series("serve.responses", status, klass),
+            (
+                self._series("serve.served", fidelity)
+                if status == STATUS_SERVED
+                else None
+            ),
+            self._series("serve.latency", klass) if has_latency else None,
+            self._blame_series.setdefault(klass, {}),
+        )
+        return bound

@@ -199,7 +199,8 @@ class ShardedEmbeddingBackend(EmbeddingBackend):
         the access pattern that makes single-shard loss visible.
         """
         total = self.shards.routing.n_nodes
-        stride = max(total // max(n_nodes, 1), 1)
+        # A request of no ids walks nothing, whatever the stride.
+        stride = total // n_nodes if 0 < n_nodes <= total else 1
         offset = (self._serve_seq * 13) % total
         walk = np.arange(
             offset, offset + n_nodes * stride, stride, dtype=np.int64
@@ -221,9 +222,12 @@ class ShardedEmbeddingBackend(EmbeddingBackend):
             PartialResultError: a shard range had no rung left to serve.
             ShardError: hedging disabled and a shard failed.
         """
-        self._require_warm()
         if fidelity != FIDELITY_FULL:
             return super().serve(n_nodes, fidelity, stall_budget_s, sim_now)
+        shards = self.shards
+        if shards is None:
+            self._require_warm()
+            raise RuntimeError("backend is closed")
         if self.supervisor is not None:
             # The health-check loop runs between requests: crashed or
             # hung shards restart from checkpoints before this gather.
@@ -235,7 +239,7 @@ class ShardedEmbeddingBackend(EmbeddingBackend):
             n_nodes, fidelity, stall_budget_s
         )
         self._serve_seq += 1
-        result = self.shards.lookup(self._request_ids(n_nodes))
+        result = shards.lookup(self._request_ids(n_nodes))
         if self._bound_to is not self.metrics:
             self._bound_to = self.metrics
             self._count_call = self.metrics.counter(
@@ -247,9 +251,10 @@ class ShardedEmbeddingBackend(EmbeddingBackend):
         total = seconds + result.sim_seconds
         self._count_call()
         self._count_seconds(total)
-        hedge_s = sum(
-            d["sim_seconds"] for d in result.shard_details if d["stale"]
-        )
+        hedge_s = 0.0
+        for detail in result.shard_details:
+            if detail["stale"]:
+                hedge_s += detail["sim_seconds"]
         # Kernel is the residual, so the breakdown sums to the total
         # exactly: compute + fresh DRAM gathers vs the hedged PM reads
         # (+ penalties) vs the absorbed stall.

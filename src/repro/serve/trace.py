@@ -147,6 +147,8 @@ class RequestTrace:
         """
         import numpy as np
 
+        if n_requests < 0:
+            raise ValueError(f"n_requests must be >= 0, got {n_requests}")
         if not 0.0 < load:
             raise ValueError(f"load must be > 0, got {load}")
         if per_node_cost_s <= 0:

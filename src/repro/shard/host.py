@@ -167,6 +167,16 @@ class ShardHost:
     def heartbeat_value(self, replica: int = 0) -> int:
         return self._workers[replica].heartbeat()
 
+    def primary_heartbeat(self) -> int | None:
+        """The primary's heartbeat, or ``None`` when it is not running:
+        :meth:`alive` and :meth:`heartbeat_value` in one call."""
+        if not self._workers:
+            return None
+        primary = self._workers[0]
+        if not primary.process.is_alive():
+            return None
+        return primary.heartbeat()
+
     # -- durability ------------------------------------------------------
 
     def checkpoint(self, crash: bool = False) -> float:
@@ -398,7 +408,11 @@ class ShardHost:
         The deadline of the call (the policy's unless given) starts
         here; see :meth:`_ShardWorker.send_lookup
         <repro.shard.transport._ShardWorker.send_lookup>` for why
-        nothing is published to a worker that owes a reply.
+        nothing is published to a worker that owes a reply.  The
+        receive half is the returned record's
+        ``worker.finish_lookup(sent, out, positions)``, which copies
+        each row once out of the mailbox: into ``out`` at
+        ``positions``, or into a new read-only array.
 
         Raises:
             ShardCrashError: the worker is dead or its pipe is closed.
@@ -412,26 +426,6 @@ class ShardHost:
             self.shard_id, replica, node_ids, deadline_s
         )
 
-    def finish_lookup(
-        self,
-        sent: _SentLookup,
-        out: np.ndarray | None = None,
-        positions: np.ndarray | slice = slice(None),
-    ) -> tuple[np.ndarray, int]:
-        """Receive half of a lookup: the rows and the version they carry.
-
-        The rows are copied once out of the worker's mailbox: into
-        ``out`` at ``positions`` (returned), or into a new read-only
-        array (:meth:`_ShardWorker.finish_lookup
-        <repro.shard.transport._ShardWorker.finish_lookup>`).
-
-        Raises:
-            ShardCrashError: the worker died (EOF) or reported an error.
-            ShardTimeoutError: no reply within the call's deadline; a
-                reply that has already arrived is never a timeout.
-        """
-        return sent.worker.finish_lookup(sent, out, positions)
-
     def lookup(
         self,
         node_ids: np.ndarray,
@@ -440,12 +434,11 @@ class ShardHost:
     ) -> tuple[np.ndarray, int]:
         """One live lookup against worker ``replica`` (send + receive).
 
-        The rows are read-only, as from :meth:`finish_lookup`.
+        The rows are read-only.
 
         Raises:
             ShardCrashError: the worker is (or dies) unresponsive.
             ShardTimeoutError: no reply within ``deadline_s``.
         """
-        return self.finish_lookup(
-            self.send_lookup(node_ids, deadline_s, replica)
-        )
+        sent = self.send_lookup(node_ids, deadline_s, replica)
+        return sent.worker.finish_lookup(sent)

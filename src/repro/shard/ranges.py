@@ -67,7 +67,7 @@ class ShardRoutingTable:
         """
         unsigned = node_ids.view(np.uint64)
         high = unsigned.item(unsigned.argmax())
-        if high >= self.n_nodes:
+        if high >= self._ends[-1]:
             low, high = int(node_ids.min()), int(node_ids.max())
             raise ValueError(
                 f"node ids outside [0, {self.n_nodes}): [{low}, {high}]"

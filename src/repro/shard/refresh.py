@@ -60,48 +60,42 @@ class BackgroundCheckpointer:
         self._bound_to: "MetricsRegistry | None" = None
         self._staleness_gauge: "Gauge | None" = None
 
-    def staleness_of(self, host: "ShardHost") -> int:
-        """A shard's current version lag against the whole table."""
-        checkpointed = (
-            host.checkpoint_version
-            if host.checkpoint_version is not None
-            else 0
-        )
-        return max(self.manager.version - checkpointed, 0)
-
     def tick(self, seq: int) -> None:
         """One request-loop tick; adds what it bills to
         :attr:`sim_refresh_seconds`.
 
-        A shard is due when its staggered cadence slot comes up
-        (``(seq + stagger) % checkpoint_interval == 0`` — shards
-        checkpoint on *different* lookups, so no request pays for the
-        whole fleet at once) or when its lag has already reached the
-        staleness bound.  Shards with zero lag are skipped either way;
-        abandoned shards are not refreshed (their segment is gone).
+        A shard's lag is ``table_version - checkpoint_version`` (no
+        checkpoint counts as version 0).  A shard is due when its
+        staggered cadence slot comes up (``(seq + stagger) %
+        checkpoint_interval == 0`` — shards checkpoint on *different*
+        lookups, so no request pays for the whole fleet at once) or when
+        its lag has already reached the staleness bound.  Shards with
+        zero lag are skipped either way; abandoned shards are not
+        refreshed (their segment is gone).
         """
-        policy = self.manager.policy
+        manager = self.manager
+        hosts = manager.hosts
+        version = manager.version
+        policy = manager.policy
         interval = policy.checkpoint_interval
         bound = policy.staleness_bound
-        n_shards = max(len(self.manager.hosts), 1)
         worst = 0
-        for shard_id, host in enumerate(self.manager.hosts):
-            if host.abandoned:
+        for shard_id, host in enumerate(hosts):
+            checkpointed = host.checkpoint_version
+            lag = version - (checkpointed if checkpointed is not None else 0)
+            if lag <= 0 or host.abandoned:
                 continue
-            lag = self.staleness_of(host)
-            worst = max(worst, lag)
-            due = False
-            if interval > 0:
-                stagger = (shard_id * interval) // n_shards
+            if lag > worst:
+                worst = lag
+            due = bound > 0 and lag >= bound
+            if not due and interval > 0:
+                stagger = (shard_id * interval) // len(hosts)
                 due = (seq + stagger) % interval == 0
-            if not due and bound > 0 and lag >= bound:
-                due = True
-            if due and lag > 0:
+            if due:
                 self._refresh(shard_id, host, lag)
-        self.max_observed_staleness = max(
-            self.max_observed_staleness, worst
-        )
-        metrics = self.manager.metrics
+        if worst > self.max_observed_staleness:
+            self.max_observed_staleness = worst
+        metrics = manager.metrics
         if self._bound_to is not metrics:
             self._bound_to = metrics
             self._staleness_gauge = metrics.gauge("shard.staleness_max")

@@ -503,8 +503,6 @@ class EmbeddingShardManager:
     # -- fault application ----------------------------------------------
 
     def _apply_shard_faults(self, seq: int) -> None:
-        if self.faults is None:
-            return
         for shard_id, host in enumerate(self.hosts):
             while True:
                 # Drain every event due at this sequence number, so
@@ -541,42 +539,49 @@ class EmbeddingShardManager:
             self._lookups = self.metrics.counter("shard.lookups").inc
         self.lookup_seq += 1
         seq = self.lookup_seq
-        self._apply_shard_faults(seq)
+        if self.faults is not None:
+            self._apply_shard_faults(seq)
         # Background maintenance rides the request loop: due shards
         # re-checkpoint (staggered, billed to the sim clock) before
         # this gather observes their staleness.
         if self.refresher is not None:
             self.refresher.tick(seq)
-        out = np.empty((len(node_ids), self.table.shape[1]), dtype=np.float64)
+        self._lookups()
+        split = self.routing.split(node_ids)
+        # Scatter: every shard's slice is on its way before the first
+        # reply is awaited, so the shards gather side by side and the
+        # call costs the slowest of them, not their sum.
+        hosts = self.hosts
+        slices = split.items()
+        sent = [
+            self._send_primary(hosts[shard_id], ids)
+            for shard_id, (_, ids) in slices
+        ]
+        # While they gather: everything that does not need a reply.
+        out = np.empty((len(node_ids), self.table.shape[1]))
         statuses: dict[int, str] = {}
         stale_rows = 0
         stale_ranges: list[tuple[int, int, int]] = []
         missing_ranges: list[tuple[int, int, int]] = []
         shard_details: list[dict] = []
         sim_seconds = 0.0
-        self._lookups()
-        split = self.routing.split(node_ids)
-        # Scatter: every shard's slice is on its way before the first
-        # reply is awaited, so the shards gather side by side and the
-        # call costs the slowest of them, not their sum.
-        sent = {
-            shard_id: self._send_primary(self.hosts[shard_id], ids)
-            for shard_id, (_, ids) in split.items()
-        }
+        version = self.version
+        prices = self._prices
+        rows_served = self.rows_served
         # Gather, in shard order: failures, hedges and repairs happen
         # one shard at a time exactly as if the calls were sequential.
-        for shard_id, (positions, ids) in split.items():
-            host = self.hosts[shard_id]
+        for handle, (shard_id, (positions, ids)) in zip(sent, slices):
+            host = hosts[shard_id]
             n_rows = len(ids)
-            self.rows_served[shard_id] += n_rows
-            status, version = self._gather_one(
-                host, ids, sent[shard_id], out, positions
+            rows_served[shard_id] += n_rows
+            status, served_version = self._gather_one(
+                host, ids, handle, out, positions
             )
             statuses[shard_id] = status
             if status == STATUS_MISSING:
                 missing_ranges.append(_span(shard_id, ids))
                 continue
-            stale = status == STATUS_STALE or version < self.version
+            stale = status == STATUS_STALE or served_version < version
             if stale:
                 stale_rows += n_rows
                 stale_ranges.append(_span(shard_id, ids))
@@ -584,7 +589,10 @@ class EmbeddingShardManager:
             # Fresh rows are DRAM reads; stale ones come off PM, and a
             # read that fell to the checkpoint tier also pays the hedge.
             penalty = HEDGE_SIM_PENALTY_S if status == STATUS_STALE else 0.0
-            shard_cost = penalty + self._price(stale, n_rows)
+            try:
+                shard_cost = penalty + prices[stale, n_rows]
+            except KeyError:
+                shard_cost = penalty + self._price(stale, n_rows)
             shard_details.append(
                 {
                     "shard": shard_id,
@@ -615,16 +623,15 @@ class EmbeddingShardManager:
 
     def _price(self, stale: bool, n_rows: int) -> float:
         """Simulated seconds of reading ``n_rows`` rows of one shard:
-        DRAM random reads when fresh, PM random reads when stale."""
-        price = self._prices.get((stale, n_rows))
-        if price is None:
-            price = self._prices[stale, n_rows] = self.cost_model.access_time(
-                self._pm if stale else self._dram,
-                Operation.READ,
-                AccessPattern.RANDOM,
-                Locality.LOCAL,
-                float(n_rows * self.table.shape[1] * 8),
-            )
+        DRAM random reads when fresh, PM random reads when stale
+        (computed once, then read from ``_prices``)."""
+        price = self._prices[stale, n_rows] = self.cost_model.access_time(
+            self._pm if stale else self._dram,
+            Operation.READ,
+            AccessPattern.RANDOM,
+            Locality.LOCAL,
+            float(n_rows * self.table.shape[1] * 8),
+        )
         return price
 
     @staticmethod
@@ -677,7 +684,7 @@ class EmbeddingShardManager:
         try:
             if isinstance(sent, Exception):
                 raise sent
-            _, version = host.finish_lookup(sent, out, positions)
+            _, version = sent.worker.finish_lookup(sent, out, positions)
             return STATUS_FRESH, version
         except (ShardCrashError, ShardTimeoutError) as exc:
             self.metrics.counter(
@@ -692,9 +699,8 @@ class EmbeddingShardManager:
         # Hedge 1: replicas share the segment, so they are fresh.
         for replica in range(1, 1 + self.policy.n_replicas):
             try:
-                _, version = host.finish_lookup(
-                    host.send_lookup(ids, replica=replica), out, positions
-                )
+                hedge = host.send_lookup(ids, replica=replica)
+                _, version = hedge.worker.finish_lookup(hedge, out, positions)
                 self.metrics.counter("shard.hedged", target="replica").inc()
                 return STATUS_REPLICA, version
             except (ShardCrashError, ShardTimeoutError):

@@ -184,11 +184,11 @@ class ShardSupervisor:
         for host in self.manager.hosts:
             if host.abandoned:
                 continue
-            if not host.alive():
+            value = host.primary_heartbeat()
+            if value is None:
                 sweep.extend(self._repair(host, "crash"))
                 continue
             key = (host.shard_id, host.generation)
-            value = host.heartbeat_value()
             previous = self._beats.get(key)
             if previous is None or value != previous[0]:
                 self._beats[key] = (value, now)

@@ -111,7 +111,7 @@ import threading
 import time
 from multiprocessing import shared_memory, util
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -344,19 +344,28 @@ def shard_main(
 # -- the host's end ---------------------------------------------------------
 
 
-class _SentLookup(NamedTuple):
-    """The send half of one lookup, handed to the receive half:
-    ``req_id`` is the sequence number of the transaction in flight,
-    which carries ``ids[start:start + MAILBOX_IDS]``."""
+class _SentLookup:
+    """The call in flight on one worker, as the send half of a lookup
+    hands it to the receive half: ``req_id`` is the sequence number of
+    the transaction in flight, which carries ``ids[start:start +
+    MAILBOX_IDS]``.
 
-    worker: "_ShardWorker"
-    shard_id: int
-    replica: int
-    req_id: int
-    deadline_s: float
-    deadline_at: float
-    ids: np.ndarray | None = None
-    start: int = 0
+    A worker has one mailbox, so at most one call in flight: each
+    worker owns one of these records and every send rewrites it in
+    place, so a lookup builds none.  A handle is good until the next
+    send to the same worker.
+    """
+
+    __slots__ = (
+        "worker", "shard_id", "replica", "req_id", "deadline_s",
+        "deadline_at", "ids", "start",
+    )
+
+    def __init__(self, worker: "_ShardWorker") -> None:
+        self.worker = worker
+        self.shard_id = self.replica = self.req_id = self.start = 0
+        self.deadline_s = self.deadline_at = 0.0
+        self.ids: np.ndarray | None = None
 
 
 class _ShardWorker:
@@ -370,7 +379,7 @@ class _ShardWorker:
 
     __slots__ = (
         "process", "conn", "wait", "spin_s", "row_shape", "next_req",
-        "acked", "box", "box_name", "fence",
+        "acked", "box", "box_name", "fence", "sent",
     )
 
     def __init__(self, ctx, spec, row_start, watermark, spin_s):
@@ -389,6 +398,7 @@ class _ShardWorker:
         self.spin_s = spin_s
         self.next_req = 0
         self.acked = 0
+        self.sent = _SentLookup(self)
         try:
             self.conn, child_conn = ctx.Pipe()
             # Processes forked from here on, this worker too, close their
@@ -474,7 +484,9 @@ class _ShardWorker:
         node_ids: np.ndarray,
         deadline_s: float,
     ) -> _SentLookup:
-        """Send half of a lookup: publish the first transaction.
+        """Send half of a lookup: publish the first transaction, and
+        return this worker's call record (:class:`_SentLookup`) for
+        :meth:`finish_lookup`.
 
         ``shard_id`` and ``replica`` name this worker in the errors the
         call can raise.  The deadline of the call starts here.  A worker
@@ -490,19 +502,19 @@ class _ShardWorker:
             ShardCrashError: the worker is dead or its pipe is closed.
             ShardTimeoutError: the owed reply did not arrive in time.
         """
-        sent = _SentLookup(
-            self,
-            shard_id,
-            replica,
-            self.next_req + 1,
-            deadline_s,
-            time.monotonic() + deadline_s,
-            np.ascontiguousarray(node_ids, dtype=np.int64),
-        )
+        sent = self.sent
+        sent.shard_id = shard_id
+        sent.replica = replica
+        sent.deadline_s = deadline_s
+        sent.deadline_at = time.monotonic() + deadline_s
+        sent.ids = np.ascontiguousarray(node_ids, dtype=np.int64)
+        sent.start = 0
         try:
             if self.acked != self.next_req:
                 # The owed reply, dropped.
-                self._await_reply(sent._replace(req_id=self.next_req))
+                sent.req_id = self.next_req
+                self._await_reply(sent)
+            sent.req_id = self.next_req + 1
             self._publish(sent)
         except ShardCrashError:
             raise self._died(sent, "dead") from None
@@ -511,10 +523,14 @@ class _ShardWorker:
     def _publish(self, sent: _SentLookup) -> None:
         """Publish ``sent``'s transaction, ``sent.ids[sent.start:]`` up
         to :data:`MAILBOX_IDS` of them; ring the worker if it is parked."""
-        chunk = sent.ids[sent.start : sent.start + MAILBOX_IDS]
-        words = self.box.words
-        self.box.ids[: len(chunk)] = chunk
-        words[_N_IDS] = len(chunk)
+        ids, start = sent.ids, sent.start
+        if start or len(ids) > MAILBOX_IDS:
+            ids = ids[start : start + MAILBOX_IDS]
+        n_ids = len(ids)
+        box = self.box
+        words = box.words
+        box.ids[:n_ids] = ids
+        words[_N_IDS] = n_ids
         words[_REQ_SEQ] = self.next_req = sent.req_id
         with self.fence:  # store→load: req_seq, then worker_parked
             pass
@@ -553,21 +569,30 @@ class _ShardWorker:
         n_ids = len(sent.ids)
         rows = np.empty((n_ids, *self.row_shape)) if out is None else out
         in_order = isinstance(positions, slice)
+        box = self.box
         while True:
             status, version = self._await_reply(sent)
             if status != _OK:
-                text = self.box.text[: self.box.words[_ERROR_LEN]]
+                text = box.text[: box.words[_ERROR_LEN]]
                 raise ShardCrashError(
                     sent.shard_id, text.tobytes().decode(errors="replace")
                 )
-            end = min(n_ids, sent.start + MAILBOX_IDS)
-            at = slice(sent.start, end)
-            rows[at if in_order else positions[at]] = self.box.rows[
-                : end - sent.start
-            ]
+            start = sent.start
+            end = start + MAILBOX_IDS
+            if end >= n_ids:
+                end = n_ids
+            if in_order:
+                rows[start:end] = box.rows[: end - start]
+            else:
+                # One transaction covers the whole call: no sub-slice.
+                whole = end - start == n_ids
+                rows[positions if whole else positions[start:end]] = (
+                    box.rows[: end - start]
+                )
             if end == n_ids:
                 break
-            sent = sent._replace(req_id=sent.req_id + 1, start=end)
+            sent.req_id += 1
+            sent.start = end
             self._publish(sent)
         if out is None:
             rows.flags.writeable = False
@@ -598,7 +623,9 @@ class _ShardWorker:
         """
         words, seq = self.box.words, sent.req_id
         if self.spin_s and words[_REPLY_SEQ] != seq:
-            until = min(time.monotonic() + self.spin_s, sent.deadline_at)
+            until = time.monotonic() + self.spin_s
+            if until > sent.deadline_at:
+                until = sent.deadline_at
             spins = 0
             while words[_REPLY_SEQ] != seq:
                 spins += 1

@@ -322,6 +322,8 @@ class TestParser:
             ("serve-sim PK --shards 1 --reshard -1", "reshard_imbalance"),
             ("serve-sim PK --shards 1 --queue-limit 0", "queue_limit"),
             ("serve-sim PK --shards 1 --load 0", "load"),
+            ("serve-sim PK --shards -1", "n_shards"),
+            ("serve-sim PK --requests -1", "n_requests"),
         ],
     )
     def test_an_out_of_range_value_is_a_usage_error(

@@ -201,9 +201,7 @@ class TestRetry:
             )
         )
         metrics = MetricsRegistry()
-        policy = RetryPolicy(
-            max_retries=3, base_delay_seconds=1e-3, multiplier=2.0
-        )
+        policy = RetryPolicy(max_retries=3, base_delay_seconds=1e-3)
         outcome = loader.load(
             self._plan(), 0.4, metrics=metrics, faults=faults, retry=policy
         )
@@ -240,8 +238,6 @@ class TestRetry:
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="max_retries"):
             RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError, match="multiplier"):
-            RetryPolicy(multiplier=0.5)
 
 
 class TestTierFallback:

@@ -186,7 +186,7 @@ class TestRetryJitter:
     def test_default_is_pure_exponential(self):
         from repro.core.asl import DEFAULT_RETRY_POLICY, RetryPolicy
 
-        policy = RetryPolicy(base_delay_seconds=1e-3, multiplier=2.0)
+        policy = RetryPolicy(base_delay_seconds=1e-3)
         assert policy.jitter == "none"
         assert [policy.delay(a) for a in range(3)] == [1e-3, 2e-3, 4e-3]
         assert DEFAULT_RETRY_POLICY.jitter == "none"

@@ -299,6 +299,11 @@ class TestRequestTrace:
         with pytest.raises(ValueError):
             RequestTrace.synthesize(seed=0, n_requests=5, **kwargs)
 
+    def test_synthesize_takes_no_negative_count(self):
+        assert len(RequestTrace.synthesize(seed=0, n_requests=0)) == 0
+        with pytest.raises(ValueError, match="n_requests must be >= 0"):
+            RequestTrace.synthesize(seed=0, n_requests=-1)
+
 
 # -- the server -----------------------------------------------------------
 
