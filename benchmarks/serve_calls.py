@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Python calls per request of the ``serve_sharded`` op, as a count.
+"""Python calls of one ``serve_sharded`` replay, as a count.
 
     python benchmarks/serve_calls.py [--seed 3] [--top 20]
 
@@ -7,11 +7,14 @@ Builds the layered benchmark's ``serve_sharded`` workload (its graph,
 store and policy for ``--seed``) and replays its warm-up trace
 (``_trace(0)``: 1 000 requests) three times, each under its own
 ``cProfile``.  A wall-clock wait makes some calls depend on timing (a
-spin loop's ``time.monotonic``, a parked wait's ``poll`` and the frame
-it reads), so counts are taken per caller → callee edge, and every edge
-whose count differs between the three replays is left out.  Prints the
+spin loop's ``time.monotonic``, a parked wait's ``poll``, a doorbell
+and the frames it reads), so counts are taken per caller → callee edge
+and two kinds are left out: every call to or made by the transport's
+waits (:data:`WAITS`) or inside ``multiprocessing.connection``, however
+steady it looks (one doorbell per replay would look steady), and every
+other edge whose count differs between the three replays.  Prints the
 deterministic call count of one replay (the other edges' sum), the
-edges left out, and the ``--top`` functions by deterministic count.
+varying edges, and the ``--top`` functions by deterministic count.
 Standard library only, beside the repo's own code.
 """
 
@@ -35,10 +38,24 @@ import workloads  # noqa: E402
 
 REPLAYS = 3
 
+#: The host's waits in ``repro/shard/transport.py``: what they call
+#: depends on when the worker replies.
+WAITS = {"_await_reply", "_ring", "_read_frame", "_ms"}
+
+
+def _timed(func: tuple[str, int, str] | None) -> bool:
+    """Whether ``func`` is one of the waits (or the pipe under them)."""
+    if func is None:
+        return False
+    path = Path(func[0])
+    if path.name == "connection.py" and path.parent.name == "multiprocessing":
+        return True
+    return path.name == "transport.py" and func[2] in WAITS
+
 
 def _label(func: tuple[str, int, str] | None) -> str:
-    if func is None:
-        return "<profiled call>"
+    if func is None:  # the profiled call's caller
+        return "<profiler>"
     filename, line, name = func
     if filename == "~":  # a builtin: "<built-in method ...>"
         return name
@@ -60,13 +77,6 @@ def replay_counts(workload: workloads.ServeWorkload) -> dict[tuple, int]:
     return edges
 
 
-def lookups_per_replay(workload: workloads.ServeWorkload) -> int:
-    """Shard lookups (full-fidelity gathers) one replay makes."""
-    before = workload.backend.shards.lookup_seq
-    workload._replay(workload._trace(0))
-    return workload.backend.shards.lookup_seq - before
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=3)
@@ -76,16 +86,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         workload.setup()
         runs = [replay_counts(workload) for _ in range(REPLAYS)]
-        lookups = lookups_per_replay(workload)
     finally:
         workload.teardown()
-    edges = set().union(*runs)
+    edges = {
+        e for e in set().union(*runs) if not (_timed(e[0]) or _timed(e[1]))
+    }
     varying = {e for e in edges if len({run.get(e, 0) for run in runs}) > 1}
     steady: dict[tuple, int] = {}
-    for _, func in edges - varying:
-        steady[func] = steady.get(func, 0) + runs[0][_, func]
-    print(f"seed {args.seed}: {workload.work_per_op} requests and {lookups}"
-          f" shard lookups per replay, {REPLAYS} replays")
+    for caller, func in edges - varying:
+        steady[func] = steady.get(func, 0) + runs[0][caller, func]
+    print(f"seed {args.seed}: {workload.work_per_op} requests per replay,"
+          f" {REPLAYS} replays")
     print(f"deterministic calls per replay: {sum(steady.values())}")
     print(f"left out ({len(varying)} edges whose count varies):")
     for edge in sorted(varying, key=lambda e: (_label(e[1]), _label(e[0]))):
