@@ -31,7 +31,9 @@ The run streams its telemetry to
 ``resilience-chaos`` matrix uploads (with the failing seed) on failure.
 """
 
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 from common import (  # noqa: F401
@@ -45,10 +47,7 @@ from repro.bench import format_table
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.obs import MetricsRegistry
 from repro.obs.observatory.manifest import git_sha
-from repro.obs.observatory.trend import (
-    DEFAULT_TRAJECTORY,
-    append_trajectory_point,
-)
+from repro.obs.observatory.trend import DEFAULT_TRAJECTORY, load_trajectory
 from repro.obs.observatory.slo import SLOObjective, SLOSpec, evaluate_slo
 from repro.shard import (
     EmbeddingShardManager,
@@ -58,6 +57,7 @@ from repro.shard import (
     SupervisorPolicy,
 )
 
+SUITE = "bench_online_resilience"
 N_SHARDS = 4
 SEED = 7
 AVAILABILITY_TARGET = 0.99
@@ -395,6 +395,25 @@ def _experiment():
     return results
 
 
+def record_sample(path, sha, sample):
+    """Add one run's per-arm points to the trajectory at ``path``: to the
+    ``samples`` of this suite's entry for ``sha``, or as a new entry
+    holding that one sample.  Reruns of one commit add samples, not
+    entries."""
+    points = load_trajectory(path)
+    for point in points:
+        if point.get("suite") == SUITE and point.get("git_sha") == sha:
+            point["samples"].append(sample)
+            break
+    else:
+        points.append({
+            "suite": SUITE, "git_sha": sha, "n_shards": N_SHARDS,
+            "samples": [sample],
+        })
+    Path(path).write_text(json.dumps(points, indent=2) + "\n",
+                          encoding="utf-8")
+
+
 def test_online_resilience(run_once):
     results = run_once(_experiment)
     stale = results["staleness"]
@@ -439,24 +458,20 @@ def test_online_resilience(run_once):
     )
     write_report("online_resilience", table)
 
-    append_trajectory_point(
+    record_sample(
         DEFAULT_TRAJECTORY,
-        {
-            "suite": "bench_online_resilience",
-            "git_sha": git_sha(),
-            "n_shards": N_SHARDS,
-            "points": [
-                {
-                    "arm": label,
-                    "availability": arm["availability"],
-                    "stale_rows": arm["stale_rows"],
-                    "promotions": arm.get("promotions", 0),
-                    "restarts": arm.get("restarts", 0),
-                    "recovery_s": arm.get("recovery_s", 0.0),
-                }
-                for label, arm in results.items()
-            ],
-        },
+        git_sha(),
+        [
+            {
+                "arm": label,
+                "availability": arm["availability"],
+                "stale_rows": arm["stale_rows"],
+                "promotions": arm.get("promotions", 0),
+                "restarts": arm.get("restarts", 0),
+                "recovery_s": arm.get("recovery_s", 0.0),
+            }
+            for label, arm in results.items()
+        ],
     )
 
     # Staleness: the background checkpointer bounds version lag under

@@ -25,7 +25,9 @@ wins/ties -- a report of where a saving appears, with no verdict.
 ``BENCH_omega.json``) as one entry, ``{"suite": "pairs", "schema": 1}``:
 both trees' commit SHAs (``+dirty`` when tracked files differ from the
 commit), the workload, the seeds, the host's CPU count and, per
-end-to-end metric, both sides' quartiles, the wins, ties and verdict.
+end-to-end metric, both sides' quartiles, the wins, ties and verdict;
+``failed_runs`` counts the runs whose checks failed and
+``failed_checks`` keeps each one's pair, side, seed, trace and messages.
 ``repro trend`` reads it as ``pairs.<workload>.<metric>.ratio``, the
 change's median over the parent's.
 """
@@ -47,9 +49,13 @@ from repro.obs.observatory.trend import append_trajectory_point  # noqa: E402
 #: Version of the entry ``--record`` writes.
 RECORD_SCHEMA = 1
 
+#: What ``benchmarks/layered/run.py`` prints before each failed check.
+CHECK_FAILED = "CHECK FAILED: "
+
 
 def run_once(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
-    """One run in ``tree``; the JSON object on its last line."""
+    """One run in ``tree``: the JSON object on its last line, with the
+    messages of its ``CHECK FAILED:`` lines under ``"checks_failed"``."""
     done = subprocess.run(
         [sys.executable, "benchmarks/layered/run.py", "--workload", workload,
          "--trace", str(trace), "--seed", str(seed)],
@@ -58,7 +64,12 @@ def run_once(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
     lines = done.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
         sys.exit(f"pairs.py: no result from {tree}:\n{done.stderr}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["checks_failed"] = [
+        line.split(CHECK_FAILED, 1)[1] for line in lines
+        if CHECK_FAILED in line
+    ]
+    return result
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -156,6 +167,7 @@ def main() -> int:
     }
     traced_lines = []
     failed_runs = 0
+    failed_checks = []
     print_header([row["name"] for row in spec["end_to_end"]])
     for pair in range(args.pairs):
         seed = args.seed_base + pair
@@ -168,9 +180,17 @@ def main() -> int:
                 for row, value in zip(rows, values):
                     samples[trace, side][row["name"]].append(value)
                 failed_runs += not result["correct"]
+                messages = result.get("checks_failed", [])
+                if messages:
+                    failed_checks.append({
+                        "pair": pair, "side": side, "seed": seed,
+                        "trace": trace, "messages": messages,
+                    })
                 line = (f"| {pair} | {side} | {position} | {seed} | "
                         + " | ".join(f"{value:.5g}" for value in values)
-                        + f" | {'ok' if result['correct'] else 'FAILED'} |")
+                        + f" | {'ok' if result['correct'] else 'FAILED'} |"
+                        + "".join(f"\n  {CHECK_FAILED}{message}"
+                                  for message in messages))
                 if trace:
                     traced_lines.append(line)
                 else:
@@ -218,6 +238,7 @@ def main() -> int:
             "change_sha": shas["change"],
             "seeds": [args.seed_base + pair for pair in range(args.pairs)],
             "failed_runs": failed_runs,
+            "failed_checks": failed_checks,
             "host": {"nproc": len(os.sched_getaffinity(0))},
             "metrics": rows,
         })

@@ -145,10 +145,6 @@ class TelemetrySession:
             merged.merge(trace)
             self._traces[name] = merged
 
-    def cost_trace(self, name: str) -> CostTrace | None:
-        """Look up an attached ledger by name."""
-        return self._traces.get(name)
-
     def event(self, name: str, **fields: Any) -> None:
         """Record a free-form instant event (forwarded live if streaming)."""
         record = {

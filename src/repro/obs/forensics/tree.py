@@ -75,9 +75,6 @@ class RequestTree:
         seqs = self.root.attributes.get("lookup_seqs") or []
         return tuple(int(s) for s in seqs)
 
-    def nodes(self) -> Iterator[ForensicNode]:
-        return self.root.walk()
-
 
 #: ``serve_request`` fields that become the root node's attributes.
 _ROOT_FIELDS = (

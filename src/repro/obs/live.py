@@ -33,6 +33,9 @@ from repro.obs.metrics import MetricsRegistry
 #: Record type of the periodic serving snapshot on a live stream.
 SNAPSHOT_RECORD_TYPE = "serve_snapshot"
 
+#: Metric-name prefixes a serving snapshot embeds.
+SNAPSHOT_PREFIXES = ("serve.", "spmm.")
+
 #: Record type marking a cleanly closed stream.
 CLOSED_RECORD_TYPE = "stream_closed"
 
@@ -342,18 +345,17 @@ def build_serve_snapshot(
     sim_now_s: float,
     breaker_state: str,
     queue_depth: int,
-    prefixes: tuple[str, ...] = ("serve.", "spmm."),
 ) -> dict[str, Any]:
     """One periodic snapshot of the serving loop's observable state.
 
-    Embeds the current records of every metric under ``prefixes`` so a
-    follower can compute rates between consecutive snapshots without
-    replaying the whole run.
+    Embeds the current records of every metric under
+    :data:`SNAPSHOT_PREFIXES` so a follower can compute rates between
+    consecutive snapshots without replaying the whole run.
     """
     metric_records = [
         m.to_record()
         for m in metrics
-        if m.name.startswith(prefixes)
+        if m.name.startswith(SNAPSHOT_PREFIXES)
     ]
     return {
         "type": SNAPSHOT_RECORD_TYPE,

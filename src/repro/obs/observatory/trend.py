@@ -1,9 +1,10 @@
 """The ``BENCH_omega.json`` trajectory: its format, writer and trends.
 
 The trajectory is a JSON list of points.  This module owns the file:
-:func:`append_trajectory_point` is its one writer (the ``benchmarks/``
-scripts append their results through it) and :func:`load_trajectory`
-its one reader; both refuse a file that is not a JSON list, naming it.
+the ``benchmarks/`` scripts append their results through
+:func:`append_trajectory_point` (``bench_online_resilience`` adds a
+rerun to its commit's entry instead) and :func:`load_trajectory` is its
+one reader; both refuse a file that is not a JSON list, naming it.
 ``repro trend`` turns the points (perf-gate points with their
 ``stages`` dicts, ``bench_parallel_scaling`` points with nested
 per-worker measurements, ``benchmarks/pairs.py --record`` entries)

@@ -247,10 +247,6 @@ class SharedMemoryExecutor:
     def closed(self) -> bool:
         return self._closed
 
-    @property
-    def started(self) -> bool:
-        return bool(self._workers)
-
     def _ensure_workers(self) -> None:
         if self._closed:
             raise WorkerCrashError("executor is closed")

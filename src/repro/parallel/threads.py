@@ -72,10 +72,6 @@ class ThreadsExecutor:
     def closed(self) -> bool:
         return self._closed
 
-    @property
-    def started(self) -> bool:
-        return self._pool is not None
-
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._closed:
             raise RuntimeError("executor is closed")

@@ -176,6 +176,27 @@ class TestPairsLayers:
         assert "self_s" not in out
 
 
+class TestPairsRunOnce:
+    """``pairs.run_once`` keeps why a run failed, not only that it did."""
+
+    def test_check_failed_lines_come_back(self, pairs, tmp_path):
+        stub = tmp_path / "benchmarks" / "layered" / "run.py"
+        stub.parent.mkdir(parents=True)
+        stub.write_text(
+            "import json\n"
+            "print('serve_sharded seed 3')\n"
+            "print('  CHECK FAILED: lookup != table after updates')\n"
+            "print('  CHECK FAILED: a /dev/shm segment outlived the run')\n"
+            "print(json.dumps({'correct': False, 'metrics': {}}))\n"
+        )
+        result = pairs.run_once(tmp_path, "serve_sharded", 3)
+        assert result["correct"] is False
+        assert result["checks_failed"] == [
+            "lookup != table after updates",
+            "a /dev/shm segment outlived the run",
+        ]
+
+
 class TestPairsRecord:
     """``pairs.py --record``: one trajectory entry per run, read back by
     ``repro trend``."""
@@ -209,6 +230,7 @@ class TestPairsRecord:
             "change_sha": "c0",
             "seeds": [7, 8],
             "failed_runs": 0,
+            "failed_checks": [],
             "host": {"nproc": len(os.sched_getaffinity(0))},
             "metrics": {
                 "op": {
@@ -224,6 +246,41 @@ class TestPairsRecord:
             },
         }
         assert extract_point_series(entry) == {"pairs.w.op.ratio": 2.0}
+
+    def test_failed_checks_are_kept(self, pairs, tmp_path, monkeypatch,
+                                    capsys):
+        for side in ("p", "c"):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "BENCHMARK.json").write_text(
+                json.dumps(TestPairsLayers.SPEC)
+            )
+
+        def fake_run(tree, workload, seed, trace=0):
+            failed = tree.name == "c" and seed == 8
+            return {
+                "correct": not failed,
+                "metrics": {"op": {"value": 1.0}},
+                "checks_failed": ["lookup != table"] if failed else [],
+            }
+
+        monkeypatch.setattr(pairs, "run_once", fake_run)
+        monkeypatch.setattr(pairs, "tree_sha", lambda tree: f"{tree.name}0")
+        trajectory = tmp_path / "BENCH.json"
+        monkeypatch.setattr(sys, "argv", [
+            "pairs.py", "--parent", str(tmp_path / "p"),
+            "--change", str(tmp_path / "c"), "--workload", "w",
+            "--pairs", "2", "--seed-base", "7", "--record", str(trajectory),
+        ])
+        assert pairs.main() == 1
+        assert "| FAILED |\n  CHECK FAILED: lookup != table\n" in (
+            capsys.readouterr().out
+        )
+        [entry] = load_trajectory(trajectory)
+        assert entry["failed_runs"] == 1
+        assert entry["failed_checks"] == [{
+            "pair": 1, "side": "change", "seed": 8, "trace": 0,
+            "messages": ["lookup != table"],
+        }]
 
     def test_committed_trajectory_holds_a_serve_sharded_entry(self):
         spec = json.loads(
@@ -243,3 +300,31 @@ class TestPairsRecord:
         )
         series = trajectory_series(entries)
         assert "pairs.serve_sharded.op_rel_yardstick.ratio" in series
+
+
+class TestResilienceSamples:
+    """``bench_online_resilience``: a rerun of one commit adds a sample
+    to that commit's entry instead of a new entry."""
+
+    def test_reruns_merge_into_one_entry(self, tmp_path, monkeypatch):
+        benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
+        monkeypatch.syspath_prepend(str(benchmarks))
+        spec = importlib.util.spec_from_file_location(
+            "bench_resilience", benchmarks / "bench_online_resilience.py"
+        )
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        trajectory = tmp_path / "BENCH.json"
+        trajectory.write_text(json.dumps([{"suite": "pairs"}]))
+        first = [{"arm": "chaos", "promotions": 1}]
+        second = [{"arm": "chaos", "promotions": 2}]
+        bench.record_sample(trajectory, "abc1234", first)
+        bench.record_sample(trajectory, "abc1234", second)
+        bench.record_sample(trajectory, "def5678", first)
+        assert load_trajectory(trajectory) == [
+            {"suite": "pairs"},
+            {"suite": "bench_online_resilience", "git_sha": "abc1234",
+             "n_shards": bench.N_SHARDS, "samples": [first, second]},
+            {"suite": "bench_online_resilience", "git_sha": "def5678",
+             "n_shards": bench.N_SHARDS, "samples": [first]},
+        ]
