@@ -31,9 +31,7 @@ The run streams its telemetry to
 ``resilience-chaos`` matrix uploads (with the failing seed) on failure.
 """
 
-import json
 import os
-from pathlib import Path
 
 import numpy as np
 from common import (  # noqa: F401
@@ -47,7 +45,11 @@ from repro.bench import format_table
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.obs import MetricsRegistry
 from repro.obs.observatory.manifest import git_sha
-from repro.obs.observatory.trend import DEFAULT_TRAJECTORY, load_trajectory
+from repro.obs.observatory.trend import (
+    DEFAULT_TRAJECTORY,
+    read_points,
+    write_points,
+)
 from repro.obs.observatory.slo import SLOObjective, SLOSpec, evaluate_slo
 from repro.shard import (
     EmbeddingShardManager,
@@ -399,19 +401,19 @@ def record_sample(path, sha, sample):
     """Add one run's per-arm points to the trajectory at ``path``: to the
     ``samples`` of this suite's entry for ``sha``, or as a new entry
     holding that one sample.  Reruns of one commit add samples, not
-    entries."""
-    points = load_trajectory(path)
+    entries; every other element of the file is written back as read."""
+    points = read_points(path)
     for point in points:
-        if point.get("suite") == SUITE and point.get("git_sha") == sha:
-            point["samples"].append(sample)
+        if (isinstance(point, dict) and point.get("suite") == SUITE
+                and point.get("git_sha") == sha):
+            point.setdefault("samples", []).append(sample)
             break
     else:
         points.append({
             "suite": SUITE, "git_sha": sha, "n_shards": N_SHARDS,
             "samples": [sample],
         })
-    Path(path).write_text(json.dumps(points, indent=2) + "\n",
-                          encoding="utf-8")
+    write_points(path, points)
 
 
 def test_online_resilience(run_once):

@@ -1,10 +1,13 @@
 """The ``BENCH_omega.json`` trajectory: its format, writer and trends.
 
 The trajectory is a JSON list of points.  This module owns the file:
-the ``benchmarks/`` scripts append their results through
-:func:`append_trajectory_point` (``bench_online_resilience`` adds a
-rerun to its commit's entry instead) and :func:`load_trajectory` is its
-one reader; both refuse a file that is not a JSON list, naming it.
+:func:`read_points` and :func:`write_points` are its one raw reader and
+writer, :func:`load_trajectory` gives the points ``repro trend`` reads,
+and the ``benchmarks/`` scripts append their results through
+:func:`append_trajectory_point` (``bench_online_resilience`` merges a
+rerun into its commit's entry instead, through the raw pair, so an
+element it does not know survives the rewrite).  A file that is not a
+JSON list is refused, naming it, and left untouched.
 ``repro trend`` turns the points (perf-gate points with their
 ``stages`` dicts, ``bench_parallel_scaling`` points with nested
 per-worker measurements, ``benchmarks/pairs.py --record`` entries)
@@ -31,9 +34,10 @@ DEFAULT_TRAJECTORY = Path(__file__).resolve().parents[4] / "BENCH_omega.json"
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
 
-def _read_points(path: Path) -> list[Any]:
-    """The JSON list at ``path`` (``[]`` when there is no file);
-    ``ValueError`` naming the file when it holds anything else."""
+def read_points(path: str | Path) -> list[Any]:
+    """The JSON list at ``path`` as stored (``[]`` when there is no
+    file); ``ValueError`` naming the file when it holds anything else."""
+    path = Path(path)
     if not path.is_file():
         return []
     try:
@@ -49,7 +53,12 @@ def _read_points(path: Path) -> list[Any]:
 
 def load_trajectory(path: str | Path) -> list[dict[str, Any]]:
     """Load a trajectory file; missing file is an empty history."""
-    return [p for p in _read_points(Path(path)) if isinstance(p, dict)]
+    return [p for p in read_points(path) if isinstance(p, dict)]
+
+
+def write_points(path: str | Path, points: list[Any]) -> None:
+    """Write ``points`` as the whole trajectory file at ``path``."""
+    Path(path).write_text(json.dumps(points, indent=2) + "\n", encoding="utf-8")
 
 
 def append_trajectory_point(
@@ -60,10 +69,9 @@ def append_trajectory_point(
     A file :func:`load_trajectory` would refuse raises the same
     ``ValueError`` and is left untouched.
     """
-    path = Path(path)
-    points = _read_points(path)
+    points = read_points(path)
     points.append(point)
-    path.write_text(json.dumps(points, indent=2) + "\n", encoding="utf-8")
+    write_points(path, points)
 
 
 def extract_point_series(point: dict[str, Any]) -> dict[str, float]:

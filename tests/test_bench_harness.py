@@ -315,14 +315,19 @@ class TestResilienceSamples:
         bench = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(bench)
         trajectory = tmp_path / "BENCH.json"
-        trajectory.write_text(json.dumps([{"suite": "pairs"}]))
+        old_shape = {"suite": "bench_online_resilience", "git_sha": "0ld0000",
+                     "points": [{"arm": "chaos"}]}
+        trajectory.write_text(json.dumps([{"suite": "pairs"}, "note", old_shape]))
         first = [{"arm": "chaos", "promotions": 1}]
         second = [{"arm": "chaos", "promotions": 2}]
         bench.record_sample(trajectory, "abc1234", first)
         bench.record_sample(trajectory, "abc1234", second)
         bench.record_sample(trajectory, "def5678", first)
-        assert load_trajectory(trajectory) == [
+        bench.record_sample(trajectory, "0ld0000", second)
+        assert json.loads(trajectory.read_text()) == [
             {"suite": "pairs"},
+            "note",
+            {**old_shape, "samples": [second]},
             {"suite": "bench_online_resilience", "git_sha": "abc1234",
              "n_shards": bench.N_SHARDS, "samples": [first, second]},
             {"suite": "bench_online_resilience", "git_sha": "def5678",
