@@ -9,9 +9,9 @@ per-call formulation they replaced:
   engine's apportioning of the one measured wall;
 - ``SpMMEngine`` charges everything simulated but the fault-driven
   stream terms once per (pattern, d) and replays it into a fresh copy of
-  the ledger on every call — pinned call by call, registry by registry
-  and record by record against an engine whose cache is emptied before
-  every multiply;
+  the ledger on every call — pinned call by call and record by record
+  (what each call wrote into the one registry) against an engine whose
+  cache is emptied before every multiply;
 - ``CSDBMatrix`` keeps one kernel-ready CSR view of itself.
 """
 
@@ -50,7 +50,7 @@ from repro.parallel import (
     shutdown_threads_executors,
 )
 
-from .test_pattern_once import HOST_METRICS, assert_same_bits
+from .test_pattern_once import HOST_METRICS, WriteLog, assert_same_bits
 
 SERIAL = ParallelConfig(backend=ExecBackend.SIMULATED)
 
@@ -320,19 +320,15 @@ def test_cost_only_and_full_pass_multiplies_record_no_partition_spans(matrix):
 
 def simulated(engine, matrix, dense):
     """Everything simulated a multiply reports: (seconds, per-thread
-    seconds, ledger, non-host metric records), into a fresh registry."""
-    engine.metrics = MetricsRegistry()
+    seconds, ledger, the non-host metric records it wrote), on an engine
+    built on a :class:`WriteLog`."""
+    mark = len(engine.metrics.log)
     result = engine.multiply(matrix, dense)
-    records = [
-        record
-        for record in engine.metrics.to_records()
-        if not record["name"].startswith(HOST_METRICS)
-    ]
     return (
         result.sim_seconds,
         result.thread_times.tolist(),
         result.trace.to_dict(),
-        records,
+        engine.metrics.records_since(mark),
     )
 
 
@@ -363,13 +359,14 @@ def test_replayed_cost_equals_a_fresh_evaluation(matrix, name):
     config = OMeGaConfig(n_threads=8, **ENGINE_CONFIGS[name])
     rng = np.random.default_rng(11)
     operands = {d: rng.standard_normal((matrix.n_cols, d)) for d in (40, 32)}
-    engine = SpMMEngine(config)
+    engine = SpMMEngine(config, metrics=WriteLog())
     # 1st call at d=40, d=32 in between, then the Nth call at d=40.
     seen = [observed(engine, matrix, operands[d]) for d in (40, 32, 40, 40)]
     assert seen[2] == seen[0] and seen[3] == seen[0]
     assert seen[1] != seen[0]
     for d, index in ((40, 0), (32, 1)):
-        assert observed(SpMMEngine(config), matrix, operands[d]) == seen[index]
+        fresh = SpMMEngine(config, metrics=WriteLog())
+        assert observed(fresh, matrix, operands[d]) == seen[index]
 
     # Faulted arm: a degraded PM tier and a transient load failure between
     # two replays of one plan move the per-call terms and nothing else.
@@ -624,20 +621,23 @@ def test_one_registry_over_many_calls_equals_a_cleared_cache(matrix, name):
     rng = np.random.default_rng(11)
     operands = {d: rng.standard_normal((matrix.n_cols, d)) for d in (40, 32)}
     seen = []
-    for engine in (SpMMEngine(config), ClearedCacheEngine(config)):
+    for cls in (SpMMEngine, ClearedCacheEngine):
+        engine = cls(config, metrics=WriteLog())
         calls = [
             call_bits(engine.multiply(pattern, operands[d]))
             for d in (40, 32, 40, 40)
             for pattern in patterns
         ]
-        first = engine.metrics
-        engine.metrics = MetricsRegistry()
+        first = registry_bits(engine.metrics)
+        assert engine.metrics.value("spmm.calls") == 8.0
+        mark = len(engine.metrics.log)
         calls.append(call_bits(engine.multiply(patterns[1], operands[40])))
         engine.faults = faults()
         calls.append(call_bits(engine.multiply(patterns[0], operands[40])))
-        seen.append((calls, registry_bits(first), registry_bits(engine.metrics)))
-        assert first.value("spmm.calls") == 8.0
-        assert engine.metrics.value("spmm.calls") == 2.0
+        last = engine.metrics.records_since(mark)
+        seen.append((calls, first, repr(last), registry_bits(engine.metrics)))
+        assert engine.metrics.value("spmm.calls") == 10.0
+        assert MetricsRegistry.from_records(last).value("spmm.calls") == 2.0
     replayed, fresh = seen
     assert replayed == fresh
 

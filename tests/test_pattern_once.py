@@ -490,16 +490,56 @@ def test_transpose_equals_the_from_coo_formulation(name):
 HOST_METRICS = ("spmm.kernel_wall_seconds", "spmm.executor.")
 
 
-def _multiply_with_own_metrics(engine, matrix, dense):
-    """One multiply recorded into a fresh registry: (result, its records)."""
-    engine.metrics = MetricsRegistry()
+class WriteLog(MetricsRegistry):
+    """A registry that also logs each series it creates and each write
+    into one, in order, so what one call wrote reads as a registry of
+    its own would hold it: ``records_since(mark)``, with ``mark`` the
+    ``len(log)`` taken before the call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.log: list[tuple] = []
+
+    def _get(self, cls, name, labels, **kwargs):
+        known = len(self)
+        metric = super()._get(cls, name, labels, **kwargs)
+        if len(self) > known:
+            series = (cls, name, dict(labels), kwargs)
+            self.log.append((series, None, ()))
+            for method in ("inc", "set", "observe"):
+                write = getattr(metric, method, None)
+                if write is not None:
+                    setattr(metric, method, self._logged(series, method, write))
+        return metric
+
+    def _logged(self, series, method, write):
+        def logged(*args):
+            self.log.append((series, method, args))
+            write(*args)
+
+        return logged
+
+    def records_since(self, mark: int) -> list[dict]:
+        """The records of a fresh registry fed ``log[mark:]``, less the
+        host-side series."""
+        fresh = MetricsRegistry()
+        for (cls, name, labels, kwargs), method, args in self.log[mark:]:
+            metric = fresh._get(cls, name, labels, **kwargs)
+            if method is not None:
+                getattr(metric, method)(*args)
+        return [
+            record
+            for record in fresh.to_records()
+            if not record["name"].startswith(HOST_METRICS)
+        ]
+
+
+def _multiply_recorded(engine, matrix, dense):
+    """One multiply on an engine built on a :class:`WriteLog`: (result,
+    the records it wrote)."""
+    mark = len(engine.metrics.log)
     result = engine.multiply(matrix, dense)
-    records = [
-        record
-        for record in engine.metrics.to_records()
-        if not record["name"].startswith(HOST_METRICS)
-    ]
-    return result, records
+    return result, engine.metrics.records_since(mark)
 
 
 class CallCounter:
@@ -530,15 +570,11 @@ class TestEnginePlanReuse:
     def test_second_multiply_replans_nothing_and_reports_the_same(
         self, skewed_csdb, dense, monkeypatch
     ):
-        engine = SpMMEngine(OMeGaConfig(n_threads=4))
+        engine = SpMMEngine(OMeGaConfig(n_threads=4), metrics=WriteLog())
         calls = CallCounter(engine, monkeypatch)
-        first, first_records = _multiply_with_own_metrics(
-            engine, skewed_csdb, dense
-        )
+        first, first_records = _multiply_recorded(engine, skewed_csdb, dense)
         assert (calls.allocate, calls.plan) == (1, 4)
-        second, second_records = _multiply_with_own_metrics(
-            engine, skewed_csdb, dense
-        )
+        second, second_records = _multiply_recorded(engine, skewed_csdb, dense)
         assert (calls.allocate, calls.plan) == (1, 4)
 
         assert second.partitions == first.partitions
@@ -666,16 +702,10 @@ class TestEnginePlanReuse:
         dense = np.ones((256, 2))
         engine.multiply(matrix, dense)
         (plan,) = engine._plans.values()
-        first = weakref.ref(plan.replays[2].updates[0][0].__self__)
-        # A registry swap rebinds the handles: the old registry's series
-        # are held by nothing the engine keeps.
-        engine.metrics = MetricsRegistry()
         engine.multiply(sibling, dense)
-        assert engine.metrics.counter("spmm.calls").value == 1.0
-        assert engine.metrics.counter("eata.allocations", allocator="EaTA").value == 1.0
-        gc.collect()
-        assert first() is None
-        second = weakref.ref(plan.replays[2].updates[0][0].__self__)
+        assert engine.metrics.counter("spmm.calls").value == 2.0
+        assert engine.metrics.counter("eata.allocations", allocator="EaTA").value == 2.0
+        series = weakref.ref(plan.replays[2].updates[0][0].__self__)
         dead_plan, dead_pattern = weakref.ref(plan), weakref.ref(matrix.pattern)
         del plan, matrix
         gc.collect()
@@ -685,10 +715,7 @@ class TestEnginePlanReuse:
         assert len(engine._plans) == 0
         assert dead_plan() is None and dead_pattern() is None
         # The series live on in the registry; only the plan's hold is gone.
-        assert second() is not None
-        engine.metrics = MetricsRegistry()
-        gc.collect()
-        assert second() is None
+        assert series() is not None
 
 
 # -- the embed path, counted -------------------------------------------------

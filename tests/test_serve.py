@@ -708,33 +708,6 @@ class TestGoldenTelemetry:
             "warmup_sim_seconds": 0.0,
         }
 
-    def test_handles_follow_a_new_registry(self):
-        """Series land in whatever registry is attached at call time."""
-        first = MetricsRegistry()
-        with one_shard_backend(first) as backend:
-            backend.warm_up()
-            server = EmbeddingServer(backend, calibrated_policy(backend))
-            server.run_trace(sharded_trace(backend, seed=5))
-            before = first.snapshot()
-            second = MetricsRegistry()
-            server.metrics = backend.metrics = second
-            backend.shards.metrics = second
-            report = server.run_trace(sharded_trace(backend, seed=6))
-        assert first.snapshot() == before
-        served = report.fidelity_counts()["full"]
-        assert second.value("serve.submitted") == report.submitted
-        assert second.value("serve.served", fidelity="full") == served
-        assert second.value("serve.backend.calls", fidelity="full") == (
-            second.value("shard.lookups")
-        )
-        assert second.value("shard.lookups") >= served
-        assert "shard.staleness_max" in second.snapshot()
-        assert sum(
-            second.value("serve.responses", status=s, klass=k)
-            for s in RESPONSE_STATUSES
-            for k in ("interactive", "batch")
-        ) == report.submitted
-
 
 # -- the accounting invariant (property) ----------------------------------
 

@@ -7,9 +7,9 @@ await, fixed costs paid once per request), and is never regenerated by
 that change.  The other oracles cover crashes and streamed records; this
 one pins a fault-free run in the benchmark's shape, small: a one-shard
 ``ShardedEmbeddingBackend`` with background checkpoints and no stream
-replays three traces with row updates between them (the third on a
-fresh registry), then makes one lookup of an out-of-range id, which must
-raise ``ValueError``.  Pinned after each step: every metric series by
+replays three traces into one registry with row updates between them,
+then makes one lookup of an out-of-range id, which must raise
+``ValueError``.  Pinned after each step: every metric series by
 ``float.hex`` (but the embed's wall-clock ``spmm.kernel_wall_seconds``),
 each ``ServeReport.summary()`` and the refresher's ``bg_checkpoints``,
 ``sim_refresh_seconds`` and ``max_observed_staleness``; at the end,
@@ -35,7 +35,7 @@ import pytest
 from repro.core import OMeGaConfig, OMeGaEmbedder
 from repro.graphs import rmat_edges
 from repro.memsim.clock import VirtualClock
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.serve import EmbeddingServer, RequestTrace, ServePolicy
 from repro.serve.sharded import ShardedEmbeddingBackend
 from repro.shard.store import ShardPolicy
@@ -102,10 +102,6 @@ def run_pinned():
         policy = ServePolicy.calibrated(8.5 * per_node)
         shards = backend.shards
         for index, n_updates in enumerate(UPDATE_BATCHES):
-            if index == 2:
-                # The third trace writes to a fresh registry, so every
-                # bound handle must follow the swap.
-                backend.metrics = shards.metrics = MetricsRegistry()
             server = EmbeddingServer(
                 backend, policy, clock=VirtualClock()
             )
