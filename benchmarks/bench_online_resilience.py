@@ -397,11 +397,15 @@ def _experiment():
     return results
 
 
-def record_sample(path, sha, sample):
-    """Add one run's per-arm points to the trajectory at ``path``: to the
-    ``samples`` of this suite's entry for ``sha``, or as a new entry
-    holding that one sample.  Reruns of one commit add samples, not
-    entries; every other element of the file is written back as read."""
+def record_sample(path, sha, arms, seed, scenario):
+    """Add one run's per-arm points to the trajectory at ``path``, as the
+    sample ``{"seed", "scenario", "arms"}``: the chaos arm's
+    ``RESILIENCE_SEED`` and ``RESILIENCE_SCENARIO`` say which plan the
+    counts come from.  The sample goes to the ``samples`` of this
+    suite's entry for ``sha``, or to a new entry holding that one
+    sample.  Reruns of one commit add samples, not entries; every other
+    element of the file is written back as read."""
+    sample = {"seed": seed, "scenario": scenario, "arms": arms}
     points = read_points(path)
     for point in points:
         if (isinstance(point, dict) and point.get("suite") == SUITE
@@ -474,6 +478,8 @@ def test_online_resilience(run_once):
             }
             for label, arm in results.items()
         ],
+        chaos["seed"],
+        chaos["scenario"],
     )
 
     # Staleness: the background checkpointer bounds version lag under

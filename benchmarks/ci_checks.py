@@ -10,7 +10,8 @@ unknown name exits 2 and lists the checks.  By the CI job that runs them:
 
 - layered-quick: ``layered-pins <workload>.json…`` (``layered/run.py
   --workload W --quick --trace 1``, one file per pinned workload).
-- telemetry-smoke: ``partition-spans t.jsonl`` (an embed's telemetry).
+- telemetry-smoke: ``partition-spans t.jsonl`` (an embed's telemetry)
+  and ``same-metrics t.jsonl t2.jsonl`` (the same embed run again).
 - chaos-smoke: ``recovered-stages chaos.jsonl`` and
   ``resumed-equals-fresh fresh.jsonl chaos.jsonl``.
 - perf-gate: ``gate-stages perf_gate_baseline.json
@@ -158,6 +159,19 @@ def partition_spans(records: list[dict]) -> None:
     n_spmm = sum(1 for s in spans if s["name"] == "spmm")
     assert n_spmm == calls, (n_spmm, calls)
     print(f"{len(partitions)} partition spans under {n_spmm} spmm spans")
+
+
+def same_metrics(first: list[dict], second: list[dict]) -> None:
+    """Two runs of one seeded command export the same metric records,
+    byte for byte: a registry holds nothing the seed does not fix."""
+    first, second = (
+        [json.dumps(r, sort_keys=True) for r in records if r.get("type") == "metric"]
+        for records in (first, second)
+    )
+    assert first, "no metric records"
+    differ = sorted(set(first) ^ set(second))
+    assert first == second, f"{len(differ)} records differ: {differ[:4]}"
+    print(f"{len(first)} metric records, byte-equal")
 
 
 def recovered_stages(records: list[dict]) -> None:
@@ -426,7 +440,8 @@ def _read(path: str):
 
 
 CHECKS = {check.__name__.replace("_", "-"): check for check in (
-    layered_pins, partition_spans, recovered_stages, resumed_equals_fresh,
+    layered_pins, partition_spans, same_metrics, recovered_stages,
+    resumed_equals_fresh,
     gate_stages, wall_band, breaker_tripped, request_records,
     blame_equals_attribution, blame_sums_to_latency, restart_landed,
     blame_fractions, resilience_arms, repair_charges, leaves_nothing,

@@ -22,10 +22,13 @@ same order), and the named rows get the same medians, quartiles and
 wins/ties -- a report of where a saving appears, with no verdict.
 
 ``--record PATH`` appends the run to a trajectory file (the repo's is
-``BENCH_omega.json``) as one entry, ``{"suite": "pairs", "schema": 1}``:
+``BENCH_omega.json``) as one entry, ``{"suite": "pairs", "schema": 2}``:
 both trees' commit SHAs (``+dirty`` when tracked files differ from the
 commit), the workload, the seeds, the host's CPU count and, per
-end-to-end metric, both sides' quartiles, the wins, ties and verdict;
+end-to-end metric, both sides' quartiles, the wins, ties and verdict,
+and under ``samples`` each side's per-run values in pair order, from
+which ``compare`` and ``verdict`` give those back (schema 1 had no
+``samples``);
 ``failed_runs`` counts the runs whose checks failed and
 ``failed_checks`` keeps each one's pair, side, seed, trace and messages.
 ``repro trend`` reads it as ``pairs.<workload>.<metric>.ratio``, the
@@ -47,7 +50,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from repro.obs.observatory.trend import append_trajectory_point  # noqa: E402
 
 #: Version of the entry ``--record`` writes.
-RECORD_SCHEMA = 1
+RECORD_SCHEMA = 2
 
 #: What ``benchmarks/layered/run.py`` prints before each failed check.
 CHECK_FAILED = "CHECK FAILED: "
@@ -213,6 +216,7 @@ def main() -> int:
             "bound": metric["bound"],
             **compare(parent, change, metric["better"]),
             "verdict": outcome,
+            "samples": {"parent": parent, "change": change},
         }
     if layers:
         print("\ntraced runs (--trace 1):")

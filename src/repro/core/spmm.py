@@ -111,11 +111,10 @@ class _Replay:
         overlap: compute seconds the stream load overlaps.
         stream_plan: ASL's plan (None outside heterogeneous mode).
         outcome: the stream load without faults.
-        metrics: the registry ``updates`` and ``stream_updates`` are
-            bound to.
-        updates: the allocation and prefetch metric updates, in order.
+        updates: the allocation and prefetch metric updates, in order,
+            bound into the engine's registry when the replay is built.
         stream_updates: ``outcome``'s ASL metric updates, bound on the
-            first unfaulted call into ``metrics``.
+            first unfaulted call.
     """
 
     ledger: CostTrace
@@ -124,8 +123,7 @@ class _Replay:
     overlap: float
     stream_plan: StreamPlan | None
     outcome: LoadOutcome | None
-    metrics: MetricsRegistry | None = None
-    updates: list[MetricUpdate] = field(default_factory=list)
+    updates: list[MetricUpdate]
     stream_updates: list[MetricUpdate] | None = None
 
 
@@ -269,10 +267,8 @@ class SpMMEngine:
         # a plan, equal arrays built twice do not — and kept while a
         # matrix on the pattern is alive.
         self._plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-        # The spmm.* series, bound once per registry; a swapped-out
-        # registry is not kept alive by them.
+        # The spmm.* series, each bound on its first update.
         self._counters: dict[str, Counter] = {}
-        self._counters_of = weakref.ref(self.metrics)
 
     # -- device/tier resolution -------------------------------------------
 
@@ -374,43 +370,12 @@ class SpMMEngine:
             else:
                 # run_partitions fully overwrites the buffer.
                 output = np.empty((matrix.n_rows, d), dtype=matrix.dtype)
-                stats = getattr(self.kernel_executor, "stats", None)
-                before = (
-                    (
-                        stats.plans,
-                        stats.shared_cache_hits,
-                        stats.shared_cache_misses,
-                        stats.invalidations,
-                    )
-                    if stats is not None
-                    else None
-                )
                 self.kernel_executor.run_partitions(
                     matrix, dense, plan.ranges, output
                 )
-                if stats is not None and before is not None:
-                    # Warm-path observability: fold the executor's
-                    # counters into the run's metrics as deltas, so
-                    # cache reuse and per-call submission overhead show
-                    # up in reports without the executor knowing about
-                    # the registry.
-                    self._counter("spmm.executor.plans").inc(
-                        stats.plans - before[0]
-                    )
-                    self._counter("spmm.executor.cache_hits").inc(
-                        stats.shared_cache_hits - before[1]
-                    )
-                    self._counter("spmm.executor.cache_misses").inc(
-                        stats.shared_cache_misses - before[2]
-                    )
-                    self._counter("spmm.executor.invalidations").inc(
-                        stats.invalidations - before[3]
-                    )
-                    self._counter("spmm.executor.submit_wall_seconds").inc(
-                        stats.last_submit_wall_s
-                    )
+            # Host wall-clock stays on the result and the spans; the
+            # registry holds only what a seeded run determines.
             kernel_wall = time.perf_counter() - wall_start
-            self._counter("spmm.kernel_wall_seconds").inc(kernel_wall)
             if not plan.full_pass and not isinstance(self.tracer, NullTracer):
                 # The seam carries no telemetry; the one measured wall
                 # is apportioned to the dispatched ranges by the
@@ -480,9 +445,7 @@ class SpMMEngine:
         )
 
     def _counter(self, name: str) -> Counter:
-        """``self.metrics.counter(name)``, looked up once per registry."""
-        if self._counters_of() is not self.metrics:
-            self._counters_of, self._counters = weakref.ref(self.metrics), {}
+        """``self.metrics.counter(name)``, looked up once."""
         counter = self._counters.get(name)
         if counter is None:
             counter = self._counters[name] = self.metrics.counter(name)
@@ -501,9 +464,9 @@ class SpMMEngine:
         multiply at ``d`` replays of them.
 
         Computed on the first multiply of a matrix on the pattern (the
-        replay: at that ``d``, its metric updates: into the engine's
-        current registry), reused afterwards.  The caller applies the
-        replay to its own trace and registry on every call regardless.
+        replay: at that ``d``), reused afterwards.  The caller applies
+        the replay to its own trace and the registry on every call
+        regardless.
         """
         plan = self._plans.get(matrix.pattern)
         if plan is None:
@@ -532,16 +495,6 @@ class SpMMEngine:
             replay = plan.replays[d] = self._replay(
                 plan, matrix, d, sparse_bytes, result_bytes
             )
-        if replay.metrics is not self.metrics:
-            replay.metrics = self.metrics
-            replay.stream_updates = None
-            replay.updates = record_allocation_metrics(
-                plan.partitions, self.metrics, self.allocator.name
-            )
-            for partition, prefetch in zip(plan.partitions, plan.prefetch_plans):
-                replay.updates += record_prefetch_metrics(
-                    prefetch, partition, d, self.metrics
-                )
         return plan, replay
 
     def _replay(
@@ -555,7 +508,8 @@ class SpMMEngine:
         """Charge one multiply's simulated time, less the kernel, once.
 
         Runs the ledger and the per-thread times the way a call used to
-        run them on every multiply, with no faults and no metrics.
+        run them on every multiply, with no faults, and binds the
+        allocation and prefetch metric updates into the registry.
         """
         n_threads = self.config.n_threads
         ledger = CostTrace()
@@ -613,6 +567,13 @@ class SpMMEngine:
                 matrix.n_cols, d, dram_budget, sparse_bytes
             )
             outcome = self.loader.load(stream_plan, overlap)
+        updates = record_allocation_metrics(
+            plan.partitions, self.metrics, self.allocator.name
+        )
+        for partition, prefetch in zip(plan.partitions, plan.prefetch_plans):
+            updates += record_prefetch_metrics(
+                prefetch, partition, d, self.metrics
+            )
         return _Replay(
             ledger,
             thread_times,
@@ -620,6 +581,7 @@ class SpMMEngine:
             overlap,
             stream_plan,
             outcome,
+            updates,
         )
 
     # -- per-partition costing ----------------------------------------------

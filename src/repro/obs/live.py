@@ -447,10 +447,6 @@ def build_top_frame(
 
     spmm_calls = metrics.total("spmm.calls")
     spmm_nnz = metrics.total("spmm.nnz")
-    spmm_kernel_wall = metrics.total("spmm.kernel_wall_seconds")
-    spmm_throughput = (
-        spmm_nnz / spmm_kernel_wall if spmm_kernel_wall > 0 else math.nan
-    )
 
     slo_report = None
     if slo_spec is not None and metric_records:
@@ -474,8 +470,6 @@ def build_top_frame(
         "tier_seconds": tier_seconds,
         "spmm_calls": spmm_calls,
         "spmm_nnz": spmm_nnz,
-        "spmm_kernel_wall_s": spmm_kernel_wall,
-        "spmm_nnz_per_wall_s": spmm_throughput,
         "slo_report": slo_report,
     }
 
@@ -541,8 +535,6 @@ def render_top(frame: dict[str, Any]) -> str:
         lines.append(
             f"spmm: calls={frame['spmm_calls']:.0f}"
             f" nnz={frame['spmm_nnz']:.0f}"
-            f" kernel_wall={_fmt(frame['spmm_kernel_wall_s'], 3, 's')}"
-            f" throughput={_fmt(frame['spmm_nnz_per_wall_s'], 0, ' nnz/s')}"
         )
     if frame["slo_report"] is not None:
         from repro.obs.observatory.slo import render_slo

@@ -81,12 +81,12 @@ def extract_point_series(point: dict[str, Any]) -> dict[str, float]:
     ``stages.<name>``; benchmark points with a nested ``points`` list
     (``bench_parallel_scaling``) contribute
     ``<suite>.<backend>.w<workers>.<field>``; a ``pairs`` entry
-    (``benchmarks/pairs.py --record``, schema 1) contributes
+    (``benchmarks/pairs.py --record``, schema 1 or 2) contributes
     ``pairs.<workload>.<metric>.ratio``, the change's median over the
     parent's.  Anything unrecognized is skipped.
     """
     out: dict[str, float] = {}
-    if point.get("suite") == "pairs" and point.get("schema") == 1:
+    if point.get("suite") == "pairs" and point.get("schema") in (1, 2):
         for name, row in point["metrics"].items():
             (_, parent, _), (_, change, _) = row["parent"], row["change"]
             if parent:

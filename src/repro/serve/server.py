@@ -321,19 +321,10 @@ class EmbeddingServer:
         # replaying servers that share one metrics registry.
         self._trace_token = secrets.token_hex(4)
         self._trace_seq = 0
-        self._bind_metrics()
-        self._queue_depth.set(0)
-
-    def _bind_metrics(self) -> None:
-        """Bind the series this server writes to ``self.metrics``.
-
-        The fixed series are bound (and so present, at zero, in every
-        telemetry export) here; a labelled one is bound on its first
-        use by :meth:`_series`.  ``run_trace`` calls this again when
-        ``self.metrics`` is no longer the registry bound last.
-        """
+        # The fixed series are bound (and so present, at zero, in every
+        # telemetry export) here; a labelled one is bound on its first
+        # use by :meth:`_series`.
         metrics = self.metrics
-        self._bound_to = metrics
         self._count_unhandled = metrics.counter(
             "serve.unhandled_exceptions"
         ).inc
@@ -345,6 +336,7 @@ class EmbeddingServer:
         #: fidelity)`` and per ``klass`` (the blame counters by category).
         self._response_series: dict[tuple, tuple] = {}
         self._blame_series: dict[str, dict[str, Callable[..., None]]] = {}
+        self._queue_depth.set(0)
 
     def _series(self, family: str, *values: str) -> Callable[..., None]:
         """The bound ``inc`` (``observe`` for ``serve.latency``) of one
@@ -395,8 +387,6 @@ class EmbeddingServer:
         report = ServeReport()
         if not self.backend.warm:
             report.warmup_sim_seconds = self.backend.warm_up()
-        if self._bound_to is not self.metrics:
-            self._bind_metrics()
         self._pending.clear()
         requests = list(trace.requests)
         n_requests = len(requests)

@@ -82,10 +82,9 @@ class ShardedEmbeddingBackend(EmbeddingBackend):
         self.supervisor: ShardSupervisor | None = None
         self.placement: dict | None = None
         self._serve_seq = 0
-        #: The full tier's bound ``serve.backend.calls`` /
-        #: ``serve.backend.sim_seconds`` increments and the registry they
-        #: are bound to (rebound when ``self.metrics`` changes).
-        self._bound_to: MetricsRegistry | None = None
+        #: The full tier's ``serve.backend.calls`` /
+        #: ``serve.backend.sim_seconds`` increments, bound on the first
+        #: full-tier call.
         self._count_call: Callable[[], None] | None = None
         self._count_seconds: Callable[[float], None] | None = None
 
@@ -240,8 +239,7 @@ class ShardedEmbeddingBackend(EmbeddingBackend):
         )
         self._serve_seq += 1
         result = shards.lookup(self._request_ids(n_nodes))
-        if self._bound_to is not self.metrics:
-            self._bound_to = self.metrics
+        if self._count_call is None:
             self._count_call = self.metrics.counter(
                 "serve.backend.calls", fidelity=FIDELITY_FULL
             ).inc

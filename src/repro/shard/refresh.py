@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.metrics import Gauge, MetricsRegistry
+    from repro.obs.metrics import Gauge
     from repro.shard.host import ShardHost
     from repro.shard.store import EmbeddingShardManager
 
@@ -55,9 +55,7 @@ class BackgroundCheckpointer:
         self.bg_checkpoints = 0
         self.sim_refresh_seconds = 0.0
         self.max_observed_staleness = 0
-        #: The ``shard.staleness_max`` gauge, bound to the manager's
-        #: registry of the last tick (rebound when that changes).
-        self._bound_to: "MetricsRegistry | None" = None
+        #: The ``shard.staleness_max`` gauge, bound on the first tick.
         self._staleness_gauge: "Gauge | None" = None
 
     def tick(self, seq: int) -> None:
@@ -95,10 +93,8 @@ class BackgroundCheckpointer:
                 self._refresh(shard_id, host, lag)
         if worst > self.max_observed_staleness:
             self.max_observed_staleness = worst
-        metrics = manager.metrics
-        if self._bound_to is not metrics:
-            self._bound_to = metrics
-            self._staleness_gauge = metrics.gauge("shard.staleness_max")
+        if self._staleness_gauge is None:
+            self._staleness_gauge = manager.metrics.gauge("shard.staleness_max")
         self._staleness_gauge.set(float(self.max_observed_staleness))
 
     def _refresh(self, shard_id: int, host: "ShardHost", lag: int) -> None:

@@ -208,8 +208,7 @@ class EmbeddingShardManager:
         #: the cost model, both devices and the row width are fixed here,
         #: so a price never changes once computed.
         self._prices: dict[tuple[bool, int], float] = {}
-        #: The registry ``_lookups`` is bound to (see ``lookup``).
-        self._bound_to: MetricsRegistry | None = None
+        #: The ``shard.lookups`` increment, bound on the first lookup.
         self._lookups: Callable[[], None] | None = None
         n_nodes = len(self.table)
         self.degrees = None
@@ -534,8 +533,7 @@ class EmbeddingShardManager:
             ShardError: hedging disabled and a shard failed.
         """
         node_ids = np.asarray(node_ids, dtype=np.int64)
-        if self._bound_to is not self.metrics:
-            self._bound_to = self.metrics
+        if self._lookups is None:
             self._lookups = self.metrics.counter("shard.lookups").inc
         self.lookup_seq += 1
         seq = self.lookup_seq

@@ -224,7 +224,7 @@ class TestPairsRecord:
         [entry] = load_trajectory(trajectory)
         assert entry == {
             "suite": "pairs",
-            "schema": 1,
+            "schema": 2,
             "workload": "w",
             "parent_sha": "p0",
             "change_sha": "c0",
@@ -242,10 +242,58 @@ class TestPairsRecord:
                     "wins": 2,
                     "ties": 0,
                     "verdict": "gain",
+                    "samples": {"parent": [1.0, 1.0], "change": [2.0, 2.0]},
                 }
             },
         }
         assert extract_point_series(entry) == {"pairs.w.op.ratio": 2.0}
+        # A schema-1 entry (no samples) still reads.
+        del entry["metrics"]["op"]["samples"]
+        assert extract_point_series({**entry, "schema": 1}) == {
+            "pairs.w.op.ratio": 2.0
+        }
+
+    def test_a_recorded_entry_recomputes_from_its_samples(
+        self, pairs, tmp_path, monkeypatch
+    ):
+        spec = {"end_to_end": [
+            {"name": "op", "unit": "x", "better": "higher", "bound": 0.2},
+            {"name": "rss", "unit": "MB", "better": "lower", "bound": 0.1},
+        ], "per_layer": []}
+        for side in ("p", "c"):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+
+        def fake_run(tree, workload, seed, trace=0):
+            change = tree.name == "c"
+            return {"correct": True, "metrics": {
+                "op": {"value": seed % 5 + (1.5 if change else 1.0)},
+                "rss": {"value": 100.0 + seed % 3 + (seed % 2) * change},
+            }}
+
+        monkeypatch.setattr(pairs, "run_once", fake_run)
+        monkeypatch.setattr(pairs, "tree_sha", lambda tree: f"{tree.name}0")
+        trajectory = tmp_path / "BENCH.json"
+        monkeypatch.setattr(sys, "argv", [
+            "pairs.py", "--parent", str(tmp_path / "p"),
+            "--change", str(tmp_path / "c"), "--workload", "w",
+            "--pairs", "6", "--seed-base", "3", "--record", str(trajectory),
+        ])
+        pairs.main()
+        [entry] = load_trajectory(trajectory)
+        verdicts = set()
+        for row in spec["end_to_end"]:
+            recorded = entry["metrics"][row["name"]]
+            parent, change = (
+                recorded["samples"][side] for side in ("parent", "change")
+            )
+            assert len(parent) == len(change) == 6
+            recomputed = pairs.compare(parent, change, row["better"])
+            assert {key: recorded[key] for key in recomputed} == recomputed
+            _, status = pairs.verdict(parent, change, row["better"], row["bound"])
+            assert recorded["verdict"] == status
+            verdicts.add(status)
+        assert len(verdicts) == 2  # the two rows are judged apart
 
     def test_failed_checks_are_kept(self, pairs, tmp_path, monkeypatch,
                                     capsys):
@@ -282,7 +330,7 @@ class TestPairsRecord:
             "messages": ["lookup != table"],
         }]
 
-    def test_committed_trajectory_holds_a_serve_sharded_entry(self):
+    def test_committed_trajectory_holds_a_serve_sharded_entry(self, pairs):
         spec = json.loads(
             (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text()
         )
@@ -294,7 +342,7 @@ class TestPairsRecord:
         ]
         assert entries, "no serve_sharded pairs entry in BENCH_omega.json"
         entry = entries[-1]
-        assert entry["schema"] == 1
+        assert entry["schema"] in (1, pairs.RECORD_SCHEMA)
         assert sorted(entry["metrics"]) == sorted(
             row["name"] for row in spec["end_to_end"]
         )
@@ -306,7 +354,8 @@ class TestResilienceSamples:
     """``bench_online_resilience``: a rerun of one commit adds a sample
     to that commit's entry instead of a new entry."""
 
-    def test_reruns_merge_into_one_entry(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def bench(self, monkeypatch):
         benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
         monkeypatch.syspath_prepend(str(benchmarks))
         spec = importlib.util.spec_from_file_location(
@@ -314,16 +363,23 @@ class TestResilienceSamples:
         )
         bench = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(bench)
+        return bench
+
+    def test_reruns_merge_into_one_entry(self, bench, tmp_path):
         trajectory = tmp_path / "BENCH.json"
         old_shape = {"suite": "bench_online_resilience", "git_sha": "0ld0000",
                      "points": [{"arm": "chaos"}]}
         trajectory.write_text(json.dumps([{"suite": "pairs"}, "note", old_shape]))
         first = [{"arm": "chaos", "promotions": 1}]
         second = [{"arm": "chaos", "promotions": 2}]
-        bench.record_sample(trajectory, "abc1234", first)
-        bench.record_sample(trajectory, "abc1234", second)
-        bench.record_sample(trajectory, "def5678", first)
-        bench.record_sample(trajectory, "0ld0000", second)
+        bench.record_sample(trajectory, "abc1234", first, 3, "promotion")
+        bench.record_sample(trajectory, "abc1234", second, 3, "promotion")
+        bench.record_sample(trajectory, "def5678", first, 3, "promotion")
+        bench.record_sample(trajectory, "0ld0000", second, 3, "promotion")
+        first, second = (
+            {"seed": 3, "scenario": "promotion", "arms": arms}
+            for arms in (first, second)
+        )
         assert json.loads(trajectory.read_text()) == [
             {"suite": "pairs"},
             "note",
@@ -333,3 +389,15 @@ class TestResilienceSamples:
             {"suite": "bench_online_resilience", "git_sha": "def5678",
              "n_shards": bench.N_SHARDS, "samples": [first]},
         ]
+
+    def test_each_sample_names_the_plan_it_ran(self, bench, tmp_path):
+        """Equal counts from two chaos plans stay two tellable samples."""
+        trajectory = tmp_path / "BENCH.json"
+        arms = [{"arm": "chaos", "promotions": 1}]
+        bench.record_sample(trajectory, "abc1234", arms, 3, "promotion")
+        bench.record_sample(trajectory, "abc1234", arms, 7, "reshard")
+        [entry] = json.loads(trajectory.read_text())
+        assert [(s["seed"], s["scenario"]) for s in entry["samples"]] == [
+            (3, "promotion"), (7, "reshard"),
+        ]
+        assert all(s["arms"] == arms for s in entry["samples"])

@@ -137,6 +137,20 @@ def _inputs():
                     labels={"op": "x"}),
             },
         ),
+        "same-metrics": (
+            {name: _metrics(("spmm.calls", 25, {}),
+                            ("embed.sim_seconds", sim_s, {}))
+             for name in ("t.jsonl", "t2.jsonl")},
+            {
+                "a changed value": lambda f: _set(
+                    f["t2.jsonl"], "embed.sim_seconds", up),
+                "a missing series": lambda f: _drop(
+                    f["t2.jsonl"], name="spmm.calls"),
+                "an extra spmm.kernel_wall_seconds series": lambda f: f[
+                    "t2.jsonl"].extend(_metrics(
+                        ("spmm.kernel_wall_seconds", 0.01, {}))),
+            },
+        ),
         "recovered-stages": (
             {"chaos.jsonl": _metrics(
                 ("checkpoint.recovered_stages", 2, {}),

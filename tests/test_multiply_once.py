@@ -50,7 +50,7 @@ from repro.parallel import (
     shutdown_threads_executors,
 )
 
-from .test_pattern_once import HOST_METRICS, WriteLog, assert_same_bits
+from .test_pattern_once import WriteLog, assert_same_bits
 
 SERIAL = ParallelConfig(backend=ExecBackend.SIMULATED)
 
@@ -320,8 +320,8 @@ def test_cost_only_and_full_pass_multiplies_record_no_partition_spans(matrix):
 
 def simulated(engine, matrix, dense):
     """Everything simulated a multiply reports: (seconds, per-thread
-    seconds, ledger, the non-host metric records it wrote), on an engine
-    built on a :class:`WriteLog`."""
+    seconds, ledger, the metric records it wrote), on an engine built on
+    a :class:`WriteLog`."""
     mark = len(engine.metrics.log)
     result = engine.multiply(matrix, dense)
     return (
@@ -590,14 +590,8 @@ def call_bits(result):
 
 
 def registry_bits(metrics):
-    """A registry's records less the host-time series, ``repr``-exact."""
-    return repr(
-        [
-            record
-            for record in metrics.to_records()
-            if not record["name"].startswith(HOST_METRICS)
-        ]
-    )
+    """A registry's records, ``repr``-exact."""
+    return repr(metrics.to_records())
 
 
 def faults():
@@ -663,11 +657,7 @@ def test_an_embeds_telemetry_equals_a_cleared_cache(monkeypatch):
                 for key, value in record["attributes"].items()
             }
             records.append(record)
-        records += [
-            record
-            for record in session.metrics.to_records()
-            if not record["name"].startswith(HOST_METRICS)
-        ]
+        records += session.metrics.to_records()
         return sorted(json.dumps(record, sort_keys=True) for record in records)
 
     replayed = masked(telemetry())

@@ -485,10 +485,6 @@ def test_transpose_equals_the_from_coo_formulation(name):
 
 # -- SpMMEngine plan reuse ---------------------------------------------------
 
-#: Host-side counters no two calls share: wall-clock time, and a pool
-#: backend's segment-cache traffic (a miss on first sight, hits after).
-HOST_METRICS = ("spmm.kernel_wall_seconds", "spmm.executor.")
-
 
 class WriteLog(MetricsRegistry):
     """A registry that also logs each series it creates and each write
@@ -520,18 +516,13 @@ class WriteLog(MetricsRegistry):
         return logged
 
     def records_since(self, mark: int) -> list[dict]:
-        """The records of a fresh registry fed ``log[mark:]``, less the
-        host-side series."""
+        """The records of a fresh registry fed ``log[mark:]``."""
         fresh = MetricsRegistry()
         for (cls, name, labels, kwargs), method, args in self.log[mark:]:
             metric = fresh._get(cls, name, labels, **kwargs)
             if method is not None:
                 getattr(metric, method)(*args)
-        return [
-            record
-            for record in fresh.to_records()
-            if not record["name"].startswith(HOST_METRICS)
-        ]
+        return fresh.to_records()
 
 
 def _multiply_recorded(engine, matrix, dense):

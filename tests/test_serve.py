@@ -560,7 +560,7 @@ class TestGoldenTelemetry:
     """A replay's series and summary, to the last bit.
 
     The literals are what the server printed before its metric handles
-    were bound once per registry; binding must not move a single value.
+    were bound once; binding must not move a single value.
     """
 
     def test_faulted_monolithic_replay(self):
