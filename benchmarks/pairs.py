@@ -22,17 +22,18 @@ same order), and the named rows get the same medians, quartiles and
 wins/ties -- a report of where a saving appears, with no verdict.
 
 ``--record PATH`` appends the run to a trajectory file (the repo's is
-``BENCH_omega.json``) as one entry, ``{"suite": "pairs", "schema": 2}``:
+``BENCH_omega.json``) as one entry, ``{"suite": "pairs", "schema": 3}``:
 both trees' commit SHAs (``+dirty`` when tracked files differ from the
 commit), the workload, the seeds, the host's CPU count and, per
 end-to-end metric, both sides' quartiles, the wins, ties and verdict,
 and under ``samples`` each side's per-run values in pair order, from
 which ``compare`` and ``verdict`` give those back (schema 1 had no
-``samples``);
+``samples``); under ``layers`` the same for each ``--layers`` row, less
+the bound and verdict (schema 2 had no ``layers``);
 ``failed_runs`` counts the runs whose checks failed and
 ``failed_checks`` keeps each one's pair, side, seed, trace and messages.
 ``repro trend`` reads it as ``pairs.<workload>.<metric>.ratio``, the
-change's median over the parent's.
+change's median over the parent's, for the per-layer rows too.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from repro.obs.observatory.trend import append_trajectory_point  # noqa: E402
 
 #: Version of the entry ``--record`` writes.
-RECORD_SCHEMA = 2
+RECORD_SCHEMA = 3
 
 #: What ``benchmarks/layered/run.py`` prints before each failed check.
 CHECK_FAILED = "CHECK FAILED: "
@@ -218,6 +219,7 @@ def main() -> int:
             "verdict": outcome,
             "samples": {"parent": parent, "change": change},
         }
+    layer_rows_out = {}
     if layers:
         print("\ntraced runs (--trace 1):")
         print_header([row["name"] for row in layers])
@@ -225,12 +227,16 @@ def main() -> int:
         print(f"\n{args.workload} per-layer rows (report only):")
         for row in layers:
             name = row["name"]
-            text, _ = summary(
-                samples[1, "parent"][name], samples[1, "change"][name],
-                row["better"],
-            )
+            parent, change = samples[1, "parent"][name], samples[1, "change"][name]
+            text, _ = summary(parent, change, row["better"])
             print(f"  {name} ({row['unit']}, {row['better']} is better):"
                   f" {text}")
+            layer_rows_out[name] = {
+                "unit": row["unit"],
+                "better": row["better"],
+                **compare(parent, change, row["better"]),
+                "samples": {"parent": parent, "change": change},
+            }
     print(f"  runs with a failed check: {failed_runs} of"
           f" {len(passes) * 2 * args.pairs}")
     if args.record:
@@ -245,6 +251,7 @@ def main() -> int:
             "failed_checks": failed_checks,
             "host": {"nproc": len(os.sched_getaffinity(0))},
             "metrics": rows,
+            "layers": layer_rows_out,
         })
         print(f"  recorded in {args.record}")
     return status

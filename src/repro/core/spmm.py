@@ -368,10 +368,10 @@ class SpMMEngine:
             if plan.full_pass:
                 output = matrix.spmm(dense)
             else:
-                # run_partitions fully overwrites the buffer.
-                output = np.empty((matrix.n_rows, d), dtype=matrix.dtype)
-                self.kernel_executor.run_partitions(
-                    matrix, dense, plan.ranges, output
+                # The backend's own result: a serial pass over every row
+                # is the kernel's product, with no buffer of ours.
+                output = self.kernel_executor.run_partitions(
+                    matrix, dense, plan.ranges
                 )
             # Host wall-clock stays on the result and the spans; the
             # registry holds only what a seeded run determines.

@@ -22,8 +22,10 @@ except for the SpMM engine which deliberately works in CSDB row space:
 partitions are contiguous runs of CSDB rows, their
 :meth:`CSDBMatrix.spmm_rows` products fill contiguous slices of a
 CSDB-order product, and :meth:`CSDBMatrix.to_original_order` alone maps
-that product to original row order, with one gather.  No other module
-reads the permutation to place a product.
+that product to original row order, with one gather.  A serial product
+of every row skips the gather once it pays to: ``spmm_rows(...,
+caller_order=True)`` multiplies a copy of the rows relaid in original
+order.  No other module reads the permutation to place a product.
 """
 
 from __future__ import annotations
@@ -39,6 +41,19 @@ from repro.formats.csr import (
     CSRMatrix, _check_coo, _reserve_working_set, _sort_coo, _stable_order,
 )
 
+
+#: What building a caller-order view costs, in bytes of product gathers
+#: that take as long: about three gathered bytes per byte the view
+#: keeps, plus scipy's fixed call overhead (~0.1 ms, about 1 MiB of
+#: gathers).  Measured on R-MAT-10 to -14 operands, float32 and float64,
+#: d = 16 to 128, on a 2-vCPU host.
+RELAYOUT_COST_PER_KEPT_BYTE = 3
+RELAYOUT_FIXED_COST = 1 << 20
+#: Narrower products do not count toward a relayout.  Over the view's
+#: int32 indices scipy's kernel is slower than the CSDB kernel plus the
+#: gather at d = 8 (2.20 against 1.77 ms, R-MAT-14, float64) and faster
+#: from d = 16 on (0.89-0.96x of it up to d = 128).
+RELAYOUT_MIN_WIDTH = 16
 
 #: Held while an attach silences the resource tracker (before 3.13): a
 #: segment another thread created meanwhile would go unregistered.
@@ -223,6 +238,8 @@ class _Pattern:
     col_degrees: np.ndarray | None = None
     #: ``(indices, indptr)`` of the kernel view, as scipy keeps them.
     kernel_index: tuple[np.ndarray, np.ndarray] | None = None
+    #: ``(indices, indptr)`` of the caller-order view, int32 where they fit.
+    caller_index: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class SharedCSDB:
@@ -265,7 +282,8 @@ class CSDBMatrix:
     ``deg_list``, ``deg_ind``, ``col_list``, ``perm``, ``block_ptr``,
     ``shape``, readable under those names on the matrix — and every
     cache that follows from them alone: ``inv_perm``, ``row_degrees``,
-    ``nnz_prefix``, ``col_degrees``, the kernel view's index arrays.
+    ``nnz_prefix``, ``col_degrees``, the index arrays of the kernel and
+    caller-order views.
     :meth:`with_values` siblings hold the *same* pattern object: the
     arrays are validated once, a cache filled through one sibling is
     there for all, and what is keyed on the pattern's identity (an
@@ -284,7 +302,11 @@ class CSDBMatrix:
     view per range would hold a second copy of the indices for every
     executor that cuts the rows differently, and forked pool workers
     would inherit them all.  The view refers to the arrays, not to the
-    matrix, so it never keeps its matrix alive.
+    matrix, so it never keeps its matrix alive.  A matrix whose serial
+    full products pay for it also keeps a caller-order view, the same
+    rows relaid in original row order (:meth:`spmm_rows`): its own copy
+    of the values plus the pattern's int32 indices, at most 12 B per
+    non-zero and 4 B per row beyond the CSDB arrays.
     """
 
     #: Keeps attached shared-memory segments alive for matrices built by
@@ -336,6 +358,15 @@ class CSDBMatrix:
         self.block_ptr, self.shape = pattern.block_ptr, pattern.shape
         self.nnz_list = values
         self._kernel_view: csr_array | None = None
+        self._caller_view: csr_array | None = None
+        # What a relayout would cost, in bytes of caller-order gathers:
+        # each gather at least RELAYOUT_MIN_WIDTH wide pays some off.
+        kept = len(values) * values.dtype.itemsize
+        if pattern.caller_index is None:
+            kept += 4 * (len(values) + pattern.shape[0] + 1)
+        self._relayout_due = (
+            RELAYOUT_COST_PER_KEPT_BYTE * kept + RELAYOUT_FIXED_COST
+        )
 
     def _validate(self) -> None:
         n_rows, n_cols = self.shape
@@ -552,7 +583,12 @@ class CSDBMatrix:
         return self._kernel_view
 
     def spmm_rows(
-        self, dense: np.ndarray, row_start: int, row_end: int
+        self,
+        dense: np.ndarray,
+        row_start: int,
+        row_end: int,
+        *,
+        caller_order: bool = False,
     ) -> np.ndarray:
         """SpMM restricted to CSDB rows ``[row_start, row_end)``.
 
@@ -565,12 +601,30 @@ class CSDBMatrix:
         O(nnz * d) intermediate: the full range is :meth:`kernel_view`
         itself, a sub-range is zero-copy slices of the view's arrays.
 
+        ``caller_order=True`` asks for the full range in *original* row
+        order, which is what a serial product hands its caller.  Until
+        the relayout pays back, that is the kernel view's product and
+        one :meth:`to_original_order` gather.  Once the gathers of this
+        matrix's caller-order products at least
+        :data:`RELAYOUT_MIN_WIDTH` wide have cost as much as the
+        relayout would (:data:`RELAYOUT_COST_PER_KEPT_BYTE`; in practice
+        at the second product of a 128-wide operand, and never for the
+        few products of an embed's tSVD), the matrix builds its
+        caller-order view and multiplies that straight into the result,
+        with no gather and no second buffer.
+        The view is the kernel view's rows in original row order.  Its
+        index arrays are built once per pattern, with scipy's compiled
+        CSR row indexing over ``inv_perm``, and kept int32 (4 B per
+        non-zero and per row).  Its values are gathered once per matrix
+        (8 B per non-zero in float64, 4 in float32).  The pool
+        executors never ask for it: they fill CSDB ranges and gather.
+
         Accumulation contract: every output row is the *sequential* sum
         over its non-zeros in ``col_list`` order, starting from zero,
         with one rounding per multiply and one per add.  A row's bits
-        therefore do not depend on which range, executor or worker
-        computed it.  The dense operand is cast to :attr:`dtype`, and the
-        product comes out in it.
+        therefore do not depend on which range, executor, worker or row
+        order computed it.  The dense operand is cast to :attr:`dtype`,
+        and the product comes out in it.
         """
         if not 0 <= row_start <= row_end <= self.n_rows:
             raise ValueError(
@@ -582,6 +636,13 @@ class CSDBMatrix:
             raise ValueError(
                 f"dimension mismatch: {self.shape} @ {dense.shape}"
             )
+        if caller_order:
+            if (row_start, row_end) != (0, self.n_rows):
+                raise ValueError(
+                    "a caller-order product covers every row,"
+                    f" not [{row_start}, {row_end})"
+                )
+            return self._caller_product(dense)
         view = self.kernel_view()
         if row_start == 0 and row_end == self.n_rows:
             return view @ dense
@@ -592,6 +653,37 @@ class CSDBMatrix:
             shape=(row_end - row_start, self.n_cols),
         )
         return rows @ dense
+
+    def _caller_product(self, dense: np.ndarray) -> np.ndarray:
+        """``self @ dense`` in original row order (see :meth:`spmm_rows`)."""
+        view = self._caller_view
+        if view is None:
+            if self._relayout_due >= 0:
+                out = np.empty((self.n_rows, *dense.shape[1:]), dense.dtype)
+                self.to_original_order(self.kernel_view() @ dense, out)
+                if out.ndim == 2 and out.shape[1] >= RELAYOUT_MIN_WIDTH:
+                    self._relayout_due -= out.nbytes
+                return out
+            view = self._caller_view = self._relaid_view()
+        return view @ dense
+
+    def _relaid_view(self) -> csr_array:
+        """The kernel view's rows in original row order, as a CSR array.
+
+        Row ``r`` is CSDB row ``inv_perm[r]``, its non-zeros in
+        ``col_list`` order.  The int64 indices scipy's row indexing
+        returns die here; the pattern keeps an int32 copy.
+        """
+        relaid = self.kernel_view()[self.inv_perm]
+        index = self.pattern.caller_index
+        if index is None:
+            fits = max(self.nnz, self.n_cols) <= np.iinfo(np.int32).max
+            dtype = np.int32 if fits else np.int64
+            index = self.pattern.caller_index = (
+                relaid.indices.astype(dtype, copy=False),
+                relaid.indptr.astype(dtype, copy=False),
+            )
+        return csr_array((relaid.data, *index), shape=self.shape)
 
     def to_original_order(
         self, product: np.ndarray, out: np.ndarray | None = None
@@ -604,6 +696,11 @@ class CSDBMatrix:
         ``_validate`` made once (perm is a permutation) and that would
         otherwise make ``np.take`` buffer ``out``.  ``out`` must not
         overlap ``product``; without it a new array is returned.
+
+        The pool executors gather every product with it, the serial
+        executor only what it computes in CSDB ranges (ranges that leave
+        a row uncovered), and a serial full product only until its
+        caller-order view pays back (:meth:`spmm_rows`).
         """
         return np.take(product, self.inv_perm, axis=0, out=out, mode="clip")
 
@@ -623,7 +720,7 @@ class CSDBMatrix:
         squeeze = dense.ndim == 1
         if squeeze:
             dense = dense[:, None]
-        out = self.to_original_order(self.spmm_rows(dense, 0, self.n_rows))
+        out = self.spmm_rows(dense, 0, self.n_rows, caller_order=True)
         if verify:
             csr = self.to_csr()
             reference = csr.spmm(dense)
@@ -718,7 +815,8 @@ class CSDBMatrix:
         """Invalidate derived caches after in-place *value* mutation.
 
         Call this after writing into ``nnz_list`` (e.g. re-weighting
-        edges in place): the kernel view is dropped and the matrix moves
+        edges in place): the kernel view and the caller-order view, whose
+        values are a copy, are dropped and the matrix moves
         onto a fresh pattern over the same arrays, so its caches and
         plans are rebuilt and executors holding shared copies re-share
         it; its former siblings keep theirs.  Structural mutation

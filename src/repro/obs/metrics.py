@@ -58,8 +58,8 @@ class Counter:
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        """Add a non-negative amount."""
-        if amount < 0:
+        """Add a non-negative amount (NaN is not one)."""
+        if not amount >= 0:
             raise ValueError(f"counter increments must be >= 0, got {amount}")
         self.value += amount
 

@@ -30,6 +30,9 @@ from typing import Any
 #: Default trajectory file, at the repository root.
 DEFAULT_TRAJECTORY = Path(__file__).resolve().parents[4] / "BENCH_omega.json"
 
+#: Versions of ``benchmarks/pairs.py --record`` entries this module reads.
+PAIRS_SCHEMAS = (1, 2, 3)
+
 #: Ramp used for sparklines, lowest to highest.
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
@@ -81,13 +84,15 @@ def extract_point_series(point: dict[str, Any]) -> dict[str, float]:
     ``stages.<name>``; benchmark points with a nested ``points`` list
     (``bench_parallel_scaling``) contribute
     ``<suite>.<backend>.w<workers>.<field>``; a ``pairs`` entry
-    (``benchmarks/pairs.py --record``, schema 1 or 2) contributes
+    (``benchmarks/pairs.py --record``, schema 1 to 3) contributes
     ``pairs.<workload>.<metric>.ratio``, the change's median over the
-    parent's.  Anything unrecognized is skipped.
+    parent's, for its end-to-end metrics and (schema 3) its per-layer
+    rows.  Anything unrecognized is skipped.
     """
     out: dict[str, float] = {}
-    if point.get("suite") == "pairs" and point.get("schema") in (1, 2):
-        for name, row in point["metrics"].items():
+    if point.get("suite") == "pairs" and point.get("schema") in PAIRS_SCHEMAS:
+        rows = {**point["metrics"], **point.get("layers", {})}
+        for name, row in rows.items():
             (_, parent, _), (_, change, _) = row["parent"], row["change"]
             if parent:
                 out[f"pairs.{point['workload']}.{name}.ratio"] = change / parent

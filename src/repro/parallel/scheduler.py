@@ -21,12 +21,15 @@ The same contract lets the serial backend *fuse*: adjacent ranges are
 merged and run as one ``spmm_rows`` call, so an engine multiply is a
 single kernel call.
 
-Every backend writes its ranges' products into contiguous slices of one
-CSDB-order product and hands that to
+The pool backends write their ranges' products into contiguous slices
+of one CSDB-order product and hand that to
 :meth:`~repro.formats.csdb.CSDBMatrix.to_original_order`, which maps it
-to the caller's row order with one gather; no backend reads the row
-permutation itself.  A fused pass over every row needs no product
-buffer: the kernel's result already is one.
+to the caller's row order with one gather; so does the serial backend
+for ranges that leave a row uncovered.  Its fused pass over every row
+asks the kernel for the product in the caller's order
+(``caller_order=True``), which becomes the result itself: once the
+matrix's caller-order view pays back, there is no gather and no second
+buffer.  No backend reads the row permutation itself.
 
 The seam carries no telemetry.  A backend executes the same
 instructions whether or not a tracer is attached; the engine times the
@@ -53,13 +56,14 @@ class KernelExecutor(Protocol):
         matrix: CSDBMatrix,
         dense: np.ndarray,
         ranges: list[tuple[int, int]],
-        output: np.ndarray,
-    ) -> None:
-        """Compute ``matrix @ dense`` for CSDB row ``ranges`` into ``output``.
+        output: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Compute ``matrix @ dense`` for CSDB row ``ranges``; returns it.
 
-        ``output`` has shape ``(n_rows, d)`` in *original* row order and
-        is fully overwritten: covered rows receive their products, rows
-        outside every range are zeroed.
+        The result has shape ``(n_rows, d)`` in *original* row order:
+        covered rows hold their products, rows outside every range are
+        zero.  It is ``output``, fully overwritten, when one is given,
+        and an array of the backend's own otherwise.
         """
         ...
 
@@ -141,17 +145,22 @@ class SimulatedExecutor:
         matrix: CSDBMatrix,
         dense: np.ndarray,
         ranges: list[tuple[int, int]],
-        output: np.ndarray,
-    ) -> None:
+        output: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Serial execution of the kernel-dispatch seam."""
         fused = _fuse_adjacent(ranges)
         if fused == [(0, matrix.n_rows)]:
-            product = matrix.spmm_rows(dense, 0, matrix.n_rows)
-        else:
-            # Uncovered rows stay zero.
-            product = np.zeros(output.shape, dtype=matrix.dtype)
-            for row_start, row_end in fused:
-                product[row_start:row_end] = matrix.spmm_rows(
-                    dense, row_start, row_end
-                )
-        matrix.to_original_order(product, output)
+            result = matrix.spmm_rows(
+                dense, 0, matrix.n_rows, caller_order=True
+            )
+            if output is None:
+                return result
+            output[...] = result
+            return output
+        # Uncovered rows stay zero.
+        product = np.zeros((matrix.n_rows, dense.shape[1]), dtype=matrix.dtype)
+        for row_start, row_end in fused:
+            product[row_start:row_end] = matrix.spmm_rows(
+                dense, row_start, row_end
+            )
+        return matrix.to_original_order(product, output)

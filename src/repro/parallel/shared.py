@@ -431,13 +431,14 @@ class SharedMemoryExecutor:
         matrix: CSDBMatrix,
         dense: np.ndarray,
         ranges: list[tuple[int, int]],
-        output: np.ndarray,
+        output: np.ndarray | None = None,
         _inject_crash: bool = False,
-    ) -> None:
-        """Execute CSDB row ranges on the pool into ``output``.
+    ) -> np.ndarray:
+        """Execute CSDB row ranges on the pool; returns the result.
 
-        ``output`` (original row order, shape ``(n_rows, d)``) receives
-        the joined result; rows not covered by any range are zeroed.
+        The result (original row order, shape ``(n_rows, d)``) is
+        ``output`` when one is given, a new array otherwise; rows not
+        covered by any range are zeroed.
         Workers fill contiguous slices of the shared CSDB-order output
         segment, and this process gathers it into ``output`` with
         :meth:`~repro.formats.csdb.CSDBMatrix.to_original_order`.
@@ -456,9 +457,11 @@ class SharedMemoryExecutor:
             raise WorkerCrashError("executor is closed")
         dense = np.ascontiguousarray(dense, dtype=matrix.dtype)
         ranges, covered = normalize_ranges(ranges, matrix.n_rows)
+        if output is None:
+            output = np.empty((matrix.n_rows, dense.shape[1]), matrix.dtype)
         if not ranges:
             output[:] = 0.0
-            return
+            return output
         self._ensure_workers()
         handle = self._shared_matrix(matrix)
         dense_spec = self._scratch_spec("dense", dense.shape, matrix.dtype)
@@ -520,6 +523,7 @@ class SharedMemoryExecutor:
         matrix.to_original_order(out_view, output)
         del out_view
         self.stats.last_call_wall_s = time.perf_counter() - call_start
+        return output
 
     def _await(self, call_id: int, n_plans: int) -> None:
         """Barrier: collect one ack per plan, watching worker liveness."""

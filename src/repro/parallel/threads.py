@@ -116,12 +116,13 @@ class ThreadsExecutor:
         matrix: CSDBMatrix,
         dense: np.ndarray,
         ranges: list[tuple[int, int]],
-        output: np.ndarray,
-    ) -> None:
-        """Execute CSDB row ranges on the thread pool into ``output``.
+        output: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Execute CSDB row ranges on the thread pool; returns the result.
 
-        ``output`` (original row order, shape ``(n_rows, d)``) receives
-        the joined result; rows not covered by any range are zeroed.
+        The result (original row order, shape ``(n_rows, d)``) is
+        ``output`` when one is given, a new array otherwise; rows not
+        covered by any range are zeroed.
         Threads fill disjoint contiguous slices of one CSDB-order
         product; after the join this thread maps it to ``output`` with
         :meth:`~repro.formats.csdb.CSDBMatrix.to_original_order`.
@@ -133,9 +134,11 @@ class ThreadsExecutor:
         call_start = time.perf_counter()
         dense = np.ascontiguousarray(dense, dtype=matrix.dtype)
         ranges, covered = normalize_ranges(ranges, matrix.n_rows)
+        if output is None:
+            output = np.empty((matrix.n_rows, dense.shape[1]), matrix.dtype)
         if not ranges:
             output[:] = 0.0
-            return
+            return output
         pool = self._ensure_pool()
         # Pre-warm the lazily cached structural arrays on this thread;
         # workers then only read them (no benign-but-wasteful race to
@@ -169,6 +172,7 @@ class ThreadsExecutor:
         self.stats.last_call_wall_s = time.perf_counter() - call_start
         if first is not None:
             raise first
+        return output
 
 
 #: Process-wide thread pools, one per worker count.

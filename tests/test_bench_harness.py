@@ -17,6 +17,7 @@ from repro.bench import (
 )
 from repro.obs.observatory.trend import (
     DEFAULT_TRAJECTORY,
+    PAIRS_SCHEMAS,
     extract_point_series,
     load_trajectory,
     trajectory_series,
@@ -224,7 +225,7 @@ class TestPairsRecord:
         [entry] = load_trajectory(trajectory)
         assert entry == {
             "suite": "pairs",
-            "schema": 2,
+            "schema": 3,
             "workload": "w",
             "parent_sha": "p0",
             "change_sha": "c0",
@@ -245,13 +246,60 @@ class TestPairsRecord:
                     "samples": {"parent": [1.0, 1.0], "change": [2.0, 2.0]},
                 }
             },
+            "layers": {},
         }
         assert extract_point_series(entry) == {"pairs.w.op.ratio": 2.0}
-        # A schema-1 entry (no samples) still reads.
+        # Schema-2 (no layers) and schema-1 (no samples) entries still read.
+        del entry["layers"]
+        assert extract_point_series({**entry, "schema": 2}) == {
+            "pairs.w.op.ratio": 2.0
+        }
         del entry["metrics"]["op"]["samples"]
         assert extract_point_series({**entry, "schema": 1}) == {
             "pairs.w.op.ratio": 2.0
         }
+
+    def test_the_layers_rows_are_kept_and_read_back(
+        self, pairs, tmp_path, monkeypatch
+    ):
+        for side in ("p", "c"):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "BENCHMARK.json").write_text(
+                json.dumps(TestPairsLayers.SPEC)
+            )
+
+        def fake_run(tree, workload, seed, trace=0):
+            change = tree.name == "c"
+            names = ["lat_us", "self_s"] if trace else ["op"]
+            return {"correct": True, "metrics": {
+                name: {"value": seed + (0.5 if change else 1.0)}
+                for name in names
+            }}
+
+        monkeypatch.setattr(pairs, "run_once", fake_run)
+        monkeypatch.setattr(pairs, "tree_sha", lambda tree: f"{tree.name}0")
+        trajectory = tmp_path / "BENCH.json"
+        monkeypatch.setattr(sys, "argv", [
+            "pairs.py", "--parent", str(tmp_path / "p"),
+            "--change", str(tmp_path / "c"), "--workload", "w",
+            "--pairs", "3", "--seed-base", "1", "--layers", "self_s",
+            "--record", str(trajectory),
+        ])
+        assert pairs.main() == 0
+        [entry] = load_trajectory(trajectory)
+        parent, change = [2.0, 3.0, 4.0], [1.5, 2.5, 3.5]
+        assert entry["layers"] == {
+            "self_s": {
+                "unit": "s",
+                "better": "lower",
+                **pairs.compare(parent, change, "lower"),
+                "samples": {"parent": parent, "change": change},
+            }
+        }
+        assert entry["layers"]["self_s"]["wins"] == 3
+        series = extract_point_series(entry)
+        assert series["pairs.w.self_s.ratio"] == 2.5 / 3.0
+        assert "pairs.w.lat_us.ratio" not in series
 
     def test_a_recorded_entry_recomputes_from_its_samples(
         self, pairs, tmp_path, monkeypatch
@@ -342,7 +390,8 @@ class TestPairsRecord:
         ]
         assert entries, "no serve_sharded pairs entry in BENCH_omega.json"
         entry = entries[-1]
-        assert entry["schema"] in (1, pairs.RECORD_SCHEMA)
+        assert entry["schema"] in PAIRS_SCHEMAS
+        assert pairs.RECORD_SCHEMA == PAIRS_SCHEMAS[-1]
         assert sorted(entry["metrics"]) == sorted(
             row["name"] for row in spec["end_to_end"]
         )

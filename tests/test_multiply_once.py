@@ -82,10 +82,10 @@ class SpmmRowsSpy:
         log.write_text("")
         original = CSDBMatrix.spmm_rows
 
-        def spied(matrix, dense, row_start, row_end):
+        def spied(matrix, dense, row_start, row_end, **kwargs):
             with log.open("a") as handle:
                 handle.write(f"{row_start} {row_end}\n")
-            return original(matrix, dense, row_start, row_end)
+            return original(matrix, dense, row_start, row_end, **kwargs)
 
         monkeypatch.setattr(CSDBMatrix, "spmm_rows", spied)
 

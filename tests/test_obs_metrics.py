@@ -26,6 +26,13 @@ class TestCounter:
         with pytest.raises(ValueError, match="increments"):
             MetricsRegistry().counter("x").inc(-1.0)
 
+    def test_nan_increment_rejected(self):
+        counter = MetricsRegistry().counter("x")
+        counter.inc(2.0)
+        with pytest.raises(ValueError, match="increments"):
+            counter.inc(float("nan"))
+        assert counter.value == 2.0
+
     def test_labels_create_distinct_series(self):
         registry = MetricsRegistry()
         registry.counter("plans", kind="degree").inc(3)
