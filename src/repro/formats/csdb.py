@@ -361,9 +361,10 @@ class CSDBMatrix:
         self._caller_view: csr_array | None = None
         # What a relayout would cost, in bytes of caller-order gathers:
         # each gather at least RELAYOUT_MIN_WIDTH wide pays some off.
-        kept = len(values) * values.dtype.itemsize
-        if pattern.caller_index is None:
-            kept += 4 * (len(values) + pattern.shape[0] + 1)
+        # A sibling is charged the pattern's index too: its build runs
+        # the same row indexing (the index it then shares is dropped).
+        kept = len(values) * (values.dtype.itemsize + 4)
+        kept += 4 * (pattern.shape[0] + 1)
         self._relayout_due = (
             RELAYOUT_COST_PER_KEPT_BYTE * kept + RELAYOUT_FIXED_COST
         )
@@ -659,8 +660,7 @@ class CSDBMatrix:
         view = self._caller_view
         if view is None:
             if self._relayout_due >= 0:
-                out = np.empty((self.n_rows, *dense.shape[1:]), dense.dtype)
-                self.to_original_order(self.kernel_view() @ dense, out)
+                out = self.to_original_order(self.kernel_view() @ dense)
                 if out.ndim == 2 and out.shape[1] >= RELAYOUT_MIN_WIDTH:
                     self._relayout_due -= out.nbytes
                 return out
@@ -685,24 +685,21 @@ class CSDBMatrix:
             )
         return csr_array((relaid.data, *index), shape=self.shape)
 
-    def to_original_order(
-        self, product: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def to_original_order(self, product: np.ndarray) -> np.ndarray:
         """Rows of a CSDB-order ``product`` in original row order.
 
-        One gather, ``out[r] = product[inv_perm[r]]``: random reads and
-        sequential writes, where the scatter ``out[perm] = product``
-        writes at random.  ``mode="clip"`` skips the index check that
-        ``_validate`` made once (perm is a permutation) and that would
-        otherwise make ``np.take`` buffer ``out``.  ``out`` must not
-        overlap ``product``; without it a new array is returned.
+        One gather into a new array, ``out[r] = product[inv_perm[r]]``:
+        random reads and sequential writes, where the scatter
+        ``out[perm] = product`` writes at random.  ``mode="clip"``
+        skips the index check ``_validate`` made once (perm is a
+        permutation).
 
         The pool executors gather every product with it, the serial
         executor only what it computes in CSDB ranges (ranges that leave
         a row uncovered), and a serial full product only until its
         caller-order view pays back (:meth:`spmm_rows`).
         """
-        return np.take(product, self.inv_perm, axis=0, out=out, mode="clip")
+        return np.take(product, self.inv_perm, axis=0, mode="clip")
 
     def spmm(self, dense: np.ndarray, verify: bool = False) -> np.ndarray:
         """Full SpMM ``self @ dense`` in original row order.

@@ -56,14 +56,12 @@ class KernelExecutor(Protocol):
         matrix: CSDBMatrix,
         dense: np.ndarray,
         ranges: list[tuple[int, int]],
-        output: np.ndarray | None = None,
     ) -> np.ndarray:
         """Compute ``matrix @ dense`` for CSDB row ``ranges``; returns it.
 
-        The result has shape ``(n_rows, d)`` in *original* row order:
-        covered rows hold their products, rows outside every range are
-        zero.  It is ``output``, fully overwritten, when one is given,
-        and an array of the backend's own otherwise.
+        The result is a new array of shape ``(n_rows, d)`` in *original*
+        row order: covered rows hold their products, rows outside every
+        range are zero.
         """
         ...
 
@@ -145,22 +143,15 @@ class SimulatedExecutor:
         matrix: CSDBMatrix,
         dense: np.ndarray,
         ranges: list[tuple[int, int]],
-        output: np.ndarray | None = None,
     ) -> np.ndarray:
         """Serial execution of the kernel-dispatch seam."""
         fused = _fuse_adjacent(ranges)
         if fused == [(0, matrix.n_rows)]:
-            result = matrix.spmm_rows(
-                dense, 0, matrix.n_rows, caller_order=True
-            )
-            if output is None:
-                return result
-            output[...] = result
-            return output
+            return matrix.spmm_rows(dense, 0, matrix.n_rows, caller_order=True)
         # Uncovered rows stay zero.
         product = np.zeros((matrix.n_rows, dense.shape[1]), dtype=matrix.dtype)
         for row_start, row_end in fused:
             product[row_start:row_end] = matrix.spmm_rows(
                 dense, row_start, row_end
             )
-        return matrix.to_original_order(product, output)
+        return matrix.to_original_order(product)

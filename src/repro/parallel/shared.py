@@ -431,16 +431,14 @@ class SharedMemoryExecutor:
         matrix: CSDBMatrix,
         dense: np.ndarray,
         ranges: list[tuple[int, int]],
-        output: np.ndarray | None = None,
         _inject_crash: bool = False,
     ) -> np.ndarray:
         """Execute CSDB row ranges on the pool; returns the result.
 
-        The result (original row order, shape ``(n_rows, d)``) is
-        ``output`` when one is given, a new array otherwise; rows not
-        covered by any range are zeroed.
+        The result (a new array in original row order, shape
+        ``(n_rows, d)``) has zeros in rows not covered by any range.
         Workers fill contiguous slices of the shared CSDB-order output
-        segment, and this process gathers it into ``output`` with
+        segment, and this process gathers it into the result with
         :meth:`~repro.formats.csdb.CSDBMatrix.to_original_order`.
 
         Submission is batched: partitions are assigned largest-nnz-first
@@ -457,20 +455,18 @@ class SharedMemoryExecutor:
             raise WorkerCrashError("executor is closed")
         dense = np.ascontiguousarray(dense, dtype=matrix.dtype)
         ranges, covered = normalize_ranges(ranges, matrix.n_rows)
-        if output is None:
-            output = np.empty((matrix.n_rows, dense.shape[1]), matrix.dtype)
+        shape = (matrix.n_rows, dense.shape[1])
         if not ranges:
-            output[:] = 0.0
-            return output
+            return np.zeros(shape, dtype=matrix.dtype)
         self._ensure_workers()
         handle = self._shared_matrix(matrix)
         dense_spec = self._scratch_spec("dense", dense.shape, matrix.dtype)
-        out_spec = self._scratch_spec("out", output.shape, matrix.dtype)
+        out_spec = self._scratch_spec("out", shape, matrix.dtype)
         dense_view = self._scratch["dense"].view(dense.shape, matrix.dtype)
         dense_view[:] = dense
         del dense_view
         if not covered:
-            out_view = self._scratch["out"].view(output.shape, matrix.dtype)
+            out_view = self._scratch["out"].view(shape, matrix.dtype)
             out_view[:] = 0.0
             del out_view
         retired = tuple(self._retired)
@@ -519,8 +515,8 @@ class SharedMemoryExecutor:
         self.stats.partitions += len(ranges)
         self.stats.last_submit_wall_s = time.perf_counter() - call_start
         self._await(call_id, len(self._workers))
-        out_view = self._scratch["out"].view(output.shape, matrix.dtype)
-        matrix.to_original_order(out_view, output)
+        out_view = self._scratch["out"].view(shape, matrix.dtype)
+        output = matrix.to_original_order(out_view)
         del out_view
         self.stats.last_call_wall_s = time.perf_counter() - call_start
         return output

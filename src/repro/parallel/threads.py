@@ -116,15 +116,13 @@ class ThreadsExecutor:
         matrix: CSDBMatrix,
         dense: np.ndarray,
         ranges: list[tuple[int, int]],
-        output: np.ndarray | None = None,
     ) -> np.ndarray:
         """Execute CSDB row ranges on the thread pool; returns the result.
 
-        The result (original row order, shape ``(n_rows, d)``) is
-        ``output`` when one is given, a new array otherwise; rows not
-        covered by any range are zeroed.
+        The result (a new array in original row order, shape
+        ``(n_rows, d)``) has zeros in rows not covered by any range.
         Threads fill disjoint contiguous slices of one CSDB-order
-        product; after the join this thread maps it to ``output`` with
+        product; after the join this thread maps it to the result with
         :meth:`~repro.formats.csdb.CSDBMatrix.to_original_order`.
 
         Raises:
@@ -134,11 +132,9 @@ class ThreadsExecutor:
         call_start = time.perf_counter()
         dense = np.ascontiguousarray(dense, dtype=matrix.dtype)
         ranges, covered = normalize_ranges(ranges, matrix.n_rows)
-        if output is None:
-            output = np.empty((matrix.n_rows, dense.shape[1]), matrix.dtype)
+        shape = (matrix.n_rows, dense.shape[1])
         if not ranges:
-            output[:] = 0.0
-            return output
+            return np.zeros(shape, dtype=matrix.dtype)
         pool = self._ensure_pool()
         # Pre-warm the lazily cached structural arrays on this thread;
         # workers then only read them (no benign-but-wasteful race to
@@ -148,7 +144,7 @@ class ThreadsExecutor:
         matrix.kernel_view()
         # CSDB-order product; uncovered rows stay zero.
         alloc = np.empty if covered else np.zeros
-        product = alloc(output.shape, dtype=matrix.dtype)
+        product = alloc(shape, dtype=matrix.dtype)
 
         def run_range(row_start: int, row_end: int) -> None:
             product[row_start:row_end] = matrix.spmm_rows(
@@ -168,7 +164,7 @@ class ThreadsExecutor:
             except BaseException as exc:  # noqa: BLE001 - re-raised below
                 first = first if first is not None else exc
         if first is None:
-            matrix.to_original_order(product, output)
+            output = matrix.to_original_order(product)
         self.stats.last_call_wall_s = time.perf_counter() - call_start
         if first is not None:
             raise first

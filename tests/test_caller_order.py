@@ -158,11 +158,12 @@ def rmat() -> CSDBMatrix:
 def test_the_view_is_built_once_the_gathers_cost_a_relayout(rmat, sibling):
     matrix = rmat.with_values(rmat.nnz_list.copy())
     matrix.mark_mutated()  # a pattern with no index yet
-    kept = 8 * matrix.nnz + 4 * (matrix.nnz + matrix.n_rows + 1)
     if sibling:
         relay(matrix)
         matrix = matrix.with_values(matrix.nnz_list * 2.0)
-        kept = 8 * matrix.nnz  # the pattern's index is there already
+    # A sibling is charged the index too: its build indexes the rows
+    # again, though it keeps the pattern's index.
+    kept = 8 * matrix.nnz + 4 * (matrix.nnz + matrix.n_rows + 1)
     cost = RELAYOUT_COST_PER_KEPT_BYTE * kept + RELAYOUT_FIXED_COST
     wide = np.ones((matrix.n_cols, WIDE))
     product_bytes = matrix.n_rows * WIDE * 8

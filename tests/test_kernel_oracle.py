@@ -86,8 +86,7 @@ def check_all_executors(matrix, dense, ranges):
         tolerance = {"rtol": 1e-4, "atol": 1e-4}
     first = None
     for label, executor in _executors():
-        out = np.full(expected.shape, np.nan, dtype=matrix.dtype)
-        executor.run_partitions(matrix, dense, ranges, out)
+        out = executor.run_partitions(matrix, dense, ranges)
         first = out if first is None else first
         assert np.array_equal(out, first), label
         assert np.array_equal(out, expected), label

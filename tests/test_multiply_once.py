@@ -112,16 +112,13 @@ def per_partition(matrix, dense, ranges):
 
 def dispatch_arms(matrix, dense, ranges):
     """Every dispatch path's output for the same ranges, by name."""
-    shape = (matrix.n_rows, np.asarray(dense).shape[1])
     arms = {"per_partition": per_partition(matrix, dense, ranges)}
     for name, executor in (
         ("fused", SimulatedExecutor()),
         ("threads", get_threads_executor(2)),
         ("shared_memory", get_shared_executor(2)),
     ):
-        out = np.full(shape, np.nan)  # the buffer arrives uninitialised
-        executor.run_partitions(matrix, dense, ranges, out)
-        arms[name] = out
+        arms[name] = executor.run_partitions(matrix, dense, ranges)
     return arms
 
 
@@ -201,10 +198,9 @@ def test_fused_dispatch_calls_the_kernel_once_per_run_of_adjacent_ranges(
     matrix, monkeypatch, tmp_path
 ):
     spy = SpmmRowsSpy(monkeypatch, tmp_path / "calls")
-    out = np.empty((matrix.n_rows, 2))
     dense = np.ones((matrix.n_cols, 2))
     SimulatedExecutor().run_partitions(
-        matrix, dense, [(0, 10), (10, 30), (30, 30), (30, 50), (60, 70)], out
+        matrix, dense, [(0, 10), (10, 30), (30, 30), (30, 50), (60, 70)]
     )
     assert spy.drain() == [(0, 50), (60, 70)]
 

@@ -36,9 +36,7 @@ def _rmat_csdb(scale: int, seed: int) -> CSDBMatrix:
 
 
 def _serial_reference(matrix, dense, ranges):
-    out = np.empty((matrix.n_rows, dense.shape[1]))
-    SimulatedExecutor().run_partitions(matrix, dense, ranges, out)
-    return out
+    return SimulatedExecutor().run_partitions(matrix, dense, ranges)
 
 
 class TestBitIdentity:
@@ -66,8 +64,7 @@ class TestBitIdentity:
         expected = _serial_reference(matrix, dense, ranges)
 
         pool = get_shared_executor(n_workers)
-        out = np.empty_like(expected)
-        pool.run_partitions(matrix, dense, ranges, out)
+        out = pool.run_partitions(matrix, dense, ranges)
         assert np.array_equal(out, expected)
 
     def test_single_row_partitions(self):
@@ -76,8 +73,7 @@ class TestBitIdentity:
         ranges = [(i, i + 1) for i in range(matrix.n_rows)]
         expected = _serial_reference(matrix, dense, ranges)
         pool = get_shared_executor(2)
-        out = np.empty_like(expected)
-        pool.run_partitions(matrix, dense, ranges, out)
+        out = pool.run_partitions(matrix, dense, ranges)
         assert np.array_equal(out, expected)
 
     def test_partial_coverage_zeroes_uncovered_rows(self):
@@ -86,17 +82,15 @@ class TestBitIdentity:
         ranges = [(0, matrix.n_rows // 2)]
         expected = _serial_reference(matrix, dense, ranges)
         pool = get_shared_executor(2)
-        out = np.full_like(expected, np.nan)  # must be overwritten
-        pool.run_partitions(matrix, dense, ranges, out)
+        out = pool.run_partitions(matrix, dense, ranges)
         assert np.array_equal(out, expected)
 
     def test_no_ranges_zeroes_output(self):
         matrix = _rmat_csdb(6, seed=5)
         dense = np.zeros((matrix.n_cols, 2))
         pool = get_shared_executor(2)
-        out = np.full((matrix.n_rows, 2), np.nan)
-        pool.run_partitions(matrix, dense, [], out)
-        assert np.array_equal(out, np.zeros_like(out))
+        out = pool.run_partitions(matrix, dense, [])
+        assert np.array_equal(out, np.zeros((matrix.n_rows, 2)))
 
 
 class TestCrashSafety:
@@ -104,8 +98,7 @@ class TestCrashSafety:
         matrix = _rmat_csdb(6, seed=7)
         dense = np.random.default_rng(3).standard_normal((matrix.n_cols, 3))
         pool = SharedMemoryExecutor(n_workers=2, call_timeout_s=30.0)
-        out = np.empty((matrix.n_rows, 3))
-        pool.run_partitions(matrix, dense, [(0, matrix.n_rows)], out)
+        pool.run_partitions(matrix, dense, [(0, matrix.n_rows)])
         segment_names = [
             spec.name
             for entry in pool._matrices.values()
@@ -115,7 +108,7 @@ class TestCrashSafety:
 
         with pytest.raises(WorkerCrashError, match="died"):
             pool.run_partitions(
-                matrix, dense, [(0, matrix.n_rows)], out, _inject_crash=True
+                matrix, dense, [(0, matrix.n_rows)], _inject_crash=True
             )
         assert pool.closed
         from multiprocessing import shared_memory
@@ -125,21 +118,20 @@ class TestCrashSafety:
                 shared_memory.SharedMemory(name=name)
 
         with pytest.raises(WorkerCrashError, match="closed"):
-            pool.run_partitions(matrix, dense, [(0, 1)], out)
+            pool.run_partitions(matrix, dense, [(0, 1)])
 
     def test_registry_replaces_crashed_pool(self):
         matrix = _rmat_csdb(6, seed=8)
         dense = np.zeros((matrix.n_cols, 2))
-        out = np.empty((matrix.n_rows, 2))
         pool = get_shared_executor(3)
         with pytest.raises(WorkerCrashError):
             pool.run_partitions(
-                matrix, dense, [(0, 1)], out, _inject_crash=True
+                matrix, dense, [(0, 1)], _inject_crash=True
             )
         fresh = get_shared_executor(3)
         assert fresh is not pool and not fresh.closed
-        fresh.run_partitions(matrix, dense, [(0, matrix.n_rows)], out)
-        assert np.array_equal(out, np.zeros_like(out))
+        out = fresh.run_partitions(matrix, dense, [(0, matrix.n_rows)])
+        assert np.array_equal(out, np.zeros((matrix.n_rows, 2)))
 
     def test_close_is_idempotent(self):
         pool = SharedMemoryExecutor(n_workers=1)
@@ -298,8 +290,7 @@ class TestReleaseSweep:
         dense = np.ones((matrix.n_cols, 2))
         executor = SharedMemoryExecutor(n_workers=1)
         ranges = ((0, matrix.n_rows),)
-        out = np.empty((matrix.n_rows, 2))
-        executor.run_partitions(matrix, dense, ranges, out)
+        executor.run_partitions(matrix, dense, ranges)
         names = [executor._prefix]
         names += [seg.segment.name for seg in executor._scratch.values()]
         executor.close()

@@ -55,9 +55,7 @@ def _rmat_csdb(scale: int, seed: int, edge_factor: float = 6.0) -> CSDBMatrix:
 
 
 def _serial(matrix, dense, ranges):
-    out = np.empty((matrix.n_rows, dense.shape[1]))
-    SimulatedExecutor().run_partitions(matrix, dense, ranges, out)
-    return out
+    return SimulatedExecutor().run_partitions(matrix, dense, ranges)
 
 
 def _ranges(matrix, n_parts: int):
@@ -130,10 +128,9 @@ class TestBackendMatrix:
                 if backend == "shared_memory"
                 else get_threads_executor(n_workers)
             )
-            out = np.empty_like(expected)
             # Twice: the second call rides the warm path.
             for _ in range(2):
-                pool.run_partitions(matrix, dense, ranges, out)
+                out = pool.run_partitions(matrix, dense, ranges)
                 assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize(
@@ -164,8 +161,7 @@ class TestSegmentCacheReuse:
         pool = SharedMemoryExecutor(n_workers=2)
         try:
             ranges = _ranges(matrix, 4)
-            out = np.empty((matrix.n_rows, 4))
-            pool.run_partitions(matrix, dense, ranges, out)
+            pool.run_partitions(matrix, dense, ranges)
             assert pool.stats.shared_cache_misses == 1
             names_after_first = sorted(
                 spec.name
@@ -176,7 +172,7 @@ class TestSegmentCacheReuse:
                 seg.segment.name for seg in pool._scratch.values()
             )
             for i in range(3):
-                pool.run_partitions(matrix, dense, ranges, out)
+                pool.run_partitions(matrix, dense, ranges)
                 assert pool.stats.shared_cache_hits == 1 + i
             # Same segments, no re-staging, nothing retired.
             assert names_after_first == sorted(
@@ -197,8 +193,7 @@ class TestSegmentCacheReuse:
         dense = np.ones((matrix.n_cols, 2))
         pool = SharedMemoryExecutor(n_workers=3)
         try:
-            out = np.empty((matrix.n_rows, 2))
-            pool.run_partitions(matrix, dense, _ranges(matrix, 8), out)
+            pool.run_partitions(matrix, dense, _ranges(matrix, 8))
             # 8 partitions, 3 workers -> exactly 3 plans, not 8 enqueues.
             assert pool.stats.plans == 3
             assert pool.stats.partitions == 8
@@ -214,12 +209,11 @@ class TestSegmentCacheReuse:
         pool = SharedMemoryExecutor(n_workers=2)
         try:
             ranges = _ranges(matrix, 4)
-            out = np.empty((matrix.n_rows, 3))
             for seed in (0, 1, 2):
                 dense = np.random.default_rng(seed).standard_normal(
                     (matrix.n_cols, 3)
                 )
-                pool.run_partitions(matrix, dense, ranges, out)
+                out = pool.run_partitions(matrix, dense, ranges)
                 assert np.array_equal(out, _serial(matrix, dense, ranges))
         finally:
             pool.close()
@@ -237,9 +231,8 @@ class TestInvalidation:
         pool = SharedMemoryExecutor(n_workers=2)
         try:
             ranges = _ranges(matrix, 4)
-            out = np.empty((matrix.n_rows, 4))
             for operand in (matrix, sibling, matrix, sibling):
-                pool.run_partitions(operand, dense, ranges, out)
+                out = pool.run_partitions(operand, dense, ranges)
                 assert np.array_equal(out, _serial(operand, dense, ranges))
             assert pool.stats.shared_cache_misses == 2
             assert pool.stats.shared_cache_hits == 2
@@ -253,8 +246,7 @@ class TestInvalidation:
         pool = SharedMemoryExecutor(n_workers=2)
         try:
             ranges = _ranges(matrix, 4)
-            out = np.empty((matrix.n_rows, 4))
-            pool.run_partitions(matrix, dense, ranges, out)
+            pool.run_partitions(matrix, dense, ranges)
             stale_names = [
                 spec.name
                 for entry in pool._matrices.values()
@@ -264,7 +256,7 @@ class TestInvalidation:
             # serve results from the stale shared copy.
             matrix.nnz_list *= 0.5
             matrix.mark_mutated()
-            pool.run_partitions(matrix, dense, ranges, out)
+            out = pool.run_partitions(matrix, dense, ranges)
             assert pool.stats.invalidations == 1
             assert np.array_equal(out, _serial(matrix, dense, ranges))
             fresh_names = [
@@ -274,7 +266,7 @@ class TestInvalidation:
             ]
             assert set(stale_names).isdisjoint(fresh_names)
             # A further unmutated call rides the new cached copy.
-            pool.run_partitions(matrix, dense, ranges, out)
+            pool.run_partitions(matrix, dense, ranges)
             assert pool.stats.invalidations == 1
             assert pool.stats.shared_cache_hits >= 1
         finally:
@@ -292,8 +284,7 @@ class TestCrashDuringCachedCall:
         dense = np.random.default_rng(5).standard_normal((matrix.n_cols, 3))
         pool = SharedMemoryExecutor(n_workers=2, call_timeout_s=30.0)
         ranges = _ranges(matrix, 4)
-        out = np.empty((matrix.n_rows, 3))
-        pool.run_partitions(matrix, dense, ranges, out)  # cold: stage + cache
+        pool.run_partitions(matrix, dense, ranges)  # cold: stage + cache
         assert pool.stats.shared_cache_misses == 1
         segment_names = [
             spec.name
@@ -304,7 +295,7 @@ class TestCrashDuringCachedCall:
 
         with pytest.raises(WorkerCrashError):
             pool.run_partitions(
-                matrix, dense, ranges, out, _inject_crash=True
+                matrix, dense, ranges, _inject_crash=True
             )
         assert pool.closed
         from multiprocessing import shared_memory
@@ -320,8 +311,7 @@ class TestForkSafety:
         dense = np.ones((matrix.n_cols, 2))
         pool = get_shared_executor(2)
         ranges = _ranges(matrix, 2)
-        out = np.empty((matrix.n_rows, 2))
-        pool.run_partitions(matrix, dense, ranges, out)
+        out = pool.run_partitions(matrix, dense, ranges)
         expected = out.copy()
 
         pid = os.fork()
@@ -347,7 +337,7 @@ class TestForkSafety:
         assert os.waitstatus_to_exitcode(status) == 0
         # Parent: pool and segments untouched by the child's exit.
         assert not pool.closed
-        pool.run_partitions(matrix, dense, ranges, out)
+        out = pool.run_partitions(matrix, dense, ranges)
         assert np.array_equal(out, expected)
 
     def test_shutdown_shared_executors_closes_registry(self):
@@ -364,16 +354,15 @@ class TestThreadsBackendSemantics:
         matrix = _rmat_csdb(6, seed=81)
         pool = ThreadsExecutor(n_workers=2)
         try:
-            out = np.empty((matrix.n_rows, 2))
             bad_dense = np.ones((matrix.n_cols + 1, 2))  # dimension mismatch
             with pytest.raises(ValueError, match="dimension mismatch"):
                 pool.run_partitions(
-                    matrix, bad_dense, _ranges(matrix, 2), out
+                    matrix, bad_dense, _ranges(matrix, 2)
                 )
             assert not pool.closed
             dense = np.ones((matrix.n_cols, 2))
             ranges = _ranges(matrix, 2)
-            pool.run_partitions(matrix, dense, ranges, out)
+            out = pool.run_partitions(matrix, dense, ranges)
             assert np.array_equal(out, _serial(matrix, dense, ranges))
         finally:
             pool.close()
@@ -382,8 +371,7 @@ class TestThreadsBackendSemantics:
         matrix = _rmat_csdb(6, seed=83)
         pool = ThreadsExecutor(n_workers=1)
         try:
-            out = np.full((matrix.n_rows, 2), np.nan)
-            pool.run_partitions(matrix, np.ones((matrix.n_cols, 2)), [], out)
+            out = pool.run_partitions(matrix, np.ones((matrix.n_cols, 2)), [])
             assert np.array_equal(out, np.zeros_like(out))
         finally:
             pool.close()
