@@ -2,19 +2,26 @@
 """Python calls of one ``serve_sharded`` replay, as a count.
 
     python benchmarks/serve_calls.py [--seed 3] [--top 20]
+    python benchmarks/serve_calls.py --quick --shards 1 --pin tests/serve_calls_pin.json
 
 Builds the layered benchmark's ``serve_sharded`` workload (its graph,
-store and policy for ``--seed``) and replays its warm-up trace
-(``_trace(0)``: 1 000 requests) three times, each under its own
-``cProfile``.  A wall-clock wait makes some calls depend on timing (a
-spin loop's ``time.monotonic``, a parked wait's ``poll``, a doorbell
-and the frames it reads), so counts are taken per caller → callee edge
-and two kinds are left out: every call to or made by the transport's
-waits (:data:`WAITS`) or inside ``multiprocessing.connection``, however
-steady it looks (one doorbell per replay would look steady), and every
-other edge whose count differs between the three replays.  Prints the
-deterministic call count of one replay (the other edges' sum), the
-varying edges, and the ``--top`` functions by deterministic count.
+store and policy for ``--seed``; ``--quick`` for its quick sizes,
+``--shards`` to fix the fleet size the workload otherwise takes from
+the CPU count) and replays its warm-up trace (``_trace(0)``: 1 000
+requests, 200 quick) three times, each under its own ``cProfile``.  A
+wall-clock wait makes some calls depend on timing (a spin loop's
+``time.monotonic``, a parked wait's ``poll``, a doorbell and the frames
+it reads, the supervisor's heartbeat-paced liveness sweep), so counts
+are taken per caller → callee edge and two kinds are left out: every
+call to or made by a timed function, however steady it looks (one
+doorbell per replay would look steady), and every other edge whose
+count differs between the three replays.  A function is timed when it
+is one of :data:`WAITS`, is inside ``multiprocessing.connection``, or
+is called by timed functions only.  Prints the deterministic call count
+of one replay (the other edges' sum), the varying edges, and the
+``--top`` functions by deterministic count; ``--pin`` also writes the
+deterministic edges, keyed by file and function name without line
+numbers, as the JSON fixture ``tests/test_serve_calls.py`` compares.
 Standard library only, beside the repo's own code.
 """
 
@@ -23,12 +30,13 @@ from __future__ import annotations
 import os
 import sys
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 import argparse
 import cProfile
-import pstats
+import json
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -38,19 +46,54 @@ import workloads  # noqa: E402
 
 REPLAYS = 3
 
-#: The host's waits in ``repro/shard/transport.py``: what they call
-#: depends on when the worker replies.
-WAITS = {"_await_reply", "_ring", "_read_frame", "_ms"}
+#: The host's timed functions, by file: the waits in
+#: ``repro/shard/transport.py`` (what they call depends on when the
+#: worker replies) and the supervisor's liveness sweep (the serve path
+#: runs it once a heartbeat interval of wall time has passed).
+WAITS = {
+    "transport.py": {"_await_reply", "_ring", "_read_frame", "_ms"},
+    "supervisor.py": {"_sweep_liveness"},
+}
 
 
-def _timed(func: tuple[str, int, str] | None) -> bool:
+def _waits(func: tuple[str, int, str] | None) -> bool:
     """Whether ``func`` is one of the waits (or the pipe under them)."""
     if func is None:
         return False
     path = Path(func[0])
     if path.name == "connection.py" and path.parent.name == "multiprocessing":
         return True
-    return path.name == "transport.py" and func[2] in WAITS
+    return func[2] in WAITS.get(path.name, ())
+
+
+def timed_functions(runs: list[dict[tuple, int]]) -> set:
+    """The waits, then every function that only timed functions call."""
+    callers: dict = {}
+    for run in runs:
+        for caller, func in run:
+            callers.setdefault(func, set()).add(caller)
+    timed = {func for func in callers if _waits(func)}
+    grown = True
+    while grown:
+        grown = False
+        for func, by in callers.items():
+            if func not in timed and by <= timed:
+                timed.add(func)
+                grown = True
+    return timed
+
+
+def steady_edges(
+    runs: list[dict[tuple, int]],
+) -> tuple[dict[tuple, int], set]:
+    """The deterministic edges with their count, and the varying ones."""
+    timed = timed_functions(runs)
+    edges = {
+        e for e in set().union(*runs)
+        if e[0] not in timed and e[1] not in timed
+    }
+    varying = {e for e in edges if len({run.get(e, 0) for run in runs}) > 1}
+    return {e: runs[0][e] for e in edges - varying}, varying
 
 
 def _label(func: tuple[str, int, str] | None) -> str:
@@ -62,50 +105,111 @@ def _label(func: tuple[str, int, str] | None) -> str:
     return f"{Path(filename).name}:{line}({name})"
 
 
+def _key(func: tuple[str, int, str] | None) -> str:
+    """``_label`` without the line number, and with the file's directory."""
+    if func is None or func[0] == "~":
+        return _label(func)
+    path = Path(func[0])
+    return f"{path.parent.name}/{path.name}:{func[2]}"
+
+
+def pinned(steady: dict[tuple, int]) -> dict[str, int]:
+    """The fixture's form of ``steady``: ``"caller -> callee"`` keys
+    (edges whose keys coincide are summed), sorted."""
+    out: dict[str, int] = {}
+    for (caller, func), calls in steady.items():
+        key = f"{_key(caller)} -> {_key(func)}"
+        out[key] = out.get(key, 0) + calls
+    return dict(sorted(out.items()))
+
+
+def _func(code) -> tuple[str, int, str]:
+    """pstats's label of a profiler entry's code (a builtin's is a str)."""
+    if isinstance(code, str):
+        return "~", 0, code
+    return code.co_filename, code.co_firstlineno, code.co_name
+
+
 def replay_counts(workload: workloads.ServeWorkload) -> dict[tuple, int]:
     """Calls per ``(caller, callee)`` edge of one replay of ``_trace(0)``
-    (the profiled call itself has the caller ``None``)."""
+    (the profiled call itself has the caller ``None``).
+
+    Read from the profiler's own entries, summed per label: ``pstats``
+    keeps only one of the functions that share a label (every
+    dataclass's generated ``__init__`` is ``<string>:2(__init__)``), and
+    which one depends on where the code objects sit in memory.
+    """
     trace = workload._trace(0)
     profile = cProfile.Profile()
     profile.runcall(workload._replay, trace)
-    edges = {}
-    for func, (_, calls, _, _, callers) in pstats.Stats(profile).stats.items():
-        for caller, (_, n, *_rest) in callers.items():
-            edges[caller, func] = n
-        if not callers:
+    edges: dict[tuple, int] = {}
+    unmatched: dict[tuple, int] = {}
+    for entry in profile.getstats():
+        caller = _func(entry.code)
+        unmatched[caller] = unmatched.get(caller, 0) + entry.callcount
+        for sub in entry.calls or ():
+            func = _func(sub.code)
+            edges[caller, func] = edges.get((caller, func), 0) + sub.callcount
+            unmatched[func] = unmatched.get(func, 0) - sub.callcount
+    for func, calls in unmatched.items():
+        if calls > 0:
             edges[None, func] = calls
     return edges
+
+
+def measure(
+    seed: int, quick: bool, n_shards: int | None = None
+) -> tuple[workloads.ServeWorkload, list[dict[tuple, int]]]:
+    """Set the workload up, replay it :data:`REPLAYS` times, tear it
+    down; returns it with each replay's edge counts.  ``n_shards``
+    overrides the fleet size the workload takes from the CPU count."""
+    if n_shards is not None:
+        workloads.N_SHARDS = n_shards
+    workload = workloads.ServeWorkload(seed, quick=quick)
+    try:
+        workload.setup()
+        runs = [replay_counts(workload) for _ in range(REPLAYS)]
+    finally:
+        workload.teardown()
+    return workload, runs
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--top", type=int, default=20)
+    parser.add_argument("--quick", action="store_true")
+    parser.add_argument("--shards", type=int, default=None)
+    parser.add_argument("--pin", type=Path, default=None)
     args = parser.parse_args(argv)
-    workload = workloads.ServeWorkload(args.seed, quick=False)
-    try:
-        workload.setup()
-        runs = [replay_counts(workload) for _ in range(REPLAYS)]
-    finally:
-        workload.teardown()
-    edges = {
-        e for e in set().union(*runs) if not (_timed(e[0]) or _timed(e[1]))
-    }
-    varying = {e for e in edges if len({run.get(e, 0) for run in runs}) > 1}
-    steady: dict[tuple, int] = {}
-    for caller, func in edges - varying:
-        steady[func] = steady.get(func, 0) + runs[0][caller, func]
+    workload, runs = measure(args.seed, args.quick, args.shards)
+    steady, varying = steady_edges(runs)
+    total = sum(steady.values())
+    per_func: dict[tuple, int] = {}
+    for (_, func), calls in steady.items():
+        per_func[func] = per_func.get(func, 0) + calls
     print(f"seed {args.seed}: {workload.work_per_op} requests per replay,"
-          f" {REPLAYS} replays")
-    print(f"deterministic calls per replay: {sum(steady.values())}")
+          f" {workloads.N_SHARDS} shards, {REPLAYS} replays")
+    print(f"deterministic calls per replay: {total}")
     print(f"left out ({len(varying)} edges whose count varies):")
     for edge in sorted(varying, key=lambda e: (_label(e[1]), _label(e[0]))):
         counts = ", ".join(str(run.get(edge, 0)) for run in runs)
         print(f"  {_label(edge[0])} -> {_label(edge[1])}: {counts}")
     print(f"top {args.top} by count:")
-    ranked = sorted(steady.items(), key=lambda kv: -kv[1])
+    ranked = sorted(per_func.items(), key=lambda kv: -kv[1])
     for func, calls in ranked[: args.top]:
         print(f"  {calls:8d}  {_label(func)}")
+    if args.pin is not None:
+        fixture = {
+            "seed": args.seed,
+            "quick": args.quick,
+            "n_shards": workloads.N_SHARDS,
+            "requests": workload.work_per_op,
+            "calls": total,
+            "edges": pinned(steady),
+        }
+        args.pin.write_text(json.dumps(fixture, indent=1) + "\n")
+        print(f"pinned {len(fixture['edges'])} edges to {args.pin}")
     return 0
 
 
