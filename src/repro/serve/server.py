@@ -329,6 +329,8 @@ class EmbeddingServer:
             "serve.unhandled_exceptions"
         ).inc
         self._count_submitted = metrics.counter("serve.submitted").inc
+        #: Written where it is read: when a snapshot is built and when a
+        #: trace ends (the queue's length is the depth between those).
         self._queue_depth = metrics.gauge("serve.queue_depth")
         self._queue_peak = metrics.gauge("serve.queue_peak")
         self._labelled: dict[tuple[str, ...], Callable[..., None]] = {}
@@ -400,9 +402,6 @@ class EmbeddingServer:
                 if not pending:
                     continue
                 request, trace_id = pending.popleft()
-                # A dequeue never raises the peak: the admission that
-                # queued this request has already set it.
-                self._queue_depth.set(len(pending))
                 # Everything from arrival to this dequeue moment is
                 # admission wait; everything after it is execution, and
                 # the ledger is what advances the clock for it, so its
@@ -429,6 +428,7 @@ class EmbeddingServer:
                         ledger=ledger,
                     )
         report.finished_at_s = self.clock.now
+        self._queue_depth.set(len(pending))
         self._emit_snapshot()
         if self.tracer is not NULL_TRACER:  # the counts are a pass each
             self.tracer.record(
@@ -498,7 +498,6 @@ class EmbeddingServer:
                 else:
                     pending.append((arrival, trace_id))
             depth = len(pending)
-            self._queue_depth.set(depth)
             if depth > self._queue_peak.value:
                 self._queue_peak.set(depth)
         return index
@@ -638,12 +637,14 @@ class EmbeddingServer:
             return
         from repro.obs.live import build_serve_snapshot
 
+        depth = len(self._pending)
+        self._queue_depth.set(depth)
         self.stream.emit(
             build_serve_snapshot(
                 self.metrics,
                 sim_now_s=self.clock.now,
                 breaker_state=self.breaker.state,
-                queue_depth=len(self._pending),
+                queue_depth=depth,
             )
         )
         self.stream.flush()

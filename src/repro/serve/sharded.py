@@ -15,8 +15,11 @@ plan flow through real processes into the serving ladder:
   the request — the availability gap the recovery benchmark measures.
 
 A :class:`~repro.shard.ShardSupervisor` (optional) is consulted once
-per serve call, so crashed shards restart from their WAL checkpoints
-between requests, exactly like a health-check loop would.
+per serve call (:meth:`~repro.shard.ShardSupervisor.check_paced`): it
+stamps the serve clock and steps resharding every call, and sweeps
+liveness at the heartbeat's pace, like a health-check loop would.  A
+shard that dies between two sweeps fails the next lookup that reaches
+it, which hedges that read and repairs the shard on the spot.
 """
 
 from __future__ import annotations
@@ -228,12 +231,12 @@ class ShardedEmbeddingBackend(EmbeddingBackend):
             self._require_warm()
             raise RuntimeError("backend is closed")
         if self.supervisor is not None:
-            # The health-check loop runs between requests: crashed or
-            # hung shards restart from checkpoints before this gather.
-            # The caller's clock position stamps any incident raised
-            # here (or reactively during the gather below), so `repro
-            # why` can join it onto overlapping request deadlines.
-            self.supervisor.check(sim_now=sim_now)
+            # The health-check loop runs between requests, its liveness
+            # reads at the heartbeat's pace.  The caller's clock position
+            # stamps any incident raised here (or reactively during the
+            # gather below), so `repro why` can join it onto overlapping
+            # request deadlines.
+            self.supervisor.check_paced(sim_now)
         seconds, absorbed_stall = self._compute_seconds(
             n_nodes, fidelity, stall_budget_s
         )

@@ -55,7 +55,8 @@ class BackgroundCheckpointer:
         self.bg_checkpoints = 0
         self.sim_refresh_seconds = 0.0
         self.max_observed_staleness = 0
-        #: The ``shard.staleness_max`` gauge, bound on the first tick.
+        #: The ``shard.staleness_max`` gauge, bound on the first tick and
+        #: written only when the observed maximum rises.
         self._staleness_gauge: "Gauge | None" = None
 
     def tick(self, seq: int) -> None:
@@ -91,11 +92,15 @@ class BackgroundCheckpointer:
                 due = (seq + stagger) % interval == 0
             if due:
                 self._refresh(shard_id, host, lag)
+        gauge = self._staleness_gauge
+        if gauge is None:
+            gauge = self._staleness_gauge = manager.metrics.gauge(
+                "shard.staleness_max"
+            )
+            gauge.set(float(self.max_observed_staleness))
         if worst > self.max_observed_staleness:
             self.max_observed_staleness = worst
-        if self._staleness_gauge is None:
-            self._staleness_gauge = manager.metrics.gauge("shard.staleness_max")
-        self._staleness_gauge.set(float(self.max_observed_staleness))
+            gauge.set(float(worst))
 
     def _refresh(self, shard_id: int, host: "ShardHost", lag: int) -> None:
         self.sim_refresh_seconds += host.catch_up(

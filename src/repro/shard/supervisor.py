@@ -11,7 +11,14 @@ two ways:
   crash; an alive primary whose heartbeat counter has not advanced for
   ``heartbeat_timeout_s`` wall seconds is hung (or muted — the
   ``heartbeat_loss`` fault makes a healthy shard look hung, and the
-  supervisor restarts it anyway: availability over thrift).
+  supervisor restarts it anyway: availability over thrift).  The serve
+  path calls :meth:`check_paced` before each request instead: it stamps
+  the serve clock and advances resharding every call, but sweeps
+  liveness only once :data:`~repro.shard.transport.HEARTBEAT_INTERVAL_S`
+  of wall time has passed since the last sweep — a hang cannot be told
+  at a finer grain than the heartbeat anyway, and a primary that dies
+  between two sweeps fails the next lookup that reaches it (EPIPE or
+  EOF), which repairs it reactively.
 
 Repair prefers **promotion over replay**: when the shard has a live
 replica tracking the table version (a warm standby on the same shared
@@ -31,9 +38,10 @@ tests stay fast while the simulated account stays honest.
 
 The supervisor is also the *elastic reshard* driver: when
 ``reshard_imbalance`` is set and per-shard served-row counts diverge
-past it, :meth:`check` begins an online split of the hottest shard and
-advances the in-flight migration each sweep until the warmed hosts are
-drained in and the routing table swaps atomically.
+past it, :meth:`check` (and :meth:`check_paced`, every call) begins an
+online split of the hottest shard and advances the in-flight migration
+each sweep until the warmed hosts are drained in and the routing table
+swaps atomically.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.shard.errors import ShardCrashError
 from repro.shard.host import ShardHost, wait_heartbeats
 from repro.shard.store import EmbeddingShardManager
+from repro.shard.transport import HEARTBEAT_INTERVAL_S
 
 #: Restarts allowed per shard before it is abandoned.
 MAX_RESTARTS = 8
@@ -157,6 +166,9 @@ class ShardSupervisor:
         #: Routing epoch last seen; a bump invalidates every beat key
         #: (shard ids are renumbered by a finished migration).
         self._reshard_epoch = manager.reshard_epoch
+        #: Wall-clock moment from which :meth:`check_paced` sweeps
+        #: liveness again (the first call always does).
+        self._liveness_due = 0.0
         manager.on_failure = self.note_failure
 
     # -- reactive path ---------------------------------------------------
@@ -169,7 +181,7 @@ class ShardSupervisor:
     # -- proactive path --------------------------------------------------
 
     def check(self, sim_now: float | None = None) -> list[Incident]:
-        """One supervision sweep; returns the incidents acted on.
+        """One full supervision sweep; returns the incidents acted on.
 
         ``sim_now`` is the caller's simulated clock position (the serve
         loop passes it); incidents raised during this sweep — and by
@@ -178,9 +190,31 @@ class ShardSupervisor:
         """
         if sim_now is not None:
             self._sim_now = sim_now
-        sweep: list[Incident] = []
-        self._check_reshard(sweep)
+        sweep = self._check_reshard()
+        sweep.extend(self._sweep_liveness(time.monotonic()))
+        return sweep
+
+    def check_paced(self, sim_now: float | None = None) -> None:
+        """The serve path's sweep, once per request: :meth:`check` with
+        its liveness part paced to the heartbeat.
+
+        The clock stamp and the reshard step run every call (the oracles
+        pin splits and swaps by lookup sequence); the liveness reads run
+        only once :data:`HEARTBEAT_INTERVAL_S` of wall time has passed
+        since the last ones.
+        """
+        if sim_now is not None:
+            self._sim_now = sim_now
+        self._check_reshard()
         now = time.monotonic()
+        if now >= self._liveness_due:
+            self._sweep_liveness(now)
+
+    def _sweep_liveness(self, now: float) -> list[Incident]:
+        """Repair every dead primary and every one whose heartbeat has
+        not moved for ``heartbeat_timeout_s`` wall seconds."""
+        self._liveness_due = now + HEARTBEAT_INTERVAL_S
+        sweep: list[Incident] = []
         for host in self.manager.hosts:
             if host.abandoned:
                 continue
@@ -206,8 +240,9 @@ class ShardSupervisor:
 
     # -- elastic reshard -------------------------------------------------
 
-    def _check_reshard(self, sweep: list[Incident]) -> None:
-        """Advance an in-flight migration, or begin one on imbalance."""
+    def _check_reshard(self) -> list[Incident]:
+        """Advance an in-flight migration, or begin one on imbalance;
+        returns the split begun, if any."""
         manager = self.manager
         if manager.reshard_epoch != self._reshard_epoch:
             self._beats.clear()
@@ -217,19 +252,19 @@ class ShardSupervisor:
                 manager.finish_migration()
                 self._beats.clear()
                 self._reshard_epoch = manager.reshard_epoch
-            return
+            return []
         policy = self.policy
         if policy.reshard_imbalance <= 0:
-            return
+            return []
         if manager.lookup_seq < policy.reshard_min_lookups:
-            return
+            return []
         if manager.load_imbalance() < policy.reshard_imbalance:
-            return
+            return []
         served = manager.rows_served
         hottest = max(range(len(served)), key=lambda i: served[i])
         start, end = manager.routing.ranges[hottest]
         if end - start < 2 or manager.hosts[hottest].abandoned:
-            return
+            return []
         seconds = manager.begin_split(hottest)
         incident = Incident(
             shard_id=hottest, reason="imbalance", action="reshard",
@@ -237,7 +272,7 @@ class ShardSupervisor:
             sim_now_s=self._sim_now,
         )
         self._record(incident)
-        sweep.append(incident)
+        return [incident]
 
     # -- repair ----------------------------------------------------------
 

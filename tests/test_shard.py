@@ -10,6 +10,7 @@ restart budgets, and bounded staleness accounting.
 
 import dataclasses
 import time
+import types
 
 import numpy as np
 import pytest
@@ -40,8 +41,13 @@ from repro.shard import (
     ShardTimeoutError,
     SupervisorPolicy,
 )
+from repro.shard import supervisor as supervisor_module
 from repro.shard.supervisor import DEFAULT_RESTART_BACKOFF, MAX_RESTARTS
-from repro.shard.transport import MAILBOX_IDS, SHARD_CRASH_EXIT_CODE
+from repro.shard.transport import (
+    HEARTBEAT_INTERVAL_S,
+    MAILBOX_IDS,
+    SHARD_CRASH_EXIT_CODE,
+)
 
 pytestmark = pytest.mark.usefixtures("no_shard_leftovers")
 
@@ -636,6 +642,65 @@ class TestSupervisor:
             ]
             result = manager.lookup(np.arange(N_NODES))
             assert result.stale_rows == 0
+
+    def test_paced_sweep_reads_liveness_at_the_heartbeat_pace(
+        self, monkeypatch
+    ):
+        wall = [1000.0]
+        monkeypatch.setattr(
+            supervisor_module,
+            "time",
+            types.SimpleNamespace(monotonic=lambda: wall[0]),
+        )
+        with _manager() as manager:
+            supervisor = ShardSupervisor(manager)
+            supervisor.check_paced(sim_now=1.0)  # the first call sweeps
+            manager.hosts[1].inject_crash()
+            # Inside the heartbeat interval: the clock is stamped, the
+            # dead primary is not looked at.
+            wall[0] += HEARTBEAT_INTERVAL_S / 2
+            supervisor.check_paced(sim_now=2.0)
+            assert supervisor.incidents == []
+            assert supervisor._sim_now == 2.0
+            # A full sweep still reads liveness whenever it is called.
+            wall[0] += HEARTBEAT_INTERVAL_S / 4
+            assert [
+                (i.shard_id, i.reason, i.action, i.sim_now_s)
+                for i in supervisor.check()
+            ] == [(1, "crash", "restart", 2.0)]
+            manager.hosts[0].inject_crash()
+            supervisor.check_paced(sim_now=3.0)
+            assert len(supervisor.incidents) == 1
+            wall[0] += HEARTBEAT_INTERVAL_S
+            supervisor.check_paced(sim_now=4.0)
+            assert [
+                (i.shard_id, i.reason, i.action, i.sim_now_s)
+                for i in supervisor.incidents[1:]
+            ] == [(0, "crash", "restart", 4.0)]
+            assert manager.lookup(np.arange(N_NODES)).stale_rows == 0
+
+    def test_a_crash_between_paced_sweeps_is_repaired_by_the_lookup(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(
+            supervisor_module,
+            "time",
+            types.SimpleNamespace(monotonic=lambda: 1000.0),
+        )
+        with _manager() as manager:
+            supervisor = ShardSupervisor(manager)
+            supervisor.check_paced(sim_now=1.0)
+            manager.hosts[0].inject_crash()
+            supervisor.check_paced(sim_now=2.0)
+            result = manager.lookup(np.arange(N_NODES))
+            # The read is hedged and the repair carries the request's
+            # own clock stamp.
+            assert result.statuses[0] == STATUS_STALE
+            assert [
+                (i.shard_id, i.reason, i.action, i.sim_now_s)
+                for i in supervisor.incidents
+            ] == [(0, "crash", "restart", 2.0)]
+            assert manager.lookup(np.arange(N_NODES)).stale_rows == 0
 
     def test_restart_budget_abandons(self):
         with _manager() as manager:
