@@ -17,6 +17,7 @@ from repro.shard.errors import (
     ShardCrashError,
     ShardError,
     ShardTimeoutError,
+    UnsupportedPlatformError,
 )
 from repro.shard.host import ShardHost
 from repro.shard.ranges import ShardRoutingTable
@@ -57,4 +58,5 @@ __all__ = [
     "ShardSupervisor",
     "ShardTimeoutError",
     "SupervisorPolicy",
+    "UnsupportedPlatformError",
 ]

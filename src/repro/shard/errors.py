@@ -41,6 +41,23 @@ class CheckpointCorruptionError(ShardCrashError):
         self.quarantined = quarantined
 
 
+class UnsupportedPlatformError(ShardError):
+    """This machine does not keep the store order the mailbox relies on.
+
+    A lookup is published with plain stores in program order, which
+    x86-64 makes visible in that order; a weaker memory model (ARM,
+    POWER) would need a barrier the mailbox does not have, so the store
+    refuses to start there.
+    """
+
+    def __init__(self, machine: str) -> None:
+        super().__init__(
+            "the shard mailbox relies on x86-64 store order;"
+            f" this machine is {machine!r}"
+        )
+        self.machine = machine
+
+
 class ShardTimeoutError(ShardError):
     """One shard call outlived its per-shard deadline."""
 

@@ -29,7 +29,11 @@ from repro.memsim.devices import AccessPattern, Locality, Operation
 from repro.memsim.persistence import StageCheckpointStore, StageRecord
 from repro.parallel import mp_context
 from repro.shard.errors import CheckpointCorruptionError, ShardCrashError
-from repro.shard.transport import _SentLookup, _ShardWorker
+from repro.shard.transport import (
+    _SentLookup,
+    _ShardWorker,
+    require_store_order,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.shard.store import ShardPolicy
@@ -71,6 +75,7 @@ class ShardHost:
         ctx=None,
         spin_s: float = 0.0,
     ) -> None:
+        require_store_order()  # before any segment or process is made
         self.shard_id = shard_id
         self.row_start = row_start
         self.row_end = row_start + len(rows)

@@ -38,7 +38,10 @@ store, never torn.  The one reordering x86-64 allows — a load passing
 an earlier store — is what parking must rule out, and there both ends
 run a store→load fence: an uncontended ``threading.Lock`` round trip,
 whose locked instruction orders every earlier store before every later
-load.
+load.  A weaker memory model (ARM, POWER) would need a barrier on the
+publication too, so on any machine other than x86-64 the store refuses
+to start (:func:`require_store_order`, before a host makes its first
+segment or process).
 
 **Who parks and who rings.**  Both ends spin, then block.  A worker
 that has just answered, and a host waiting on a reply, first spin on
@@ -104,6 +107,7 @@ from __future__ import annotations
 
 import math
 import os
+import platform
 import secrets
 import select
 import struct
@@ -121,7 +125,11 @@ from repro.formats.csdb import (
     attach_shared_array,
     unlink_segment,
 )
-from repro.shard.errors import ShardCrashError, ShardTimeoutError
+from repro.shard.errors import (
+    ShardCrashError,
+    ShardTimeoutError,
+    UnsupportedPlatformError,
+)
 
 #: Exit code of an injected shard crash (asserted by the crash test).
 SHARD_CRASH_EXIT_CODE = 23
@@ -185,6 +193,14 @@ class _Mailbox:
         self.words.release()
         self.ids = self.rows = self.text = None
         self.segment.close()
+
+
+def require_store_order() -> None:
+    """Raise :class:`UnsupportedPlatformError` unless this machine is
+    x86-64, whose store order the mailbox's publication relies on."""
+    machine = platform.machine()
+    if machine.lower() not in ("x86_64", "amd64"):
+        raise UnsupportedPlatformError(machine)
 
 
 def _input_waiter(conn) -> Callable[[int], list]:

@@ -9,6 +9,7 @@ restart budgets, and bounded staleness accounting.
 """
 
 import dataclasses
+import platform
 import time
 import types
 
@@ -40,7 +41,9 @@ from repro.shard import (
     ShardSupervisor,
     ShardTimeoutError,
     SupervisorPolicy,
+    UnsupportedPlatformError,
 )
+from repro.shard import host as host_module
 from repro.shard import supervisor as supervisor_module
 from repro.shard.supervisor import DEFAULT_RESTART_BACKOFF, MAX_RESTARTS
 from repro.shard.transport import (
@@ -432,6 +435,21 @@ class TestShardFaultPlans:
 
 
 # -- scatter-gather -------------------------------------------------------
+
+
+def test_a_machine_without_x86_store_order_is_refused(monkeypatch):
+    made = []
+    monkeypatch.setattr(platform, "machine", lambda: "aarch64")
+    monkeypatch.setattr(
+        host_module, "create_shared_array", lambda *args: made.append(args)
+    )
+    manager = _manager()
+    with pytest.raises(UnsupportedPlatformError, match="aarch64") as info:
+        manager.start()
+    assert info.value.machine == "aarch64"
+    # Refused before the first segment: none was made, so none can leak
+    # (``no_shard_leftovers`` checks the processes and descriptors).
+    assert made == [] and manager.hosts == []
 
 
 class TestScatterGather:
