@@ -290,11 +290,18 @@ def _shard_events(records: list[dict]) -> list[dict]:
 
 
 def restart_landed(records: list[dict]) -> None:
-    """The supervised restart and the fault behind it are on the stream."""
+    """The supervised restart and the fault behind it are on the stream,
+    and every restart or promotion carries the serve clock it happened
+    at (``sim_now_s``, what ``repro why`` joins incidents by)."""
     events = _shard_events(records)
     restarts = [e for e in events if e.get("event") == "restart"]
     assert restarts, f"no restart on the stream: {events}"
     assert any(e.get("event") == "fault_injected" for e in events)
+    unstamped = [
+        e for e in events
+        if e.get("event") in ("restart", "promote") and e.get("sim_now_s") is None
+    ]
+    assert not unstamped, f"repairs without a serve-clock stamp: {unstamped}"
     print(f"{len(events)} shard events, {len(restarts)} restart(s): {restarts[0]}")
 
 

@@ -231,12 +231,17 @@ def _inputs():
         ),
         "restart-landed": (
             {"recovery.jsonl": [_shard_event("fault_injected"),
-                                _shard_event("restart", shard=1)]},
+                                _shard_event("restart", shard=1, sim_now_s=0.02),
+                                _shard_event("promote", shard=0, sim_now_s=0.03)]},
             {
                 "the restart dropped": lambda f: _drop(
                     f["recovery.jsonl"], event="restart"),
                 "the fault dropped": lambda f: _drop(
                     f["recovery.jsonl"], event="fault_injected"),
+                "the restart's clock stamp null": lambda f: f[
+                    "recovery.jsonl"][1].update(sim_now_s=None),
+                "the promotion's clock stamp dropped": lambda f: f[
+                    "recovery.jsonl"][2].pop("sim_now_s"),
             },
         ),
         "blame-fractions": (

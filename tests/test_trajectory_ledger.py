@@ -12,10 +12,19 @@ point into it.  These tests fail when a pointer dangles:
   PR order.  Entries back-filled from the docs (they carry ``source``
   and ``pr``) sit before every entry ``pairs.py --record`` appended, in
   PR order; recorded entries are in append order already, so every
-  series reads oldest to newest without a PR number on them.
+  series reads oldest to newest without a PR number on them;
+- a recorded verdict that its own samples do not give back.  Every
+  entry of schema 2 or later keeps each side's per-run values, and
+  ``pairs.py``'s own ``compare`` and ``verdict`` must return the
+  quartiles, wins, ties and verdict the entry holds (the per-layer rows
+  have no verdict).  Schema-1 entries (the back-filled ones and those
+  recorded before ``samples``) keep only the summary; they are exempt,
+  and the test prints how many.
 """
 
+import importlib.util
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -37,6 +46,16 @@ ENTRY_NAME = re.compile(
     r"^`pairs`, (?:change `(?P<sha>[0-9a-f]{7,40})`|PR (?P<pr>\d+)), "
     r"(?:seeds (?P<a>\d+)–(?P<b>\d+)|seed (?P<seed>\d+) ×(?P<n>\d+))$"
 )
+
+
+@pytest.fixture(scope="module")
+def pairs_script():
+    """The ``benchmarks/pairs.py`` script, imported as a module."""
+    path = ROOT / "benchmarks" / "pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +146,29 @@ def test_backfilled_entries_come_first_in_pr_order(pairs):
     assert not any(backfilled[first_recorded:]), "a back-filled entry after a recorded one"
     prs = [entry["pr"] for entry in pairs[:first_recorded]]
     assert prs == sorted(prs), "back-filled entries out of PR order"
+
+
+def test_recorded_verdicts_recompute_from_their_samples(pairs, pairs_script):
+    checked, exempt, wrong = 0, Counter(), []
+    for entry in pairs:
+        if entry.get("schema", 1) < 2:
+            exempt["back-filled" if "source" in entry else "recorded"] += 1
+            continue
+        name = f"{entry['workload']} {entry['change_sha'][:7]}"
+        rows = [(row, True) for row in entry["metrics"].items()]
+        rows += [(row, False) for row in entry.get("layers", {}).items()]
+        for (metric, row), judged in rows:
+            parent, change = row["samples"]["parent"], row["samples"]["change"]
+            recomputed = pairs_script.compare(parent, change, row["better"])
+            if judged:
+                _, recomputed["verdict"] = pairs_script.verdict(
+                    parent, change, row["better"], row["bound"]
+                )
+            held = {key: row[key] for key in recomputed}
+            if held != recomputed:
+                wrong.append(f"{name} {metric}: holds {held}, samples give {recomputed}")
+            checked += 1
+    print(f"recomputed {checked} rows; exempt schema-1 entries: "
+          f"{exempt['back-filled']} back-filled, {exempt['recorded']} recorded")
+    assert checked, "no recorded entry keeps samples"
+    assert not wrong, "\n".join(wrong)
