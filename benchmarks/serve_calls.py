@@ -163,14 +163,16 @@ def measure(
     """Set the workload up, replay it :data:`REPLAYS` times, tear it
     down; returns it with each replay's edge counts.  ``n_shards``
     overrides the fleet size the workload takes from the CPU count."""
+    default = workloads.N_SHARDS
     if n_shards is not None:
-        workloads.N_SHARDS = n_shards
+        workloads.N_SHARDS = n_shards  # read by ServeWorkload.setup
     workload = workloads.ServeWorkload(seed, quick=quick)
     try:
         workload.setup()
         runs = [replay_counts(workload) for _ in range(REPLAYS)]
     finally:
         workload.teardown()
+        workloads.N_SHARDS = default
     return workload, runs
 
 
@@ -182,14 +184,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--shards", type=int, default=None)
     parser.add_argument("--pin", type=Path, default=None)
     args = parser.parse_args(argv)
-    workload, runs = measure(args.seed, args.quick, args.shards)
+    n_shards = workloads.N_SHARDS if args.shards is None else args.shards
+    workload, runs = measure(args.seed, args.quick, n_shards)
     steady, varying = steady_edges(runs)
     total = sum(steady.values())
     per_func: dict[tuple, int] = {}
     for (_, func), calls in steady.items():
         per_func[func] = per_func.get(func, 0) + calls
     print(f"seed {args.seed}: {workload.work_per_op} requests per replay,"
-          f" {workloads.N_SHARDS} shards, {REPLAYS} replays")
+          f" {n_shards} shards, {REPLAYS} replays")
     print(f"deterministic calls per replay: {total}")
     print(f"left out ({len(varying)} edges whose count varies):")
     for edge in sorted(varying, key=lambda e: (_label(e[1]), _label(e[0]))):
@@ -203,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
         fixture = {
             "seed": args.seed,
             "quick": args.quick,
-            "n_shards": workloads.N_SHARDS,
+            "n_shards": n_shards,
             "requests": workload.work_per_op,
             "calls": total,
             "edges": pinned(steady),

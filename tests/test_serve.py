@@ -33,6 +33,8 @@ from repro.serve import (
     ServePolicy,
     ServeRequest,
 )
+from repro.obs.live import TelemetryStream, load_records
+from repro.serve import server as server_module
 from repro.serve.breaker import STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN
 from repro.serve.server import (
     RESPONSE_STATUSES,
@@ -497,7 +499,7 @@ class TestStaleTier:
 # -- golden telemetry -------------------------------------------------------
 
 
-def faulted_replay(metrics: MetricsRegistry):
+def faulted_replay(metrics: MetricsRegistry, stream=None):
     """A monolithic replay under a request burst and four hung calls.
 
     Sheds, all three ladder degradations (deadline, open breaker,
@@ -528,7 +530,7 @@ def faulted_replay(metrics: MetricsRegistry):
     backend.faults = injector
     try:
         server = EmbeddingServer(
-            backend, policy, metrics=metrics, faults=injector
+            backend, policy, metrics=metrics, faults=injector, stream=stream
         )
         return server.run_trace(trace)
     finally:
@@ -637,6 +639,27 @@ class TestGoldenTelemetry:
             "submitted": 70,
             "warmup_sim_seconds": 0.0,
         }
+
+    def test_queue_depth_gauge_reads_the_queue_at_every_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        # A snapshot per response, sheds inside the burst included: the
+        # gauge is written where it is read, so it is never behind.
+        monkeypatch.setattr(server_module, "SNAPSHOT_EVERY", 1)
+        path = tmp_path / "serve.jsonl"
+        with TelemetryStream(path) as stream:
+            report = faulted_replay(MetricsRegistry(), stream=stream)
+        snapshots = [
+            r for r in load_records(path) if r["type"] == "serve_snapshot"
+        ]
+        assert len(snapshots) == report.submitted + 1
+        assert any(s["queue_depth"] > 0 for s in snapshots)
+        for snapshot in snapshots:
+            [gauge] = [
+                m for m in snapshot["metrics"]
+                if m["name"] == "serve.queue_depth"
+            ]
+            assert gauge["value"] == snapshot["queue_depth"]
 
     def test_trace_ids_unique(self):
         report = faulted_replay(MetricsRegistry())

@@ -44,8 +44,9 @@ def test_serve_replay_calls_match_the_pin(monkeypatch):
     pin = json.loads(FIXTURE.read_text(encoding="utf-8"))
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends
     serve_calls = _import_serve_calls()
-    monkeypatch.setattr(serve_calls.workloads, "N_SHARDS", pin["n_shards"])
-    workload, runs = serve_calls.measure(pin["seed"], pin["quick"])
+    workload, runs = serve_calls.measure(
+        pin["seed"], pin["quick"], pin["n_shards"]
+    )
     assert workload.work_per_op == pin["requests"]
     steady, varying = serve_calls.steady_edges(runs)
     assert not varying, f"{len(varying)} edges vary between replays"
