@@ -329,8 +329,9 @@ class EmbeddingServer:
             "serve.unhandled_exceptions"
         ).inc
         self._count_submitted = metrics.counter("serve.submitted").inc
-        #: Written where it is read: when a snapshot is built and when a
-        #: trace ends (the queue's length is the depth between those).
+        #: Written where it is read, when a snapshot is built; a trace
+        #: ends only with the queue empty, so with no stream attached it
+        #: keeps the 0 it is set to below.
         self._queue_depth = metrics.gauge("serve.queue_depth")
         self._queue_peak = metrics.gauge("serve.queue_peak")
         self._labelled: dict[tuple[str, ...], Callable[..., None]] = {}
@@ -428,7 +429,6 @@ class EmbeddingServer:
                         ledger=ledger,
                     )
         report.finished_at_s = self.clock.now
-        self._queue_depth.set(len(pending))
         self._emit_snapshot()
         if self.tracer is not NULL_TRACER:  # the counts are a pass each
             self.tracer.record(

@@ -481,7 +481,8 @@ class TestElasticReshard:
             assert _wait_migration_ready(manager)
             manager.finish_migration()
 
-    def test_supervisor_splits_hot_shard_on_imbalance(self):
+    @pytest.mark.parametrize("sweep", ["check", "check_paced"])
+    def test_supervisor_splits_hot_shard_on_imbalance(self, sweep):
         metrics = MetricsRegistry()
         manager = _manager(metrics=metrics)
         with manager:
@@ -498,7 +499,7 @@ class TestElasticReshard:
             deadline = time.monotonic() + 5.0
             while manager.reshard_epoch == 0 and time.monotonic() < deadline:
                 manager.lookup(rng.integers(hot_lo, hot_hi, size=8))
-                supervisor.check()
+                getattr(supervisor, sweep)()
                 time.sleep(0.01)
             assert manager.reshard_epoch >= 1, "imbalance never split"
             assert manager.routing.n_shards == 3
