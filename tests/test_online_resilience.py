@@ -481,8 +481,7 @@ class TestElasticReshard:
             assert _wait_migration_ready(manager)
             manager.finish_migration()
 
-    @pytest.mark.parametrize("sweep", ["check", "check_paced"])
-    def test_supervisor_splits_hot_shard_on_imbalance(self, sweep):
+    def test_supervisor_splits_hot_shard_on_imbalance(self, sweep="check"):
         metrics = MetricsRegistry()
         manager = _manager(metrics=metrics)
         with manager:
@@ -510,6 +509,10 @@ class TestElasticReshard:
             assert metrics.value("shard.reshards", shard="0") == 1
             result = manager.lookup(np.arange(N_NODES))
             assert np.array_equal(result.rows, manager.table)
+
+    def test_the_serve_paths_paced_sweep_splits_on_imbalance(self):
+        # The serve path's sweep steps resharding on every call.
+        self.test_supervisor_splits_hot_shard_on_imbalance("check_paced")
 
 
 # -- abandoned-shard short circuit ----------------------------------------
