@@ -158,14 +158,13 @@ def replay_counts(workload: workloads.ServeWorkload) -> dict[tuple, int]:
 
 
 def measure(
-    seed: int, quick: bool, n_shards: int | None = None
+    seed: int, quick: bool, n_shards: int
 ) -> tuple[workloads.ServeWorkload, list[dict[tuple, int]]]:
-    """Set the workload up, replay it :data:`REPLAYS` times, tear it
-    down; returns it with each replay's edge counts.  ``n_shards``
-    overrides the fleet size the workload takes from the CPU count."""
+    """Set the workload up on ``n_shards`` shards, replay it
+    :data:`REPLAYS` times, tear it down; returns it with each replay's
+    edge counts."""
     default = workloads.N_SHARDS
-    if n_shards is not None:
-        workloads.N_SHARDS = n_shards  # read by ServeWorkload.setup
+    workloads.N_SHARDS = n_shards  # read by ServeWorkload.setup
     workload = workloads.ServeWorkload(seed, quick=quick)
     try:
         workload.setup()
@@ -188,6 +187,17 @@ def main(argv: list[str] | None = None) -> int:
     workload, runs = measure(args.seed, args.quick, n_shards)
     steady, varying = steady_edges(runs)
     total = sum(steady.values())
+    if args.pin is not None:
+        edges = pinned(steady)
+        args.pin.write_text(json.dumps({
+            "seed": args.seed,
+            "quick": args.quick,
+            "n_shards": n_shards,
+            "requests": workload.work_per_op,
+            "calls": total,
+            "edges": edges,
+        }, indent=1) + "\n")
+        print(f"pinned {len(edges)} edges to {args.pin}")
     per_func: dict[tuple, int] = {}
     for (_, func), calls in steady.items():
         per_func[func] = per_func.get(func, 0) + calls
@@ -202,17 +212,6 @@ def main(argv: list[str] | None = None) -> int:
     ranked = sorted(per_func.items(), key=lambda kv: -kv[1])
     for func, calls in ranked[: args.top]:
         print(f"  {calls:8d}  {_label(func)}")
-    if args.pin is not None:
-        fixture = {
-            "seed": args.seed,
-            "quick": args.quick,
-            "n_shards": n_shards,
-            "requests": workload.work_per_op,
-            "calls": total,
-            "edges": pinned(steady),
-        }
-        args.pin.write_text(json.dumps(fixture, indent=1) + "\n")
-        print(f"pinned {len(fixture['edges'])} edges to {args.pin}")
     return 0
 
 
