@@ -19,10 +19,13 @@ count differs between the three replays.  A function is timed when it
 is one of :data:`WAITS`, is inside ``multiprocessing.connection``, or
 is called by timed functions only.  Prints the deterministic call count
 of one replay (the other edges' sum), the varying edges, and the
-``--top`` functions by deterministic count; ``--pin`` also writes the
-deterministic edges, keyed by file and function name without line
-numbers, as the JSON fixture ``tests/test_serve_calls.py`` compares.
-Standard library only, beside the repo's own code.
+``--top`` functions by deterministic count; ``--pin`` also writes, as
+the JSON fixture ``tests/test_serve_calls.py`` compares, the
+deterministic edges whose caller is the repo's own code (``src/``,
+``benchmarks/``), keyed by file and function name without line numbers
+and in a form that reads the same on every supported Python and numpy
+(see :func:`pinned`).  Standard library only, beside the repo's own
+code.
 """
 
 from __future__ import annotations
@@ -37,9 +40,13 @@ if __name__ == "__main__":
 import argparse
 import cProfile
 import json
+import re
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+#: Where the repo's own code lives; every other file is the interpreter's
+#: or a library's.
+REPO_CODE = (HERE.parent / "src", HERE)
 sys.path[:0] = [str(HERE / "layered"), str(HERE.parent / "src")]
 
 import workloads  # noqa: E402
@@ -105,19 +112,70 @@ def _label(func: tuple[str, int, str] | None) -> str:
     return f"{Path(filename).name}:{line}({name})"
 
 
-def _key(func: tuple[str, int, str] | None) -> str:
-    """``_label`` without the line number, and with the file's directory."""
+#: Comprehensions that Python 3.12 inlines into the enclosing function
+#: (PEP 709); a generator expression keeps its own frame everywhere.
+COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>"}
+
+_BUILTIN_FUNCTION = re.compile(r"<built-in method ([\w.]+)>")
+_BUILTIN_METHOD = re.compile(r"<method '(\w+)' of '([\w.]+)' objects>")
+
+
+def _in_repo(func: tuple[str, int, str] | None) -> bool:
     if func is None or func[0] == "~":
+        return False
+    path = Path(func[0]).resolve()
+    return any(path.is_relative_to(root) for root in REPO_CODE)
+
+
+def _key(func: tuple[str, int, str] | None) -> str:
+    """A fixture key without the line number or anything that names a
+    Python or library version: the repo's own code by directory, file
+    and function (``serve/server.py:run_trace``); other code by file and
+    function (``<lib>/contextlib.py:helper``, not ``python3.11/...``);
+    a builtin by its type and name without the module path
+    (``<built-in>:arange`` for ``numpy.arange`` or
+    ``numpy.core.multiarray.arange``, ``<built-in>:ndarray.argmax``)."""
+    if func is None:
         return _label(func)
+    if func[0] == "~":
+        name = func[2]
+        if match := _BUILTIN_FUNCTION.fullmatch(name):
+            return f"<built-in>:{match[1].rsplit('.', 1)[-1]}"
+        if match := _BUILTIN_METHOD.fullmatch(name):
+            return f"<built-in>:{match[2].rsplit('.', 1)[-1]}.{match[1]}"
+        return name
     path = Path(func[0])
-    return f"{path.parent.name}/{path.name}:{func[2]}"
+    if _in_repo(func):
+        return f"{path.parent.name}/{path.name}:{func[2]}"
+    return f"<lib>/{path.name}:{func[2]}"
 
 
 def pinned(steady: dict[tuple, int]) -> dict[str, int]:
     """The fixture's form of ``steady``: ``"caller -> callee"`` keys
-    (edges whose keys coincide are summed), sorted."""
+    (:func:`_key`; edges whose keys coincide are summed), sorted.
+
+    Only what the repo controls is kept: edges whose caller is the
+    repo's own code, so none inside the interpreter, the standard
+    library or numpy.  A comprehension's calls count as its enclosing
+    function's, and the call into it is dropped, since 3.12 inlines it.
+    """
+    callers: dict = {}
+    for caller, func in steady:
+        callers.setdefault(func, set()).add(caller)
+
+    def home(func):
+        """The function whose frame runs ``func``'s calls (None if no
+        one steady caller)."""
+        while func is not None and func[2] in COMPREHENSIONS:
+            by = callers.get(func, set())
+            func = next(iter(by)) if len(by) == 1 else None
+        return func
+
     out: dict[str, int] = {}
     for (caller, func), calls in steady.items():
+        caller = home(caller)
+        if not _in_repo(caller) or func[2] in COMPREHENSIONS:
+            continue
         key = f"{_key(caller)} -> {_key(func)}"
         out[key] = out.get(key, 0) + calls
     return dict(sorted(out.items()))
@@ -194,10 +252,11 @@ def main(argv: list[str] | None = None) -> int:
             "quick": args.quick,
             "n_shards": n_shards,
             "requests": workload.work_per_op,
-            "calls": total,
+            "calls": sum(edges.values()),
             "edges": edges,
         }, indent=1) + "\n")
-        print(f"pinned {len(edges)} edges to {args.pin}")
+        print(f"pinned {len(edges)} edges, {sum(edges.values())} calls,"
+              f" to {args.pin}")
     per_func: dict[tuple, int] = {}
     for (_, func), calls in steady.items():
         per_func[func] = per_func.get(func, 0) + calls

@@ -8,6 +8,9 @@ wrote for the quick workload on one shard.  A change that moves a count
 re-pins it, and states in CHANGES.md which counts moved and why::
 
     python benchmarks/serve_calls.py --quick --shards 1 --pin tests/serve_calls_pin.json
+
+The fixture keeps only edges whose caller is the repo's own code, keyed
+so that they read the same on every Python the suite runs on.
 """
 
 from __future__ import annotations
@@ -30,6 +33,46 @@ def _import_serve_calls():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_pin_keys_name_no_python_or_numpy_version():
+    serve_calls = _import_serve_calls()
+    src = SCRIPT.parents[1] / "src" / "repro"
+    run_trace = (str(src / "serve" / "server.py"), 10, "run_trace")
+    lookup = (str(src / "shard" / "store.py"), 20, "lookup")
+    send = (str(src / "shard" / "store.py"), 40, "_send_primary")
+
+    def steady(stdlib: str, arange: str, inlined: bool) -> dict:
+        helper = (f"{stdlib}/contextlib.py", 299, "helper")
+        edges = {
+            (None, run_trace): 1,
+            (run_trace, helper): 1,
+            (helper, (f"{stdlib}/contextlib.py", 100, "__init__")): 1,
+            (run_trace, ("<string>", 2, "__init__")): 5,
+            (lookup, ("~", 0, f"<built-in method {arange}>")): 3,
+            (lookup, ("~", 0, "<method 'argmax' of 'numpy.ndarray' objects>")): 3,
+        }
+        if inlined:  # 3.12: the list comprehension runs in lookup's frame
+            edges[lookup, send] = 3
+        else:
+            listcomp = (str(src / "shard" / "store.py"), 30, "<listcomp>")
+            edges[lookup, listcomp] = 1
+            edges[listcomp, send] = 3
+        return edges
+
+    py311 = serve_calls.pinned(
+        steady("/usr/lib/python3.11", "numpy.arange", inlined=False)
+    )
+    py312 = serve_calls.pinned(
+        steady("/usr/lib/python3.12", "numpy.core.multiarray.arange", inlined=True)
+    )
+    assert py311 == py312 == {
+        "serve/server.py:run_trace -> <lib>/<string>:__init__": 5,
+        "serve/server.py:run_trace -> <lib>/contextlib.py:helper": 1,
+        "shard/store.py:lookup -> <built-in>:arange": 3,
+        "shard/store.py:lookup -> <built-in>:ndarray.argmax": 3,
+        "shard/store.py:lookup -> shard/store.py:_send_primary": 3,
+    }
 
 
 def _by_callee(edges: dict[str, int]) -> dict[str, int]:
