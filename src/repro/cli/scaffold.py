@@ -87,17 +87,20 @@ def backend_flags(parser: argparse.ArgumentParser) -> None:
         choices=[b.value for b in ExecBackend],
         default=None,
         help=(
-            "execution backend for the real kernels: 'simulated' (serial,"
-            " deterministic default), 'shared_memory' (worker-process"
-            " pool over zero-copy CSDB views), or 'threads' (persistent"
-            " in-process thread pool, zero segment copies); every"
-            " backend produces bit-identical output"
+            "execution backend for the real kernels: 'threads' (default:"
+            " one block of rows per worker on a persistent in-process"
+            " thread pool, zero copies, small products serial),"
+            " 'simulated' (serial), or 'shared_memory' (worker-process"
+            " pool over zero-copy CSDB views); every backend produces"
+            " bit-identical output"
         ),
     )
     parser.add_argument(
         "--workers", type=checked(lambda n: ParallelConfig(n_workers=n)),
         default=None, metavar="N",
-        help="worker processes for the shared-memory backend (default 2)",
+        help="workers for the threads and shared-memory backends: threads"
+        " a product is cut into (the calling one included), or worker"
+        " processes (default 2)",
     )
 
 

@@ -56,16 +56,18 @@ class PlacementScheme(enum.Enum):
 class ExecBackend(enum.Enum):
     """Which execution backend runs the real SpMM kernels.
 
-    ``SIMULATED`` keeps the historical behavior: kernels execute
+    ``THREADS`` (the default) cuts each product into one contiguous
+    block of rows per worker on a persistent in-process thread pool,
+    the calling thread running the last, with zero copies (see
+    :mod:`repro.parallel.threads`) — the compiled kernel releases the
+    GIL, and on free-threaded CPython the threads are fully concurrent;
+    small products run serially.  ``SIMULATED`` executes kernels
     serially in-process while only simulated clocks advance per logical
     thread.  ``SHARED_MEMORY`` runs EaTA partitions concurrently on a
     pool of worker processes over zero-copy shared-memory views of the
-    CSDB arrays (see :mod:`repro.parallel.shared`).  ``THREADS`` runs
-    them on a persistent in-process thread pool with zero segment
-    copies (see :mod:`repro.parallel.threads`) — the compiled kernel
-    releases the GIL, and on free-threaded CPython the threads are fully
-    concurrent.  The simulated cost accounting is charged identically
-    in every backend, and the numeric output is bit-identical.
+    CSDB arrays (see :mod:`repro.parallel.shared`).  The simulated cost
+    accounting is charged identically in every backend, and the numeric
+    output is bit-identical.
     """
 
     SIMULATED = "simulated"
@@ -80,15 +82,14 @@ class ParallelConfig:
     Attributes:
         backend: which executor runs the SpMM kernels.  The simulated
             cost model is unaffected by this choice.
-        n_workers: worker processes in the shared-memory pool (or
-            threads in the threads pool).  This is
+        n_workers: threads a product is cut into blocks for (the
+            calling thread and ``n_workers - 1`` pool threads), or worker
+            processes in the shared-memory pool.  This is
             a *physical* resource knob, distinct from the *logical*
-            ``OMeGaConfig.n_threads`` the cost model partitions over;
-            the pool consumes the logical partitions work-stealing
-            style.
+            ``OMeGaConfig.n_threads`` the cost model partitions over.
     """
 
-    backend: ExecBackend = ExecBackend.SIMULATED
+    backend: ExecBackend = ExecBackend.THREADS
     n_workers: int = 2
 
     def __post_init__(self) -> None:
@@ -100,12 +101,12 @@ class ParallelConfig:
         """Environment-overridable default backend.
 
         ``REPRO_EXEC_BACKEND`` / ``REPRO_WORKERS`` flip the default so
-        an unmodified test suite can run once against the shared-memory
-        backend (the CI smoke job); unset, the simulated backend keeps
-        deterministic single-process behavior.
+        an unmodified test suite can run once against another backend
+        (the CI smoke jobs: the process pool, and the serial executor);
+        unset, products run on the threads backend with 2 workers.
         """
         backend = ExecBackend(
-            os.environ.get("REPRO_EXEC_BACKEND", ExecBackend.SIMULATED.value)
+            os.environ.get("REPRO_EXEC_BACKEND", ExecBackend.THREADS.value)
         )
         n_workers = int(os.environ.get("REPRO_WORKERS", "2"))
         return cls(backend=backend, n_workers=n_workers)
@@ -142,8 +143,8 @@ class OMeGaConfig:
         dram_headroom: fraction of DRAM the streaming loader may use.
         topology: the NUMA machine model.
         seed: RNG seed for randomized algorithms (tSVD range finder).
-        parallel: real-execution backend selection (simulated vs
-            shared-memory worker pool); orthogonal to the cost model.
+        parallel: real-execution backend selection (threads, serial
+            or shared-memory worker pool); orthogonal to the cost model.
     """
 
     n_threads: int = 8

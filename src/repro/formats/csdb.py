@@ -36,6 +36,7 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 from scipy.sparse import csr_array
+from scipy.sparse._sparsetools import csr_matvecs
 
 from repro.formats.csr import (
     CSRMatrix, _check_coo, _reserve_working_set, _sort_coo, _stable_order,
@@ -272,6 +273,36 @@ class SharedCSDB:
             self.close()
         except Exception:
             pass
+
+
+def _rows_into(
+    view: csr_array,
+    row_start: int,
+    row_end: int,
+    dense: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """``out += view[row_start:row_end] @ dense``, copying nothing.
+
+    scipy's compiled CSR kernel (the ``csr_matvecs`` behind ``view @
+    dense``) reads each row's non-zeros at the offsets its row pointers
+    hold, so it is handed the range's slice of ``view.indptr`` and the
+    view's whole ``indices`` and ``data``.  A ``csr_array`` over sliced
+    arrays would copy them (its ``check_format`` prunes a slice under
+    half its base: every range of an EaTA split at R-MAT-14), and
+    ``@`` writes only into a new array.  ``out`` must be C-contiguous,
+    so that its ``ravel()`` is a view the kernel writes through.
+    """
+    csr_matvecs(
+        row_end - row_start,
+        view.shape[1],
+        dense.shape[1] if dense.ndim == 2 else 1,
+        view.indptr[row_start : row_end + 1],
+        view.indices,
+        view.data,
+        np.ascontiguousarray(dense).ravel(),
+        out.ravel(),
+    )
 
 
 class CSDBMatrix:
@@ -590,6 +621,7 @@ class CSDBMatrix:
         row_end: int,
         *,
         caller_order: bool = False,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """SpMM restricted to CSDB rows ``[row_start, row_end)``.
 
@@ -600,12 +632,22 @@ class CSDBMatrix:
         The range is handed to scipy's compiled CSR kernel — one fused
         pass (``get_dense_nnz`` -> multiply -> accumulate) with no
         O(nnz * d) intermediate: the full range is :meth:`kernel_view`
-        itself, a sub-range is zero-copy slices of the view's arrays.
+        itself, a sub-range the kernel run over the view's own arrays
+        from the range's first row pointer on (:func:`_rows_into`), so
+        nothing of the matrix is copied.
 
-        ``caller_order=True`` asks for the full range in *original* row
-        order, which is what a serial product hands its caller.  Until
+        ``out``, when given, is a zero-filled C-contiguous array of the
+        result's shape and :attr:`dtype`; the kernel accumulates into it
+        and returns it.  This is how pool threads write their rows
+        straight into one product.
+
+        ``caller_order=True`` asks for rows in *original* row order.
+        With ``out`` or over a sub-range they are rows of the
+        caller-order view, which must exist (:meth:`caller_view`).
+        Without ``out`` over the full range it is what a serial product
+        hands its caller.  Until
         the relayout pays back, that is the kernel view's product and
-        one :meth:`to_original_order` gather.  Once the gathers of this
+        one :meth:`gather_product`.  Once the gathers of this
         matrix's caller-order products at least
         :data:`RELAYOUT_MIN_WIDTH` wide have cost as much as the
         relayout would (:data:`RELAYOUT_COST_PER_KEPT_BYTE`; in practice
@@ -617,8 +659,10 @@ class CSDBMatrix:
         index arrays are built once per pattern, with scipy's compiled
         CSR row indexing over ``inv_perm``, and kept int32 (4 B per
         non-zero and per row).  Its values are gathered once per matrix
-        (8 B per non-zero in float64, 4 in float32).  The pool
-        executors never ask for it: they fill CSDB ranges and gather.
+        (8 B per non-zero in float64, 4 in float32).  The threads
+        executor cuts a product of every row into blocks of whichever
+        view the serial product would read; the process pool never asks
+        for it: it fills CSDB ranges and gathers.
 
         Accumulation contract: every output row is the *sequential* sum
         over its non-zeros in ``col_list`` order, starting from zero,
@@ -637,35 +681,67 @@ class CSDBMatrix:
             raise ValueError(
                 f"dimension mismatch: {self.shape} @ {dense.shape}"
             )
+        full = row_start == 0 and row_end == self.n_rows
         if caller_order:
-            if (row_start, row_end) != (0, self.n_rows):
+            if out is None and full:
+                return self._caller_product(dense)
+            view = self._caller_view
+            if view is None:
                 raise ValueError(
                     "a caller-order product covers every row,"
-                    f" not [{row_start}, {row_end})"
+                    f" not [{row_start}, {row_end}), until the matrix"
+                    " has built its caller-order view"
                 )
-            return self._caller_product(dense)
-        view = self.kernel_view()
-        if row_start == 0 and row_end == self.n_rows:
-            return view @ dense
-        indptr = view.indptr[row_start : row_end + 1]
-        lo, hi = int(indptr[0]), int(indptr[-1])
-        rows = csr_array(
-            (view.data[lo:hi], view.indices[lo:hi], indptr - lo),
-            shape=(row_end - row_start, self.n_cols),
-        )
-        return rows @ dense
+        else:
+            view = self.kernel_view()
+        shape = (row_end - row_start, *dense.shape[1:])
+        if out is None:
+            if full:
+                return view @ dense
+            out = np.zeros(shape, dtype=self.dtype)
+        elif (
+            out.shape != shape
+            or out.dtype != self.dtype
+            or not out.flags.c_contiguous
+            or not out.flags.writeable
+        ):
+            raise ValueError(
+                f"out must be a writeable C-contiguous {self.dtype}"
+                f" array of shape {shape}"
+            )
+        _rows_into(view, row_start, row_end, dense, out)
+        return out
 
     def _caller_product(self, dense: np.ndarray) -> np.ndarray:
         """``self @ dense`` in original row order (see :meth:`spmm_rows`)."""
-        view = self._caller_view
-        if view is None:
-            if self._relayout_due >= 0:
-                out = self.to_original_order(self.kernel_view() @ dense)
-                if out.ndim == 2 and out.shape[1] >= RELAYOUT_MIN_WIDTH:
-                    self._relayout_due -= out.nbytes
-                return out
-            view = self._caller_view = self._relaid_view()
-        return view @ dense
+        view = self.caller_view()
+        if view is not None:
+            return view @ dense
+        return self.gather_product(self.kernel_view() @ dense)
+
+    def caller_view(self) -> csr_array | None:
+        """The caller-order view a product of every row now reads, if any.
+
+        Built once the gathers of this matrix's products at least
+        :data:`RELAYOUT_MIN_WIDTH` wide have paid for it
+        (:meth:`spmm_rows`); until then ``None``, and a product of every
+        row is the kernel view's rows and one :meth:`gather_product`.
+        """
+        if self._caller_view is None and self._relayout_due < 0:
+            self._caller_view = self._relaid_view()
+        return self._caller_view
+
+    def gather_product(self, product: np.ndarray) -> np.ndarray:
+        """A CSDB-order product of every row in original row order.
+
+        One :meth:`to_original_order` gather, counted toward the
+        relayout that makes later products skip it
+        (:meth:`caller_view`).
+        """
+        out = self.to_original_order(product)
+        if out.ndim == 2 and out.shape[1] >= RELAYOUT_MIN_WIDTH:
+            self._relayout_due -= out.nbytes
+        return out
 
     def _relaid_view(self) -> csr_array:
         """The kernel view's rows in original row order, as a CSR array.
@@ -694,10 +770,11 @@ class CSDBMatrix:
         skips the index check ``_validate`` made once (perm is a
         permutation).
 
-        The pool executors gather every product with it, the serial
-        executor only what it computes in CSDB ranges (ranges that leave
-        a row uncovered), and a serial full product only until its
-        caller-order view pays back (:meth:`spmm_rows`).
+        The process pool gathers every product with it, the serial and
+        threads executors only what they compute in CSDB ranges (ranges
+        that leave a row uncovered); their products of every row go
+        through :meth:`gather_product` until the caller-order view pays
+        back (:meth:`spmm_rows`).
         """
         return np.take(product, self.inv_perm, axis=0, mode="clip")
 

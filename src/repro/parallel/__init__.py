@@ -3,15 +3,16 @@
 Three interchangeable backends implement the :class:`KernelExecutor`
 protocol behind the engine's kernel-dispatch seam:
 
+- :class:`ThreadsExecutor` — the default: each product cut into one
+  contiguous block of rows per worker on a persistent in-process thread
+  pool, zero copies (the compiled kernel releases the GIL), small
+  products serial, bit-identical to the serial result;
 - :class:`SimulatedExecutor` — serial in-process kernels, simulated
-  per-thread clocks (the deterministic default);
+  per-thread clocks;
 - :class:`SharedMemoryExecutor` — EaTA partitions executed concurrently
   on worker processes over zero-copy shared-memory views of the CSDB
   arrays, with a persistent warm segment cache and batched plan
-  submission, bit-identical to the serial result;
-- :class:`ThreadsExecutor` — partitions on a persistent in-process
-  thread pool, zero segment copies (the compiled kernel releases the
-  GIL), bit-identical to the serial result.
+  submission, bit-identical to the serial result.
 
 Real backends expose :class:`ExecutorStats` warm-path counters that the
 engine folds into its metrics registry.

@@ -19,17 +19,19 @@ bit-identical output.
 
 The same contract lets the serial backend *fuse*: adjacent ranges are
 merged and run as one ``spmm_rows`` call, so an engine multiply is a
-single kernel call.
+single kernel call; the threads backend fuses them too, then cuts one
+block per worker.
 
-The pool backends write their ranges' products into contiguous slices
-of one CSDB-order product and hand that to
+The process pool writes its ranges' products into contiguous slices
+of one CSDB-order product and hands that to
 :meth:`~repro.formats.csdb.CSDBMatrix.to_original_order`, which maps it
-to the caller's row order with one gather; so does the serial backend
-for ranges that leave a row uncovered.  Its fused pass over every row
-asks the kernel for the product in the caller's order
+to the caller's row order with one gather; so do the serial and threads
+backends for ranges that leave a row uncovered.  The serial fused pass
+over every row asks the kernel for the product in the caller's order
 (``caller_order=True``), which becomes the result itself: once the
 matrix's caller-order view pays back, there is no gather and no second
-buffer.  No backend reads the row permutation itself.
+buffer.  The threads backend's blocks of every row follow the same
+view.  No backend reads the row permutation itself.
 
 The seam carries no telemetry.  A backend executes the same
 instructions whether or not a tracer is attached; the engine times the
@@ -77,9 +79,10 @@ class ExecutorStats:
 
     Attributes:
         plans: batched plan submissions (one per dispatched call per
-            participating worker for process pools; one per call for
-            thread pools).
-        partitions: partition kernels executed.
+            participating worker for process pools; one per call that
+            runs blocks for thread pools, none for one run serially).
+        partitions: partition kernels executed (blocks, for thread
+            pools).
         shared_cache_hits: calls that reused a cached shared copy of
             the operand matrix (and the mapped scratch segments).
         shared_cache_misses: calls that had to share (or re-share) the
@@ -103,7 +106,7 @@ class ExecutorStats:
     last_call_wall_s: float = 0.0
 
 
-def _fuse_adjacent(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+def fuse_adjacent(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Non-empty ranges as int pairs, each run where one starts at the
     previous one's end merged into one."""
     fused: list[tuple[int, int]] = []
@@ -127,15 +130,35 @@ def normalize_ranges(
     are overwritten by their products anyway.
     """
     ranges = [(int(a), int(b)) for a, b in ranges if b > a]
-    return ranges, _fuse_adjacent(ranges) == [(0, n_rows)]
+    return ranges, fuse_adjacent(ranges) == [(0, n_rows)]
+
+
+def run_serial(
+    matrix: CSDBMatrix, dense: np.ndarray, ranges: list[tuple[int, int]]
+) -> np.ndarray:
+    """The kernel-dispatch seam run serially on the calling thread.
+
+    Each run of adjacent ranges is one kernel call; a run over every row
+    is the caller-order product itself.
+    """
+    fused = fuse_adjacent(ranges)
+    if fused == [(0, matrix.n_rows)]:
+        return matrix.spmm_rows(dense, 0, matrix.n_rows, caller_order=True)
+    # Uncovered rows stay zero.
+    product = np.zeros((matrix.n_rows, dense.shape[1]), dtype=matrix.dtype)
+    for row_start, row_end in fused:
+        matrix.spmm_rows(
+            dense, row_start, row_end, out=product[row_start:row_end]
+        )
+    return matrix.to_original_order(product)
 
 
 class SimulatedExecutor:
     """Serial backend: real kernels in-process, parallel time simulated.
 
     Runs partition kernels serially in submission order, adjacent
-    partitions fused into one kernel call — the default, fully
-    deterministic backend.
+    partitions fused into one kernel call — the fully deterministic
+    single-threaded backend (:func:`run_serial`).
     """
 
     def run_partitions(
@@ -145,13 +168,4 @@ class SimulatedExecutor:
         ranges: list[tuple[int, int]],
     ) -> np.ndarray:
         """Serial execution of the kernel-dispatch seam."""
-        fused = _fuse_adjacent(ranges)
-        if fused == [(0, matrix.n_rows)]:
-            return matrix.spmm_rows(dense, 0, matrix.n_rows, caller_order=True)
-        # Uncovered rows stay zero.
-        product = np.zeros((matrix.n_rows, dense.shape[1]), dtype=matrix.dtype)
-        for row_start, row_end in fused:
-            product[row_start:row_end] = matrix.spmm_rows(
-                dense, row_start, row_end
-            )
-        return matrix.to_original_order(product)
+        return run_serial(matrix, dense, ranges)

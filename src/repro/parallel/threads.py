@@ -1,27 +1,41 @@
-"""Thread-pool parallel execution of SpMM partitions.
+"""Thread-pool parallel execution of SpMM partitions — the default backend.
 
 The zero-copy sibling of :mod:`repro.parallel.shared`
-(``OMeGaConfig.parallel.backend = ExecBackend.THREADS``): partitions run
-on a persistent :class:`concurrent.futures.ThreadPoolExecutor` whose
-workers read the CSDB arrays and the dense operand *directly* — no
-shared segments, no operand staging, no pickling.  Per-call overhead is
-one closure submission per partition.
+(``OMeGaConfig.parallel.backend = ExecBackend.THREADS``, the default):
+one contiguous block of rows per worker, each block's kernel reading the
+CSDB arrays and the dense operand *directly* — no shared segments, no
+operand staging, no pickling — and writing its rows straight into one
+product.
 
-Why threads help even on GIL builds: ``spmm_rows`` is one call into
-scipy's compiled CSR kernel, which releases the GIL for the duration of
-its C loop, so partition kernels genuinely overlap.  On free-threaded
-CPython the workers are fully concurrent.  This mirrors OMeGa §III-B's
-thread model directly: one thread per partition over a shared
+A product of every row is cut into ``n_workers`` contiguous,
+nnz-balanced blocks (the engine's adjacent EaTA ranges fused, then cut),
+over whichever view the serial product would read: the kernel view in
+CSDB row order, or the caller-order view once the matrix has relaid
+itself (:meth:`~repro.formats.csdb.CSDBMatrix.caller_view`).  The
+last block runs on the calling thread, so a call submits
+``n_workers - 1`` closures and the pool holds that many threads; a
+block no pool thread has begun by the time the calling thread is done
+runs there too, so a late wake-up costs no wait.  A block is the
+kernel run over a slice of the view's row pointers and the view's whole
+arrays, so nothing of the matrix is copied or built per block.  A
+product under :data:`THREADS_MIN_WORK` multiply-adds runs the serial
+path itself and never touches the pool.
+
+Why threads help even on GIL builds: a block is one call into scipy's
+compiled CSR kernel, which releases the GIL for the duration of its C
+loop, so the blocks genuinely overlap.  On free-threaded CPython the
+workers are fully concurrent.  This mirrors OMeGa §III-B's thread model
+directly: contiguous partitions on all hardware threads over a shared
 in-memory matrix, no inter-process transport at all.
 
 Invariants shared with the other backends:
 
-- **Bit-identical output.**  Same fused ``spmm_rows`` kernel, one
-  contiguous CSDB row range per partition, written into its own
-  contiguous slice of a CSDB-order product — threads write disjoint
-  slices, so no synchronization is needed — and mapped to the caller's
-  row order by one gather after the join.  The result equals serial bit
-  for bit.
+- **Bit-identical output.**  Same kernel, every output row the
+  sequential sum over its non-zeros in ``col_list`` order whatever block
+  computes it; threads write disjoint row slices of one zero-filled
+  product, so no synchronization is needed.  A CSDB-order product is
+  mapped to the caller's row order by one gather after the join, the
+  same gather the serial product makes; a caller-order one needs none.
 - **Simulated time untouched.**  The executor only runs kernels.
 - **No telemetry.**  The seam carries none: the engine times the whole
   call and records the partition spans itself, so a traced multiply
@@ -30,8 +44,9 @@ Invariants shared with the other backends:
   abandons every pool in forked children so shard hosts start fresh.
 
 Failure semantics differ from the process pool deliberately: a raising
-partition propagates its exception directly (there is no crashed
-process to tear down, no segments to unlink) and the pool stays usable.
+block propagates its exception directly once every block has joined
+(there is no crashed process to tear down, no segments to unlink) and
+the pool stays usable.
 """
 
 from __future__ import annotations
@@ -40,12 +55,23 @@ import atexit
 import os
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro.formats.csdb import CSDBMatrix
-from repro.parallel.scheduler import ExecutorStats, normalize_ranges
+from repro.parallel.scheduler import ExecutorStats, fuse_adjacent, run_serial
+
+#: Products under this many multiply-adds (``nnz * d``) run the serial
+#: path on the calling thread: below it, handing a block to a pool
+#: thread and joining it costs about what the block's kernel saves.
+#: Threaded against serial, median speed-up by work (R-MAT-10 to -14,
+#: edge factor 8, float32 and float64, d = 4 to 128, medians of 100
+#: alternating calls, 2 workers on a 2-vCPU host): 0.71x at 2^17,
+#: 0.90x at 2^18, 0.97x at 2^19, 1.07x at 2^20, 1.21x at 2^21 and
+#: 1.30x at 2^22.
+THREADS_MIN_WORK = 1 << 20
 
 
 class ThreadsExecutor:
@@ -77,8 +103,9 @@ class ThreadsExecutor:
             raise RuntimeError("executor is closed")
         with self._lock:
             if self._pool is None:
+                # The calling thread runs the last block itself.
                 self._pool = ThreadPoolExecutor(
-                    max_workers=self.n_workers,
+                    max_workers=self.n_workers - 1,
                     thread_name_prefix="omega-spmm",
                 )
             return self._pool
@@ -117,58 +144,110 @@ class ThreadsExecutor:
         dense: np.ndarray,
         ranges: list[tuple[int, int]],
     ) -> np.ndarray:
-        """Execute CSDB row ranges on the thread pool; returns the result.
+        """Execute CSDB row ranges in blocks on the pool; returns the result.
 
         The result (a new array in original row order, shape
         ``(n_rows, d)``) has zeros in rows not covered by any range.
-        Threads fill disjoint contiguous slices of one CSDB-order
-        product; after the join this thread maps it to the result with
-        :meth:`~repro.formats.csdb.CSDBMatrix.to_original_order`.
+        Each run of adjacent ranges — one run, ``(0, n_rows)``, for a
+        plan covering every row — is cut into ``n_workers`` nnz-balanced
+        blocks (:func:`balanced_blocks`).  Blocks fill disjoint row
+        slices of one zero-filled product: the last on this thread,
+        then any that no pool thread has begun.
 
         Raises:
-            Exception: whatever a partition kernel raised, re-raised on
-                the caller thread.  The pool remains usable.
+            Exception: whatever a block kernel raised, re-raised on the
+                caller thread once every block has joined.  The pool
+                remains usable.
         """
+        work = matrix.nnz * dense.shape[1]
+        if self.n_workers == 1 or work < THREADS_MIN_WORK:
+            return run_serial(matrix, dense, ranges)
         call_start = time.perf_counter()
         dense = np.ascontiguousarray(dense, dtype=matrix.dtype)
-        ranges, covered = normalize_ranges(ranges, matrix.n_rows)
-        shape = (matrix.n_rows, dense.shape[1])
-        if not ranges:
-            return np.zeros(shape, dtype=matrix.dtype)
-        pool = self._ensure_pool()
-        # Pre-warm the lazily cached structural arrays on this thread;
-        # workers then only read them (no benign-but-wasteful race to
-        # build the same cache concurrently).
-        matrix.nnz_prefix()
-        matrix.row_degrees()
-        matrix.kernel_view()
-        # CSDB-order product; uncovered rows stay zero.
-        alloc = np.empty if covered else np.zeros
-        product = alloc(shape, dtype=matrix.dtype)
+        fused = fuse_adjacent(ranges)
+        covered = fused == [(0, matrix.n_rows)]
+        view = matrix.caller_view() if covered else None
+        caller_order = view is not None
+        if view is None:
+            view = matrix.kernel_view()
+        blocks = [
+            (run_start + a, run_start + b)
+            for run_start, run_end in fused
+            for a, b in balanced_blocks(
+                view.indptr[run_start : run_end + 1], self.n_workers
+            )
+        ]
+        product = np.zeros((matrix.n_rows, dense.shape[1]), dtype=matrix.dtype)
+        if not blocks:
+            return product
 
-        def run_range(row_start: int, row_end: int) -> None:
-            product[row_start:row_end] = matrix.spmm_rows(
-                dense, row_start, row_end
+        # Pool threads take blocks from the front, this thread from the
+        # back: its own block first, then any no pool thread has begun.
+        pending = deque(blocks)
+
+        def run_block(row_start: int, row_end: int) -> None:
+            matrix.spmm_rows(
+                dense, row_start, row_end,
+                caller_order=caller_order, out=product[row_start:row_end],
             )
 
-        futures = [pool.submit(run_range, a, b) for a, b in ranges]
+        def claim() -> None:
+            try:
+                row_start, row_end = pending.popleft()
+            except IndexError:
+                return  # the calling thread ran it
+            run_block(row_start, row_end)
+
+        pool = self._ensure_pool() if len(blocks) > 1 else None
+        futures = [pool.submit(claim) for _ in blocks[:-1]]
         self.stats.plans += 1
-        self.stats.partitions += len(ranges)
+        self.stats.partitions += len(blocks)
         # Threads read the operands in place: every call "hits".
         self.stats.shared_cache_hits += 1
         self.stats.last_submit_wall_s = time.perf_counter() - call_start
-        first: BaseException | None = None
+        errors: list[BaseException] = []
+        try:
+            while True:
+                try:
+                    block = pending.pop()
+                except IndexError:
+                    break  # every block is taken
+                run_block(*block)
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            errors.append(exc)
         for future in futures:
+            if future.cancel():
+                continue  # never started: its block ran here
             try:
                 future.result()
             except BaseException as exc:  # noqa: BLE001 - re-raised below
-                first = first if first is not None else exc
-        if first is None:
-            output = matrix.to_original_order(product)
+                errors.append(exc)
         self.stats.last_call_wall_s = time.perf_counter() - call_start
-        if first is not None:
-            raise first
-        return output
+        if errors:
+            raise errors[0]
+        if caller_order:
+            return product
+        if covered:
+            return matrix.gather_product(product)
+        return matrix.to_original_order(product)
+
+
+def balanced_blocks(
+    indptr: np.ndarray, n_blocks: int
+) -> list[tuple[int, int]]:
+    """The rows of ``indptr`` (row pointers, one more than rows) cut into
+    at most ``n_blocks`` contiguous ranges of about equal non-zeros,
+    relative to its first row (empty ranges dropped).
+
+    Cut ``k`` is the first row whose pointer reaches ``k / n_blocks`` of
+    the way from the first pointer to the last.
+    """
+    n_rows = len(indptr) - 1
+    first, last = int(indptr[0]), int(indptr[-1])
+    targets = first + np.arange(1, n_blocks) * ((last - first) / n_blocks)
+    cuts = np.searchsorted(indptr, targets).tolist()
+    bounds = [0, *cuts, n_rows]
+    return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
 #: Process-wide thread pools, one per worker count.

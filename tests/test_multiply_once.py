@@ -49,6 +49,7 @@ from repro.parallel import (
     shutdown_shared_executors,
     shutdown_threads_executors,
 )
+from repro.parallel.threads import THREADS_MIN_WORK
 
 from .test_pattern_once import WriteLog, assert_same_bits
 
@@ -246,7 +247,11 @@ def test_a_tracer_does_not_change_the_kernel_calls(
     finally:
         shutdown_shared_executors()  # its workers outlive the monkeypatch
     (null_calls, null_out), (span_calls, span_out) = seen["null"], seen["span"]
-    if backend == "serial":
+    if backend != "shared_memory":
+        # Serial fuses the ranges into one call; threads, under
+        # THREADS_MIN_WORK multiply-adds as here, runs that same path
+        # (tests/test_threads_blocks.py covers its blocks above it).
+        assert matrix.nnz * dense.shape[1] < THREADS_MIN_WORK
         assert null_calls == [(0, matrix.n_rows)]
     else:
         # Pool workers interleave: the calls compare as sorted lists.

@@ -18,6 +18,7 @@ from repro.graphs import rmat_edges
 from repro.parallel import (
     SharedMemoryExecutor,
     SimulatedExecutor,
+    ThreadsExecutor,
     WorkerCrashError,
     get_shared_executor,
     shutdown_shared_executors,
@@ -147,7 +148,10 @@ class TestEngineDispatch:
         # process-wide default via REPRO_EXEC_BACKEND, and this class
         # asserts on executor *types*.
         sim = SpMMEngine(
-            OMeGaConfig(**base, parallel=ParallelConfig())
+            OMeGaConfig(
+                **base,
+                parallel=ParallelConfig(backend=ExecBackend.SIMULATED),
+            )
         )
         shm = SpMMEngine(
             OMeGaConfig(
@@ -163,6 +167,12 @@ class TestEngineDispatch:
         sim, shm = self._engines()
         assert isinstance(sim.kernel_executor, SimulatedExecutor)
         assert isinstance(shm.kernel_executor, SharedMemoryExecutor)
+        # The dataclass default (no environment involved) is the pool
+        # of threads.
+        default = SpMMEngine(
+            OMeGaConfig(n_threads=4, dim=8, parallel=ParallelConfig())
+        )
+        assert isinstance(default.kernel_executor, ThreadsExecutor)
 
     def test_multiply_bit_identical_and_same_sim_time(self):
         matrix = _rmat_csdb(8, seed=9)
@@ -204,9 +214,13 @@ class TestParallelConfig:
         parallel = ParallelConfig.default()
         assert parallel.backend is ExecBackend.SHARED_MEMORY
         assert parallel.n_workers == 3
+        monkeypatch.setenv("REPRO_EXEC_BACKEND", "simulated")
+        assert ParallelConfig.default().backend is ExecBackend.SIMULATED
         monkeypatch.delenv("REPRO_EXEC_BACKEND")
         monkeypatch.delenv("REPRO_WORKERS")
-        assert ParallelConfig.default().backend is ExecBackend.SIMULATED
+        assert ParallelConfig.default() == ParallelConfig(
+            backend=ExecBackend.THREADS, n_workers=2
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n_workers"):
